@@ -377,14 +377,6 @@ func Open(path string, opts ...Option) (*Database, error) {
 	return db, nil
 }
 
-// OpenWith is Open with an explicit buffer-pool capacity in pages
-// (0 = store.DefaultPoolPages).
-//
-// Deprecated: use Open(path, WithPoolPages(poolPages)).
-func OpenWith(path string, poolPages int) (*Database, error) {
-	return Open(path, WithPoolPages(poolPages))
-}
-
 // attach eagerly loads one stored relation into a live maintainer —
 // the read-only (Load) path, which materializes everything up front
 // into memory mode and never writes back. The disk-backed Open path
@@ -513,10 +505,9 @@ func (db *Database) AllPoolStats() (st storage.PoolStats, ok bool) {
 }
 
 // OpenIOStats reports the buffer-pool counters consumed by store.Open
-// itself (WAL replay, catalog load, index attach — and, for legacy v2
-// files, the one-time index rebuild) for a disk-backed database; ok is
-// false in memory mode. On a clean v3 file the bucket is bounded by
-// catalog + index metadata, never the heap size.
+// itself (WAL replay, catalog load, index attach) for a disk-backed
+// database; ok is false in memory mode. On a clean file the bucket is
+// bounded by catalog + index metadata, never the heap size.
 func (db *Database) OpenIOStats() (st storage.PoolStats, ok bool) {
 	if db.st == nil {
 		return storage.PoolStats{}, false

@@ -36,15 +36,15 @@ func (b *Bound) toStore() *store.RangeBound {
 type IndexInfo struct {
 	Shards    int
 	FixedAttr string // attribute the canonical form is fixed on (index key)
-	HasPoint  bool   // fixed-atom hash index answers equality probes
-	HasRange  bool   // B+tree range index answers ordered scans
+	// Indexed is true iff the relation is disk-backed: every shard then
+	// carries the fixed-atom hash index (equality probes) and the B+tree
+	// (ordered scans).
+	Indexed bool
 }
 
 // IndexInfo reports the named relation's access paths. Memory-mode
 // relations have none (every read is the resident canonical form);
-// disk-backed relations always probe by point, and answer ranges when
-// every shard carries a B+tree (legacy files attached without write
-// permission may not).
+// disk-backed relations answer both point probes and ranges.
 func (db *Database) IndexInfo(name string) (IndexInfo, error) {
 	r, err := db.Rel(name)
 	if err != nil {
@@ -69,15 +69,11 @@ func (tx *Tx) IndexInfo(name string) (IndexInfo, error) {
 }
 
 func indexInfoOf(r *Rel) IndexInfo {
-	info := IndexInfo{
+	return IndexInfo{
 		Shards:    len(r.shards),
 		FixedAttr: r.def.Schema.Attr(r.def.Order[len(r.def.Order)-1]).Name,
+		Indexed:   r.rs != nil,
 	}
-	if r.rs != nil {
-		info.HasPoint = true
-		info.HasRange = r.rs.HasRangeIndex()
-	}
-	return info
 }
 
 // LookupFixed returns the stored tuples whose fixed component contains

@@ -92,7 +92,7 @@ func TestEngineIndexInfo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Shards != 1 || info.FixedAttr != "Student" || !info.HasPoint || !info.HasRange {
+	if info.Shards != 1 || info.FixedAttr != "Student" || !info.Indexed {
 		t.Fatalf("disk IndexInfo = %+v", info)
 	}
 
@@ -105,7 +105,7 @@ func TestEngineIndexInfo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if minfo.HasPoint || minfo.HasRange {
+	if minfo.Indexed {
 		t.Fatalf("memory-mode IndexInfo = %+v, want no access paths", minfo)
 	}
 	if _, err := mem.LookupFixed("r1", value.NewString("s01")); err == nil {

@@ -792,30 +792,3 @@ func TestTxStressInterleaved(t *testing.T) {
 	defer db2.Close()
 	verify(db2, "reopened")
 }
-
-// TestDeprecatedShims: the pre-redesign entry points keep compiling and
-// working (they are shims over the option form).
-func TestDeprecatedShims(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "shim.nfrs")
-	db, err := OpenWith(path, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Create(txTestDef("r")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Insert("r", row("s1", "c1", "b1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	if rel, err := db2.ReadRelation(nil, "r"); err != nil || rel.Len() != 1 {
-		t.Fatalf("shim-written database unreadable: %v", err)
-	}
-}

@@ -55,6 +55,9 @@ type txFS struct {
 	files     map[string][]byte
 	journal   []txOp
 	recording bool
+	// failWrite, when set, is asked before every WriteAt; a non-nil
+	// error fails the write with the file untouched.
+	failWrite func(name string) error
 }
 
 func newTxFS() *txFS { return &txFS{files: map[string][]byte{}} }
@@ -113,6 +116,11 @@ func (f *txFile) ReadAt(p []byte, off int64) (int, error) {
 func (f *txFile) WriteAt(p []byte, off int64) (int, error) {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
+	if f.fs.failWrite != nil {
+		if err := f.fs.failWrite(f.name); err != nil {
+			return 0, err
+		}
+	}
 	txApplyWrite(f.fs.files, f.name, off, p)
 	if f.fs.recording {
 		f.fs.journal = append(f.fs.journal, txOp{name: f.name, kind: 'w', off: off, data: append([]byte(nil), p...)})
@@ -410,7 +418,7 @@ func loadRelsErr(files map[string][]byte, label string) (map[string]*core.Relati
 		out[name] = rel
 		// the recovered B+tree must answer an unbounded range scan with
 		// exactly the heap's canonical tuples
-		if info, err := db.IndexInfo(name); err == nil && info.HasRange && info.Shards == 1 {
+		if info, err := db.IndexInfo(name); err == nil && info.Indexed && info.Shards == 1 {
 			byIdx, _, err := db.ScanFixedRange(name, nil, nil)
 			if err != nil {
 				db.Close()

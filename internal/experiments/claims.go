@@ -228,20 +228,28 @@ func RunStorageFootprint(w io.Writer, dir string, seed int64, students int) (C3R
 			return storage.HeapStats{}, err
 		}
 		defer pg.Close()
+		wal, err := storage.OpenWAL(path+".wal", nil)
+		if err != nil {
+			return storage.HeapStats{}, err
+		}
+		defer os.Remove(path + ".wal")
+		defer wal.Close()
 		bp, err := storage.NewBufferPool(pg, 16)
 		if err != nil {
 			return storage.HeapStats{}, err
 		}
-		h, err := storage.CreateHeap(bp, nil) // no WAL: legacy non-transactional pool
+		bp.AttachWAL(wal)
+		txn := bp.Begin()
+		h, err := storage.CreateHeap(bp, txn)
 		if err != nil {
 			return storage.HeapStats{}, err
 		}
 		for i := 0; i < rel.Len(); i++ {
-			if _, err := h.Insert(nil, encoding.EncodeTuple(rel.Tuple(i))); err != nil {
+			if _, err := h.Insert(txn, encoding.EncodeTuple(rel.Tuple(i))); err != nil {
 				return storage.HeapStats{}, err
 			}
 		}
-		if err := bp.Flush(); err != nil {
+		if _, err := bp.CommitTxn(txn); err != nil {
 			return storage.HeapStats{}, err
 		}
 		return h.Stats()

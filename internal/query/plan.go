@@ -82,7 +82,7 @@ func planRead(target Execer, name string, where algebra.Pred, flat bool) (Plan, 
 		return Plan{}, err
 	}
 	switch {
-	case !info.HasPoint && !info.HasRange:
+	case !info.Indexed:
 		pl.Reason = "relation has no durable indexes"
 		return pl, nil
 	case info.Shards != 1:
@@ -125,12 +125,12 @@ func planRead(target Execer, name string, where algebra.Pred, flat bool) (Plan, 
 	}
 
 	switch {
-	case point != nil && info.HasPoint:
+	case point != nil:
 		pl.Access = IndexPoint
 		pl.Attr = info.FixedAttr
 		pl.Point = point
 		pl.Reason = fmt.Sprintf("equality conjunct on indexed attribute %s", info.FixedAttr)
-	case (lo != nil || hi != nil) && info.HasRange:
+	case lo != nil || hi != nil:
 		if lo != nil && hi != nil && loAny && hiAny && !flat {
 			// Any/Any window at tuple level: fetch on the lower bound
 			// only; the upper bound still filters via the residual.

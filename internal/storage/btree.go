@@ -214,15 +214,8 @@ func (ix *BTree) metaBytes() []byte {
 // deferMeta schedules one meta flush for the transaction: mutations
 // update only the in-memory mirror and the meta page is written once
 // at commit, so every Put/Delete stops re-logging the meta page for
-// its in-place count update. A nil txn (legacy no-WAL pool) has no
-// commit point to defer to and writes immediately.
-func (ix *BTree) deferMeta(txn *Txn) error {
-	if txn == nil {
-		return ix.writeMeta(nil)
-	}
-	txn.Defer(ix, ix.writeMeta)
-	return nil
-}
+// its in-place count update.
+func (ix *BTree) deferMeta(txn *Txn) { txn.Defer(ix, ix.writeMeta) }
 
 // writeMeta overwrites the meta record in place (fixed size, the slot
 // never moves) so the persisted shape follows every mutation within
@@ -471,7 +464,8 @@ func (ix *BTree) Put(txn *Txn, key []byte, rid RID) error {
 		return err
 	}
 	ix.count++
-	return ix.deferMeta(txn)
+	ix.deferMeta(txn)
+	return nil
 }
 
 // splitLeaf rewrites the overflowing leaf as two chained leaves and
@@ -583,7 +577,8 @@ func (ix *BTree) Delete(txn *Txn, key []byte, rid RID) (bool, error) {
 		return false, err
 	}
 	ix.count--
-	return true, ix.deferMeta(txn)
+	ix.deferMeta(txn)
+	return true, nil
 }
 
 // unlinkLeaf splices the emptied leaf out of its parent (dropping the

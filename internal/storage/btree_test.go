@@ -59,8 +59,8 @@ func sameEntries(a, b []btEntry) bool {
 // is the sorted model, point Gets see every rid (including duplicate
 // keys), and the structure validates.
 func TestBTreeSplitsAndOrder(t *testing.T) {
-	bp, flush := newTestPool(t, 16)
-	ix, err := CreateBTree(bp, nil)
+	bp, txn, flush := newTestPool(t, 16)
+	ix, err := CreateBTree(bp, txn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestBTreeSplitsAndOrder(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		k := btKey(rng.Intn(60)) // plenty of duplicate keys
 		rid := RID{Page: uint32(i + 1), Slot: uint16(i % 5)}
-		if err := ix.Put(nil, k, rid); err != nil {
+		if err := ix.Put(txn, k, rid); err != nil {
 			t.Fatalf("Put %d: %v", i, err)
 		}
 		model = model.insert(k, rid)
@@ -122,8 +122,8 @@ func TestBTreeSplitsAndOrder(t *testing.T) {
 // TestBTreeRangeScanBounds exercises every bound combination against
 // the model, including open/closed ends on duplicate-key runs.
 func TestBTreeRangeScanBounds(t *testing.T) {
-	bp, _ := newTestPool(t, 16)
-	ix, err := CreateBTree(bp, nil)
+	bp, txn, _ := newTestPool(t, 16)
+	ix, err := CreateBTree(bp, txn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestBTreeRangeScanBounds(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		k := btKey(i % 10)
 		rid := RID{Page: uint32(i + 1), Slot: 0}
-		if err := ix.Put(nil, k, rid); err != nil {
+		if err := ix.Put(txn, k, rid); err != nil {
 			t.Fatal(err)
 		}
 		model = model.insert(k, rid)
@@ -182,15 +182,15 @@ func TestBTreeRangeScanBounds(t *testing.T) {
 // TestBTreeScanPagesBounded is the structural payoff: a window scan
 // touches O(height + matching leaves) pages, never the whole tree.
 func TestBTreeScanPagesBounded(t *testing.T) {
-	bp, _ := newTestPool(t, 32)
-	ix, err := CreateBTree(bp, nil)
+	bp, txn, _ := newTestPool(t, 32)
+	ix, err := CreateBTree(bp, txn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ix.SetMaxNodeEntries(4)
 	const n = 400
 	for i := 0; i < n; i++ {
-		if err := ix.Put(nil, btKey(i), RID{Page: uint32(i + 1)}); err != nil {
+		if err := ix.Put(txn, btKey(i), RID{Page: uint32(i + 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -224,8 +224,8 @@ func TestBTreeScanPagesBounded(t *testing.T) {
 // verifying emptied leaves leave the tree (TakeReleased), the chain
 // stays consistent, and every answer matches the model throughout.
 func TestBTreeDeleteUnlink(t *testing.T) {
-	bp, _ := newTestPool(t, 16)
-	ix, err := CreateBTree(bp, nil)
+	bp, txn, _ := newTestPool(t, 16)
+	ix, err := CreateBTree(bp, txn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestBTreeDeleteUnlink(t *testing.T) {
 	var pairs []pair
 	for i := 0; i < 120; i++ {
 		k, rid := btKey(i), RID{Page: uint32(i + 1)}
-		if err := ix.Put(nil, k, rid); err != nil {
+		if err := ix.Put(txn, k, rid); err != nil {
 			t.Fatal(err)
 		}
 		model = model.insert(k, rid)
@@ -252,7 +252,7 @@ func TestBTreeDeleteUnlink(t *testing.T) {
 	rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
 	var reclaimed []uint32
 	for i, p := range pairs[:100] {
-		ok, err := ix.Delete(nil, p.k, p.rid)
+		ok, err := ix.Delete(txn, p.k, p.rid)
 		if err != nil || !ok {
 			t.Fatalf("Delete %d: %v %v", i, ok, err)
 		}
@@ -291,7 +291,7 @@ func TestBTreeDeleteUnlink(t *testing.T) {
 		}
 	}
 	// double delete answers false
-	if ok, _ := ix.Delete(nil, pairs[0].k, pairs[0].rid); ok {
+	if ok, _ := ix.Delete(txn, pairs[0].k, pairs[0].rid); ok {
 		t.Fatal("double delete reported a removal")
 	}
 	if got := scanAll(t, ix); !sameEntries(got, model) {
@@ -301,14 +301,14 @@ func TestBTreeDeleteUnlink(t *testing.T) {
 
 // TestBTreeClear resets to a one-leaf tree, releasing everything else.
 func TestBTreeClear(t *testing.T) {
-	bp, _ := newTestPool(t, 16)
-	ix, err := CreateBTree(bp, nil)
+	bp, txn, _ := newTestPool(t, 16)
+	ix, err := CreateBTree(bp, txn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ix.SetMaxNodeEntries(3)
 	for i := 0; i < 80; i++ {
-		if err := ix.Put(nil, btKey(i), RID{Page: uint32(i + 1)}); err != nil {
+		if err := ix.Put(txn, btKey(i), RID{Page: uint32(i + 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -316,7 +316,7 @@ func TestBTreeClear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	released, err := ix.Clear(nil)
+	released, err := ix.Clear(txn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestBTreeClear(t *testing.T) {
 	if got := scanAll(t, ix); len(got) != 0 {
 		t.Fatalf("cleared tree still yields %d entries", len(got))
 	}
-	if err := ix.Put(nil, btKey(1), RID{Page: 1}); err != nil {
+	if err := ix.Put(txn, btKey(1), RID{Page: 1}); err != nil {
 		t.Fatalf("Put after Clear: %v", err)
 	}
 	inner, leaf, err := ix.PageCounts()
@@ -343,18 +343,18 @@ func TestBTreeClear(t *testing.T) {
 
 // TestBTreeKeyCap rejects impossible keys instead of corrupting pages.
 func TestBTreeKeyCap(t *testing.T) {
-	bp, _ := newTestPool(t, 8)
-	ix, err := CreateBTree(bp, nil)
+	bp, txn, _ := newTestPool(t, 8)
+	ix, err := CreateBTree(bp, txn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Put(nil, make([]byte, MaxBTreeKey+1), RID{Page: 1}); err == nil {
+	if err := ix.Put(txn, make([]byte, MaxBTreeKey+1), RID{Page: 1}); err == nil {
 		t.Fatal("oversized key accepted")
 	}
-	if err := ix.Put(nil, make([]byte, MaxBTreeKey), RID{Page: 1}); err != nil {
+	if err := ix.Put(txn, make([]byte, MaxBTreeKey), RID{Page: 1}); err != nil {
 		t.Fatalf("cap-sized key rejected: %v", err)
 	}
-	if err := ix.Put(nil, make([]byte, MaxBTreeKey), RID{Page: 2}); err != nil {
+	if err := ix.Put(txn, make([]byte, MaxBTreeKey), RID{Page: 2}); err != nil {
 		t.Fatalf("second cap-sized key (forcing a split) rejected: %v", err)
 	}
 	if ix.Len() != 2 {

@@ -40,16 +40,14 @@ type PoolStats struct {
 	Repairs   int
 }
 
-// errNoCleanVictim is the internal signal that eviction found no clean
-// unpinned frame and the pool (in WAL mode) should grow instead.
-var errNoCleanVictim = errors.New("storage: no clean eviction victim")
-
 // ErrWriteThroughFailed marks a commit whose batch IS durable in the
 // log (the commit fsync succeeded) but whose data-file write-through
 // failed. The transaction's frames stay dirty and owned; retrying the
 // commit relogs and rewrites them idempotently. Callers deciding
 // between retry and rollback must know this case: rolling back after
-// it leaves a committed batch in the log that recovery would replay.
+// it leaves a committed batch in the log that recovery would replay,
+// and Rollback must first undo whatever part of the write-through did
+// reach the data file.
 var ErrWriteThroughFailed = errors.New("storage: write-through after commit failed")
 
 // commitReq is one transaction waiting in the group-commit queue.
@@ -62,18 +60,17 @@ type commitReq struct {
 }
 
 // BufferPool caches pages with LRU eviction. Pinned frames are never
-// evicted. Without a WAL, dirty frames are written back on eviction and
-// on Flush (the legacy path, no transactions required). With a WAL
-// attached the pool is transactional and no-steal: every mutation
+// evicted. The pool is transactional and no-steal: every mutation
 // happens under a Txn, a dirty page never reaches the data file before
-// its transaction's batch is committed to the log, eviction prefers
+// its transaction's batch is committed to the log, eviction takes only
 // clean frames, and the pool temporarily overflows its capacity when
-// none exists.
+// none exists. Until a WAL is attached the pool is read-only (Get,
+// Unpin(fr, false), stats): GetMut and NewPage refuse.
 type BufferPool struct {
 	mu        sync.Mutex
 	ownerCond *sync.Cond // broadcast when frame ownership is released
 	pager     *Pager
-	wal       *WAL // nil = legacy mode (no write-ahead protection)
+	wal       *WAL // nil = read-only pool
 	capacity  int
 	frames    map[uint32]*Frame
 	lru       *list.List // of *Frame, front = most recently unpinned
@@ -135,11 +132,9 @@ func NewBufferPool(pager *Pager, capacity int) (*BufferPool, error) {
 	return bp, nil
 }
 
-// AttachWAL switches the pool to write-ahead mode: CommitTxn becomes
-// the only path by which dirty pages reach the data file, every
-// mutation must happen under a Txn, eviction is no-steal, and checksum
-// failures in Get are repaired from the log's committed images when
-// possible.
+// AttachWAL makes the pool writable: CommitTxn is the only path by
+// which dirty pages reach the data file, and checksum failures in Get
+// are repaired from the log's committed images when possible.
 func (bp *BufferPool) AttachWAL(w *WAL) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
@@ -209,21 +204,17 @@ func (bp *BufferPool) Get(pid uint32) (*Frame, error) {
 
 // GetMut pins the page for mutation under txn: the frame is claimed
 // for the transaction, blocking while a different uncommitted
-// transaction owns it. In legacy (no-WAL) mode txn may be nil and
-// GetMut degenerates to Get.
+// transaction owns it.
 func (bp *BufferPool) GetMut(txn *Txn, pid uint32) (*Frame, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	if bp.wal != nil && txn == nil {
-		return nil, fmt.Errorf("storage: page %d mutated outside a transaction", pid)
+	if bp.wal == nil || txn == nil {
+		return nil, fmt.Errorf("storage: page %d mutated outside a transaction on a WAL pool", pid)
 	}
 	for {
 		fr, err := bp.getLocked(pid)
 		if err != nil {
 			return nil, err
-		}
-		if txn == nil {
-			return fr, nil
 		}
 		if fr.owner == nil || fr.owner == txn {
 			if fr.owner == nil {
@@ -259,9 +250,7 @@ func (bp *BufferPool) getLocked(pid uint32) (*Frame, error) {
 		return fr, nil
 	}
 	bp.stats.Misses++
-	if err := bp.makeRoomLocked(); err != nil {
-		return nil, err
-	}
+	bp.makeRoomLocked()
 	fr := &Frame{pid: pid, pins: 1}
 	if err := bp.pager.Read(pid, &fr.page); err != nil {
 		return nil, err
@@ -294,12 +283,12 @@ func (bp *BufferPool) getLocked(pid uint32) (*Frame, error) {
 
 // NewPage allocates a fresh page — recycling one from the allocator
 // hook when available — and returns it pinned, zero-initialized, and
-// (in WAL mode) dirty under txn.
+// dirty under txn.
 func (bp *BufferPool) NewPage(txn *Txn) (*Frame, error) {
 	bp.mu.Lock()
-	if bp.wal != nil && txn == nil {
+	if bp.wal == nil || txn == nil {
 		bp.mu.Unlock()
-		return nil, fmt.Errorf("storage: page allocated outside a transaction")
+		return nil, errors.New("storage: page allocated outside a transaction on a WAL pool")
 	}
 	alloc := bp.allocate
 	bp.mu.Unlock()
@@ -345,11 +334,9 @@ func (bp *BufferPool) NewPage(txn *Txn) (*Frame, error) {
 		bp.markDirtyLocked(fr, txn)
 		return fr, nil
 	}
-	if err := bp.makeRoomLocked(); err != nil {
-		return nil, err
-	}
+	bp.makeRoomLocked()
 	fr := &Frame{pid: pid, pins: 1}
-	if recycled && bp.wal != nil {
+	if recycled {
 		// Uncached recycled page: its last committed life is on disk and
 		// may still be snapshot-reachable. Best-effort capture — a page
 		// that never made it to disk intact has no committed readers.
@@ -369,17 +356,14 @@ func (bp *BufferPool) NewPage(txn *Txn) (*Frame, error) {
 
 func (bp *BufferPool) markDirtyLocked(fr *Frame, txn *Txn) {
 	fr.dirty = true
-	if txn != nil {
-		fr.owner = txn
-		txn.dirty[fr.pid] = fr
-	}
+	fr.owner = txn
+	txn.dirty[fr.pid] = fr
 }
 
 // Unpin releases one pin; dirty marks the frame as modified and records
-// it in the owning transaction's dirty set. In WAL mode a dirty unpin
-// requires the frame to have been pinned via GetMut/NewPage under a
-// transaction; a clean unpin of an unmodified claimed frame releases
-// the claim.
+// it in the owning transaction's dirty set. A dirty unpin requires the
+// frame to have been pinned via GetMut/NewPage under a transaction; a
+// clean unpin of an unmodified claimed frame releases the claim.
 func (bp *BufferPool) Unpin(fr *Frame, dirty bool) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
@@ -387,7 +371,7 @@ func (bp *BufferPool) Unpin(fr *Frame, dirty bool) error {
 		return fmt.Errorf("storage: unpin of unpinned page %d", fr.pid)
 	}
 	if dirty {
-		if bp.wal != nil && fr.owner == nil {
+		if fr.owner == nil {
 			return fmt.Errorf("storage: dirty unpin of page %d outside a transaction", fr.pid)
 		}
 		bp.markDirtyLocked(fr, fr.owner)
@@ -407,23 +391,14 @@ func (bp *BufferPool) Unpin(fr *Frame, dirty bool) error {
 	return nil
 }
 
-// makeRoomLocked evicts one frame if the pool is at capacity. In WAL
-// mode a full pool of dirty frames overflows instead of stealing.
-func (bp *BufferPool) makeRoomLocked() error {
+// makeRoomLocked evicts the least recently used clean frame if the
+// pool is at capacity. A dirty frame must not reach the data file
+// before its batch commits (no-steal), so a pool with no clean unpinned
+// frame overflows its capacity instead.
+func (bp *BufferPool) makeRoomLocked() {
 	if len(bp.frames) < bp.capacity {
-		return nil
+		return
 	}
-	err := bp.evictLocked()
-	if err == errNoCleanVictim {
-		bp.stats.Overflows++
-		return nil
-	}
-	return err
-}
-
-func (bp *BufferPool) evictLocked() error {
-	// Prefer a clean victim: it needs no I/O, and under a WAL a dirty
-	// frame must NOT reach the data file before its batch commits.
 	for e := bp.lru.Back(); e != nil; e = e.Prev() {
 		fr := e.Value.(*Frame)
 		if fr.dirty {
@@ -433,26 +408,9 @@ func (bp *BufferPool) evictLocked() error {
 		fr.elem = nil
 		delete(bp.frames, fr.pid)
 		bp.stats.Evictions++
-		return nil
+		return
 	}
-	if bp.wal != nil {
-		return errNoCleanVictim
-	}
-	back := bp.lru.Back()
-	if back == nil {
-		return fmt.Errorf("storage: buffer pool exhausted (all %d frames pinned)", bp.capacity)
-	}
-	fr := back.Value.(*Frame)
-	bp.lru.Remove(back)
-	fr.elem = nil
-	if fr.dirty {
-		if err := bp.pager.Write(fr.pid, &fr.page); err != nil {
-			return err
-		}
-	}
-	delete(bp.frames, fr.pid)
-	bp.stats.Evictions++
-	return nil
+	bp.stats.Overflows++
 }
 
 // CommitTxn makes the transaction durable: its dirty pages are appended
@@ -592,6 +550,9 @@ func (bp *BufferPool) commitGroup(group []*commitReq) {
 	bp.mu.Lock()
 	published := false
 	for _, req := range group {
+		// a failed write-through may still have put some of the pages in
+		// the data file; Rollback has to take them out again
+		req.txn.spilled = req.err != nil
 		if req.err != nil {
 			continue
 		}
@@ -618,8 +579,10 @@ func (bp *BufferPool) commitGroup(group []*commitReq) {
 // Rollback discards every page the transaction dirtied: the frames are
 // dropped from the pool, so the next read sees the last committed
 // version from disk (or the WAL's repair image) — the no-steal rule
-// guarantees nothing uncommitted ever reached the data file. Ownership
-// is released and waiters are woken. Callers must separately restore
+// guarantees nothing uncommitted ever reached the data file, except
+// after a failed write-through (ErrWriteThroughFailed), whose pages are
+// first overwritten with their committed base images. Ownership is
+// released and waiters are woken. Callers must separately restore
 // any in-memory structures derived from the rolled-back pages; the
 // store layers that (see Store.Rollback). Rolling back while a page is
 // still pinned is a caller bug and is reported.
@@ -627,10 +590,18 @@ func (bp *BufferPool) Rollback(txn *Txn) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	var pinned []uint32
+	var restoreErr error
 	for pid, fr := range txn.dirty {
 		if fr.pins > 0 {
 			pinned = append(pinned, pid)
 			continue
+		}
+		if base, ok := bp.bases[pid]; ok && txn.spilled {
+			// pages with no base were allocated by this transaction and
+			// are unreferenced once the ones that point at them revert
+			if err := bp.pager.Write(pid, base); err != nil && restoreErr == nil {
+				restoreErr = fmt.Errorf("storage: rollback could not restore page %d after a failed write-through: %w", pid, err)
+			}
 		}
 		if fr.elem != nil {
 			bp.lru.Remove(fr.elem)
@@ -642,12 +613,13 @@ func (bp *BufferPool) Rollback(txn *Txn) error {
 		fr.owner = nil
 	}
 	txn.dirty = make(map[uint32]*Frame)
+	txn.spilled = false
 	txn.clearDeferred()
 	bp.ownerCond.Broadcast()
 	if len(pinned) > 0 {
 		return fmt.Errorf("storage: rollback of transaction with pinned pages %v", pinned)
 	}
-	return nil
+	return restoreErr
 }
 
 // Checkpoint fsyncs the data file and truncates the WAL back to its
@@ -668,26 +640,4 @@ func (bp *BufferPool) Checkpoint() error {
 		return err
 	}
 	return wal.Reset()
-}
-
-// Flush writes every dirty page back and syncs the data file — the
-// legacy path for pools without a WAL. A WAL-mode pool must use
-// CommitTxn/Checkpoint instead so the write-ahead invariant holds.
-func (bp *BufferPool) Flush() error {
-	bp.mu.Lock()
-	if bp.wal != nil {
-		bp.mu.Unlock()
-		return fmt.Errorf("storage: Flush on a WAL-mode pool (use CommitTxn and Checkpoint)")
-	}
-	for _, fr := range bp.frames {
-		if fr.dirty {
-			if err := bp.pager.Write(fr.pid, &fr.page); err != nil {
-				bp.mu.Unlock()
-				return err
-			}
-			fr.dirty = false
-		}
-	}
-	bp.mu.Unlock()
-	return bp.pager.Sync()
 }

@@ -5,9 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 )
 
-// This file implements the durable counterpart of HashIndex: a paged
+// This file implements the durable hash index: a paged
 // linear-hashing index whose directory and buckets are ordinary
 // checksummed slotted pages behind the buffer pool. Because every
 // mutation goes through GetMut/NewPage under a Txn, index pages ride
@@ -50,6 +51,12 @@ const (
 	maxIndexEntry = PageSize - pageHeaderSize - slotSize
 )
 
+func hashKey(key []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(key)
+	return h.Sum64()
+}
+
 // ErrCorruptIndex wraps structural damage found in a paged hash index
 // (bad meta record, malformed entry, cyclic or cross-linked chains).
 var ErrCorruptIndex = errors.New("storage: corrupt hash index")
@@ -59,7 +66,7 @@ var ErrCorruptIndex = errors.New("storage: corrupt hash index")
 // pool. The struct itself is only a small in-memory mirror of the
 // directory (bucket page ids plus the split state); all entries live
 // in bucket pages. Callers serialize access per index — the store does
-// so under its per-relation lock, mirroring HashIndex's contract.
+// so under its per-shard latch.
 type DiskHashIndex struct {
 	bp      *BufferPool
 	root    uint32   // first page of the directory chain
@@ -335,7 +342,8 @@ func (ix *DiskHashIndex) Put(txn *Txn, key []byte, rid RID) error {
 			return err
 		}
 	}
-	return ix.deferMeta(txn)
+	ix.deferMeta(txn)
+	return nil
 }
 
 // bucketInsert places rec in the bucket chain rooted at first, growing
@@ -565,16 +573,8 @@ func (ix *DiskHashIndex) dirAppend(txn *Txn, bucketPid uint32) error {
 // only update the in-memory mirror; the meta record (split state +
 // entry count) is written once at commit, so a statement that touches
 // the index many times no longer logs the directory root once per
-// touch — the "index meta re-log" write-amplification fix. A nil txn
-// (legacy no-WAL pool) has no commit point to defer to and writes
-// immediately.
-func (ix *DiskHashIndex) deferMeta(txn *Txn) error {
-	if txn == nil {
-		return ix.writeMeta(nil)
-	}
-	txn.Defer(ix, ix.writeMeta)
-	return nil
-}
+// touch — the "index meta re-log" write-amplification fix.
+func (ix *DiskHashIndex) deferMeta(txn *Txn) { txn.Defer(ix, ix.writeMeta) }
 
 // writeMeta overwrites the meta record in place (fixed size, the slot
 // never moves) so the persisted split state and entry count follow
@@ -701,7 +701,8 @@ func (ix *DiskHashIndex) Delete(txn *Txn, key []byte, rid RID) (bool, error) {
 			return true, err
 		}
 	}
-	return true, ix.deferMeta(txn)
+	ix.deferMeta(txn)
+	return true, nil
 }
 
 // shrink reverses linear splits while the LAST bucket's whole chain is

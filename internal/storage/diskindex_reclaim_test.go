@@ -12,8 +12,8 @@ import (
 // usable. Without this, a fill/drain workload leaks one page per
 // historical overflow forever.
 func TestDiskIndexDeleteReclaimsOverflow(t *testing.T) {
-	bp, flush := newTestPool(t, 32)
-	ix, err := CreateDiskIndex(bp, nil)
+	bp, txn, flush := newTestPool(t, 32)
+	ix, err := CreateDiskIndex(bp, txn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestDiskIndexDeleteReclaimsOverflow(t *testing.T) {
 	const n = 600
 	key := "hot-key"
 	for i := 0; i < n; i++ {
-		mustPut(t, ix, key, RID{Page: uint32(i + 1), Slot: uint16(i % 5)})
+		mustPut(t, ix, txn, key, RID{Page: uint32(i + 1), Slot: uint16(i % 5)})
 	}
 	if got := ix.Len(); got != n {
 		t.Fatalf("Len = %d, want %d", got, n)
@@ -38,7 +38,7 @@ func TestDiskIndexDeleteReclaimsOverflow(t *testing.T) {
 
 	// DRAIN: delete every entry; the emptied overflow pages must come out
 	for i := 0; i < n; i++ {
-		ok, err := ix.Delete(nil, []byte(key), RID{Page: uint32(i + 1), Slot: uint16(i % 5)})
+		ok, err := ix.Delete(txn, []byte(key), RID{Page: uint32(i + 1), Slot: uint16(i % 5)})
 		if err != nil {
 			t.Fatalf("delete %d: %v", i, err)
 		}
@@ -79,7 +79,7 @@ func TestDiskIndexDeleteReclaimsOverflow(t *testing.T) {
 
 	// the shrunken index must still take writes and survive reopen
 	for i := 0; i < 20; i++ {
-		mustPut(t, ix, fmt.Sprintf("fresh-%d", i), RID{Page: uint32(1000 + i)})
+		mustPut(t, ix, txn, fmt.Sprintf("fresh-%d", i), RID{Page: uint32(1000 + i)})
 	}
 	if err := flush(); err != nil {
 		t.Fatal(err)

@@ -2,46 +2,42 @@ package storage
 
 import (
 	"fmt"
-	"path/filepath"
 	"testing"
 )
 
-// newTestPool builds a legacy (no-WAL) pool over a real temp file; in
-// legacy mode mutations run with a nil transaction, which keeps these
-// unit tests focused on the index structure itself (transactional
-// behaviour is covered by the store and engine crash harnesses).
-func newTestPool(t *testing.T, pages int) (*BufferPool, func() error) {
+// newTestPool builds a WAL pool over temp files plus the one
+// transaction the index structure tests mutate under; commit makes it
+// durable (and flushes the indexes' deferred meta records) so a
+// reattach reads what was written.
+func newTestPool(t *testing.T, pages int) (bp *BufferPool, txn *Txn, commit func() error) {
 	t.Helper()
-	pg, err := OpenPager(filepath.Join(t.TempDir(), "ix.db"))
-	if err != nil {
-		t.Fatal(err)
+	_, _, bp = newWALPool(t, pages)
+	txn = bp.Begin()
+	return bp, txn, func() error {
+		_, err := bp.CommitTxn(txn)
+		return err
 	}
-	bp, err := NewBufferPool(pg, pages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bp, bp.Flush
 }
 
-func mustPut(t *testing.T, ix *DiskHashIndex, key string, rid RID) {
+func mustPut(t *testing.T, ix *DiskHashIndex, txn *Txn, key string, rid RID) {
 	t.Helper()
-	if err := ix.Put(nil, []byte(key), rid); err != nil {
+	if err := ix.Put(txn, []byte(key), rid); err != nil {
 		t.Fatalf("Put(%q, %v): %v", key, rid, err)
 	}
 }
 
 func TestDiskIndexPutGetDeleteReopen(t *testing.T) {
-	bp, flush := newTestPool(t, 8)
-	ix, err := CreateDiskIndex(bp, nil)
+	bp, txn, flush := newTestPool(t, 8)
+	ix, err := CreateDiskIndex(bp, txn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 500
 	for i := 0; i < n; i++ {
-		mustPut(t, ix, fmt.Sprintf("key-%04d", i), RID{Page: uint32(i + 1), Slot: uint16(i % 7)})
+		mustPut(t, ix, txn, fmt.Sprintf("key-%04d", i), RID{Page: uint32(i + 1), Slot: uint16(i % 7)})
 	}
 	// duplicate keys map to several rids
-	mustPut(t, ix, "key-0001", RID{Page: 9999, Slot: 3})
+	mustPut(t, ix, txn, "key-0001", RID{Page: 9999, Slot: 3})
 	if got := ix.Len(); got != n+1 {
 		t.Fatalf("Len = %d, want %d", got, n+1)
 	}
@@ -93,11 +89,11 @@ func TestDiskIndexPutGetDeleteReopen(t *testing.T) {
 	probe(ix2, "reopened")
 
 	// deletes remove exactly the named mapping
-	ok, err := ix2.Delete(nil, []byte("key-0001"), RID{Page: 9999, Slot: 3})
+	ok, err := ix2.Delete(txn, []byte("key-0001"), RID{Page: 9999, Slot: 3})
 	if err != nil || !ok {
 		t.Fatalf("Delete = %v, %v", ok, err)
 	}
-	if ok, _ := ix2.Delete(nil, []byte("key-0001"), RID{Page: 9999, Slot: 3}); ok {
+	if ok, _ := ix2.Delete(txn, []byte("key-0001"), RID{Page: 9999, Slot: 3}); ok {
 		t.Fatal("double delete reported a removal")
 	}
 	rids, err := ix2.Get([]byte("key-0001"))
@@ -110,15 +106,15 @@ func TestDiskIndexPutGetDeleteReopen(t *testing.T) {
 }
 
 func TestDiskIndexSplitKnob(t *testing.T) {
-	bp, _ := newTestPool(t, 8)
-	ix, err := CreateDiskIndex(bp, nil)
+	bp, txn, flush := newTestPool(t, 8)
+	ix, err := CreateDiskIndex(bp, txn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ix.SetMaxBucketEntries(2)
 	before := ix.Buckets()
 	for i := 0; i < 10; i++ {
-		mustPut(t, ix, fmt.Sprintf("k%d", i), RID{Page: uint32(i + 1)})
+		mustPut(t, ix, txn, fmt.Sprintf("k%d", i), RID{Page: uint32(i + 1)})
 	}
 	if ix.Buckets() <= before {
 		t.Fatalf("capped buckets did not split: %d buckets", ix.Buckets())
@@ -131,7 +127,7 @@ func TestDiskIndexSplitKnob(t *testing.T) {
 	}
 	// the split state is self-describing: a reattach without the knob
 	// still answers identically
-	if err := bp.Flush(); err != nil {
+	if err := flush(); err != nil {
 		t.Fatal(err)
 	}
 	ix2, err := OpenDiskIndex(bp, ix.Root())
@@ -147,20 +143,20 @@ func TestDiskIndexSplitKnob(t *testing.T) {
 }
 
 func TestDiskIndexClear(t *testing.T) {
-	bp, _ := newTestPool(t, 8)
-	ix, err := CreateDiskIndex(bp, nil)
+	bp, txn, flush := newTestPool(t, 8)
+	ix, err := CreateDiskIndex(bp, txn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ix.SetMaxBucketEntries(2)
 	for i := 0; i < 40; i++ {
-		mustPut(t, ix, fmt.Sprintf("key-%02d", i), RID{Page: uint32(i + 1)})
+		mustPut(t, ix, txn, fmt.Sprintf("key-%02d", i), RID{Page: uint32(i + 1)})
 	}
 	grown, err := ix.Pages()
 	if err != nil {
 		t.Fatal(err)
 	}
-	released, err := ix.Clear(nil)
+	released, err := ix.Clear(txn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +175,8 @@ func TestDiskIndexClear(t *testing.T) {
 		}
 	}
 	// the reset structure keeps working and survives a reattach
-	mustPut(t, ix, "fresh", RID{Page: 7})
-	if err := bp.Flush(); err != nil {
+	mustPut(t, ix, txn, "fresh", RID{Page: 7})
+	if err := flush(); err != nil {
 		t.Fatal(err)
 	}
 	ix2, err := OpenDiskIndex(bp, ix.Root())
@@ -194,8 +190,8 @@ func TestDiskIndexClear(t *testing.T) {
 }
 
 func TestDiskIndexFatEntriesOverflow(t *testing.T) {
-	bp, _ := newTestPool(t, 8)
-	ix, err := CreateDiskIndex(bp, nil)
+	bp, txn, _ := newTestPool(t, 8)
+	ix, err := CreateDiskIndex(bp, txn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +204,7 @@ func TestDiskIndexFatEntriesOverflow(t *testing.T) {
 	keys := make([]string, 12)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("%s-%02d", pad, i)
-		mustPut(t, ix, keys[i], RID{Page: uint32(i + 1)})
+		mustPut(t, ix, txn, keys[i], RID{Page: uint32(i + 1)})
 	}
 	for i, k := range keys {
 		rids, err := ix.Get([]byte(k))
@@ -218,7 +214,7 @@ func TestDiskIndexFatEntriesOverflow(t *testing.T) {
 	}
 	// an entry that can never fit a page is refused, not wedged
 	huge := make([]byte, PageSize)
-	if err := ix.Put(nil, huge, RID{Page: 1}); err == nil {
+	if err := ix.Put(txn, huge, RID{Page: 1}); err == nil {
 		t.Fatal("page-sized entry accepted")
 	}
 }
@@ -230,8 +226,8 @@ func TestDiskIndexFatEntriesOverflow(t *testing.T) {
 // mid-shrink probe proves addressing stays correct while the table is
 // part-way contracted.
 func TestDiskIndexShrinksOnDelete(t *testing.T) {
-	bp, flush := newTestPool(t, 8)
-	ix, err := CreateDiskIndex(bp, nil)
+	bp, txn, flush := newTestPool(t, 8)
+	ix, err := CreateDiskIndex(bp, txn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +236,7 @@ func TestDiskIndexShrinksOnDelete(t *testing.T) {
 	key := func(i int) string { return fmt.Sprintf("shrink-%05d", i) }
 	rid := func(i int) RID { return RID{Page: uint32(i + 1), Slot: uint16(i % 5)} }
 	for i := 0; i < n; i++ {
-		mustPut(t, ix, key(i), rid(i))
+		mustPut(t, ix, txn, key(i), rid(i))
 	}
 	grown := ix.Buckets()
 	if grown <= indexInitBuckets {
@@ -255,7 +251,7 @@ func TestDiskIndexShrinksOnDelete(t *testing.T) {
 	// delete the first half; whatever contraction that allows must keep
 	// every remaining key addressable
 	for i := 0; i < n/2; i++ {
-		if ok, err := ix.Delete(nil, []byte(key(i)), rid(i)); err != nil || !ok {
+		if ok, err := ix.Delete(txn, []byte(key(i)), rid(i)); err != nil || !ok {
 			t.Fatalf("Delete(%q) = %v, %v", key(i), ok, err)
 		}
 	}
@@ -268,7 +264,7 @@ func TestDiskIndexShrinksOnDelete(t *testing.T) {
 
 	// delete the rest: the table must contract all the way back
 	for i := n / 2; i < n; i++ {
-		if ok, err := ix.Delete(nil, []byte(key(i)), rid(i)); err != nil || !ok {
+		if ok, err := ix.Delete(txn, []byte(key(i)), rid(i)); err != nil || !ok {
 			t.Fatalf("Delete(%q) = %v, %v", key(i), ok, err)
 		}
 	}
@@ -307,7 +303,7 @@ func TestDiskIndexShrinksOnDelete(t *testing.T) {
 
 	// the contracted index keeps working and persists its shape
 	for i := 0; i < 50; i++ {
-		mustPut(t, ix, key(i), rid(i))
+		mustPut(t, ix, txn, key(i), rid(i))
 	}
 	if err := flush(); err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ type HeapFile struct {
 }
 
 // CreateHeap starts a new heap file with one empty page, allocated
-// under txn (nil only for pools without a WAL).
+// under txn.
 func CreateHeap(bp *BufferPool, txn *Txn) (*HeapFile, error) {
 	fr, err := bp.NewPage(txn)
 	if err != nil {

@@ -26,9 +26,6 @@ import (
 //     some pinned snapshot still needs, the superseded base moves into
 //     bp.versions keyed by the LSN range it was current for. Unpinning
 //     a snapshot garbage-collects whatever no remaining pin can read.
-//
-// Snapshots are only meaningful in WAL mode (legacy pools have no
-// commit clock).
 
 // pageVersion is a superseded committed image: it was the page's
 // current content from lsn up to (but excluding) the next version's
@@ -187,9 +184,6 @@ func (bp *BufferPool) unpinReadLocked(fr *Frame) {
 // uncommitted claim. Callers must invoke it BEFORE the claimant can
 // touch the frame bytes.
 func (bp *BufferPool) captureBaseLocked(fr *Frame) {
-	if bp.wal == nil {
-		return
-	}
 	if _, ok := bp.bases[fr.pid]; ok {
 		return
 	}

@@ -8,20 +8,6 @@ import (
 	"testing"
 )
 
-func newPool(t *testing.T, capacity int) (*Pager, *BufferPool) {
-	t.Helper()
-	pg, err := OpenPager(filepath.Join(t.TempDir(), "test.db"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { pg.Close() })
-	bp, err := NewBufferPool(pg, capacity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pg, bp
-}
-
 func TestPageInsertGetDelete(t *testing.T) {
 	var p Page
 	p.Init()
@@ -132,7 +118,7 @@ func TestPageNextChain(t *testing.T) {
 }
 
 func TestPagerAllocateReadWrite(t *testing.T) {
-	pg, _ := newPool(t, 4)
+	pg, _, _ := newWALPool(t, 4)
 	pid, err := pg.Allocate()
 	if err != nil {
 		t.Fatal(err)
@@ -199,10 +185,11 @@ func TestPagerReopen(t *testing.T) {
 }
 
 func TestBufferPoolPinEvict(t *testing.T) {
-	pg, bp := newPool(t, 2)
+	_, _, bp := newWALPool(t, 2)
+	txn := bp.Begin()
 	var pids []uint32
 	for i := 0; i < 4; i++ {
-		fr, err := bp.NewPage(nil)
+		fr, err := bp.NewPage(txn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,8 +198,12 @@ func TestBufferPoolPinEvict(t *testing.T) {
 		if err := bp.Unpin(fr, true); err != nil {
 			t.Fatal(err)
 		}
+		// committed frames are clean, so the next allocation may evict
+		if _, err := bp.CommitTxn(txn); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// all four pages readable despite capacity 2 (evictions wrote back)
+	// all four pages readable despite capacity 2 (commits wrote through)
 	for i, pid := range pids {
 		fr, err := bp.Get(pid)
 		if err != nil {
@@ -228,31 +219,70 @@ func TestBufferPoolPinEvict(t *testing.T) {
 	if evictions == 0 || misses == 0 {
 		t.Error("expected evictions and misses")
 	}
-	_ = pg
 }
 
+// TestBufferPoolAllPinned: with every frame pinned there is nothing to
+// evict, so the pool overflows its capacity instead of failing.
 func TestBufferPoolAllPinned(t *testing.T) {
-	_, bp := newPool(t, 1)
-	fr, err := bp.NewPage(nil)
+	_, _, bp := newWALPool(t, 1)
+	txn := bp.Begin()
+	fr, err := bp.NewPage(txn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bp.NewPage(nil); err == nil {
-		t.Error("expected exhaustion error")
+	fr2, err := bp.NewPage(txn)
+	if err != nil {
+		t.Fatalf("NewPage with every frame pinned: %v", err)
 	}
+	if got := bp.Snapshot().Overflows; got != 1 {
+		t.Errorf("Overflows = %d, want 1", got)
+	}
+	bp.Unpin(fr2, false)
 	if err := bp.Unpin(fr, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := bp.Unpin(fr, false); err == nil {
 		t.Error("double unpin accepted")
 	}
-	if _, err := bp.NewPage(nil); err != nil {
-		t.Errorf("after unpin NewPage failed: %v", err)
+}
+
+// TestReadOnlyPool: a pool with no WAL attached serves reads and
+// refuses every mutation.
+func TestReadOnlyPool(t *testing.T) {
+	pg, _, bp := newWALPool(t, 2)
+	txn := bp.Begin()
+	pid := dirtyNewPage(t, bp, txn, "x")
+	if _, err := bp.CommitTxn(txn); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := NewBufferPool(pg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := ro.Get(pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ro.Unpin(fr, true); err == nil {
+		t.Error("dirty unpin on a read-only pool accepted")
+	}
+	if err := ro.Unpin(fr, false); err != nil {
+		t.Fatal(err)
+	}
+	rtxn := ro.Begin()
+	if _, err := ro.GetMut(rtxn, pid); err == nil {
+		t.Error("GetMut on a read-only pool accepted")
+	}
+	if _, err := ro.NewPage(rtxn); err == nil {
+		t.Error("NewPage on a read-only pool accepted")
+	}
+	if _, err := ro.CommitTxn(rtxn); err == nil {
+		t.Error("CommitTxn on a read-only pool accepted")
 	}
 }
 
 func TestBufferPoolValidation(t *testing.T) {
-	pg, _ := newPool(t, 1)
+	pg, _, _ := newWALPool(t, 1)
 	if _, err := NewBufferPool(pg, 0); err == nil {
 		t.Error("capacity 0 accepted")
 	}
@@ -290,16 +320,14 @@ func TestPageValidate(t *testing.T) {
 		t.Error("out-of-area slot accepted")
 	}
 	// a corrupt page read through the pool surfaces as a clean error
-	pg, bp := newPool(t, 2)
-	fr, err := bp.NewPage(nil)
-	if err != nil {
+	pg, _, bp := newWALPool(t, 2)
+	txn := bp.Begin()
+	pid := dirtyNewPage(t, bp, txn, "x")
+	if _, err := bp.CommitTxn(txn); err != nil {
 		t.Fatal(err)
 	}
-	pid := fr.PID()
-	if err := bp.Unpin(fr, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := bp.Flush(); err != nil {
+	// the checkpoint drops the log's repair image of the page
+	if err := bp.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	var junk Page
@@ -308,12 +336,12 @@ func TestPageValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// evict the clean cached copy so the next Get re-reads from disk
-	fr2, err := bp.NewPage(nil)
+	fr2, err := bp.NewPage(txn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bp.Unpin(fr2, false)
-	fr3, err := bp.NewPage(nil)
+	fr3, err := bp.NewPage(txn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,15 +352,16 @@ func TestPageValidate(t *testing.T) {
 }
 
 func TestHeapInsertGetDeleteScan(t *testing.T) {
-	_, bp := newPool(t, 8)
-	h, err := CreateHeap(bp, nil)
+	_, _, bp := newWALPool(t, 8)
+	txn := bp.Begin()
+	h, err := CreateHeap(bp, txn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rids []RID
 	for i := 0; i < 300; i++ {
 		rec := []byte(fmt.Sprintf("record-%04d-%s", i, string(bytes.Repeat([]byte{'x'}, i%60))))
-		rid, err := h.Insert(nil, rec)
+		rid, err := h.Insert(txn, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +390,7 @@ func TestHeapInsertGetDeleteScan(t *testing.T) {
 	}
 	// delete a third
 	for i := 0; i < len(rids); i += 3 {
-		if err := h.Delete(nil, rids[i]); err != nil {
+		if err := h.Delete(txn, rids[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -384,34 +413,29 @@ func TestHeapInsertGetDeleteScan(t *testing.T) {
 }
 
 func TestHeapReopen(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "heap.db")
-	pg, err := OpenPager(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp, _ := NewBufferPool(pg, 4)
-	h, err := CreateHeap(bp, nil)
+	path := filepath.Join(t.TempDir(), "heap.db")
+	pg, w, bp := openWALPool(t, path, 4)
+	txn := bp.Begin()
+	h, err := CreateHeap(bp, txn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first := h.FirstPage()
 	for i := 0; i < 500; i++ {
-		if _, err := h.Insert(nil, []byte(fmt.Sprintf("r%d", i))); err != nil {
+		if _, err := h.Insert(txn, []byte(fmt.Sprintf("r%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := bp.Flush(); err != nil {
+	if _, err := bp.CommitTxn(txn); err != nil {
 		t.Fatal(err)
 	}
+	if err := bp.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
 	pg.Close()
 
-	pg2, err := OpenPager(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pg2.Close()
-	bp2, _ := NewBufferPool(pg2, 4)
+	_, _, bp2 := openWALPool(t, path, 4)
 	h2, err := OpenHeap(bp2, first)
 	if err != nil {
 		t.Fatal(err)
@@ -424,57 +448,17 @@ func TestHeapReopen(t *testing.T) {
 		t.Errorf("reopened heap has %d records", st.LiveRecords)
 	}
 	// insertion continues at the end of the chain
-	if _, err := h2.Insert(nil, []byte("after-reopen")); err != nil {
+	if _, err := h2.Insert(bp2.Begin(), []byte("after-reopen")); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHashIndex(t *testing.T) {
-	ix := NewHashIndex()
-	// many keys to force growth
-	for i := 0; i < 200; i++ {
-		ix.Put([]byte(fmt.Sprintf("key%d", i)), RID{Page: uint32(i), Slot: 0})
-	}
-	if ix.Len() != 200 {
-		t.Errorf("Len = %d", ix.Len())
-	}
-	for i := 0; i < 200; i++ {
-		rids := ix.Get([]byte(fmt.Sprintf("key%d", i)))
-		if len(rids) != 1 || rids[0].Page != uint32(i) {
-			t.Fatalf("Get key%d = %v", i, rids)
-		}
-	}
-	if got := ix.Get([]byte("absent")); got != nil {
-		t.Errorf("absent key = %v", got)
-	}
-	// duplicates under one key
-	ix.Put([]byte("dup"), RID{Page: 1000})
-	ix.Put([]byte("dup"), RID{Page: 1001})
-	if got := ix.Get([]byte("dup")); len(got) != 2 {
-		t.Errorf("dup = %v", got)
-	}
-	if !ix.Delete([]byte("dup"), RID{Page: 1000}) {
-		t.Error("delete failed")
-	}
-	if ix.Delete([]byte("dup"), RID{Page: 9999}) {
-		t.Error("phantom delete succeeded")
-	}
-	if got := ix.Get([]byte("dup")); len(got) != 1 || got[0].Page != 1001 {
-		t.Errorf("after delete: %v", got)
-	}
-}
-
-func TestUint32Key(t *testing.T) {
-	if string(Uint32Key(1)) == string(Uint32Key(2)) {
-		t.Error("key collision")
 	}
 }
 
 // Property-style stress: random inserts/deletes tracked against a map,
 // verified by scan, across a small buffer pool (forcing evictions).
 func TestHeapRandomizedAgainstModel(t *testing.T) {
-	_, bp := newPool(t, 3)
-	h, err := CreateHeap(bp, nil)
+	_, _, bp := newWALPool(t, 3)
+	txn := bp.Begin()
+	h, err := CreateHeap(bp, txn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +468,7 @@ func TestHeapRandomizedAgainstModel(t *testing.T) {
 	for step := 0; step < 2000; step++ {
 		if rng.Intn(3) != 0 || len(live) == 0 {
 			rec := fmt.Sprintf("v%d-%d", step, rng.Intn(1000))
-			rid, err := h.Insert(nil, []byte(rec))
+			rid, err := h.Insert(txn, []byte(rec))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -493,12 +477,18 @@ func TestHeapRandomizedAgainstModel(t *testing.T) {
 		} else {
 			i := rng.Intn(len(live))
 			rid := live[i]
-			if err := h.Delete(nil, rid); err != nil {
+			if err := h.Delete(txn, rid); err != nil {
 				t.Fatal(err)
 			}
 			delete(model, rid)
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
+		}
+		// only committed (clean) frames are evictable
+		if step%20 == 0 {
+			if _, err := bp.CommitTxn(txn); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	got := map[RID]string{}

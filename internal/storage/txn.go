@@ -21,6 +21,10 @@ package storage
 type Txn struct {
 	bp    *BufferPool
 	dirty map[uint32]*Frame // guarded by bp.mu
+	// spilled: the last commit attempt was logged but its write-through
+	// failed, so the data file may hold some of dirty's pages (guarded
+	// by bp.mu).
+	spilled bool
 
 	// deferred commit work (single-goroutine, like the Txn itself):
 	// callbacks registered by Defer, run once at the head of CommitTxn.

@@ -11,13 +11,19 @@ import (
 // newWALPool builds a pager + WAL-attached pool in a temp dir.
 func newWALPool(t *testing.T, capacity int) (*Pager, *WAL, *BufferPool) {
 	t.Helper()
-	dir := t.TempDir()
-	pg, err := OpenPager(filepath.Join(dir, "txn.db"))
+	return openWALPool(t, filepath.Join(t.TempDir(), "txn.db"), capacity)
+}
+
+// openWALPool opens (creating if missing) the data file at path and
+// its path+".wal" sidecar behind a pool.
+func openWALPool(t *testing.T, path string, capacity int) (*Pager, *WAL, *BufferPool) {
+	t.Helper()
+	pg, err := OpenPager(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { pg.Close() })
-	w, err := OpenWAL(filepath.Join(dir, "txn.db.wal"), nil)
+	w, err := OpenWAL(path+".wal", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,18 +59,15 @@ import (
 const (
 	walMagic      = "NFRW"
 	walVersion    = 3
-	walHeaderSize = 28 // v3: magic(4) version(1) reserved(3) dbid(8) clock(8) clockCRC(4)
-	walHeaderV2   = 16
-	walHeaderV1   = 8
+	walHeaderSize = 28 // magic(4) version(1) reserved(3) dbid(8) clock(8) clockCRC(4)
 
 	walRecPage   = 'P'
 	walRecDelta  = 'D'
 	walRecCommit = 'C'
 
-	walPageRecSize     = 1 + 4 + PageSize + 4
-	walCommitRecSize   = 1 + 8 + 4 + 8 + 4 // v3 commit: tag seq npages lsn crc
-	walCommitRecSizeV2 = 1 + 8 + 4 + 4     // v1/v2 commit: tag seq npages crc
-	walDeltaHdrSize    = 1 + 4 + 4         // tag pid size; payload and crc follow
+	walPageRecSize   = 1 + 4 + PageSize + 4
+	walCommitRecSize = 1 + 8 + 4 + 8 + 4 // tag seq npages lsn crc
+	walDeltaHdrSize  = 1 + 4 + 4         // tag pid size; payload and crc follow
 
 	// walDeltaMax caps a delta payload: past half a page the full image
 	// is barely bigger and needs no base to replay.
@@ -118,8 +115,6 @@ type WAL struct {
 	f        File // nil until the file exists
 	existed  bool // the file was present on disk when the WAL was opened
 	size     int64
-	hdrSize  int64 // 28 for v3 files; 16 / 8 when attached to a legacy v2 / v1 log
-	recVer   int   // record format: 3 = deltas + LSN commits, 2 = legacy full-image
 	seq      uint64
 	dbid     uint64           // database identity (0 = unknown / unpaired)
 	clock    uint64           // highest commit LSN carried by the log
@@ -136,7 +131,7 @@ func OpenWAL(path string, open OpenFileFunc) (*WAL, error) {
 	if open == nil {
 		open = OpenOSFile
 	}
-	w := &WAL{path: path, open: open, hdrSize: walHeaderSize, recVer: 3, images: make(map[uint32]*Page)}
+	w := &WAL{path: path, open: open, images: make(map[uint32]*Page)}
 	f, err := open(path, false)
 	if errors.Is(err, fs.ErrNotExist) {
 		return w, nil
@@ -180,23 +175,11 @@ func (w *WAL) recover() error {
 	if n, err := w.f.ReadAt(buf, 0); err != nil && !(err == io.EOF && int64(n) == size) {
 		return err
 	}
-	// The first 8 header bytes are fixed per version. A v3 header adds
-	// the persisted commit clock after the database id; legacy v2
-	// (16-byte header, no clock) and v1 (8-byte header, no id) logs are
-	// still readable so a database that crashed under an old format
-	// recovers after an upgrade — they just keep their old record
-	// format for any further appends.
-	v1prefix := []byte{walMagic[0], walMagic[1], walMagic[2], walMagic[3], 1, 0, 0, 0}
-	v2prefix := []byte{walMagic[0], walMagic[1], walMagic[2], walMagic[3], 2, 0, 0, 0}
-	v3prefix := []byte{walMagic[0], walMagic[1], walMagic[2], walMagic[3], walVersion, 0, 0, 0}
+	// The first 8 header bytes are fixed; the database id and the
+	// persisted commit clock follow.
+	prefix := []byte{walMagic[0], walMagic[1], walMagic[2], walMagic[3], walVersion, 0, 0, 0}
 	switch {
-	case size >= walHeaderV1 && bytes.Equal(buf[:8], v1prefix):
-		w.hdrSize, w.recVer = walHeaderV1, 2
-	case size >= walHeaderV2 && bytes.Equal(buf[:8], v2prefix):
-		w.hdrSize, w.recVer = walHeaderV2, 2
-		w.dbid = binary.LittleEndian.Uint64(buf[8:16])
-	case size >= walHeaderSize && bytes.Equal(buf[:8], v3prefix):
-		w.hdrSize, w.recVer = walHeaderSize, 3
+	case size >= walHeaderSize && bytes.Equal(buf[:8], prefix):
 		w.dbid = binary.LittleEndian.Uint64(buf[8:16])
 		// The clock region is rewritten in place at checkpoints; a torn
 		// rewrite can only garble these 12 bytes, which the CRC detects
@@ -206,34 +189,24 @@ func (w *WAL) recover() error {
 			w.clock = binary.LittleEndian.Uint64(buf[16:24])
 			w.hdrClock = w.clock
 		}
-	default:
-		// A header that is a zero-padded prefix of the valid one (or a
-		// full prefix with a cut-short id/clock region) is a torn
+	case tornHeader(buf[:min(size, walHeaderSize)], prefix):
+		// A header that is a zero-padded prefix of the valid one (or the
+		// full fixed prefix with a cut-short id/clock region) is a torn
 		// creation: the log's first fsync never completed, so no batch
-		// was ever promised durable — treat the log as empty. Any other
-		// header (alien magic, a future version) is corruption we must
-		// not guess at.
-		hdr := buf
-		if size >= walHeaderSize {
-			hdr = buf[:walHeaderSize]
-		}
-		if !tornHeader(hdr, v3prefix, walHeaderSize) &&
-			!tornHeader(hdr, v2prefix, walHeaderV2) &&
-			!tornHeader(hdr, v1prefix, walHeaderV1) {
-			return fmt.Errorf("%w: bad header", ErrCorruptWAL)
-		}
+		// was ever promised durable — treat the log as empty.
 		if err := w.f.Truncate(0); err != nil {
 			return err
 		}
 		w.size = 0
 		return nil
+	case size >= 8 && string(buf[:4]) == walMagic:
+		// Another format version: its records must not be guessed at.
+		return fmt.Errorf("%w: log format version %d, only version %d is supported", ErrCorruptWAL, buf[4], walVersion)
+	default:
+		return fmt.Errorf("%w: bad header", ErrCorruptWAL)
 	}
-	commitSize := int64(walCommitRecSize)
-	if w.recVer == 2 {
-		commitSize = walCommitRecSizeV2
-	}
-	end := w.hdrSize
-	off := w.hdrSize
+	end := int64(walHeaderSize)
+	off := end
 	pending := make(map[uint32]*Page)
 	sawCommit := false
 scan:
@@ -254,7 +227,7 @@ scan:
 			pending[pid] = &img
 			off += walPageRecSize
 		case walRecDelta:
-			if w.recVer != 3 || off+walDeltaHdrSize > size {
+			if off+walDeltaHdrSize > size {
 				break scan
 			}
 			pid := binary.LittleEndian.Uint32(buf[off+1 : off+5])
@@ -291,12 +264,12 @@ scan:
 			pending[pid] = img
 			off = recEnd
 		case walRecCommit:
-			if off+commitSize > size {
+			if off+walCommitRecSize > size {
 				break scan
 			}
-			rec := buf[off : off+commitSize]
-			if crc32.Checksum(rec[:commitSize-4], crcTable) !=
-				binary.LittleEndian.Uint32(rec[commitSize-4:]) {
+			rec := buf[off : off+walCommitRecSize]
+			if crc32.Checksum(rec[:walCommitRecSize-4], crcTable) !=
+				binary.LittleEndian.Uint32(rec[walCommitRecSize-4:]) {
 				break scan
 			}
 			seq := binary.LittleEndian.Uint64(rec[1:9])
@@ -309,10 +282,8 @@ scan:
 				// tore, or an out-of-order remnant: not a committed batch
 				break scan
 			}
-			if w.recVer == 3 {
-				if lsn := binary.LittleEndian.Uint64(rec[13:21]); lsn > w.clock {
-					w.clock = lsn
-				}
+			if lsn := binary.LittleEndian.Uint64(rec[13:21]); lsn > w.clock {
+				w.clock = lsn
 			}
 			sawCommit = true
 			for pid, img := range pending {
@@ -322,7 +293,7 @@ scan:
 			w.stats.RecoveredPages += len(pending)
 			pending = make(map[uint32]*Page)
 			w.seq = seq
-			off += commitSize
+			off += walCommitRecSize
 			end = off
 		default:
 			break scan
@@ -343,22 +314,15 @@ scan:
 // tornHeader reports whether hdr is a shape only a crash during the
 // header's first, never-fsync'd write can leave: a zero-padded proper
 // prefix of the fixed 8 header bytes, or the full fixed prefix with
-// the trailing region (id, clock) cut short of the version's full
-// header length.
-func tornHeader(hdr, prefix []byte, full int) bool {
-	n := len(hdr)
-	if n > len(prefix) {
-		n = len(prefix)
-	}
+// the trailing region (id, clock) cut short of walHeaderSize.
+func tornHeader(hdr, prefix []byte) bool {
 	i := 0
-	for i < n && hdr[i] == prefix[i] {
+	for i < len(hdr) && i < len(prefix) && hdr[i] == prefix[i] {
 		i++
 	}
 	if i == len(prefix) {
-		// full fixed prefix: torn only if the trailing region is
-		// incomplete (a complete header is handled as valid by the
-		// caller)
-		return len(hdr) < full
+		// a complete header is handled as valid by the caller
+		return len(hdr) < walHeaderSize
 	}
 	for _, b := range hdr[i:] {
 		if b != 0 {
@@ -489,19 +453,17 @@ func (w *WAL) AppendGroup(batches [][]WALPage, lsn uint64) error {
 			continue
 		}
 		for _, p := range pages {
-			if w.recVer == 3 {
-				if prev, ok := w.images[p.PID]; ok {
-					if payload, ok := diffPage(prev, p.Img); ok {
-						rec := make([]byte, 0, walDeltaHdrSize+len(payload)+4)
-						rec = append(rec, walRecDelta)
-						rec = binary.LittleEndian.AppendUint32(rec, p.PID)
-						rec = binary.LittleEndian.AppendUint32(rec, uint32(len(payload)))
-						rec = append(rec, payload...)
-						rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(rec, crcTable))
-						buf = append(buf, rec...)
-						nDelta++
-						continue
-					}
+			if prev, ok := w.images[p.PID]; ok {
+				if payload, ok := diffPage(prev, p.Img); ok {
+					rec := make([]byte, 0, walDeltaHdrSize+len(payload)+4)
+					rec = append(rec, walRecDelta)
+					rec = binary.LittleEndian.AppendUint32(rec, p.PID)
+					rec = binary.LittleEndian.AppendUint32(rec, uint32(len(payload)))
+					rec = append(rec, payload...)
+					rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(rec, crcTable))
+					buf = append(buf, rec...)
+					nDelta++
+					continue
 				}
 			}
 			rec := make([]byte, 0, walPageRecSize)
@@ -518,9 +480,7 @@ func (w *WAL) AppendGroup(batches [][]WALPage, lsn uint64) error {
 		commit = append(commit, walRecCommit)
 		commit = binary.LittleEndian.AppendUint64(commit, seq)
 		commit = binary.LittleEndian.AppendUint32(commit, uint32(len(pages)))
-		if w.recVer == 3 {
-			commit = binary.LittleEndian.AppendUint64(commit, lsn)
-		}
+		commit = binary.LittleEndian.AppendUint64(commit, lsn)
 		commit = binary.LittleEndian.AppendUint32(commit, crc32.Checksum(commit, crcTable))
 		buf = append(buf, commit...)
 	}
@@ -553,28 +513,16 @@ func (w *WAL) AppendGroup(batches [][]WALPage, lsn uint64) error {
 	return nil
 }
 
-// header builds the on-disk header for the log's format version with
-// the current dbid and clock.
+// header builds the on-disk header with the current dbid and clock.
 func (w *WAL) header() []byte {
-	switch {
-	case w.recVer == 2 && w.hdrSize == walHeaderV1:
-		return []byte{walMagic[0], walMagic[1], walMagic[2], walMagic[3], 1, 0, 0, 0}
-	case w.recVer == 2:
-		hdr := make([]byte, walHeaderV2)
-		copy(hdr, walMagic)
-		hdr[4] = 2
-		binary.LittleEndian.PutUint64(hdr[8:16], w.dbid)
-		return hdr
-	default:
-		hdr := make([]byte, walHeaderSize)
-		copy(hdr, walMagic)
-		hdr[4] = walVersion
-		binary.LittleEndian.PutUint64(hdr[8:16], w.dbid)
-		binary.LittleEndian.PutUint64(hdr[16:24], w.clock)
-		binary.LittleEndian.PutUint32(hdr[24:28], crc32.Checksum(hdr[16:24], crcTable))
-		w.hdrClock = w.clock
-		return hdr
-	}
+	hdr := make([]byte, walHeaderSize)
+	copy(hdr, walMagic)
+	hdr[4] = walVersion
+	binary.LittleEndian.PutUint64(hdr[8:16], w.dbid)
+	binary.LittleEndian.PutUint64(hdr[16:24], w.clock)
+	binary.LittleEndian.PutUint32(hdr[24:28], crc32.Checksum(hdr[16:24], crcTable))
+	w.hdrClock = w.clock
+	return hdr
 }
 
 // SetDBID records the owning database's identity; it is stamped into
@@ -587,8 +535,8 @@ func (w *WAL) SetDBID(id uint64) {
 }
 
 // DBID returns the database id read from an existing log's header (or
-// previously set); 0 means unknown — a log created before the id was
-// introduced, or by a caller that never set one.
+// previously set); 0 means unknown — no log on disk and no caller has
+// set one.
 func (w *WAL) DBID() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -659,10 +607,10 @@ func (w *WAL) Stats() WALStats {
 // Reset truncates the log back to its header after a checkpoint (the
 // data file is synced, so the logged batches are no longer needed) and
 // drops the retained images — the next touch of any page logs a full
-// image again. On a v3 log the header is first rewritten with the
-// current clock and fsync'd BEFORE the truncate, so the clock can
-// never go backwards: a crash between the two leaves the new clock
-// with the old (idempotently replayable) records still behind it.
+// image again. The header is first rewritten with the current clock
+// and fsync'd BEFORE the truncate, so the clock can never go backwards:
+// a crash between the two leaves the new clock with the old
+// (idempotently replayable) records still behind it.
 func (w *WAL) Reset() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -670,10 +618,10 @@ func (w *WAL) Reset() error {
 	if w.f == nil {
 		return nil
 	}
-	if w.size <= w.hdrSize {
+	if w.size <= walHeaderSize {
 		return nil
 	}
-	if w.recVer == 3 && w.clock != w.hdrClock {
+	if w.clock != w.hdrClock {
 		if _, err := w.f.WriteAt(w.header(), 0); err != nil {
 			return err
 		}
@@ -682,10 +630,10 @@ func (w *WAL) Reset() error {
 		}
 		w.stats.CheckpointFsyncs++
 	}
-	if err := w.f.Truncate(w.hdrSize); err != nil {
+	if err := w.f.Truncate(walHeaderSize); err != nil {
 		return err
 	}
-	w.size = w.hdrSize
+	w.size = walHeaderSize
 	if err := w.f.Sync(); err != nil {
 		return err
 	}

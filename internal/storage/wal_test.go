@@ -1,10 +1,13 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -310,63 +313,70 @@ func TestChecksumRepairFromWAL(t *testing.T) {
 	}
 }
 
-// TestWALReadsLegacyV1: a database that crashed under the version-1
-// WAL format (8-byte header, no database id) must still recover after
-// the upgrade — its batches replay and checkpoints truncate to the v1
-// header size.
-func TestWALReadsLegacyV1(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.wal")
-	img := pageWithRecord(t, "legacy")
-	// hand-build a v1 log: header + one P record + one C record
-	var buf []byte
-	buf = append(buf, 'N', 'F', 'R', 'W', 1, 0, 0, 0)
+// TestWALRefusesOtherVersions: only format version 3 is readable. A
+// sidecar with a well-formed header of another version is refused with
+// ErrCorruptWAL naming both versions, and is left byte-for-byte as it
+// was; a torn version-3 header is still an empty log.
+func TestWALRefusesOtherVersions(t *testing.T) {
+	img := pageWithRecord(t, "old")
+	// one full-image batch in the pre-LSN commit record shape
 	rec := []byte{'P'}
-	rec = appendLE32(rec, 7)
+	rec = binary.LittleEndian.AppendUint32(rec, 7)
 	rec = append(rec, img[:]...)
-	rec = appendLE32(rec, crcOf(rec))
-	buf = append(buf, rec...)
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(rec, crcTable))
 	commit := []byte{'C'}
-	commit = appendLE64(commit, 1)
-	commit = appendLE32(commit, 1)
-	commit = appendLE32(commit, crcOf(commit))
-	buf = append(buf, commit...)
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	w, err := OpenWAL(path, nil)
-	if err != nil {
-		t.Fatalf("v1 log refused: %v", err)
-	}
-	defer w.Close()
-	if st := w.Stats(); st.RecoveredBatches != 1 || st.RecoveredPages != 1 {
-		t.Fatalf("v1 recovery stats = %+v", st)
-	}
-	got, ok := w.Image(7)
-	if !ok {
-		t.Fatal("v1 image missing")
-	}
-	if rec, err := got.Get(0); err != nil || string(rec) != "legacy" {
-		t.Fatalf("v1 image content = %q, %v", rec, err)
-	}
-	if w.DBID() != 0 {
-		t.Fatalf("v1 log reports dbid %x, want 0 (unknown)", w.DBID())
-	}
-	// appends continue and a checkpoint truncates to the v1 header
-	if err := w.AppendBatch([]WALPage{{9, pageWithRecord(t, "after")}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Size() != 8 {
-		t.Fatalf("v1 log size after reset = %d, want 8", w.Size())
+	commit = binary.LittleEndian.AppendUint64(commit, 1)
+	commit = binary.LittleEndian.AppendUint32(commit, 1)
+	commit = binary.LittleEndian.AppendUint32(commit, crc32.Checksum(commit, crcTable))
+	batch := append(rec, commit...)
+	v1 := append([]byte{'N', 'F', 'R', 'W', 1, 0, 0, 0}, batch...)
+	v2 := append([]byte{'N', 'F', 'R', 'W', 2, 0, 0, 0, 0xEF, 0xBE, 0xAD, 0xDE, 0, 0, 0, 0}, batch...)
+	for _, tc := range []struct {
+		name    string
+		content []byte
+		refused string // "" = opens as an empty log
+	}{
+		{"v1 header", v1, "version 1"},
+		{"v1 header alone", v1[:8], "version 1"},
+		{"v2 header", v2, "version 2"},
+		{"future version", []byte{'N', 'F', 'R', 'W', 9, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8}, "version 9"},
+		{"alien magic", []byte("SQLite format 3\x00"), "bad header"},
+		{"torn v3 header", []byte{'N', 'F', 'R', 'W', walVersion, 0, 0, 0, 0xEF, 0xBE}, ""},
+		{"torn v3 magic", []byte{'N', 'F', 0, 0}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "x.wal")
+			if err := os.WriteFile(path, tc.content, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			w, err := OpenWAL(path, nil)
+			if tc.refused == "" {
+				if err != nil {
+					t.Fatalf("torn header refused: %v", err)
+				}
+				defer w.Close()
+				if w.Size() != 0 || w.Stats().RecoveredBatches != 0 {
+					t.Fatalf("torn header did not open as an empty log: size %d", w.Size())
+				}
+				return
+			}
+			if err == nil {
+				w.Close()
+				t.Fatal("opened")
+			}
+			if !errors.Is(err, ErrCorruptWAL) {
+				t.Fatalf("error %v does not wrap ErrCorruptWAL", err)
+			}
+			if !strings.Contains(err.Error(), tc.refused) ||
+				(tc.refused != "bad header" && !strings.Contains(err.Error(), "only version 3")) {
+				t.Fatalf("error %q does not name %q and the supported version", err, tc.refused)
+			}
+			if after, _ := os.ReadFile(path); !bytes.Equal(after, tc.content) {
+				t.Fatal("refused sidecar was modified")
+			}
+		})
 	}
 }
-
-func crcOf(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
-
-func appendLE32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func appendLE64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 
 // TestWALDeltaRecords: the second touch of a page in a checkpoint
 // interval logs a delta against the retained committed image, not a

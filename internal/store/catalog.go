@@ -25,10 +25,9 @@ type RelationDef struct {
 	MVDs  []dep.MVD
 	// Shards is the number of heap chains the relation's tuples are
 	// partitioned across, keyed by the hash of the determinant atom
-	// (0 and 1 both mean one chain — the classic layout, byte-identical
-	// on disk to pre-shard files). Each shard owns a disjoint heap chain
-	// and its own pair of hash indexes, so statements on different
-	// shards of one hot relation run and commit concurrently.
+	// (0 and 1 both mean one chain). Each shard owns a disjoint heap
+	// chain and its own indexes, so statements on different shards of
+	// one hot relation run and commit concurrently.
 	Shards int
 }
 
@@ -54,8 +53,8 @@ func (d RelationDef) validate() error {
 
 // shardRoots locates one shard's durable structures: its heap chain
 // head, the directory roots of its two hash indexes, and the meta page
-// of its ordered B+tree range index (0 for records that predate range
-// indexes — upgraded on the first writable open).
+// of its ordered B+tree range index. All four are real page ids, never
+// zero.
 type shardRoots struct {
 	heapFirst uint32
 	ridsRoot  uint32
@@ -63,24 +62,12 @@ type shardRoots struct {
 	rangeRoot uint32
 }
 
-// catalogEntry is a decoded catalog record plus its location.
+// catalogEntry is a decoded catalog record plus its location; shards
+// has one element per shard, def.Shards of them.
 type catalogEntry struct {
-	def       RelationDef
-	heapFirst uint32
-	// ridsRoot/fixedRoot are the durable hash indexes' directory root
-	// pages; 0 on version-2 records, which predate durable indexes and
-	// are upgraded (rebuild once, persist) on the first writable open.
-	ridsRoot  uint32
-	fixedRoot uint32
-	// rangeRoot is the B+tree range index's meta page; 0 on records
-	// written before the range-index extension (upgraded like v2 hash
-	// indexes: built once by heap scan, persisted).
-	rangeRoot uint32
-	// extra holds the roots of shards 1..K-1 for sharded relations
-	// (shard 0 lives in heapFirst/ridsRoot/fixedRoot/rangeRoot above);
-	// empty for the classic single-chain layout.
-	extra []shardRoots
-	rid   storage.RID
+	def    RelationDef
+	shards []shardRoots
+	rid    storage.RID
 }
 
 // encodeCatalogRecord serializes a relation definition:
@@ -88,33 +75,17 @@ type catalogEntry struct {
 //	tag:'R' nameLen:uvarint name heapFirst:uvarint schema
 //	orderLen:uvarint idx:uvarint* nFDs:uvarint fd* nMVDs:uvarint mvd*
 //	fd/mvd := nLhs:uvarint (len name)* nRhs:uvarint (len name)*
-//	[ridsRoot:uvarint fixedRoot:uvarint
-//	 [nExtra:uvarint (heapFirst ridsRoot fixedRoot)*]
-//	 [rangeRoot:uvarint * K]]
+//	ridsRoot:uvarint fixedRoot:uvarint
+//	nExtra:uvarint (heapFirst ridsRoot fixedRoot)*nExtra
+//	rangeRoot:uvarint*(1+nExtra)
 //
-// The trailing index roots are the version-3 extension; records
-// without them (version 2) decode with zero roots. Passing zero roots
-// encodes a v2 record — tests use that to manufacture upgrade inputs.
-// The second trailing-optional block carries the roots of shards
-// 1..K-1 for sharded relations; single-chain relations omit it and
-// stay byte-identical to pre-shard records, so old files read
-// unchanged and new files without sharding stay downgrade-readable.
-// shards[0] supplies heapFirst/ridsRoot/fixedRoot.
-//
-// The third trailing-optional block carries the per-shard B+tree range
-// index roots (shard 0 first). A single-chain relation has no shard
-// block to append it after, so the shard-count position is repurposed:
-// count 0 — previously always invalid, rejected as corrupt — is the
-// sentinel announcing "range block follows". Records without the block
-// (written before range indexes existed) decode with zero range roots
-// and are upgraded on the first writable open. Range roots are
-// all-or-nothing across shards: shards[0].rangeRoot decides whether
-// the block is emitted.
+// shards[0] supplies the leading heapFirst and ridsRoot/fixedRoot;
+// nExtra = len(shards)-1 triples locate shards 1..K-1; the range roots
+// follow for every shard, shard 0 first. Every field is mandatory.
 func encodeCatalogRecord(def RelationDef, shards []shardRoots) []byte {
-	heapFirst, ridsRoot, fixedRoot := shards[0].heapFirst, shards[0].ridsRoot, shards[0].fixedRoot
 	b := []byte{relRecordTag}
 	b = appendString(b, def.Name)
-	b = binary.AppendUvarint(b, uint64(heapFirst))
+	b = binary.AppendUvarint(b, uint64(shards[0].heapFirst))
 	b = encoding.AppendSchema(b, def.Schema)
 	b = binary.AppendUvarint(b, uint64(len(def.Order)))
 	for _, i := range def.Order {
@@ -130,28 +101,33 @@ func encodeCatalogRecord(def RelationDef, shards []shardRoots) []byte {
 		b = appendAttrSet(b, m.Lhs)
 		b = appendAttrSet(b, m.Rhs)
 	}
-	withRange := shards[0].rangeRoot != 0
-	if ridsRoot != 0 || fixedRoot != 0 || len(shards) > 1 || withRange {
-		b = binary.AppendUvarint(b, uint64(ridsRoot))
-		b = binary.AppendUvarint(b, uint64(fixedRoot))
+	b = binary.AppendUvarint(b, uint64(shards[0].ridsRoot))
+	b = binary.AppendUvarint(b, uint64(shards[0].fixedRoot))
+	b = binary.AppendUvarint(b, uint64(len(shards)-1))
+	for _, s := range shards[1:] {
+		b = binary.AppendUvarint(b, uint64(s.heapFirst))
+		b = binary.AppendUvarint(b, uint64(s.ridsRoot))
+		b = binary.AppendUvarint(b, uint64(s.fixedRoot))
 	}
-	if len(shards) > 1 {
-		b = binary.AppendUvarint(b, uint64(len(shards)-1))
-		for _, s := range shards[1:] {
-			b = binary.AppendUvarint(b, uint64(s.heapFirst))
-			b = binary.AppendUvarint(b, uint64(s.ridsRoot))
-			b = binary.AppendUvarint(b, uint64(s.fixedRoot))
-		}
-	} else if withRange {
-		// shard-count-0 sentinel: single-chain record with a range block
-		b = binary.AppendUvarint(b, 0)
-	}
-	if withRange {
-		for _, s := range shards {
-			b = binary.AppendUvarint(b, uint64(s.rangeRoot))
-		}
+	for _, s := range shards {
+		b = binary.AppendUvarint(b, uint64(s.rangeRoot))
 	}
 	return b
+}
+
+// takeRoot reads one page-id field of relation name's record; shard
+// and what name the field in the error. A missing, zero or over-wide
+// root is corruption: every structure of every shard exists from
+// CreateRelation on.
+func takeRoot(b []byte, name string, shard int, what string) (uint32, []byte, error) {
+	v, rest, err := takeUvarint(b)
+	if err != nil {
+		return 0, nil, fmt.Errorf("%w: missing shard %d %s of %q", ErrCorrupt, shard, what, name)
+	}
+	if v == 0 || v > 1<<32-1 {
+		return 0, nil, fmt.Errorf("%w: impossible shard %d %s %d of %q", ErrCorrupt, shard, what, v, name)
+	}
+	return uint32(v), rest, nil
 }
 
 func decodeCatalogRecord(rec []byte) (catalogEntry, error) {
@@ -162,11 +138,11 @@ func decodeCatalogRecord(rec []byte) (catalogEntry, error) {
 		return ce, fmt.Errorf("%w: relation name: %v", ErrCorrupt, err)
 	}
 	ce.def.Name = name
-	first, b, err := takeUvarint(b)
+	var first shardRoots
+	first.heapFirst, b, err = takeRoot(b, name, 0, "heap root")
 	if err != nil {
-		return ce, fmt.Errorf("%w: heap root of %q: %v", ErrCorrupt, name, err)
+		return ce, err
 	}
-	ce.heapFirst = uint32(first)
 	sch, n, err := encoding.DecodeSchema(b)
 	if err != nil {
 		return ce, fmt.Errorf("%w: schema of %q: %v", ErrCorrupt, name, err)
@@ -219,75 +195,34 @@ func decodeCatalogRecord(rec []byte) (catalogEntry, error) {
 		}
 		ce.def.MVDs = append(ce.def.MVDs, dep.NewMVD(lhs, rhs))
 	}
-	if len(b) == 0 {
-		// version-2 record: no durable index yet (roots stay 0),
-		// necessarily single-chain
-		ce.def.Shards = 1
-		return ce, nil
+	if first.ridsRoot, b, err = takeRoot(b, name, 0, "primary index root"); err != nil {
+		return ce, err
 	}
-	rr, b, err := takeUvarint(b)
-	if err != nil {
-		return ce, fmt.Errorf("%w: primary index root of %q", ErrCorrupt, name)
-	}
-	fr, b, err := takeUvarint(b)
-	if err != nil {
-		return ce, fmt.Errorf("%w: fixed index root of %q", ErrCorrupt, name)
-	}
-	if rr == 0 || fr == 0 || rr > 1<<32-1 || fr > 1<<32-1 {
-		return ce, fmt.Errorf("%w: impossible index roots %d/%d of %q", ErrCorrupt, rr, fr, name)
-	}
-	ce.ridsRoot, ce.fixedRoot = uint32(rr), uint32(fr)
-	if len(b) == 0 {
-		// single-chain relation (the pre-shard record shape)
-		ce.def.Shards = 1
-		return ce, nil
+	if first.fixedRoot, b, err = takeRoot(b, name, 0, "fixed index root"); err != nil {
+		return ce, err
 	}
 	nx, b, err := takeUvarint(b)
 	if err != nil || nx >= maxShards {
-		return ce, fmt.Errorf("%w: shard count of %q", ErrCorrupt, name)
+		return ce, fmt.Errorf("%w: missing or impossible shard count of %q", ErrCorrupt, name)
 	}
-	// nx == 0 is the single-chain-with-range-block sentinel (a real
-	// extra-shard count is always ≥ 1): no shard triples follow, only
-	// the range roots.
-	for i := uint64(0); i < nx; i++ {
+	ce.shards = append(ce.shards, first)
+	for i := 1; i <= int(nx); i++ {
 		var s shardRoots
-		var h, r2, f2 uint64
-		h, b, err = takeUvarint(b)
-		if err == nil {
-			r2, b, err = takeUvarint(b)
+		if s.heapFirst, b, err = takeRoot(b, name, i, "heap root"); err != nil {
+			return ce, err
 		}
-		if err == nil {
-			f2, b, err = takeUvarint(b)
+		if s.ridsRoot, b, err = takeRoot(b, name, i, "primary index root"); err != nil {
+			return ce, err
 		}
-		if err != nil {
-			return ce, fmt.Errorf("%w: shard %d roots of %q: %v", ErrCorrupt, i+1, name, err)
+		if s.fixedRoot, b, err = takeRoot(b, name, i, "fixed index root"); err != nil {
+			return ce, err
 		}
-		if h == 0 || r2 == 0 || f2 == 0 || h > 1<<32-1 || r2 > 1<<32-1 || f2 > 1<<32-1 {
-			return ce, fmt.Errorf("%w: impossible shard %d roots %d/%d/%d of %q", ErrCorrupt, i+1, h, r2, f2, name)
-		}
-		s.heapFirst, s.ridsRoot, s.fixedRoot = uint32(h), uint32(r2), uint32(f2)
-		ce.extra = append(ce.extra, s)
+		ce.shards = append(ce.shards, s)
 	}
-	ce.def.Shards = 1 + len(ce.extra)
-	if len(b) == 0 {
-		if nx == 0 {
-			// the sentinel promises a range block; its absence is a
-			// truncated record, not an old one
-			return ce, fmt.Errorf("%w: missing range index roots of %q", ErrCorrupt, name)
-		}
-		// sharded record from before range indexes: zero range roots
-		return ce, nil
-	}
-	for i := 0; i < ce.def.Shards; i++ {
-		var rg uint64
-		rg, b, err = takeUvarint(b)
-		if err != nil || rg == 0 || rg > 1<<32-1 {
-			return ce, fmt.Errorf("%w: range index root of shard %d of %q", ErrCorrupt, i, name)
-		}
-		if i == 0 {
-			ce.rangeRoot = uint32(rg)
-		} else {
-			ce.extra[i-1].rangeRoot = uint32(rg)
+	ce.def.Shards = len(ce.shards)
+	for i := range ce.shards {
+		if ce.shards[i].rangeRoot, b, err = takeRoot(b, name, i, "range index root"); err != nil {
+			return ce, err
 		}
 	}
 	if len(b) != 0 {

@@ -125,9 +125,6 @@ func (s *Store) recycle(txn *Txn) (uint32, bool) {
 	if n == 0 {
 		return 0, false
 	}
-	if txn == nil {
-		return 0, false
-	}
 	s.freeOwner = txn
 	e := s.free[n-1]
 	if err := s.freeHeap.Delete(txn, e.rid); err != nil {

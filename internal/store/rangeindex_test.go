@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -11,63 +10,40 @@ import (
 	"repro/internal/value"
 )
 
-// TestCatalogRecordRangeRoots covers the third trailing-optional block
-// of the catalog record: per-shard B+tree roots behind the shard-count
-// sentinel for single-chain relations, appended after the shard
-// triples for sharded ones, absent on records from before the range
-// index existed.
+// TestCatalogRecordRangeRoots covers the per-shard roots of the
+// catalog record: single-chain (extra-shard count 0) and sharded, with
+// the B+tree roots after the shard triples.
 func TestCatalogRecordRangeRoots(t *testing.T) {
 	def := testDef(t)
 
-	// single-chain with a range root: the shard-count position carries
-	// the 0 sentinel
 	rec := encodeCatalogRecord(def, []shardRoots{{7, 9, 12, 15}})
 	ce, err := decodeCatalogRecord(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ce.ridsRoot != 9 || ce.fixedRoot != 12 || ce.rangeRoot != 15 || ce.def.Shards != 1 {
-		t.Fatalf("single-chain range record decoded %+v", ce)
+	if len(ce.shards) != 1 || ce.shards[0] != (shardRoots{7, 9, 12, 15}) || ce.def.Shards != 1 {
+		t.Fatalf("single-chain record decoded %+v", ce)
 	}
 
-	// sharded with range roots
 	def3 := def
 	def3.Shards = 3
 	roots := []shardRoots{{7, 9, 12, 15}, {20, 21, 22, 23}, {30, 31, 32, 33}}
-	ce3, err := decodeCatalogRecord(encodeCatalogRecord(def3, roots))
+	rec3 := encodeCatalogRecord(def3, roots)
+	ce3, err := decodeCatalogRecord(rec3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ce3.def.Shards != 3 || ce3.rangeRoot != 15 || len(ce3.extra) != 2 ||
-		ce3.extra[0] != roots[1] || ce3.extra[1] != roots[2] {
-		t.Fatalf("sharded range record decoded %+v", ce3)
+	if ce3.def.Shards != 3 || len(ce3.shards) != 3 ||
+		ce3.shards[0] != roots[0] || ce3.shards[1] != roots[1] || ce3.shards[2] != roots[2] {
+		t.Fatalf("sharded record decoded %+v", ce3)
 	}
 
-	// sharded WITHOUT range roots (a pre-range sharded record) still
-	// decodes, range roots zero
-	old := make([]shardRoots, len(roots))
-	copy(old, roots)
-	for i := range old {
-		old[i].rangeRoot = 0
-	}
-	ceOld, err := decodeCatalogRecord(encodeCatalogRecord(def3, old))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ceOld.rangeRoot != 0 || ceOld.extra[0].rangeRoot != 0 || ceOld.def.Shards != 3 {
-		t.Fatalf("pre-range sharded record decoded %+v", ceOld)
-	}
-
-	// every truncation of the range-bearing record is rejected except
-	// the prefixes that are themselves well-formed older record shapes
-	okLens := map[int]bool{
-		len(rec): true,
-		len(encodeCatalogRecord(def, []shardRoots{{7, 0, 0, 0}})):  true, // v2
-		len(encodeCatalogRecord(def, []shardRoots{{7, 9, 12, 0}})): true, // v3 without range
-	}
-	for i := 1; i < len(rec); i++ {
-		if _, err := decodeCatalogRecord(rec[:i]); err == nil && !okLens[i] {
-			t.Fatalf("truncated range record of %d bytes accepted", i)
+	// every strict prefix of either record is rejected
+	for _, r := range [][]byte{rec, rec3} {
+		for i := 1; i < len(r); i++ {
+			if _, err := decodeCatalogRecord(r[:i]); err == nil {
+				t.Fatalf("truncated record of %d/%d bytes accepted", i, len(r))
+			}
 		}
 	}
 }
@@ -152,9 +128,6 @@ func TestScanFixedRange(t *testing.T) {
 			}
 			if err := st.Commit(txn); err != nil {
 				t.Fatal(err)
-			}
-			if !rs.HasRangeIndex() {
-				t.Fatal("fresh relation has no range index")
 			}
 
 			bound := func(s string, incl bool) *RangeBound {
@@ -246,111 +219,5 @@ func TestRangeIndexMaintenance(t *testing.T) {
 	}
 	if !sort.StringsAreSorted(names) {
 		t.Fatalf("range scan out of order: %v", names)
-	}
-}
-
-// stripRangeRoots rewrites every catalog record without its range
-// block — manufacturing a file from before the range index existed
-// (hash roots intact, B+tree pages orphaned).
-func stripRangeRoots(t *testing.T, path string) {
-	t.Helper()
-	st, err := Open(path, Options{PoolPages: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	txn := st.Begin()
-	for _, name := range st.Relations() {
-		rs, _ := st.Rel(name)
-		if err := st.catalog.Delete(txn, rs.catRID); err != nil {
-			t.Fatal(err)
-		}
-		sh := rs.shards[0]
-		rid, err := st.catalog.Insert(txn, encodeCatalogRecord(rs.def,
-			[]shardRoots{{sh.heap.FirstPage(), sh.ridsD.Root(), sh.fixedD.Root(), 0}}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs.catRID = rid
-	}
-	if err := st.Commit(txn); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRangeUpgradeBuildsBTree: opening a v3 file whose records predate
-// the range index builds the B+trees once by heap scan and persists
-// them; a NoSweep open leaves the file untouched and reports no range
-// index; every open after the upgrade is fast again.
-func TestRangeUpgradeBuildsBTree(t *testing.T) {
-	path, canon, _ := buildReopenDB(t)
-	stripRangeRoots(t, path)
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ro, err := Open(path, Options{PoolPages: 32, NoSweep: true})
-	if err != nil {
-		t.Fatalf("NoSweep open of rangeless file: %v", err)
-	}
-	if mustRel(t, ro, "R1").HasRangeIndex() {
-		t.Fatal("NoSweep open conjured a range index")
-	}
-	if err := ro.VerifyIndexes(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ro.Discard(); err != nil {
-		t.Fatal(err)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(before) != string(after) {
-		t.Fatal("NoSweep open of a rangeless file mutated it")
-	}
-
-	up, err := Open(path, Options{PoolPages: 32})
-	if err != nil {
-		t.Fatalf("range upgrade open: %v", err)
-	}
-	rs := mustRel(t, up, "R1")
-	if !rs.HasRangeIndex() {
-		t.Fatal("writable open did not build the range index")
-	}
-	if err := up.VerifyIndexes(); err != nil {
-		t.Fatalf("upgraded range index diverged from heap oracle: %v", err)
-	}
-	got, _, err := rs.ScanFixedRange(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := rangeOracle(t, rs, nil, nil); len(keysOf(got)) != len(want) {
-		t.Fatalf("post-upgrade full scan returned %d tuples, oracle %d", len(keysOf(got)), len(want))
-	}
-	if err := up.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, err := Open(path, Options{PoolPages: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if open := st2.OpenIOStats(); open.Misses > reopenBudget(1) {
-		t.Errorf("post-upgrade open read %d pages, budget %d", open.Misses, reopenBudget(1))
-	}
-	got3, err := mustRel(t, st2, "R1").Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got3.Equal(canon) {
-		t.Fatal("content changed across range upgrade + reopen")
-	}
-	if err := st2.VerifyIndexes(); err != nil {
-		t.Fatal(err)
 	}
 }

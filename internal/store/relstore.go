@@ -14,36 +14,6 @@ import (
 	"repro/internal/value"
 )
 
-// relIndex is the store's view of one hash index, satisfied by both the
-// durable paged index (storage.DiskHashIndex) and the in-memory rebuilt
-// one (memIndex) that stands in when a legacy v2 file is attached
-// without write permission (Options.NoSweep).
-type relIndex interface {
-	Put(txn *storage.Txn, key []byte, rid storage.RID) error
-	Get(key []byte) ([]storage.RID, error)
-	Delete(txn *storage.Txn, key []byte, rid storage.RID) (bool, error)
-	Len() int
-	// TakeReleased drains the page ids the index shed since the last
-	// call (overflow pages emptied by deletes); nil for indexes that
-	// never shed pages.
-	TakeReleased() []uint32
-}
-
-// memIndex adapts storage.HashIndex (rebuild-on-open, never durable) to
-// relIndex.
-type memIndex struct{ ix *storage.HashIndex }
-
-func (m memIndex) Put(_ *storage.Txn, key []byte, rid storage.RID) error {
-	m.ix.Put(key, rid)
-	return nil
-}
-func (m memIndex) Get(key []byte) ([]storage.RID, error) { return m.ix.Get(key), nil }
-func (m memIndex) Delete(_ *storage.Txn, key []byte, rid storage.RID) (bool, error) {
-	return m.ix.Delete(key, rid), nil
-}
-func (m memIndex) Len() int               { return m.ix.Len() }
-func (m memIndex) TakeReleased() []uint32 { return nil }
-
 // ShardOfAtom maps a determinant atom to its shard ordinal in a
 // K-sharded relation: FNV-1a over the atom's stable encoding, mod K.
 // The encoding (not Go's map iteration or pointer identity) keys the
@@ -59,20 +29,24 @@ func ShardOfAtom(a value.Atom, k int) int {
 	return int(h.Sum32() % uint32(k))
 }
 
-// Shard is one heap chain of a relation plus the pair of durable hash
-// indexes that describe it —
+// Shard is one heap chain of a relation plus the three durable indexes
+// that describe it —
 //
-//   - a primary index keyed on the full tuple key, so the write-through
-//     delete path locates the victim record in O(1), and
-//   - a fixed-attribute index keyed on each atom of the tuple's fixed
-//     (determinant) component, so point lookups by determinant value
-//     (the NFR analogue of a key probe) avoid scanning the heap.
+//   - a primary hash index keyed on the full tuple key, so the
+//     write-through delete path locates the victim record in O(1),
+//   - a fixed-attribute hash index keyed on each atom of the tuple's
+//     fixed (determinant) component, so point lookups by determinant
+//     value (the NFR analogue of a key probe) avoid scanning the heap,
+//     and
+//   - an ordered B+tree over the same determinant atoms (memcomparable
+//     keys, see encoding.AppendOrderedAtom), answering range predicates
+//     the hash index cannot.
 //
 // A classic relation has exactly one shard; a K-sharded relation
 // partitions its canonical tuples across K shards by ShardOfAtom of the
 // determinant, each shard holding the Section-4 canonical form of its
 // own partition. Because a shard owns a disjoint set of pages (its heap
-// chain and its two index structures), statements on different shards
+// chain and its index structures), statements on different shards
 // of one relation dirty disjoint frames and commit concurrently through
 // the merged group commit — the union of the shard canonical forms is
 // re-canonicalized on read (engine side) to recover the global V_P.
@@ -81,10 +55,9 @@ func ShardOfAtom(a value.Atom, k int) int {
 // caused them, so a commit makes heap and index durable as one batch
 // and a crash recovers them on the same boundary; reopening attaches to
 // the persisted structures in O(index directory) page reads instead of
-// rebuilding by heap scan (v2 files, which predate durable indexes, are
-// upgraded once — see Store.upgradeIndexes). Reindex remains the
-// heap-scan oracle: it verifies the durable index against the heap and
-// rebuilds it only on divergence.
+// rebuilding by heap scan. Reindex remains the heap-scan oracle: it
+// verifies the durable index against the heap and rebuilds it only on
+// divergence.
 //
 // Shard implements update.BatchSink; because the sink interface cannot
 // return errors mid-algorithm, write failures are latched and surfaced
@@ -102,20 +75,10 @@ type Shard struct {
 
 	heap *storage.HeapFile
 
-	mu    sync.Mutex
-	rids  relIndex // tuple key -> RID
-	fixed relIndex // determinant atom -> RID
-	// ridsD/fixedD are the durable paged indexes behind rids/fixed; nil
-	// only for a legacy v2 attachment that may not write (NoSweep),
-	// where rebuilt in-memory indexes stand in.
-	ridsD  *storage.DiskHashIndex
-	fixedD *storage.DiskHashIndex
-	// rangeD is the ordered B+tree over the same determinant atoms the
-	// fixed hash index covers (memcomparable keys, see
-	// encoding.AppendOrderedAtom), answering range predicates the hash
-	// index cannot. nil on legacy attachments that predate it or may
-	// not write (NoSweep) — range queries then fall back to heap scans.
-	rangeD *storage.BTree
+	mu     sync.Mutex
+	ridsD  *storage.DiskHashIndex // tuple key -> RID
+	fixedD *storage.DiskHashIndex // determinant atom -> RID
+	rangeD *storage.BTree         // ordered determinant atom -> RID
 	count  int
 	cur    *Txn  // open statement transaction (between brackets)
 	ext    bool  // cur is owned by an engine-level multi-statement Tx
@@ -150,19 +113,9 @@ func (r *Shard) fixedAttr() int { return r.def.Order[len(r.def.Order)-1] }
 
 func (r *RelStore) fixedAttr() int { return r.def.Order[len(r.def.Order)-1] }
 
-// newShard wires a Shard around an attached heap and (when non-nil)
-// durable indexes; without them, fresh in-memory indexes stand in and
-// the caller populates them by scanning.
+// newShard wires a Shard around an attached heap and its indexes.
 func newShard(s *Store, def RelationDef, ord int, heap *storage.HeapFile, ridsD, fixedD *storage.DiskHashIndex, rangeD *storage.BTree) *Shard {
-	sh := &Shard{st: s, def: def, ord: ord, heap: heap, ridsD: ridsD, fixedD: fixedD, rangeD: rangeD}
-	if ridsD != nil {
-		sh.rids, sh.fixed = ridsD, fixedD
-		sh.count = ridsD.Len()
-	} else {
-		sh.rids = memIndex{storage.NewHashIndex()}
-		sh.fixed = memIndex{storage.NewHashIndex()}
-	}
-	return sh
+	return &Shard{st: s, def: def, ord: ord, heap: heap, ridsD: ridsD, fixedD: fixedD, rangeD: rangeD, count: ridsD.Len()}
 }
 
 // newRelStore assembles a RelStore from already-built shards.
@@ -170,61 +123,28 @@ func newRelStore(s *Store, def RelationDef, catRID storage.RID, shards []*Shard)
 	return &RelStore{st: s, def: def, catRID: catRID, shards: shards}
 }
 
-// openRelStore attaches to an existing relation. With durable index
-// roots in the catalog record the attach touches no heap page at all —
-// the indexes' directories describe themselves and carry the tuple
-// count. A v2 record (zero roots, necessarily single-shard) falls back
-// to the classic rebuild-by-scan; Store.upgradeIndexes persists durable
-// indexes right after, unless the open is a no-write one
-// (Options.NoSweep).
+// openRelStore attaches to an existing relation. The attach touches no
+// heap page at all — the indexes' directories describe themselves and
+// carry the tuple count.
 func openRelStore(s *Store, ce catalogEntry) (*RelStore, error) {
-	if ce.ridsRoot != 0 {
-		roots := append([]shardRoots{{ce.heapFirst, ce.ridsRoot, ce.fixedRoot, ce.rangeRoot}}, ce.extra...)
-		shards := make([]*Shard, 0, len(roots))
-		for ord, rt := range roots {
-			ridsD, err := storage.OpenDiskIndex(s.bp, rt.ridsRoot)
-			if err != nil {
-				return nil, fmt.Errorf("%w: opening primary index %d of %q: %v", ErrCorrupt, ord, ce.def.Name, err)
-			}
-			fixedD, err := storage.OpenDiskIndex(s.bp, rt.fixedRoot)
-			if err != nil {
-				return nil, fmt.Errorf("%w: opening fixed index %d of %q: %v", ErrCorrupt, ord, ce.def.Name, err)
-			}
-			var rangeD *storage.BTree
-			if rt.rangeRoot != 0 {
-				rangeD, err = storage.OpenBTree(s.bp, rt.rangeRoot)
-				if err != nil {
-					return nil, fmt.Errorf("%w: opening range index %d of %q: %v", ErrCorrupt, ord, ce.def.Name, err)
-				}
-			}
-			heap := storage.OpenHeapAt(s.bp, rt.heapFirst)
-			shards = append(shards, newShard(s, ce.def, ord, heap, ridsD, fixedD, rangeD))
+	shards := make([]*Shard, 0, len(ce.shards))
+	for ord, rt := range ce.shards {
+		ridsD, err := storage.OpenDiskIndex(s.bp, rt.ridsRoot)
+		if err != nil {
+			return nil, fmt.Errorf("%w: opening primary index %d of %q: %v", ErrCorrupt, ord, ce.def.Name, err)
 		}
-		return newRelStore(s, ce.def, ce.rid, shards), nil
-	}
-	heap, err := storage.OpenHeap(s.bp, ce.heapFirst)
-	if err != nil {
-		return nil, fmt.Errorf("%w: opening heap of %q: %v", ErrCorrupt, ce.def.Name, err)
-	}
-	sh := newShard(s, ce.def, 0, heap, nil, nil, nil)
-	var dupErr error
-	if err := sh.scanRaw(context.Background(), func(rid storage.RID, t tuple.Tuple) bool {
-		// The engine never writes the same tuple twice; a duplicate
-		// record would make deletes leave a stale copy behind, so it is
-		// corruption, not data.
-		if hits, _ := sh.rids.Get([]byte(t.Key())); len(hits) > 0 {
-			dupErr = fmt.Errorf("%w: duplicate record at %v in %q", ErrCorrupt, rid, ce.def.Name)
-			return false
+		fixedD, err := storage.OpenDiskIndex(s.bp, rt.fixedRoot)
+		if err != nil {
+			return nil, fmt.Errorf("%w: opening fixed index %d of %q: %v", ErrCorrupt, ord, ce.def.Name, err)
 		}
-		sh.indexTuple(nil, t, rid)
-		return true
-	}); err != nil {
-		return nil, err
+		rangeD, err := storage.OpenBTree(s.bp, rt.rangeRoot)
+		if err != nil {
+			return nil, fmt.Errorf("%w: opening range index %d of %q: %v", ErrCorrupt, ord, ce.def.Name, err)
+		}
+		heap := storage.OpenHeapAt(s.bp, rt.heapFirst)
+		shards = append(shards, newShard(s, ce.def, ord, heap, ridsD, fixedD, rangeD))
 	}
-	if dupErr != nil {
-		return nil, dupErr
-	}
-	return newRelStore(s, ce.def, ce.rid, []*Shard{sh}), nil
+	return newRelStore(s, ce.def, ce.rid, shards), nil
 }
 
 // Def returns the relation's durable definition.
@@ -270,17 +190,6 @@ func (r *Shard) Len() int {
 	return r.count
 }
 
-// Err returns the first write-through failure recorded by any shard's
-// sink callbacks (nil when all writes succeeded).
-func (r *RelStore) Err() error {
-	for _, sh := range r.shards {
-		if err := sh.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Err returns the first write-through failure recorded by the sink
 // callbacks (nil when all writes succeeded).
 func (r *Shard) Err() error {
@@ -290,17 +199,15 @@ func (r *Shard) Err() error {
 }
 
 func (r *Shard) indexTuple(txn *Txn, t tuple.Tuple, rid storage.RID) error {
-	if err := r.rids.Put(txn, []byte(t.Key()), rid); err != nil {
+	if err := r.ridsD.Put(txn, []byte(t.Key()), rid); err != nil {
 		return err
 	}
 	for _, a := range t.Set(r.fixedAttr()).Atoms() {
-		if err := r.fixed.Put(txn, encoding.AppendAtom(nil, a), rid); err != nil {
+		if err := r.fixedD.Put(txn, encoding.AppendAtom(nil, a), rid); err != nil {
 			return err
 		}
-		if r.rangeD != nil {
-			if err := r.rangeD.Put(txn, encoding.AppendOrderedAtom(nil, a), rid); err != nil {
-				return err
-			}
+		if err := r.rangeD.Put(txn, encoding.AppendOrderedAtom(nil, a), rid); err != nil {
+			return err
 		}
 	}
 	r.count++
@@ -308,17 +215,15 @@ func (r *Shard) indexTuple(txn *Txn, t tuple.Tuple, rid storage.RID) error {
 }
 
 func (r *Shard) unindexTuple(txn *Txn, t tuple.Tuple, rid storage.RID) error {
-	if _, err := r.rids.Delete(txn, []byte(t.Key()), rid); err != nil {
+	if _, err := r.ridsD.Delete(txn, []byte(t.Key()), rid); err != nil {
 		return err
 	}
 	for _, a := range t.Set(r.fixedAttr()).Atoms() {
-		if _, err := r.fixed.Delete(txn, encoding.AppendAtom(nil, a), rid); err != nil {
+		if _, err := r.fixedD.Delete(txn, encoding.AppendAtom(nil, a), rid); err != nil {
 			return err
 		}
-		if r.rangeD != nil {
-			if _, err := r.rangeD.Delete(txn, encoding.AppendOrderedAtom(nil, a), rid); err != nil {
-				return err
-			}
+		if _, err := r.rangeD.Delete(txn, encoding.AppendOrderedAtom(nil, a), rid); err != nil {
+			return err
 		}
 	}
 	r.count--
@@ -333,14 +238,9 @@ func (r *Shard) unindexTuple(txn *Txn, t tuple.Tuple, rid storage.RID) error {
 // orphans the pages until the next open-time sweep, exactly like the
 // drop path's degraded mode.
 func (r *Shard) reclaimIndexPagesLocked(txn *Txn) {
-	if r.ridsD == nil || txn == nil {
-		return
-	}
 	released := r.ridsD.TakeReleased()
 	released = append(released, r.fixedD.TakeReleased()...)
-	if r.rangeD != nil {
-		released = append(released, r.rangeD.TakeReleased()...)
-	}
+	released = append(released, r.rangeD.TakeReleased()...)
 	if len(released) == 0 {
 		return
 	}
@@ -350,7 +250,7 @@ func (r *Shard) reclaimIndexPagesLocked(txn *Txn) {
 // Insert appends one canonical tuple to the owning shard's heap under
 // txn and indexes it. For K-sharded relations the tuple must be a
 // shard-canonical tuple (all fixed atoms in one shard) — global
-// canonical relations go through Fill/Replace, which re-partition.
+// canonical relations go through Fill, which re-partitions.
 func (r *RelStore) Insert(txn *Txn, t tuple.Tuple) error {
 	return r.shardOfTuple(t).Insert(txn, t)
 }
@@ -385,7 +285,7 @@ func (r *Shard) Remove(txn *Txn, t tuple.Tuple) error {
 
 func (r *Shard) removeLocked(txn *Txn, t tuple.Tuple) error {
 	key := []byte(t.Key())
-	rids, err := r.rids.Get(key)
+	rids, err := r.ridsD.Get(key)
 	if err != nil {
 		return err
 	}
@@ -466,45 +366,6 @@ func (r *Shard) ReleaseTxn() {
 	r.mu.Unlock()
 }
 
-// sole returns the single shard of a classic relation; multi-shard
-// relations have no relation-level statement stream, so using the
-// RelStore-level sink there is a caller bug.
-func (r *RelStore) sole() *Shard {
-	if len(r.shards) != 1 {
-		panic(fmt.Sprintf("store: relation-level statement API on %d-sharded %q", len(r.shards), r.def.Name))
-	}
-	return r.shards[0]
-}
-
-// TupleAdded implements update.Sink on the classic single-shard layout.
-func (r *RelStore) TupleAdded(t tuple.Tuple) { r.sole().TupleAdded(t) }
-
-// TupleRemoved implements update.Sink on the classic single-shard
-// layout.
-func (r *RelStore) TupleRemoved(t tuple.Tuple) { r.sole().TupleRemoved(t) }
-
-// StatementBegin implements update.BatchSink on the classic
-// single-shard layout.
-func (r *RelStore) StatementBegin() { r.sole().StatementBegin() }
-
-// StatementEnd implements update.BatchSink on the classic single-shard
-// layout.
-func (r *RelStore) StatementEnd() { r.sole().StatementEnd() }
-
-// UseTxn forwards external-transaction mode to every shard.
-func (r *RelStore) UseTxn(txn *Txn) {
-	for _, sh := range r.shards {
-		sh.UseTxn(txn)
-	}
-}
-
-// ReleaseTxn leaves external-transaction mode on every shard.
-func (r *RelStore) ReleaseTxn() {
-	for _, sh := range r.shards {
-		sh.ReleaseTxn()
-	}
-}
-
 // ridTuple pairs a heap record with its decoded tuple for the oracle
 // comparison.
 type ridTuple struct {
@@ -543,8 +404,7 @@ func (r *RelStore) Reindex() (*core.Relation, error) {
 // committed content; the durable index is then re-attached from its
 // (reverted) directory, checked entry-for-entry against the heap, and
 // rebuilt in place only if the check fails — so a clean rollback
-// performs no writes and leaves the file untouched. Legacy in-memory
-// indexes are simply rebuilt by the scan.
+// performs no writes and leaves the file untouched.
 func (r *Shard) Reindex() (*core.Relation, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -554,32 +414,9 @@ func (r *Shard) Reindex() (*core.Relation, error) {
 	r.cur = nil
 	r.ext = false
 	r.err = nil
-	if r.ridsD == nil {
-		r.rids = memIndex{storage.NewHashIndex()}
-		r.fixed = memIndex{storage.NewHashIndex()}
-		r.count = 0
-		rel := core.NewRelation(r.def.Schema)
-		if err := r.scanRawLocked(context.Background(), func(rid storage.RID, t tuple.Tuple) bool {
-			r.indexTuple(nil, t, rid)
-			rel.Add(t)
-			return true
-		}); err != nil {
-			return nil, err
-		}
-		return rel, nil
-	}
-	if err := r.ridsD.Refresh(); err != nil {
+	if err := r.refreshLocked(); err != nil {
 		return nil, err
 	}
-	if err := r.fixedD.Refresh(); err != nil {
-		return nil, err
-	}
-	if r.rangeD != nil {
-		if err := r.rangeD.Refresh(); err != nil {
-			return nil, err
-		}
-	}
-	r.count = r.ridsD.Len()
 	rel := core.NewRelation(r.def.Schema)
 	var rts []ridTuple
 	if err := r.scanRawLocked(context.Background(), func(rid storage.RID, t tuple.Tuple) bool {
@@ -597,18 +434,34 @@ func (r *Shard) Reindex() (*core.Relation, error) {
 	return rel, nil
 }
 
+// refreshLocked re-attaches the in-memory index mirrors to the on-disk
+// structures (after a rollback reverted their pages).
+func (r *Shard) refreshLocked() error {
+	if err := r.ridsD.Refresh(); err != nil {
+		return err
+	}
+	if err := r.fixedD.Refresh(); err != nil {
+		return err
+	}
+	if err := r.rangeD.Refresh(); err != nil {
+		return err
+	}
+	r.count = r.ridsD.Len()
+	return nil
+}
+
 // checkLocked is the oracle comparison: the index must answer exactly
 // what a rebuilt-from-heap index would — every tuple probeable by its
 // full key and by each atom of its fixed component, entry counts equal
 // (no extras), and every index page readable and checksum-valid.
 func (r *Shard) checkLocked(rts []ridTuple) error {
-	if n := r.rids.Len(); n != len(rts) {
+	if n := r.ridsD.Len(); n != len(rts) {
 		return fmt.Errorf("store: %q primary index holds %d entries, heap %d tuples",
 			r.def.Name, n, len(rts))
 	}
 	atoms := 0
 	for _, rt := range rts {
-		hits, err := r.rids.Get([]byte(rt.t.Key()))
+		hits, err := r.ridsD.Get([]byte(rt.t.Key()))
 		if err != nil {
 			return err
 		}
@@ -617,51 +470,35 @@ func (r *Shard) checkLocked(rts []ridTuple) error {
 		}
 		for _, a := range rt.t.Set(r.fixedAttr()).Atoms() {
 			atoms++
-			hits, err := r.fixed.Get(encoding.AppendAtom(nil, a))
+			hits, err := r.fixedD.Get(encoding.AppendAtom(nil, a))
 			if err != nil {
 				return err
 			}
 			if !containsRID(hits, rt.rid) {
 				return fmt.Errorf("store: %q fixed index lost atom of tuple at %v", r.def.Name, rt.rid)
 			}
-			if r.rangeD != nil {
-				hits, err := r.rangeD.Get(encoding.AppendOrderedAtom(nil, a))
-				if err != nil {
-					return err
-				}
-				if !containsRID(hits, rt.rid) {
-					return fmt.Errorf("store: %q range index lost atom of tuple at %v", r.def.Name, rt.rid)
-				}
+			hits, err = r.rangeD.Get(encoding.AppendOrderedAtom(nil, a))
+			if err != nil {
+				return err
+			}
+			if !containsRID(hits, rt.rid) {
+				return fmt.Errorf("store: %q range index lost atom of tuple at %v", r.def.Name, rt.rid)
 			}
 		}
 	}
-	if n := r.fixed.Len(); n != atoms {
+	if n := r.fixedD.Len(); n != atoms {
 		return fmt.Errorf("store: %q fixed index holds %d entries, heap %d atoms",
 			r.def.Name, n, atoms)
 	}
-	if r.rangeD != nil {
-		if n := r.rangeD.Len(); n != atoms {
-			return fmt.Errorf("store: %q range index holds %d entries, heap %d atoms",
-				r.def.Name, n, atoms)
-		}
+	if n := r.rangeD.Len(); n != atoms {
+		return fmt.Errorf("store: %q range index holds %d entries, heap %d atoms",
+			r.def.Name, n, atoms)
 	}
 	// structural pass: every index page (directory, buckets, overflow;
 	// B+tree inner nodes and leaf chain) must be reachable and valid,
 	// so damage in never-probed pages fail-stops too
-	if r.ridsD != nil {
-		if _, err := r.ridsD.Pages(); err != nil {
-			return err
-		}
-		if _, err := r.fixedD.Pages(); err != nil {
-			return err
-		}
-	}
-	if r.rangeD != nil {
-		if _, err := r.rangeD.Pages(); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := r.indexPages()
+	return err
 }
 
 func containsRID(rids []storage.RID, rid storage.RID) bool {
@@ -673,7 +510,7 @@ func containsRID(rids []storage.RID, rid storage.RID) bool {
 	return false
 }
 
-// rebuildLocked is the repair path: both durable indexes are cleared
+// rebuildLocked is the repair path: the durable indexes are cleared
 // and refilled from the heap under a fresh transaction, committed as
 // one batch; the pages the cleared structures shed go to the free
 // list. A failure rolls the transaction back — releasing its frame and
@@ -693,52 +530,44 @@ func (r *Shard) rebuildLocked(rts []ridTuple) (err error) {
 		// A failed re-attach may not be swallowed: a mirror left holding
 		// the aborted rebuild's layout would silently probe the wrong
 		// buckets afterwards.
-		if rfErr := r.ridsD.Refresh(); rfErr != nil {
+		if rfErr := r.refreshLocked(); rfErr != nil {
 			err = fmt.Errorf("index rebuild failed (%v) and re-attach failed: %w", err, rfErr)
-			return
 		}
-		if rfErr := r.fixedD.Refresh(); rfErr != nil {
-			err = fmt.Errorf("index rebuild failed (%v) and re-attach failed: %w", err, rfErr)
-			return
-		}
-		if r.rangeD != nil {
-			if rfErr := r.rangeD.Refresh(); rfErr != nil {
-				err = fmt.Errorf("index rebuild failed (%v) and re-attach failed: %w", err, rfErr)
-				return
-			}
-		}
-		r.count = r.ridsD.Len()
 	}()
-	released, err := r.ridsD.Clear(txn)
+	released, err := r.clearIndexesLocked(txn)
 	if err != nil {
 		return err
 	}
-	rel2, err := r.fixedD.Clear(txn)
-	if err != nil {
-		return err
-	}
-	released = append(released, rel2...)
-	if r.rangeD != nil {
-		rel3, err := r.rangeD.Clear(txn)
-		if err != nil {
-			return err
-		}
-		released = append(released, rel3...)
-	}
-	r.count = 0
 	for _, rt := range rts {
 		if err := r.indexTuple(txn, rt.t, rt.rid); err != nil {
 			return err
 		}
 	}
 	if len(released) > 0 {
-		// a refused free (foreign owner) just orphans the pages until
-		// the next sweep
 		if err := r.st.freePages(txn, released); err != nil {
 			return err
 		}
 	}
 	return r.st.Commit(txn)
+}
+
+// clearIndexesLocked empties the three indexes under txn and returns
+// the pages they shed, for the caller to free in the same transaction.
+func (r *Shard) clearIndexesLocked(txn *Txn) ([]uint32, error) {
+	released, err := r.ridsD.Clear(txn)
+	if err != nil {
+		return nil, err
+	}
+	rel2, err := r.fixedD.Clear(txn)
+	if err != nil {
+		return nil, err
+	}
+	rel3, err := r.rangeD.Clear(txn)
+	if err != nil {
+		return nil, err
+	}
+	r.count = 0
+	return append(append(released, rel2...), rel3...), nil
 }
 
 // VerifyIndex checks every shard's indexes against a fresh heap scan —
@@ -770,7 +599,7 @@ func (r *Shard) VerifyIndex() error {
 }
 
 // pages returns every page the relation owns: all shards' heap chains
-// and, when durable, their index structures' chains. The drop path
+// and their index structures' chains. The drop path
 // hands them to the free list; the open-time sweep treats them as
 // referenced.
 func (r *RelStore) pages() ([]uint32, error) {
@@ -790,26 +619,30 @@ func (r *Shard) pages() ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.ridsD != nil {
-		p, err := r.ridsD.Pages()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p...)
-		p, err = r.fixedD.Pages()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p...)
+	ix, err := r.indexPages()
+	if err != nil {
+		return nil, err
 	}
-	if r.rangeD != nil {
-		p, err := r.rangeD.Pages()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p...)
+	return append(out, ix...), nil
+}
+
+// indexPages walks the three index structures, returning every
+// page they own; an unreachable or invalid page is an error.
+func (r *Shard) indexPages() ([]uint32, error) {
+	out, err := r.ridsD.Pages()
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	p, err := r.fixedD.Pages()
+	if err != nil {
+		return nil, err
+	}
+	out = append(out, p...)
+	p, err = r.rangeD.Pages()
+	if err != nil {
+		return nil, err
+	}
+	return append(out, p...), nil
 }
 
 // StatementEnd implements update.BatchSink: the group-commit point. All
@@ -868,9 +701,6 @@ func (r *Shard) CommitStatement() error {
 	return nil
 }
 
-// CommitStatement forwards to the classic single shard.
-func (r *RelStore) CommitStatement() error { return r.sole().CommitStatement() }
-
 // StatementTxn returns the open statement transaction (nil between
 // statements). The engine's rollback path uses it to repair the heap
 // within the same atomic batch as the failed statement.
@@ -880,30 +710,10 @@ func (r *Shard) StatementTxn() *Txn {
 	return r.cur
 }
 
-// StatementTxn forwards to the classic single shard.
-func (r *RelStore) StatementTxn() *Txn { return r.sole().StatementTxn() }
-
-// ResetErr clears the latched write-through failure on every shard.
-// Callers must first restore heap↔memory consistency (see Replace);
-// the engine's rollback path does exactly that.
-func (r *RelStore) ResetErr() {
-	for _, sh := range r.shards {
-		sh.ResetErr()
-	}
-}
-
 // ResetErr clears the latched write-through failure.
 func (r *Shard) ResetErr() {
 	r.mu.Lock()
 	r.err = nil
-	r.mu.Unlock()
-}
-
-func (r *RelStore) setErr(err error) { r.sole().setErr(err) }
-
-func (r *Shard) setErr(err error) {
-	r.mu.Lock()
-	r.setErrLocked(err)
 	r.mu.Unlock()
 }
 
@@ -1015,7 +825,7 @@ func (r *RelStore) LookupFixed(a value.Atom) ([]tuple.Tuple, error) {
 func (r *Shard) LookupFixed(a value.Atom) ([]tuple.Tuple, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rids, err := r.fixed.Get(encoding.AppendAtom(nil, a))
+	rids, err := r.fixedD.Get(encoding.AppendAtom(nil, a))
 	if err != nil {
 		return nil, err
 	}
@@ -1039,22 +849,6 @@ func (r *Shard) LookupFixed(a value.Atom) ([]tuple.Tuple, error) {
 type RangeBound struct {
 	Atom value.Atom
 	Incl bool
-}
-
-// HasRangeIndex reports whether every shard carries a durable B+tree
-// range index (false for legacy attachments that predate it or were
-// opened without write permission — the planner then falls back to
-// heap scans).
-func (r *RelStore) HasRangeIndex() bool {
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		ok := sh.rangeD != nil
-		sh.mu.Unlock()
-		if !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // ScanFixedRange returns every stored tuple with at least one fixed
@@ -1084,9 +878,6 @@ func (r *RelStore) ScanFixedRange(lo, hi *RangeBound) ([]tuple.Tuple, int, error
 func (r *Shard) ScanFixedRange(lo, hi *RangeBound) ([]tuple.Tuple, int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.rangeD == nil {
-		return nil, 0, fmt.Errorf("store: relation %q has no range index", r.def.Name)
-	}
 	var loKey, hiKey []byte
 	loIncl, hiIncl := true, true
 	if lo != nil {
@@ -1125,14 +916,11 @@ func (r *Shard) ScanFixedRange(lo, hi *RangeBound) ([]tuple.Tuple, int, error) {
 }
 
 // SetRangeIndexMaxEntries lowers the B+tree node fan-out (testing
-// knob: small trees split early, so split/crash tests stay small). A
-// no-op on shards without a range index.
+// knob: small trees split early, so split/crash tests stay small).
 func (r *Shard) SetRangeIndexMaxEntries(n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.rangeD != nil {
-		r.rangeD.SetMaxNodeEntries(n)
-	}
+	r.rangeD.SetMaxNodeEntries(n)
 }
 
 // IndexPageCounts breaks a relation's durable index footprint down by
@@ -1144,8 +932,7 @@ type IndexPageCounts struct {
 	HashDir     int `json:"hash_dir"`
 	HashBuckets int `json:"hash_buckets"`
 	// BTreeInner counts the range index's meta + inner pages;
-	// BTreeLeaf its leaf pages. Zero when the relation predates the
-	// range index.
+	// BTreeLeaf its leaf pages.
 	BTreeInner int `json:"btree_inner"`
 	BTreeLeaf  int `json:"btree_leaf"`
 }
@@ -1168,14 +955,10 @@ func (r *RelStore) IndexPageCounts() (IndexPageCounts, error) {
 }
 
 // IndexPageCounts reports this shard's index footprint by structure.
-// Zero for legacy in-memory attachments (nothing durable to count).
 func (r *Shard) IndexPageCounts() (IndexPageCounts, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var c IndexPageCounts
-	if r.ridsD == nil {
-		return c, nil
-	}
 	for _, ix := range []*storage.DiskHashIndex{r.ridsD, r.fixedD} {
 		dir, buckets, err := ix.PageCounts()
 		if err != nil {
@@ -1184,14 +967,11 @@ func (r *Shard) IndexPageCounts() (IndexPageCounts, error) {
 		c.HashDir += dir
 		c.HashBuckets += buckets
 	}
-	if r.rangeD != nil {
-		inner, leaf, err := r.rangeD.PageCounts()
-		if err != nil {
-			return IndexPageCounts{}, err
-		}
-		c.BTreeInner += inner
-		c.BTreeLeaf += leaf
+	inner, leaf, err := r.rangeD.PageCounts()
+	if err != nil {
+		return IndexPageCounts{}, err
 	}
+	c.BTreeInner, c.BTreeLeaf = inner, leaf
 	return c, nil
 }
 
@@ -1214,25 +994,9 @@ func (r *RelStore) HeapStats() (storage.HeapStats, error) {
 	return total, nil
 }
 
-// Replace atomically (with respect to this process) swaps the stored
-// content for the given relation under txn: every live record is
-// tombstoned, the indexes are reset, and rel's tuples are inserted
-// fresh. Used by the engine when the stored form has drifted from the
-// canonical form it maintains. rel is the GLOBAL canonical relation;
-// sharded layouts re-partition it (a global tuple's fixed atoms can
-// span shards, so it is expanded and each partition re-canonicalized).
-func (r *RelStore) Replace(txn *Txn, rel *core.Relation) error {
-	for _, sh := range r.shards {
-		if err := sh.clear(txn); err != nil {
-			return err
-		}
-	}
-	return r.Fill(txn, rel)
-}
-
 // Fill inserts rel's content into empty shards under txn, partitioning
 // by determinant atom and re-canonicalizing each partition for sharded
-// layouts. The paged Save path and Replace use it.
+// layouts. The paged Save path uses it.
 func (r *RelStore) Fill(txn *Txn, rel *core.Relation) error {
 	if len(r.shards) == 1 {
 		sh := r.shards[0]
@@ -1298,15 +1062,8 @@ func (r *Shard) Replace(txn *Txn, rel *core.Relation) error {
 	return nil
 }
 
-func (r *Shard) clear(txn *Txn) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.clearLocked(txn)
-}
-
 // clearLocked tombstones every live record and resets the indexes; the
-// pages a durable index sheds go to the free list under the same
-// transaction.
+// pages an index sheds go to the free list under the same transaction.
 func (r *Shard) clearLocked(txn *Txn) error {
 	var rids []storage.RID
 	if err := r.heap.Scan(func(rid storage.RID, _ []byte) bool {
@@ -1320,32 +1077,12 @@ func (r *Shard) clearLocked(txn *Txn) error {
 			return err
 		}
 	}
-	if r.ridsD != nil {
-		released, err := r.ridsD.Clear(txn)
-		if err != nil {
-			return err
-		}
-		rel2, err := r.fixedD.Clear(txn)
-		if err != nil {
-			return err
-		}
-		released = append(released, rel2...)
-		if r.rangeD != nil {
-			rel3, err := r.rangeD.Clear(txn)
-			if err != nil {
-				return err
-			}
-			released = append(released, rel3...)
-		}
-		if len(released) > 0 {
-			if err := r.st.freePages(txn, released); err != nil {
-				return err
-			}
-		}
-	} else {
-		r.rids = memIndex{storage.NewHashIndex()}
-		r.fixed = memIndex{storage.NewHashIndex()}
+	released, err := r.clearIndexesLocked(txn)
+	if err != nil {
+		return err
 	}
-	r.count = 0
+	if len(released) > 0 {
+		return r.st.freePages(txn, released)
+	}
 	return nil
 }

@@ -1,11 +1,16 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -107,132 +112,103 @@ func TestReopenReadsBounded(t *testing.T) {
 	}
 }
 
-// downgradeToV2 rewrites the database at path to the version-2 format:
-// catalog records lose their index-root tail and the header version
-// byte reverts. The abandoned index pages become orphans — exactly the
-// shape of a pre-upgrade file plus harmless unreferenced pages.
-func downgradeToV2(t *testing.T, path string) {
+// rawDB lays out a two-page database file by hand — the catalog page
+// holding hdr and, when non-nil, one relation record, then an empty
+// free-list page — so a test can present Open with header and record
+// shapes the store itself never writes.
+func rawDB(t *testing.T, hdr, rel []byte) []byte {
 	t.Helper()
-	st, err := Open(path, Options{PoolPages: 32})
-	if err != nil {
+	var cat, free storage.Page
+	cat.Init()
+	if _, err := cat.Insert(hdr); err != nil {
 		t.Fatal(err)
 	}
-	txn := st.Begin()
-	for _, name := range st.Relations() {
-		rs, _ := st.Rel(name)
-		if err := st.catalog.Delete(txn, rs.catRID); err != nil {
+	if rel != nil {
+		if _, err := cat.Insert(rel); err != nil {
 			t.Fatal(err)
 		}
-		rid, err := st.catalog.Insert(txn, encodeCatalogRecord(rs.def, []shardRoots{{rs.shards[0].heap.FirstPage(), 0, 0, 0}}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs.catRID = rid
 	}
-	fr, err := st.bp.GetMut(txn, catalogRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := fr.Page().Get(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec[4] = formatV2
-	if err := st.bp.Unpin(fr, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Commit(txn); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
+	cat.StampChecksum()
+	free.Init()
+	free.StampChecksum()
+	return append(cat[:], free[:]...)
 }
 
-// TestV2UpgradePersistsIndexes: opening a v2 file rebuilds the indexes
-// once by heap scan, persists them, and bumps the format — so the NEXT
-// open is O(catalog + index roots). A no-write open (NoSweep) of the
-// same v2 file keeps serving from in-memory indexes and leaves the
-// file byte-for-byte untouched.
-func TestV2UpgradePersistsIndexes(t *testing.T) {
-	path, canon, heapPages := buildReopenDB(t)
-	downgradeToV2(t, path)
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+// TestOpenRefusesOtherFormats: format version 3 with a full relation
+// record is the only readable shape. Every older or cut-short shape
+// fails to open — writable and NoSweep alike — with ErrCorrupt, a
+// message naming the version or the field, and the data file and the
+// sidecar (refused when its header is another version's) untouched.
+func TestOpenRefusesOtherFormats(t *testing.T) {
+	header := func(version byte, withID bool) []byte {
+		h := append(append([]byte{}, Magic[:]...), version)
+		if withID {
+			h = binary.LittleEndian.AppendUint64(h, 0xDEADBEEF)
+		}
+		return h
 	}
-
-	// a NoSweep open must not upgrade (Load and read-only opens ride
-	// this): in-memory indexes stand in, file untouched
-	ro, err := Open(path, Options{PoolPages: 32, NoSweep: true})
-	if err != nil {
-		t.Fatalf("NoSweep open of v2 file: %v", err)
-	}
-	rs, ok := ro.Rel("R1")
-	if !ok {
-		t.Fatal("relation lost in v2 NoSweep open")
-	}
-	got, err := rs.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(canon) {
-		t.Fatal("v2 NoSweep open changed content")
-	}
-	if err := ro.VerifyIndexes(); err != nil {
-		t.Fatalf("in-memory stand-in indexes diverged: %v", err)
-	}
-	if err := ro.Discard(); err != nil {
-		t.Fatal(err)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(before) != string(after) {
-		t.Fatal("NoSweep open of a v2 file mutated it")
-	}
-
-	// the writable open pays the one-time rebuild...
-	up, err := Open(path, Options{PoolPages: 32})
-	if err != nil {
-		t.Fatalf("v2 upgrade open: %v", err)
-	}
-	if open := up.OpenIOStats(); open.Misses < heapPages {
-		t.Errorf("upgrade open read %d pages; expected a full heap scan (%d pages)", open.Misses, heapPages)
-	}
-	if err := up.VerifyIndexes(); err != nil {
-		t.Fatalf("upgraded index diverged from heap oracle: %v", err)
-	}
-	got2, err := mustRel(t, up, "R1").Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got2.Equal(canon) {
-		t.Fatal("upgrade changed content")
-	}
-	if err := up.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// ...and every open after it is fast again
-	st2, err := Open(path, Options{PoolPages: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if open := st2.OpenIOStats(); open.Misses > reopenBudget(1) {
-		t.Errorf("post-upgrade open read %d pages, budget %d", open.Misses, reopenBudget(1))
-	}
-	got3, err := mustRel(t, st2, "R1").Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got3.Equal(canon) {
-		t.Fatal("content changed across upgrade + reopen")
-	}
-	if err := st2.VerifyIndexes(); err != nil {
-		t.Fatal(err)
+	good := header(FormatVersion, true)
+	def := testDef(t)
+	def3 := def
+	def3.Shards = 3
+	full := encodeCatalogRecord(def, []shardRoots{{7, 9, 12, 15}}) // every root one byte
+	for _, tc := range []struct {
+		name     string
+		hdr, rel []byte
+		wal      []byte // nil = no sidecar
+		refused  string // "" = opens
+	}{
+		{"current header, empty catalog", good, nil, nil, ""},
+		{"header version 2", header(2, true), nil, nil, "version 2"},
+		{"id-less header", header(FormatVersion, false), nil, nil, "database id"},
+		{"id-less version-2 header", header(2, false), nil, nil, "version 2"},
+		{"zero heap root", good, encodeCatalogRecord(def, []shardRoots{{0, 9, 12, 15}}), nil, "heap root"},
+		{"zero primary root", good, encodeCatalogRecord(def, []shardRoots{{7, 0, 12, 15}}), nil, "primary index root"},
+		{"zero fixed root", good, encodeCatalogRecord(def, []shardRoots{{7, 9, 0, 15}}), nil, "fixed index root"},
+		{"zero range root", good, encodeCatalogRecord(def, []shardRoots{{7, 9, 12, 0}}), nil, "range index root"},
+		{"zero root in shard 1", good, encodeCatalogRecord(def3,
+			[]shardRoots{{7, 9, 12, 15}, {20, 0, 22, 23}, {30, 31, 32, 33}}), nil, "shard 1 primary index root"},
+		{"record without index roots", good, full[:len(full)-4], nil, "primary index root"},
+		{"record without range roots", good, full[:len(full)-2], nil, "shard count"},
+		{"version-1 sidecar", good, nil, []byte{'N', 'F', 'R', 'W', 1, 0, 0, 0}, "version 1"},
+		{"version-2 sidecar", good, nil,
+			[]byte{'N', 'F', 'R', 'W', 2, 0, 0, 0, 0xEF, 0xBE, 0xAD, 0xDE, 0, 0, 0, 0}, "version 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "db.nfrs")
+			content := rawDB(t, tc.hdr, tc.rel)
+			if err := os.WriteFile(path, content, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if tc.wal != nil {
+				if err := os.WriteFile(path+".wal", tc.wal, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, opts := range []Options{{}, {NoSweep: true}} {
+				st, err := Open(path, opts)
+				if tc.refused == "" {
+					if err != nil {
+						t.Fatalf("%+v: hand-built current-format file refused: %v", opts, err)
+					}
+					st.Discard()
+					continue
+				}
+				if err == nil {
+					st.Discard()
+					t.Fatalf("%+v: opened", opts)
+				}
+				if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.refused) {
+					t.Fatalf("%+v: error %q, want ErrCorrupt naming %q", opts, err, tc.refused)
+				}
+				if after, _ := os.ReadFile(path); !bytes.Equal(after, content) {
+					t.Fatalf("%+v: refused file was modified", opts)
+				}
+				if after, err := os.ReadFile(path + ".wal"); (err == nil) != (tc.wal != nil) || !bytes.Equal(after, tc.wal) {
+					t.Fatalf("%+v: refused open created or modified the sidecar", opts)
+				}
+			}
+		})
 	}
 }
 

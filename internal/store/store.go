@@ -33,44 +33,28 @@
 package store
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 
-	"repro/internal/encoding"
 	"repro/internal/storage"
-	"repro/internal/tuple"
 )
 
 // Magic identifies a paged NFR database file (header record of the
 // catalog heap).
 var Magic = [4]byte{'N', 'F', 'R', 'S'}
 
-// FormatVersion is the current paged file format version. Version 2
-// added the page-header checksum field, the free-list page, and the WAL
-// sidecar; version 3 adds durable hash indexes (per-relation directory
-// and bucket pages, roots recorded in the catalog record). Version-2
-// files remain openable: the first writable open rebuilds the indexes
-// once by heap scan, persists them, and bumps the header — after which
-// every open attaches in O(index directory) page reads. The B+tree
-// range index rides a trailing-optional extension of the version-3
-// catalog record (no version bump); v3 records without it get their
-// range indexes built by the same upgrade path. Version-1
-// files predate the checksum field and are not readable. The 8-byte
-// database id appended to the header record is a backward-compatible
-// version-2 extension (headers without it are accepted but cannot be
-// pairing-checked).
+// FormatVersion is the one paged file format version this build reads
+// and writes: checksummed pages with page LSNs, a free-list page, a WAL
+// sidecar, a 13-byte header record carrying the database id, and a
+// relation record that names the heap, both hash index and the B+tree
+// roots of every shard. A file with any other version byte, a header
+// of another length, or a relation record missing a root is refused
+// with ErrCorrupt (see loadCatalog and decodeCatalogRecord).
 const FormatVersion = 3
-
-// formatV2 is the previous format version: no durable indexes,
-// rebuild-on-open. Still readable; upgraded in place (see
-// upgradeIndexes).
-const formatV2 = 2
 
 // DefaultPoolPages is the buffer-pool capacity used when Options does
 // not specify one.
@@ -116,12 +100,10 @@ type Options struct {
 	// 0 = DefaultCheckpointBytes, negative = only checkpoint on
 	// Flush/Close.
 	CheckpointBytes int64
-	// NoSweep suppresses the NON-recovery writes Open can perform: the
-	// orphan-page sweep (after crash recovery) and the one-time v2→v3
-	// durable-index upgrade. Read-only and load-once callers set it so
-	// opening a cleanly-closed file never mutates it (crash recovery,
-	// when the file demands it, still writes); a v2 file opened this
-	// way serves from in-memory rebuilt indexes instead.
+	// NoSweep suppresses the one NON-recovery write Open can perform:
+	// the orphan-page sweep (after crash recovery). Read-only and
+	// load-once callers set it so opening a file never mutates it
+	// beyond what crash recovery, when the file demands it, writes.
 	NoSweep bool
 }
 
@@ -136,7 +118,6 @@ type Store struct {
 	remove  func(string) error
 	ckptAt  int64
 	dbid    uint64
-	hdrVer  byte // format version byte read from the header record
 	catalog *storage.HeapFile
 	rels    map[string]*RelStore
 
@@ -173,11 +154,7 @@ type Store struct {
 // file is refused (ErrMispaired) before any replay. On an existing
 // file the catalog is then read and every relation attaches to its
 // durable hash indexes — O(catalog + index directories) page reads,
-// never a heap scan. A version-2 file (rebuild-on-open era) is
-// upgraded in place exactly once: its indexes are rebuilt by scanning,
-// persisted, and the header version bumped, so the next open is fast
-// (Options.NoSweep defers the upgrade and serves from in-memory
-// indexes instead).
+// never a heap scan.
 func Open(path string, opts Options) (*Store, error) {
 	if opts.PoolPages <= 0 {
 		opts.PoolPages = DefaultPoolPages
@@ -364,19 +341,8 @@ func Open(path string, opts Options) (*Store, error) {
 			ErrMispaired, s.dbid, wal.DBID())
 	}
 	wal.SetDBID(s.dbid)
-	// One-time v2→v3 upgrade: persist durable indexes for relations
-	// attached from rebuild-on-open records (skipped by NoSweep, whose
-	// callers forbid non-recovery writes — they keep the in-memory
-	// indexes the attach already built).
-	if existing && !opts.NoSweep {
-		if err := s.upgradeIndexes(); err != nil {
-			s.Discard()
-			return nil, err
-		}
-	}
 	// Reclaim pages the degraded paths orphaned (after SetDBID, so a
-	// sweep that creates the sidecar stamps the right database id, and
-	// after the upgrade, so fresh index pages count as referenced). A
+	// sweep that creates the sidecar stamps the right database id). A
 	// cleanly-closed file has no sidecar and skips the walk — clean
 	// opens stay bounded by catalog + index metadata; SweepOrphans
 	// remains callable explicitly.
@@ -395,8 +361,8 @@ func Open(path string, opts Options) (*Store, error) {
 
 // probeDBID best-effort reads the database id from the catalog header
 // record (page 1, slot 0) without the buffer pool, returning 0 when the
-// page is missing, torn, or predates the id extension. Used by the
-// open-time pairing check, which must run before WAL replay.
+// page is missing or torn. Used by the open-time pairing check, which
+// must run before WAL replay.
 func probeDBID(pg *storage.Pager) uint64 {
 	if pg.NumPages() < catalogRoot {
 		return 0
@@ -420,10 +386,8 @@ func probeDBID(pg *storage.Pager) uint64 {
 // least-torn-write-safe) slot directory: the catalog header record is
 // pinned to page 1, slot 0, record offset 0, so its magic, version
 // byte, and id always live at the same raw positions. Returns 0 unless
-// the magic and a known version byte survive — garbage never
-// impersonates an id. Files old enough to carry the short id-less
-// header always pair with an id-less sidecar, which skips this check
-// entirely.
+// the magic and the version byte survive — garbage never
+// impersonates an id.
 func probeDBIDRaw(pg *storage.Pager) uint64 {
 	if pg.NumPages() < catalogRoot {
 		return 0
@@ -438,18 +402,15 @@ func probeDBIDRaw(pg *storage.Pager) uint64 {
 	if string(p[20:24]) != string(Magic[:]) {
 		return 0
 	}
-	if v := p[24]; v != FormatVersion && v != formatV2 {
+	if p[24] != FormatVersion {
 		return 0
 	}
 	return binary.LittleEndian.Uint64(p[25:33])
 }
 
-// headerRecordLen is the catalog header record's size with the database
-// id extension; legacy headers are legacyHeaderLen bytes.
-const (
-	legacyHeaderLen = 5
-	headerRecordLen = 13
-)
+// headerRecordLen is the catalog header record's size: magic, version
+// byte, database id.
+const headerRecordLen = 13
 
 // newDBID draws a random nonzero database identity.
 func newDBID() uint64 {
@@ -503,7 +464,7 @@ func (s *Store) initFile() error {
 }
 
 // loadCatalog reads the header and every relation record, opening each
-// relation's heap and rebuilding its indexes.
+// relation's heap and attaching its indexes.
 func (s *Store) loadCatalog() error {
 	cat, err := storage.OpenHeap(s.bp, catalogRoot)
 	if err != nil {
@@ -519,19 +480,19 @@ func (s *Store) loadCatalog() error {
 		}
 		switch rec[0] {
 		case Magic[0]:
-			if (len(rec) != legacyHeaderLen && len(rec) != headerRecordLen) ||
-				string(rec[:4]) != string(Magic[:]) {
+			if len(rec) < 5 || string(rec[:4]) != string(Magic[:]) {
 				err = fmt.Errorf("%w: bad header record", ErrCorrupt)
 				return false
 			}
-			if rec[4] != FormatVersion && rec[4] != formatV2 {
-				err = fmt.Errorf("%w: unsupported format version %d", ErrCorrupt, rec[4])
+			if rec[4] != FormatVersion {
+				err = fmt.Errorf("%w: format version %d, only version %d is supported", ErrCorrupt, rec[4], FormatVersion)
 				return false
 			}
-			s.hdrVer = rec[4]
-			if len(rec) == headerRecordLen {
-				s.dbid = binary.LittleEndian.Uint64(rec[5:])
+			if len(rec) != headerRecordLen {
+				err = fmt.Errorf("%w: header record is %d bytes, want %d (no database id)", ErrCorrupt, len(rec), headerRecordLen)
+				return false
 			}
+			s.dbid = binary.LittleEndian.Uint64(rec[5:])
 			sawHeader = true
 			return true
 		case relRecordTag:
@@ -570,167 +531,6 @@ func (s *Store) loadCatalog() error {
 	return nil
 }
 
-// upgradeIndexes is the one-time v2→v3 migration, run during Open
-// (single-threaded, before the store is shared): every relation
-// attached from a rebuild-on-open record gets durable indexes built by
-// one heap scan, its catalog record is rewritten with the index roots,
-// the header version byte is bumped in place, and the whole upgrade
-// commits as one batch. Relations attached from v3 records that
-// predate the B+tree range index (hash roots present, range roots
-// absent) get their range indexes built the same way in the same
-// batch. Fully current files return immediately.
-func (s *Store) upgradeIndexes() error {
-	var legacy, noRange []*RelStore
-	for _, rs := range s.rels {
-		switch {
-		case rs.shards[0].ridsD == nil:
-			legacy = append(legacy, rs)
-		case rs.shards[0].rangeD == nil:
-			noRange = append(noRange, rs)
-		}
-	}
-	if len(legacy) == 0 && len(noRange) == 0 && s.hdrVer == FormatVersion {
-		return nil
-	}
-	sort.Slice(legacy, func(i, j int) bool { return legacy[i].def.Name < legacy[j].def.Name })
-	sort.Slice(noRange, func(i, j int) bool { return noRange[i].def.Name < noRange[j].def.Name })
-	txn := s.Begin()
-	for _, rs := range legacy {
-		if err := s.buildIndexes(txn, rs); err != nil {
-			return fmt.Errorf("%w: upgrading indexes of %q: %v", ErrCorrupt, rs.def.Name, err)
-		}
-	}
-	for _, rs := range noRange {
-		if err := s.buildRangeIndexes(txn, rs); err != nil {
-			return fmt.Errorf("%w: upgrading range index of %q: %v", ErrCorrupt, rs.def.Name, err)
-		}
-	}
-	if err := s.bumpHeaderVersion(txn); err != nil {
-		return err
-	}
-	return s.Commit(txn)
-}
-
-// buildIndexes scan-builds all three durable indexes for a legacy
-// relation under txn and rewrites its catalog record with the roots.
-func (s *Store) buildIndexes(txn *Txn, rs *RelStore) error {
-	ridsD, err := storage.CreateDiskIndex(s.bp, txn)
-	if err != nil {
-		return err
-	}
-	fixedD, err := storage.CreateDiskIndex(s.bp, txn)
-	if err != nil {
-		return err
-	}
-	rangeD, err := storage.CreateBTree(s.bp, txn)
-	if err != nil {
-		return err
-	}
-	fixedAttr := rs.fixedAttr()
-	var putErr error
-	if err := rs.scanRaw(context.Background(), func(rid storage.RID, t tuple.Tuple) bool {
-		if putErr = ridsD.Put(txn, []byte(t.Key()), rid); putErr != nil {
-			return false
-		}
-		for _, a := range t.Set(fixedAttr).Atoms() {
-			if putErr = fixedD.Put(txn, encoding.AppendAtom(nil, a), rid); putErr != nil {
-				return false
-			}
-			if putErr = rangeD.Put(txn, encoding.AppendOrderedAtom(nil, a), rid); putErr != nil {
-				return false
-			}
-		}
-		return true
-	}); err != nil {
-		return err
-	}
-	if putErr != nil {
-		return putErr
-	}
-	if err := s.catalog.Delete(txn, rs.catRID); err != nil {
-		return err
-	}
-	// legacy v2 relations are necessarily single-shard
-	sh := rs.shards[0]
-	rid, err := s.catalog.Insert(txn, encodeCatalogRecord(rs.def,
-		[]shardRoots{{sh.heap.FirstPage(), ridsD.Root(), fixedD.Root(), rangeD.Root()}}))
-	if err != nil {
-		return err
-	}
-	rs.catRID = rid
-	sh.mu.Lock()
-	sh.ridsD, sh.fixedD = ridsD, fixedD
-	sh.rids, sh.fixed = ridsD, fixedD
-	sh.rangeD = rangeD
-	sh.count = ridsD.Len()
-	sh.mu.Unlock()
-	return nil
-}
-
-// buildRangeIndexes scan-builds the B+tree range index of every shard
-// of a relation whose hash indexes are already durable (a record from
-// before range indexes existed) and rewrites its catalog record with
-// the full root set.
-func (s *Store) buildRangeIndexes(txn *Txn, rs *RelStore) error {
-	roots := make([]shardRoots, 0, len(rs.shards))
-	trees := make([]*storage.BTree, 0, len(rs.shards))
-	fixedAttr := rs.fixedAttr()
-	for _, sh := range rs.shards {
-		rangeD, err := storage.CreateBTree(s.bp, txn)
-		if err != nil {
-			return err
-		}
-		var putErr error
-		if err := sh.scanRaw(context.Background(), func(rid storage.RID, t tuple.Tuple) bool {
-			for _, a := range t.Set(fixedAttr).Atoms() {
-				if putErr = rangeD.Put(txn, encoding.AppendOrderedAtom(nil, a), rid); putErr != nil {
-					return false
-				}
-			}
-			return true
-		}); err != nil {
-			return err
-		}
-		if putErr != nil {
-			return putErr
-		}
-		roots = append(roots, shardRoots{sh.heap.FirstPage(), sh.ridsD.Root(), sh.fixedD.Root(), rangeD.Root()})
-		trees = append(trees, rangeD)
-	}
-	if err := s.catalog.Delete(txn, rs.catRID); err != nil {
-		return err
-	}
-	rid, err := s.catalog.Insert(txn, encodeCatalogRecord(rs.def, roots))
-	if err != nil {
-		return err
-	}
-	rs.catRID = rid
-	for i, sh := range rs.shards {
-		sh.mu.Lock()
-		sh.rangeD = trees[i]
-		sh.mu.Unlock()
-	}
-	return nil
-}
-
-// bumpHeaderVersion overwrites the header record's version byte in
-// place (the record never moves from page 1, slot 0 — probeDBID relies
-// on that location).
-func (s *Store) bumpHeaderVersion(txn *Txn) error {
-	fr, err := s.bp.GetMut(txn, catalogRoot)
-	if err != nil {
-		return err
-	}
-	rec, gerr := fr.Page().Get(0)
-	if gerr != nil || len(rec) < legacyHeaderLen || string(rec[:4]) != string(Magic[:]) {
-		s.bp.Unpin(fr, false)
-		return fmt.Errorf("%w: header record missing during upgrade", ErrCorrupt)
-	}
-	rec[4] = FormatVersion
-	s.hdrVer = FormatVersion
-	return s.bp.Unpin(fr, true)
-}
-
 // VerifyIndexes checks every relation's indexes against a fresh heap
 // scan — the rebuild oracle (see RelStore.VerifyIndex). It performs no
 // writes; tests, the crash harnesses, and the reopen bench leg call it
@@ -751,10 +551,10 @@ func (s *Store) VerifyIndexes() error {
 	return nil
 }
 
-// CreateRelation registers a new empty relation under txn: a fresh heap
-// chain, both durable hash indexes, and a catalog record pointing at
-// all three. The caller owns the commit boundary (the engine commits
-// once per statement).
+// CreateRelation registers a new empty relation under txn: per shard a
+// fresh heap chain, both durable hash indexes and the B+tree, and one
+// catalog record pointing at all of them. The caller owns the commit
+// boundary (the engine commits once per statement).
 func (s *Store) CreateRelation(txn *Txn, def RelationDef) (*RelStore, error) {
 	if err := def.validate(); err != nil {
 		return nil, err
@@ -1032,8 +832,7 @@ func (s *Store) Discard() error {
 	return s.pager.Close()
 }
 
-// DBID returns the database's identity (0 for legacy files that
-// predate the id extension).
+// DBID returns the database's identity.
 func (s *Store) DBID() uint64 { return s.dbid }
 
 // PoolStats reports the shared buffer pool's (hits, misses, evictions)

@@ -239,36 +239,22 @@ func TestCreateRelationValidation(t *testing.T) {
 
 func TestCatalogRecordRoundTrip(t *testing.T) {
 	def := testDef(t)
-	rec := encodeCatalogRecord(def, []shardRoots{{7, 9, 12, 0}})
+	rec := encodeCatalogRecord(def, []shardRoots{{7, 9, 12, 15}})
 	ce, err := decodeCatalogRecord(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ce.ridsRoot != 9 || ce.fixedRoot != 12 {
-		t.Fatalf("index roots lost: %d/%d", ce.ridsRoot, ce.fixedRoot)
-	}
-	// a v2 record (no roots) still decodes, with zero roots
-	v2, err := decodeCatalogRecord(encodeCatalogRecord(def, []shardRoots{{7, 0, 0, 0}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2.ridsRoot != 0 || v2.fixedRoot != 0 {
-		t.Fatalf("v2 record decoded roots %d/%d", v2.ridsRoot, v2.fixedRoot)
-	}
-	if ce.heapFirst != 7 || ce.def.Name != def.Name ||
+	if ce.shards[0].heapFirst != 7 || ce.def.Name != def.Name ||
 		!ce.def.Schema.Equal(def.Schema) ||
 		ce.def.Order.String() != def.Order.String() ||
 		len(ce.def.FDs) != 1 || !ce.def.FDs[0].Equal(def.FDs[0]) ||
 		len(ce.def.MVDs) != 1 || ce.def.MVDs[0].String() != def.MVDs[0].String() {
 		t.Fatalf("round trip changed definition: %+v", ce)
 	}
-	// every truncation of the record is rejected, never panics — except
-	// the one that strips exactly the optional index-root tail, which is
-	// a well-formed v2 record by construction
-	v2len := len(encodeCatalogRecord(def, []shardRoots{{7, 0, 0, 0}}))
-	for i := 0; i < len(rec); i++ {
-		if _, err := decodeCatalogRecord(rec[:i+1]); err == nil && i+1 != len(rec) && i+1 != v2len {
-			t.Fatalf("truncated catalog record of %d bytes accepted", i+1)
+	// every truncation of the record is rejected, never panics
+	for i := 1; i < len(rec); i++ {
+		if _, err := decodeCatalogRecord(rec[:i]); err == nil {
+			t.Fatalf("truncated catalog record of %d bytes accepted", i)
 		}
 	}
 }

@@ -706,18 +706,21 @@ func TestStatementEndSkipsCommitOnLatchedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := st.WALStats().Batches
-	rs.StatementBegin()
-	rs.TupleAdded(tupleOf([][]string{{"c1"}, {"b1"}, {"s1"}}, def.Order))
-	rs.setErr(fmt.Errorf("injected mid-statement failure"))
-	rs.StatementEnd()
+	sh := rs.Shard(0)
+	sh.StatementBegin()
+	sh.TupleAdded(tupleOf([][]string{{"c1"}, {"b1"}, {"s1"}}, def.Order))
+	sh.mu.Lock()
+	sh.setErrLocked(fmt.Errorf("injected mid-statement failure"))
+	sh.mu.Unlock()
+	sh.StatementEnd()
 	if got := st.WALStats().Batches; got != before {
 		t.Fatalf("StatementEnd committed a failed statement: %d batches, want %d", got, before)
 	}
 	// after the engine-style repair (ResetErr + explicit commit of the
 	// still-open statement transaction) the buffered pages commit as
 	// one batch
-	rs.ResetErr()
-	if err := rs.CommitStatement(); err != nil {
+	sh.ResetErr()
+	if err := sh.CommitStatement(); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.WALStats().Batches; got != before+1 {

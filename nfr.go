@@ -166,11 +166,6 @@ func NewDatabase() *Database { return engine.New() }
 // access mode — see docs/api.md and docs/storage.md.
 func Open(path string, opts ...Option) (*Database, error) { return engine.Open(path, opts...) }
 
-// OpenDatabase opens a disk-backed database with default options.
-//
-// Deprecated: use Open(path).
-func OpenDatabase(path string) (*Database, error) { return engine.Open(path) }
-
 // Tx is a multi-statement transaction handle: Insert, InsertMany,
 // Delete, Create, Drop, ReadRelation and Query statements pool under
 // one storage transaction; Commit makes them durable as ONE
