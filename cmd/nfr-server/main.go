@@ -54,6 +54,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "open:", err)
 		os.Exit(1)
 	}
+	if r, _ := db.RecoveryReport(); r.Sidecar {
+		fmt.Printf("recovery: %d batches replayed in %s, %d pages written, %d skipped by the LSN gate, %d torn log bytes discarded, %d orphan pages swept\n",
+			r.Log.RecoveredBatches, r.Log.RedoElapsed, r.PagesWritten, r.PagesSkipped, r.Log.TornTailBytes, r.OrphansSwept)
+	}
 
 	cfg := server.Config{MaxConns: *maxConns, IdleTimeout: *idle}
 	if *verbose {

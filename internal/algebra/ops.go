@@ -32,19 +32,7 @@ func Select(r *core.Relation, p Pred) (*core.Relation, error) {
 // (lifted to singleton components) and re-nests the survivors under
 // the given order — classical 1NF selection with an NFR result.
 func SelectFlat(r *core.Relation, p Pred, order schema.Permutation) (*core.Relation, error) {
-	flat := core.NewRelation(r.Schema())
-	for _, f := range r.Expand() {
-		t := tuple.FromFlat(f)
-		ok, err := p.Eval(r.Schema(), t)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			flat.Add(t)
-		}
-	}
-	out, _ := flat.Canonical(order)
-	return out, nil
+	return r.CanonicalWhere(order, func(t tuple.Tuple) (bool, error) { return p.Eval(r.Schema(), t) })
 }
 
 // Project restricts r to the named attributes (tuple level: component

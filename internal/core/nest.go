@@ -23,32 +23,8 @@ func (r *Relation) Nest(i int) (*Relation, int) {
 	if i < 0 || i >= r.sch.Degree() {
 		panic(fmt.Sprintf("core: Nest attribute %d out of range", i))
 	}
-	type group struct {
-		first tuple.Tuple
-		set   vset.Set
-		size  int
-	}
-	order := make([]string, 0, len(r.tuples))
-	groups := make(map[string]*group, len(r.tuples))
-	for _, t := range r.tuples {
-		k := t.KeyExcept(i)
-		g, ok := groups[k]
-		if !ok {
-			groups[k] = &group{first: t, set: t.Set(i), size: 1}
-			order = append(order, k)
-			continue
-		}
-		g.set = g.set.Union(t.Set(i))
-		g.size++
-	}
-	out := NewRelation(r.sch)
-	comps := 0
-	for _, k := range order {
-		g := groups[k]
-		out.Add(g.first.WithSet(i, g.set))
-		comps += g.size - 1
-	}
-	return out, comps
+	ts, comps := nest(r.tuples, i)
+	return MustFromTuples(r.sch, ts), comps
 }
 
 // NestPairwise is the literal Definition-4 nest: repeatedly scan for a
@@ -95,24 +71,33 @@ func (r *Relation) NestPairwise(i int, pairOrder func(ts []tuple.Tuple) (int, in
 // this reading: V_ABC(R3) nests A first and yields the printed R5.
 // It returns the canonical relation and the total composition count.
 func (r *Relation) Canonical(p schema.Permutation) (*Relation, int) {
-	if !p.Valid(r.sch) {
-		panic(fmt.Sprintf("core: invalid permutation %v for schema %v", p, r.sch))
-	}
-	cur := r
-	total := 0
-	for _, i := range p {
-		var c int
-		cur, c = cur.Nest(i)
-		total += c
-	}
-	return cur, total
+	return canonicalOf(r.sch, r.tuples, p)
 }
 
 // CanonicalFromFlats is the common pipeline: expand to R* first, then
 // build V_P(R*). Starting from R* makes the result depend only on the
 // information content (Theorem 2), not on r's current grouping.
 func (r *Relation) CanonicalFromFlats(p schema.Permutation) (*Relation, int) {
-	return r.ExpandRelation().Canonical(p)
+	return canonicalOf(r.sch, expandRows(r.sch.Degree(), r.tuples).tuples(), p)
+}
+
+// CanonicalWhere is CanonicalFromFlats of the part of R* that keep
+// accepts; keep sees each flat tuple once, in Expand order, as a tuple
+// of singleton sets.
+func (r *Relation) CanonicalWhere(p schema.Permutation, keep func(tuple.Tuple) (bool, error)) (*Relation, error) {
+	ts := expandRows(r.sch.Degree(), r.tuples).tuples()
+	kept := ts[:0]
+	for _, t := range ts {
+		ok, err := keep(t)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			kept = append(kept, t)
+		}
+	}
+	rel, _ := canonicalOf(r.sch, kept, p)
+	return rel, nil
 }
 
 // Unnest fully unnests attribute i: every tuple with an m-element i-th

@@ -27,6 +27,7 @@ import (
 type Relation struct {
 	sch    *schema.Schema
 	tuples []tuple.Tuple
+	keys   []string       // keys[i] = tuples[i].Key(); nil until a Remove needs them
 	index  map[string]int // tuple.Key() -> position in tuples
 }
 
@@ -103,6 +104,9 @@ func (r *Relation) Add(t tuple.Tuple) bool {
 	}
 	r.index[k] = len(r.tuples)
 	r.tuples = append(r.tuples, t)
+	if r.keys != nil {
+		r.keys = append(r.keys, k)
+	}
 	return true
 }
 
@@ -114,11 +118,17 @@ func (r *Relation) Remove(t tuple.Tuple) bool {
 	if !ok {
 		return false
 	}
+	if r.keys == nil {
+		r.keys = make([]string, len(r.tuples))
+		for key, j := range r.index {
+			r.keys[j] = key
+		}
+	}
 	delete(r.index, k)
-	copy(r.tuples[i:], r.tuples[i+1:])
-	r.tuples = r.tuples[:len(r.tuples)-1]
-	for j := i; j < len(r.tuples); j++ {
-		r.index[r.tuples[j].Key()] = j
+	r.tuples = append(r.tuples[:i], r.tuples[i+1:]...)
+	r.keys = append(r.keys[:i], r.keys[i+1:]...)
+	for j := i; j < len(r.keys); j++ {
+		r.index[r.keys[j]] = j
 	}
 	return true
 }
@@ -134,6 +144,7 @@ func (r *Relation) Clone() *Relation {
 	out := NewRelation(r.sch)
 	out.tuples = make([]tuple.Tuple, len(r.tuples))
 	copy(out.tuples, r.tuples)
+	out.keys = append(out.keys, r.keys...)
 	for k, v := range r.index {
 		out.index[k] = v
 	}
@@ -162,27 +173,13 @@ func (r *Relation) ExpansionSize() int {
 	return n
 }
 
-// Expand computes R*, the unique underlying 1NF relation (Theorem 1),
-// as a deduplicated, deterministically ordered slice of flat tuples.
-func (r *Relation) Expand() []tuple.Flat {
-	seen := make(map[string]bool)
-	var out []tuple.Flat
-	for _, t := range r.tuples {
-		for _, f := range t.Expand() {
-			k := f.Key()
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, f)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out
-}
+// Expand computes R*, the unique underlying 1NF relation (Theorem 1), as
+// deduplicated flat tuples in Flat.Key() order, cut from one backing array.
+func (r *Relation) Expand() []tuple.Flat { return expandRows(r.sch.Degree(), r.tuples).flats() }
 
 // ExpandRelation returns R* as a 1NF Relation.
 func (r *Relation) ExpandRelation() *Relation {
-	return MustFromFlats(r.sch, r.Expand())
+	return MustFromTuples(r.sch, expandRows(r.sch.Degree(), r.tuples).tuples())
 }
 
 // ContainsFlat reports whether flat tuple f is in R*, and if so which
@@ -280,6 +277,7 @@ func (r *Relation) SortTuples() {
 	for i, t := range r.tuples {
 		r.index[t.Key()] = i
 	}
+	r.keys = nil
 }
 
 // TupleOfSets is a convenience constructor for building NFR tuples from

@@ -168,11 +168,12 @@ func (r *Rel) shardFor(f tuple.Flat) *relShard {
 // materializing it on first use: one shard-heap scan (refusing
 // duplicate records — the fail-stop the store's index-attach open no
 // longer provides), re-canonicalization of the shard partition, and
-// the write-through sink hookup. When txn is non-nil and the stored
-// form had drifted from the partition's canonical form, the shard heap
-// is resynchronized under txn (write paths pass their statement
-// transaction; read-only paths pass nil and tolerate the drift — it
-// never occurs through this engine).
+// the write-through sink hookup. A stored form that drifted from the
+// partition's canonical form (it never does through this engine) is
+// resynchronized under txn, the caller's statement transaction. With a
+// nil txn (read-only paths) the canonical form of a drifted heap is
+// returned but NOT published: a published maintainer writes through to
+// a heap it must mirror, so the repair is left to the first write.
 func (sh *relShard) maintainer(txn *store.Txn) (*update.Maintainer, error) {
 	if m := sh.maint.Load(); m != nil {
 		return m, nil
@@ -206,7 +207,10 @@ func (sh *relShard) maintainer(txn *store.Txn) (*update.Maintainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	if txn != nil && !m.Relation().Equal(rel) {
+	if !m.Relation().Equal(rel) {
+		if txn == nil {
+			return m, nil
+		}
 		// the canonical form of the shard's flats keeps every fixed atom
 		// routing to this shard, so the shard-local Replace is sound
 		if err := sh.ss.Replace(txn, m.Relation()); err != nil {
@@ -537,6 +541,14 @@ func (db *Database) WALStats() (st storage.WALStats, ok bool) {
 		return storage.WALStats{}, false
 	}
 	return db.st.WALStats(), true
+}
+
+// RecoveryReport is store.RecoveryReport; ok is false in memory mode.
+func (db *Database) RecoveryReport() (r store.RecoveryReport, ok bool) {
+	if db.st == nil {
+		return store.RecoveryReport{}, false
+	}
+	return db.st.RecoveryReport(), true
 }
 
 // autocommit runs one statement as a one-shot transaction: begin,

@@ -9,6 +9,7 @@ import (
 	"io"
 	"io/fs"
 	"sync"
+	"time"
 )
 
 // This file implements the write-ahead log behind the paged file's
@@ -97,6 +98,9 @@ type WALStats struct {
 	CheckpointFsyncs int // fsyncs spent truncating the log at checkpoints
 	RecoveredBatches int // committed batches found at open
 	RecoveredPages   int // page images in those batches (latest per batch)
+	TornTailBytes    int // bytes past the last committed batch, discarded at open
+
+	RedoElapsed time.Duration // time open spent scanning the log and folding deltas
 }
 
 // WALPage names one page image for a batch append.
@@ -141,10 +145,12 @@ func OpenWAL(path string, open OpenFileFunc) (*WAL, error) {
 	}
 	w.f = f
 	w.existed = true
+	start := time.Now()
 	if err := w.recover(); err != nil {
 		f.Close()
 		return nil, err
 	}
+	w.stats.RedoElapsed = time.Since(start)
 	return w, nil
 }
 
@@ -197,6 +203,7 @@ func (w *WAL) recover() error {
 		if err := w.f.Truncate(0); err != nil {
 			return err
 		}
+		w.stats.TornTailBytes = int(size)
 		w.size = 0
 		return nil
 	case size >= 8 && string(buf[:4]) == walMagic:
@@ -207,7 +214,23 @@ func (w *WAL) recover() error {
 	}
 	end := int64(walHeaderSize)
 	off := end
+	// pending holds the batch in flight; a torn batch is dropped with it.
+	// A page's first record in a batch takes a buffer from free (superseded
+	// images) or a new one, never a committed image; later ones fold in place.
 	pending := make(map[uint32]*Page)
+	var free []*Page
+	buffer := func(pid uint32) (img *Page, first bool) {
+		if img = pending[pid]; img != nil {
+			return img, false
+		}
+		if n := len(free); n > 0 {
+			img, free = free[n-1], free[:n-1]
+		} else {
+			img = new(Page)
+		}
+		pending[pid] = img
+		return img, true
+	}
 	sawCommit := false
 scan:
 	for off < size {
@@ -221,10 +244,8 @@ scan:
 				binary.LittleEndian.Uint32(rec[walPageRecSize-4:]) {
 				break scan
 			}
-			pid := binary.LittleEndian.Uint32(rec[1:5])
-			var img Page
+			img, _ := buffer(binary.LittleEndian.Uint32(rec[1:5]))
 			copy(img[:], rec[5:5+PageSize])
-			pending[pid] = &img
 			off += walPageRecSize
 		case walRecDelta:
 			if off+walDeltaHdrSize > size {
@@ -249,19 +270,17 @@ scan:
 			// A delta with no base, a malformed range list, or a
 			// reconstruction whose embedded page checksum fails is
 			// treated exactly like a torn record.
-			img := new(Page)
-			switch {
-			case pending[pid] != nil:
-				*img = *pending[pid]
-			case w.images[pid] != nil:
-				*img = *w.images[pid]
-			default:
-				break scan
+			img, first := buffer(pid)
+			if first {
+				base := w.images[pid]
+				if base == nil {
+					break scan
+				}
+				*img = *base
 			}
 			if applyDelta(img, rec[walDeltaHdrSize:len(rec)-4]) != nil || img.VerifyChecksum() != nil {
 				break scan
 			}
-			pending[pid] = img
 			off = recEnd
 		case walRecCommit:
 			if off+walCommitRecSize > size {
@@ -287,11 +306,14 @@ scan:
 			}
 			sawCommit = true
 			for pid, img := range pending {
+				if old := w.images[pid]; old != nil {
+					free = append(free, old)
+				}
 				w.images[pid] = img
 			}
 			w.stats.RecoveredBatches++
 			w.stats.RecoveredPages += len(pending)
-			pending = make(map[uint32]*Page)
+			clear(pending)
 			w.seq = seq
 			off += walCommitRecSize
 			end = off
@@ -300,6 +322,7 @@ scan:
 		}
 	}
 	w.size = end
+	w.stats.TornTailBytes = int(size - end)
 	if size > end {
 		if err := w.f.Truncate(end); err != nil {
 			return err

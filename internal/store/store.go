@@ -143,6 +143,17 @@ type Store struct {
 	free      []freeEntry
 
 	openStats storage.PoolStats
+	recovery  RecoveryReport
+}
+
+// RecoveryReport says what Open did to bring a file that was not closed
+// cleanly back to its last committed state; zero after a clean close.
+type RecoveryReport struct {
+	Sidecar      bool             // a WAL sidecar was on disk
+	Log          storage.WALStats // what the log scan found: batches, torn bytes, time
+	PagesWritten int              // logged pages written into the data file
+	PagesSkipped int              // logged pages the LSN gate skipped: the file's copy was as new
+	OrphansSwept int              // unreferenced pages returned to the free list
 }
 
 // Open opens the paged database at path, creating and initializing the
@@ -255,6 +266,7 @@ func Open(path string, opts Options) (*Store, error) {
 	// written only when the data file's copy is torn or older — so redo
 	// is idempotent by construction: a crash mid-replay (or a double
 	// replay) just skips what already landed on the next open.
+	report := RecoveryReport{Sidecar: hadSidecar, Log: wal.Stats()}
 	if images := wal.CommittedImages(); len(images) > 0 {
 		for pid, img := range images {
 			if err := pg.EnsureAllocated(pid); err != nil {
@@ -264,6 +276,7 @@ func Open(path string, opts Options) (*Store, error) {
 			}
 			var cur storage.Page
 			if pg.Read(pid, &cur) == nil && cur.VerifyChecksum() == nil && cur.LSN() >= img.LSN() {
+				report.PagesSkipped++
 				continue
 			}
 			if err := pg.Write(pid, img); err != nil {
@@ -271,6 +284,7 @@ func Open(path string, opts Options) (*Store, error) {
 				closeWAL()
 				return nil, err
 			}
+			report.PagesWritten++
 		}
 		if err := pg.Sync(); err != nil {
 			pg.Close()
@@ -347,11 +361,14 @@ func Open(path string, opts Options) (*Store, error) {
 	// opens stay bounded by catalog + index metadata; SweepOrphans
 	// remains callable explicitly.
 	if existing && !opts.NoSweep && hadSidecar {
+		free := len(s.free)
 		if err := s.sweepOrphans(); err != nil {
 			s.Discard()
 			return nil, err
 		}
+		report.OrphansSwept = len(s.free) - free
 	}
+	s.recovery = report
 	// Recycling starts only now: nothing above may hand out free pages,
 	// and the open-phase I/O is bucketed away from steady-state stats.
 	bp.SetAllocator(s.recycle)
@@ -848,6 +865,9 @@ func (s *Store) AllPoolStats() storage.PoolStats { return s.bp.Snapshot() }
 // recovery replay, catalog load, and index rebuild. Keeping this bucket
 // separate keeps steady-state hit rates honest.
 func (s *Store) OpenIOStats() storage.PoolStats { return s.openStats }
+
+// RecoveryReport returns what this Open's crash recovery did.
+func (s *Store) RecoveryReport() RecoveryReport { return s.recovery }
 
 // WALStats reports write-ahead-log activity, including what open-time
 // recovery replayed and how many transactions the group-commit
