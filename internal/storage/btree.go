@@ -2,10 +2,11 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // This file is the ordered counterpart of diskindex.go: a paged B+tree
@@ -35,11 +36,21 @@ import (
 //
 // Entries are ordered by the composite (key, rid.Page, rid.Slot), so
 // duplicate keys need no overflow machinery: separators are full
-// composites and always split a duplicate run cleanly. Node mutation
-// rewrites the whole page with entries in sorted slot order — the
-// WAL's delta records diff the result against the page's previous
-// committed image, so only the bytes that actually changed reach the
-// log and the rewrite costs little more than a surgical in-place edit.
+// composites and always split a duplicate run cleanly.
+//
+// Nodes are read and edited in place. Slot order is key order, so a
+// descent is a binary search over the slot directory against the record
+// bytes in the page; Put appends the one encoded entry at the page's
+// free tail and shifts the directory words behind its position, Delete
+// drops the one directory word and leaves the record's bytes as a hole.
+// Where a record's bytes sit inside the page therefore carries no
+// meaning. A node whose free tail is too short for an entry that its
+// live records leave room for is compacted first; a node splits exactly
+// when its live records plus the entry exceed a page, whatever its
+// holes, so tree shape is a function of the entries alone. Only a split
+// (both halves) and Clear rewrite a node wholesale. The WAL's delta
+// records diff a page against its previous committed image, so a leaf
+// edit logs the new entry and the shifted directory words.
 //
 // Shrinking mirrors the hash index's pragmatics: a leaf emptied by
 // deletes is unlinked from its parent and chain and handed to
@@ -85,40 +96,16 @@ type BTree struct {
 	released []uint32
 }
 
-// btEntry is one parsed node entry; child is meaningful on inner
-// nodes only.
-type btEntry struct {
-	key   []byte
-	rid   RID
-	child uint32
-}
-
-// cmpEntry orders entries by the composite (key, rid.Page, rid.Slot).
-func cmpEntry(a btEntry, key []byte, rid RID) int {
-	if c := bytes.Compare(a.key, key); c != 0 {
+// cmpKeyRID orders (ak, ar) against (key, rid) by the composite
+// (key, rid.Page, rid.Slot).
+func cmpKeyRID(ak []byte, ar RID, key []byte, rid RID) int {
+	if c := bytes.Compare(ak, key); c != 0 {
 		return c
 	}
-	if a.rid.Page != rid.Page {
-		if a.rid.Page < rid.Page {
-			return -1
-		}
-		return 1
+	if c := cmp.Compare(ar.Page, rid.Page); c != 0 {
+		return c
 	}
-	if a.rid.Slot != rid.Slot {
-		if a.rid.Slot < rid.Slot {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
-
-// btNode is one parsed node page.
-type btNode struct {
-	leaf     bool
-	leftmost uint32 // inner only
-	entries  []btEntry
-	next     uint32 // leaf chain
+	return cmp.Compare(ar.Slot, rid.Slot)
 }
 
 // CreateBTree allocates a fresh empty tree (meta page + one empty root
@@ -258,183 +245,193 @@ func (ix *BTree) SetMaxNodeEntries(n int) {
 	ix.maxEntries = n
 }
 
-// readNode parses the node page pid.
-func (ix *BTree) readNode(pid uint32) (*btNode, error) {
-	fr, err := ix.bp.Get(pid)
+// node is one node page viewed in place; the frame behind p must stay
+// pinned for as long as the view, or any key it returned, is in use.
+type node struct {
+	p     *Page
+	pid   uint32
+	inner bool
+	n     int // entries: slots 1..n, slot 0 is the header record
+}
+
+// pin pins page pid — for mutation under txn, or for reading when txn
+// is nil — and views it as a node of the given kind. Only the header
+// is checked up front: entries are checked as they are touched, and
+// whole-node order by walk.
+func (ix *BTree) pin(txn *Txn, pid uint32, inner bool) (*Frame, node, error) {
+	var fr *Frame
+	var err error
+	if txn != nil {
+		fr, err = ix.bp.GetMut(txn, pid)
+	} else {
+		fr, err = ix.bp.Get(pid)
+	}
 	if err != nil {
-		return nil, err
-	}
-	n := &btNode{next: fr.Page().Next()}
-	var derr error
-	fr.Page().LiveRecords(func(slot int, rec []byte) bool {
-		if slot == 0 {
-			switch {
-			case len(rec) == 1 && rec[0] == btreeLeafTag:
-				n.leaf = true
-			case len(rec) == 5 && rec[0] == btreeInnerTag:
-				n.leftmost = binary.LittleEndian.Uint32(rec[1:5])
-			default:
-				derr = fmt.Errorf("%w: bad node header on page %d", ErrCorruptBTree, pid)
-				return false
-			}
-			return true
-		}
-		e, eerr := decodeBTreeEntry(rec, !n.leaf)
-		if eerr != nil {
-			derr = fmt.Errorf("page %d slot %d: %w", pid, slot, eerr)
-			return false
-		}
-		n.entries = append(n.entries, e)
-		return true
-	})
-	if uerr := ix.bp.Unpin(fr, false); uerr != nil {
-		return nil, uerr
-	}
-	if derr != nil {
-		return nil, derr
-	}
-	for i := 1; i < len(n.entries); i++ {
-		if cmpEntry(n.entries[i-1], n.entries[i].key, n.entries[i].rid) > 0 {
-			return nil, fmt.Errorf("%w: page %d entries out of order", ErrCorruptBTree, pid)
-		}
-	}
-	return n, nil
-}
-
-func encodeBTreeEntry(e btEntry, inner bool) []byte {
-	rec := appendIndexEntry(nil, e.key, e.rid)
-	if inner {
-		rec = binary.LittleEndian.AppendUint32(rec, e.child)
-	}
-	return rec
-}
-
-func decodeBTreeEntry(rec []byte, inner bool) (btEntry, error) {
-	var e btEntry
-	if inner {
-		if len(rec) < 4 {
-			return e, fmt.Errorf("%w: short inner entry", ErrCorruptBTree)
-		}
-		e.child = binary.LittleEndian.Uint32(rec[len(rec)-4:])
-		if e.child == 0 {
-			return e, fmt.Errorf("%w: inner entry with child 0", ErrCorruptBTree)
-		}
-		rec = rec[:len(rec)-4]
-	}
-	key, rid, err := decodeIndexEntry(rec)
-	if err != nil {
-		return e, fmt.Errorf("%w: %v", ErrCorruptBTree, err)
-	}
-	e.key = append([]byte(nil), key...)
-	e.rid = rid
-	return e, nil
-}
-
-// nodeFits reports whether a node with the given entries can be
-// rewritten onto one page (header record + one slot per record).
-func (ix *BTree) nodeFits(entries []btEntry, inner bool) bool {
-	if ix.maxEntries > 0 && len(entries) > ix.maxEntries {
-		return false
-	}
-	hdr := 1
-	if inner {
-		hdr = 5
-	}
-	size := pageHeaderSize + hdr + slotSize
-	for _, e := range entries {
-		size += len(e.key) + uvarintLen(uint64(len(e.key))) + 6 + slotSize
-		if inner {
-			size += 4
-		}
-	}
-	return size <= PageSize
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// writeNode rewrites page pid as a node holding exactly entries (in
-// order) with the given chain link.
-func (ix *BTree) writeNode(txn *Txn, pid uint32, leaf bool, leftmost uint32, entries []btEntry, next uint32) error {
-	fr, err := ix.bp.GetMut(txn, pid)
-	if err != nil {
-		return err
+		return nil, node{}, err
 	}
 	p := fr.Page()
-	p.Init()
-	p.SetNext(next)
-	hdr := []byte{btreeLeafTag}
-	if !leaf {
-		hdr = make([]byte, 5)
-		hdr[0] = btreeInnerTag
-		binary.LittleEndian.PutUint32(hdr[1:5], leftmost)
+	nd := node{p: p, pid: pid, inner: inner, n: p.numSlots() - 1}
+	if nd.n < 0 || pageHeaderSize+p.numSlots()*slotSize > PageSize {
+		err = fmt.Errorf("%w: page %d has an impossible slot directory", ErrCorruptBTree, pid)
+	} else if hdr, herr := nd.rec(0); herr != nil {
+		err = herr
+	} else if leaf := len(hdr) == 1 && hdr[0] == btreeLeafTag; !leaf && !(len(hdr) == 5 && hdr[0] == btreeInnerTag) {
+		err = fmt.Errorf("%w: bad node header on page %d", ErrCorruptBTree, pid)
+	} else if leaf == inner {
+		err = fmt.Errorf("%w: page %d has the wrong node kind for its depth", ErrCorruptBTree, pid)
 	}
-	if _, err := p.Insert(hdr); err != nil {
-		ix.bp.Unpin(fr, true)
-		return err
+	if err != nil {
+		ix.bp.Unpin(fr, false)
+		return nil, node{}, err
 	}
-	for _, e := range entries {
-		if _, err := p.Insert(encodeBTreeEntry(e, !leaf)); err != nil {
-			ix.bp.Unpin(fr, true)
-			return err
-		}
-	}
-	return ix.bp.Unpin(fr, true)
+	return fr, nd, nil
 }
 
-// pathEl is one step of a root-to-leaf descent: the node, its page,
-// and which child slot the descent took (children are numbered with
-// the leftmost pointer as 0).
+// release unpins fr and returns err, or the unpin's own failure when
+// err is nil.
+func (ix *BTree) release(fr *Frame, dirty bool, err error) error {
+	if uerr := ix.bp.Unpin(fr, dirty); err == nil {
+		return uerr
+	}
+	return err
+}
+
+// rec returns the bytes of slot i, refusing a slot that points outside
+// the record area (a tombstone included: nodes have none).
+func (nd node) rec(i int) ([]byte, error) {
+	off, ln := nd.p.slotAt(i)
+	if off < pageHeaderSize || off+ln > PageSize-nd.p.numSlots()*slotSize {
+		return nil, fmt.Errorf("%w: page %d slot %d region [%d,%d) outside the record area", ErrCorruptBTree, nd.pid, i, off, off+ln)
+	}
+	return nd.p[off : off+ln], nil
+}
+
+// leftmost returns an inner node's leftmost child.
+func (nd node) leftmost() uint32 {
+	hdr, _ := nd.rec(0) // pin read it
+	return binary.LittleEndian.Uint32(hdr[1:5])
+}
+
+// splitChild splits an inner node's entry record into the (key, rid)
+// encoding and the child; a leaf's record is returned whole.
+func (nd node) splitChild(rec []byte) ([]byte, uint32, error) {
+	if !nd.inner {
+		return rec, 0, nil
+	}
+	if len(rec) < 4 {
+		return nil, 0, fmt.Errorf("%w: page %d: short inner entry", ErrCorruptBTree, nd.pid)
+	}
+	child := binary.LittleEndian.Uint32(rec[len(rec)-4:])
+	if child == 0 {
+		return nil, 0, fmt.Errorf("%w: page %d: inner entry with child 0", ErrCorruptBTree, nd.pid)
+	}
+	return rec[:len(rec)-4], child, nil
+}
+
+// entry decodes entry i (0-based) in place; key aliases the page and
+// child is meaningful on inner nodes only.
+func (nd node) entry(i int) (key []byte, rid RID, child uint32, err error) {
+	rec, err := nd.rec(i + 1)
+	if err == nil {
+		rec, child, err = nd.splitChild(rec)
+	}
+	if err == nil {
+		if key, rid, err = decodeIndexEntry(rec); err != nil {
+			err = fmt.Errorf("%w: page %d slot %d: %v", ErrCorruptBTree, nd.pid, i+1, err)
+		}
+	}
+	return key, rid, child, err
+}
+
+// search returns the index of the first entry greater than (key, rid),
+// or with orEqual the first one not less: a binary search over the slot
+// directory that trusts the node's order (walk verifies it).
+func (nd node) search(key []byte, rid RID, orEqual bool) (int, error) {
+	lo, hi := 0, nd.n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		k, r, _, err := nd.entry(mid)
+		if err != nil {
+			return 0, err
+		}
+		if c := cmpKeyRID(k, r, key, rid); c < 0 || (c == 0 && !orEqual) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, nil
+}
+
+// fits reports whether the node's live records plus one more of recLen
+// bytes fit a page — the split criterion, independent of how the
+// records happen to be laid out (holes do not count).
+func (nd node) fits(recLen int) (bool, error) {
+	if nd.p.FreeSpace() >= recLen+slotSize {
+		return true, nil // fits the free tail as the page stands
+	}
+	size := pageHeaderSize + (nd.n+2)*slotSize + recLen
+	for i := 0; i <= nd.n; i++ {
+		rec, err := nd.rec(i)
+		if err != nil {
+			return false, err
+		}
+		size += len(rec)
+	}
+	return size <= PageSize, nil
+}
+
+// writeNode rewrites p wholesale as a node holding hdr and recs (in
+// order) with the given chain link.
+func writeNode(p *Page, hdr []byte, next uint32, recs [][]byte) error {
+	p.Init()
+	p.SetNext(next)
+	err := p.InsertAt(0, hdr)
+	for i := 0; i < len(recs) && err == nil; i++ {
+		err = p.InsertAt(i+1, recs[i])
+	}
+	return err
+}
+
+func innerHeader(leftmost uint32) []byte {
+	return binary.LittleEndian.AppendUint32([]byte{btreeInnerTag}, leftmost)
+}
+
+// pathEl is one inner step of a root-to-leaf descent: the node's page
+// and which child the descent took (children are numbered with the
+// leftmost pointer as 0).
 type pathEl struct {
 	pid      uint32
-	node     *btNode
 	childIdx int
 }
 
 // descend walks from the root to the leaf that would hold (key, rid),
-// returning the full path (root first, leaf last).
-func (ix *BTree) descend(key []byte, rid RID) ([]pathEl, error) {
-	path := make([]pathEl, 0, ix.height)
+// appending the inner nodes it passed (root first) to path and
+// returning the leaf's page.
+func (ix *BTree) descend(path []pathEl, key []byte, rid RID) ([]pathEl, uint32, error) {
 	pid := ix.root
-	for depth := 0; ; depth++ {
-		if depth >= ix.height {
-			return nil, fmt.Errorf("%w: descent deeper than height %d", ErrCorruptBTree, ix.height)
-		}
-		n, err := ix.readNode(pid)
+	for depth := 0; depth < ix.height-1; depth++ {
+		fr, nd, err := ix.pin(nil, pid, true)
 		if err != nil {
-			return nil, err
-		}
-		wantLeaf := depth == ix.height-1
-		if n.leaf != wantLeaf {
-			return nil, fmt.Errorf("%w: page %d at depth %d has the wrong node kind", ErrCorruptBTree, pid, depth)
-		}
-		el := pathEl{pid: pid, node: n}
-		if n.leaf {
-			path = append(path, el)
-			return path, nil
+			return nil, 0, err
 		}
 		// first separator strictly greater than (key, rid); the child
 		// before it covers the key
-		idx := sort.Search(len(n.entries), func(i int) bool {
-			return cmpEntry(n.entries[i], key, rid) > 0
-		})
-		el.childIdx = idx
-		path = append(path, el)
-		if idx == 0 {
-			pid = n.leftmost
-		} else {
-			pid = n.entries[idx-1].child
+		idx, err := nd.search(key, rid, false)
+		child := nd.leftmost()
+		if err == nil && idx > 0 {
+			_, _, child, err = nd.entry(idx - 1)
 		}
-		if pid == 0 {
-			return nil, fmt.Errorf("%w: descent hit child 0", ErrCorruptBTree)
+		if err == nil && child == 0 {
+			err = fmt.Errorf("%w: descent hit child 0 on page %d", ErrCorruptBTree, pid)
 		}
+		if err = ix.release(fr, false, err); err != nil {
+			return nil, 0, err
+		}
+		path = append(path, pathEl{pid: pid, childIdx: idx})
+		pid = child
 	}
+	return path, pid, nil
 }
 
 // Put inserts a key → rid entry (duplicate keys allowed) under txn,
@@ -443,24 +440,17 @@ func (ix *BTree) Put(txn *Txn, key []byte, rid RID) error {
 	if len(key) > MaxBTreeKey {
 		return fmt.Errorf("storage: btree key of %d bytes exceeds the %d-byte cap", len(key), MaxBTreeKey)
 	}
-	path, err := ix.descend(key, rid)
+	var pbuf [8]pathEl
+	path, leafPid, err := ix.descend(pbuf[:0], key, rid)
 	if err != nil {
 		return err
 	}
-	leaf := path[len(path)-1]
-	entries := leaf.node.entries
-	pos := sort.Search(len(entries), func(i int) bool {
-		return cmpEntry(entries[i], key, rid) > 0
-	})
-	entries = append(entries, btEntry{})
-	copy(entries[pos+1:], entries[pos:])
-	entries[pos] = btEntry{key: append([]byte(nil), key...), rid: rid}
-
-	if ix.nodeFits(entries, false) {
-		if err := ix.writeNode(txn, leaf.pid, true, 0, entries, leaf.node.next); err != nil {
-			return err
-		}
-	} else if err := ix.splitLeaf(txn, path, entries); err != nil {
+	fr, nd, err := ix.pin(txn, leafPid, false)
+	if err != nil {
+		return err
+	}
+	var ebuf [64]byte
+	if err := ix.insertEntry(txn, path, fr, nd, appendIndexEntry(ebuf[:0], key, rid)); err != nil {
 		return err
 	}
 	ix.count++
@@ -468,85 +458,91 @@ func (ix *BTree) Put(txn *Txn, key []byte, rid RID) error {
 	return nil
 }
 
-// splitLeaf rewrites the overflowing leaf as two chained leaves and
-// inserts the right half's first entry as a separator in the parent
-// (growing a new root when the leaf was the root).
-func (ix *BTree) splitLeaf(txn *Txn, path []pathEl, entries []btEntry) error {
-	leaf := path[len(path)-1]
-	m := len(entries) / 2
-	left, right := entries[:m:m], entries[m:]
-	nf, err := ix.bp.NewPage(txn)
+// insertEntry adds the encoded entry rec to the node behind fr at its
+// sorted position and unpins fr. A node the entry does not fit is
+// split, which inserts a separator into the parent, the last element of
+// path, the same way.
+func (ix *BTree) insertEntry(txn *Txn, path []pathEl, fr *Frame, nd node, rec []byte) error {
+	pos, fits := 0, false
+	keyRID, _, err := nd.splitChild(rec)
+	if err == nil {
+		key, rid, _ := decodeIndexEntry(keyRID) // the caller encoded it
+		pos, err = nd.search(key, rid, false)
+	}
+	if err == nil {
+		fits, err = nd.fits(len(rec))
+	}
 	if err != nil {
-		return err
+		return ix.release(fr, false, err)
 	}
-	rightPid := nf.PID()
-	if err := ix.bp.Unpin(nf, true); err != nil {
-		return err
+	if !fits || (ix.maxEntries > 0 && nd.n >= ix.maxEntries) {
+		return ix.split(txn, path, fr, nd, pos, rec)
 	}
-	if err := ix.writeNode(txn, rightPid, true, 0, right, leaf.node.next); err != nil {
-		return err
+	if nd.p.FreeSpace() < len(rec)+slotSize {
+		nd.p.Compact() // the room is there, in holes
 	}
-	if err := ix.writeNode(txn, leaf.pid, true, 0, left, rightPid); err != nil {
-		return err
-	}
-	sep := btEntry{key: right[0].key, rid: right[0].rid, child: rightPid}
-	return ix.insertSeparator(txn, path[:len(path)-1], leaf.pid, sep)
+	return ix.release(fr, true, nd.p.InsertAt(pos+1, rec))
 }
 
-// insertSeparator adds sep to the innermost node of path, splitting
-// inner nodes (middle separator pushed up) and growing a new root as
-// needed. fromChild is the page the separator's left sibling pointer
-// already covers (used only when a fresh root is grown).
-func (ix *BTree) insertSeparator(txn *Txn, path []pathEl, fromChild uint32, sep btEntry) error {
+// split rewrites the node behind fr, with rec added at entry position
+// pos, as two nodes and unpins fr. A leaf becomes two chained leaves
+// and the right half's first entry goes up as the separator; an inner
+// node pushes its middle separator up, whose child becomes the right
+// node's leftmost pointer. A split root grows a new root above it.
+func (ix *BTree) split(txn *Txn, path []pathEl, fr *Frame, nd node, pos int, rec []byte) error {
+	// both halves are written from a copy of the node as it was
+	old, src := *nd.p, nd
+	src.p = &old
+	recs := make([][]byte, 0, nd.n+1)
+	for i := 0; i < nd.n; i++ {
+		if _, _, _, err := src.entry(i); err != nil {
+			return ix.release(fr, false, err)
+		}
+		r, _ := src.rec(i + 1)
+		recs = append(recs, r)
+	}
+	recs = slices.Insert(recs, pos, rec)
+	m := len(recs) / 2
+	nf, err := ix.bp.NewPage(txn)
+	if err != nil {
+		return ix.release(fr, false, err)
+	}
+	rightPid := nf.PID()
+	// up becomes the parent's separator: recs[m]'s key and rid, routing
+	// to the right node
+	up, right := recs[m], recs[m:]
+	leftHdr, rightHdr, leftNext := []byte{btreeLeafTag}, []byte{btreeLeafTag}, rightPid
+	if nd.inner {
+		var child uint32
+		up, child, _ = nd.splitChild(up)
+		right = recs[m+1:]
+		leftHdr, rightHdr, leftNext = innerHeader(src.leftmost()), innerHeader(child), 0
+	}
+	up = binary.LittleEndian.AppendUint32(bytes.Clone(up), rightPid)
+	err = ix.release(nf, true, writeNode(nf.Page(), rightHdr, old.Next(), right))
+	if err == nil {
+		err = writeNode(nd.p, leftHdr, leftNext, recs[:m])
+	}
+	if err = ix.release(fr, true, err); err != nil {
+		return err
+	}
 	if len(path) == 0 {
 		// the split node was the root: grow a new root above it
-		nf, err := ix.bp.NewPage(txn)
+		rf, err := ix.bp.NewPage(txn)
 		if err != nil {
 			return err
 		}
-		rootPid := nf.PID()
-		if err := ix.bp.Unpin(nf, true); err != nil {
-			return err
+		if err = ix.release(rf, true, writeNode(rf.Page(), innerHeader(nd.pid), 0, [][]byte{up})); err == nil {
+			ix.root = rf.PID()
+			ix.height++
 		}
-		if err := ix.writeNode(txn, rootPid, false, fromChild, []btEntry{sep}, 0); err != nil {
-			return err
-		}
-		ix.root = rootPid
-		ix.height++
-		return nil
+		return err
 	}
-	parent := path[len(path)-1]
-	entries := parent.node.entries
-	pos := sort.Search(len(entries), func(i int) bool {
-		return cmpEntry(entries[i], sep.key, sep.rid) > 0
-	})
-	entries = append(entries, btEntry{})
-	copy(entries[pos+1:], entries[pos:])
-	entries[pos] = sep
-
-	if ix.nodeFits(entries, true) {
-		return ix.writeNode(txn, parent.pid, false, parent.node.leftmost, entries, 0)
-	}
-	// split the inner node: middle separator moves up, its child
-	// becomes the right node's leftmost pointer
-	m := len(entries) / 2
-	left, push, right := entries[:m:m], entries[m], entries[m+1:]
-	nf, err := ix.bp.NewPage(txn)
+	pf, pn, err := ix.pin(txn, path[len(path)-1].pid, true)
 	if err != nil {
 		return err
 	}
-	rightPid := nf.PID()
-	if err := ix.bp.Unpin(nf, true); err != nil {
-		return err
-	}
-	if err := ix.writeNode(txn, rightPid, false, push.child, right, 0); err != nil {
-		return err
-	}
-	if err := ix.writeNode(txn, parent.pid, false, parent.node.leftmost, left, 0); err != nil {
-		return err
-	}
-	up := btEntry{key: push.key, rid: push.rid, child: rightPid}
-	return ix.insertSeparator(txn, path[:len(path)-1], parent.pid, up)
+	return ix.insertEntry(txn, path[:len(path)-1], pf, pn, up)
 }
 
 // Delete removes one key → rid entry under txn, reporting whether it
@@ -555,26 +551,36 @@ func (ix *BTree) insertSeparator(txn *Txn, path []pathEl, fromChild uint32, sep 
 // parent's leftmost child, which anchors descents and stays. Inner
 // nodes never merge (Clear or drop reclaims them).
 func (ix *BTree) Delete(txn *Txn, key []byte, rid RID) (bool, error) {
-	path, err := ix.descend(key, rid)
+	var pbuf [8]pathEl
+	path, leafPid, err := ix.descend(pbuf[:0], key, rid)
 	if err != nil {
 		return false, err
 	}
-	leaf := path[len(path)-1]
-	entries := leaf.node.entries
-	pos := sort.Search(len(entries), func(i int) bool {
-		return cmpEntry(entries[i], key, rid) >= 0
-	})
-	if pos >= len(entries) || cmpEntry(entries[pos], key, rid) != 0 {
-		return false, nil
+	fr, nd, err := ix.pin(txn, leafPid, false)
+	if err != nil {
+		return false, err
 	}
-	entries = append(entries[:pos:pos], entries[pos+1:]...)
-
-	if len(entries) == 0 && len(path) >= 2 && path[len(path)-2].childIdx > 0 {
-		if err := ix.unlinkLeaf(txn, path); err != nil {
+	found := false
+	pos, err := nd.search(key, rid, true)
+	if err == nil && pos < nd.n {
+		var k []byte
+		var r RID
+		k, r, _, err = nd.entry(pos)
+		found = err == nil && cmpKeyRID(k, r, key, rid) == 0
+	}
+	// an emptied leaf leaves the tree with its page as it is
+	unlink := found && nd.n == 1 && len(path) > 0 && path[len(path)-1].childIdx > 0
+	next := nd.p.Next()
+	if found && !unlink {
+		nd.p.DeleteAt(pos + 1)
+	}
+	if err = ix.release(fr, found && !unlink, err); err != nil || !found {
+		return false, err
+	}
+	if unlink {
+		if err := ix.unlinkLeaf(txn, path[len(path)-1], leafPid, next); err != nil {
 			return false, err
 		}
-	} else if err := ix.writeNode(txn, leaf.pid, true, 0, entries, leaf.node.next); err != nil {
-		return false, err
 	}
 	ix.count--
 	ix.deferMeta(txn)
@@ -583,32 +589,37 @@ func (ix *BTree) Delete(txn *Txn, key []byte, rid RID) (bool, error) {
 
 // unlinkLeaf splices the emptied leaf out of its parent (dropping the
 // separator that routes to it) and out of the leaf chain (the left
-// sibling under the same parent takes over its successor), queueing
-// the page for TakeReleased. All writes ride txn, so a rollback or
-// crash reverts the splice together with the delete that caused it.
-func (ix *BTree) unlinkLeaf(txn *Txn, path []pathEl) error {
-	leaf := path[len(path)-1]
-	parent := path[len(path)-2]
-	idx := parent.childIdx // ≥ 1, checked by the caller
-	var siblingPid uint32
-	if idx == 1 {
-		siblingPid = parent.node.leftmost
-	} else {
-		siblingPid = parent.node.entries[idx-2].child
+// sibling under the same parent takes over its successor next),
+// queueing the page for TakeReleased. All writes ride txn, so a
+// rollback or crash reverts the splice together with the delete that
+// caused it.
+func (ix *BTree) unlinkLeaf(txn *Txn, parent pathEl, leafPid, next uint32) error {
+	pf, pn, err := ix.pin(txn, parent.pid, true)
+	if err != nil {
+		return err
 	}
-	entries := append(parent.node.entries[:idx-1:idx-1], parent.node.entries[idx:]...)
-	if err := ix.writeNode(txn, parent.pid, false, parent.node.leftmost, entries, 0); err != nil {
+	idx := parent.childIdx // ≥ 1, checked by the caller
+	siblingPid := pn.leftmost()
+	if idx > pn.n {
+		err = fmt.Errorf("%w: page %d lost the separator of leaf %d", ErrCorruptBTree, parent.pid, leafPid)
+	} else if idx > 1 {
+		_, _, siblingPid, err = pn.entry(idx - 2)
+	}
+	if err == nil {
+		pn.p.DeleteAt(idx)
+	}
+	if err = ix.release(pf, err == nil, err); err != nil {
 		return err
 	}
 	fr, err := ix.bp.GetMut(txn, siblingPid)
 	if err != nil {
 		return err
 	}
-	fr.Page().SetNext(leaf.node.next)
+	fr.Page().SetNext(next)
 	if err := ix.bp.Unpin(fr, true); err != nil {
 		return err
 	}
-	ix.released = append(ix.released, leaf.pid)
+	ix.released = append(ix.released, leafPid)
 	return nil
 }
 
@@ -625,59 +636,70 @@ func (ix *BTree) TakeReleased() []uint32 {
 // Scan walks entries in (key, rid) order within [lo, hi] — nil bounds
 // are unbounded, loIncl/hiIncl pick open or closed ends (key-level:
 // every rid under a boundary key is included or excluded together) —
-// calling fn until it returns false or the range ends. It returns how
+// calling fn until it returns false or the range ends. key is a view
+// into the pinned leaf, valid only during the call. It returns how
 // many index pages the scan touched (descent nodes plus visited
 // leaves): the planner's page-read claim, gated by the range bench.
 func (ix *BTree) Scan(lo []byte, loIncl bool, hi []byte, hiIncl bool, fn func(key []byte, rid RID) bool) (int, error) {
 	pages := 0
-	var leafPid uint32
-	var node *btNode
-	if lo == nil {
-		leafPid = ix.firstLeaf
-	} else {
-		path, err := ix.descend(lo, RID{})
+	leafPid := ix.firstLeaf
+	if lo != nil {
+		var pbuf [8]pathEl
+		path, pid, err := ix.descend(pbuf[:0], lo, RID{})
 		if err != nil {
 			return 0, err
 		}
 		pages += len(path)
-		leafPid = path[len(path)-1].pid
-		node = path[len(path)-1].node
+		leafPid = pid
 	}
 	limit := int(ix.bp.pager.NumPages()) + 1
-	for steps := 0; leafPid != 0; {
-		if steps++; steps > limit {
+	for steps := 0; leafPid != 0; steps++ {
+		if steps > limit {
 			return pages, fmt.Errorf("%w: leaf chain cycle at page %d", ErrCorruptBTree, leafPid)
 		}
-		if node == nil {
-			pages++
-			n, err := ix.readNode(leafPid)
-			if err != nil {
-				return pages, err
-			}
-			if !n.leaf {
-				return pages, fmt.Errorf("%w: page %d on the leaf chain is not a leaf", ErrCorruptBTree, leafPid)
-			}
-			node = n
+		pages++
+		fr, nd, err := ix.pin(nil, leafPid, false)
+		if err != nil {
+			return pages, err
 		}
-		for _, e := range node.entries {
-			if lo != nil {
-				if c := bytes.Compare(e.key, lo); c < 0 || (c == 0 && !loIncl) {
-					continue
-				}
-			}
-			if hi != nil {
-				if c := bytes.Compare(e.key, hi); c > 0 || (c == 0 && !hiIncl) {
-					return pages, nil
-				}
-			}
-			if !fn(e.key, e.rid) {
-				return pages, nil
-			}
+		more, err := scanLeaf(nd, steps == 0, lo, loIncl, hi, hiIncl, fn)
+		leafPid = nd.p.Next()
+		if err = ix.release(fr, false, err); err != nil || !more {
+			return pages, err
 		}
-		leafPid = node.next
-		node = nil
 	}
 	return pages, nil
+}
+
+// scanLeaf feeds one leaf's entries within the bounds to fn, reporting
+// whether the scan goes on to the next leaf. The first leaf of a scan
+// starts at lo's lower bound; later leaves hold nothing below it.
+func scanLeaf(nd node, first bool, lo []byte, loIncl bool, hi []byte, hiIncl bool, fn func(key []byte, rid RID) bool) (bool, error) {
+	i := 0
+	if first && lo != nil {
+		var err error
+		if i, err = nd.search(lo, RID{}, true); err != nil {
+			return false, err
+		}
+	}
+	for ; i < nd.n; i++ {
+		key, rid, _, err := nd.entry(i)
+		if err != nil {
+			return false, err
+		}
+		if lo != nil && !loIncl && bytes.Equal(key, lo) {
+			continue
+		}
+		if hi != nil {
+			if c := bytes.Compare(key, hi); c > 0 || (c == 0 && !hiIncl) {
+				return false, nil
+			}
+		}
+		if !fn(key, rid) {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // Get returns every rid stored under key.
@@ -695,7 +717,8 @@ func (ix *BTree) Get(key []byte) ([]RID, error) {
 // Pages returns every page the tree owns — meta plus all nodes — for
 // drop-time reclamation and the open-time orphan sweep, verifying on
 // the way that no page appears twice, node kinds match their depth,
-// and the leaf chain visits exactly the tree's leaves in tree order.
+// every node's entries decode and are in order, and the leaf chain
+// visits exactly the tree's leaves in tree order.
 func (ix *BTree) Pages() ([]uint32, error) {
 	inner, leaves, err := ix.walk()
 	if err != nil {
@@ -716,37 +739,64 @@ func (ix *BTree) PageCounts() (innerPages, leafPages int, err error) {
 	return len(inner) + 1, len(leaves), nil
 }
 
+// checkNode verifies what descents take on trust: every entry of the
+// node decodes and the entries are in (key, rid) order. It returns the
+// node's children (nil for a leaf), entry count and chain link.
+func (ix *BTree) checkNode(pid uint32, leaf bool) (children []uint32, entries int, next uint32, err error) {
+	fr, nd, err := ix.pin(nil, pid, !leaf)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	defer ix.bp.Unpin(fr, false)
+	if nd.inner {
+		children = append(make([]uint32, 0, nd.n+1), nd.leftmost())
+	}
+	var prevKey []byte
+	var prevRID RID
+	for i := 0; i < nd.n; i++ {
+		key, rid, child, err := nd.entry(i)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		if i > 0 && cmpKeyRID(prevKey, prevRID, key, rid) > 0 {
+			return nil, 0, 0, fmt.Errorf("%w: page %d entries out of order", ErrCorruptBTree, pid)
+		}
+		prevKey, prevRID = key, rid
+		if nd.inner {
+			children = append(children, child)
+		}
+	}
+	return children, nd.n, nd.p.Next(), nil
+}
+
 // walk traverses the whole tree, returning inner and leaf page ids in
-// tree order and validating structure: kinds match depth, no page is
-// shared, the chain from firstLeaf is exactly the leaf sequence, and
-// the leaf entry total matches the meta count.
+// tree order and validating structure: kinds match depth, nodes are
+// well-formed and sorted, no page is shared, the chain from firstLeaf
+// is exactly the leaf sequence, and the leaf entry total matches the
+// meta count.
 func (ix *BTree) walk() (inner, leaves []uint32, err error) {
 	seen := map[uint32]bool{ix.metaPid: true}
 	entryTotal := 0
+	var chain []uint32 // leaves[i]'s chain link
 	var rec func(pid uint32, depth int) error
 	rec = func(pid uint32, depth int) error {
 		if pid == 0 || seen[pid] {
 			return fmt.Errorf("%w: page %d reached twice (or zero)", ErrCorruptBTree, pid)
 		}
 		seen[pid] = true
-		n, err := ix.readNode(pid)
+		children, n, next, err := ix.checkNode(pid, depth == ix.height-1)
 		if err != nil {
 			return err
 		}
-		if wantLeaf := depth == ix.height-1; n.leaf != wantLeaf {
-			return fmt.Errorf("%w: page %d at depth %d has the wrong node kind", ErrCorruptBTree, pid, depth)
-		}
-		if n.leaf {
+		if children == nil { // a leaf
 			leaves = append(leaves, pid)
-			entryTotal += len(n.entries)
+			chain = append(chain, next)
+			entryTotal += n
 			return nil
 		}
 		inner = append(inner, pid)
-		if err := rec(n.leftmost, depth+1); err != nil {
-			return err
-		}
-		for _, e := range n.entries {
-			if err := rec(e.child, depth+1); err != nil {
+		for _, child := range children {
+			if err := rec(child, depth+1); err != nil {
 				return err
 			}
 		}
@@ -770,15 +820,7 @@ func (ix *BTree) walk() (inner, leaves []uint32, err error) {
 		if i >= len(leaves) || leaves[i] != pid {
 			return nil, nil, fmt.Errorf("%w: leaf chain diverges from the tree at page %d", ErrCorruptBTree, pid)
 		}
-		fr, err := ix.bp.Get(pid)
-		if err != nil {
-			return nil, nil, err
-		}
-		next := fr.Page().Next()
-		if err := ix.bp.Unpin(fr, false); err != nil {
-			return nil, nil, err
-		}
-		pid = next
+		pid = chain[i]
 	}
 }
 
@@ -796,7 +838,11 @@ func (ix *BTree) Clear(txn *Txn) ([]uint32, error) {
 			released = append(released, pid)
 		}
 	}
-	if err := ix.writeNode(txn, ix.firstLeaf, true, 0, nil, 0); err != nil {
+	fr, err := ix.bp.GetMut(txn, ix.firstLeaf)
+	if err != nil {
+		return nil, err
+	}
+	if err := ix.release(fr, true, writeNode(fr.Page(), []byte{btreeLeafTag}, 0, nil)); err != nil {
 		return nil, err
 	}
 	ix.root = ix.firstLeaf

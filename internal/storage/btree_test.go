@@ -2,9 +2,12 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -362,5 +365,275 @@ func TestBTreeKeyCap(t *testing.T) {
 	}
 	if _, err := ix.Pages(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBTreeModelAtPageCapacity: no node cap, so nodes fill, fragment
+// and compact as they do in production. 20 000 puts and deletes of
+// 8–40-byte keys with heavy duplication — a growth phase deep enough to
+// split inner nodes, a shrinking phase that eats the key space from
+// the low end so leaves empty and unlink, then churn — against the
+// sorted-slice model. Every 100 ops each page
+// the transaction touched must be a valid slotted page before it
+// commits; every 1 000 the tree must verify and scan as the model.
+func TestBTreeModelAtPageCapacity(t *testing.T) {
+	bp, txn, _ := newTestPool(t, 512)
+	ix, err := CreateBTree(bp, txn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(23))
+	key := func() []byte {
+		k := btKey(rng.Intn(900))
+		pad := 34 // mostly 40-byte keys, one in four anything down to 8
+		if k[5]%4 == 0 {
+			pad = 2 + int(k[4])%33
+		}
+		return append(k, bytes.Repeat([]byte{'p'}, pad)...)
+	}
+	var model btModel
+	maxHeight, unlinked := 0, 0
+	for step := 1; step <= 20000; step++ {
+		putShare := 85 // growth
+		switch {
+		case step > 18000:
+			putShare = 50
+		case step > 10000:
+			putShare = 12
+		}
+		if len(model) == 0 || rng.Intn(100) < putShare {
+			k, rid := key(), RID{Page: uint32(1 + rng.Intn(30)), Slot: uint16(rng.Intn(8))}
+			if err := ix.Put(txn, k, rid); err != nil {
+				t.Fatalf("step %d Put: %v", step, err)
+			}
+			model = model.insert(k, rid)
+		} else {
+			e := model[rng.Intn(len(model))]
+			if putShare < 50 {
+				e = model[rng.Intn(min(len(model), 150))]
+			}
+			if rng.Intn(25) == 0 {
+				e.rid.Page += 100 // absent
+			}
+			var want bool
+			model, want = model.remove(e.key, e.rid)
+			if got, err := ix.Delete(txn, e.key, e.rid); err != nil || got != want {
+				t.Fatalf("step %d Delete = %v, %v; want %v", step, got, err, want)
+			}
+		}
+		maxHeight = max(maxHeight, ix.Height())
+		unlinked += len(ix.TakeReleased())
+		if step%100 == 0 {
+			for pid, fr := range txn.dirty {
+				if err := fr.page.Validate(); err != nil {
+					t.Fatalf("step %d: touched page %d: %v", step, pid, err)
+				}
+			}
+			if _, err := bp.CommitTxn(txn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if step%1000 == 0 {
+			if _, err := ix.Pages(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			if ix.Len() != len(model) {
+				t.Fatalf("step %d: Len = %d, model %d", step, ix.Len(), len(model))
+			}
+			if got := scanAll(t, ix); !sameEntries(got, model) {
+				t.Fatalf("step %d: scan diverged from the model (%d vs %d entries)", step, len(got), len(model))
+			}
+			e := model[rng.Intn(len(model))]
+			want := 0
+			for _, m := range model {
+				if bytes.Equal(m.key, e.key) {
+					want++
+				}
+			}
+			if got, err := ix.Get(e.key); err != nil || len(got) != want {
+				t.Fatalf("step %d: Get(%q) = %d rids, %v; want %d", step, e.key, len(got), err, want)
+			}
+		}
+	}
+	if maxHeight < 3 || unlinked == 0 {
+		t.Fatalf("workload too tame: height reached %d (inner splits need 3), %d leaves unlinked", maxHeight, unlinked)
+	}
+}
+
+// TestBTreeCompactsBeforeSplitting: a node splits when its live entries
+// outgrow a page, not when its free tail runs out. A root leaf filled to
+// the brim, half emptied (all holes, no tail) and refilled must still
+// be one leaf, its records contiguous again.
+func TestBTreeCompactsBeforeSplitting(t *testing.T) {
+	bp, txn, _ := newTestPool(t, 8)
+	ix, err := CreateBTree(bp, txn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for ; ix.Height() == 1; n++ {
+		if err := ix.Put(txn, btKey(n), RID{Page: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// n-1 entries fit one leaf; start over with exactly that many
+	if _, err := ix.Clear(txn); err != nil {
+		t.Fatal(err)
+	}
+	full := n - 1
+	for i := 0; i < full; i++ {
+		if err := ix.Put(txn, btKey(i), RID{Page: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < full; i += 2 {
+		if ok, err := ix.Delete(txn, btKey(i), RID{Page: 1}); err != nil || !ok {
+			t.Fatal(ok, err)
+		}
+	}
+	for i := 0; i < full; i += 2 {
+		if err := ix.Put(txn, btKey(i), RID{Page: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ix.Height() != 1 || ix.Len() != full {
+		t.Fatalf("height %d, len %d; want one leaf of %d entries", ix.Height(), ix.Len(), full)
+	}
+	fr, err := bp.Get(ix.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bp.Unpin(fr, false)
+	p := fr.Page()
+	live := 0
+	p.LiveRecords(func(_ int, rec []byte) bool { live += len(rec); return true })
+	if holes := p.freeStart() - pageHeaderSize - live; holes >= len(btKey(0))+7 {
+		t.Fatalf("leaf holds %d bytes of holes after refilling: it never compacted", holes)
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Put(txn, btKey(full), RID{Page: 1}); err != nil || ix.Height() != 2 {
+		t.Fatalf("one entry past capacity: height %d, %v; want a split", ix.Height(), err)
+	}
+}
+
+// TestBTreeCorruptNodes damages one node at a time. Verification
+// (Pages, which store.VerifyIndexes runs) must name ErrCorruptBTree;
+// Put, Get, Scan and Delete read nodes without re-validating them, so
+// they may answer wrongly, but must return — no panic, no endless loop.
+func TestBTreeCorruptNodes(t *testing.T) {
+	build := func(t *testing.T) (*BufferPool, *Txn, *BTree, uint32, uint32) {
+		bp, txn, _ := newTestPool(t, 32)
+		ix, err := CreateBTree(bp, txn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix.SetMaxNodeEntries(6)
+		for i := 0; i < 60; i++ {
+			if err := ix.Put(txn, btKey(i), RID{Page: uint32(i + 1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ix.Height() != 3 {
+			t.Fatalf("height %d, want 3", ix.Height())
+		}
+		_, leaves, err := ix.walk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// a leaf and an inner node on the path of btKey(30)
+		path, leaf, err := ix.descend(nil, btKey(30), RID{Page: 31})
+		if err != nil || len(leaves) < 8 {
+			t.Fatal(len(leaves), err)
+		}
+		return bp, txn, ix, path[1].pid, leaf
+	}
+	slotWord := func(p *Page, slot int) []byte { return p[PageSize-(slot+1)*slotSize : PageSize-slot*slotSize] }
+	cases := []struct {
+		name  string
+		inner bool
+		harm  func(p *Page, pid uint32)
+	}{
+		{"unsorted slots", false, func(p *Page, _ uint32) {
+			var w [slotSize]byte
+			copy(w[:], slotWord(p, 1))
+			copy(slotWord(p, 1), slotWord(p, 3))
+			copy(slotWord(p, 3), w[:])
+		}},
+		{"unsorted separators", true, func(p *Page, _ uint32) {
+			var w [slotSize]byte
+			copy(w[:], slotWord(p, 1))
+			copy(slotWord(p, 1), slotWord(p, 2))
+			copy(slotWord(p, 2), w[:])
+		}},
+		{"entry shorter than its key length", false, func(p *Page, _ uint32) {
+			off, ln := p.slotAt(2)
+			p.setSlot(2, off, ln-3)
+		}},
+		{"key length past the entry", false, func(p *Page, _ uint32) {
+			off, _ := p.slotAt(2)
+			p[off] = 0x7f
+		}},
+		{"child 0", true, func(p *Page, _ uint32) {
+			off, ln := p.slotAt(1)
+			copy(p[off+ln-4:off+ln], []byte{0, 0, 0, 0})
+		}},
+		{"leftmost child 0", true, func(p *Page, _ uint32) {
+			off, _ := p.slotAt(0)
+			copy(p[off+1:off+5], []byte{0, 0, 0, 0})
+		}},
+		{"slot region outside the record area", false, func(p *Page, _ uint32) { p.setSlot(2, PageSize-8, 40) }},
+		{"slot region inside the page header", false, func(p *Page, _ uint32) { p.setSlot(2, 4, 12) }},
+		{"tombstoned slot", false, func(p *Page, _ uint32) { p.setSlot(2, 0, 0) }},
+		{"slot directory larger than the page", false, func(p *Page, _ uint32) { p.setNumSlots(2000) }},
+		{"no header record", false, func(p *Page, _ uint32) { p.setNumSlots(0) }},
+		{"header of the other kind", false, func(p *Page, _ uint32) {
+			off, _ := p.slotAt(0)
+			p[off] = btreeInnerTag
+		}},
+		{"inner node where a leaf belongs", true, func(p *Page, _ uint32) {
+			off, _ := p.slotAt(0)
+			p.setSlot(0, off, 1)
+			p[off] = btreeLeafTag
+		}},
+		{"free start past the slot directory", false, func(p *Page, _ uint32) { p.setFreeStart(PageSize - 2) }},
+		{"free start inside the records", false, func(p *Page, _ uint32) { p.setFreeStart(pageHeaderSize + 3) }},
+		{"child pointing at its own node", true, func(p *Page, pid uint32) {
+			off, ln := p.slotAt(1)
+			binary.LittleEndian.PutUint32(p[off+ln-4:], pid)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bp, txn, ix, innerPid, leafPid := build(t)
+			pid := leafPid
+			if tc.inner {
+				pid = innerPid
+			}
+			fr, err := bp.GetMut(txn, pid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.harm(fr.Page(), pid)
+			if err := bp.Unpin(fr, true); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasPrefix(tc.name, "free start") { // the free tail is no reader's business
+				if _, err := ix.Pages(); !errors.Is(err, ErrCorruptBTree) {
+					t.Errorf("Pages() = %v, want ErrCorruptBTree", err)
+				}
+			}
+			// every operation returns; errors and wrong answers are both fine
+			for i := 25; i < 36; i++ {
+				ix.Get(btKey(i))
+				ix.Delete(txn, btKey(i), RID{Page: uint32(i + 1)})
+				ix.Put(txn, btKey(i), RID{Page: uint32(i + 100)})
+				ix.Put(txn, btKey(i), RID{Page: uint32(i + 200)})
+			}
+			ix.Scan(nil, true, nil, true, func([]byte, RID) bool { return true })
+			ix.Scan(btKey(20), false, btKey(40), true, func([]byte, RID) bool { return true })
+			ix.Pages()
+		})
 	}
 }

@@ -9,7 +9,7 @@ import (
 // transaction the index structure tests mutate under; commit makes it
 // durable (and flushes the indexes' deferred meta records) so a
 // reattach reads what was written.
-func newTestPool(t *testing.T, pages int) (bp *BufferPool, txn *Txn, commit func() error) {
+func newTestPool(t testing.TB, pages int) (bp *BufferPool, txn *Txn, commit func() error) {
 	t.Helper()
 	_, _, bp = newWALPool(t, pages)
 	txn = bp.Begin()

@@ -209,28 +209,56 @@ func (p *Page) Delete(i int) error {
 	return nil
 }
 
-// Compact rewrites live records contiguously, reclaiming space from
-// tombstones while preserving slot numbers.
-func (p *Page) Compact() {
-	type rec struct {
-		slot int
-		data []byte
+// InsertAt stores the record as slot i, moving slots i.. up by one:
+// the positional counterpart of Insert for pages whose slot order
+// carries meaning (B+tree nodes keep slot order = key order). The
+// record goes at freeStart; only the directory words behind i move.
+func (p *Page) InsertAt(i int, rec []byte) error {
+	n := p.numSlots()
+	if i < 0 || i > n {
+		return ErrBadSlot
 	}
-	var live []rec
+	if len(rec) == 0 {
+		return fmt.Errorf("storage: empty record")
+	}
+	if p.FreeSpace() < len(rec)+slotSize {
+		return ErrPageFull
+	}
+	off := p.freeStart()
+	copy(p[off:], rec)
+	p.setFreeStart(off + len(rec))
+	copy(p[PageSize-(n+1)*slotSize:], p[PageSize-n*slotSize:PageSize-i*slotSize])
+	p.setNumSlots(n + 1)
+	p.setSlot(i, off, len(rec))
+	return nil
+}
+
+// DeleteAt removes slot i outright, moving the slots behind it down by
+// one (Delete leaves a tombstone and every other slot where it was).
+// The record's bytes stay behind as a hole until Compact.
+func (p *Page) DeleteAt(i int) error {
+	n := p.numSlots()
+	if i < 0 || i >= n {
+		return ErrBadSlot
+	}
+	copy(p[PageSize-(n-1)*slotSize:], p[PageSize-n*slotSize:PageSize-(i+1)*slotSize])
+	p.setNumSlots(n - 1)
+	return nil
+}
+
+// Compact rewrites live records contiguously in slot order, reclaiming
+// the space of tombstones and holes while preserving slot numbers.
+func (p *Page) Compact() {
+	old := *p
+	off := pageHeaderSize
 	for i := 0; i < p.numSlots(); i++ {
-		off, ln := p.slotAt(i)
-		if off == 0 {
+		o, ln := old.slotAt(i)
+		if o == 0 {
 			continue
 		}
-		cp := make([]byte, ln)
-		copy(cp, p[off:off+ln])
-		live = append(live, rec{i, cp})
-	}
-	off := pageHeaderSize
-	for _, r := range live {
-		copy(p[off:], r.data)
-		p.setSlot(r.slot, off, len(r.data))
-		off += len(r.data)
+		copy(p[off:], old[o:o+ln])
+		p.setSlot(i, off, ln)
+		off += ln
 	}
 	p.setFreeStart(off)
 }

@@ -9,14 +9,14 @@ import (
 )
 
 // newWALPool builds a pager + WAL-attached pool in a temp dir.
-func newWALPool(t *testing.T, capacity int) (*Pager, *WAL, *BufferPool) {
+func newWALPool(t testing.TB, capacity int) (*Pager, *WAL, *BufferPool) {
 	t.Helper()
 	return openWALPool(t, filepath.Join(t.TempDir(), "txn.db"), capacity)
 }
 
 // openWALPool opens (creating if missing) the data file at path and
 // its path+".wal" sidecar behind a pool.
-func openWALPool(t *testing.T, path string, capacity int) (*Pager, *WAL, *BufferPool) {
+func openWALPool(t testing.TB, path string, capacity int) (*Pager, *WAL, *BufferPool) {
 	t.Helper()
 	pg, err := OpenPager(path)
 	if err != nil {

@@ -5,57 +5,115 @@ import (
 	"repro/internal/value"
 )
 
-// atomIndex is a posting-list index over one attribute: atom → the
-// stored tuples whose component on that attribute contains the atom.
+// The indexed maintainer prunes candt and searcht with two indexes over
+// the stored tuples, both on the LAST-nested attribute L = order[n−1]:
 //
-// Soundness of the candidate pruning (why two attributes suffice):
-// a candidate of t at nest position k < n−1 must *contain* t's values
-// on every later position, in particular on the last-nested attribute
-// order[n−1]; a candidate at position k = n−1 must *equal* t on every
-// earlier position, in particular on the first-nested attribute
-// order[0] (n ≥ 2). Either way the candidate appears in the posting
-// list of some atom of t on order[0] or order[n−1], so the union of
-// those two lists is a superset of all candidates. searcht (covering
-// tuple of a flat f) is covered too: the covering tuple contains f's
-// atom on every attribute.
-type atomIndex struct {
-	attr int
-	m    map[string]map[string]tuple.Tuple // atom key → tuple key → tuple
-}
+//	byAtom  atom a → the tuples whose L-component contains a
+//	byRest  Tuple.HashExcept(L) → the tuples with that hash, i.e. (up
+//	        to collisions) the tuples that agree on every component
+//	        but L
+//
+// Soundness. A candidate of the floating tuple t at nest position k
+// (see the package comment) equals t on positions < k, is disjoint
+// from it at k, and contains t's component on positions > k.
+//
+//   - k = n−1: the candidate equals t on every position but n−1, so it
+//     shares t.HashExcept(L) and sits in that byRest bucket. In a
+//     canonical form at most one stored tuple does (two would compose
+//     on L), so the bucket holds one tuple plus hash collisions.
+//   - k < n−1: position n−1 is later than k, so the candidate contains
+//     every atom of t's L-component and sits in the byAtom list of each
+//     of them; the shortest of those lists covers all such candidates.
+//   - searcht: the covering tuple of a flat f contains f's atom on
+//     every attribute, in particular on L.
+//
+// Degree 1: L is the only attribute; a candidate is disjoint from t on
+// it and agrees with t on nothing else, so HashExcept is one constant
+// and byRest's single bucket holds the canonical form's single tuple.
+// Degree 2 with order (E1, E2): byRest groups tuples by their
+// E1-component (the k = 1 candidates), byAtom finds the tuples whose
+// E2-component contains t's (the k = 0 candidates).
+//
+// Both indexes are ordered: a bucket lists its tuples in the order they
+// were added, so the scan order — and with it Stats.CandidateScans —
+// repeats exactly from run to run.
 
-func newAtomIndex(attr int) *atomIndex {
-	return &atomIndex{attr: attr, m: make(map[string]map[string]tuple.Tuple)}
-}
+// buckets maps a key to the stored tuples filed under it, oldest first.
+// Tuples are identified by Tuple.Equal (hash first, components on a
+// hash match), never by a rendered key.
+type buckets[K comparable] map[K][]tuple.Tuple
 
-func atomKey(a value.Atom) string { return string(a.K) + a.String() }
+func (b buckets[K]) add(k K, t tuple.Tuple) { b[k] = append(b[k], t) }
 
-func (ix *atomIndex) add(t tuple.Tuple) {
-	tk := t.Key()
-	for _, a := range t.Set(ix.attr).Atoms() {
-		k := atomKey(a)
-		bucket, ok := ix.m[k]
-		if !ok {
-			bucket = make(map[string]tuple.Tuple)
-			ix.m[k] = bucket
+func (b buckets[K]) remove(k K, t tuple.Tuple) {
+	list := b[k]
+	for i := range list {
+		if !list[i].Equal(t) {
+			continue
 		}
-		bucket[tk] = t
+		if len(list) == 1 {
+			delete(b, k)
+			return
+		}
+		copy(list[i:], list[i+1:])
+		list[len(list)-1] = tuple.Tuple{}
+		b[k] = list[:len(list)-1]
+		return
 	}
 }
 
-func (ix *atomIndex) remove(t tuple.Tuple) {
-	tk := t.Key()
-	for _, a := range t.Set(ix.attr).Atoms() {
-		k := atomKey(a)
-		if bucket, ok := ix.m[k]; ok {
-			delete(bucket, tk)
-			if len(bucket) == 0 {
-				delete(ix.m, k)
-			}
-		}
-	}
+// tupleIndex is the pair of indexes described above.
+type tupleIndex struct {
+	last   int // the last-nested attribute L
+	byAtom buckets[value.Atom]
+	byRest buckets[uint64]
 }
 
-// lookup returns the tuples whose ix.attr component contains a.
-func (ix *atomIndex) lookup(a value.Atom) map[string]tuple.Tuple {
-	return ix.m[atomKey(a)]
+func newTupleIndex(last int) *tupleIndex {
+	return &tupleIndex{last: last, byAtom: make(buckets[value.Atom]), byRest: make(buckets[uint64])}
+}
+
+// atomKey is a's key in byAtom: the atom itself, which Go compares the
+// way value.Equal does — except NaN, which as a map key equals nothing,
+// itself included, and so gets one fixed stand-in.
+func atomKey(a value.Atom) value.Atom {
+	if a.K == value.Float && a.F != a.F {
+		return value.Atom{K: value.Float, S: "NaN"}
+	}
+	return a
+}
+
+func (ix *tupleIndex) add(t tuple.Tuple) {
+	for _, a := range t.Set(ix.last).Atoms() {
+		ix.byAtom.add(atomKey(a), t)
+	}
+	ix.byRest.add(t.HashExcept(ix.last), t)
+}
+
+func (ix *tupleIndex) remove(t tuple.Tuple) {
+	for _, a := range t.Set(ix.last).Atoms() {
+		ix.byAtom.remove(atomKey(a), t)
+	}
+	ix.byRest.remove(t.HashExcept(ix.last), t)
+}
+
+// containing returns the tuples whose L-component contains a.
+func (ix *tupleIndex) containing(a value.Atom) []tuple.Tuple { return ix.byAtom[atomKey(a)] }
+
+// containingAll returns a list covering the tuples whose L-component
+// contains all of t's: the shortest of its atoms' lists.
+func (ix *tupleIndex) containingAll(t tuple.Tuple) []tuple.Tuple {
+	var best []tuple.Tuple
+	for i, a := range t.Set(ix.last).Atoms() {
+		if list := ix.containing(a); i == 0 || len(list) < len(best) {
+			best = list
+		}
+	}
+	return best
+}
+
+// agreeingExceptLast returns the bucket covering the tuples that agree
+// with t on every component but L.
+func (ix *tupleIndex) agreeingExceptLast(t tuple.Tuple) []tuple.Tuple {
+	return ix.byRest[t.HashExcept(ix.last)]
 }

@@ -90,10 +90,10 @@ type Maintainer struct {
 	order schema.Permutation // order[0] is nested first (paper's E1)
 	stats Stats
 	sink  Sink
-	// firstIdx/lastIdx, when non-nil, are posting-list indexes on the
-	// first- and last-nested attributes that prune the candidate scan
-	// (see atomIndex for the soundness argument). Nil = naive scan.
-	firstIdx, lastIdx *atomIndex
+	// idx, when non-nil, indexes the stored tuples on the last-nested
+	// attribute to prune the candidate scan (see index.go for the
+	// soundness argument). Nil = naive scan.
+	idx *tupleIndex
 	// recursionBudget guards against runaway recursion if an
 	// interpretation bug ever breaks termination; generous because the
 	// paper's bound is a function of the degree only.
@@ -110,9 +110,9 @@ func NewMaintainer(s *schema.Schema, order schema.Permutation) (*Maintainer, err
 }
 
 // NewMaintainerIndexed returns a maintainer whose candidate and
-// covering-tuple searches are accelerated by atom posting lists — the
-// DESIGN.md §4 ablation of the naive candt scan. Results are
-// identical; only the search cost changes.
+// covering-tuple searches go through the indexes of index.go instead
+// of the naive candt scan. Results are identical; only the search cost
+// changes.
 func NewMaintainerIndexed(s *schema.Schema, order schema.Permutation) (*Maintainer, error) {
 	m, err := NewMaintainer(s, order)
 	if err != nil {
@@ -123,22 +123,14 @@ func NewMaintainerIndexed(s *schema.Schema, order schema.Permutation) (*Maintain
 }
 
 func (m *Maintainer) enableIndex() {
-	n := len(m.order)
-	m.firstIdx = newAtomIndex(m.order[0])
-	if n > 1 {
-		m.lastIdx = newAtomIndex(m.order[n-1])
-	}
+	m.idx = newTupleIndex(m.order[len(m.order)-1])
 	for i := 0; i < m.rel.Len(); i++ {
-		t := m.rel.Tuple(i)
-		m.firstIdx.add(t)
-		if m.lastIdx != nil {
-			m.lastIdx.add(t)
-		}
+		m.idx.add(m.rel.Tuple(i))
 	}
 }
 
-// Indexed reports whether the maintainer uses the posting-list index.
-func (m *Maintainer) Indexed() bool { return m.firstIdx != nil }
+// Indexed reports whether the maintainer uses the candidate indexes.
+func (m *Maintainer) Indexed() bool { return m.idx != nil }
 
 // SetSink registers a mutation observer (nil to detach). The sink sees
 // only mutations applied after registration; a storage layer loading an
@@ -151,11 +143,8 @@ func (m *Maintainer) addTuple(t tuple.Tuple) {
 	if !m.rel.Add(t) {
 		return
 	}
-	if m.firstIdx != nil {
-		m.firstIdx.add(t)
-		if m.lastIdx != nil {
-			m.lastIdx.add(t)
-		}
+	if m.idx != nil {
+		m.idx.add(t)
 	}
 	if m.sink != nil {
 		m.sink.TupleAdded(t)
@@ -166,11 +155,8 @@ func (m *Maintainer) removeTuple(t tuple.Tuple) {
 	if !m.rel.Remove(t) {
 		return
 	}
-	if m.firstIdx != nil {
-		m.firstIdx.remove(t)
-		if m.lastIdx != nil {
-			m.lastIdx.remove(t)
-		}
+	if m.idx != nil {
+		m.idx.remove(t)
 	}
 	if m.sink != nil {
 		m.sink.TupleRemoved(t)
@@ -189,7 +175,7 @@ func FromRelation(r *core.Relation, order schema.Permutation) (*Maintainer, erro
 	return m, nil
 }
 
-// FromRelationIndexed is FromRelation with the posting-list index
+// FromRelationIndexed is FromRelation with the candidate indexes
 // enabled.
 func FromRelationIndexed(r *core.Relation, order schema.Permutation) (*Maintainer, error) {
 	m, err := FromRelation(r, order)
@@ -206,13 +192,13 @@ func (m *Maintainer) Relation() *core.Relation { return m.rel }
 
 // ResetRelation replaces the maintained relation with rel — which must
 // already be in canonical form for the maintainer's nest order — and
-// rebuilds the posting-list indexes from it. The sink is NOT notified:
+// rebuilds the candidate indexes from it. The sink is NOT notified:
 // the engine's transaction rollback uses this after the storage layer
 // has already discarded the uncommitted heap mutations, so memory and
 // disk converge on the same pre-transaction state.
 func (m *Maintainer) ResetRelation(rel *core.Relation) {
 	m.rel = rel
-	if m.firstIdx != nil {
+	if m.idx != nil {
 		m.enableIndex()
 	}
 }
@@ -382,10 +368,10 @@ func (m *Maintainer) budget() int {
 
 // containsFlat is the paper's searcht: find the tuple of R whose
 // expansion contains f. With the index enabled only tuples whose
-// first-nested component contains f's atom there are examined.
+// last-nested component contains f's atom there are examined.
 func (m *Maintainer) containsFlat(f tuple.Flat) (tuple.Tuple, bool) {
-	if m.firstIdx != nil {
-		for _, t := range m.firstIdx.lookup(f[m.firstIdx.attr]) {
+	if m.idx != nil {
+		for _, t := range m.idx.containing(f[m.idx.last]) {
 			m.stats.CandidateScans++
 			if t.ContainsFlat(f) {
 				return t, true
@@ -416,33 +402,17 @@ func (m *Maintainer) candt(t tuple.Tuple) (p tuple.Tuple, k int, found bool) {
 			found = true
 		}
 	}
-	// The posting-list pruning needs degree ≥ 2 (at degree 1 the
-	// candidate is disjoint on the only attribute, so no posting list
-	// covers it) — fall back to the scan there.
-	if m.firstIdx != nil && len(m.order) >= 2 {
-		// Superset of all candidates: tuples containing one of t's
-		// atoms on the first-nested attribute (equality case) or on
-		// the last-nested attribute (containment case). Dedup by key.
-		seen := make(map[string]bool)
-		probe := func(ix *atomIndex) {
-			if ix == nil {
-				return
-			}
-			for _, a := range t.Set(ix.attr).Atoms() {
-				for tk, s := range ix.lookup(a) {
-					if !seen[tk] {
-						seen[tk] = true
-						consider(s)
-					}
-				}
-				// one atom's posting list already covers the
-				// containment/equality requirement (candidates hold
-				// ALL of t's atoms there); scanning one is enough
-				break
+	if m.idx != nil {
+		// candidates at positions k < n−1 first; k = n−1 only matters
+		// when there is none, since the lowest position wins
+		for _, s := range m.idx.containingAll(t) {
+			consider(s)
+		}
+		if !found {
+			for _, s := range m.idx.agreeingExceptLast(t) {
+				consider(s)
 			}
 		}
-		probe(m.firstIdx)
-		probe(m.lastIdx)
 		return p, bestK, found
 	}
 	for i := 0; i < m.rel.Len(); i++ {
@@ -451,40 +421,25 @@ func (m *Maintainer) candt(t tuple.Tuple) (p tuple.Tuple, k int, found bool) {
 	return p, bestK, found
 }
 
-// candidateLevel returns the minimal position k at which s has the
-// candidate property with respect to t, if any.
+// candidateLevel returns the position k at which s has the candidate
+// property with respect to t, if any: equal on q < k, disjoint at k,
+// t ⊆ s on q > k. Components are non-empty, so the first position where
+// s and t differ is the only possible k.
 func (m *Maintainer) candidateLevel(s, t tuple.Tuple) (int, bool) {
-	// Precompute per-position relations between s and t components.
-	n := len(m.order)
-	equal := make([]bool, n)
-	contains := make([]bool, n) // t ⊆ s
-	disjoint := make([]bool, n)
-	for q := 0; q < n; q++ {
-		attr := m.order[q]
+	for k, attr := range m.order {
 		ss, ts := s.Set(attr), t.Set(attr)
-		equal[q] = ss.Equal(ts)
-		contains[q] = ts.SubsetOf(ss)
-		disjoint[q] = ss.Disjoint(ts)
-	}
-	// property(k): equal on q<k, disjoint at k, t⊆s on q>k.
-	prefixEqual := true
-	for k := 0; k < n; k++ {
-		if prefixEqual && disjoint[k] {
-			ok := true
-			for q := k + 1; q < n; q++ {
-				if !contains[q] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return k, true
+		if ss.Equal(ts) {
+			continue
+		}
+		if !ss.Disjoint(ts) {
+			return 0, false
+		}
+		for _, later := range m.order[k+1:] {
+			if !t.Set(later).SubsetOf(s.Set(later)) {
+				return 0, false
 			}
 		}
-		prefixEqual = prefixEqual && equal[k]
-		if !prefixEqual {
-			break
-		}
+		return k, true
 	}
 	return 0, false
 }

@@ -266,7 +266,20 @@ func (s Set) SubsetOf(t Set) bool {
 }
 
 // Disjoint reports whether s and t share no elements.
-func (s Set) Disjoint(t Set) bool { return s.Intersect(t).IsEmpty() }
+func (s Set) Disjoint(t Set) bool {
+	i, j := 0, 0
+	for i < len(s.atoms) && j < len(t.atoms) {
+		switch c := value.Compare(s.atoms[i], t.atoms[j]); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			return false
+		}
+	}
+	return true
+}
 
 // String renders the set as the paper prints tuple components:
 // a single element bare, several elements comma-separated.

@@ -273,3 +273,40 @@ func TestAddRemoveRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDisjointMatchesIntersect: Disjoint is a merge walk of its own;
+// Intersect is the reference.
+func TestDisjointMatchesIntersect(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	draw := func() Set {
+		atoms := make([]value.Atom, rng.Intn(6))
+		for i := range atoms {
+			if rng.Intn(2) == 0 {
+				atoms[i] = value.NewInt(int64(rng.Intn(8)))
+			} else {
+				atoms[i] = value.NewString(string(rune('0' + rng.Intn(8))))
+			}
+		}
+		return New(atoms...)
+	}
+	for i := 0; i < 2000; i++ {
+		a, b := draw(), draw()
+		if got, want := a.Disjoint(b), a.Intersect(b).IsEmpty(); got != want {
+			t.Fatalf("{%v}.Disjoint({%v}) = %v, want %v", a, b, got, want)
+		}
+	}
+}
+
+var disjointSink bool
+
+// BenchmarkVsetDisjoint is candt's inner test on the benchmark's dense
+// shape: an 8-course component against a floating tuple's one course,
+// half the time sharing it.
+func BenchmarkVsetDisjoint(b *testing.B) {
+	comp := OfStrings("c003", "c007", "c011", "c015", "c019", "c023", "c027", "c029")
+	probes := []Set{OfStrings("c019"), OfStrings("c020")}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		disjointSink = comp.Disjoint(probes[i&1])
+	}
+}
