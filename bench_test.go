@@ -1,13 +1,14 @@
 package nfr_test
 
-// Benchmark harness: one benchmark per paper artifact (figures,
-// examples, theorems — see DESIGN.md §3) plus the ablation benches of
-// DESIGN.md §4. Run with:
+// Go benchmarks of the paper's machinery: one per paper artifact
+// (figures, examples, theorems) plus ablations (Section-4 incremental
+// maintenance against re-nesting, the candidate index against the naive
+// scan). Run with:
 //
 //	go test -bench=. -benchmem
 //
-// The experiment *tables* themselves are produced by cmd/nfr-bench;
-// these benchmarks measure the machinery that generates them.
+// The tables themselves are printed by cmd/nfr-repro; end-to-end
+// engine throughput is nfr-spine's job (bench/).
 
 import (
 	"io"
@@ -135,7 +136,7 @@ func BenchmarkDeleteIncremental(b *testing.B) {
 	}
 }
 
-// Ablation (DESIGN.md §4): Section-4 incremental insert vs re-nesting
+// Ablation: Section-4 incremental insert vs re-nesting
 // the whole relation from scratch.
 func BenchmarkInsertIncrementalVsRebuild(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {
@@ -221,7 +222,7 @@ func BenchmarkStorageFootprint(b *testing.B) {
 	}
 }
 
-// ---- Ablations (DESIGN.md §4) --------------------------------------------
+// ---- Ablations -------------------------------------------------------------
 
 // Nest via hash grouping vs the literal pairwise definition.
 func BenchmarkNestPairwiseVsGroup(b *testing.B) {
@@ -239,7 +240,7 @@ func BenchmarkNestPairwiseVsGroup(b *testing.B) {
 }
 
 // Candidate-tuple search: the paper's naive candt scan vs the
-// posting-list index, as the relation grows (DESIGN.md §4 ablation).
+// posting-list index, as the relation grows (ablation).
 func BenchmarkCandtScanVsIndex(b *testing.B) {
 	for _, rows := range []int{100, 1000, 5000} {
 		for _, indexed := range []bool{false, true} {

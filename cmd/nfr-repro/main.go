@@ -1,9 +1,11 @@
-// Command nfr-repro reproduces the paper's figures and worked
-// examples exactly, printing them in the paper's tabular notation.
+// Command nfr-repro reproduces the paper: its figures and worked
+// examples in the paper's tabular notation, the theorem sweeps, the
+// Theorem A-4 update-cost table, and the compression, 4NF-join and
+// on-disk footprint claims.
 //
 // Usage:
 //
-//	nfr-repro [fig1|fig2|fig3|ex1|ex2|ex3|all]
+//	nfr-repro [fig1|fig2|fig3|ex1|ex2|ex3|t1|t2|t3|t4|t5|a4|c1|c2|c3|all]
 //
 // With no argument, everything is printed.
 package main
@@ -11,6 +13,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/experiments"
 )
@@ -20,35 +23,23 @@ func main() {
 	if len(os.Args) > 1 {
 		what = os.Args[1]
 	}
-	w := os.Stdout
-	run := func(name string, f func()) {
-		if what == "all" || what == name {
-			fmt.Fprintf(w, "── %s %s\n\n", name, pad(70-len(name)))
-			f()
-			fmt.Fprintln(w)
+	run := experiments.RunAll
+	if what != "all" {
+		run = nil
+		names := make([]string, 0, len(experiments.Artifacts))
+		for _, a := range experiments.Artifacts {
+			names = append(names, a.Name)
+			if a.Name == what {
+				run = a.Run
+			}
+		}
+		if run == nil {
+			fmt.Fprintf(os.Stderr, "unknown artifact %q (want %s|all)\n", what, strings.Join(names, "|"))
+			os.Exit(2)
 		}
 	}
-	run("fig1", func() { experiments.RunFig1(w) })
-	run("fig2", func() { experiments.RunFig2(w) })
-	run("fig3", func() { experiments.RunFig3(w, 400, 17) })
-	run("ex1", func() { experiments.RunExample1(w) })
-	run("ex2", func() { experiments.RunExample2(w) })
-	run("ex3", func() { experiments.RunExample3(w) })
-	switch what {
-	case "all", "fig1", "fig2", "fig3", "ex1", "ex2", "ex3":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown artifact %q (want fig1|fig2|fig3|ex1|ex2|ex3|all)\n", what)
-		os.Exit(2)
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(1)
 	}
-}
-
-func pad(n int) string {
-	if n < 0 {
-		n = 0
-	}
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = '-'
-	}
-	return string(b)
 }

@@ -19,16 +19,29 @@ var docSkip = map[string]bool{
 	"ISSUE.md":    true,
 }
 
+// docHistory lists the files that record what the tree used to hold:
+// they may name commands that are gone.
+var docHistory = map[string]bool{
+	"CHANGES.md": true,
+	"ROADMAP.md": true,
+}
+
 var (
 	// [text](target) — inline Markdown links, including images
 	mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 	// internal/<pkg> references in prose or code spans
 	internalRef = regexp.MustCompile(`\binternal/([a-z][a-z0-9]*)`)
+	// cmd/<name> references in prose, code spans or code blocks
+	cmdRef = regexp.MustCompile(`\bcmd/[a-z][a-z0-9-]*`)
+	// `...` code spans, and the nfr-<name> commands named inside them
+	codeSpan = regexp.MustCompile("`[^`\n]+`")
+	nfrName  = regexp.MustCompile(`\bnfr-[a-z]+`)
 )
 
 // TestDocIntegrity walks every Markdown file in the repository and
-// fails on broken relative links and on references to internal/
-// packages that do not exist — so the docs can't silently rot as the
+// fails on broken relative links, on references to internal/ packages
+// that do not exist, and on commands (cmd/<name>, `nfr-<name>`) that
+// have no directory under cmd/ — so the docs can't silently rot as the
 // code moves (the doc-map in ARCHITECTURE.md depends on this).
 func TestDocIntegrity(t *testing.T) {
 	root, err := os.Getwd()
@@ -89,6 +102,23 @@ func TestDocIntegrity(t *testing.T) {
 			pkg := filepath.Join(root, "internal", m[1])
 			if fi, err := os.Stat(pkg); err != nil || !fi.IsDir() {
 				t.Errorf("%s: references nonexistent package internal/%s", rel, m[1])
+			}
+		}
+
+		if docHistory[filepath.Base(path)] {
+			continue
+		}
+		cmds := cmdRef.FindAllString(text, -1)
+		for _, span := range codeSpan.FindAllString(text, -1) {
+			cmds = append(cmds, nfrName.FindAllString(span, -1)...)
+		}
+		for _, name := range cmds {
+			dir := filepath.Join(root, "cmd", strings.TrimPrefix(name, "cmd/"))
+			if name == "nfr-spine" { // the benchmark: a module of its own
+				dir = filepath.Join(root, "bench")
+			}
+			if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+				t.Errorf("%s: references nonexistent command %s", rel, name)
 			}
 		}
 	}

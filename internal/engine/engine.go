@@ -632,8 +632,7 @@ func (db *Database) ReadRelation(ctx context.Context, name string) (*core.Relati
 }
 
 // LatchWaits reports how many statement-latch acquisitions blocked on a
-// concurrent statement, summed over all relations and their shards —
-// the contention metric of the concurrent bench leg.
+// concurrent statement, summed over all relations and their shards.
 func (db *Database) LatchWaits() int64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

@@ -44,10 +44,9 @@ import (
 //     under an ordinary engine Tx that takes the shard latch, retries
 //     under its ORIGINAL id on conflict, and parks on the refused
 //     latch holding nothing (see Database.autocommit);
-//   - a write-through failure inside a batch falls back to replaying
-//     each statement as its own autocommit transaction, so the
-//     per-statement repair machinery (syncAfterWrite) owns exact
-//     failure semantics there;
+//   - a write-through failure inside a batch rolls the batch back and
+//     re-applies its statements as batches of one: the statement whose
+//     write fails again is acked with that error, the others apply;
 //   - durability boundary: a statement is acked only after its batch's
 //     commit fsync returned, so an acked write is durable exactly as
 //     before.
@@ -79,7 +78,7 @@ type pipeOp struct {
 // on the owning shard's pipeline, spawn the maintainer goroutine if
 // none is running, then wait for the ack. The common uncontended case
 // is: enqueue, spawn, the maintainer applies a batch of one and exits —
-// the same work as the old direct path plus one goroutine handoff.
+// one transaction, one commit, one goroutine handoff.
 func (db *Database) writePipelined(name string, f tuple.Flat, insert bool) (bool, error) {
 	if db.isClosed() {
 		return false, fmt.Errorf("engine: statement: %w", ErrClosed)
@@ -179,12 +178,12 @@ func (db *Database) runPipeline(sh *relShard) {
 	}
 }
 
-// batchSinkError marks a write-through failure observed after a batch
-// application — the signal to fall back to per-statement replay.
+// batchSinkError marks a write-through failure the store sink latched
+// while a batch was applied.
 type batchSinkError struct{ err error }
 
 func (e *batchSinkError) Error() string {
-	return fmt.Sprintf("engine: batched write-through failed: %v", e.err)
+	return fmt.Sprintf("engine: write-through to store failed (statement rolled back): %v", e.err)
 }
 
 func (e *batchSinkError) Unwrap() error { return e.err }
@@ -218,13 +217,14 @@ func (db *Database) applyBatch(sh *relShard, batch []*pipeOp) {
 				continue
 			}
 			var be *batchSinkError
-			if errors.As(err, &be) {
-				// The rollback above restored shard memory from the heap
-				// (pre-batch committed state). Replay each statement as
-				// its own autocommit transaction: the per-statement
-				// repair machinery owns exact failure semantics, and
-				// statements unaffected by the fault still apply.
-				db.replayOneByOne(sh, batch)
+			if errors.As(err, &be) && len(batch) > 1 {
+				// The rollback above restored the shard from its heap
+				// (pre-batch committed state). Re-apply the statements
+				// as batches of one, so the fault lands on the statement
+				// that causes it and the others still apply.
+				for _, op := range batch {
+					db.applyBatch(sh, []*pipeOp{op})
+				}
 				return
 			}
 			failBatch(batch, err)
@@ -276,31 +276,6 @@ func (tx *Tx) applyOps(sh *relShard, ops []update.Op) ([]update.OpResult, error)
 		return nil, &batchSinkError{err: werr}
 	}
 	return results, nil
-}
-
-// replayOneByOne is the batch fallback: every statement reruns as its
-// own autocommit transaction through the direct (unpipelined) path.
-func (db *Database) replayOneByOne(sh *relShard, batch []*pipeOp) {
-	name := sh.r.def.Name
-	for _, op := range batch {
-		op.changed, op.err = db.writeDirect(name, op.f, op.insert)
-	}
-}
-
-// writeDirect is the pre-pipeline autocommit write: one statement, one
-// transaction, one commit.
-func (db *Database) writeDirect(name string, f tuple.Flat, insert bool) (bool, error) {
-	var ch bool
-	err := db.autocommit(func(tx *Tx) error {
-		var err error
-		if insert {
-			ch, err = tx.Insert(name, f)
-		} else {
-			ch, err = tx.Delete(name, f)
-		}
-		return err
-	})
-	return ch, err
 }
 
 // failBatch acks every statement of a batch with the same error (the

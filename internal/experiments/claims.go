@@ -275,53 +275,53 @@ func RunStorageFootprint(w io.Writer, dir string, seed int64, students int) (C3R
 	return res, nil
 }
 
-// RunAll executes every experiment with journal-quality defaults,
-// writing to w. dir is used for storage experiments (a temp dir is
-// created when empty).
-func RunAll(w io.Writer, dir string) error {
-	if dir == "" {
-		d, err := os.MkdirTemp("", "nfr-experiments")
+// Artifact is one named piece of the paper's reproduction.
+type Artifact struct {
+	Name string
+	Run  func(w io.Writer) error
+}
+
+// Artifacts is the whole reproduction in print order, each with the
+// parameters the recorded tables were made with; cmd/nfr-repro looks
+// its argument up here.
+var Artifacts = []Artifact{
+	{"fig1", func(w io.Writer) error { RunFig1(w); return nil }},
+	{"fig2", func(w io.Writer) error { RunFig2(w); return nil }},
+	{"ex1", func(w io.Writer) error { RunExample1(w); return nil }},
+	{"ex2", func(w io.Writer) error { RunExample2(w); return nil }},
+	{"ex3", func(w io.Writer) error { RunExample3(w); return nil }},
+	{"fig3", func(w io.Writer) error { RunFig3(w, 400, 17); return nil }},
+	{"t1", func(w io.Writer) error { RunTheorem1(w, 200, 19); return nil }},
+	{"t2", func(w io.Writer) error { RunTheorem2(w, 120, 23); return nil }},
+	{"t3", func(w io.Writer) error { RunTheorem3(w, 150, 29); return nil }},
+	{"t4", func(w io.Writer) error { RunTheorem4(w, 60, 31); return nil }},
+	{"t5", func(w io.Writer) error { RunTheorem5(w, 80, 37); return nil }},
+	{"a4", func(w io.Writer) error {
+		RunTheoremA4(w, []int{100, 300, 1000, 3000, 10000}, []int{2, 3, 4, 5, 6}, 60, 41)
+		return nil
+	}},
+	{"c1", func(w io.Writer) error { RunCompression(w, 43, 4); return nil }},
+	{"c2", func(w io.Writer) error { RunNFRvsJoin(w, 47, 250); return nil }},
+	{"c3", func(w io.Writer) error {
+		dir, err := os.MkdirTemp("", "nfr-c3")
 		if err != nil {
 			return err
 		}
-		defer os.RemoveAll(d)
-		dir = d
-	}
-	sep := func() { fmt.Fprintln(w, "\n"+lineOf('=', 72)+"\n") }
-	RunFig1(w)
-	sep()
-	RunFig2(w)
-	sep()
-	RunExample1(w)
-	sep()
-	RunExample2(w)
-	sep()
-	RunExample3(w)
-	sep()
-	RunFig3(w, 400, 17)
-	sep()
-	RunTheorem1(w, 200, 19)
-	RunTheorem2(w, 120, 23)
-	RunTheorem3(w, 150, 29)
-	RunTheorem4(w, 60, 31)
-	RunTheorem5(w, 80, 37)
-	sep()
-	RunTheoremA4(w, []int{100, 300, 1000, 3000, 10000}, []int{2, 3, 4, 5, 6}, 60, 41)
-	sep()
-	RunCompression(w, 43, 4)
-	sep()
-	RunNFRvsJoin(w, 47, 250)
-	sep()
-	if _, err := RunStorageFootprint(w, dir, 53, 250); err != nil {
+		defer os.RemoveAll(dir)
+		_, err = RunStorageFootprint(w, dir, 53, 250)
 		return err
-	}
-	sep()
-	if _, err := RunDiskEngine(w, dir, 61, 250, 32); err != nil {
-		return err
-	}
-	sep()
-	if _, err := RunRange(w, dir, 97, 800, 64); err != nil {
-		return err
+	}},
+}
+
+// RunAll prints every artifact, separated by rules.
+func RunAll(w io.Writer) error {
+	for i, a := range Artifacts {
+		if i > 0 {
+			fmt.Fprintln(w, "\n"+lineOf('=', 72)+"\n")
+		}
+		if err := a.Run(w); err != nil {
+			return fmt.Errorf("%s: %w", a.Name, err)
+		}
 	}
 	return nil
 }

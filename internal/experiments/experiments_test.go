@@ -231,31 +231,6 @@ func TestRunStorageFootprint(t *testing.T) {
 	}
 }
 
-func TestRunDiskEngine(t *testing.T) {
-	res, err := RunDiskEngine(io.Discard, t.TempDir(), 3, 40, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Equivalent {
-		t.Error("disk realization not equivalent to in-memory engine")
-	}
-	if res.Hits+res.Misses == 0 {
-		t.Error("no buffer-pool traffic recorded")
-	}
-	if res.NFRTuples == 0 || res.FlatTuples <= res.NFRTuples {
-		t.Errorf("suspicious sizes: %d NFR / %d flat", res.NFRTuples, res.FlatTuples)
-	}
-	if res.Statements == 0 || res.WALFsyncs == 0 {
-		t.Errorf("group-commit accounting empty: %d statements, %d fsyncs", res.Statements, res.WALFsyncs)
-	}
-	if res.FsyncsPerStatement > 1 {
-		t.Errorf("group commit broken: %.3f fsyncs/statement", res.FsyncsPerStatement)
-	}
-	if !res.RecoveredEquivalent {
-		t.Error("crash recovery diverged from in-memory engine")
-	}
-}
-
 func TestFig1DataSatisfiesMVD(t *testing.T) {
 	r1, _ := Fig1Data()
 	// cross-check via canonical nesting: grouping must be exact
@@ -265,81 +240,4 @@ func TestFig1DataSatisfiesMVD(t *testing.T) {
 		t.Error("canonicalization lost data")
 	}
 	var _ *core.Relation = c
-}
-
-func TestRunConcurrent(t *testing.T) {
-	res, err := RunConcurrent(io.Discard, t.TempDir(), 3, 4, 20, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Equivalent {
-		t.Error("concurrent run not equivalent to single-threaded oracle")
-	}
-	// the write pipeline may batch several concurrent statements into
-	// one transaction, so batches ≤ statements (equality when nothing
-	// overlapped)
-	if res.Statements == 0 || res.WALBatches == 0 || res.WALBatches > res.Statements {
-		t.Errorf("accounting: %d statements vs %d batches", res.Statements, res.WALBatches)
-	}
-	if res.FsyncsPerStatement > 1 {
-		t.Errorf("group commit broken: %.3f fsyncs/statement", res.FsyncsPerStatement)
-	}
-	// merging itself is timing-dependent — only the ceiling is asserted
-}
-
-func TestRunReopen(t *testing.T) {
-	res, err := RunReopen(io.Discard, t.TempDir(), 7, 1200, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.IndexOK {
-		t.Error("durable index diverged from heap oracle")
-	}
-	if !res.Bounded {
-		t.Errorf("clean open not bounded: store %d / engine %d reads, budget %d, heap %d pages",
-			res.OpenReads, res.EngineOpenReads, res.Budget, res.HeapPages)
-	}
-	if res.EngineOpenReads > res.Budget {
-		t.Errorf("clean engine.Open read %d pages, budget %d — lazy materialization regressed",
-			res.EngineOpenReads, res.Budget)
-	}
-	if res.OracleReads <= res.OpenReads {
-		t.Errorf("oracle pass (%d reads) should dwarf the fast open (%d reads)",
-			res.OracleReads, res.OpenReads)
-	}
-}
-
-func TestRunRange(t *testing.T) {
-	res, err := RunRange(io.Discard, t.TempDir(), 7, 800, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.OracleOK {
-		t.Error("indexed window scan diverged from the heap-scan oracle")
-	}
-	if !res.Bounded {
-		t.Errorf("range scan not bounded: %d index pages, budget %d, heap %d pages",
-			res.IndexPages, res.Budget, res.HeapPages)
-	}
-	if res.MatchingFlats == 0 || res.IndexPages == 0 {
-		t.Errorf("vacuous window: %d matching flats, %d index pages",
-			res.MatchingFlats, res.IndexPages)
-	}
-}
-
-func TestRunReaders(t *testing.T) {
-	res, err := RunReaders(io.Discard, t.TempDir(), 7, 4, 800)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BaselineReads == 0 || res.StalledReads == 0 {
-		t.Fatalf("no reads completed: baseline %d, stalled %d", res.BaselineReads, res.StalledReads)
-	}
-	if !res.NonBlocking {
-		t.Errorf("a snapshot read blocked %.1fms behind the stalled writer (bound 100ms)", res.MaxReadMs)
-	}
-	if !res.ThroughputOK {
-		t.Errorf("throughput collapsed under the stalled writer: %d reads vs %d idle",
-			res.StalledReads, res.BaselineReads)
-	}
 }

@@ -1,6 +1,6 @@
 // Package experiments regenerates every figure, worked example, and
-// theorem-backed claim of the paper (see DESIGN.md §3 for the index).
-// Each experiment is a named runner that writes a human-readable table
+// theorem-backed claim of the paper (Artifacts in claims.go is the
+// index; cmd/nfr-repro prints them). Each experiment is a named runner that writes a human-readable table
 // and returns structured results so tests and benchmarks can assert
 // the paper's claims mechanically.
 package experiments

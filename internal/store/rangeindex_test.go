@@ -87,8 +87,13 @@ func keysOf(ts []tuple.Tuple) map[string]bool {
 // TestScanFixedRange drives the B+tree-backed range scan against the
 // heap oracle on a single-chain and a 4-sharded relation, including
 // grouped determinants (one tuple, several atoms in range — returned
-// once) and unbounded sides.
+// once) and unbounded sides, and holds the pages it reports to descent
+// plus matching leaves: fewer than the heap scan it replaces.
 func TestScanFixedRange(t *testing.T) {
+	// A leaf splits only when a page is full, into halves of equal
+	// count, and an entry here is under 32 bytes: no leaf of a tree
+	// built by inserts alone holds fewer than this many.
+	const minLeafEntries = 64
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "db.nfrs")
@@ -104,24 +109,17 @@ func TestScanFixedRange(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// students s00..s39 one per tuple, plus grouped tuples whose
-			// fixed set spans the probe windows
-			for i := 0; i < 40; i++ {
-				tp := tupleOf([][]string{
-					{fmt.Sprintf("c%d", i%7)}, {"b1"}, {fmt.Sprintf("s%02d", i)},
-				}, def.Order)
-				if shards == 1 {
-					if err := rs.Insert(txn, tp); err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					if err := rs.Shard(ShardOfAtom(value.NewString(fmt.Sprintf("s%02d", i)), shards)).Insert(txn, tp); err != nil {
-						t.Fatal(err)
-					}
+			// students s0000..s1999 one per tuple (several leaves and heap
+			// pages per shard), plus a grouped tuple in the probe windows
+			for i := 0; i < 2000; i++ {
+				s := fmt.Sprintf("s%04d", i)
+				tp := tupleOf([][]string{{fmt.Sprintf("c%d", i%7)}, {"b1"}, {s}}, def.Order)
+				if err := rs.Shard(ShardOfAtom(value.NewString(s), shards)).Insert(txn, tp); err != nil {
+					t.Fatal(err)
 				}
 			}
 			if shards == 1 {
-				grouped := tupleOf([][]string{{"c9"}, {"b2"}, {"s10x", "s11x", "s12x"}}, def.Order)
+				grouped := tupleOf([][]string{{"c9"}, {"b2"}, {"s0510x", "s0511x", "s0512x"}}, def.Order)
 				if err := rs.Insert(txn, grouped); err != nil {
 					t.Fatal(err)
 				}
@@ -129,17 +127,25 @@ func TestScanFixedRange(t *testing.T) {
 			if err := st.Commit(txn); err != nil {
 				t.Fatal(err)
 			}
+			hs, err := rs.HeapStats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			descent := 0 // one root-to-leaf path per shard
+			for i := 0; i < shards; i++ {
+				descent += rs.Shard(i).rangeD.Height()
+			}
 
 			bound := func(s string, incl bool) *RangeBound {
 				return &RangeBound{Atom: value.NewString(s), Incl: incl}
 			}
 			cases := []struct{ lo, hi *RangeBound }{
-				{bound("s10", true), bound("s20", false)},
-				{bound("s10", false), bound("s20", true)},
-				{nil, bound("s05", true)},
-				{bound("s35", true), nil},
+				{bound("s0500", true), bound("s0600", false)},
+				{bound("s0500", false), bound("s0600", true)},
+				{nil, bound("s0050", true)},
+				{bound("s1950", true), nil},
 				{nil, nil},
-				{bound("s99", true), nil}, // empty window
+				{bound("s9999", true), nil}, // empty window
 			}
 			for _, tc := range cases {
 				got, pages, err := rs.ScanFixedRange(tc.lo, tc.hi)
@@ -158,6 +164,18 @@ func TestScanFixedRange(t *testing.T) {
 				}
 				if pages < shards {
 					t.Fatalf("range scan reports %d pages over %d shards", pages, shards)
+				}
+				// every index entry in the window is an atom of a returned tuple
+				entries := 0
+				for _, tp := range got {
+					entries += tp.Set(rs.fixedAttr()).Len()
+				}
+				if max := descent + entries/minLeafEntries + 2*shards; pages > max {
+					t.Fatalf("range scan over %d entries read %d index pages, want ≤ %d (descent %d + matching leaves + 1 per shard)",
+						entries, pages, max, descent)
+				}
+				if narrow := tc.lo != nil || tc.hi != nil; narrow && pages >= hs.Pages {
+					t.Fatalf("range scan over %d entries read %d index pages, the heap scan reads %d", entries, pages, hs.Pages)
 				}
 			}
 			if err := rs.VerifyIndex(); err != nil {

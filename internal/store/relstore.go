@@ -573,8 +573,8 @@ func (r *Shard) clearIndexesLocked(txn *Txn) ([]uint32, error) {
 // VerifyIndex checks every shard's indexes against a fresh heap scan —
 // the rebuild-on-open oracle. The durable index must never be more than
 // a view of the heap; any divergence (missing or extra entries, torn or
-// unreachable index pages) is returned as an error. Tests and the
-// reopen bench leg use it; it performs no writes.
+// unreachable index pages) is returned as an error. It performs no
+// writes.
 func (r *RelStore) VerifyIndex() error {
 	for _, sh := range r.shards {
 		if err := sh.VerifyIndex(); err != nil {
@@ -679,35 +679,6 @@ func (r *Shard) StatementEnd() {
 		r.cur = nil
 	}
 	r.mu.Unlock()
-}
-
-// CommitStatement force-commits the open statement transaction outside
-// the maintainer brackets — the engine uses it after resynchronizing
-// the heap on a rollback. A no-op when no statement transaction is
-// open.
-func (r *Shard) CommitStatement() error {
-	r.mu.Lock()
-	txn := r.cur
-	r.mu.Unlock()
-	if txn == nil {
-		return nil
-	}
-	if err := r.st.Commit(txn); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	r.cur = nil
-	r.mu.Unlock()
-	return nil
-}
-
-// StatementTxn returns the open statement transaction (nil between
-// statements). The engine's rollback path uses it to repair the heap
-// within the same atomic batch as the failed statement.
-func (r *Shard) StatementTxn() *Txn {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cur
 }
 
 // ResetErr clears the latched write-through failure.

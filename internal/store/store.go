@@ -550,9 +550,8 @@ func (s *Store) loadCatalog() error {
 
 // VerifyIndexes checks every relation's indexes against a fresh heap
 // scan — the rebuild oracle (see RelStore.VerifyIndex). It performs no
-// writes; tests, the crash harnesses, and the reopen bench leg call it
-// after every recovery to assert the durable index is never more than
-// a view of the heap.
+// writes; tests and the crash harnesses call it after every recovery
+// to assert the durable index is never more than a view of the heap.
 func (s *Store) VerifyIndexes() error {
 	s.mu.Lock()
 	rels := make(map[string]*RelStore, len(s.rels))
@@ -670,9 +669,9 @@ func (s *Store) CompleteDrop(name string) {
 }
 
 // ForgetRelation discards the in-memory entry of a relation whose
-// creation was rolled back. Unlike AbortCreate it does not touch the
-// transaction: the engine's multi-statement rollback calls Rollback
-// once for the whole transaction and then forgets each pending create.
+// creation was rolled back. It does not touch the transaction: the
+// engine's rollback calls Rollback once for the whole transaction and
+// then forgets each pending create.
 func (s *Store) ForgetRelation(name string) {
 	s.CompleteDrop(name)
 }
@@ -683,8 +682,10 @@ func (s *Store) ForgetRelation(name string) {
 // the file) and, if the transaction owned the free list, the in-memory
 // mirror is rebuilt from the (now rolled-back) free-list heap so
 // entries the transaction pushed or popped are forgotten or restored.
-// The error paths of engine.Create/Drop use it so a failed commit can
-// never wedge page ownership or leak half-applied catalog state.
+// The engine's rollback uses it so a failed commit can never wedge page
+// ownership or leak half-applied catalog state; pages the pager
+// allocated for a rolled-back create stay orphaned (unreferenced,
+// checksum-valid) until the next open's sweep reclaims them.
 func (s *Store) Rollback(txn *Txn) error {
 	err := s.bp.Rollback(txn)
 	// The rolled-back transaction may have chained fresh pages onto the
@@ -717,18 +718,6 @@ func (s *Store) Rollback(txn *Txn) error {
 		err = scanErr
 	}
 	return err
-}
-
-// AbortCreate unwinds a CreateRelation whose commit failed: the
-// in-memory catalog entry is forgotten and the transaction's pages are
-// rolled back. Pages the pager allocated for the aborted heap are
-// orphaned (unreferenced, checksum-valid) until the next open's sweep
-// reclaims them — the same bounded cost as any uncommitted allocation.
-func (s *Store) AbortCreate(txn *Txn, name string) error {
-	s.mu.Lock()
-	delete(s.rels, name)
-	s.mu.Unlock()
-	return s.Rollback(txn)
 }
 
 // Rel looks up a relation store by name.

@@ -716,11 +716,10 @@ func TestStatementEndSkipsCommitOnLatchedError(t *testing.T) {
 	if got := st.WALStats().Batches; got != before {
 		t.Fatalf("StatementEnd committed a failed statement: %d batches, want %d", got, before)
 	}
-	// after the engine-style repair (ResetErr + explicit commit of the
-	// still-open statement transaction) the buffered pages commit as
-	// one batch
+	// after the repair (ResetErr + a commit of the still-open statement
+	// transaction) the buffered pages commit as one batch
 	sh.ResetErr()
-	if err := sh.CommitStatement(); err != nil {
+	if err := st.Commit(sh.cur); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.WALStats().Batches; got != before+1 {
@@ -1043,9 +1042,10 @@ func TestCrashRecoveryMergedCommit(t *testing.T) {
 }
 
 // TestFailedCommitDoesNotWedge: a commit whose fsync fails must be
-// recoverable — AbortCreate/Rollback release the failed transaction's
-// page ownership, so later transactions (which claim the same catalog
-// and free-list pages) proceed instead of blocking forever, and the
+// recoverable — Rollback (plus ForgetRelation for a create: the
+// engine's failed-create path) releases the failed transaction's page
+// ownership, so later transactions (which claim the same catalog and
+// free-list pages) proceed instead of blocking forever, and the
 // store's in-memory state matches the durable state.
 func TestFailedCommitDoesNotWedge(t *testing.T) {
 	fs := newMemFS()
@@ -1080,9 +1080,10 @@ func TestFailedCommitDoesNotWedge(t *testing.T) {
 	if err := st.Commit(ctxn); err == nil {
 		t.Fatal("injected sync failure did not surface")
 	}
-	if err := st.AbortCreate(ctxn, def2.Name); err != nil {
+	if err := st.Rollback(ctxn); err != nil {
 		t.Fatal(err)
 	}
+	st.ForgetRelation(def2.Name)
 	done := make(chan error, 1)
 	go func() {
 		retry := st.Begin()
@@ -1098,10 +1099,10 @@ func TestFailedCommitDoesNotWedge(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("create after aborted create failed: %v", err)
+			t.Fatalf("create after rolled-back create failed: %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("create after aborted create blocked — catalog page ownership wedged")
+		t.Fatal("create after rolled-back create blocked — catalog page ownership wedged")
 	}
 
 	// failed DROP: commit error, rollback, relation stays fully usable
