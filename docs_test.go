@@ -36,19 +36,24 @@ var (
 	// `...` code spans, and the nfr-<name> commands named inside them
 	codeSpan = regexp.MustCompile("`[^`\n]+`")
 	nfrName  = regexp.MustCompile(`\bnfr-[a-z]+`)
+	// a Markdown file cited, bare or with a path, in a Go comment
+	goComment = regexp.MustCompile(`//.*`)
+	mdInGo    = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
 )
 
 // TestDocIntegrity walks every Markdown file in the repository and
 // fails on broken relative links, on references to internal/ packages
 // that do not exist, and on commands (cmd/<name>, `nfr-<name>`) that
 // have no directory under cmd/ — so the docs can't silently rot as the
-// code moves (the doc-map in ARCHITECTURE.md depends on this).
+// code moves (the doc-map in ARCHITECTURE.md depends on this). A
+// Markdown file cited in a Go comment must exist too, from the root or
+// from the comment's own directory.
 func TestDocIntegrity(t *testing.T) {
 	root, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mdFiles []string
+	var mdFiles, goFiles []string
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -63,6 +68,9 @@ func TestDocIntegrity(t *testing.T) {
 		if strings.HasSuffix(d.Name(), ".md") && !docSkip[d.Name()] {
 			mdFiles = append(mdFiles, path)
 		}
+		if strings.HasSuffix(d.Name(), ".go") {
+			goFiles = append(goFiles, path)
+		}
 		return nil
 	})
 	if err != nil {
@@ -70,6 +78,23 @@ func TestDocIntegrity(t *testing.T) {
 	}
 	if len(mdFiles) < 4 {
 		t.Fatalf("found only %d Markdown files — doc walk broken?", len(mdFiles))
+	}
+
+	for _, path := range goFiles {
+		rel, _ := filepath.Rel(root, path)
+		body, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, comment := range goComment.FindAllString(string(body), -1) {
+			for _, name := range mdInGo.FindAllString(comment, -1) {
+				_, fromRoot := os.Stat(filepath.Join(root, name))
+				_, fromDir := os.Stat(filepath.Join(filepath.Dir(path), name))
+				if fromRoot != nil && fromDir != nil {
+					t.Errorf("%s: comment cites nonexistent %s", rel, name)
+				}
+			}
+		}
 	}
 
 	for _, path := range mdFiles {

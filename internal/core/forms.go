@@ -6,6 +6,38 @@ import (
 	"repro/internal/tuple"
 )
 
+// composablePairs calls fn for every pair of tuples of ts that agree on
+// every attribute but one, so that Compose applies there: attribute by
+// attribute, and within an attribute group by group in order of first
+// occurrence — never in map order, so whatever a caller derives from
+// the sequence is a function of ts alone. fn returning false stops the
+// walk.
+func composablePairs(ts []tuple.Tuple, degree int, fn func(a, b, attr int) bool) {
+	for i := 0; i < degree; i++ {
+		groupOf := make(map[string]int)
+		var groups [][]int
+		for j, t := range ts {
+			k := t.KeyExcept(i)
+			g, ok := groupOf[k]
+			if !ok {
+				g = len(groups)
+				groupOf[k] = g
+				groups = append(groups, nil)
+			}
+			groups[g] = append(groups[g], j)
+		}
+		for _, idxs := range groups {
+			for x := 0; x < len(idxs); x++ {
+				for y := x + 1; y < len(idxs); y++ {
+					if !fn(idxs[x], idxs[y], i) {
+						return
+					}
+				}
+			}
+		}
+	}
+}
+
 // IrreducibleGreedy derives an irreducible form (Definition 3) by
 // repeatedly applying an arbitrary applicable composition until none
 // remains. The rng, when non-nil, randomizes which pair is composed at
@@ -22,26 +54,10 @@ func (r *Relation) IrreducibleGreedy(rng *rand.Rand) (*Relation, int) {
 	for {
 		type pair struct{ a, b, attr int }
 		var found []pair
-		collect := func() {
-			for i := 0; i < r.sch.Degree(); i++ {
-				buckets := make(map[string][]int)
-				for j, t := range ts {
-					k := t.KeyExcept(i)
-					buckets[k] = append(buckets[k], j)
-				}
-				for _, idxs := range buckets {
-					for x := 0; x < len(idxs); x++ {
-						for y := x + 1; y < len(idxs); y++ {
-							found = append(found, pair{idxs[x], idxs[y], i})
-							if rng == nil {
-								return // deterministic: first found is enough
-							}
-						}
-					}
-				}
-			}
-		}
-		collect()
+		composablePairs(ts, r.sch.Degree(), func(a, b, attr int) bool {
+			found = append(found, pair{a, b, attr})
+			return rng != nil // deterministic: first found is enough
+		})
 		if len(found) == 0 {
 			break
 		}
@@ -58,6 +74,31 @@ func (r *Relation) IrreducibleGreedy(rng *rand.Rand) (*Relation, int) {
 		comps++
 	}
 	return MustFromTuples(r.sch, ts), comps
+}
+
+// eachComposition calls visit with every relation one composition away
+// from r, in composablePairs order, and reports whether there was any
+// (false: r is irreducible).
+func (r *Relation) eachComposition(visit func(*Relation)) bool {
+	ts := r.tuples
+	reducible := false
+	composablePairs(ts, r.sch.Degree(), func(a, b, attr int) bool {
+		reducible = true
+		merged, ok := tuple.Compose(ts[a], ts[b], attr)
+		if !ok {
+			panic("core: bucketed pair not composable")
+		}
+		next := NewRelation(r.sch)
+		for j, t := range ts {
+			if j != a && j != b {
+				next.Add(t)
+			}
+		}
+		next.Add(merged)
+		visit(next)
+		return true
+	})
+	return reducible
 }
 
 // FormSearchResult reports the outcome of an exhaustive search over the
@@ -108,36 +149,7 @@ func (r *Relation) MinimumIrreducible(maxStates int) FormSearchResult {
 		}
 		visited[key] = true
 
-		ts := cur.tuples
-		reducible := false
-		for i := 0; i < cur.sch.Degree(); i++ {
-			buckets := make(map[string][]int)
-			for j, t := range ts {
-				k := t.KeyExcept(i)
-				buckets[k] = append(buckets[k], j)
-			}
-			for _, idxs := range buckets {
-				for x := 0; x < len(idxs); x++ {
-					for y := x + 1; y < len(idxs); y++ {
-						reducible = true
-						merged, ok := tuple.Compose(ts[idxs[x]], ts[idxs[y]], i)
-						if !ok {
-							panic("core: bucketed pair not composable")
-						}
-						next := NewRelation(cur.sch)
-						for j, t := range ts {
-							if j == idxs[x] || j == idxs[y] {
-								continue
-							}
-							next.Add(t)
-						}
-						next.Add(merged)
-						dfs(next)
-					}
-				}
-			}
-		}
-		if !reducible && cur.Len() < res.MinTuples {
+		if !cur.eachComposition(dfs) && cur.Len() < res.MinTuples {
 			res.MinTuples = cur.Len()
 			res.Best = cur.Clone()
 		}
@@ -174,33 +186,7 @@ func (r *Relation) AllIrreducibleForms(maxForms, maxStates int) ([]*Relation, bo
 		}
 		visited[key] = true
 
-		ts := cur.tuples
-		reducible := false
-		for i := 0; i < cur.sch.Degree(); i++ {
-			buckets := make(map[string][]int)
-			for j, t := range ts {
-				k := t.KeyExcept(i)
-				buckets[k] = append(buckets[k], j)
-			}
-			for _, idxs := range buckets {
-				for x := 0; x < len(idxs); x++ {
-					for y := x + 1; y < len(idxs); y++ {
-						reducible = true
-						merged, _ := tuple.Compose(ts[idxs[x]], ts[idxs[y]], i)
-						next := NewRelation(cur.sch)
-						for j, t := range ts {
-							if j == idxs[x] || j == idxs[y] {
-								continue
-							}
-							next.Add(t)
-						}
-						next.Add(merged)
-						dfs(next)
-					}
-				}
-			}
-		}
-		if !reducible {
+		if !cur.eachComposition(dfs) {
 			forms[key] = cur.Clone()
 		}
 	}

@@ -350,9 +350,9 @@ func New() *Database {
 //
 //	db, err := engine.Open(path, engine.WithPoolPages(256))
 //
-// The store attaches each relation to its durable hash indexes without
+// The store attaches each relation to its durable B+trees without
 // scanning, and the engine attaches without materializing: the whole
-// open is O(catalog + index directories) page reads, never a heap
+// open is O(catalog + one meta page per shard) page reads, never a heap
 // scan. Each relation's canonical form materializes lazily on the
 // first statement that needs it resident (see Rel.maintainer);
 // snapshot reads (ReadRelation) never do.
@@ -519,7 +519,7 @@ func (db *Database) OpenIOStats() (st storage.PoolStats, ok bool) {
 	return db.st.OpenIOStats(), true
 }
 
-// VerifyIndexes checks every relation's durable hash indexes against a
+// VerifyIndexes checks every relation's durable indexes against a
 // fresh heap scan — the rebuild oracle (see store.VerifyIndexes) — on
 // a disk-backed database. It performs no writes and is a no-op in
 // memory mode.

@@ -1,7 +1,7 @@
 // Indexed read paths: the engine surface the query planner chooses
-// between. A point probe rides the durable fixed-attribute hash index
-// of the one shard owning the atom; a range scan rides the per-shard
-// ordered B+trees. Both return STORED (shard-canonical) tuples —
+// between. A point probe is an equality probe of the B+tree of the one
+// shard owning the atom; a range scan walks every shard's B+tree. Both
+// return STORED (shard-canonical) tuples —
 // exactly the canonical tuples a heap scan of the same shards would
 // produce — so a caller that re-applies its full predicate gets
 // Select(R, p) whenever the index fetch is a superset of the matching
@@ -37,8 +37,8 @@ type IndexInfo struct {
 	Shards    int
 	FixedAttr string // attribute the canonical form is fixed on (index key)
 	// Indexed is true iff the relation is disk-backed: every shard then
-	// carries the fixed-atom hash index (equality probes) and the B+tree
-	// (ordered scans).
+	// carries a B+tree over the fixed atoms, which answers equality
+	// probes and ordered scans.
 	Indexed bool
 }
 
@@ -77,7 +77,7 @@ func indexInfoOf(r *Rel) IndexInfo {
 }
 
 // LookupFixed returns the stored tuples whose fixed component contains
-// atom a, via the owning shard's hash index (autocommit: the shard is
+// atom a, via the owning shard's B+tree (autocommit: the shard is
 // latched for the probe and released).
 func (db *Database) LookupFixed(name string, a value.Atom) (*core.Relation, error) {
 	var rel *core.Relation
@@ -90,7 +90,7 @@ func (db *Database) LookupFixed(name string, a value.Atom) (*core.Relation, erro
 }
 
 // ScanFixedRange returns the stored tuples with at least one fixed
-// atom in [lo, hi] (nil = unbounded), via the B+tree range indexes,
+// atom in [lo, hi] (nil = unbounded), via the shards' B+trees,
 // plus the number of index pages read (autocommit: every shard latch
 // is taken for the scan and released).
 func (db *Database) ScanFixedRange(name string, lo, hi *Bound) (*core.Relation, int, error) {
@@ -175,8 +175,8 @@ func (tx *Tx) ScanFixedRange(name string, lo, hi *Bound) (*core.Relation, int, e
 }
 
 // IndexPageStats reports every disk-backed relation's index footprint
-// by structure (hash directory/buckets, B+tree inner/leaf) — the
-// \stats surface that makes directory growth observable. Empty (not
+// by page role (B+tree inner/leaf) — the \stats surface that makes
+// index growth observable. Empty (not
 // nil) in memory mode.
 func (db *Database) IndexPageStats() (map[string]store.IndexPageCounts, error) {
 	out := make(map[string]store.IndexPageCounts)

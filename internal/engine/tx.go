@@ -710,8 +710,8 @@ func (tx *Tx) Commit() error {
 // Rollback discards the transaction: on a disk-backed database every
 // dirty frame is dropped from the buffer pool (no-steal guarantees
 // nothing uncommitted reached the file, so the file is bit-identical to
-// the pre-Begin state) and each touched shard's in-memory state — hash
-// indexes, heap insertion target, canonical partition — is rebuilt from
+// the pre-Begin state) and each touched shard's in-memory state — index
+// mirror, heap insertion target, canonical partition — is rebuilt from
 // its heap; in memory mode the statement log is undone in reverse
 // (the Section-4 algorithms are exact inverses). Latches are released
 // and the handle is done.

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"bytes"
 	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -240,4 +242,28 @@ func TestFig1DataSatisfiesMVD(t *testing.T) {
 		t.Error("canonicalization lost data")
 	}
 	var _ *core.Relation = c
+}
+
+// TestReproGolden: every artifact is a function of its seed, so the
+// whole reproduction is one byte string; a change to it has to show up
+// in review. Regenerate with
+// `go run ./cmd/nfr-repro all > internal/experiments/testdata/repro.golden`.
+func TestReproGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/repro.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := RunAll(&got); err != nil {
+		t.Fatal(err)
+	}
+	gl, wl := strings.SplitAfter(got.String(), "\n"), strings.SplitAfter(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("line %d differs from testdata/repro.golden:\n got: %swant: %s", i+1, gl[i], wl[i])
+		}
+	}
+	if len(gl) != len(wl) {
+		t.Fatalf("printed %d lines, testdata/repro.golden has %d", len(gl), len(wl))
+	}
 }

@@ -273,8 +273,7 @@ func ExecStmtOn(ctx context.Context, target Execer, st Stmt) (Result, error) {
 			rs.Name, rs.NFRTuples, rs.FlatTuples, rs.Compression, rs.FixedOn,
 			rs.Ops.Compositions, rs.Ops.Decompositions, rs.Ops.CandidateScans)
 		if ip := rs.IndexPages; ip != nil {
-			msg += fmt.Sprintf("; index pages: hash dir=%d buckets=%d, btree inner=%d leaf=%d",
-				ip.HashDir, ip.HashBuckets, ip.BTreeInner, ip.BTreeLeaf)
+			msg += fmt.Sprintf("; index pages: btree inner=%d leaf=%d", ip.BTreeInner, ip.BTreeLeaf)
 		}
 		return Result{Message: msg}, nil
 	case ValidateStmt:

@@ -26,8 +26,8 @@
 //
 // SELECT and UPDATE reads are planned (internal/query/plan.go): a
 // conjunct on the relation's fixed attribute routes through the durable
-// hash index (equality) or the B+tree range index (inequalities) when
-// the engine reports one; EXPLAIN shows the chosen access path.
+// B+tree (an equality probe or a range scan) when the engine reports
+// one; EXPLAIN shows the chosen access path.
 package query
 
 import (

@@ -13,15 +13,15 @@ import (
 
 // This file is the planner: it inspects a statement's WHERE clause and
 // the target relation's physical access paths (engine.IndexInfo) and
-// picks between a heap scan, a hash-index point probe, and a B+tree
-// range scan. The full predicate is ALWAYS re-applied to whatever the
+// picks between a heap scan, a B+tree equality probe (index-point), and
+// a B+tree range scan (index-range). The full predicate is ALWAYS re-applied to whatever the
 // chosen access path fetches, so the only soundness obligation is that
 // the fetch is a superset of the matching tuples. That obligation is
 // subtle on set-valued attributes:
 //
 //   - A point conjunct (attr = v, attr CONTAINS v, with either
 //     quantifier) matches only tuples whose fixed component holds v —
-//     exactly what the hash index fetches. Always usable.
+//     exactly what the equality probe fetches. Always usable.
 //   - A single-sided range conjunct (attr >= x, Any) matches only
 //     tuples with SOME fixed atom >= x — exactly the B+tree fetch.
 //     Always usable; same for All (all atoms >= x implies some is).

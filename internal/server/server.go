@@ -296,12 +296,7 @@ func (s *Server) Stats() wire.ServerStats {
 	if ips, err := s.db.IndexPageStats(); err == nil && len(ips) > 0 {
 		st.Indexes = make(map[string]wire.RelIndexPages, len(ips))
 		for name, c := range ips {
-			st.Indexes[name] = wire.RelIndexPages{
-				HashDir:     c.HashDir,
-				HashBuckets: c.HashBuckets,
-				BTreeInner:  c.BTreeInner,
-				BTreeLeaf:   c.BTreeLeaf,
-			}
+			st.Indexes[name] = wire.RelIndexPages{BTreeInner: c.BTreeInner, BTreeLeaf: c.BTreeLeaf}
 		}
 	}
 	return st

@@ -131,13 +131,13 @@ func TestStatementsAndStatsOverWire(t *testing.T) {
 	if pp.Shards < 1 || pp.Ops < 1 || pp.Batches < 1 || pp.MaxBatch < 1 {
 		t.Fatalf("pipeline counters empty: %+v", pp)
 	}
-	// Durable relations carry both hash indexes and the B+tree range
-	// index; the stats frame must report their page footprints.
+	// Durable relations carry one B+tree per shard; the stats frame
+	// must report its page footprint.
 	ip, ok := st.Indexes["enrollment"]
 	if !ok {
 		t.Fatalf("stats carried no index pages: %+v", st.Indexes)
 	}
-	if ip.HashDir < 1 || ip.HashBuckets < 1 || ip.BTreeInner < 1 || ip.BTreeLeaf < 1 {
+	if ip.BTreeInner < 1 || ip.BTreeLeaf < 1 {
 		t.Fatalf("index page counters empty: %+v", ip)
 	}
 	// EXPLAIN travels the wire as an ordinary statement.

@@ -9,15 +9,16 @@ import (
 	"slices"
 )
 
-// This file is the ordered counterpart of diskindex.go: a paged B+tree
+// This file is the store's one index structure: a paged B+tree
 // mapping byte-string keys (memcomparable — the store encodes atoms
 // with encoding.AppendOrderedAtom so bytes.Compare IS value.Compare)
-// to record ids, with duplicates allowed. Exactly like DiskHashIndex,
-// every page is an ordinary checksummed slotted page and every
-// mutation goes through GetMut/NewPage under a Txn, so splits and
-// unlinks ride the same no-steal dirty sets, merged group commits, and
-// full-page-image redo as heap pages — the tree needs zero new
-// recovery protocol.
+// to record ids, with duplicates allowed. It answers equality probes
+// (Get), range scans (Scan) and, through Get, the store's search for a
+// delete's victim record. Every page is an ordinary checksummed slotted
+// page and every mutation goes through GetMut/NewPage under a Txn, so
+// splits and unlinks ride the same no-steal dirty sets, merged group
+// commits, and full-page-image redo as heap pages — the tree needs zero
+// new recovery protocol.
 //
 // Layout:
 //
@@ -27,7 +28,7 @@ import (
 //	            split never moves the catalog-recorded handle).
 //	leaf page   record 0: 'L'; records 1..n are entries sorted by
 //	            (key, rid): keyLen:uvarint key rid.Page:u32
-//	            rid.Slot:u16 (the hash index's entry codec). Leaves
+//	            rid.Slot:u16 (the entry codec of diskindex.go). Leaves
 //	            are chained left-to-right through the page Next field.
 //	inner page  record 0: 'I' leftmostChild:u32; records 1..n are
 //	            separator entries (same codec + child:u32), sorted.
@@ -52,11 +53,10 @@ import (
 // records diff a page against its previous committed image, so a leaf
 // edit logs the new entry and the shifted directory words.
 //
-// Shrinking mirrors the hash index's pragmatics: a leaf emptied by
-// deletes is unlinked from its parent and chain and handed to
-// TakeReleased for the free list, unless it is its parent's leftmost
-// child (the descent anchor). Inner pages never merge — like hash
-// directory pages, they are reclaimed only by Clear (rebuild) or drop.
+// Shrinking is pragmatic: a leaf emptied by deletes is unlinked from
+// its parent and chain and handed to TakeReleased for the free list,
+// unless it is its parent's leftmost child (the descent anchor). Inner
+// pages never merge: they are reclaimed only by Clear (rebuild) or drop.
 
 const (
 	btreeMetaTag  = 'B'
@@ -78,8 +78,7 @@ var ErrCorruptBTree = errors.New("storage: corrupt btree index")
 // mapped to record ids (duplicates allowed), stored in slotted pages
 // behind a buffer pool. The struct is only a small mirror of the meta
 // record; all entries live in node pages. Callers serialize access per
-// tree — the store does so under its per-shard lock, mirroring
-// DiskHashIndex's contract.
+// tree — the store does so under its per-shard lock.
 type BTree struct {
 	bp        *BufferPool
 	metaPid   uint32 // the persistent handle (Root())

@@ -19,14 +19,14 @@ type RelationDef struct {
 	Name   string
 	Schema *schema.Schema
 	// Order is the nest order; Order[len-1] is the last-nested (fixed /
-	// determinant) attribute the hash index is keyed on.
+	// determinant) attribute the index is keyed on.
 	Order schema.Permutation
 	FDs   []dep.FD
 	MVDs  []dep.MVD
 	// Shards is the number of heap chains the relation's tuples are
 	// partitioned across, keyed by the hash of the determinant atom
 	// (0 and 1 both mean one chain). Each shard owns a disjoint heap
-	// chain and its own indexes, so statements on different shards of
+	// chain and its own index, so statements on different shards of
 	// one hot relation run and commit concurrently.
 	Shards int
 }
@@ -52,13 +52,10 @@ func (d RelationDef) validate() error {
 }
 
 // shardRoots locates one shard's durable structures: its heap chain
-// head, the directory roots of its two hash indexes, and the meta page
-// of its ordered B+tree range index. All four are real page ids, never
+// head and the meta page of its B+tree. Both are real page ids, never
 // zero.
 type shardRoots struct {
 	heapFirst uint32
-	ridsRoot  uint32
-	fixedRoot uint32
 	rangeRoot uint32
 }
 
@@ -75,13 +72,12 @@ type catalogEntry struct {
 //	tag:'R' nameLen:uvarint name heapFirst:uvarint schema
 //	orderLen:uvarint idx:uvarint* nFDs:uvarint fd* nMVDs:uvarint mvd*
 //	fd/mvd := nLhs:uvarint (len name)* nRhs:uvarint (len name)*
-//	ridsRoot:uvarint fixedRoot:uvarint
-//	nExtra:uvarint (heapFirst ridsRoot fixedRoot)*nExtra
+//	nExtra:uvarint heapFirst:uvarint*nExtra
 //	rangeRoot:uvarint*(1+nExtra)
 //
-// shards[0] supplies the leading heapFirst and ridsRoot/fixedRoot;
-// nExtra = len(shards)-1 triples locate shards 1..K-1; the range roots
-// follow for every shard, shard 0 first. Every field is mandatory.
+// shards[0] supplies the leading heapFirst; nExtra = len(shards)-1 heap
+// roots locate shards 1..K-1; the B+tree roots follow for every shard,
+// shard 0 first. Every field is mandatory.
 func encodeCatalogRecord(def RelationDef, shards []shardRoots) []byte {
 	b := []byte{relRecordTag}
 	b = appendString(b, def.Name)
@@ -101,13 +97,9 @@ func encodeCatalogRecord(def RelationDef, shards []shardRoots) []byte {
 		b = appendAttrSet(b, m.Lhs)
 		b = appendAttrSet(b, m.Rhs)
 	}
-	b = binary.AppendUvarint(b, uint64(shards[0].ridsRoot))
-	b = binary.AppendUvarint(b, uint64(shards[0].fixedRoot))
 	b = binary.AppendUvarint(b, uint64(len(shards)-1))
 	for _, s := range shards[1:] {
 		b = binary.AppendUvarint(b, uint64(s.heapFirst))
-		b = binary.AppendUvarint(b, uint64(s.ridsRoot))
-		b = binary.AppendUvarint(b, uint64(s.fixedRoot))
 	}
 	for _, s := range shards {
 		b = binary.AppendUvarint(b, uint64(s.rangeRoot))
@@ -195,12 +187,6 @@ func decodeCatalogRecord(rec []byte) (catalogEntry, error) {
 		}
 		ce.def.MVDs = append(ce.def.MVDs, dep.NewMVD(lhs, rhs))
 	}
-	if first.ridsRoot, b, err = takeRoot(b, name, 0, "primary index root"); err != nil {
-		return ce, err
-	}
-	if first.fixedRoot, b, err = takeRoot(b, name, 0, "fixed index root"); err != nil {
-		return ce, err
-	}
 	nx, b, err := takeUvarint(b)
 	if err != nil || nx >= maxShards {
 		return ce, fmt.Errorf("%w: missing or impossible shard count of %q", ErrCorrupt, name)
@@ -211,17 +197,11 @@ func decodeCatalogRecord(rec []byte) (catalogEntry, error) {
 		if s.heapFirst, b, err = takeRoot(b, name, i, "heap root"); err != nil {
 			return ce, err
 		}
-		if s.ridsRoot, b, err = takeRoot(b, name, i, "primary index root"); err != nil {
-			return ce, err
-		}
-		if s.fixedRoot, b, err = takeRoot(b, name, i, "fixed index root"); err != nil {
-			return ce, err
-		}
 		ce.shards = append(ce.shards, s)
 	}
 	ce.def.Shards = len(ce.shards)
 	for i := range ce.shards {
-		if ce.shards[i].rangeRoot, b, err = takeRoot(b, name, i, "range index root"); err != nil {
+		if ce.shards[i].rangeRoot, b, err = takeRoot(b, name, i, "index root"); err != nil {
 			return ce, err
 		}
 	}

@@ -12,22 +12,22 @@ import (
 
 // TestCatalogRecordRangeRoots covers the per-shard roots of the
 // catalog record: single-chain (extra-shard count 0) and sharded, with
-// the B+tree roots after the shard triples.
+// the B+tree roots after the extra shards' heap roots.
 func TestCatalogRecordRangeRoots(t *testing.T) {
 	def := testDef(t)
 
-	rec := encodeCatalogRecord(def, []shardRoots{{7, 9, 12, 15}})
+	rec := encodeCatalogRecord(def, []shardRoots{{7, 15}})
 	ce, err := decodeCatalogRecord(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ce.shards) != 1 || ce.shards[0] != (shardRoots{7, 9, 12, 15}) || ce.def.Shards != 1 {
+	if len(ce.shards) != 1 || ce.shards[0] != (shardRoots{7, 15}) || ce.def.Shards != 1 {
 		t.Fatalf("single-chain record decoded %+v", ce)
 	}
 
 	def3 := def
 	def3.Shards = 3
-	roots := []shardRoots{{7, 9, 12, 15}, {20, 21, 22, 23}, {30, 31, 32, 33}}
+	roots := []shardRoots{{7, 15}, {20, 23}, {30, 33}}
 	rec3 := encodeCatalogRecord(def3, roots)
 	ce3, err := decodeCatalogRecord(rec3)
 	if err != nil {

@@ -29,24 +29,20 @@ func ShardOfAtom(a value.Atom, k int) int {
 	return int(h.Sum32() % uint32(k))
 }
 
-// Shard is one heap chain of a relation plus the three durable indexes
-// that describe it —
-//
-//   - a primary hash index keyed on the full tuple key, so the
-//     write-through delete path locates the victim record in O(1),
-//   - a fixed-attribute hash index keyed on each atom of the tuple's
-//     fixed (determinant) component, so point lookups by determinant
-//     value (the NFR analogue of a key probe) avoid scanning the heap,
-//     and
-//   - an ordered B+tree over the same determinant atoms (memcomparable
-//     keys, see encoding.AppendOrderedAtom), answering range predicates
-//     the hash index cannot.
+// Shard is one heap chain of a relation plus the one durable index that
+// describes it: an ordered B+tree holding one (atom, RID) entry per atom
+// of each tuple's fixed (determinant) component, keyed by
+// encoding.AppendOrderedAtom so that two keys are byte-equal exactly
+// when value.Compare calls the atoms equal. The tree answers point
+// lookups by determinant value (the NFR analogue of a key probe), range
+// predicates over it, and the write-through delete path's search for
+// its victim record (see findLocked for what that costs).
 //
 // A classic relation has exactly one shard; a K-sharded relation
 // partitions its canonical tuples across K shards by ShardOfAtom of the
 // determinant, each shard holding the Section-4 canonical form of its
 // own partition. Because a shard owns a disjoint set of pages (its heap
-// chain and its index structures), statements on different shards
+// chain and its index), statements on different shards
 // of one relation dirty disjoint frames and commit concurrently through
 // the merged group commit — the union of the shard canonical forms is
 // re-canonicalized on read (engine side) to recover the global V_P.
@@ -54,8 +50,8 @@ func ShardOfAtom(a value.Atom, k int) int {
 // Index mutations ride the same transaction as the heap mutation that
 // caused them, so a commit makes heap and index durable as one batch
 // and a crash recovers them on the same boundary; reopening attaches to
-// the persisted structures in O(index directory) page reads instead of
-// rebuilding by heap scan. Reindex remains the heap-scan oracle: it
+// the persisted tree in one page read instead of rebuilding by heap
+// scan. Reindex remains the heap-scan oracle: it
 // verifies the durable index against the heap and rebuilds it only on
 // divergence.
 //
@@ -76,13 +72,10 @@ type Shard struct {
 	heap *storage.HeapFile
 
 	mu     sync.Mutex
-	ridsD  *storage.DiskHashIndex // tuple key -> RID
-	fixedD *storage.DiskHashIndex // determinant atom -> RID
-	rangeD *storage.BTree         // ordered determinant atom -> RID
-	count  int
-	cur    *Txn  // open statement transaction (between brackets)
-	ext    bool  // cur is owned by an engine-level multi-statement Tx
-	err    error // first write-through failure
+	rangeD *storage.BTree // ordered determinant atom -> RID
+	cur    *Txn           // open statement transaction (between brackets)
+	ext    bool           // cur is owned by an engine-level multi-statement Tx
+	err    error          // first write-through failure
 }
 
 // RelStore is one relation's on-disk realization: its shards (one for
@@ -113,9 +106,9 @@ func (r *Shard) fixedAttr() int { return r.def.Order[len(r.def.Order)-1] }
 
 func (r *RelStore) fixedAttr() int { return r.def.Order[len(r.def.Order)-1] }
 
-// newShard wires a Shard around an attached heap and its indexes.
-func newShard(s *Store, def RelationDef, ord int, heap *storage.HeapFile, ridsD, fixedD *storage.DiskHashIndex, rangeD *storage.BTree) *Shard {
-	return &Shard{st: s, def: def, ord: ord, heap: heap, ridsD: ridsD, fixedD: fixedD, rangeD: rangeD, count: ridsD.Len()}
+// newShard wires a Shard around an attached heap and its index.
+func newShard(s *Store, def RelationDef, ord int, heap *storage.HeapFile, rangeD *storage.BTree) *Shard {
+	return &Shard{st: s, def: def, ord: ord, heap: heap, rangeD: rangeD}
 }
 
 // newRelStore assembles a RelStore from already-built shards.
@@ -124,25 +117,16 @@ func newRelStore(s *Store, def RelationDef, catRID storage.RID, shards []*Shard)
 }
 
 // openRelStore attaches to an existing relation. The attach touches no
-// heap page at all — the indexes' directories describe themselves and
-// carry the tuple count.
+// heap page at all: each shard's B+tree meta page describes the tree.
 func openRelStore(s *Store, ce catalogEntry) (*RelStore, error) {
 	shards := make([]*Shard, 0, len(ce.shards))
 	for ord, rt := range ce.shards {
-		ridsD, err := storage.OpenDiskIndex(s.bp, rt.ridsRoot)
-		if err != nil {
-			return nil, fmt.Errorf("%w: opening primary index %d of %q: %v", ErrCorrupt, ord, ce.def.Name, err)
-		}
-		fixedD, err := storage.OpenDiskIndex(s.bp, rt.fixedRoot)
-		if err != nil {
-			return nil, fmt.Errorf("%w: opening fixed index %d of %q: %v", ErrCorrupt, ord, ce.def.Name, err)
-		}
 		rangeD, err := storage.OpenBTree(s.bp, rt.rangeRoot)
 		if err != nil {
-			return nil, fmt.Errorf("%w: opening range index %d of %q: %v", ErrCorrupt, ord, ce.def.Name, err)
+			return nil, fmt.Errorf("%w: opening index %d of %q: %v", ErrCorrupt, ord, ce.def.Name, err)
 		}
 		heap := storage.OpenHeapAt(s.bp, rt.heapFirst)
-		shards = append(shards, newShard(s, ce.def, ord, heap, ridsD, fixedD, rangeD))
+		shards = append(shards, newShard(s, ce.def, ord, heap, rangeD))
 	}
 	return newRelStore(s, ce.def, ce.rid, shards), nil
 }
@@ -174,22 +158,6 @@ func (r *RelStore) shardOfTuple(t tuple.Tuple) *Shard {
 	return r.ShardFor(atoms[0])
 }
 
-// Len returns the number of stored NFR tuples across all shards.
-func (r *RelStore) Len() int {
-	n := 0
-	for _, sh := range r.shards {
-		n += sh.Len()
-	}
-	return n
-}
-
-// Len returns the number of tuples stored in this shard.
-func (r *Shard) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.count
-}
-
 // Err returns the first write-through failure recorded by the sink
 // callbacks (nil when all writes succeeded).
 func (r *Shard) Err() error {
@@ -199,52 +167,29 @@ func (r *Shard) Err() error {
 }
 
 func (r *Shard) indexTuple(txn *Txn, t tuple.Tuple, rid storage.RID) error {
-	if err := r.ridsD.Put(txn, []byte(t.Key()), rid); err != nil {
-		return err
-	}
 	for _, a := range t.Set(r.fixedAttr()).Atoms() {
-		if err := r.fixedD.Put(txn, encoding.AppendAtom(nil, a), rid); err != nil {
-			return err
-		}
 		if err := r.rangeD.Put(txn, encoding.AppendOrderedAtom(nil, a), rid); err != nil {
 			return err
 		}
 	}
-	r.count++
 	return nil
 }
 
+// unindexTuple drops the tuple's entries and returns the leaves the
+// tree shed (emptied by the deletes and unlinked) to the free list
+// under the same transaction. The free is best-effort: a refused one
+// (foreign free-list owner) just orphans the pages until the next
+// open-time sweep, exactly like the drop path's degraded mode.
 func (r *Shard) unindexTuple(txn *Txn, t tuple.Tuple, rid storage.RID) error {
-	if _, err := r.ridsD.Delete(txn, []byte(t.Key()), rid); err != nil {
-		return err
-	}
 	for _, a := range t.Set(r.fixedAttr()).Atoms() {
-		if _, err := r.fixedD.Delete(txn, encoding.AppendAtom(nil, a), rid); err != nil {
-			return err
-		}
 		if _, err := r.rangeD.Delete(txn, encoding.AppendOrderedAtom(nil, a), rid); err != nil {
 			return err
 		}
 	}
-	r.count--
-	r.reclaimIndexPagesLocked(txn)
-	return nil
-}
-
-// reclaimIndexPagesLocked returns overflow pages the durable indexes
-// shed (emptied by deletes and unlinked from their bucket chains) to
-// the free list under the same transaction as the delete that emptied
-// them. Best-effort: a refused free (foreign free-list owner) just
-// orphans the pages until the next open-time sweep, exactly like the
-// drop path's degraded mode.
-func (r *Shard) reclaimIndexPagesLocked(txn *Txn) {
-	released := r.ridsD.TakeReleased()
-	released = append(released, r.fixedD.TakeReleased()...)
-	released = append(released, r.rangeD.TakeReleased()...)
-	if len(released) == 0 {
-		return
+	if released := r.rangeD.TakeReleased(); len(released) > 0 {
+		_ = r.st.freePages(txn, released)
 	}
-	_ = r.st.freePages(txn, released)
+	return nil
 }
 
 // Insert appends one canonical tuple to the owning shard's heap under
@@ -284,19 +229,65 @@ func (r *Shard) Remove(txn *Txn, t tuple.Tuple) error {
 }
 
 func (r *Shard) removeLocked(txn *Txn, t tuple.Tuple) error {
-	key := []byte(t.Key())
-	rids, err := r.ridsD.Get(key)
+	rid, err := r.findLocked(t)
 	if err != nil {
 		return err
 	}
-	if len(rids) == 0 {
-		return fmt.Errorf("store: tuple not found in %q: %s", r.def.Name, t)
-	}
-	rid := rids[0]
 	if err := r.heap.Delete(txn, rid); err != nil {
 		return err
 	}
 	return r.unindexTuple(txn, t, rid)
+}
+
+// findLocked locates the record holding exactly t: it probes the tree
+// for t's first fixed atom and reads the records listed there until one
+// decodes to a tuple Equal to t, so identity is decided by the stored
+// bytes. It reads k heap records, k being the number of stored tuples
+// whose fixed component contains that atom; k is 1 whenever the relation
+// is fixed on its last-nested attribute, which is what the default nest
+// order is chosen for (paper Section 3.4), and for larger k it is the
+// list the Section-4 maintainer walks for the same statement.
+func (r *Shard) findLocked(t tuple.Tuple) (storage.RID, error) {
+	rids, err := r.rangeD.Get(encoding.AppendOrderedAtom(nil, t.Set(r.fixedAttr()).At(0)))
+	if err != nil {
+		return storage.RID{}, err
+	}
+	for _, rid := range rids {
+		stored, err := r.fetchLocked(rid)
+		if err != nil {
+			return storage.RID{}, err
+		}
+		if stored.Equal(t) {
+			return rid, nil
+		}
+	}
+	return storage.RID{}, fmt.Errorf("store: tuple not found in %q: %s", r.def.Name, t)
+}
+
+// fetchLocked reads and decodes the record an index entry points at.
+func (r *Shard) fetchLocked(rid storage.RID) (tuple.Tuple, error) {
+	rec, err := r.heap.Get(rid)
+	if err != nil {
+		return tuple.Tuple{}, err
+	}
+	t, _, err := encoding.DecodeTuple(rec)
+	if err != nil {
+		return tuple.Tuple{}, fmt.Errorf("%w: record %v of %q: %v", ErrCorrupt, rid, r.def.Name, err)
+	}
+	return t, nil
+}
+
+// fetchAllLocked fetches the records of rids, in order.
+func (r *Shard) fetchAllLocked(rids []storage.RID) ([]tuple.Tuple, error) {
+	out := make([]tuple.Tuple, 0, len(rids))
+	for _, rid := range rids {
+		t, err := r.fetchLocked(rid)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+	}
+	return out, nil
 }
 
 // TupleAdded implements update.Sink: write-through of a composition
@@ -402,7 +393,7 @@ func (r *RelStore) Reindex() (*core.Relation, error) {
 // the same single scan. A transaction rollback discards uncommitted
 // frames from the pool, reverting heap AND index pages to their last
 // committed content; the durable index is then re-attached from its
-// (reverted) directory, checked entry-for-entry against the heap, and
+// (reverted) meta page, checked entry-for-entry against the heap, and
 // rebuilt in place only if the check fails — so a clean rollback
 // performs no writes and leaves the file untouched.
 func (r *Shard) Reindex() (*core.Relation, error) {
@@ -414,7 +405,7 @@ func (r *Shard) Reindex() (*core.Relation, error) {
 	r.cur = nil
 	r.ext = false
 	r.err = nil
-	if err := r.refreshLocked(); err != nil {
+	if err := r.rangeD.Refresh(); err != nil {
 		return nil, err
 	}
 	rel := core.NewRelation(r.def.Schema)
@@ -434,70 +425,32 @@ func (r *Shard) Reindex() (*core.Relation, error) {
 	return rel, nil
 }
 
-// refreshLocked re-attaches the in-memory index mirrors to the on-disk
-// structures (after a rollback reverted their pages).
-func (r *Shard) refreshLocked() error {
-	if err := r.ridsD.Refresh(); err != nil {
-		return err
-	}
-	if err := r.fixedD.Refresh(); err != nil {
-		return err
-	}
-	if err := r.rangeD.Refresh(); err != nil {
-		return err
-	}
-	r.count = r.ridsD.Len()
-	return nil
-}
-
 // checkLocked is the oracle comparison: the index must answer exactly
-// what a rebuilt-from-heap index would — every tuple probeable by its
-// full key and by each atom of its fixed component, entry counts equal
-// (no extras), and every index page readable and checksum-valid.
+// what a rebuilt-from-heap index would — every tuple probeable by each
+// atom of its fixed component, entry counts equal (no extras), and
+// every index page readable and checksum-valid.
 func (r *Shard) checkLocked(rts []ridTuple) error {
-	if n := r.ridsD.Len(); n != len(rts) {
-		return fmt.Errorf("store: %q primary index holds %d entries, heap %d tuples",
-			r.def.Name, n, len(rts))
-	}
 	atoms := 0
 	for _, rt := range rts {
-		hits, err := r.ridsD.Get([]byte(rt.t.Key()))
-		if err != nil {
-			return err
-		}
-		if !containsRID(hits, rt.rid) {
-			return fmt.Errorf("store: %q primary index lost tuple at %v", r.def.Name, rt.rid)
-		}
 		for _, a := range rt.t.Set(r.fixedAttr()).Atoms() {
 			atoms++
-			hits, err := r.fixedD.Get(encoding.AppendAtom(nil, a))
+			hits, err := r.rangeD.Get(encoding.AppendOrderedAtom(nil, a))
 			if err != nil {
 				return err
 			}
 			if !containsRID(hits, rt.rid) {
-				return fmt.Errorf("store: %q fixed index lost atom of tuple at %v", r.def.Name, rt.rid)
-			}
-			hits, err = r.rangeD.Get(encoding.AppendOrderedAtom(nil, a))
-			if err != nil {
-				return err
-			}
-			if !containsRID(hits, rt.rid) {
-				return fmt.Errorf("store: %q range index lost atom of tuple at %v", r.def.Name, rt.rid)
+				return fmt.Errorf("store: %q index lost atom of tuple at %v", r.def.Name, rt.rid)
 			}
 		}
 	}
-	if n := r.fixedD.Len(); n != atoms {
-		return fmt.Errorf("store: %q fixed index holds %d entries, heap %d atoms",
-			r.def.Name, n, atoms)
-	}
 	if n := r.rangeD.Len(); n != atoms {
-		return fmt.Errorf("store: %q range index holds %d entries, heap %d atoms",
+		return fmt.Errorf("store: %q index holds %d entries, heap %d atoms",
 			r.def.Name, n, atoms)
 	}
-	// structural pass: every index page (directory, buckets, overflow;
-	// B+tree inner nodes and leaf chain) must be reachable and valid,
-	// so damage in never-probed pages fail-stops too
-	_, err := r.indexPages()
+	// structural pass: every index page (inner nodes and the leaf chain)
+	// must be reachable and valid, so damage in never-probed pages
+	// fail-stops too
+	_, err := r.rangeD.Pages()
 	return err
 }
 
@@ -510,12 +463,12 @@ func containsRID(rids []storage.RID, rid storage.RID) bool {
 	return false
 }
 
-// rebuildLocked is the repair path: the durable indexes are cleared
-// and refilled from the heap under a fresh transaction, committed as
-// one batch; the pages the cleared structures shed go to the free
-// list. A failure rolls the transaction back — releasing its frame and
+// rebuildLocked is the repair path: the durable index is cleared and
+// refilled from the heap under a fresh transaction, committed as one
+// batch; the pages the cleared tree sheds go to the free list. A
+// failure rolls the transaction back — releasing its frame and
 // free-list ownership, which would otherwise wedge every later
-// statement on those pages — and re-attaches the in-memory mirrors to
+// statement on those pages — and re-attaches the in-memory mirror to
 // the reverted on-disk state (the damage survives for the next repair
 // attempt; a wedge would not recover at all).
 func (r *Shard) rebuildLocked(rts []ridTuple) (err error) {
@@ -528,13 +481,13 @@ func (r *Shard) rebuildLocked(rts []ridTuple) (err error) {
 			err = fmt.Errorf("index rebuild failed (%v) and rollback failed: %w", err, rbErr)
 		}
 		// A failed re-attach may not be swallowed: a mirror left holding
-		// the aborted rebuild's layout would silently probe the wrong
-		// buckets afterwards.
-		if rfErr := r.refreshLocked(); rfErr != nil {
+		// the aborted rebuild's layout would silently descend from the
+		// wrong root afterwards.
+		if rfErr := r.rangeD.Refresh(); rfErr != nil {
 			err = fmt.Errorf("index rebuild failed (%v) and re-attach failed: %w", err, rfErr)
 		}
 	}()
-	released, err := r.clearIndexesLocked(txn)
+	released, err := r.rangeD.Clear(txn)
 	if err != nil {
 		return err
 	}
@@ -551,26 +504,7 @@ func (r *Shard) rebuildLocked(rts []ridTuple) (err error) {
 	return r.st.Commit(txn)
 }
 
-// clearIndexesLocked empties the three indexes under txn and returns
-// the pages they shed, for the caller to free in the same transaction.
-func (r *Shard) clearIndexesLocked(txn *Txn) ([]uint32, error) {
-	released, err := r.ridsD.Clear(txn)
-	if err != nil {
-		return nil, err
-	}
-	rel2, err := r.fixedD.Clear(txn)
-	if err != nil {
-		return nil, err
-	}
-	rel3, err := r.rangeD.Clear(txn)
-	if err != nil {
-		return nil, err
-	}
-	r.count = 0
-	return append(append(released, rel2...), rel3...), nil
-}
-
-// VerifyIndex checks every shard's indexes against a fresh heap scan —
+// VerifyIndex checks every shard's index against a fresh heap scan —
 // the rebuild-on-open oracle. The durable index must never be more than
 // a view of the heap; any divergence (missing or extra entries, torn or
 // unreachable index pages) is returned as an error. It performs no
@@ -584,7 +518,7 @@ func (r *RelStore) VerifyIndex() error {
 	return nil
 }
 
-// VerifyIndex checks the shard's indexes against a fresh heap scan.
+// VerifyIndex checks the shard's index against a fresh heap scan.
 func (r *Shard) VerifyIndex() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -599,9 +533,8 @@ func (r *Shard) VerifyIndex() error {
 }
 
 // pages returns every page the relation owns: all shards' heap chains
-// and their index structures' chains. The drop path
-// hands them to the free list; the open-time sweep treats them as
-// referenced.
+// and B+trees. The drop path hands them to the free list; the open-time
+// sweep treats them as referenced.
 func (r *RelStore) pages() ([]uint32, error) {
 	var out []uint32
 	for _, sh := range r.shards {
@@ -619,30 +552,11 @@ func (r *Shard) pages() ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix, err := r.indexPages()
+	ix, err := r.rangeD.Pages()
 	if err != nil {
 		return nil, err
 	}
 	return append(out, ix...), nil
-}
-
-// indexPages walks the three index structures, returning every
-// page they own; an unreachable or invalid page is an error.
-func (r *Shard) indexPages() ([]uint32, error) {
-	out, err := r.ridsD.Pages()
-	if err != nil {
-		return nil, err
-	}
-	p, err := r.fixedD.Pages()
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, p...)
-	p, err = r.rangeD.Pages()
-	if err != nil {
-		return nil, err
-	}
-	return append(out, p...), nil
 }
 
 // StatementEnd implements update.BatchSink: the group-commit point. All
@@ -785,8 +699,9 @@ func (r *RelStore) LoadCtx(ctx context.Context) (*core.Relation, error) {
 }
 
 // LookupFixed returns every stored tuple whose fixed (determinant)
-// component contains atom a — an index point lookup on the owning
-// shard instead of a heap scan.
+// component contains atom a — a B+tree equality probe on the owning
+// shard instead of a heap scan. The probe key is AppendOrderedAtom's,
+// so it finds exactly the atoms value.Compare calls equal to a.
 func (r *RelStore) LookupFixed(a value.Atom) ([]tuple.Tuple, error) {
 	return r.ShardFor(a).LookupFixed(a)
 }
@@ -796,23 +711,11 @@ func (r *RelStore) LookupFixed(a value.Atom) ([]tuple.Tuple, error) {
 func (r *Shard) LookupFixed(a value.Atom) ([]tuple.Tuple, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rids, err := r.fixedD.Get(encoding.AppendAtom(nil, a))
+	rids, err := r.rangeD.Get(encoding.AppendOrderedAtom(nil, a))
 	if err != nil {
 		return nil, err
 	}
-	out := make([]tuple.Tuple, 0, len(rids))
-	for _, rid := range rids {
-		rec, err := r.heap.Get(rid)
-		if err != nil {
-			return nil, err
-		}
-		t, _, err := encoding.DecodeTuple(rec)
-		if err != nil {
-			return nil, fmt.Errorf("%w: record %v of %q: %v", ErrCorrupt, rid, r.def.Name, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
+	return r.fetchAllLocked(rids)
 }
 
 // RangeBound is one end of a determinant-atom range predicate, as
@@ -823,7 +726,7 @@ type RangeBound struct {
 }
 
 // ScanFixedRange returns every stored tuple with at least one fixed
-// (determinant) atom in the given range, via the B+tree range indexes
+// (determinant) atom in the given range, via the shards' B+trees
 // instead of heap scans. Shards partition by HASH of the atom, so a
 // range spans all of them: the result unions every shard's scan. The
 // page count is the total index pages read (descent + leaf chain),
@@ -871,17 +774,9 @@ func (r *Shard) ScanFixedRange(lo, hi *RangeBound) ([]tuple.Tuple, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	out := make([]tuple.Tuple, 0, len(rids))
-	for _, rid := range rids {
-		rec, err := r.heap.Get(rid)
-		if err != nil {
-			return nil, 0, err
-		}
-		t, _, err := encoding.DecodeTuple(rec)
-		if err != nil {
-			return nil, 0, fmt.Errorf("%w: record %v of %q: %v", ErrCorrupt, rid, r.def.Name, err)
-		}
-		out = append(out, t)
+	out, err := r.fetchAllLocked(rids)
+	if err != nil {
+		return nil, 0, err
 	}
 	return out, pages, nil
 }
@@ -895,15 +790,16 @@ func (r *Shard) SetRangeIndexMaxEntries(n int) {
 }
 
 // IndexPageCounts breaks a relation's durable index footprint down by
-// structure, making growth that never shrinks (the hash directory, the
-// B+tree inner skeleton) observable instead of silent.
+// page role, making growth that never shrinks (the B+tree inner
+// skeleton) observable instead of silent.
 type IndexPageCounts struct {
-	// HashDir / HashBuckets cover BOTH hash indexes (primary + fixed):
-	// directory chain pages and bucket+overflow pages.
+	// HashDir / HashBuckets always read 0: no shard has a hash index.
+	// They are declared only for bench/layers.go ("storage.hash_pages")
+	// and go with storage/diskindex.go (ROADMAP, smaller items).
 	HashDir     int `json:"hash_dir"`
 	HashBuckets int `json:"hash_buckets"`
-	// BTreeInner counts the range index's meta + inner pages;
-	// BTreeLeaf its leaf pages.
+	// BTreeInner counts the tree's meta + inner pages; BTreeLeaf its
+	// leaf pages.
 	BTreeInner int `json:"btree_inner"`
 	BTreeLeaf  int `json:"btree_leaf"`
 }
@@ -917,8 +813,6 @@ func (r *RelStore) IndexPageCounts() (IndexPageCounts, error) {
 		if err != nil {
 			return IndexPageCounts{}, err
 		}
-		total.HashDir += c.HashDir
-		total.HashBuckets += c.HashBuckets
 		total.BTreeInner += c.BTreeInner
 		total.BTreeLeaf += c.BTreeLeaf
 	}
@@ -929,21 +823,11 @@ func (r *RelStore) IndexPageCounts() (IndexPageCounts, error) {
 func (r *Shard) IndexPageCounts() (IndexPageCounts, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var c IndexPageCounts
-	for _, ix := range []*storage.DiskHashIndex{r.ridsD, r.fixedD} {
-		dir, buckets, err := ix.PageCounts()
-		if err != nil {
-			return IndexPageCounts{}, err
-		}
-		c.HashDir += dir
-		c.HashBuckets += buckets
-	}
 	inner, leaf, err := r.rangeD.PageCounts()
 	if err != nil {
 		return IndexPageCounts{}, err
 	}
-	c.BTreeInner, c.BTreeLeaf = inner, leaf
-	return c, nil
+	return IndexPageCounts{BTreeInner: inner, BTreeLeaf: leaf}, nil
 }
 
 // HeapStats reports the heap occupancy of this relation, summed across
@@ -1033,8 +917,8 @@ func (r *Shard) Replace(txn *Txn, rel *core.Relation) error {
 	return nil
 }
 
-// clearLocked tombstones every live record and resets the indexes; the
-// pages an index sheds go to the free list under the same transaction.
+// clearLocked tombstones every live record and resets the index; the
+// pages the tree sheds go to the free list under the same transaction.
 func (r *Shard) clearLocked(txn *Txn) error {
 	var rids []storage.RID
 	if err := r.heap.Scan(func(rid storage.RID, _ []byte) bool {
@@ -1048,7 +932,7 @@ func (r *Shard) clearLocked(txn *Txn) error {
 			return err
 		}
 	}
-	released, err := r.clearIndexesLocked(txn)
+	released, err := r.rangeD.Clear(txn)
 	if err != nil {
 		return err
 	}

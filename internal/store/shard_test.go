@@ -12,8 +12,8 @@ import (
 
 // TestCatalogShardRoundTrip: a relation created with Shards=K must come
 // back from a reopen with K chains, the same Shards in its def, and a
-// canonical content equal to what went in — the catalog's FormatVersion-3
-// trailing extension carrying per-shard roots is what's under test.
+// canonical content equal to what went in — the catalog record's
+// per-shard roots are what's under test.
 func TestCatalogShardRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.nfrs")
 	st, err := Open(path, Options{PoolPages: 16})
@@ -54,7 +54,7 @@ func TestCatalogShardRoundTrip(t *testing.T) {
 	// the fixture must span chains, or the round-trip is vacuous
 	populated := 0
 	for i := 0; i < rs.ShardCount(); i++ {
-		if rs.Shard(i).Len() > 0 {
+		if countTuples(t, rs.Shard(i).Scan) > 0 {
 			populated++
 		}
 	}
@@ -123,9 +123,10 @@ func TestShardOfAtomStable(t *testing.T) {
 }
 
 // TestShardIndexReclaimFreesPages: the fill/drain cycle through the
-// store — many tuples sharing one determinant atom grow the fixed
-// index's overflow chain; deleting them must return the emptied
-// overflow pages to the store's free list under the same transaction.
+// store — many tuples sharing one determinant atom grow a run of
+// duplicate keys across several B+tree leaves; deleting them must
+// return the emptied leaves to the free list under the same transaction.
+// It is also the victim lookup's worst case: k up to 500 per Remove.
 func TestShardIndexReclaimFreesPages(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.nfrs")
 	st, err := Open(path, Options{PoolPages: 32})
@@ -142,8 +143,8 @@ func TestShardIndexReclaimFreesPages(t *testing.T) {
 	}
 
 	// FILL: every tuple fixes on the same student, so every insert adds
-	// one more "s0" entry to the fixed index — a guaranteed overflow
-	// chain once the bucket page fills
+	// one more "s0" entry to the index — the run splits a leaf once a
+	// page fills
 	var tuples []tuple.Tuple
 	for i := 0; i < 500; i++ {
 		one, _ := core.MustFromFlats(def.Schema, []tuple.Flat{
@@ -158,38 +159,39 @@ func TestShardIndexReclaimFreesPages(t *testing.T) {
 	if err := st.Commit(txn); err != nil {
 		t.Fatal(err)
 	}
-	fixedPages, err := rs.Shard(0).fixedD.Pages()
+	fixedPages, err := rs.Shard(0).rangeD.Pages()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fixedPages) < 3 {
-		t.Fatalf("500 same-key entries only span %d index pages; no chain to reclaim", len(fixedPages))
+	if len(fixedPages) < 4 {
+		t.Fatalf("500 same-key entries only span %d index pages; no leaf to reclaim", len(fixedPages))
 	}
 	freeBefore := st.FreePages()
 
-	// DRAIN
+	// DRAIN, newest first: the victim is the last record listed under
+	// "s0", so each Remove reads every record still there
 	txn = st.Begin()
-	for i, tp := range tuples {
-		if err := rs.Remove(txn, tp); err != nil {
+	for i := len(tuples) - 1; i >= 0; i-- {
+		if err := rs.Remove(txn, tuples[i]); err != nil {
 			t.Fatalf("remove %d: %v", i, err)
 		}
 	}
 	if err := st.Commit(txn); err != nil {
 		t.Fatal(err)
 	}
-	if got := rs.Len(); got != 0 {
-		t.Fatalf("Len after drain = %d, want 0", got)
+	if got := countTuples(t, rs.Scan); got != 0 {
+		t.Fatalf("%d tuples after drain, want 0", got)
 	}
 	freeAfter := st.FreePages()
 	if freeAfter <= freeBefore {
-		t.Fatalf("free list did not grow (%d -> %d): emptied overflow pages leaked", freeBefore, freeAfter)
+		t.Fatalf("free list did not grow (%d -> %d): emptied leaves leaked", freeBefore, freeAfter)
 	}
-	drained, err := rs.Shard(0).fixedD.Pages()
+	drained, err := rs.Shard(0).rangeD.Pages()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(drained) >= len(fixedPages) {
-		t.Fatalf("fixed index still holds %d pages (was %d)", len(drained), len(fixedPages))
+		t.Fatalf("index still holds %d pages (was %d)", len(drained), len(fixedPages))
 	}
 	if err := st.VerifyIndexes(); err != nil {
 		t.Fatal(err)

@@ -1,22 +1,21 @@
 // Package store maps catalog relations onto the paged storage
 // substrate: each relation's canonical NFR tuples live in a heap file
-// of encoded records behind a shared buffer pool, with two durable
-// hash indexes in the same file — full tuple key → RID, and fixed
-// (determinant) atom → RID — so victim tuples are located by key
-// instead of by scanning, and reopening attaches to the persisted
-// index structures instead of rebuilding them (open-phase I/O is
-// O(catalog + index directories), not O(heap); see
-// storage.DiskHashIndex). The whole database is one paged file plus a
-// write-ahead-log sidecar (<path>.wal):
+// of encoded records behind a shared buffer pool, with one durable
+// B+tree per shard in the same file — fixed (determinant) atom → RID —
+// so point and range reads and the delete path's victim search probe
+// the tree instead of scanning, and reopening attaches to the persisted
+// tree instead of rebuilding it (open-phase I/O is O(catalog + one meta
+// page per shard), not O(heap); see storage.BTree). The whole database
+// is one paged file plus a write-ahead-log sidecar (<path>.wal):
 //
 //	page 1    catalog heap chain — record 0 is the header
 //	          (magic "NFRS" + format version + database id), every
-//	          further live record is one relation definition + its
-//	          heap root + its two index roots
+//	          further live record is one relation definition + the
+//	          heap root and B+tree root of each of its shards
 //	page 2    free-list heap chain — 4-byte page ids reclaimable
 //	          from dropped relations (see freelist.go)
 //	page *    per-relation heap chains of encoding.EncodeTuple
-//	          records, and index directory/bucket chains
+//	          records, and B+tree meta, inner and leaf pages
 //
 // The store is the durability half of the engine's "realization view"
 // (paper Section 5): the engine keeps the canonical form in memory for
@@ -50,11 +49,11 @@ var Magic = [4]byte{'N', 'F', 'R', 'S'}
 // FormatVersion is the one paged file format version this build reads
 // and writes: checksummed pages with page LSNs, a free-list page, a WAL
 // sidecar, a 13-byte header record carrying the database id, and a
-// relation record that names the heap, both hash index and the B+tree
-// roots of every shard. A file with any other version byte, a header
-// of another length, or a relation record missing a root is refused
-// with ErrCorrupt (see loadCatalog and decodeCatalogRecord).
-const FormatVersion = 3
+// relation record that names the heap and B+tree roots of every shard.
+// A file with any other version byte, a header of another length, or a
+// relation record missing a root is refused with ErrCorrupt (see
+// loadCatalog and decodeCatalogRecord).
+const FormatVersion = 4
 
 // DefaultPoolPages is the buffer-pool capacity used when Options does
 // not specify one.
@@ -164,7 +163,7 @@ type RecoveryReport struct {
 // sidecar whose header carries a different database id than the data
 // file is refused (ErrMispaired) before any replay. On an existing
 // file the catalog is then read and every relation attaches to its
-// durable hash indexes — O(catalog + index directories) page reads,
+// durable B+trees — O(catalog + one meta page per shard) page reads,
 // never a heap scan.
 func Open(path string, opts Options) (*Store, error) {
 	if opts.PoolPages <= 0 {
@@ -568,8 +567,8 @@ func (s *Store) VerifyIndexes() error {
 }
 
 // CreateRelation registers a new empty relation under txn: per shard a
-// fresh heap chain, both durable hash indexes and the B+tree, and one
-// catalog record pointing at all of them. The caller owns the commit
+// fresh heap chain and B+tree, and one catalog record pointing at all
+// of them. The caller owns the commit
 // boundary (the engine commits once per statement).
 func (s *Store) CreateRelation(txn *Txn, def RelationDef) (*RelStore, error) {
 	if err := def.validate(); err != nil {
@@ -592,20 +591,12 @@ func (s *Store) CreateRelation(txn *Txn, def RelationDef) (*RelStore, error) {
 		if err != nil {
 			return nil, err
 		}
-		ridsD, err := storage.CreateDiskIndex(s.bp, txn)
-		if err != nil {
-			return nil, err
-		}
-		fixedD, err := storage.CreateDiskIndex(s.bp, txn)
-		if err != nil {
-			return nil, err
-		}
 		rangeD, err := storage.CreateBTree(s.bp, txn)
 		if err != nil {
 			return nil, err
 		}
-		roots = append(roots, shardRoots{heap.FirstPage(), ridsD.Root(), fixedD.Root(), rangeD.Root()})
-		shards = append(shards, newShard(s, def, ord, heap, ridsD, fixedD, rangeD))
+		roots = append(roots, shardRoots{heap.FirstPage(), rangeD.Root()})
+		shards = append(shards, newShard(s, def, ord, heap, rangeD))
 	}
 	rid, err := s.catalog.Insert(txn, encodeCatalogRecord(def, roots))
 	if err != nil {
@@ -619,8 +610,8 @@ func (s *Store) CreateRelation(txn *Txn, def RelationDef) (*RelStore, error) {
 }
 
 // DropRelation removes a relation's durable state under txn: its
-// catalog record is tombstoned and its pages — the heap chain and both
-// index structures' chains — are pushed onto the free list for reuse,
+// catalog record is tombstoned and its pages — every shard's heap chain
+// and B+tree — are pushed onto the free list for reuse,
 // all in the same transaction, so across a crash the catalog and the
 // free list agree. The in-memory catalog entry is kept until
 // CompleteDrop, so a failed commit can be rolled back (Rollback) with

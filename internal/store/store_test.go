@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -9,10 +10,11 @@ import (
 	"repro/internal/schema"
 	"repro/internal/tuple"
 	"repro/internal/value"
+	"repro/internal/vset"
 	"repro/internal/workload"
 )
 
-func testDef(t *testing.T) RelationDef {
+func testDef(t testing.TB) RelationDef {
 	t.Helper()
 	s := schema.MustOf("Student", "Course", "Club")
 	return RelationDef{
@@ -22,6 +24,17 @@ func testDef(t *testing.T) RelationDef {
 		FDs:    []dep.FD{dep.NewFD([]string{"Student"}, []string{"Club"})},
 		MVDs:   []dep.MVD{dep.NewMVD([]string{"Student"}, []string{"Course"})},
 	}
+}
+
+// countTuples counts what a RelStore's or Shard's Scan visits (the store
+// keeps no tuple counter).
+func countTuples(t *testing.T, scan func(func(tuple.Tuple) bool) error) int {
+	t.Helper()
+	n := 0
+	if err := scan(func(tuple.Tuple) bool { n++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 func TestCreateInsertScanReopen(t *testing.T) {
@@ -51,9 +64,6 @@ func TestCreateInsertScanReopen(t *testing.T) {
 	}
 	if err := st.Commit(txn); err != nil {
 		t.Fatal(err)
-	}
-	if rs.Len() != canon.Len() {
-		t.Fatalf("Len = %d, want %d", rs.Len(), canon.Len())
 	}
 	got, err := rs.Load()
 	if err != nil {
@@ -93,14 +103,14 @@ func TestCreateInsertScanReopen(t *testing.T) {
 	if !got2.Equal(canon) {
 		t.Fatal("content changed across reopen")
 	}
-	// the rebuilt primary index supports removal
+	// the reattached index supports removal
 	victim := canon.Tuple(0)
 	txn2 := st2.Begin()
 	if err := rs2.Remove(txn2, victim); err != nil {
 		t.Fatal(err)
 	}
-	if rs2.Len() != canon.Len()-1 {
-		t.Fatalf("Len after remove = %d", rs2.Len())
+	if n := countTuples(t, rs2.Scan); n != canon.Len()-1 {
+		t.Fatalf("%d tuples after remove", n)
 	}
 	if err := rs2.Remove(txn2, victim); err == nil {
 		t.Error("double remove accepted")
@@ -164,6 +174,89 @@ func TestLookupFixed(t *testing.T) {
 	}
 	if hits, _ := rs.LookupFixed(value.NewString("s3")); len(hits) != 0 {
 		t.Fatalf("LookupFixed(s3) after remove = %v", hits)
+	}
+}
+
+// studentTuple is the flat tuple (student, c, b) of testDef's schema.
+func studentTuple(student value.Atom) tuple.Tuple {
+	return tuple.MustNew(vset.New(student), vset.OfStrings("c"), vset.OfStrings("b"))
+}
+
+// TestRemoveVictimAcrossAtomKinds: Int 1 and String "1" render alike
+// but are different atoms, so removing the tuple fixed on one must
+// leave the record of the other — in this session and after reopen.
+func TestRemoveVictimAcrossAtomKinds(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db.nfrs")
+	st, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	txn := st.Begin()
+	rs, err := st.CreateRelation(txn, testDef(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, gone := studentTuple(value.NewInt(1)), studentTuple(value.NewString("1"))
+	for _, step := range []func() error{
+		func() error { return rs.Insert(txn, kept) },
+		func() error { return rs.Insert(txn, gone) },
+		func() error { return rs.Remove(txn, gone) },
+		func() error { return st.Commit(txn) },
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(st *Store, rs *RelStore) {
+		t.Helper()
+		if err := st.VerifyIndexes(); err != nil {
+			t.Fatal(err)
+		}
+		hits, err := rs.LookupFixed(value.NewInt(1))
+		if err != nil || len(hits) != 1 || !hits[0].Equal(kept) {
+			t.Fatalf("LookupFixed(Int 1) = %v, %v; want exactly %v", hits, err, kept)
+		}
+		if hits, err := rs.LookupFixed(value.NewString("1")); err != nil || len(hits) != 0 {
+			t.Fatalf(`LookupFixed(String "1") = %v, %v; want nothing`, hits, err)
+		}
+	}
+	check(st, rs)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	check(st, mustRel(t, st, "R1"))
+}
+
+// TestLookupFixedAgreesWithCompare: value.Compare calls -0.0 and +0.0
+// equal (the heap scan and the residual predicate use it), so the point
+// probe must find a stored -0.0 under +0.0 and the other way round.
+func TestLookupFixedAgreesWithCompare(t *testing.T) {
+	st, err := Open(filepath.Join(t.TempDir(), "db.nfrs"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	txn := st.Begin()
+	rs, err := st.CreateRelation(txn, testDef(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	negZero := value.NewFloat(math.Copysign(0, -1))
+	stored := studentTuple(negZero)
+	if err := rs.Insert(txn, stored); err != nil {
+		t.Fatal(err)
+	}
+	for _, probe := range []value.Atom{value.NewFloat(0), negZero} {
+		hits, err := rs.LookupFixed(probe)
+		if err != nil || len(hits) != 1 || !hits[0].Equal(stored) {
+			t.Fatalf("LookupFixed(%v, signbit %v) = %v, %v; want the stored -0.0 tuple",
+				probe, math.Signbit(probe.F), hits, err)
+		}
 	}
 }
 
@@ -239,7 +332,7 @@ func TestCreateRelationValidation(t *testing.T) {
 
 func TestCatalogRecordRoundTrip(t *testing.T) {
 	def := testDef(t)
-	rec := encodeCatalogRecord(def, []shardRoots{{7, 9, 12, 15}})
+	rec := encodeCatalogRecord(def, []shardRoots{{7, 15}})
 	ce, err := decodeCatalogRecord(rec)
 	if err != nil {
 		t.Fatal(err)

@@ -3,9 +3,10 @@
 // without rebuilding V_P(R*) from scratch.
 //
 // Notation mapping. The paper fixes a permutation P = EnEn-1...E1 and
-// maintains V_P(R*). Working through the paper's own examples (see
-// DESIGN.md), Section 4's attribute numbering is by nest time: E1 is
-// the first-nested attribute, En the last-nested. This package uses
+// maintains V_P(R*). Working through the paper's own examples (Figs
+// 1 and 2, as internal/experiments reproduces them), Section 4's
+// attribute numbering is by nest time: E1 is the first-nested
+// attribute, En the last-nested. This package uses
 // 0-based "positions" in the nest order: position 0 = paper's E1.
 //
 // The candidate tuple of a floating tuple t (paper 4.1) is the tuple

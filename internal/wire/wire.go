@@ -160,10 +160,8 @@ type RelPipeline struct {
 // — a wire-local mirror of store.IndexPageCounts so the protocol
 // package does not depend on the storage layer's internals.
 type RelIndexPages struct {
-	HashDir     int `json:"hash_dir"`     // hash directory pages (both hash indexes)
-	HashBuckets int `json:"hash_buckets"` // hash bucket pages (both hash indexes)
-	BTreeInner  int `json:"btree_inner"`  // B+tree meta + inner pages
-	BTreeLeaf   int `json:"btree_leaf"`   // B+tree leaf pages
+	BTreeInner int `json:"btree_inner"` // B+tree meta + inner pages
+	BTreeLeaf  int `json:"btree_leaf"`  // B+tree leaf pages
 }
 
 // Append appends one encoded frame to dst and returns the extended

@@ -12,7 +12,7 @@
 //   - the engine: a catalog of relations kept permanently canonical by
 //     the Section-4 incremental insert/delete algorithms, with declared
 //     FDs/MVDs, an NF² query language whose planner routes reads
-//     through the durable hash and B+tree indexes (docs/queries.md has
+//     through each shard's durable B+tree (docs/queries.md has
 //     the statement reference, the planner's soundness rules, and the
 //     EXPLAIN format), and binary persistence;
 //   - the substrate: dependency theory (closures, keys, Bernstein 3NF
