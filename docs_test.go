@@ -36,6 +36,10 @@ var (
 	// `...` code spans, and the nfr-<name> commands named inside them
 	codeSpan = regexp.MustCompile("`[^`\n]+`")
 	nfrName  = regexp.MustCompile(`\bnfr-[a-z]+`)
+	// a test, fuzz target or benchmark named inside a code span, and its
+	// declaration in a _test.go file
+	testName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*`)
+	testDecl = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w+)\(`)
 	// a Markdown file cited, bare or with a path, in a Go comment
 	goComment = regexp.MustCompile(`//.*`)
 	mdInGo    = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
@@ -44,10 +48,11 @@ var (
 // TestDocIntegrity walks every Markdown file in the repository and
 // fails on broken relative links, on references to internal/ packages
 // that do not exist, and on commands (cmd/<name>, `nfr-<name>`) that
-// have no directory under cmd/ — so the docs can't silently rot as the
-// code moves (the doc-map in ARCHITECTURE.md depends on this). A
-// Markdown file cited in a Go comment must exist too, from the root or
-// from the comment's own directory.
+// have no directory under cmd/, and on a test, fuzz target or benchmark
+// named in a code span that no _test.go declares — so the docs can't
+// silently rot as the code moves (the doc-map in ARCHITECTURE.md
+// depends on this). A Markdown file cited in a Go comment must exist
+// too, from the root or from the comment's own directory.
 func TestDocIntegrity(t *testing.T) {
 	root, err := os.Getwd()
 	if err != nil {
@@ -80,11 +85,17 @@ func TestDocIntegrity(t *testing.T) {
 		t.Fatalf("found only %d Markdown files — doc walk broken?", len(mdFiles))
 	}
 
+	declared := make(map[string]bool)
 	for _, path := range goFiles {
 		rel, _ := filepath.Rel(root, path)
 		body, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			for _, m := range testDecl.FindAllSubmatch(body, -1) {
+				declared[string(m[1])] = true
+			}
 		}
 		for _, comment := range goComment.FindAllString(string(body), -1) {
 			for _, name := range mdInGo.FindAllString(comment, -1) {
@@ -136,6 +147,11 @@ func TestDocIntegrity(t *testing.T) {
 		cmds := cmdRef.FindAllString(text, -1)
 		for _, span := range codeSpan.FindAllString(text, -1) {
 			cmds = append(cmds, nfrName.FindAllString(span, -1)...)
+			for _, name := range testName.FindAllString(span, -1) {
+				if !declared[name] {
+					t.Errorf("%s: cites %s, which no _test.go declares", rel, name)
+				}
+			}
 		}
 		for _, name := range cmds {
 			dir := filepath.Join(root, "cmd", strings.TrimPrefix(name, "cmd/"))

@@ -96,11 +96,12 @@ type Rel struct {
 
 // relShard is one independently-latched slice of a relation: the
 // Section-4 maintainer of one shard partition, the store shard it
-// writes through to, and the write pipeline batching autocommit
-// statements on it. Statements on different shards of one relation
-// dirty disjoint pages and commit concurrently (their WAL batches
-// merged by the store's group-commit scheduler); reads latch or
-// snapshot ALL shards and re-canonicalize the union.
+// writes through to (the relShard is the maintainer's update.Sink), and
+// the write pipeline batching autocommit statements on it. Statements
+// on different shards of one relation dirty disjoint pages and commit
+// concurrently (their WAL batches merged by the store's group-commit
+// scheduler); reads latch or snapshot ALL shards and re-canonicalize
+// the union.
 type relShard struct {
 	r   *Rel
 	ord int
@@ -123,6 +124,14 @@ type relShard struct {
 	// rolls back. Deadlocks are avoided with wait-die (see latch).
 	latch *latch
 
+	// stx is the storage transaction of the Tx holding the latch (nil
+	// while none has attached, see Tx.attachShard) and sinkErr the first
+	// error of a write-through under it. Both are guarded by the latch,
+	// read at the statement's end (Tx.syncAfterWrite, Tx.applyOps) and
+	// cleared by Tx.finish: the Tx alone owns the transaction's boundary.
+	stx     *store.Txn
+	sinkErr error
+
 	// pipe batches concurrent autocommit writes on this shard into
 	// single-fsync group applications (see pipeline).
 	pipe pipeline
@@ -144,6 +153,32 @@ func newRel(def RelationDef, rs *store.RelStore) *Rel {
 		r.shards[i] = sh
 	}
 	return r
+}
+
+// TupleAdded and TupleRemoved implement update.Sink: each tuple the
+// Section-4 algorithms compose or decompose is written through to the
+// store shard under the attached transaction, so one statement's
+// tuples (and one Tx's statements) reach the log as one atomic batch.
+func (sh *relShard) TupleAdded(t tuple.Tuple) {
+	if sh.writable() {
+		sh.sinkErr = sh.ss.Insert(sh.stx, t)
+	}
+}
+
+func (sh *relShard) TupleRemoved(t tuple.Tuple) {
+	if sh.writable() {
+		sh.sinkErr = sh.ss.Remove(sh.stx, t)
+	}
+}
+
+// writable gates a write-through: nothing is written after the first
+// error, and with no transaction attached the write is refused, never
+// made outside one.
+func (sh *relShard) writable() bool {
+	if sh.sinkErr == nil && sh.stx == nil {
+		sh.sinkErr = fmt.Errorf("engine: write-through to %q outside a transaction", sh.r.def.Name)
+	}
+	return sh.sinkErr == nil
 }
 
 // Def returns the relation's definition.
@@ -217,7 +252,7 @@ func (sh *relShard) maintainer(txn *store.Txn) (*update.Maintainer, error) {
 			return nil, err
 		}
 	}
-	m.SetSink(sh.ss)
+	m.SetSink(sh)
 	sh.maint.Store(m)
 	return m, nil
 }

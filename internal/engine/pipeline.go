@@ -22,8 +22,8 @@ import (
 // spawns the shard's maintainer stage: a detached goroutine that
 // drains the queue in batches, runs
 // the composition/decomposition algorithms once per batch under a
-// single engine transaction (one StatementBegin/End bracket, so the
-// whole batch write-through pools under one storage transaction), and
+// single engine transaction (the Tx attaches its storage transaction to
+// the shard, so the whole batch's write-through pools under it), and
 // commits the batch with ONE fsync — then acks every waiting client
 // with its own per-statement result. While a batch is being applied,
 // newly arriving statements pile up in the queue and form the next
@@ -44,9 +44,13 @@ import (
 //     under an ordinary engine Tx that takes the shard latch, retries
 //     under its ORIGINAL id on conflict, and parks on the refused
 //     latch holding nothing (see Database.autocommit);
-//   - a write-through failure inside a batch rolls the batch back and
+//   - a write-through failure inside a batch (the shard's sinkErr, read
+//     once after the maintenance pass) rolls the batch back and
 //     re-applies its statements as batches of one: the statement whose
-//     write fails again is acked with that error, the others apply;
+//     write fails again is acked with that error, the others apply. A
+//     multi-statement Tx repairs the one statement in place instead
+//     (Tx.syncAfterWrite), because rolling back would take the caller's
+//     earlier statements with it;
 //   - durability boundary: a statement is acked only after its batch's
 //     commit fsync returned, so an acked write is durable exactly as
 //     before.
@@ -178,7 +182,7 @@ func (db *Database) runPipeline(sh *relShard) {
 	}
 }
 
-// batchSinkError marks a write-through failure the store sink latched
+// batchSinkError marks a write-through failure the shard recorded
 // while a batch was applied.
 type batchSinkError struct{ err error }
 
@@ -243,10 +247,9 @@ func (db *Database) applyBatch(sh *relShard, batch []*pipeOp) {
 	}
 }
 
-// applyOps runs a whole pipeline batch as ONE bracketed statement
-// group on sh under the transaction: one latch acquisition, one
-// maintainer Apply (single StatementBegin/End, so the batch's
-// write-through pools under tx and commits as one WAL batch).
+// applyOps runs a whole pipeline batch on sh under the transaction: one
+// latch acquisition, one maintainer Apply whose write-through pools
+// under tx's storage transaction and commits as one WAL batch.
 func (tx *Tx) applyOps(sh *relShard, ops []update.Op) ([]update.OpResult, error) {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
@@ -272,8 +275,8 @@ func (tx *Tx) applyOps(sh *relShard, ops []update.Op) ([]update.OpResult, error)
 				tx.undo = append(tx.undo, undoRec{sh: sh, f: cp, wasInsert: !ops[i].Delete})
 			}
 		}
-	} else if werr := sh.ss.Err(); werr != nil {
-		return nil, &batchSinkError{err: werr}
+	} else if sh.sinkErr != nil {
+		return nil, &batchSinkError{err: sh.sinkErr}
 	}
 	return results, nil
 }

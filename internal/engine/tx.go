@@ -269,9 +269,9 @@ func (tx *Tx) latchDDL() error {
 	return nil
 }
 
-// attachShard routes sh's write-throughs to this transaction: the
-// storage transaction is begun lazily, and the store shard is switched
-// into external-transaction mode until commit/rollback.
+// attachShard routes sh's write-throughs to this transaction's storage
+// transaction, begun at the first write, until finish detaches them.
+// The caller holds sh's latch (or, in Create, the only reference).
 func (tx *Tx) attachShard(sh *relShard) {
 	if sh.ss == nil {
 		return
@@ -284,7 +284,7 @@ func (tx *Tx) attachShard(sh *relShard) {
 			tx.touched = make(map[*relShard]bool)
 		}
 		tx.touched[sh] = true
-		sh.ss.UseTxn(tx.stx)
+		sh.stx = tx.stx
 	}
 }
 
@@ -369,8 +369,8 @@ func (tx *Tx) write(name string, f tuple.Flat, isInsert bool) (bool, error) {
 	return ch, nil
 }
 
-// syncAfterWrite surfaces a write-through failure latched by the
-// shard's store sink without leaving memory and disk divergent: the
+// syncAfterWrite surfaces the statement's first write-through failure
+// (sh.sinkErr) without leaving memory and disk divergent: the
 // in-memory mutation is rolled back (the Section-4 algorithms are exact
 // inverses on R*, and the canonical form is unique, so memory returns
 // to its pre-statement state), the shard heap is rewritten from the
@@ -379,10 +379,7 @@ func (tx *Tx) write(name string, f tuple.Flat, isInsert bool) (bool, error) {
 // original failure is returned. The transaction remains open and
 // consistent; only this one statement was rejected.
 func (tx *Tx) syncAfterWrite(sh *relShard, m *update.Maintainer, changed bool, f tuple.Flat, wasInsert bool) error {
-	if sh.ss == nil {
-		return nil
-	}
-	err := sh.ss.Err()
+	err := sh.sinkErr
 	if err == nil {
 		return nil
 	}
@@ -396,7 +393,7 @@ func (tx *Tx) syncAfterWrite(sh *relShard, m *update.Maintainer, changed bool, f
 	if rerr := sh.ss.Replace(tx.stx, m.Relation()); rerr != nil {
 		return fmt.Errorf("engine: write-through failed (%v) and heap resync failed: %w", err, rerr)
 	}
-	sh.ss.ResetErr()
+	sh.sinkErr = nil
 	return fmt.Errorf("engine: write-through to store failed (statement rolled back): %w", err)
 }
 
@@ -449,13 +446,9 @@ func (tx *Tx) Create(def RelationDef) error {
 					return err
 				}
 			}
-			mi.SetSink(sh.ss)
+			mi.SetSink(sh)
 			sh.maint.Store(mi)
-			sh.ss.UseTxn(tx.stx)
-			if tx.touched == nil {
-				tx.touched = make(map[*relShard]bool)
-			}
-			tx.touched[sh] = true
+			tx.attachShard(sh)
 		}
 	} else {
 		r = newRel(def, nil)
@@ -683,11 +676,6 @@ func (tx *Tx) Commit() error {
 			return fmt.Errorf("engine: commit failed (transaction rolled back): %w", err)
 		}
 	}
-	for sh := range tx.touched {
-		if sh.ss != nil {
-			sh.ss.ReleaseTxn()
-		}
-	}
 	db := tx.db
 	db.mu.Lock()
 	for name, r := range tx.creates {
@@ -727,14 +715,6 @@ func (tx *Tx) Rollback() error {
 func (tx *Tx) rollbackLocked() error {
 	var err error
 	if tx.stx != nil {
-		// leave external-transaction mode before rebuilding (Reindex
-		// resets the sink bookkeeping too, but created relations are
-		// forgotten, not reindexed)
-		for sh := range tx.touched {
-			if sh.ss != nil {
-				sh.ss.ReleaseTxn()
-			}
-		}
 		if rerr := tx.db.st.Rollback(tx.stx); rerr != nil {
 			err = rerr
 		}
@@ -775,8 +755,12 @@ func (tx *Tx) rollbackLocked() error {
 	return err
 }
 
-// finish releases every latch and retires the handle.
+// finish detaches the storage transaction from every shard it wrote
+// through, releases every latch and retires the handle.
 func (tx *Tx) finish() {
+	for sh := range tx.touched {
+		sh.stx, sh.sinkErr = nil, nil
+	}
 	for sh := range tx.held {
 		sh.latch.release(tx)
 	}

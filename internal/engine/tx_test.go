@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -791,4 +792,140 @@ func TestTxStressInterleaved(t *testing.T) {
 	}
 	defer db2.Close()
 	verify(db2, "reopened")
+}
+
+// TestTxRejectedStatementKeepsTxUsable: a statement the store rejects
+// in the middle of a multi-statement Tx is repaired in place — the
+// statements before and after it still commit (or roll back) as one
+// unit, live and across a reopen.
+func TestTxRejectedStatementKeepsTxUsable(t *testing.T) {
+	def := RelationDef{Name: "r", Schema: schema.MustOf("A", "B")}
+	for _, commit := range []bool{true, false} {
+		path := filepath.Join(t.TempDir(), "rej.nfrs")
+		db, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := New()
+		for _, d := range []*Database{db, want} {
+			if err := d.Create(def); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tx, _ := db.Begin(context.Background())
+		if ch, err := tx.Insert("r", row("a1", "b1")); err != nil || !ch {
+			t.Fatalf("first statement: %v %v", ch, err)
+		}
+		_, err = tx.Insert("r", row(strings.Repeat("x", 5000), "b9"))
+		if err == nil || !strings.Contains(err.Error(), "can never fit a page") {
+			t.Fatalf("oversized statement: %v", err)
+		}
+		if ch, err := tx.Insert("r", row("a2", "b2")); err != nil || !ch {
+			t.Fatalf("statement after the rejected one: %v %v", ch, err)
+		}
+		if commit {
+			err = tx.Commit()
+			want.InsertMany("r", []tuple.Flat{row("a1", "b1"), row("a2", "b2")})
+		} else {
+			err = tx.Rollback()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, reopen := range []bool{false, true} {
+			if reopen {
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if db, err = Open(path); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := db.ReadRelation(context.Background(), "r")
+			if verr := db.VerifyIndexes(); err != nil || verr != nil {
+				t.Fatal(err, verr)
+			}
+			if wantRel, _ := want.ReadRelation(context.Background(), "r"); !got.Equal(wantRel) {
+				t.Fatalf("commit=%v reopen=%v: relation is\n%v", commit, reopen, got)
+			}
+		}
+		db.Close()
+	}
+}
+
+// TestNoStatementStateOutlivesTx: a shard's storage transaction and
+// first write-through error belong to the Tx holding its latch. Both
+// are gone after Commit and after Rollback; with no Tx attached a
+// write-through is refused, not made; and after the first error of a
+// statement nothing more is written.
+func TestNoStatementStateOutlivesTx(t *testing.T) {
+	db, err := Open(filepath.Join(t.TempDir(), "own.nfrs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Create(shardedDef("r", 3)); err != nil {
+		t.Fatal(err)
+	}
+	r, _ := db.Rel("r")
+	for _, commit := range []bool{true, false} {
+		tx, _ := db.Begin(context.Background())
+		for i := 0; i < 9; i++ {
+			if ch, err := tx.Insert("r", row(fmt.Sprintf("s%d-%v", i, commit), "c1", "b1")); err != nil || !ch {
+				t.Fatal(ch, err)
+			}
+		}
+		if commit {
+			err = tx.Commit()
+		} else {
+			err = tx.Rollback()
+		}
+		if err != nil || len(tx.touched) < 2 {
+			t.Fatalf("commit=%v: err %v, %d shards touched", commit, err, len(tx.touched))
+		}
+		for _, sh := range r.shards {
+			if sh.stx != nil || sh.sinkErr != nil {
+				t.Fatalf("commit=%v: shard %d keeps stx=%v sinkErr=%v", commit, sh.ord, sh.stx, sh.sinkErr)
+			}
+		}
+	}
+
+	heapAndLog := func() (int, int) {
+		hs, err := r.rs.HeapStats()
+		ws, _ := db.WALStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hs.LiveRecords, ws.Batches
+	}
+	stored, fresh := row("s0-true", "c1", "b1"), row("s0-true", "c2", "b2")
+	sh := r.shardFor(stored)
+	recs, batches := heapAndLog()
+	sh.maint.Load().Insert(fresh)
+	if sh.sinkErr == nil || !strings.Contains(sh.sinkErr.Error(), "outside a transaction") {
+		t.Fatalf("write-through with no Tx attached: %v", sh.sinkErr)
+	}
+	if r2, b2 := heapAndLog(); r2 != recs || b2 != batches {
+		t.Fatalf("refused write reached the store: %d→%d records, %d→%d batches", recs, r2, batches, b2)
+	}
+	sh.maint.Load().Delete(fresh) // memory back in step with the heap
+	sh.sinkErr = nil
+
+	tx, _ := db.Begin(context.Background())
+	if ch, err := tx.Delete("r", stored); err != nil || !ch {
+		t.Fatal(ch, err)
+	}
+	recs, _ = heapAndLog()
+	sh.TupleAdded(tuple.FromFlat(row(strings.Repeat("x", 5000), "c1", "b1")))
+	first := sh.sinkErr
+	sh.TupleAdded(tuple.FromFlat(fresh))
+	if r2, _ := heapAndLog(); first == nil || sh.sinkErr != first || r2 != recs {
+		t.Fatalf("after the first error %v: sinkErr %v, %d→%d records", first, sh.sinkErr, recs, r2)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.VerifyIndexes(); err != nil {
+		t.Fatal(err)
+	}
 }

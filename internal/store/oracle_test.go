@@ -13,6 +13,17 @@ import (
 	"repro/internal/value"
 )
 
+// reindexShards re-attaches every shard of rs to its reverted pages, as
+// the engine does for the shards a rolled-back Tx touched.
+func reindexShards(t *testing.T, rs *RelStore) {
+	t.Helper()
+	for _, sh := range rs.shards {
+		if _, err := sh.Reindex(); err != nil {
+			t.Fatalf("Reindex(%s) after rollback: %v", rs.def.Name, err)
+		}
+	}
+}
+
 // TestDurableIndexOracle drives a randomized workload — inserts,
 // deletes, creates, drops, commits, rollbacks, reopens — and after
 // EVERY step asserts the durable index answers identically to the
@@ -88,9 +99,7 @@ func TestDurableIndexOracle(t *testing.T) {
 			if !ok {
 				continue
 			}
-			if _, err := rs.Reindex(); err != nil {
-				t.Fatalf("Reindex(%s) after rollback: %v", name, err)
-			}
+			reindexShards(t, rs)
 		}
 		txn = nil
 		touched = map[string]bool{}
@@ -323,9 +332,7 @@ func TestSnapshotIsolationOracle(t *testing.T) {
 		}
 		for name := range touched {
 			if rs, ok := st.Rel(name); ok {
-				if _, err := rs.Reindex(); err != nil {
-					t.Fatalf("Reindex(%s) after rollback: %v", name, err)
-				}
+				reindexShards(t, rs)
 			}
 		}
 		txn = nil
@@ -705,9 +712,7 @@ func TestConcurrentSnapshotReaders(t *testing.T) {
 			}
 			for name := range touched {
 				rs, _ := st.Rel(name)
-				if _, err := rs.Reindex(); err != nil {
-					t.Fatalf("txn %d: reindex after rollback: %v", i, err)
-				}
+				reindexShards(t, rs)
 			}
 			live = committed(backup)
 			continue

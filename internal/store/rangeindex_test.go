@@ -52,7 +52,7 @@ func TestCatalogRecordRangeRoots(t *testing.T) {
 // least one fixed atom inside [lo, hi] per the inclusive flags.
 func rangeOracle(t *testing.T, rs *RelStore, lo, hi *RangeBound) map[string]bool {
 	t.Helper()
-	fixedAt := rs.fixedAttr()
+	fixedAt := rs.Shard(0).fixedAttr()
 	want := make(map[string]bool)
 	if err := rs.Scan(func(tp tuple.Tuple) bool {
 		for _, a := range tp.Set(fixedAt).Atoms() {
@@ -168,7 +168,7 @@ func TestScanFixedRange(t *testing.T) {
 				// every index entry in the window is an atom of a returned tuple
 				entries := 0
 				for _, tp := range got {
-					entries += tp.Set(rs.fixedAttr()).Len()
+					entries += tp.Set(rs.Shard(0).fixedAttr()).Len()
 				}
 				if max := descent + entries/minLeafEntries + 2*shards; pages > max {
 					t.Fatalf("range scan over %d entries read %d index pages, want ≤ %d (descent %d + matching leaves + 1 per shard)",
@@ -233,7 +233,7 @@ func TestRangeIndexMaintenance(t *testing.T) {
 	}
 	var names []string
 	for _, tp := range got {
-		names = append(names, tp.Set(rs.fixedAttr()).Atoms()[0].S)
+		names = append(names, tp.Set(rs.Shard(0).fixedAttr()).Atoms()[0].S)
 	}
 	if !sort.StringsAreSorted(names) {
 		t.Fatalf("range scan out of order: %v", names)

@@ -19,10 +19,15 @@ import (
 // The encoding (not Go's map iteration or pointer identity) keys the
 // hash, so the routing is deterministic across restarts — the invariant
 // the catalog relies on is that every tuple whose fixed component
-// contains atom a lives in shard ShardOfAtom(a, K).
+// contains atom a lives in shard ShardOfAtom(a, K). Atoms value.Compare
+// calls equal must route alike, so −0.0 hashes as +0.0 (the index key
+// collapses them the same way).
 func ShardOfAtom(a value.Atom, k int) int {
 	if k <= 1 {
 		return 0
+	}
+	if a.K == value.Float && a.F == 0 {
+		a.F = 0 // −0.0 == 0 holds; store the positive zero's bits
 	}
 	h := fnv.New32a()
 	h.Write(encoding.AppendAtom(nil, a))
@@ -55,15 +60,14 @@ func ShardOfAtom(a value.Atom, k int) int {
 // verifies the durable index against the heap and rebuilds it only on
 // divergence.
 //
-// Shard implements update.BatchSink; because the sink interface cannot
-// return errors mid-algorithm, write failures are latched and surfaced
-// via Err. Each StatementBegin/StatementEnd bracket is one transaction:
-// the statement's writes accumulate under a Txn begun at the bracket's
-// start and group-commit at its end, so statements on different
-// relations — and different shards of one relation — commit
-// concurrently (and merge into shared fsyncs). The engine serializes
-// statements per shard, so at most one statement transaction is open
-// per Shard at a time.
+// A Shard keeps no statement state. Every write takes the storage
+// transaction it belongs to and returns its error: Insert, Remove and
+// Replace are (txn, tuple) -> error. Whoever drives them owns the
+// transaction's boundary; in the engine that is the Tx holding the
+// shard's latch, which also serializes statements per shard. mu only
+// keeps the engine's unlatched readers (IndexPageStats, a lazy
+// materialization through Rel.Relation) from seeing page bytes
+// mid-mutation.
 type Shard struct {
 	st  *Store
 	def RelationDef
@@ -73,9 +77,6 @@ type Shard struct {
 
 	mu     sync.Mutex
 	rangeD *storage.BTree // ordered determinant atom -> RID
-	cur    *Txn           // open statement transaction (between brackets)
-	ext    bool           // cur is owned by an engine-level multi-statement Tx
-	err    error          // first write-through failure
 }
 
 // RelStore is one relation's on-disk realization: its shards (one for
@@ -104,18 +105,6 @@ type RelStore struct {
 // follows the paper's Section 3.4 guidance.
 func (r *Shard) fixedAttr() int { return r.def.Order[len(r.def.Order)-1] }
 
-func (r *RelStore) fixedAttr() int { return r.def.Order[len(r.def.Order)-1] }
-
-// newShard wires a Shard around an attached heap and its index.
-func newShard(s *Store, def RelationDef, ord int, heap *storage.HeapFile, rangeD *storage.BTree) *Shard {
-	return &Shard{st: s, def: def, ord: ord, heap: heap, rangeD: rangeD}
-}
-
-// newRelStore assembles a RelStore from already-built shards.
-func newRelStore(s *Store, def RelationDef, catRID storage.RID, shards []*Shard) *RelStore {
-	return &RelStore{st: s, def: def, catRID: catRID, shards: shards}
-}
-
 // openRelStore attaches to an existing relation. The attach touches no
 // heap page at all: each shard's B+tree meta page describes the tree.
 func openRelStore(s *Store, ce catalogEntry) (*RelStore, error) {
@@ -126,9 +115,9 @@ func openRelStore(s *Store, ce catalogEntry) (*RelStore, error) {
 			return nil, fmt.Errorf("%w: opening index %d of %q: %v", ErrCorrupt, ord, ce.def.Name, err)
 		}
 		heap := storage.OpenHeapAt(s.bp, rt.heapFirst)
-		shards = append(shards, newShard(s, ce.def, ord, heap, rangeD))
+		shards = append(shards, &Shard{st: s, def: ce.def, ord: ord, heap: heap, rangeD: rangeD})
 	}
-	return newRelStore(s, ce.def, ce.rid, shards), nil
+	return &RelStore{st: s, def: ce.def, catRID: ce.rid, shards: shards}, nil
 }
 
 // Def returns the relation's durable definition.
@@ -142,28 +131,13 @@ func (r *RelStore) ShardCount() int { return len(r.shards) }
 // per shard (the engine's concurrent write path).
 func (r *RelStore) Shard(i int) *Shard { return r.shards[i] }
 
-// ShardFor returns the shard owning the canonical tuples whose fixed
-// component contains atom a.
-func (r *RelStore) ShardFor(a value.Atom) *Shard {
-	return r.shards[ShardOfAtom(a, len(r.shards))]
-}
-
 // shardOfTuple routes a canonical tuple by (any) one atom of its fixed
 // component — the shard invariant guarantees they all agree.
 func (r *RelStore) shardOfTuple(t tuple.Tuple) *Shard {
 	if len(r.shards) == 1 {
 		return r.shards[0]
 	}
-	atoms := t.Set(r.fixedAttr()).Atoms()
-	return r.ShardFor(atoms[0])
-}
-
-// Err returns the first write-through failure recorded by the sink
-// callbacks (nil when all writes succeeded).
-func (r *Shard) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
+	return r.shards[ShardOfAtom(t.Set(r.shards[0].fixedAttr()).At(0), len(r.shards))]
 }
 
 func (r *Shard) indexTuple(txn *Txn, t tuple.Tuple, rid storage.RID) error {
@@ -290,102 +264,11 @@ func (r *Shard) fetchAllLocked(rids []storage.RID) ([]tuple.Tuple, error) {
 	return out, nil
 }
 
-// TupleAdded implements update.Sink: write-through of a composition
-// result under the open statement transaction. Errors are latched (see
-// Err).
-func (r *Shard) TupleAdded(t tuple.Tuple) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.cur == nil {
-		r.setErrLocked(fmt.Errorf("store: write-through to %q outside a statement", r.def.Name))
-		return
-	}
-	if err := r.insertLocked(r.cur, t); err != nil {
-		r.setErrLocked(err)
-	}
-}
-
-// TupleRemoved implements update.Sink: write-through of a decomposition
-// victim under the open statement transaction. Errors are latched (see
-// Err).
-func (r *Shard) TupleRemoved(t tuple.Tuple) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.cur == nil {
-		r.setErrLocked(fmt.Errorf("store: write-through to %q outside a statement", r.def.Name))
-		return
-	}
-	if err := r.removeLocked(r.cur, t); err != nil {
-		r.setErrLocked(err)
-	}
-}
-
-// StatementBegin implements update.BatchSink: the start of one
-// statement transaction. The adds and drops of one Section-4 statement
-// accumulate as dirty buffered pages in the transaction's dirty set;
-// nothing reaches the data file yet (the pool is no-steal). A still-
-// open transaction from a failed statement is reused so the engine's
-// rollback repairs land in the same atomic batch.
-func (r *Shard) StatementBegin() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.cur == nil {
-		r.cur = r.st.Begin()
-	}
-}
-
-// UseTxn puts the shard into external-transaction mode: every
-// write-through between now and ReleaseTxn is attributed to txn, and
-// the BatchSink brackets stop owning the commit boundary (StatementEnd
-// becomes a no-op). The engine's multi-statement Tx uses this so the
-// adds and drops of MANY statements pool under one transaction and
-// group-commit together at Tx.Commit.
-func (r *Shard) UseTxn(txn *Txn) {
-	r.mu.Lock()
-	r.cur = txn
-	r.ext = true
-	r.mu.Unlock()
-}
-
-// ReleaseTxn leaves external-transaction mode (after the owning Tx
-// committed or rolled back); the BatchSink brackets own the commit
-// boundary again.
-func (r *Shard) ReleaseTxn() {
-	r.mu.Lock()
-	r.cur = nil
-	r.ext = false
-	r.mu.Unlock()
-}
-
 // ridTuple pairs a heap record with its decoded tuple for the oracle
 // comparison.
 type ridTuple struct {
 	rid storage.RID
 	t   tuple.Tuple
-}
-
-// Reindex resets the relation's derived state from its heaps — the
-// heap-scan oracle — returning the relation materialized by the same
-// single scan (the engine's rollback resets the maintainer from it, so
-// each heap is walked once, not twice). For a K-sharded relation the
-// result is the union of the shard partitions re-canonicalized into the
-// global V_P.
-func (r *RelStore) Reindex() (*core.Relation, error) {
-	if len(r.shards) == 1 {
-		return r.shards[0].Reindex()
-	}
-	union := core.NewRelation(r.def.Schema)
-	for _, sh := range r.shards {
-		rel, err := sh.Reindex()
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < rel.Len(); i++ {
-			union.Add(rel.Tuple(i))
-		}
-	}
-	canon, _ := union.CanonicalFromFlats(r.def.Order)
-	return canon, nil
 }
 
 // Reindex resets the shard's derived state from the heap — the
@@ -402,9 +285,6 @@ func (r *Shard) Reindex() (*core.Relation, error) {
 	if err := r.heap.Rewind(); err != nil {
 		return nil, err
 	}
-	r.cur = nil
-	r.ext = false
-	r.err = nil
 	if err := r.rangeD.Refresh(); err != nil {
 		return nil, err
 	}
@@ -559,55 +439,6 @@ func (r *Shard) pages() ([]uint32, error) {
 	return append(out, ix...), nil
 }
 
-// StatementEnd implements update.BatchSink: the group-commit point. All
-// pages the statement dirtied go to the WAL as one batch — merged with
-// concurrently committing statements on other relations or shards into
-// a single fsync — then through to the data file. Errors are latched
-// (see Err) so the engine's rollback path can surface them.
-//
-// A statement whose write-through already failed mid-stream is NOT
-// committed: its half-applied pages stay buffered under the still-open
-// transaction (the pool is no-steal, so they cannot leak to disk), the
-// engine's rollback then repairs them in place via Replace, and the
-// repaired state commits as one batch — a crash anywhere in between
-// recovers the pre-statement state, never a mix.
-//
-// In external-transaction mode (UseTxn) the bracket does not own the
-// commit boundary: the statement's pages stay pooled under the
-// engine-level transaction until its Commit.
-func (r *Shard) StatementEnd() {
-	r.mu.Lock()
-	txn := r.cur
-	failed := r.err != nil || r.ext
-	r.mu.Unlock()
-	if failed || txn == nil {
-		return
-	}
-	err := r.st.Commit(txn)
-	r.mu.Lock()
-	if err != nil {
-		if r.err == nil {
-			r.err = err
-		}
-	} else {
-		r.cur = nil
-	}
-	r.mu.Unlock()
-}
-
-// ResetErr clears the latched write-through failure.
-func (r *Shard) ResetErr() {
-	r.mu.Lock()
-	r.err = nil
-	r.mu.Unlock()
-}
-
-func (r *Shard) setErrLocked(err error) {
-	if r.err == nil {
-		r.err = err
-	}
-}
-
 // scanRaw decodes every live record in chain order, reporting rids.
 // r.mu is held for the whole walk so readers never observe page bytes
 // mid-mutation from a concurrent write-through.
@@ -703,7 +534,7 @@ func (r *RelStore) LoadCtx(ctx context.Context) (*core.Relation, error) {
 // shard instead of a heap scan. The probe key is AppendOrderedAtom's,
 // so it finds exactly the atoms value.Compare calls equal to a.
 func (r *RelStore) LookupFixed(a value.Atom) ([]tuple.Tuple, error) {
-	return r.ShardFor(a).LookupFixed(a)
+	return r.shards[ShardOfAtom(a, len(r.shards))].LookupFixed(a)
 }
 
 // LookupFixed returns every tuple in this shard whose fixed component

@@ -2,12 +2,14 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/schema"
 	"repro/internal/tuple"
+	"repro/internal/value"
 )
 
 // TestCatalogShardRoundTrip: a relation created with Shards=K must come
@@ -214,5 +216,16 @@ func TestShardIndexReclaimFreesPages(t *testing.T) {
 	}
 	if err := st.VerifyIndexes(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShardOfAtomZeroFloats: the two float zeros are equal under
+// value.Compare and in the index key, so they route to one shard.
+func TestShardOfAtomZeroFloats(t *testing.T) {
+	for k := 2; k <= 8; k++ {
+		neg, pos := ShardOfAtom(value.NewFloat(math.Copysign(0, -1)), k), ShardOfAtom(value.NewFloat(0), k)
+		if neg != pos {
+			t.Errorf("k=%d: -0.0 routes to shard %d, +0.0 to shard %d", k, neg, pos)
+		}
 	}
 }

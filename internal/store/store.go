@@ -19,8 +19,10 @@
 //
 // The store is the durability half of the engine's "realization view"
 // (paper Section 5): the engine keeps the canonical form in memory for
-// the Section-4 update algorithms and writes every tuple mutation
-// through via the update.Sink interface. Mutations are transactional:
+// the Section-4 update algorithms and writes every tuple it composes or
+// decomposes through as Shard.Insert(txn, t) / Remove(txn, t), under
+// the storage transaction its Tx began; the store keeps no statement
+// state and returns each write's error. Mutations are transactional:
 // Begin hands out a Txn, every write is attributed to one, and
 // Commit(txn) groups exactly that transaction's dirty pages into one
 // WAL batch — concurrently committing transactions are merged into a
@@ -596,14 +598,14 @@ func (s *Store) CreateRelation(txn *Txn, def RelationDef) (*RelStore, error) {
 			return nil, err
 		}
 		roots = append(roots, shardRoots{heap.FirstPage(), rangeD.Root()})
-		shards = append(shards, newShard(s, def, ord, heap, rangeD))
+		shards = append(shards, &Shard{st: s, def: def, ord: ord, heap: heap, rangeD: rangeD})
 	}
 	rid, err := s.catalog.Insert(txn, encodeCatalogRecord(def, roots))
 	if err != nil {
 		return nil, err
 	}
-	rs := newRelStore(s, def, rid, shards)
-	rs.visibleAt = ^uint64(0) // invisible to snapshots until the commit publishes it
+	// invisible to snapshots until the commit publishes it
+	rs := &RelStore{st: s, def: def, catRID: rid, shards: shards, visibleAt: ^uint64(0)}
 	s.markCreateLocked(txn, rs)
 	s.rels[def.Name] = rs
 	return rs, nil

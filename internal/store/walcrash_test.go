@@ -683,49 +683,6 @@ func TestRaggedTailWithEmptyWAL(t *testing.T) {
 	}
 }
 
-// TestStatementEndSkipsCommitOnLatchedError: a statement whose
-// write-through failed mid-stream must NOT group-commit its
-// half-applied pages — they stay buffered until the engine's rollback
-// repairs and commits them, so no crash can recover a mixed state.
-func TestStatementEndSkipsCommitOnLatchedError(t *testing.T) {
-	fs := newMemFS()
-	opts := Options{PoolPages: 8, OpenFile: fs.open, RemoveFile: fs.remove}
-	st, err := Open("db", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	def := testDef(t)
-	ctxn := st.Begin()
-	rs, err := st.CreateRelation(ctxn, def)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Commit(ctxn); err != nil {
-		t.Fatal(err)
-	}
-	before := st.WALStats().Batches
-	sh := rs.Shard(0)
-	sh.StatementBegin()
-	sh.TupleAdded(tupleOf([][]string{{"c1"}, {"b1"}, {"s1"}}, def.Order))
-	sh.mu.Lock()
-	sh.setErrLocked(fmt.Errorf("injected mid-statement failure"))
-	sh.mu.Unlock()
-	sh.StatementEnd()
-	if got := st.WALStats().Batches; got != before {
-		t.Fatalf("StatementEnd committed a failed statement: %d batches, want %d", got, before)
-	}
-	// after the repair (ResetErr + a commit of the still-open statement
-	// transaction) the buffered pages commit as one batch
-	sh.ResetErr()
-	if err := st.Commit(sh.cur); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.WALStats().Batches; got != before+1 {
-		t.Fatalf("repaired statement did not commit: %d batches", got)
-	}
-}
-
 // TestDropRelationReclaimsPages: dropping a relation pushes its chain
 // onto the free list and a subsequent relation reuses those pages
 // instead of growing the file.

@@ -8,34 +8,22 @@ import (
 	"repro/internal/tuple"
 )
 
-// bracketSink counts StatementBegin/StatementEnd pairs while mirroring
-// mutations — the shape of the store's write-through, minus the disk.
-type bracketSink struct {
-	mirrorSink
-	begins, ends int
-}
-
-func (b *bracketSink) StatementBegin() { b.begins++ }
-func (b *bracketSink) StatementEnd()   { b.ends++ }
-
-// TestApplyOneBracketPerBatch: Apply must run a whole batch of
-// mutations under ONE BatchSink bracket (the pipeline's group-commit
-// boundary), return positional per-op results, skip malformed ops
-// without poisoning the rest, and leave the relation exactly where the
-// same ops applied one-by-one would.
-func TestApplyOneBracketPerBatch(t *testing.T) {
+// TestApplyPositionalResults: Apply must return positional per-op
+// results, skip malformed ops without poisoning the rest, and leave the
+// relation (and a mirroring sink) exactly where the same ops applied
+// one-by-one would.
+func TestApplyPositionalResults(t *testing.T) {
 	s := schema.MustOf("A", "B", "C")
 	order := schema.MustPermOf(s, "B", "C", "A")
 	m, err := NewMaintainerIndexed(s, order)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &bracketSink{mirrorSink: mirrorSink{rel: core.NewRelation(s)}}
+	sink := &mirrorSink{rel: core.NewRelation(s)}
 	m.SetSink(sink)
 	if _, err := m.Insert(tuple.FlatOfStrings("a1", "b1", "c1")); err != nil {
 		t.Fatal(err)
 	}
-	sink.begins, sink.ends = 0, 0
 
 	ops := []Op{
 		{F: tuple.FlatOfStrings("a2", "b1", "c1")},               // insert, changes
@@ -57,9 +45,6 @@ func TestApplyOneBracketPerBatch(t *testing.T) {
 		if (i == 2) != (r.Err != nil) {
 			t.Errorf("op %d: err=%v", i, r.Err)
 		}
-	}
-	if sink.begins != 1 || sink.ends != 1 {
-		t.Errorf("batch ran %d/%d brackets, want exactly 1 (group-commit boundary)", sink.begins, sink.ends)
 	}
 
 	// oracle: the same ops through the one-at-a-time API
@@ -90,8 +75,7 @@ func TestApplyOneBracketPerBatch(t *testing.T) {
 		t.Fatalf("sink mirror diverged from maintained relation")
 	}
 
-	// an all-no-op batch must not open a bracket at all
-	sink.begins, sink.ends = 0, 0
+	// an all-no-op batch changes nothing
 	res = m.Apply([]Op{
 		{F: tuple.FlatOfStrings("a2", "b1", "c1")},               // already there
 		{F: tuple.FlatOfStrings("no", "no", "no"), Delete: true}, // not there
@@ -100,8 +84,5 @@ func TestApplyOneBracketPerBatch(t *testing.T) {
 		if r.Changed || r.Err != nil {
 			t.Errorf("no-op batch op %d: %+v", i, r)
 		}
-	}
-	if sink.begins != 0 || sink.ends != 0 {
-		t.Errorf("no-op batch opened %d brackets, want 0", sink.begins)
 	}
 }

@@ -14,19 +14,17 @@ import (
 
 // event is one sink call, in the order the maintainer made it.
 type event struct {
-	kind byte // '+' added, '-' removed, '(' statement begin, ')' statement end
+	kind byte // '+' added, '-' removed
 	t    tuple.Tuple
 }
 
 func (e event) String() string { return fmt.Sprintf("%c%v", e.kind, e.t) }
 
-// eventSink records the full BatchSink call sequence.
+// eventSink records the full Sink call sequence.
 type eventSink struct{ events []event }
 
 func (s *eventSink) TupleAdded(t tuple.Tuple)   { s.events = append(s.events, event{'+', t}) }
 func (s *eventSink) TupleRemoved(t tuple.Tuple) { s.events = append(s.events, event{'-', t}) }
-func (s *eventSink) StatementBegin()            { s.events = append(s.events, event{kind: '('}) }
-func (s *eventSink) StatementEnd()              { s.events = append(s.events, event{kind: ')'}) }
 
 // lockstep drives the naive maintainer (the paper's literal scan, the
 // oracle) and the indexed one with the same ops and compares them after

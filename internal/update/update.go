@@ -56,32 +56,16 @@ func (s *Stats) Add(s2 Stats) {
 }
 
 // Sink observes every NFR-tuple mutation the maintainer applies to its
-// canonical relation. A storage layer implements it to write tuples
-// through to disk as the Section-4 algorithms compose and decompose
-// them; Added/Removed fire only for mutations that actually changed
-// the relation.
+// canonical relation, as the Section-4 algorithms compose and decompose
+// tuples; Added/Removed fire only for mutations that actually changed
+// the relation. It is an observer and nothing more: it cannot fail a
+// statement and it sees no statement boundary. Whoever registers one
+// owns both, as the engine does: its shard writes each event through
+// under the transaction of the Tx in progress and keeps the first error
+// for the statement's end.
 type Sink interface {
 	TupleAdded(t tuple.Tuple)
 	TupleRemoved(t tuple.Tuple)
-}
-
-// BatchSink is an optional Sink extension for storage layers that group
-// a whole statement's mutations into one durable, atomic transaction.
-// A single Insert/Delete statement can compose and decompose many NFR
-// tuples — often touching the same page repeatedly — so a sink that
-// made each mutation durable on its own would pay one fsync per tuple.
-// The maintainer brackets the mutation stream of each changing
-// statement with StatementBegin/StatementEnd; the bracket IS the
-// transaction boundary: the store begins a transaction at
-// StatementBegin, attributes every TupleAdded/TupleRemoved write to it,
-// and commits it at StatementEnd as one WAL batch. Concurrent
-// statements on other relations are separate transactions whose
-// commits the store merges into shared fsyncs (group commit), so the
-// amortized cost drops below one fsync per statement under load.
-type BatchSink interface {
-	Sink
-	StatementBegin()
-	StatementEnd()
 }
 
 // Maintainer owns an NFR kept permanently in canonical form V_P and
@@ -223,29 +207,12 @@ func (m *Maintainer) Insert(f tuple.Flat) (bool, error) {
 	if len(f) != m.rel.Schema().Degree() {
 		return false, fmt.Errorf("update: flat tuple degree %d != schema degree %d", len(f), m.rel.Schema().Degree())
 	}
-	began := false
-	defer func() {
-		if began {
-			m.endStatement()
-		}
-	}()
-	return m.insertCore(f, &began), nil
-}
-
-// insertCore is Insert minus validation and bracket closing: the first
-// changing op opens the BatchSink bracket (setting *began); the caller
-// closes it. Factored out so Apply can run MANY ops under ONE bracket.
-func (m *Maintainer) insertCore(f tuple.Flat, began *bool) bool {
 	if _, covered := m.containsFlat(f); covered {
-		return false
-	}
-	if !*began {
-		*began = true
-		m.beginStatement()
+		return false, nil
 	}
 	m.recursionBudget = m.budget()
 	m.recons(tuple.FromFlat(f))
-	return true
+	return true, nil
 }
 
 // Op is one flat-tuple mutation in a batch handed to Apply.
@@ -262,49 +229,18 @@ type OpResult struct {
 	Err     error
 }
 
-// Apply runs a batch of flat-tuple mutations as ONE BatchSink bracket:
-// the first changing op opens the statement transaction and every
-// subsequent op's write-through accumulates under it, so a batch of N
-// pipelined statements costs the sink one commit — the maintainer-level
-// analogue of group commit. Results are positional. Ops that change
-// nothing cost no bracket (same as Insert/Delete), so an all-no-op
-// batch performs no commit at all.
+// Apply runs a batch of flat-tuple mutations in order, as the engine's
+// write pipeline hands them over; results are positional.
 func (m *Maintainer) Apply(ops []Op) []OpResult {
 	out := make([]OpResult, len(ops))
-	began := false
-	defer func() {
-		if began {
-			m.endStatement()
-		}
-	}()
-	deg := m.rel.Schema().Degree()
 	for i, op := range ops {
-		if len(op.F) != deg {
-			out[i].Err = fmt.Errorf("update: flat tuple degree %d != schema degree %d", len(op.F), deg)
-			continue
-		}
 		if op.Delete {
-			out[i].Changed = m.deleteCore(op.F, &began)
+			out[i].Changed, out[i].Err = m.Delete(op.F)
 		} else {
-			out[i].Changed = m.insertCore(op.F, &began)
+			out[i].Changed, out[i].Err = m.Insert(op.F)
 		}
 	}
 	return out
-}
-
-// beginStatement/endStatement bracket one changing Insert/Delete for a
-// BatchSink, marking the group-commit boundary. Statements that change
-// nothing return before the bracket, so they cost the sink no commit.
-func (m *Maintainer) beginStatement() {
-	if bs, ok := m.sink.(BatchSink); ok {
-		bs.StatementBegin()
-	}
-}
-
-func (m *Maintainer) endStatement() {
-	if bs, ok := m.sink.(BatchSink); ok {
-		bs.StatementEnd()
-	}
 }
 
 // Delete removes the flat tuple from the maintained relation,
@@ -314,25 +250,9 @@ func (m *Maintainer) Delete(f tuple.Flat) (bool, error) {
 	if len(f) != m.rel.Schema().Degree() {
 		return false, fmt.Errorf("update: flat tuple degree %d != schema degree %d", len(f), m.rel.Schema().Degree())
 	}
-	began := false
-	defer func() {
-		if began {
-			m.endStatement()
-		}
-	}()
-	return m.deleteCore(f, &began), nil
-}
-
-// deleteCore is Delete minus validation and bracket closing (see
-// insertCore).
-func (m *Maintainer) deleteCore(f tuple.Flat, began *bool) bool {
 	q, covered := m.containsFlat(f) // searcht
 	if !covered {
-		return false
-	}
-	if !*began {
-		*began = true
-		m.beginStatement()
+		return false, nil
 	}
 	m.recursionBudget = m.budget()
 	m.removeTuple(q)
@@ -352,7 +272,7 @@ func (m *Maintainer) deleteCore(f tuple.Flat, began *bool) bool {
 		q = qe
 	}
 	// q is now exactly the flat tuple; deletet(q) = drop it.
-	return true
+	return true, nil
 }
 
 // budget returns a recursion bound comfortably above the paper's
