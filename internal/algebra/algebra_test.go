@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -438,6 +439,32 @@ func TestFlatSemanticsAgreesWith1NF(t *testing.T) {
 		}
 		if proj.ExpansionSize() != len(naiveP) {
 			t.Fatalf("trial %d: projection sizes %d vs %d", trial, proj.ExpansionSize(), len(naiveP))
+		}
+	}
+}
+
+// foreignPred is a predicate built outside this package.
+type foreignPred struct{ truePred }
+
+func TestAttrs(t *testing.T) {
+	x := value.NewString("x")
+	cases := []struct {
+		p    Pred
+		want []string
+		ok   bool
+	}{
+		{nil, nil, true},
+		{True(), nil, true},
+		{Cmp("A", LT, x), []string{"A"}, true},
+		{And(CmpAll("B", GE, x), Or(Contains("A", x), Not(Card("B", EQ, 1)))), []string{"A", "B"}, true},
+		{CmpAttrs("C", EQ, "A"), []string{"A", "C"}, true},
+		{CmpAttrs("A", NE, "A"), []string{"A"}, true},
+		{And(Cmp("A", EQ, x), foreignPred{}), nil, false},
+	}
+	for _, c := range cases {
+		got, ok := Attrs(c.p)
+		if ok != c.ok || (ok && !slices.Equal(got, c.want)) {
+			t.Errorf("Attrs(%v) = %v, %v; want %v, %v", c.p, got, ok, c.want, c.ok)
 		}
 	}
 }

@@ -1,12 +1,17 @@
 package algebra
 
-import "repro/internal/value"
+import (
+	"slices"
+
+	"repro/internal/value"
+)
 
 // This file exposes the read-only predicate structure a query planner
-// needs: the top-level conjunct list and the shape of the two conjunct
+// needs: the top-level conjunct list, the shape of the two conjunct
 // forms an index can serve (attr-vs-constant comparison and set
-// membership). Everything else (OR, NOT, CARD, attr-vs-attr) stays
-// opaque — the planner treats those conjuncts as residual-only.
+// membership), and the attributes a predicate reads. Everything else
+// (OR, NOT, CARD, attr-vs-attr) stays opaque — the planner treats those
+// conjuncts as residual-only.
 
 // Conjuncts flattens nested ANDs into the top-level conjunct list. A
 // non-AND predicate is its own single conjunct; nil has none.
@@ -52,4 +57,39 @@ func AsContains(p Pred) (attr string, val value.Atom, ok bool) {
 		return "", value.Atom{}, false
 	}
 	return c.attr, c.val, true
+}
+
+// Attrs lists the attributes p reads, sorted, each once; nil and True
+// read none. ok is false when p holds a predicate built outside this
+// package, whose reads cannot be seen.
+func Attrs(p Pred) (attrs []string, ok bool) {
+	var subs []Pred
+	switch p := p.(type) {
+	case nil, truePred:
+	case cmpPred:
+		attrs = []string{p.attr}
+	case containsPred:
+		attrs = []string{p.attr}
+	case cardPred:
+		attrs = []string{p.attr}
+	case attrCmpPred:
+		attrs = []string{p.left, p.right}
+	case notPred:
+		subs = []Pred{p.p}
+	case andPred:
+		subs = p.ps
+	case orPred:
+		subs = p.ps
+	default:
+		return nil, false
+	}
+	for _, q := range subs {
+		more, ok := Attrs(q)
+		if !ok {
+			return nil, false
+		}
+		attrs = append(attrs, more...)
+	}
+	slices.Sort(attrs)
+	return slices.Compact(attrs), true
 }

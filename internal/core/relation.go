@@ -8,6 +8,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -16,24 +18,32 @@ import (
 	"repro/internal/vset"
 )
 
-// Relation is an NFR: a duplicate-free set of NFR tuples over a schema.
-// Tuples are kept in insertion order; a key index enforces set
-// semantics. The paper restricts attention to NFRs derivable from a
-// 1NF relation by compositions and decompositions, which implies the
-// tuples' flat expansions are pairwise disjoint; Relation preserves
-// that invariant under every exported operation but does not forbid
-// callers from constructing overlapping tuples directly (CheckDisjoint
-// verifies it).
+// Relation is an NFR: a duplicate-free set of NFR tuples over a schema,
+// in insertion order. Set semantics come from an index on Tuple.Hash,
+// with Tuple.Equal deciding on a collision, so atoms of different kinds
+// (Int 1, String "1") make different tuples, and no string is built to
+// add, find or compare one. The paper restricts attention to NFRs
+// derivable from a 1NF relation by compositions and decompositions,
+// which implies the tuples' flat expansions are pairwise disjoint;
+// Relation preserves that invariant under every exported operation but
+// does not forbid callers from constructing overlapping tuples directly
+// (CheckDisjoint verifies it).
 type Relation struct {
 	sch    *schema.Schema
 	tuples []tuple.Tuple
-	keys   []string       // keys[i] = tuples[i].Key(); nil until a Remove needs them
-	index  map[string]int // tuple.Key() -> position in tuples
+	index  map[uint64]int // hash -> position of the newest tuple with it
+	next   []int          // next[i]: the next older tuple with tuples[i]'s hash, or -1
 }
+
+// hashMask cuts the hash a Relation indexes by; a test narrows it to
+// make hashes collide.
+var hashMask = ^uint64(0)
+
+func hashOf(t tuple.Tuple) uint64 { return t.Hash() & hashMask }
 
 // NewRelation returns an empty NFR over the schema.
 func NewRelation(s *schema.Schema) *Relation {
-	return &Relation{sch: s, index: make(map[string]int)}
+	return &Relation{sch: s, index: make(map[uint64]int)}
 }
 
 // FromFlats builds the 1NF relation (all singleton components) holding
@@ -95,60 +105,76 @@ func (r *Relation) Tuples() []tuple.Tuple {
 	return out
 }
 
+// find returns the position of t and of the tuple above it in its
+// hash chain, or -1.
+func (r *Relation) find(t tuple.Tuple) (at, above int) {
+	at, ok := r.index[hashOf(t)]
+	if !ok {
+		return -1, -1
+	}
+	for above = -1; at >= 0 && !r.tuples[at].Equal(t); above, at = at, r.next[at] {
+	}
+	return at, above
+}
+
 // Add inserts a tuple if not already present; it reports whether the
 // relation changed.
 func (r *Relation) Add(t tuple.Tuple) bool {
-	k := t.Key()
-	if _, dup := r.index[k]; dup {
-		return false
+	h := hashOf(t)
+	head, ok := r.index[h]
+	if !ok {
+		head = -1
 	}
-	r.index[k] = len(r.tuples)
+	for i := head; i >= 0; i = r.next[i] {
+		if r.tuples[i].Equal(t) {
+			return false
+		}
+	}
+	r.index[h] = len(r.tuples)
 	r.tuples = append(r.tuples, t)
-	if r.keys != nil {
-		r.keys = append(r.keys, k)
-	}
+	r.next = append(r.next, head)
 	return true
 }
 
 // Remove deletes a tuple (by value) if present; it reports whether the
-// relation changed. Order of remaining tuples is preserved.
+// relation changed. Order of remaining tuples is preserved, at one step
+// per tuple after the removed one and no allocation.
 func (r *Relation) Remove(t tuple.Tuple) bool {
-	k := t.Key()
-	i, ok := r.index[k]
-	if !ok {
+	i, above := r.find(t)
+	switch h := hashOf(t); {
+	case i < 0:
 		return false
+	case above >= 0:
+		r.next[above] = r.next[i]
+	case r.next[i] >= 0:
+		r.index[h] = r.next[i]
+	default:
+		delete(r.index, h)
 	}
-	if r.keys == nil {
-		r.keys = make([]string, len(r.tuples))
-		for key, j := range r.index {
-			r.keys[j] = key
+	r.tuples = slices.Delete(r.tuples, i, i+1)
+	r.next = slices.Delete(r.next, i, i+1)
+	// chains point down, so the positions that moved are named only by
+	// the moved tuples' links and by chain heads
+	for j := i; j < len(r.tuples); j++ {
+		if r.next[j] > i {
+			r.next[j]--
 		}
-	}
-	delete(r.index, k)
-	r.tuples = append(r.tuples[:i], r.tuples[i+1:]...)
-	r.keys = append(r.keys[:i], r.keys[i+1:]...)
-	for j := i; j < len(r.keys); j++ {
-		r.index[r.keys[j]] = j
+		if h := hashOf(r.tuples[j]); r.index[h] == j+1 {
+			r.index[h] = j
+		}
 	}
 	return true
 }
 
 // Has reports whether the exact tuple is present.
 func (r *Relation) Has(t tuple.Tuple) bool {
-	_, ok := r.index[t.Key()]
-	return ok
+	at, _ := r.find(t)
+	return at >= 0
 }
 
 // Clone returns an independent copy of the relation.
 func (r *Relation) Clone() *Relation {
-	out := NewRelation(r.sch)
-	out.tuples = make([]tuple.Tuple, len(r.tuples))
-	copy(out.tuples, r.tuples)
-	out.keys = append(out.keys, r.keys...)
-	for k, v := range r.index {
-		out.index[k] = v
-	}
-	return out
+	return &Relation{sch: r.sch, tuples: slices.Clone(r.tuples), index: maps.Clone(r.index), next: slices.Clone(r.next)}
 }
 
 // IsFlat reports whether every tuple is flat (the relation is 1NF).
@@ -222,8 +248,8 @@ func (r *Relation) Equal(s *Relation) bool {
 	if len(r.tuples) != len(s.tuples) {
 		return false
 	}
-	for k := range r.index {
-		if _, ok := s.index[k]; !ok {
+	for _, t := range r.tuples {
+		if !s.Has(t) {
 			return false
 		}
 	}
@@ -247,9 +273,9 @@ func (r *Relation) CheckDisjoint() (i, j int, ok bool) {
 // Key returns a canonical string key of the relation's tuple set,
 // independent of tuple order. Used for memoization in form searches.
 func (r *Relation) Key() string {
-	keys := make([]string, 0, len(r.tuples))
-	for k := range r.index {
-		keys = append(keys, k)
+	keys := make([]string, len(r.tuples))
+	for i, t := range r.tuples {
+		keys[i] = t.Key()
 	}
 	sort.Strings(keys)
 	return strings.Join(keys, "\x1d")
@@ -271,13 +297,9 @@ func (r *Relation) String() string {
 // SortTuples orders the tuples canonically (by Key) in place; handy for
 // deterministic output in tests and figure reproduction.
 func (r *Relation) SortTuples() {
-	sort.Slice(r.tuples, func(i, j int) bool {
-		return r.tuples[i].Key() < r.tuples[j].Key()
-	})
-	for i, t := range r.tuples {
-		r.index[t.Key()] = i
-	}
-	r.keys = nil
+	ts := r.Tuples()
+	slices.SortStableFunc(ts, func(a, b tuple.Tuple) int { return strings.Compare(a.Key(), b.Key()) })
+	*r = *MustFromTuples(r.sch, ts)
 }
 
 // TupleOfSets is a convenience constructor for building NFR tuples from

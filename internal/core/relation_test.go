@@ -1,11 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/schema"
 	"repro/internal/tuple"
+	"repro/internal/value"
 )
 
 func flats(rows ...[]string) []tuple.Flat {
@@ -218,5 +222,110 @@ func TestStringAndSort(t *testing.T) {
 	}
 	if !r.Has(TupleOfSets([]string{"z"}, []string{"b"})) {
 		t.Error("index broken after SortTuples")
+	}
+}
+
+// TestRelationTellsAtomKindsApart: tuples whose atoms render alike but
+// differ in kind (Int 1, String "1", Float 1.0; Bool true, String
+// "true") are different tuples to Add, Has, Remove and Equal.
+func TestRelationTellsAtomKindsApart(t *testing.T) {
+	s := schema.MustOf("A", "B")
+	pair := func(a, b value.Atom) tuple.Tuple { return tuple.FromFlat(tuple.Flat{a, b}) }
+	ts := []tuple.Tuple{
+		pair(value.NewInt(1), value.NewInt(2)),
+		pair(value.NewString("1"), value.NewString("2")),
+		pair(value.NewFloat(1), value.NewFloat(2)),
+		pair(value.NewBool(true), value.NewString("x")),
+		pair(value.NewString("true"), value.NewString("x")),
+	}
+	r := NewRelation(s)
+	for i, x := range ts {
+		if !r.Add(x) {
+			t.Fatalf("Add(%v) reported no change after %v", x, ts[:i])
+		}
+	}
+	if r.Len() != len(ts) {
+		t.Fatalf("Len = %d, want %d", r.Len(), len(ts))
+	}
+	for i, x := range ts {
+		one := MustFromTuples(s, []tuple.Tuple{x})
+		for j, y := range ts {
+			if got := one.Has(y); got != (i == j) {
+				t.Errorf("{%v}.Has(%v) = %v", x, y, got)
+			}
+			if got := one.Equal(MustFromTuples(s, []tuple.Tuple{y})); got != (i == j) {
+				t.Errorf("{%v}.Equal({%v}) = %v", x, y, got)
+			}
+		}
+	}
+	for i, x := range ts {
+		if !r.Remove(x) || r.Has(x) {
+			t.Fatalf("Remove(%v) failed", x)
+		}
+		for _, y := range ts[i+1:] {
+			if !r.Has(y) {
+				t.Fatalf("Remove(%v) took %v with it", x, y)
+			}
+		}
+	}
+}
+
+// TestRelationHashCollisions drives Add, Remove, Has, Clone and
+// SortTuples with hashes cut to two bits, so that most tuples share a
+// chain, against a plain list of the tuples in insertion order.
+func TestRelationHashCollisions(t *testing.T) {
+	defer func(m uint64) { hashMask = m }(hashMask)
+	hashMask = 3
+
+	s := schema.MustOf("A", "B")
+	var pool []tuple.Tuple
+	for i := 0; i < 24; i++ {
+		pool = append(pool, TupleOfSets([]string{fmt.Sprint("a", i%5)}, []string{fmt.Sprint("b", i)}))
+	}
+	rng := rand.New(rand.NewSource(1))
+	r := NewRelation(s)
+	var model []tuple.Tuple
+	indexOf := func(x tuple.Tuple) int {
+		return slices.IndexFunc(model, func(y tuple.Tuple) bool { return y.Equal(x) })
+	}
+	for step := 0; step < 3000; step++ {
+		x := pool[rng.Intn(len(pool))]
+		at := indexOf(x)
+		switch op := rng.Intn(10); {
+		case op < 5:
+			if got := r.Add(x); got != (at < 0) {
+				t.Fatalf("step %d: Add(%v) = %v", step, x, got)
+			}
+			if at < 0 {
+				model = append(model, x)
+			}
+		case op < 9:
+			if got := r.Remove(x); got != (at >= 0) {
+				t.Fatalf("step %d: Remove(%v) = %v", step, x, got)
+			}
+			if at >= 0 {
+				model = slices.Delete(model, at, at+1)
+			}
+		default:
+			c := r.Clone()
+			r.SortTuples()
+			slices.SortStableFunc(model, func(a, b tuple.Tuple) int { return strings.Compare(a.Key(), b.Key()) })
+			if !c.Equal(r) || !r.Equal(c) {
+				t.Fatalf("step %d: a clone and the sorted original differ", step)
+			}
+		}
+		if r.Len() != len(model) {
+			t.Fatalf("step %d: Len = %d, want %d", step, r.Len(), len(model))
+		}
+		for i, y := range model {
+			if !r.Tuple(i).Equal(y) {
+				t.Fatalf("step %d: position %d holds %v, want %v", step, i, r.Tuple(i), y)
+			}
+		}
+		for _, y := range pool {
+			if r.Has(y) != (indexOf(y) >= 0) {
+				t.Fatalf("step %d: Has(%v) = %v", step, y, r.Has(y))
+			}
+		}
 	}
 }

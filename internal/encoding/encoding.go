@@ -106,7 +106,10 @@ func AppendSet(dst []byte, s vset.Set) []byte {
 	return dst
 }
 
-// DecodeSet decodes one set from b.
+// DecodeSet decodes one set from b. AppendSet writes a set's atoms in
+// its canonical order, strictly ascending by value.Compare, so the
+// decoded slice is adopted as it stands; atoms out of that order, or
+// repeated, are ErrCorrupt.
 func DecodeSet(b []byte) (vset.Set, int, error) {
 	cnt, n := binary.Uvarint(b)
 	if n <= 0 {
@@ -122,11 +125,13 @@ func DecodeSet(b []byte) (vset.Set, int, error) {
 		if err != nil {
 			return vset.Set{}, 0, err
 		}
+		if i > 0 && value.Compare(atoms[i-1], a) >= 0 {
+			return vset.Set{}, 0, fmt.Errorf("%w: set atom %d is not above atom %d", ErrCorrupt, i, i-1)
+		}
 		atoms = append(atoms, a)
 		pos += n
 	}
-	// Sets are stored in canonical order; re-canonicalize defensively.
-	return vset.New(atoms...), pos, nil
+	return vset.FromSorted(atoms), pos, nil
 }
 
 // AppendTuple appends the binary encoding of t to dst.

@@ -2,6 +2,7 @@ package encoding
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -86,6 +87,32 @@ func TestDecodeSetErrors(t *testing.T) {
 	// count says 200 atoms but buffer is 2 bytes
 	if _, _, err := DecodeSet([]byte{200, 1}); err == nil {
 		t.Error("oversized count accepted")
+	}
+}
+
+// TestDecodeSetRefusesUnsortedSets: AppendSet writes a set strictly
+// ascending, so a record whose atoms are out of order or repeated was
+// not written by it and is refused, not repaired.
+func TestDecodeSetRefusesUnsortedSets(t *testing.T) {
+	set := func(atoms ...value.Atom) []byte {
+		b := []byte{byte(len(atoms))}
+		for _, a := range atoms {
+			b = AppendAtom(b, a)
+		}
+		return b
+	}
+	cases := map[string][]byte{
+		"out of order": set(value.NewString("b"), value.NewString("a")),
+		"repeated":     set(value.NewInt(7), value.NewInt(7)),
+	}
+	for name, rec := range cases {
+		if s, _, err := DecodeSet(rec); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: DecodeSet = %v, %v; want ErrCorrupt", name, s, err)
+		}
+		tup := append(append([]byte{2}, AppendSet(nil, vset.OfStrings("x"))...), rec...)
+		if tp, _, err := DecodeTuple(tup); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: DecodeTuple = %v, %v; want ErrCorrupt", name, tp, err)
+		}
 	}
 }
 
@@ -262,5 +289,17 @@ func TestTupleRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkDecodeTuple decodes one stored tuple of nfr-spine's sparse
+// enrollment shape: one student, four courses, two clubs.
+func BenchmarkDecodeTuple(b *testing.B) {
+	rec := EncodeTuple(core.TupleOfSets([]string{"s0042"}, []string{"c017", "c230", "c412", "c588"}, []string{"k03", "k44"}))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := DecodeTuple(rec); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

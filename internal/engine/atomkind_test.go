@@ -1,0 +1,67 @@
+package engine_test
+
+import (
+	"context"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/schema"
+	"repro/internal/tuple"
+	"repro/internal/value"
+)
+
+// TestAtomKindsStayDistinct: Int 1 and String "1" are different atoms
+// (value.Compare orders them by kind), so rows that differ only in atom
+// kind are two rows, in memory and on disk, live and after a reopen.
+func TestAtomKindsStayDistinct(t *testing.T) {
+	rows := []tuple.Flat{
+		{value.NewInt(1), value.NewInt(2)},
+		{value.NewString("1"), value.NewString("2")},
+	}
+	check := func(t *testing.T, db *engine.Database, stage string) {
+		t.Helper()
+		rel, err := db.ReadRelation(context.Background(), "r")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rel.Len() != 2 || rel.ExpansionSize() != 2 {
+			t.Fatalf("%s: ReadRelation holds %d tuple(s) over %d flat(s), want 2 over 2:\n%s",
+				stage, rel.Len(), rel.ExpansionSize(), rel)
+		}
+	}
+	for _, mode := range []string{"memory", "disk"} {
+		t.Run(mode, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "kinds.nfrs")
+			open := func() *engine.Database {
+				if mode == "memory" {
+					return engine.New()
+				}
+				db, err := engine.Open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return db
+			}
+			db := open()
+			if err := db.Create(engine.RelationDef{Name: "r", Schema: schema.MustOf("A", "B")}); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range rows {
+				if changed, err := db.Insert("r", f); err != nil || !changed {
+					t.Fatalf("Insert%v: changed %v, err %v", f, changed, err)
+				}
+			}
+			check(t, db, "live")
+			if mode == "memory" {
+				return
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db = open()
+			defer db.Close()
+			check(t, db, "reopened")
+		})
+	}
+}

@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -360,9 +361,13 @@ func execSelect(ctx context.Context, target Execer, st SelectStmt) (Result, erro
 	}
 
 	var filtered *core.Relation
-	if st.Flat {
+	fixed := def.Order[len(def.Order)-1]
+	switch {
+	case st.Flat && readsOnly(pred, def.Schema.Attr(fixed).Name):
+		filtered, err = restrictFixed(rel, pred, fixed)
+	case st.Flat:
 		filtered, err = algebra.SelectFlat(rel, pred, def.Order)
-	} else {
+	default:
 		filtered, err = algebra.Select(rel, pred)
 	}
 	if err != nil {
@@ -386,6 +391,52 @@ func execSelect(ctx context.Context, target Execer, st SelectStmt) (Result, erro
 		}
 	}
 	return Result{Relation: out}, nil
+}
+
+// readsOnly reports whether pred reads no attribute but attr.
+func readsOnly(pred algebra.Pred, attr string) bool {
+	attrs, ok := algebra.Attrs(pred)
+	return ok && !slices.ContainsFunc(attrs, func(a string) bool { return a != attr })
+}
+
+// restrictFixed is SelectFlat(rel, pred, P) for a pred that reads only
+// the fixed attribute P[n-1] of V_P tuples, which every Execer read
+// returns: each tuple keeps the fixed atoms pred accepts, and one left
+// with none goes (docs/queries.md has why). rel itself is the answer
+// when every tuple survives whole.
+func restrictFixed(rel *core.Relation, pred algebra.Pred, fixed int) (*core.Relation, error) {
+	var out *core.Relation // nil while every tuple survives whole
+	var kept []value.Atom
+	for i := 0; i < rel.Len(); i++ {
+		t := rel.Tuple(i)
+		atoms := t.Set(fixed).Atoms()
+		kept = kept[:0]
+		for _, a := range atoms {
+			flat := t // pred reads only the fixed component, and a singleton one is a's
+			if len(atoms) > 1 {
+				flat = t.WithSet(fixed, vset.Single(a))
+			}
+			if ok, err := pred.Eval(rel.Schema(), flat); err != nil {
+				return nil, err
+			} else if ok {
+				kept = append(kept, a)
+			}
+		}
+		if out == nil && len(kept) < len(atoms) {
+			out = core.MustFromTuples(rel.Schema(), rel.Tuples()[:i])
+		}
+		switch {
+		case out == nil || len(kept) == 0:
+		case len(kept) == len(atoms):
+			out.Add(t)
+		default:
+			out.Add(t.WithSet(fixed, vset.FromSorted(slices.Clone(kept))))
+		}
+	}
+	if out == nil {
+		return rel, nil
+	}
+	return out, nil
 }
 
 // sortByAttr orders the relation's tuples by the named component:

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/engine"
 )
 
@@ -140,6 +141,49 @@ func TestIndexedSelectEquivalence(t *testing.T) {
 		mr := mustExec(t, mem, q)
 		if !dr.Relation.EquivalentTo(mr.Relation) {
 			t.Errorf("%s:\ndisk:\n%s\nmem:\n%s", q, dr, mr)
+		}
+	}
+
+	// A SELECT FLAT * whose predicate reads only Student, the fixed
+	// attribute, restricts the fetched tuples; one that also reads Course
+	// expands and re-nests. Both sessions must answer, tuple for tuple,
+	// what the expand-and-re-nest reference selects from the whole
+	// relation.
+	full := mustExec(t, mem, `SHOW R1`).Relation
+	def, err := mem.DB.Def("R1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flatQueries := []struct {
+		q        string
+		restrict bool
+	}{
+		{`SELECT FLAT * FROM R1`, true},
+		{`SELECT FLAT * FROM R1 WHERE Student >= s10 AND Student < s20`, true},
+		{`SELECT FLAT * FROM R1 WHERE Student ALL >= s05 AND Student ALL < s12 OR Student = s27`, true},
+		{`SELECT FLAT * FROM R1 WHERE CARD(Student) = 1 AND Student < s05`, true},
+		{`SELECT FLAT * FROM R1 WHERE Student >= s10 AND Course = c2`, false},
+	}
+	for _, c := range flatQueries {
+		st, err := Parse(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pred := st.(SelectStmt).Where
+		if pred == nil {
+			pred = algebra.True()
+		}
+		if got := readsOnly(pred, "Student"); got != c.restrict {
+			t.Errorf("%s: restricts = %v, want %v", c.q, got, c.restrict)
+		}
+		want, err := algebra.SelectFlat(full, pred, def.Order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, s := range map[string]*Session{"disk": disk, "mem": mem} {
+			if got := mustExec(t, s, c.q); !got.Relation.Equal(want) {
+				t.Errorf("%s on %s:\n%s\nreference:\n%s", c.q, name, got, RenderTable(want))
+			}
 		}
 	}
 }
