@@ -3,7 +3,9 @@
 //
 // Usage:
 //
-//	nfr-repl                 # interactive, in-memory
+//	nfr-repl                 # interactive, over a database held in
+//	                         # memory (the same engine as -d, its
+//	                         # paged file and log in memory)
 //	nfr-repl script.nfq      # execute a script, one statement per line
 //	                         # (blank lines and -- comments ignored;
 //	                         #  statements may span lines until ';')
@@ -71,7 +73,7 @@ func main() {
 		interactive = false
 	}
 
-	code := run(sess, in, os.Stdout, interactive)
+	code := run(sess, *path != "", in, os.Stdout, interactive)
 	if sess.InTx() {
 		fmt.Fprintln(os.Stderr, "rolling back open transaction")
 		sess.Close()
@@ -83,7 +85,8 @@ func main() {
 	os.Exit(code)
 }
 
-func run(sess *query.Session, in io.Reader, out io.Writer, interactive bool) int {
+// run executes the statements of in; hasFile reports -d.
+func run(sess *query.Session, hasFile bool, in io.Reader, out io.Writer, interactive bool) int {
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	var pending strings.Builder
@@ -105,7 +108,7 @@ func run(sess *query.Session, in io.Reader, out io.Writer, interactive bool) int
 		case "\\quit", "\\q":
 			return exitCode
 		case "\\save":
-			if !sess.DB.DiskBacked() {
+			if !hasFile {
 				fmt.Fprintln(out, "no database file (-d) configured")
 			} else if err := sess.DB.Flush(); err != nil {
 				fmt.Fprintln(out, "save:", err)

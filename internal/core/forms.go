@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 
 	"repro/internal/tuple"
 )
@@ -11,19 +12,22 @@ import (
 // attribute, and within an attribute group by group in order of first
 // occurrence — never in map order, so whatever a caller derives from
 // the sequence is a function of ts alone. fn returning false stops the
-// walk.
+// walk. Tuples are bucketed by HashExcept and AgreeExcept decides, as
+// in the kernel's nest, so atoms that render alike but differ under
+// value.Compare (Int 1, String "1") never share a group.
 func composablePairs(ts []tuple.Tuple, degree int, fn func(a, b, attr int) bool) {
 	for i := 0; i < degree; i++ {
-		groupOf := make(map[string]int)
-		var groups [][]int
+		var groups [][]int                        // member indexes, first member first
+		byHash := make(map[uint64][]int, len(ts)) // HashExcept -> groups
 		for j, t := range ts {
-			k := t.KeyExcept(i)
-			g, ok := groupOf[k]
-			if !ok {
-				g = len(groups)
-				groupOf[k] = g
+			h := t.HashExcept(i)
+			k := slices.IndexFunc(byHash[h], func(g int) bool { return ts[groups[g][0]].AgreeExcept(t, i) })
+			if k < 0 {
+				k = len(byHash[h])
+				byHash[h] = append(byHash[h], len(groups))
 				groups = append(groups, nil)
 			}
+			g := byHash[h][k]
 			groups[g] = append(groups[g], j)
 		}
 		for _, idxs := range groups {

@@ -122,20 +122,13 @@ func (r *Relation) Unnest(i int) *Relation {
 // relation, returning one applicable (tuple index, tuple index,
 // attribute) triple.
 func (r *Relation) ComposablePair() (a, b, attr int, ok bool) {
-	// Bucket tuples by KeyExcept for each attribute; a bucket with two
-	// members is a composable pair. This keeps IsIrreducible O(n·m)
-	// instead of O(n·m²).
-	for i := 0; i < r.sch.Degree(); i++ {
-		buckets := make(map[string]int, len(r.tuples))
-		for j, t := range r.tuples {
-			k := t.KeyExcept(i)
-			if prev, dup := buckets[k]; dup {
-				return prev, j, i, true
-			}
-			buckets[k] = j
-		}
-	}
-	return 0, 0, 0, false
+	// The first pair composablePairs finds. Its grouping keeps
+	// IsIrreducible O(n·m) instead of O(n·m²).
+	composablePairs(r.tuples, r.sch.Degree(), func(x, y, i int) bool {
+		a, b, attr, ok = x, y, i, true
+		return false
+	})
+	return a, b, attr, ok
 }
 
 // IsIrreducible reports whether no composition applies (Definition 3).

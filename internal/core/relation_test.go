@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/tuple"
 	"repro/internal/value"
+	"repro/internal/vset"
 )
 
 func flats(rows ...[]string) []tuple.Flat {
@@ -267,6 +269,43 @@ func TestRelationTellsAtomKindsApart(t *testing.T) {
 				t.Fatalf("Remove(%v) took %v with it", x, y)
 			}
 		}
+	}
+}
+
+// TestSignedZeroIsOneAtom: value.Compare calls -0.0 and +0.0 equal, so
+// they are one tuple to a Relation and one set to vset.
+func TestSignedZeroIsOneAtom(t *testing.T) {
+	pos, neg := value.NewFloat(0), value.NewFloat(math.Copysign(0, -1))
+	r := NewRelation(schema.MustOf("X"))
+	r.Add(tuple.FromFlat(tuple.Flat{pos}))
+	if r.Add(tuple.FromFlat(tuple.Flat{neg})) || r.Len() != 1 {
+		t.Fatalf("(-0.0) added beside (+0.0): Len = %d", r.Len())
+	}
+	if !r.Has(tuple.FromFlat(tuple.Flat{neg})) {
+		t.Fatal("Has(-0.0) = false beside +0.0")
+	}
+	if a, b := vset.Single(pos), vset.Single(neg); !a.Equal(b) {
+		t.Fatalf("{%v} != {%v}", a, b)
+	}
+}
+
+// TestComposablePairTellsAtomKindsApart: on {(1, x), ("1", y)} the two
+// tuples agree on nothing, although both A components render as 1, so
+// no composition applies and IrreducibleGreedy has nothing to compose.
+func TestComposablePairTellsAtomKindsApart(t *testing.T) {
+	s := schema.MustOf("A", "B")
+	r := MustFromTuples(s, []tuple.Tuple{
+		tuple.FromFlat(tuple.Flat{value.NewInt(1), value.NewString("x")}),
+		tuple.FromFlat(tuple.Flat{value.NewString("1"), value.NewString("y")}),
+	})
+	if a, b, attr, ok := r.ComposablePair(); ok {
+		t.Fatalf("ComposablePair = %d %d %d true", a, b, attr)
+	}
+	if !r.IsIrreducible() {
+		t.Fatal("IsIrreducible = false")
+	}
+	if got, n := r.IrreducibleGreedy(nil); n != 0 || !got.Equal(r) {
+		t.Fatalf("IrreducibleGreedy composed %d pair(s): %v", n, got)
 	}
 }
 

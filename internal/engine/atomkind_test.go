@@ -13,7 +13,7 @@ import (
 
 // TestAtomKindsStayDistinct: Int 1 and String "1" are different atoms
 // (value.Compare orders them by kind), so rows that differ only in atom
-// kind are two rows, in memory and on disk, live and after a reopen.
+// kind are two rows, live and after a reopen.
 func TestAtomKindsStayDistinct(t *testing.T) {
 	rows := []tuple.Flat{
 		{value.NewInt(1), value.NewInt(2)},
@@ -30,38 +30,28 @@ func TestAtomKindsStayDistinct(t *testing.T) {
 				stage, rel.Len(), rel.ExpansionSize(), rel)
 		}
 	}
-	for _, mode := range []string{"memory", "disk"} {
-		t.Run(mode, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "kinds.nfrs")
-			open := func() *engine.Database {
-				if mode == "memory" {
-					return engine.New()
-				}
-				db, err := engine.Open(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return db
+	t.Run("disk", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "kinds.nfrs")
+		db, err := engine.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Create(engine.RelationDef{Name: "r", Schema: schema.MustOf("A", "B")}); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range rows {
+			if changed, err := db.Insert("r", f); err != nil || !changed {
+				t.Fatalf("Insert%v: changed %v, err %v", f, changed, err)
 			}
-			db := open()
-			if err := db.Create(engine.RelationDef{Name: "r", Schema: schema.MustOf("A", "B")}); err != nil {
-				t.Fatal(err)
-			}
-			for _, f := range rows {
-				if changed, err := db.Insert("r", f); err != nil || !changed {
-					t.Fatalf("Insert%v: changed %v, err %v", f, changed, err)
-				}
-			}
-			check(t, db, "live")
-			if mode == "memory" {
-				return
-			}
-			if err := db.Close(); err != nil {
-				t.Fatal(err)
-			}
-			db = open()
-			defer db.Close()
-			check(t, db, "reopened")
-		})
-	}
+		}
+		check(t, db, "live")
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if db, err = engine.Open(path); err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		check(t, db, "reopened")
+	})
 }

@@ -17,7 +17,7 @@ import (
 // statements: with stmtMu gone, statements on different relations run
 // and commit in parallel (merged group commit), statements on the same
 // relation serialize behind its latch, and the result must always
-// equal a single-threaded oracle.
+// equal the flat-set model's V_P.
 
 const stressClients = 8
 
@@ -45,8 +45,8 @@ func stressDef(name string) RelationDef {
 }
 
 // TestConcurrentDisjointWriters: one relation per client, all writing
-// at once. Each relation must end up exactly equal to the
-// single-threaded oracle, both live and across a reopen, and the WAL
+// at once. Each relation must end up exactly equal to the model's V_P,
+// both live and across a reopen, and the WAL
 // must have spent at most one fsync per changing statement.
 func TestConcurrentDisjointWriters(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "disjoint.nfrs")
@@ -54,20 +54,16 @@ func TestConcurrentDisjointWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := New()
 	flats := make([][]tuple.Flat, stressClients)
+	models := make([]*flatModel, stressClients)
 	for c := 0; c < stressClients; c++ {
 		def := stressDef(fmt.Sprintf("R%d", c))
 		if err := db.Create(def); err != nil {
 			t.Fatal(err)
 		}
-		if err := oracle.Create(def); err != nil {
-			t.Fatal(err)
-		}
 		flats[c] = clientFlats(c, 40)
-		if _, err := oracle.InsertMany(def.Name, flats[c]); err != nil {
-			t.Fatal(err)
-		}
+		models[c] = newFlatModel(def)
+		models[c].InsertMany(flats[c])
 	}
 	ws0, _ := db.WALStats()
 	var wg sync.WaitGroup
@@ -105,16 +101,8 @@ func TestConcurrentDisjointWriters(t *testing.T) {
 	}
 	check := func(db *Database, stage string) {
 		t.Helper()
-		for c := 0; c < stressClients; c++ {
-			name := fmt.Sprintf("R%d", c)
-			got, err := db.ReadRelation(context.Background(), name)
-			if err != nil {
-				t.Fatalf("%s: %v", stage, err)
-			}
-			want, _ := oracle.ReadRelation(context.Background(), name)
-			if !got.Equal(want) {
-				t.Fatalf("%s: %s diverged from single-threaded oracle", stage, name)
-			}
+		for c, m := range models {
+			m.check(t, db, fmt.Sprintf("R%d", c), stage)
 		}
 	}
 	check(db, "live")
@@ -217,14 +205,9 @@ func TestConcurrentCreateDropAndWriters(t *testing.T) {
 	if err := db.Create(steady); err != nil {
 		t.Fatal(err)
 	}
-	oracle := New()
-	if err := oracle.Create(steady); err != nil {
-		t.Fatal(err)
-	}
 	flats := clientFlats(0, 60)
-	if _, err := oracle.InsertMany("steady", flats); err != nil {
-		t.Fatal(err)
-	}
+	model := newFlatModel(steady)
+	model.InsertMany(flats)
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
 	wg.Add(1)
@@ -266,14 +249,7 @@ func TestConcurrentCreateDropAndWriters(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	got, err := db.ReadRelation(context.Background(), "steady")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := oracle.ReadRelation(context.Background(), "steady")
-	if !got.Equal(want) {
-		t.Fatal("steady relation diverged under create/drop churn")
-	}
+	model.check(t, db, "steady", "create/drop churn")
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -285,13 +261,7 @@ func TestConcurrentCreateDropAndWriters(t *testing.T) {
 	if names := db2.Names(); len(names) != 1 || names[0] != "steady" {
 		t.Fatalf("scratch relations survived: %v", names)
 	}
-	got2, err := db2.ReadRelation(context.Background(), "steady")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got2.Equal(want) {
-		t.Fatal("steady relation diverged across reopen")
-	}
+	model.check(t, db2, "steady", "reopened")
 }
 
 // TestDropRacesInFlightStatements: dropping a relation while writers

@@ -23,10 +23,10 @@ func enrollmentFlats(seed int64, students int) (*schema.Schema, []tuple.Flat) {
 	return e.R1.Schema(), e.R1.Expand()
 }
 
-// TestDiskEngineEquivalence drives the same workload through an
-// in-memory and a disk-backed engine and checks both the live canonical
-// forms and the disk realization (read back through the buffer pool)
-// stay identical, including across a close/reopen.
+// TestDiskEngineEquivalence drives a workload through the engine and
+// holds every change flag and the stored realization (read back through
+// the buffer pool) to the flat-set model, including across a
+// close/reopen.
 func TestDiskEngineEquivalence(t *testing.T) {
 	sch, flats := enrollmentFlats(11, 30)
 	def := RelationDef{
@@ -35,46 +35,26 @@ func TestDiskEngineEquivalence(t *testing.T) {
 		Order:  schema.MustPermOf(sch, "Course", "Club", "Student"),
 	}
 
-	mem := New()
-	if err := mem.Create(def); err != nil {
-		t.Fatal(err)
-	}
+	model := newFlatModel(def)
 	path := filepath.Join(t.TempDir(), "db.nfrs")
 	disk, err := Open(path, WithPoolPages(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !disk.DiskBacked() || mem.DiskBacked() {
-		t.Fatal("DiskBacked mode flags wrong")
-	}
 	if err := disk.Create(def); err != nil {
 		t.Fatal(err)
 	}
 
-	check := func(stage string) {
-		t.Helper()
-		memRel, err := mem.ReadRelation(context.Background(), "R1")
-		if err != nil {
-			t.Fatalf("%s: mem read: %v", stage, err)
-		}
-		diskRel, err := disk.ReadRelation(context.Background(), "R1")
-		if err != nil {
-			t.Fatalf("%s: disk read: %v", stage, err)
-		}
-		if !memRel.Equal(diskRel) {
-			t.Fatalf("%s: disk realization diverged from in-memory canonical form", stage)
-		}
-	}
-
 	for i, f := range flats {
-		if _, err := mem.Insert("R1", f); err != nil {
+		ch, err := disk.Insert("R1", f)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := disk.Insert("R1", f); err != nil {
-			t.Fatal(err)
+		if ch != model.Insert(f) {
+			t.Fatalf("insert change mismatch for %v", f)
 		}
 		if i%25 == 0 {
-			check("insert")
+			model.check(t, disk, "R1", "insert")
 		}
 	}
 	// delete a third of the flats again
@@ -82,25 +62,22 @@ func TestDiskEngineEquivalence(t *testing.T) {
 		if i%3 != 0 {
 			continue
 		}
-		cm, err := mem.Delete("R1", f)
-		if err != nil {
-			t.Fatal(err)
-		}
 		cd, err := disk.Delete("R1", f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cm != cd {
+		if cd != model.Delete(f) {
 			t.Fatalf("delete change mismatch for %v", f)
 		}
 	}
-	check("after deletes")
+	model.check(t, disk, "R1", "after deletes")
 
 	if hits, misses, _, ok := disk.PoolStats(); !ok || hits+misses == 0 {
 		t.Errorf("PoolStats = %d/%d/%v, want activity", hits, misses, ok)
 	}
 
-	// reopen from disk and compare against the in-memory engine
+	// reopen from disk: the stored relation and the resident one it
+	// materializes are both the model's V_P
 	if err := disk.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -109,28 +86,17 @@ func TestDiskEngineEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer disk2.Close()
-	rel2, err := disk2.ReadRelation(context.Background(), "R1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	memRel, _ := mem.ReadRelation(context.Background(), "R1")
-	if !memRel.Equal(rel2) {
-		t.Fatal("reopened disk relation diverged from in-memory canonical form")
-	}
-	// reopened relation is exactly canonical
+	model.check(t, disk2, "R1", "reopened")
 	r2, _ := disk2.Rel("R1")
-	want, _ := r2.Relation().CanonicalFromFlats(r2.Def().Order)
-	if !r2.Relation().Equal(want) {
-		t.Fatal("reopened relation not canonical")
+	if !r2.Relation().Equal(model.Canonical()) {
+		t.Fatal("reopened resident relation diverged from the model")
 	}
 	// and keeps accepting write-through updates
-	if _, err := disk2.Insert("R1", tuple.FlatOfStrings("s_new", "c_new", "b_new")); err != nil {
-		t.Fatal(err)
+	f := tuple.FlatOfStrings("s_new", "c_new", "b_new")
+	if ch, err := disk2.Insert("R1", f); err != nil || ch != model.Insert(f) {
+		t.Fatalf("insert after reopen: changed %v, err %v", ch, err)
 	}
-	got, _ := disk2.ReadRelation(context.Background(), "R1")
-	if got.Len() != r2.Relation().Len() {
-		t.Fatal("write-through lost a tuple after reopen")
-	}
+	model.check(t, disk2, "R1", "write after reopen")
 }
 
 // TestOversizedTupleRollsBack: a record that can never fit a page must
@@ -329,6 +295,48 @@ func TestSaveToOwnAlias(t *testing.T) {
 	// degree-1 tuples compose, so a1+a2 is one NFR tuple with R* size 2
 	if rel.ExpansionSize() != 2 {
 		t.Fatalf("post-save write lost: %d flat tuples, want 2", rel.ExpansionSize())
+	}
+}
+
+// TestSaveInMemoryToAnyPath: an in-memory database has no file, so Save
+// never mistakes a path for its own — not even a relative path named
+// like the files of its in-memory file system. Each save must write a
+// file that opens back to the saved relation.
+func TestSaveInMemoryToAnyPath(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	db := New()
+	defer db.Close()
+	def := RelationDef{Name: "r", Schema: schema.MustOf("A", "B")}
+	if err := db.Create(def); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Insert("r", tuple.FlatOfStrings("a1", "b1")); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := db.ReadRelation(context.Background(), "r")
+	for _, name := range []string{"mem", "mem.wal", "mem.tmp"} {
+		if err := db.Save(name); err != nil {
+			t.Fatalf("save %s: %v", name, err)
+		}
+		if _, err := os.Stat(name); err != nil {
+			t.Fatalf("save %s wrote no file: %v", name, err)
+		}
+		saved, err := Open(name)
+		if err != nil {
+			t.Fatalf("open %s: %v", name, err)
+		}
+		got, err := saved.ReadRelation(context.Background(), "r")
+		saved.Close()
+		if err != nil || !got.Equal(want) {
+			t.Fatalf("%s holds %v (err %v), want %v", name, got, err, want)
+		}
 	}
 }
 

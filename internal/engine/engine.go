@@ -8,6 +8,10 @@
 // Delete, Create, Drop, ReadRelation) are thin autocommit wrappers
 // over a one-shot Tx.
 //
+// There is one engine: every relation is a heap chain plus a B+tree in
+// a single paged file behind a WAL. Open keeps that file on the
+// operating system's file system; New keeps it in memory.
+//
 // The nest order defaults to SuggestOrder, which encodes Section 3.4's
 // guidance: nest the dependent (right-side) attributes first so the
 // canonical form ends up fixed on the determinant (left-side)
@@ -41,13 +45,12 @@ type RelationDef struct {
 	Order schema.Permutation
 	FDs   []dep.FD
 	MVDs  []dep.MVD
-	// Shards is the number of heap chains a disk-backed relation's
-	// canonical form is partitioned across, keyed by determinant atom
+	// Shards is the number of heap chains the relation's canonical form
+	// is partitioned across, keyed by determinant atom
 	// (store.ShardOfAtom). 0 and 1 both mean the classic single-chain
 	// layout. Writers on different shards of one relation run and commit
 	// concurrently; reads merge the shard partitions back into the
-	// global canonical form (see docs/concurrency.md). Memory-mode
-	// databases keep one resident canonical form regardless.
+	// global canonical form (see docs/concurrency.md).
 	Shards int
 }
 
@@ -77,14 +80,12 @@ func SuggestOrder(s *schema.Schema, fds []dep.FD, mvds []dep.MVD) schema.Permuta
 // Rel is one live relation: its definition plus one relShard per heap
 // chain — each pairing a shard of the paged store with the maintainer
 // of that shard's canonical partition and the latch serializing
-// statements on it. A classic relation (and every memory-mode
-// relation) has exactly one shard.
+// statements on it. A classic relation has exactly one shard.
 type Rel struct {
 	def RelationDef
-	rs  *store.RelStore // nil for in-memory databases
+	rs  *store.RelStore
 
-	// shards always holds at least one entry; its length equals
-	// rs.ShardCount() on a disk-backed relation and 1 in memory mode.
+	// shards holds rs.ShardCount() entries, at least one.
 	shards []*relShard
 
 	// dropped is written while the dropping transaction holds EVERY
@@ -105,16 +106,16 @@ type Rel struct {
 type relShard struct {
 	r   *Rel
 	ord int
-	ss  *store.Shard // nil in memory mode
+	ss  *store.Shard
 
-	// The shard's canonical-form maintainer is materialized LAZILY on a
-	// disk-backed database: engine.Open attaches relations without
-	// scanning a single heap page, and the one O(shard heap)
-	// materializing scan happens on the first statement that needs the
-	// resident form (a write, Stats, ValidateDeps — snapshot reads
-	// never do). maint is the published maintainer (nil until then);
-	// maintMu serializes the one-time materialization. Memory-mode and
-	// freshly created relations publish their maintainers eagerly.
+	// The shard's canonical-form maintainer is materialized LAZILY:
+	// engine.Open attaches relations without scanning a single heap
+	// page, and the one O(shard heap) materializing scan happens on the
+	// first statement that needs the resident form (a write, Stats,
+	// ValidateDeps — snapshot reads never do). maint is the published
+	// maintainer (nil until then); maintMu serializes the one-time
+	// materialization. Freshly created relations publish their
+	// maintainers eagerly.
 	maintMu sync.Mutex
 	maint   atomic.Pointer[update.Maintainer]
 
@@ -137,20 +138,11 @@ type relShard struct {
 	pipe pipeline
 }
 
-// newRel assembles a Rel over rs (nil for memory mode, which always
-// gets exactly one shard).
+// newRel assembles a Rel over rs, one relShard per store shard.
 func newRel(def RelationDef, rs *store.RelStore) *Rel {
-	k := 1
-	if rs != nil {
-		k = rs.ShardCount()
-	}
-	r := &Rel{def: def, rs: rs, shards: make([]*relShard, k)}
+	r := &Rel{def: def, rs: rs, shards: make([]*relShard, rs.ShardCount())}
 	for i := range r.shards {
-		sh := &relShard{r: r, ord: i, latch: newLatch()}
-		if rs != nil {
-			sh.ss = rs.Shard(i)
-		}
-		r.shards[i] = sh
+		r.shards[i] = &relShard{r: r, ord: i, ss: rs.Shard(i), latch: newLatch()}
 	}
 	return r
 }
@@ -219,11 +211,6 @@ func (sh *relShard) maintainer(txn *store.Txn) (*update.Maintainer, error) {
 		return m, nil
 	}
 	def := sh.r.def
-	if sh.ss == nil {
-		// memory-mode maintainers are published eagerly at Create/Load;
-		// reaching here means the relation handle escaped its database
-		return nil, fmt.Errorf("engine: relation %q has no resident canonical form", def.Name)
-	}
 	rel := core.NewRelation(def.Schema)
 	var dup error
 	if err := sh.ss.Scan(func(t tuple.Tuple) bool {
@@ -257,10 +244,6 @@ func (sh *relShard) maintainer(txn *store.Txn) (*update.Maintainer, error) {
 	return m, nil
 }
 
-// setMaintainer publishes an eagerly built maintainer on the sole
-// shard (memory mode, Load).
-func (r *Rel) setMaintainer(m *update.Maintainer) { r.shards[0].maint.Store(m) }
-
 // canonical materializes every shard and returns the GLOBAL canonical
 // relation plus the summed maintenance stats. For a single-shard
 // relation it is the resident form itself (not a copy); a K-sharded
@@ -291,11 +274,10 @@ func (r *Rel) canonical(txn *store.Txn) (*core.Relation, update.Stats, error) {
 	return canon, st, nil
 }
 
-// Relation returns the current canonical NFR (not a copy for
-// single-shard relations; treat as read-only — ReadRelation returns an
-// isolated snapshot), lazily materializing it on a disk-backed
-// database. It returns nil when materialization fails (a corrupt
-// heap); error-aware callers should use ReadRelation or Stats instead.
+// Relation returns the current canonical NFR, lazily materialized (not
+// a copy for single-shard relations; treat as read-only — ReadRelation
+// returns an isolated snapshot). It returns nil when materialization
+// fails (a corrupt heap); error-aware callers use ReadRelation or Stats.
 func (r *Rel) Relation() *core.Relation {
 	rel, _, err := r.canonical(nil)
 	if err != nil {
@@ -328,20 +310,20 @@ func (r *Rel) ResetStats() {
 
 // Database is a catalog of live relations. Methods are safe for
 // concurrent use; each relation serializes its statements behind a
-// per-relation latch held for the owning transaction's lifetime, and —
-// in disk mode — transactions on different relations commit
-// concurrently as separate storage transactions whose WAL batches the
-// store merges into shared fsyncs (there is no global statement lock).
+// per-relation latch held for the owning transaction's lifetime, and
+// transactions on different relations commit concurrently as separate
+// storage transactions whose WAL batches the store merges into shared
+// fsyncs (there is no global statement lock).
 //
-// A Database runs in one of two modes: purely in-memory (New), or
-// disk-backed (Open), where every relation is realized as a heap chain
-// in a single paged file and each canonical-form mutation is written
-// through as it happens.
+// Every relation is realized as heap chains in a single paged file,
+// and each canonical-form mutation is written through as it happens.
+// The file is on the operating system's file system (Open) or in
+// memory (New).
 type Database struct {
 	mu   sync.RWMutex
 	rels map[string]*Rel
-	st   *store.Store // nil = purely in-memory
-	path string       // paged file path when disk-backed
+	st   *store.Store
+	path string // the paged file's path; "" for an in-memory database
 
 	readOnly bool
 	closed   atomic.Bool
@@ -370,13 +352,18 @@ var txIDSeq atomic.Uint64
 // means "assign one" in begin).
 func nextTxID() uint64 { return txIDSeq.Add(1) }
 
-// New creates an empty in-memory database.
+// New creates an empty database that lives in memory: the engine Open
+// returns, over a paged file and WAL held in a storage.MemFS of its
+// own. It has no path, so Save writes a snapshot to any path given.
 func New() *Database {
-	return &Database{
-		rels:    make(map[string]*Rel),
-		ddl:     newLatch(),
-		openTxs: make(map[*Tx]struct{}),
+	fsys := storage.NewMemFS()
+	db, err := Open("mem", WithFileSystem(fsys.Open, fsys.Remove))
+	if err != nil {
+		// initializing an empty in-memory file has nothing to fail on
+		panic(fmt.Sprintf("engine: in-memory database: %v", err))
 	}
+	db.path = ""
+	return db
 }
 
 // Open opens (or creates) a disk-backed database in the single paged
@@ -403,57 +390,28 @@ func Open(path string, opts ...Option) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := New()
-	db.st = st
-	db.path = path
-	db.readOnly = cfg.readOnly
-	for _, name := range st.Relations() {
-		rs, _ := st.Rel(name)
+	db := &Database{
+		rels:     make(map[string]*Rel),
+		st:       st,
+		path:     path,
+		readOnly: cfg.readOnly,
+		ddl:      newLatch(),
+		openTxs:  make(map[*Tx]struct{}),
+	}
+	db.attachStored()
+	return db, nil
+}
+
+// attachStored registers every relation of the store's catalog, without
+// materializing any (Rel.maintainer does that lazily).
+func (db *Database) attachStored() {
+	for _, name := range db.st.Relations() {
+		rs, _ := db.st.Rel(name)
 		sdef := rs.Def()
 		def := RelationDef{Name: sdef.Name, Schema: sdef.Schema, Order: sdef.Order, FDs: sdef.FDs, MVDs: sdef.MVDs, Shards: rs.ShardCount()}
 		db.rels[def.Name] = newRel(def, rs)
 	}
-	return db, nil
 }
-
-// attach eagerly loads one stored relation into a live maintainer —
-// the read-only (Load) path, which materializes everything up front
-// into memory mode and never writes back. The disk-backed Open path
-// does NOT use it: there, materialization is lazy (Rel.maintainer).
-func (db *Database) attach(rs *store.RelStore) error {
-	sdef := rs.Def()
-	// Materialize by scanning, refusing duplicate records as we go: the
-	// store's fast open no longer scans the heap, so this load is where
-	// a heap holding the same encoded tuple twice (external damage — a
-	// delete would leave a stale ghost copy) gets its fail-stop.
-	rel := core.NewRelation(sdef.Schema)
-	var dup error
-	if err := rs.Scan(func(t tuple.Tuple) bool {
-		if !rel.Add(t) {
-			dup = fmt.Errorf("%w: duplicate record in %q", store.ErrCorrupt, sdef.Name)
-			return false
-		}
-		return true
-	}); err != nil {
-		return err
-	}
-	if dup != nil {
-		return dup
-	}
-	def := RelationDef{Name: sdef.Name, Schema: sdef.Schema, Order: sdef.Order, FDs: sdef.FDs, MVDs: sdef.MVDs, Shards: sdef.Shards}
-	m, err := update.FromRelationIndexed(rel, def.Order)
-	if err != nil {
-		return err
-	}
-	r := newRel(def, nil)
-	r.setMaintainer(m)
-	db.rels[def.Name] = r
-	return nil
-}
-
-// DiskBacked reports whether the database writes through to a paged
-// file.
-func (db *Database) DiskBacked() bool { return db.st != nil }
 
 // ReadOnly reports whether the database rejects mutations (opened with
 // WithReadOnly).
@@ -461,15 +419,11 @@ func (db *Database) ReadOnly() bool { return db.readOnly }
 
 func (db *Database) isClosed() bool { return db.closed.Load() }
 
-// Flush writes all dirty buffered pages of a disk-backed database to
-// stable storage (a checkpoint). It is a no-op in memory mode and
-// fails with ErrReadOnly on a read-only database.
+// Flush writes all dirty buffered pages to the paged file (a
+// checkpoint). It fails with ErrReadOnly on a read-only database.
 func (db *Database) Flush() error {
 	if db.isClosed() {
 		return fmt.Errorf("engine: flush: %w", ErrClosed)
-	}
-	if db.st == nil {
-		return nil
 	}
 	if db.readOnly {
 		return fmt.Errorf("engine: flush: %w", ErrReadOnly)
@@ -478,10 +432,9 @@ func (db *Database) Flush() error {
 }
 
 // Close rolls back every still-open transaction (whose handles then
-// return ErrTxDone), checkpoints, and closes the paged file of a
-// disk-backed database. Close is idempotent: the second and later
-// calls return nil. A read-only database discards instead of
-// checkpointing; a memory-mode database just retires its transactions.
+// return ErrTxDone), checkpoints, and closes the paged file. Close is
+// idempotent: the second and later calls return nil. A read-only
+// database discards instead of checkpointing.
 func (db *Database) Close() error {
 	if !db.closed.CompareAndSwap(false, true) {
 		return nil
@@ -504,15 +457,9 @@ func (db *Database) Close() error {
 	}
 	db.txMu.Unlock()
 	for _, tx := range open {
-		// ErrTxDone just means the owner finished it first
-		if err := tx.Rollback(); err != nil && !errors.Is(err, ErrTxDone) {
-			// the rollback of buffered state failed; still close the
-			// files below — nothing uncommitted can be on disk
-			_ = err
-		}
-	}
-	if db.st == nil {
-		return nil
+		// ErrTxDone means the owner finished it first; any other failure
+		// still closes the files below — nothing uncommitted is on disk
+		_ = tx.Rollback()
 	}
 	if db.readOnly {
 		return db.st.Discard()
@@ -520,69 +467,49 @@ func (db *Database) Close() error {
 	return db.st.Close()
 }
 
-// PoolStats reports the buffer pool's (hits, misses, evictions) for a
-// disk-backed database; ok is false in memory mode. The counters cover
-// traffic since Open returned — open-time recovery and index-rebuild
-// I/O is bucketed separately in OpenIOStats.
+// PoolStats reports the buffer pool's (hits, misses, evictions); ok is
+// always true. The counters cover traffic since Open returned —
+// open-time recovery and index-rebuild I/O is bucketed separately in
+// OpenIOStats.
 func (db *Database) PoolStats() (hits, misses, evictions int, ok bool) {
-	if db.st == nil {
-		return 0, 0, 0, false
-	}
 	hits, misses, evictions = db.st.PoolStats()
 	return hits, misses, evictions, true
 }
 
 // AllPoolStats reports the full buffer-pool counter set (including
 // overflow and checksum-repair counts, which the three-int PoolStats
-// omits) for a disk-backed database; ok is false in memory mode. The
-// server's STATS frame serves this snapshot.
+// omits); ok is always true. The server's STATS frame serves this
+// snapshot.
 func (db *Database) AllPoolStats() (st storage.PoolStats, ok bool) {
-	if db.st == nil {
-		return storage.PoolStats{}, false
-	}
 	return db.st.AllPoolStats(), true
 }
 
 // OpenIOStats reports the buffer-pool counters consumed by store.Open
-// itself (WAL replay, catalog load, index attach) for a disk-backed
-// database; ok is false in memory mode. On a clean file the bucket is
-// bounded by catalog + index metadata, never the heap size.
+// itself (WAL replay, catalog load, index attach); ok is always true.
+// On a clean file the bucket is bounded by catalog + index metadata,
+// never the heap size.
 func (db *Database) OpenIOStats() (st storage.PoolStats, ok bool) {
-	if db.st == nil {
-		return storage.PoolStats{}, false
-	}
 	return db.st.OpenIOStats(), true
 }
 
 // VerifyIndexes checks every relation's durable indexes against a
-// fresh heap scan — the rebuild oracle (see store.VerifyIndexes) — on
-// a disk-backed database. It performs no writes and is a no-op in
-// memory mode.
+// fresh heap scan — the rebuild oracle (see store.VerifyIndexes). It
+// performs no writes.
 func (db *Database) VerifyIndexes() error {
 	if db.isClosed() {
 		return fmt.Errorf("engine: verify indexes: %w", ErrClosed)
-	}
-	if db.st == nil {
-		return nil
 	}
 	return db.st.VerifyIndexes()
 }
 
 // WALStats reports write-ahead-log activity (batches, page images,
-// fsyncs, and what open-time recovery replayed) for a disk-backed
-// database; ok is false in memory mode.
+// fsyncs, and what open-time recovery replayed); ok is always true.
 func (db *Database) WALStats() (st storage.WALStats, ok bool) {
-	if db.st == nil {
-		return storage.WALStats{}, false
-	}
 	return db.st.WALStats(), true
 }
 
-// RecoveryReport is store.RecoveryReport; ok is false in memory mode.
+// RecoveryReport is store.RecoveryReport; ok is always true.
 func (db *Database) RecoveryReport() (r store.RecoveryReport, ok bool) {
-	if db.st == nil {
-		return store.RecoveryReport{}, false
-	}
 	return db.st.RecoveryReport(), true
 }
 
@@ -625,45 +552,35 @@ func (db *Database) autocommit(fn func(tx *Tx) error) error {
 }
 
 // ReadRelation returns a snapshot of the named relation for query
-// evaluation. A disk-backed database pins an MVCC snapshot — the last
-// published commit — and materializes the relation from it WITHOUT
-// taking the relation's statement latch: an open transaction holding
-// the latch (even one stalled mid-statement for seconds) never blocks
-// the read, and the result is always a whole-transaction boundary
-// (see docs/mvcc.md). An in-memory database clones the live canonical
-// relation under the latch. Either way the caller owns the copy. ctx
-// cancels the heap walk at page granularity (nil = background).
+// evaluation. It pins an MVCC snapshot — the last published commit —
+// and materializes the relation from it WITHOUT taking the relation's
+// statement latch: an open transaction holding the latch (even one
+// stalled mid-statement for seconds) never blocks the read, and the
+// result is always a whole-transaction boundary (see docs/mvcc.md).
+// The caller owns the copy. ctx cancels the heap walk at page
+// granularity (nil = background).
 func (db *Database) ReadRelation(ctx context.Context, name string) (*core.Relation, error) {
-	if db.st != nil {
-		if db.isClosed() {
-			return nil, fmt.Errorf("engine: read: %w", ErrClosed)
-		}
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		snap := db.st.PinSnapshot()
-		defer snap.Close()
-		if !snap.Has(name) {
-			return nil, errNotFound(name)
-		}
-		rel, err := snap.LoadCtx(ctx, name)
-		if err != nil {
-			return nil, err
-		}
-		// a K-sharded heap stores K shard-canonical partitions; merge
-		// them back into the global canonical form
-		if def, _ := snap.Def(name); def.Shards > 1 {
-			rel, _ = rel.CanonicalFromFlats(def.Order)
-		}
-		return rel, nil
+	if db.isClosed() {
+		return nil, fmt.Errorf("engine: read: %w", ErrClosed)
 	}
-	var rel *core.Relation
-	err := db.autocommit(func(tx *Tx) error {
-		var err error
-		rel, err = tx.ReadRelation(ctx, name)
-		return err
-	})
-	return rel, err
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	snap := db.st.PinSnapshot()
+	defer snap.Close()
+	if !snap.Has(name) {
+		return nil, errNotFound(name)
+	}
+	rel, err := snap.LoadCtx(ctx, name)
+	if err != nil {
+		return nil, err
+	}
+	// a K-sharded heap stores K shard-canonical partitions; merge them
+	// back into the global canonical form
+	if def, _ := snap.Def(name); def.Shards > 1 {
+		rel, _ = rel.CanonicalFromFlats(def.Order)
+	}
+	return rel, nil
 }
 
 // LatchWaits reports how many statement-latch acquisitions blocked on a
@@ -716,26 +633,26 @@ func (db *Database) PipelineStats() map[string]RelPipelineStats {
 	return out
 }
 
-// normalizeDef validates a relation definition, fills in the suggested
-// nest order, and builds the canonical-form maintainer.
-func normalizeDef(def RelationDef) (RelationDef, *update.Maintainer, error) {
+// normalizeDef validates a relation definition and fills in the
+// suggested nest order.
+func normalizeDef(def RelationDef) (RelationDef, error) {
 	if def.Name == "" {
-		return def, nil, fmt.Errorf("engine: relation name empty")
+		return def, fmt.Errorf("engine: relation name empty")
 	}
 	if def.Schema == nil || def.Schema.Degree() == 0 {
-		return def, nil, fmt.Errorf("engine: relation %q needs a non-empty schema", def.Name)
+		return def, fmt.Errorf("engine: relation %q needs a non-empty schema", def.Name)
 	}
 	for _, f := range def.FDs {
 		for _, a := range append(f.Lhs.Sorted(), f.Rhs.Sorted()...) {
 			if !def.Schema.Has(a) {
-				return def, nil, fmt.Errorf("engine: FD %v references unknown attribute %q", f, a)
+				return def, fmt.Errorf("engine: FD %v references unknown attribute %q", f, a)
 			}
 		}
 	}
 	for _, m := range def.MVDs {
 		for _, a := range append(m.Lhs.Sorted(), m.Rhs.Sorted()...) {
 			if !def.Schema.Has(a) {
-				return def, nil, fmt.Errorf("engine: MVD %v references unknown attribute %q", m, a)
+				return def, fmt.Errorf("engine: MVD %v references unknown attribute %q", m, a)
 			}
 		}
 	}
@@ -743,18 +660,14 @@ func normalizeDef(def RelationDef) (RelationDef, *update.Maintainer, error) {
 		def.Order = SuggestOrder(def.Schema, def.FDs, def.MVDs)
 	}
 	if !def.Order.Valid(def.Schema) {
-		return def, nil, fmt.Errorf("engine: invalid nest order %v for %q", def.Order, def.Name)
+		return def, fmt.Errorf("engine: invalid nest order %v for %q", def.Order, def.Name)
 	}
 	// mirror the store's catalog bound so a bad shard count fails here,
-	// before any catalog write, in memory mode too
+	// before any catalog write
 	if def.Shards < 0 || def.Shards > 64 {
-		return def, nil, fmt.Errorf("engine: relation %q shard count %d out of range [0,64]", def.Name, def.Shards)
+		return def, fmt.Errorf("engine: relation %q shard count %d out of range [0,64]", def.Name, def.Shards)
 	}
-	m, err := update.NewMaintainerIndexed(def.Schema, def.Order)
-	if err != nil {
-		return def, nil, err
-	}
-	return def, m, nil
+	return def, nil
 }
 
 // Create registers a new empty relation (autocommit).
@@ -762,8 +675,7 @@ func (db *Database) Create(def RelationDef) error {
 	return db.autocommit(func(tx *Tx) error { return tx.Create(def) })
 }
 
-// Drop removes a relation (autocommit). In disk mode the catalog record
-// is deleted and the heap chain's pages go to the free list, all
+// Drop removes a relation (autocommit). The catalog record is deleted and the heap chain's pages go to the free list, all
 // committed as one WAL batch. The relation's statement latch is taken
 // for the duration, so a statement in flight on the same relation
 // finishes first and a statement that was waiting observes the drop
@@ -898,7 +810,7 @@ type RelStats struct {
 	Compression float64 // FlatTuples / NFRTuples (≥ 1)
 	FixedOn     []string
 	Ops         update.Stats
-	IndexPages  *store.IndexPageCounts // nil for memory-mode relations
+	IndexPages  *store.IndexPageCounts // the relation's B+tree pages
 }
 
 // Stats reports size and maintenance statistics for the named

@@ -29,27 +29,15 @@ func openGated(t *testing.T, fsys *txFS, gate *syncgate.Gate) *Database {
 	return db
 }
 
-// checkLiveAndReopened holds relation name of db, and its indexes, to a
-// single-threaded in-memory engine given flats; then closes db and
-// holds the reopened file to the same.
+// checkLiveAndReopened holds relation name of db, and its indexes, to
+// the flat-set model of flats; then closes db and holds the reopened
+// file to the same.
 func checkLiveAndReopened(t *testing.T, fsys *txFS, gate *syncgate.Gate, db *Database, name string, flats []tuple.Flat) {
 	t.Helper()
-	oracle := New()
-	if err := oracle.Create(txTestDef(name)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := oracle.InsertMany(name, flats); err != nil {
-		t.Fatal(err)
-	}
-	want, _ := oracle.ReadRelation(context.Background(), name)
+	model := newFlatModel(txTestDef(name))
+	model.InsertMany(flats)
 	for _, stage := range []string{"live", "reopened"} {
-		got, err := db.ReadRelation(context.Background(), name)
-		if err != nil {
-			t.Fatalf("%s: %v", stage, err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("%s: relation is\n%v\nwant the single-threaded oracle's\n%v", stage, got, want)
-		}
+		model.check(t, db, name, stage)
 		if err := db.VerifyIndexes(); err != nil {
 			t.Fatalf("%s: %v", stage, err)
 		}
@@ -68,7 +56,7 @@ func checkLiveAndReopened(t *testing.T, fsys *txFS, gate *syncgate.Gate, db *Dat
 // shard pipeline (K=1: a batch of ≥ 2) and through the store's commit
 // queue (K=4: two shards' batches under one fsync); 4-statement
 // transactions on disjoint shards share them through the commit queue
-// alone. The relation equals the single-threaded oracle live and
+// alone. The relation equals the flat-set model's V_P live and
 // reopened.
 func TestGroupCommitMergesBehindSlowFsync(t *testing.T) {
 	const writers, units = 8, 12

@@ -32,19 +32,15 @@ func (b *Bound) toStore() *store.RangeBound {
 }
 
 // IndexInfo describes the named relation's physical access paths — the
-// planner's catalog view.
+// planner's catalog view. Every shard carries a B+tree over the fixed
+// atoms, which answers equality probes and ordered scans.
 type IndexInfo struct {
 	Shards    int
 	FixedAttr string // attribute the canonical form is fixed on (index key)
-	// Indexed is true iff the relation is disk-backed: every shard then
-	// carries a B+tree over the fixed atoms, which answers equality
-	// probes and ordered scans.
-	Indexed bool
 }
 
-// IndexInfo reports the named relation's access paths. Memory-mode
-// relations have none (every read is the resident canonical form);
-// disk-backed relations answer both point probes and ranges.
+// IndexInfo reports the named relation's access paths: point probes
+// and ranges on its fixed attribute.
 func (db *Database) IndexInfo(name string) (IndexInfo, error) {
 	r, err := db.Rel(name)
 	if err != nil {
@@ -72,7 +68,6 @@ func indexInfoOf(r *Rel) IndexInfo {
 	return IndexInfo{
 		Shards:    len(r.shards),
 		FixedAttr: r.def.Schema.Attr(r.def.Order[len(r.def.Order)-1]).Name,
-		Indexed:   r.rs != nil,
 	}
 }
 
@@ -118,9 +113,6 @@ func (tx *Tx) LookupFixed(name string, a value.Atom) (*core.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.rs == nil {
-		return nil, fmt.Errorf("engine: relation %q has no durable index", name)
-	}
 	sh := r.shards[store.ShardOfAtom(a, len(r.shards))]
 	if err := tx.latchShard(sh); err != nil {
 		return nil, err
@@ -154,9 +146,6 @@ func (tx *Tx) ScanFixedRange(name string, lo, hi *Bound) (*core.Relation, int, e
 	if err != nil {
 		return nil, 0, err
 	}
-	if r.rs == nil {
-		return nil, 0, fmt.Errorf("engine: relation %q has no durable index", name)
-	}
 	if err := tx.latchRel(r); err != nil {
 		return nil, 0, err
 	}
@@ -174,13 +163,12 @@ func (tx *Tx) ScanFixedRange(name string, lo, hi *Bound) (*core.Relation, int, e
 	return rel, pages, nil
 }
 
-// IndexPageStats reports every disk-backed relation's index footprint
-// by page role (B+tree inner/leaf) — the \stats surface that makes
-// index growth observable. Empty (not
-// nil) in memory mode.
+// IndexPageStats reports every relation's index footprint by page role
+// (B+tree inner/leaf) — the \stats surface that makes index growth
+// observable. Empty (not nil) once the database is closed.
 func (db *Database) IndexPageStats() (map[string]store.IndexPageCounts, error) {
 	out := make(map[string]store.IndexPageCounts)
-	if db.st == nil || db.isClosed() {
+	if db.isClosed() {
 		return out, nil
 	}
 	db.mu.RLock()
@@ -190,9 +178,6 @@ func (db *Database) IndexPageStats() (map[string]store.IndexPageCounts, error) {
 	}
 	db.mu.RUnlock()
 	for name, r := range rels {
-		if r.rs == nil {
-			continue
-		}
 		c, err := r.rs.IndexPageCounts()
 		if err != nil {
 			return nil, fmt.Errorf("engine: index stats of %q: %w", name, err)

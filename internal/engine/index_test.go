@@ -92,27 +92,8 @@ func TestEngineIndexInfo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Shards != 1 || info.FixedAttr != "Student" || !info.Indexed {
-		t.Fatalf("disk IndexInfo = %+v", info)
-	}
-
-	mem := New()
-	defer mem.Close()
-	if err := mem.Create(txTestDef("r1")); err != nil {
-		t.Fatal(err)
-	}
-	minfo, err := mem.IndexInfo("r1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if minfo.Indexed {
-		t.Fatalf("memory-mode IndexInfo = %+v, want no access paths", minfo)
-	}
-	if _, err := mem.LookupFixed("r1", value.NewString("s01")); err == nil {
-		t.Fatal("memory-mode LookupFixed did not fail")
-	}
-	if _, _, err := mem.ScanFixedRange("r1", nil, nil); err == nil {
-		t.Fatal("memory-mode ScanFixedRange did not fail")
+	if info.Shards != 1 || info.FixedAttr != "Student" {
+		t.Fatalf("IndexInfo = %+v", info)
 	}
 }
 

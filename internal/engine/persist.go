@@ -4,18 +4,17 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/store"
 )
 
 // Save persists a point-in-time snapshot of the database into a single
 // paged file at path (the store format: catalog page + per-relation
 // heap chains — see docs/storage.md). An existing file is replaced
-// atomically via a temporary file and rename. A disk-backed database
-// saving to its own path just flushes the buffer pool: the paged file
-// is already the database.
+// atomically via a temporary file and rename. A database saving to its
+// own file just flushes the buffer pool: the paged file is already the
+// database.
 func (db *Database) Save(path string) error {
-	if db.st != nil && db.isOwnFile(path) {
+	if db.isOwnFile(path) {
 		return db.Flush()
 	}
 	tmp := path + ".tmp"
@@ -32,37 +31,7 @@ func (db *Database) Save(path string) error {
 	if err != nil {
 		return err
 	}
-	// the whole snapshot is one transaction, committed before the close
-	txn := st.Begin()
-	for _, name := range db.Names() {
-		r, err := db.Rel(name)
-		if err != nil {
-			st.Close()
-			os.Remove(tmp)
-			return err
-		}
-		def := r.Def()
-		rs, err := st.CreateRelation(txn, store.RelationDef{
-			Name: def.Name, Schema: def.Schema, Order: def.Order,
-			FDs: def.FDs, MVDs: def.MVDs, Shards: def.Shards,
-		})
-		if err == nil {
-			// materialize explicitly: Relation() hides errors behind nil
-			var rel *core.Relation
-			if rel, _, err = r.canonical(nil); err == nil {
-				// Fill re-partitions the global canonical form across the
-				// snapshot's shards (a global tuple's fixed atoms can span
-				// shards)
-				err = rs.Fill(txn, rel)
-			}
-		}
-		if err != nil {
-			st.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := st.Commit(txn); err != nil {
+	if err := db.copyTo(st); err != nil {
 		st.Close()
 		os.Remove(tmp)
 		return err
@@ -84,11 +53,50 @@ func (db *Database) Save(path string) error {
 	return os.Rename(tmp, path)
 }
 
+// copyTo creates every relation of db in st and fills it from the
+// relation's canonical form, all as one committed transaction.
+// Materializing that form scans the heap, refusing duplicate records:
+// the store's fast open does not scan, so this is where a heap holding
+// the same encoded tuple twice (external damage) fails stop on Save
+// and Load.
+func (db *Database) copyTo(st *store.Store) error {
+	txn := st.Begin()
+	for _, name := range db.Names() {
+		r, err := db.Rel(name)
+		if err != nil {
+			return err
+		}
+		def := r.Def()
+		rs, err := st.CreateRelation(txn, store.RelationDef{
+			Name: def.Name, Schema: def.Schema, Order: def.Order,
+			FDs: def.FDs, MVDs: def.MVDs, Shards: def.Shards,
+		})
+		if err != nil {
+			return err
+		}
+		// materialize explicitly: Relation() hides errors behind nil
+		rel, _, err := r.canonical(nil)
+		if err != nil {
+			return err
+		}
+		// Fill re-partitions the global canonical form across the copy's
+		// shards (a global tuple's fixed atoms can span shards)
+		if err := rs.Fill(txn, rel); err != nil {
+			return err
+		}
+	}
+	return st.Commit(txn)
+}
+
 // isOwnFile reports whether path names the live paged file, comparing
 // inodes (not strings) so relative paths, aliases and symlinks cannot
 // trick Save into renaming a snapshot over the file the open pager
-// still holds — which would silently orphan all further writes.
+// still holds — which would silently orphan all further writes. An
+// in-memory database has no file, so no path is its own.
 func (db *Database) isOwnFile(path string) bool {
+	if db.path == "" {
+		return false
+	}
 	if path == db.path {
 		return true
 	}
@@ -103,10 +111,10 @@ func (db *Database) isOwnFile(path string) bool {
 	return os.SameFile(fi, own)
 }
 
-// Load restores a database saved by Save into memory mode: the paged
-// file is read once (relations, nest orders, dependencies, tuples) and
-// then closed. Use Open instead to keep the file live with write-
-// through updates.
+// Load copies a database saved by Save into a new in-memory database
+// (New): the file is opened read-only, each relation is copied as Save
+// copies it, and the file is closed. Use Open instead to keep the file
+// live with write-through updates.
 //
 // Loading a cleanly closed file never writes. Loading a crashed file —
 // one whose WAL sidecar still holds committed batches — first completes
@@ -117,27 +125,22 @@ func Load(path string) (*Database, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: load %s: %w", path, err)
 	}
-	// A zero-length file would be initialized (written!) by store.Open's
-	// create-if-empty path; a read-only load must reject it instead.
+	// A zero-length (or missing) file would be initialized — written! —
+	// by store.Open's create-if-empty path; a read-only load must reject
+	// it instead.
 	if fi.Size() == 0 {
 		return nil, fmt.Errorf("engine: load %s: not a database file (empty)", path)
 	}
-	// NoSweep: Load must not perform the orphan sweep — recovery aside,
-	// it never writes.
-	st, err := store.Open(path, store.Options{NoSweep: true})
+	src, err := Open(path, WithReadOnly())
 	if err != nil {
 		return nil, err
 	}
-	// Discard, never flush: Load must not write to the file under any
-	// circumstance (read-only attaches leave no dirty pages anyway).
-	defer st.Discard()
+	// read-only: Close discards, never flushes
+	defer src.Close()
 	db := New()
-	for _, name := range st.Relations() {
-		rs, _ := st.Rel(name)
-		// read-only attach: no sink, and never writes back to the file
-		if err := db.attach(rs); err != nil {
-			return nil, err
-		}
+	if err := src.copyTo(db.st); err != nil {
+		return nil, err
 	}
+	db.attachStored()
 	return db, nil
 }

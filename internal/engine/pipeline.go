@@ -265,17 +265,7 @@ func (tx *Tx) applyOps(sh *relShard, ops []update.Op) ([]update.OpResult, error)
 		return nil, err
 	}
 	results := m.Apply(ops)
-	if sh.ss == nil {
-		// memory mode: log undo per changed op so Close-time rollback of
-		// a racing batch stays exact
-		for i, res := range results {
-			if res.Changed {
-				cp := make(tuple.Flat, len(ops[i].F))
-				copy(cp, ops[i].F)
-				tx.undo = append(tx.undo, undoRec{sh: sh, f: cp, wasInsert: !ops[i].Delete})
-			}
-		}
-	} else if sh.sinkErr != nil {
+	if sh.sinkErr != nil {
 		return nil, &batchSinkError{err: sh.sinkErr}
 	}
 	return results, nil

@@ -17,10 +17,10 @@ import (
 // Tests for K-way sharded relations (RelationDef.Shards > 1): the heap
 // is partitioned across K chains keyed by the determinant atom, each
 // shard keeps its own resident Section-4 canonical form behind its own
-// latch, and every read path re-canonicalizes the union. The oracle in
-// each test is an in-memory database running the same statements on a
-// classic single-chain relation: canonical forms depend only on the
-// flat set, so the two must stay Equal at every committed boundary.
+// latch, and every read path re-canonicalizes the union. The reference
+// in each test is the flat-set model: canonical forms depend only on
+// the flat set, so the relation must equal the model's V_P at every
+// committed boundary.
 
 func shardedDef(name string, k int) RelationDef {
 	d := txTestDef(name)
@@ -48,10 +48,7 @@ func TestShardedRelationEquivalence(t *testing.T) {
 	if err := db.Create(shardedDef("r", 4)); err != nil {
 		t.Fatal(err)
 	}
-	oracle := New()
-	if err := oracle.Create(txTestDef("r")); err != nil {
-		t.Fatal(err)
-	}
+	model := newFlatModel(txTestDef("r"))
 
 	var all []tuple.Flat
 	for i := 0; i < 24; i++ {
@@ -70,23 +67,14 @@ func TestShardedRelationEquivalence(t *testing.T) {
 
 	check := func(label string, d *Database) {
 		t.Helper()
-		got, err := d.ReadRelation(context.Background(), "r")
-		if err != nil {
-			t.Fatalf("%s: read: %v", label, err)
-		}
-		want, err := oracle.ReadRelation(context.Background(), "r")
-		if err != nil {
-			t.Fatalf("%s: oracle read: %v", label, err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("%s: sharded relation diverged from oracle:\ngot  %v\nwant %v", label, got, want)
-		}
+		model.check(t, d, "r", label)
+		want := model.Canonical()
 		gs, err := d.Stats("r")
 		if err != nil {
 			t.Fatalf("%s: stats: %v", label, err)
 		}
 		if gs.NFRTuples != want.Len() || gs.FlatTuples != want.ExpansionSize() {
-			t.Fatalf("%s: stats (%d nfr, %d flat) disagree with oracle relation (%d, %d)",
+			t.Fatalf("%s: stats (%d nfr, %d flat) disagree with the model's V_P (%d, %d)",
 				label, gs.NFRTuples, gs.FlatTuples, want.Len(), want.ExpansionSize())
 		}
 	}
@@ -94,23 +82,21 @@ func TestShardedRelationEquivalence(t *testing.T) {
 	// autocommit inserts, including duplicates: changed flags must agree
 	for i, f := range all {
 		ch, err := db.Insert("r", f)
-		och, oerr := oracle.Insert("r", f)
-		if err != nil || oerr != nil {
-			t.Fatalf("insert %d: %v / %v", i, err, oerr)
+		if err != nil {
+			t.Fatalf("insert %d: %v", i, err)
 		}
-		if ch != och {
-			t.Fatalf("insert %d: changed=%v, oracle=%v", i, ch, och)
+		if mch := model.Insert(f); ch != mch {
+			t.Fatalf("insert %d: changed=%v, model=%v", i, ch, mch)
 		}
 	}
 	// autocommit deletes of every third flat (some repeats → no-ops)
 	for i := 0; i < len(all); i += 3 {
 		ch, err := db.Delete("r", all[i])
-		och, oerr := oracle.Delete("r", all[i])
-		if err != nil || oerr != nil {
-			t.Fatalf("delete %d: %v / %v", i, err, oerr)
+		if err != nil {
+			t.Fatalf("delete %d: %v", i, err)
 		}
-		if ch != och {
-			t.Fatalf("delete %d: changed=%v, oracle=%v", i, ch, och)
+		if mch := model.Delete(all[i]); ch != mch {
+			t.Fatalf("delete %d: changed=%v, model=%v", i, ch, mch)
 		}
 	}
 	check("after autocommit", db)
@@ -131,7 +117,7 @@ func TestShardedRelationEquivalence(t *testing.T) {
 	}
 	check("after rollback", db)
 
-	// and committed: same statements against the oracle
+	// and committed: same statements against the model
 	tx, err = db.Begin(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -141,16 +127,12 @@ func TestShardedRelationEquivalence(t *testing.T) {
 		if _, err := tx.Insert("r", f); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := oracle.Insert("r", f); err != nil {
-			t.Fatal(err)
-		}
+		model.Insert(f)
 	}
 	if _, err := tx.Delete("r", all[1]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := oracle.Delete("r", all[1]); err != nil {
-		t.Fatal(err)
-	}
+	model.Delete(all[1])
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +166,7 @@ func TestShardedRelationEquivalence(t *testing.T) {
 
 // TestShardedPipelineConcurrent hammers ONE sharded relation from many
 // goroutines through the autocommit pipeline: every statement must get
-// its own correct ack, the final canonical form must equal the oracle's
+// its own correct ack, the final canonical form must equal the model's
 // (set semantics make the final state order-independent: each goroutine
 // deletes only tuples it inserted itself), and the pipeline counters
 // must account for every statement. Run under -race in CI.
@@ -242,31 +224,15 @@ func TestShardedPipelineConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// oracle: the surviving flats, inserted fresh (canonical form is a
-	// function of the flat set alone)
-	oracle := New()
-	if err := oracle.Create(txTestDef("hot")); err != nil {
-		t.Fatal(err)
-	}
+	// the model holds the surviving flats (canonical form is a function
+	// of the flat set alone)
+	model := newFlatModel(txTestDef("hot"))
 	for w := 0; w < workers; w++ {
 		for i := deletes; i < inserts; i++ {
-			f := row(fmt.Sprintf("w%d-s%d", w, i), fmt.Sprintf("c%d", i%4), fmt.Sprintf("b%d", i%3))
-			if _, err := oracle.Insert("hot", f); err != nil {
-				t.Fatal(err)
-			}
+			model.Insert(row(fmt.Sprintf("w%d-s%d", w, i), fmt.Sprintf("c%d", i%4), fmt.Sprintf("b%d", i%3)))
 		}
 	}
-	want, err := oracle.ReadRelation(context.Background(), "hot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := db.ReadRelation(context.Background(), "hot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("concurrent sharded writes diverged from oracle:\ngot  %v\nwant %v", got, want)
-	}
+	model.check(t, db, "hot", "concurrent sharded writes")
 
 	// pipeline accounting: every statement went through a batch
 	ps, ok := db.PipelineStats()["hot"]
@@ -304,13 +270,7 @@ func TestShardedPipelineConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	got2, err := db2.ReadRelation(context.Background(), "hot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got2.Equal(want) {
-		t.Fatalf("reopened relation diverged from oracle:\ngot  %v\nwant %v", got2, want)
-	}
+	model.check(t, db2, "hot", "reopened")
 	if err := db2.VerifyIndexes(); err != nil {
 		t.Fatalf("reopened VerifyIndexes: %v", err)
 	}
@@ -322,7 +282,7 @@ func TestShardedPipelineConcurrent(t *testing.T) {
 // (which die on conflict, park on the refused latch holding nothing,
 // and retry under their ORIGINAL id) hammer the same relation. Every
 // young writer must commit within a bounded wait — no starvation, no
-// deadlock — and the final state must equal the oracle. Run under -race
+// deadlock — and the final state must equal the model's. Run under -race
 // in CI.
 func TestWaitDieFairnessUnderPipeline(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db")
@@ -396,36 +356,15 @@ func TestWaitDieFairnessUnderPipeline(t *testing.T) {
 	}
 
 	// equivalence: everything everyone wrote is there
-	oracle := New()
-	if err := oracle.Create(txTestDef("r")); err != nil {
-		t.Fatal(err)
-	}
+	model := newFlatModel(txTestDef("r"))
 	for round := 0; round < rounds; round++ {
-		for _, f := range []tuple.Flat{
-			row(fmt.Sprintf("old%d", round), "c0", "b0"),
-			row(fmt.Sprintf("old%d", round), "c2", "b2"),
-		} {
-			if _, err := oracle.Insert("r", f); err != nil {
-				t.Fatal(err)
-			}
-		}
+		model.Insert(row(fmt.Sprintf("old%d", round), "c0", "b0"))
+		model.Insert(row(fmt.Sprintf("old%d", round), "c2", "b2"))
 		for w := 0; w < writers; w++ {
-			if _, err := oracle.Insert("r", row(fmt.Sprintf("y%d-%d", round, w), "c1", "b1")); err != nil {
-				t.Fatal(err)
-			}
+			model.Insert(row(fmt.Sprintf("y%d-%d", round, w), "c1", "b1"))
 		}
 	}
-	want, err := oracle.ReadRelation(context.Background(), "r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := db.ReadRelation(context.Background(), "r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("state diverged:\ngot  %v\nwant %v", got, want)
-	}
+	model.check(t, db, "r", "after the rounds")
 }
 
 // sweepJournal re-creates a crash at every byte offset of journal (both

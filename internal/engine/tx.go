@@ -110,12 +110,12 @@ func (l *latch) interrupt() {
 
 // Tx is a multi-statement transaction: a handle whose statements
 // (Insert, InsertMany, Delete, Create, Drop, ReadRelation) all apply or
-// all don't. On a disk-backed database every statement's write-through
-// pages pool under ONE storage transaction (the buffer pool is
-// no-steal, so nothing uncommitted reaches the data file), Commit makes
-// them durable as one WAL batch — one fsync, merged with concurrently
-// committing transactions — and Rollback discards the dirty frames,
-// leaving the file bit-identical to the pre-Begin state.
+// all don't. Every statement's write-through pages pool under ONE
+// storage transaction (the buffer pool is no-steal, so nothing
+// uncommitted reaches the data file), Commit makes them durable as one
+// WAL batch — one fsync, merged with concurrently committing
+// transactions — and Rollback discards the dirty frames, leaving the
+// file bit-identical to the pre-Begin state.
 //
 // A Tx is used from one goroutine at a time. Every shard a statement
 // touches is latched for the transaction's remaining lifetime, so
@@ -135,7 +135,7 @@ type Tx struct {
 	// Tx per statement, and most statements never touch the DDL maps.
 	mu      sync.Mutex
 	done    bool
-	stx     *store.Txn         // lazily-begun storage transaction (disk mode)
+	stx     *store.Txn         // lazily-begun storage transaction
 	held    map[*relShard]bool // shard latches held until commit/rollback
 	ddl     bool               // DDL latch held
 	touched map[*relShard]bool // shards with write-throughs under stx
@@ -145,13 +145,6 @@ type Tx struct {
 	// one it later dropped — so rollback can forget their store entries
 	// without reindexing relations that no longer exist.
 	selfCreated map[*Rel]string
-	undo        []undoRec // memory-mode statement log, undone in reverse
-}
-
-type undoRec struct {
-	sh        *relShard
-	f         tuple.Flat
-	wasInsert bool
 }
 
 // Begin starts a transaction. The context governs the transaction's
@@ -269,22 +262,25 @@ func (tx *Tx) latchDDL() error {
 	return nil
 }
 
+// storage returns the storage transaction, begun at the first write.
+func (tx *Tx) storage() *store.Txn {
+	if tx.stx == nil {
+		tx.stx = tx.db.st.Begin()
+	}
+	return tx.stx
+}
+
 // attachShard routes sh's write-throughs to this transaction's storage
 // transaction, begun at the first write, until finish detaches them.
 // The caller holds sh's latch (or, in Create, the only reference).
 func (tx *Tx) attachShard(sh *relShard) {
-	if sh.ss == nil {
-		return
-	}
-	if tx.stx == nil {
-		tx.stx = tx.db.st.Begin()
-	}
+	stx := tx.storage()
 	if !tx.touched[sh] {
 		if tx.touched == nil {
 			tx.touched = make(map[*relShard]bool)
 		}
 		tx.touched[sh] = true
-		sh.stx = tx.stx
+		sh.stx = stx
 	}
 }
 
@@ -361,11 +357,6 @@ func (tx *Tx) write(name string, f tuple.Flat, isInsert bool) (bool, error) {
 	if err := tx.syncAfterWrite(sh, m, ch, f, isInsert); err != nil {
 		return false, err
 	}
-	if ch && sh.ss == nil {
-		cp := make(tuple.Flat, len(f))
-		copy(cp, f)
-		tx.undo = append(tx.undo, undoRec{sh: sh, f: cp, wasInsert: isInsert})
-	}
 	return ch, nil
 }
 
@@ -405,7 +396,7 @@ func (tx *Tx) Create(def RelationDef) error {
 	if err := tx.usableWrite(); err != nil {
 		return err
 	}
-	def, m, err := normalizeDef(def)
+	def, err := normalizeDef(def)
 	if err != nil {
 		return err
 	}
@@ -423,48 +414,31 @@ func (tx *Tx) Create(def RelationDef) error {
 	if _, err := tx.db.Rel(def.Name); err == nil {
 		return errExists(def.Name)
 	}
-	var r *Rel
-	if tx.db.st != nil {
-		if tx.stx == nil {
-			tx.stx = tx.db.st.Begin()
-		}
-		rs, err := tx.db.st.CreateRelation(tx.stx, store.RelationDef{
-			Name: def.Name, Schema: def.Schema, Order: def.Order,
-			FDs: def.FDs, MVDs: def.MVDs, Shards: def.Shards,
-		})
+	rs, err := tx.db.st.CreateRelation(tx.storage(), store.RelationDef{
+		Name: def.Name, Schema: def.Schema, Order: def.Order,
+		FDs: def.FDs, MVDs: def.MVDs, Shards: def.Shards,
+	})
+	if err != nil {
+		return err
+	}
+	def.Shards = rs.ShardCount()
+	r := newRel(def, rs)
+	// the relation is empty: publish an empty maintainer per shard
+	// eagerly, each sinking to its own store shard. The relation is
+	// private to this transaction: own every shard latch so our
+	// statements pass (nobody else can even look it up until commit
+	// publishes it).
+	for _, sh := range r.shards {
+		m, err := update.NewMaintainerIndexed(def.Schema, def.Order)
 		if err != nil {
 			return err
 		}
-		def.Shards = rs.ShardCount()
-		r = newRel(def, rs)
-		// the relation is empty: publish an empty maintainer per shard
-		// eagerly, each sinking to its own store shard
-		for i, sh := range r.shards {
-			mi := m
-			if i > 0 {
-				if mi, err = update.NewMaintainerIndexed(def.Schema, def.Order); err != nil {
-					return err
-				}
-			}
-			mi.SetSink(sh)
-			sh.maint.Store(mi)
-			tx.attachShard(sh)
-		}
-	} else {
-		r = newRel(def, nil)
-		r.setMaintainer(m)
-	}
-	// private to this transaction: own every shard latch so our
-	// statements pass (nobody else can even look it up until commit
-	// publishes it)
-	for _, sh := range r.shards {
-		if err := sh.latch.acquire(tx); err != nil {
+		m.SetSink(sh)
+		sh.maint.Store(m)
+		tx.attachShard(sh)
+		if err := tx.latchShard(sh); err != nil {
 			return err
 		}
-		if tx.held == nil {
-			tx.held = make(map[*relShard]bool)
-		}
-		tx.held[sh] = true
 	}
 	if tx.creates == nil {
 		tx.creates = make(map[string]*Rel)
@@ -489,10 +463,8 @@ func (tx *Tx) Drop(name string) error {
 	}
 	if r, ok := tx.creates[name]; ok {
 		// dropping a relation created by this same transaction
-		if tx.db.st != nil {
-			if err := tx.db.st.DropRelation(tx.stx, name); err != nil {
-				return err
-			}
+		if err := tx.db.st.DropRelation(tx.stx, name); err != nil {
+			return err
 		}
 		delete(tx.creates, name)
 		tx.setDrop(name, r)
@@ -508,13 +480,8 @@ func (tx *Tx) Drop(name string) error {
 	if err := tx.latchRel(r); err != nil {
 		return err
 	}
-	if tx.db.st != nil {
-		if tx.stx == nil {
-			tx.stx = tx.db.st.Begin()
-		}
-		if err := tx.db.st.DropRelation(tx.stx, name); err != nil {
-			return err
-		}
+	if err := tx.db.st.DropRelation(tx.storage(), name); err != nil {
+		return err
 	}
 	tx.setDrop(name, r)
 	return nil
@@ -533,7 +500,7 @@ func (tx *Tx) setDrop(name string, r *Rel) {
 // reads). The snapshot is the caller's to mutate; a K-sharded heap's
 // union of shard partitions is merged back into the global canonical
 // form. ctx (nil = the transaction's context) cancels the heap scan at
-// page-fetch granularity on a disk-backed database.
+// page-fetch granularity.
 func (tx *Tx) ReadRelation(ctx context.Context, name string) (*core.Relation, error) {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
@@ -550,21 +517,14 @@ func (tx *Tx) ReadRelation(ctx context.Context, name string) (*core.Relation, er
 	if err := tx.latchRel(r); err != nil {
 		return nil, err
 	}
-	if r.rs != nil {
-		rel, err := r.rs.LoadCtx(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if r.rs.ShardCount() > 1 {
-			rel, _ = rel.CanonicalFromFlats(r.def.Order)
-		}
-		return rel, nil
-	}
-	m, err := r.shards[0].maintainer(nil)
+	rel, err := r.rs.LoadCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return m.Relation().Clone(), nil
+	if len(r.shards) > 1 {
+		rel, _ = rel.CanonicalFromFlats(r.def.Order)
+	}
+	return rel, nil
 }
 
 // Stats reports size and maintenance statistics for the named relation
@@ -588,13 +548,11 @@ func (tx *Tx) Stats(name string) (RelStats, error) {
 		return RelStats{}, err
 	}
 	st := statsOf(name, rel, ops)
-	if r.rs != nil {
-		ic, err := r.rs.IndexPageCounts()
-		if err != nil {
-			return RelStats{}, err
-		}
-		st.IndexPages = &ic
+	ic, err := r.rs.IndexPageCounts()
+	if err != nil {
+		return RelStats{}, err
 	}
+	st.IndexPages = &ic
 	return st, nil
 }
 
@@ -686,23 +644,19 @@ func (tx *Tx) Commit() error {
 		if db.rels[name] == r {
 			delete(db.rels, name)
 		}
-		if db.st != nil {
-			db.st.CompleteDrop(name)
-		}
+		db.st.CompleteDrop(name)
 	}
 	db.mu.Unlock()
 	tx.finish()
 	return nil
 }
 
-// Rollback discards the transaction: on a disk-backed database every
-// dirty frame is dropped from the buffer pool (no-steal guarantees
-// nothing uncommitted reached the file, so the file is bit-identical to
-// the pre-Begin state) and each touched shard's in-memory state — index
-// mirror, heap insertion target, canonical partition — is rebuilt from
-// its heap; in memory mode the statement log is undone in reverse
-// (the Section-4 algorithms are exact inverses). Latches are released
-// and the handle is done.
+// Rollback discards the transaction: every dirty frame is dropped from
+// the buffer pool (no-steal guarantees nothing uncommitted reached the
+// file, so the file is bit-identical to the pre-Begin state) and each
+// touched shard's in-memory state — index mirror, heap insertion
+// target, canonical partition — is rebuilt from its heap. Latches are
+// released and the handle is done.
 func (tx *Tx) Rollback() error {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
@@ -722,7 +676,7 @@ func (tx *Tx) rollbackLocked() error {
 			tx.db.st.ForgetRelation(name)
 		}
 		for sh := range tx.touched {
-			if _, wasCreated := tx.selfCreated[sh.r]; wasCreated || sh.ss == nil {
+			if _, wasCreated := tx.selfCreated[sh.r]; wasCreated {
 				continue
 			}
 			rel, rerr := sh.ss.Reindex()
@@ -736,18 +690,6 @@ func (tx *Tx) rollbackLocked() error {
 			// scan itself failed) has no resident form to reset
 			if m := sh.maint.Load(); m != nil {
 				m.ResetRelation(rel)
-			}
-		}
-	} else {
-		for i := len(tx.undo) - 1; i >= 0; i-- {
-			u := tx.undo[i]
-			// the undo log only records memory-mode writes, whose
-			// relations always have a resident maintainer
-			m := u.sh.maint.Load()
-			if u.wasInsert {
-				m.Delete(u.f)
-			} else {
-				m.Insert(u.f)
 			}
 		}
 	}

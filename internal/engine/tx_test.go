@@ -92,8 +92,8 @@ func TestTxMultiStatementSingleFsync(t *testing.T) {
 }
 
 // TestTxRollbackBitIdentical: a rolled-back transaction leaves both
-// files byte-identical to the pre-Begin state and the live engine
-// equivalent to an oracle that never saw the transaction.
+// files byte-identical to the pre-Begin state and the live engine equal
+// to the flat-set model, which never saw the transaction.
 func TestTxRollbackBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "rb.nfrs")
@@ -102,21 +102,17 @@ func TestTxRollbackBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	oracle := New()
 	seed := []tuple.Flat{
 		row("s1", "c1", "b1"), row("s1", "c2", "b1"),
 		row("s2", "c1", "b2"), row("s3", "c3", "b1"),
 	}
+	model := newFlatModel(txTestDef("r1")) // r2 holds the same flats
+	model.InsertMany(seed)
 	for _, name := range []string{"r1", "r2"} {
-		for _, d := range []*Database{db, oracle} {
-			if err := d.Create(txTestDef(name)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := db.InsertMany(name, seed); err != nil {
+		if err := db.Create(txTestDef(name)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := oracle.InsertMany(name, seed); err != nil {
+		if _, err := db.InsertMany(name, seed); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,8 +148,7 @@ func TestTxRollbackBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := oracle.ReadRelation(nil, "r1")
-	if mine.Equal(want) {
+	if mine.Equal(model.Canonical()) {
 		t.Fatal("transaction does not see its own writes")
 	}
 	if err := tx.Rollback(); err != nil {
@@ -177,14 +172,7 @@ func TestTxRollbackBitIdentical(t *testing.T) {
 	verify := func(d *Database, label string) {
 		t.Helper()
 		for _, name := range []string{"r1", "r2"} {
-			got, err := d.ReadRelation(nil, name)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			want, _ := oracle.ReadRelation(nil, name)
-			if !got.Equal(want) || !got.EquivalentTo(want) {
-				t.Fatalf("%s: %s diverged after rollback:\ngot  %v\nwant %v", label, name, got, want)
-			}
+			model.check(t, d, name, label)
 		}
 	}
 	verify(db, "live")
@@ -391,18 +379,19 @@ func TestTxDoneAfterCommitAndRollback(t *testing.T) {
 	}
 }
 
-// TestTxMemoryRollback: memory-mode rollback undoes the statement log
-// exactly (the Section-4 algorithms are exact inverses).
+// TestTxMemoryRollback: rolling back a transaction on an in-memory
+// database returns the relation to the model's V_P of the seed.
 func TestTxMemoryRollback(t *testing.T) {
-	db, oracle := New(), New()
+	db := New()
+	defer db.Close()
 	seed := []tuple.Flat{row("s1", "c1", "b1"), row("s1", "c2", "b1"), row("s2", "c1", "b2")}
-	for _, d := range []*Database{db, oracle} {
-		if err := d.Create(txTestDef("r")); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := d.InsertMany("r", seed); err != nil {
-			t.Fatal(err)
-		}
+	model := newFlatModel(txTestDef("r"))
+	model.InsertMany(seed)
+	if err := db.Create(txTestDef("r")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.InsertMany("r", seed); err != nil {
+		t.Fatal(err)
 	}
 	tx, _ := db.Begin(nil)
 	if _, err := tx.Insert("r", row("s3", "c3", "b3")); err != nil {
@@ -417,10 +406,11 @@ func TestTxMemoryRollback(t *testing.T) {
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := db.ReadRelation(nil, "r")
-	want, _ := oracle.ReadRelation(nil, "r")
-	if !got.Equal(want) || !got.EquivalentTo(want) {
-		t.Fatalf("memory rollback diverged:\ngot  %v\nwant %v", got, want)
+	model.check(t, db, "r", "after rollback")
+	// the resident canonical form was reset from the heap, too
+	r, _ := db.Rel("r")
+	if !r.Relation().Equal(model.Canonical()) {
+		t.Fatalf("resident form after rollback is\n%v", r.Relation())
 	}
 }
 
@@ -663,7 +653,7 @@ func TestDropWaitsForOpenTx(t *testing.T) {
 
 // TestTxStressInterleaved is the -race stress: 8 clients interleaving
 // Begin / statements / Commit / Rollback on private and shared
-// relations, with wait-die retries, must equal an oracle that applied
+// relations, with wait-die retries, must equal the flat-set model of
 // exactly the committed transactions — live and across a reopen.
 func TestTxStressInterleaved(t *testing.T) {
 	const clients, txsPerClient, stmtsPerTx = 8, 12, 3
@@ -673,20 +663,16 @@ func TestTxStressInterleaved(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	oracle := New()
 	names := make([]string, clients)
-	for c := 0; c < clients; c++ {
+	for c := range names {
 		names[c] = fmt.Sprintf("p%d", c)
-		for _, d := range []*Database{db, oracle} {
-			if err := d.Create(txTestDef(names[c])); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
-	for _, d := range []*Database{db, oracle} {
-		if err := d.Create(txTestDef("shared")); err != nil {
+	models := map[string]*flatModel{}
+	for _, name := range append(append([]string{}, names...), "shared") {
+		if err := db.Create(txTestDef(name)); err != nil {
 			t.Fatal(err)
 		}
+		models[name] = newFlatModel(txTestDef(name))
 	}
 	// commits(c, i): deterministic commit/rollback decision
 	commits := func(c, i int) bool { return (c+i)%3 != 0 }
@@ -700,20 +686,16 @@ func TestTxStressInterleaved(t *testing.T) {
 		}
 		return out
 	}
-	// oracle: single-threaded application of exactly the committed txs
+	// the models hold the flats of exactly the committed txs
 	for c := 0; c < clients; c++ {
 		for i := 0; i < txsPerClient; i++ {
 			if !commits(c, i) {
 				continue
 			}
 			rows := rowsFor(c, i)
-			if _, err := oracle.InsertMany(names[c], rows); err != nil {
-				t.Fatal(err)
-			}
+			models[names[c]].InsertMany(rows)
 			if i%2 == 0 {
-				if _, err := oracle.Insert("shared", rows[0]); err != nil {
-					t.Fatal(err)
-				}
+				models["shared"].Insert(rows[0])
 			}
 		}
 	}
@@ -771,15 +753,8 @@ func TestTxStressInterleaved(t *testing.T) {
 
 	verify := func(d *Database, label string) {
 		t.Helper()
-		for _, name := range append(append([]string{}, names...), "shared") {
-			got, err := d.ReadRelation(nil, name)
-			if err != nil {
-				t.Fatalf("%s %s: %v", label, name, err)
-			}
-			want, _ := oracle.ReadRelation(nil, name)
-			if !got.Equal(want) || !got.EquivalentTo(want) {
-				t.Fatalf("%s: %s diverged from oracle", label, name)
-			}
+		for name, m := range models {
+			m.check(t, d, name, label)
 		}
 	}
 	verify(db, "live")
@@ -806,12 +781,10 @@ func TestTxRejectedStatementKeepsTxUsable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := New()
-		for _, d := range []*Database{db, want} {
-			if err := d.Create(def); err != nil {
-				t.Fatal(err)
-			}
+		if err := db.Create(def); err != nil {
+			t.Fatal(err)
 		}
+		model := newFlatModel(def)
 		tx, _ := db.Begin(context.Background())
 		if ch, err := tx.Insert("r", row("a1", "b1")); err != nil || !ch {
 			t.Fatalf("first statement: %v %v", ch, err)
@@ -825,7 +798,7 @@ func TestTxRejectedStatementKeepsTxUsable(t *testing.T) {
 		}
 		if commit {
 			err = tx.Commit()
-			want.InsertMany("r", []tuple.Flat{row("a1", "b1"), row("a2", "b2")})
+			model.InsertMany([]tuple.Flat{row("a1", "b1"), row("a2", "b2")})
 		} else {
 			err = tx.Rollback()
 		}
@@ -841,13 +814,10 @@ func TestTxRejectedStatementKeepsTxUsable(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			got, err := db.ReadRelation(context.Background(), "r")
-			if verr := db.VerifyIndexes(); err != nil || verr != nil {
-				t.Fatal(err, verr)
+			if err := db.VerifyIndexes(); err != nil {
+				t.Fatal(err)
 			}
-			if wantRel, _ := want.ReadRelation(context.Background(), "r"); !got.Equal(wantRel) {
-				t.Fatalf("commit=%v reopen=%v: relation is\n%v", commit, reopen, got)
-			}
+			model.check(t, db, "r", fmt.Sprintf("commit=%v reopen=%v", commit, reopen))
 		}
 		db.Close()
 	}

@@ -418,7 +418,7 @@ func loadRelsErr(files map[string][]byte, label string) (map[string]*core.Relati
 		out[name] = rel
 		// the recovered B+tree must answer an unbounded range scan with
 		// exactly the heap's canonical tuples
-		if info, err := db.IndexInfo(name); err == nil && info.Indexed && info.Shards == 1 {
+		if info, err := db.IndexInfo(name); err == nil && info.Shards == 1 {
 			byIdx, _, err := db.ScanFixedRange(name, nil, nil)
 			if err != nil {
 				db.Close()

@@ -29,6 +29,35 @@ func sparseStudents(n int) []tuple.Flat {
 	return out
 }
 
+// BenchmarkSessionScript times one script on a fresh in-memory session
+// (NewSession): CREATE, 400 INSERTs, 100 point SELECTs, then BEGIN, 50
+// DELETEs and ROLLBACK — what nfr-repl without -d costs.
+func BenchmarkSessionScript(b *testing.B) {
+	row := func(i int) string { return fmt.Sprintf("(s%03d, c%d, b%d)", i%100, i%7, i%3) }
+	script := []string{`CREATE R1 (Student, Course, Club) ORDER (Course, Club, Student)`}
+	for i := 0; i < 400; i++ {
+		script = append(script, "INSERT INTO R1 VALUES "+row(i))
+	}
+	for i := 0; i < 100; i++ {
+		script = append(script, fmt.Sprintf("SELECT * FROM R1 WHERE Student = s%03d", i))
+	}
+	script = append(script, "BEGIN")
+	for i := 0; i < 50; i++ {
+		script = append(script, "DELETE FROM R1 VALUES "+row(i))
+	}
+	script = append(script, "ROLLBACK")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := NewSession()
+		for _, stmt := range script {
+			if _, err := s.Exec(stmt); err != nil {
+				b.Fatalf("%s: %v", stmt, err)
+			}
+		}
+		s.DB.Close()
+	}
+}
+
 // BenchmarkSelect times the three read statements of nfr-spine's
 // embed_read through a session on a disk database of 2 000 sparse
 // students with a pool a fraction of the relation: a point SELECT (a

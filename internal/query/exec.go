@@ -50,9 +50,8 @@ type Execer interface {
 	Def(name string) (engine.RelationDef, error)
 	Stats(name string) (engine.RelStats, error)
 	ValidateDeps(name string) ([]engine.Violation, error)
-	// Index access paths (see internal/query/plan.go). IndexInfo never
-	// fails on an existing relation; the fetch methods fail on targets
-	// without the corresponding index, which the planner rules out.
+	// Index access paths (see internal/query/plan.go). Every relation
+	// has them; IndexInfo never fails on an existing one.
 	IndexInfo(name string) (engine.IndexInfo, error)
 	LookupFixed(name string, a value.Atom) (*core.Relation, error)
 	ScanFixedRange(name string, lo, hi *engine.Bound) (*core.Relation, int, error)
@@ -73,11 +72,12 @@ type Session struct {
 	tx *engine.Tx
 }
 
-// NewSession creates a session over a fresh in-memory database.
+// NewSession creates a session over a fresh in-memory database
+// (engine.New).
 func NewSession() *Session { return &Session{DB: engine.New()} }
 
 // NewSessionOn creates a session over an existing database (for
-// example one opened disk-backed with engine.Open).
+// example one opened with engine.Open).
 func NewSessionOn(db *engine.Database) *Session { return &Session{DB: db} }
 
 // InTx reports whether the session has an open transaction.
@@ -270,12 +270,10 @@ func ExecStmtOn(ctx context.Context, target Execer, st Stmt) (Result, error) {
 			return Result{}, err
 		}
 		msg := fmt.Sprintf(
-			"%s: %d NFR tuple(s) covering %d flat tuple(s) (compression %.2fx); fixed on %v; ops: %d compositions, %d decompositions, %d scans",
+			"%s: %d NFR tuple(s) covering %d flat tuple(s) (compression %.2fx); fixed on %v; ops: %d compositions, %d decompositions, %d scans; index pages: btree inner=%d leaf=%d",
 			rs.Name, rs.NFRTuples, rs.FlatTuples, rs.Compression, rs.FixedOn,
-			rs.Ops.Compositions, rs.Ops.Decompositions, rs.Ops.CandidateScans)
-		if ip := rs.IndexPages; ip != nil {
-			msg += fmt.Sprintf("; index pages: btree inner=%d leaf=%d", ip.BTreeInner, ip.BTreeLeaf)
-		}
+			rs.Ops.Compositions, rs.Ops.Decompositions, rs.Ops.CandidateScans,
+			rs.IndexPages.BTreeInner, rs.IndexPages.BTreeLeaf)
 		return Result{Message: msg}, nil
 	case ValidateStmt:
 		vs, err := target.ValidateDeps(st.Name)

@@ -82,9 +82,6 @@ func planRead(target Execer, name string, where algebra.Pred, flat bool) (Plan, 
 		return Plan{}, err
 	}
 	switch {
-	case !info.Indexed:
-		pl.Reason = "relation has no durable indexes"
-		return pl, nil
 	case info.Shards != 1:
 		pl.Reason = fmt.Sprintf("relation is hash-sharded %d ways; stored tuples are shard-canonical", info.Shards)
 		return pl, nil

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/schema"
 )
 
 // newDiskSession opens a session over a disk-backed database with one
@@ -92,38 +94,21 @@ func TestExplainAccessPaths(t *testing.T) {
 		t.Errorf("sharded explain =\n%s", res.Message)
 	}
 
-	// memory-mode databases have no access paths
-	mem := newStudentSession(t)
-	res = mustExec(t, mem, `EXPLAIN SELECT * FROM R1 WHERE Student >= s1`)
-	if !strings.Contains(res.Message, "access: heap-scan") ||
-		!strings.Contains(res.Message, "no durable indexes") {
-		t.Errorf("memory explain =\n%s", res.Message)
-	}
-
 	// explain surfaces attribute errors like execution would
 	if _, err := s.Exec(`EXPLAIN SELECT * FROM R1 WHERE Nope = 1`); err == nil {
 		t.Error("explain accepted unknown attribute")
 	}
 }
 
-// TestIndexedSelectEquivalence runs the same statements against the
-// disk-backed (planner-routed) session and a memory session and
-// requires identical results — index fetch + residual ≡ heap scan.
+// TestIndexedSelectEquivalence holds planner-routed SELECTs to the
+// algebra applied to the heap-scanned relation (SHOW): index fetch +
+// residual ≡ selection over the whole relation.
 func TestIndexedSelectEquivalence(t *testing.T) {
-	disk, _ := newDiskSession(t)
-	mem := NewSession()
-	mustExec(t, mem, `CREATE R1 (Student:string, Course:string, Club:string) ORDER (Course, Club, Student)`)
-	var rows []string
-	for i := 0; i < 30; i++ {
-		rows = append(rows, fmt.Sprintf("(s%02d, c%d, b%d)", i, i%4, i%2))
-	}
-	mustExec(t, mem, "INSERT INTO R1 VALUES "+strings.Join(rows, ", "))
+	disk, db := newDiskSession(t)
 	// a stored -0.0 equals the literal 0.0 under value.Compare, so the
 	// point probe has to find it as the heap scan does
-	for _, s := range []*Session{disk, mem} {
-		mustExec(t, s, `CREATE Z (X:float, Y:string) ORDER (Y, X)`)
-		mustExec(t, s, `INSERT INTO Z VALUES (-0.0, y)`)
-	}
+	mustExec(t, disk, `CREATE Z (X:float, Y:string) ORDER (Y, X)`)
+	mustExec(t, disk, `INSERT INTO Z VALUES (-0.0, y)`)
 
 	queries := []string{
 		`SELECT * FROM Z WHERE X = 0.0`,
@@ -137,20 +122,36 @@ func TestIndexedSelectEquivalence(t *testing.T) {
 		`SELECT * FROM R1 WHERE Student ALL >= s00 AND Student ALL <= s99`,
 	}
 	for _, q := range queries {
-		dr := mustExec(t, disk, q)
-		mr := mustExec(t, mem, q)
-		if !dr.Relation.EquivalentTo(mr.Relation) {
-			t.Errorf("%s:\ndisk:\n%s\nmem:\n%s", q, dr, mr)
+		st, err := Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel := st.(SelectStmt)
+		full := mustExec(t, disk, "SHOW "+sel.Name).Relation
+		def, _ := db.Def(sel.Name)
+		var want *core.Relation
+		if sel.Flat {
+			want, err = algebra.SelectFlat(full, sel.Where, def.Order)
+			if err == nil && sel.Cols != nil {
+				want, err = algebra.ProjectFlat(want, schema.IdentityPerm(len(sel.Cols)), sel.Cols...)
+			}
+		} else {
+			want, err = algebra.Select(full, sel.Where)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mustExec(t, disk, q); !got.Relation.EquivalentTo(want) {
+			t.Errorf("%s:\n%s\nreference:\n%s", q, got, RenderTable(want))
 		}
 	}
 
 	// A SELECT FLAT * whose predicate reads only Student, the fixed
 	// attribute, restricts the fetched tuples; one that also reads Course
-	// expands and re-nests. Both sessions must answer, tuple for tuple,
-	// what the expand-and-re-nest reference selects from the whole
-	// relation.
-	full := mustExec(t, mem, `SHOW R1`).Relation
-	def, err := mem.DB.Def("R1")
+	// expands and re-nests. Both must answer, tuple for tuple, what the
+	// expand-and-re-nest reference selects from the whole relation.
+	full := mustExec(t, disk, `SHOW R1`).Relation
+	def, err := db.Def("R1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,53 +181,38 @@ func TestIndexedSelectEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, s := range map[string]*Session{"disk": disk, "mem": mem} {
-			if got := mustExec(t, s, c.q); !got.Relation.Equal(want) {
-				t.Errorf("%s on %s:\n%s\nreference:\n%s", c.q, name, got, RenderTable(want))
-			}
+		if got := mustExec(t, disk, c.q); !got.Relation.Equal(want) {
+			t.Errorf("%s:\n%s\nreference:\n%s", c.q, got, RenderTable(want))
 		}
 	}
 }
 
 func TestUpdateStatement(t *testing.T) {
-	for _, mode := range []string{"memory", "disk"} {
-		t.Run(mode, func(t *testing.T) {
-			var s *Session
-			if mode == "disk" {
-				s, _ = newDiskSession(t)
-			} else {
-				s = NewSession()
-				mustExec(t, s, `CREATE R1 (Student:string, Course:string, Club:string) ORDER (Course, Club, Student)`)
-				var rows []string
-				for i := 0; i < 30; i++ {
-					rows = append(rows, fmt.Sprintf("(s%02d, c%d, b%d)", i, i%4, i%2))
-				}
-				mustExec(t, s, "INSERT INTO R1 VALUES "+strings.Join(rows, ", "))
-			}
-			res := mustExec(t, s, `UPDATE R1 SET Club = bz WHERE Student >= s10 AND Student < s20`)
-			if !strings.Contains(res.Message, "updated 10 flat tuple(s)") {
-				t.Errorf("update message = %q", res.Message)
-			}
-			chk := mustExec(t, s, `SELECT FLAT * FROM R1 WHERE Club = bz`)
-			if chk.Relation.ExpansionSize() != 10 {
-				t.Errorf("rewritten flats = %d", chk.Relation.ExpansionSize())
-			}
-			// the old flats are gone, total count unchanged
-			all := mustExec(t, s, `SELECT FLAT * FROM R1`)
-			if all.Relation.ExpansionSize() != 30 {
-				t.Errorf("total flats = %d, want 30", all.Relation.ExpansionSize())
-			}
-			// no-op update reports zero
-			res = mustExec(t, s, `UPDATE R1 SET Club = bz WHERE Club = bz`)
-			if !strings.Contains(res.Message, "updated 0") {
-				t.Errorf("no-op update message = %q", res.Message)
-			}
-			// unknown SET attribute rejected
-			if _, err := s.Exec(`UPDATE R1 SET Nope = 1`); err == nil {
-				t.Error("update of unknown attribute accepted")
-			}
-		})
-	}
+	t.Run("disk", func(t *testing.T) {
+		s, _ := newDiskSession(t)
+		res := mustExec(t, s, `UPDATE R1 SET Club = bz WHERE Student >= s10 AND Student < s20`)
+		if !strings.Contains(res.Message, "updated 10 flat tuple(s)") {
+			t.Errorf("update message = %q", res.Message)
+		}
+		chk := mustExec(t, s, `SELECT FLAT * FROM R1 WHERE Club = bz`)
+		if chk.Relation.ExpansionSize() != 10 {
+			t.Errorf("rewritten flats = %d", chk.Relation.ExpansionSize())
+		}
+		// the old flats are gone, total count unchanged
+		all := mustExec(t, s, `SELECT FLAT * FROM R1`)
+		if all.Relation.ExpansionSize() != 30 {
+			t.Errorf("total flats = %d, want 30", all.Relation.ExpansionSize())
+		}
+		// no-op update reports zero
+		res = mustExec(t, s, `UPDATE R1 SET Club = bz WHERE Club = bz`)
+		if !strings.Contains(res.Message, "updated 0") {
+			t.Errorf("no-op update message = %q", res.Message)
+		}
+		// unknown SET attribute rejected
+		if _, err := s.Exec(`UPDATE R1 SET Nope = 1`); err == nil {
+			t.Error("update of unknown attribute accepted")
+		}
+	})
 }
 
 func TestSelectOrderBy(t *testing.T) {
@@ -257,11 +243,5 @@ func TestStatsShowsIndexPages(t *testing.T) {
 	res := mustExec(t, s, "STATS R1")
 	if !strings.Contains(res.Message, "index pages: btree inner=") {
 		t.Errorf("stats = %q", res.Message)
-	}
-	// memory mode: no index-pages clause
-	mem := newStudentSession(t)
-	res = mustExec(t, mem, "STATS R1")
-	if strings.Contains(res.Message, "index pages") {
-		t.Errorf("memory stats = %q", res.Message)
 	}
 }

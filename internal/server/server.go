@@ -274,12 +274,8 @@ func (s *Server) Stats() wire.ServerStats {
 	s.mu.Lock()
 	st.Conns = len(s.conns)
 	s.mu.Unlock()
-	if ps, ok := s.db.AllPoolStats(); ok {
-		st.Pool = ps
-	}
-	if ws, ok := s.db.WALStats(); ok {
-		st.WAL = ws
-	}
+	st.Pool, _ = s.db.AllPoolStats()
+	st.WAL, _ = s.db.WALStats()
 	if ps := s.db.PipelineStats(); len(ps) > 0 {
 		st.Pipelines = make(map[string]wire.RelPipeline, len(ps))
 		for name, p := range ps {

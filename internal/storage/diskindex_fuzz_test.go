@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"io"
 	"testing"
 )
 
@@ -61,7 +60,7 @@ func FuzzIndexPage(f *testing.F) {
 // empty bucket so directories pointing at page 2 can resolve.
 func attachFuzzedDirectory(t *testing.T, dir *Page) {
 	t.Helper()
-	mem := &fuzzFile{}
+	mem := &MemFile{}
 	pg, err := NewPager(mem)
 	if err != nil {
 		t.Fatal(err)
@@ -87,38 +86,3 @@ func attachFuzzedDirectory(t *testing.T, dir *Page) {
 	ix.Get([]byte("probe"))
 	ix.Pages()
 }
-
-// fuzzFile is a minimal in-memory storage.File for the attach fuzz.
-type fuzzFile struct{ b []byte }
-
-func (f *fuzzFile) ReadAt(p []byte, off int64) (int, error) {
-	if off >= int64(len(f.b)) {
-		return 0, io.EOF
-	}
-	n := copy(p, f.b[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-func (f *fuzzFile) WriteAt(p []byte, off int64) (int, error) {
-	if need := off + int64(len(p)); need > int64(len(f.b)) {
-		nb := make([]byte, need)
-		copy(nb, f.b)
-		f.b = nb
-	}
-	copy(f.b[off:], p)
-	return len(p), nil
-}
-
-func (f *fuzzFile) Truncate(size int64) error {
-	if size <= int64(len(f.b)) {
-		f.b = f.b[:size]
-	}
-	return nil
-}
-
-func (f *fuzzFile) Sync() error          { return nil }
-func (f *fuzzFile) Close() error         { return nil }
-func (f *fuzzFile) Size() (int64, error) { return int64(len(f.b)), nil }

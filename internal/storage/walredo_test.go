@@ -128,7 +128,7 @@ func nextVersion(t *testing.T, p *Page, rec string) *Page {
 // delta for one page and a batch with two deltas for one page.
 func redoLog(t *testing.T) []byte {
 	t.Helper()
-	f := &fuzzFile{}
+	f := &MemFile{}
 	w, err := OpenWAL("redo.wal", func(string, bool) (File, error) { return f, nil })
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestWALRedoEveryOffset(t *testing.T) {
 		t.Fatalf("reference fold of the whole log: %d batches, end %d of %d", batches, end, len(log))
 	}
 	for cut := 0; cut <= len(log); cut++ {
-		f := &fuzzFile{b: append([]byte(nil), log[:cut]...)}
+		f := &MemFile{b: append([]byte(nil), log[:cut]...)}
 		w, err := OpenWAL("redo.wal", func(string, bool) (File, error) { return f, nil })
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
@@ -228,7 +228,7 @@ func TestWALRedoEveryOffset(t *testing.T) {
 // each first logged as an image: the shape of an uncheckpointed run of
 // autocommit statements.
 func walRecoverLog(tb testing.TB, pages, n int) []byte {
-	f := &fuzzFile{}
+	f := &MemFile{}
 	w, err := OpenWAL("bench.wal", func(string, bool) (File, error) { return f, nil })
 	if err != nil {
 		tb.Fatal(err)
@@ -271,7 +271,7 @@ func BenchmarkWALRecover(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(log)))
 		for i := 0; i < b.N; i++ {
-			f := &fuzzFile{b: log}
+			f := &MemFile{b: log}
 			w, err := OpenWAL("bench.wal", func(string, bool) (File, error) { return f, nil })
 			if err != nil || w.Stats().RecoveredBatches != 501 {
 				b.Fatalf("recovered %d batches: %v", w.Stats().RecoveredBatches, err)

@@ -207,6 +207,8 @@ func (a Atom) Hash() uint64 {
 		f := a.F
 		if math.IsNaN(f) {
 			f = math.NaN()
+		} else if f == 0 {
+			f = 0 // -0.0, which Compare calls equal to +0.0
 		}
 		putUint64(buf[:], math.Float64bits(f))
 		h.Write(buf[:])

@@ -129,8 +129,7 @@ type ServerStats struct {
 	// LatchWaits is engine.Database.LatchWaits: statement-latch
 	// acquisitions that blocked on a concurrent transaction.
 	LatchWaits int64 `json:"latch_waits"`
-	// Pool and WAL are the storage layer's counters (zero-valued when
-	// the served database is in-memory).
+	// Pool and WAL are the storage layer's counters.
 	Pool storage.PoolStats `json:"pool"`
 	WAL  storage.WALStats  `json:"wal"`
 	// Pipelines reports, per relation, how the write pipeline batched
@@ -138,8 +137,7 @@ type ServerStats struct {
 	// latches were (engine.Database.PipelineStats).
 	Pipelines map[string]RelPipeline `json:"pipelines,omitempty"`
 	// Indexes reports, per relation, the durable index footprint by
-	// structure (engine.Database.IndexPageStats). Empty for in-memory
-	// databases.
+	// structure (engine.Database.IndexPageStats).
 	Indexes map[string]RelIndexPages `json:"indexes,omitempty"`
 }
 

@@ -154,7 +154,9 @@ var (
 	ErrMispaired    = engine.ErrMispaired
 )
 
-// NewDatabase creates an empty in-memory database.
+// NewDatabase creates an empty database held in memory: the engine
+// Open returns, its paged file and log kept in memory instead of on
+// disk (see docs/api.md).
 func NewDatabase() *Database { return engine.New() }
 
 // Open opens (or creates) a disk-backed database in the single paged
@@ -196,11 +198,12 @@ func (tx *Tx) Query(ctx context.Context, stmtText string) (Result, error) {
 	return query.ExecOn(ctx, tx.Tx, stmtText)
 }
 
-// LoadDatabase reads a paged database file saved with Database.Save
-// into an in-memory database (no live file attachment).
+// LoadDatabase copies a paged database file saved with Database.Save
+// into a new in-memory database (no live file attachment).
 func LoadDatabase(path string) (*Database, error) { return engine.Load(path) }
 
-// NewSession creates a query-language session over a fresh database.
+// NewSession creates a query-language session over a fresh in-memory
+// database (NewDatabase).
 func NewSession() *Session { return query.NewSession() }
 
 // NewSessionOn creates a query-language session over an existing
