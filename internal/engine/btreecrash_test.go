@@ -3,27 +3,25 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 
+	"repro/internal/storage/crashfs"
 	"repro/internal/tuple"
 )
 
 // TestBTreeSplitCrashSweep aims crash injection at the range index's
 // structural mutations: with the node fan-out clamped to its minimum,
 // ONE transaction of inserts forces B+tree leaf splits AND inner splits
-// (height growth), and a crash at every byte offset of the journal must
-// recover the index onto a transaction boundary — verified against the
+// (height growth), and a crash in every distinct state of the journal
+// must recover the index onto a transaction boundary — verified against the
 // heap-scan oracle by loadRelsErr (VerifyIndexes walks the tree, and an
 // unbounded ScanFixedRange must equal the recovered heap content).
 func TestBTreeSplitCrashSweep(t *testing.T) {
-	fsys := newTxFS()
+	fsys := crashfs.New(nil)
 	open := func() *Database {
 		t.Helper()
 		db, err := Open("db",
-			WithFileSystem(fsys.open, fsys.remove),
+			WithFileSystem(fsys.Open, fsys.Remove),
 			WithPoolPages(8), WithCheckpointBytes(-1))
 		if err != nil {
 			t.Fatal(err)
@@ -52,7 +50,7 @@ func TestBTreeSplitCrashSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pre := loadRels(t, fsys.snapshot(), "reference pre")
+	pre := loadRels(t, fsys.Snapshot(), "reference pre")
 	db2 := open()
 	defer db2.Close()
 	// clamp the fan-out so a dozen keys build a three-level tree
@@ -65,11 +63,7 @@ func TestBTreeSplitCrashSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base := fsys.snapshot()
-	fsys.mu.Lock()
-	fsys.recording = true
-	fsys.journal = nil
-	fsys.mu.Unlock()
+	base := fsys.Record()
 	tx, err := db2.Begin(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -87,11 +81,8 @@ func TestBTreeSplitCrashSweep(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	fsys.mu.Lock()
-	fsys.recording = false
-	journal := fsys.journal
-	fsys.mu.Unlock()
-	post := loadRels(t, fsys.snapshot(), "reference post")
+	journal := fsys.Journal()
+	post := loadRels(t, fsys.Snapshot(), "reference post")
 	if pre["r1"].Equal(post["r1"]) {
 		t.Fatal("transaction changed nothing; harness is vacuous")
 	}
@@ -107,57 +98,6 @@ func TestBTreeSplitCrashSweep(t *testing.T) {
 		t.Fatalf("tx did not force both split kinds: before %+v after %+v", before["r1"], after["r1"])
 	}
 
-	total := int64(0)
-	for _, op := range journal {
-		total += op.cost()
-	}
-	if total == 0 {
-		t.Fatal("empty journal")
-	}
-	t.Logf("journal: %d ops, %d injection points; btree pages %+v -> %+v",
-		len(journal), total, before["r1"], after["r1"])
-
-	stride := int64(1)
-	if testing.Short() {
-		stride = 13
-	}
-	workers := runtime.GOMAXPROCS(0)
-	var next, failed atomic.Int64
-	errs := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := (next.Add(1) - 1) * stride
-				if k > total || failed.Load() != 0 {
-					return
-				}
-				for _, mode := range []string{"inorder", "reordered"} {
-					state := txCrashState(base, journal, k, mode == "reordered")
-					label := fmt.Sprintf("btree-%s@%d", mode, k)
-					got, err := loadRelsErr(state, label)
-					if err == nil {
-						preSide := got["r1"].Equal(pre["r1"])
-						postSide := got["r1"].Equal(post["r1"])
-						if !preSide && !postSide {
-							err = fmt.Errorf("%s: recovery not on a transaction boundary:\nr1 %v", label, got["r1"])
-						}
-					}
-					if err != nil {
-						if failed.CompareAndSwap(0, 1) {
-							errs <- err
-						}
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
+	t.Logf("journal: %d ops; btree pages %+v -> %+v", len(journal), before["r1"], after["r1"])
+	sweepTx(t, base, journal, pre, post)
 }

@@ -11,7 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/storage"
-	"repro/internal/storage/syncgate"
+	"repro/internal/storage/crashfs"
 	"repro/internal/store"
 	"repro/internal/tuple"
 	"repro/internal/value"
@@ -20,9 +20,9 @@ import (
 // openGated opens "db" on fsys behind gate (the tests that need commits
 // to merge hold the log's fsync instead of timing a real one), with
 // manual checkpoints only: a checkpoint's log reset is an fsync too.
-func openGated(t *testing.T, fsys *txFS, gate *syncgate.Gate) *Database {
+func openGated(t *testing.T, fsys *crashfs.FS, gate *crashfs.Gate) *Database {
 	t.Helper()
-	db, err := Open("db", WithFileSystem(gate.Open(fsys.open), fsys.remove), WithPoolPages(128), WithCheckpointBytes(-1))
+	db, err := Open("db", WithFileSystem(gate.Open(fsys.Open), fsys.Remove), WithPoolPages(128), WithCheckpointBytes(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func openGated(t *testing.T, fsys *txFS, gate *syncgate.Gate) *Database {
 // checkLiveAndReopened holds relation name of db, and its indexes, to
 // the flat-set model of flats; then closes db and holds the reopened
 // file to the same.
-func checkLiveAndReopened(t *testing.T, fsys *txFS, gate *syncgate.Gate, db *Database, name string, flats []tuple.Flat) {
+func checkLiveAndReopened(t *testing.T, fsys *crashfs.FS, gate *crashfs.Gate, db *Database, name string, flats []tuple.Flat) {
 	t.Helper()
 	model := newFlatModel(txTestDef(name))
 	model.InsertMany(flats)
@@ -70,7 +70,7 @@ func TestGroupCommitMergesBehindSlowFsync(t *testing.T) {
 		{"tx of 4 statements K=8", 8, 4},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
-			fsys, gate := newTxFS(), syncgate.New()
+			fsys, gate := crashfs.New(nil), crashfs.NewGate()
 			db := openGated(t, fsys, gate)
 			if err := db.Create(shardedDef("hot", leg.shards)); err != nil {
 				t.Fatal(err)
@@ -148,7 +148,7 @@ func TestGroupCommitMergesBehindSlowFsync(t *testing.T) {
 // insert gets, and nothing of it is left live, on disk or in the
 // indexes.
 func TestBatchFallbackMixedBatch(t *testing.T) {
-	fsys, gate := newTxFS(), syncgate.New()
+	fsys, gate := crashfs.New(nil), crashfs.NewGate()
 	db := openGated(t, fsys, gate)
 	if err := db.Create(txTestDef("r")); err != nil {
 		t.Fatal(err)
@@ -208,8 +208,8 @@ func TestWALBytesPerInsert(t *testing.T) {
 	sch, flats := enrollmentFlats(101, 120) // ≥ warmup+n rows
 	type logged struct{ bytes, pages, deltas int }
 	measure := func() logged {
-		fsys := newTxFS()
-		db, err := Open("db", WithFileSystem(fsys.open, fsys.remove), WithPoolPages(64), WithCheckpointBytes(-1))
+		fsys := crashfs.New(nil)
+		db, err := Open("db", WithFileSystem(fsys.Open, fsys.Remove), WithPoolPages(64), WithCheckpointBytes(-1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,8 +257,8 @@ func TestWALBytesPerInsert(t *testing.T) {
 // no latch, returns the state before the transaction, and sees the
 // write once it has committed.
 func TestSnapshotReadIgnoresOpenTx(t *testing.T) {
-	fsys := newTxFS()
-	db, err := Open("db", WithFileSystem(fsys.open, fsys.remove))
+	fsys := crashfs.New(nil)
+	db, err := Open("db", WithFileSystem(fsys.Open, fsys.Remove))
 	if err != nil {
 		t.Fatal(err)
 	}

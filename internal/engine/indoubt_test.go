@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/storage"
+	"repro/internal/storage/crashfs"
 	"repro/internal/tuple"
 )
 
@@ -29,8 +30,8 @@ func TestCommitInDoubtWindow(t *testing.T) {
 }
 
 func testCommitInDoubt(t *testing.T, failAll bool) {
-	fsys := newTxFS()
-	db, err := Open("db", WithFileSystem(fsys.open, fsys.remove), WithPoolPages(32), WithCheckpointBytes(-1))
+	fsys := crashfs.New(nil)
+	db, err := Open("db", WithFileSystem(fsys.Open, fsys.Remove), WithPoolPages(32), WithCheckpointBytes(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +94,7 @@ func testCommitInDoubt(t *testing.T, failAll bool) {
 	injected := errors.New("injected data-file write failure")
 	var writes [3]int // data-file writes seen per attempt (1-based)
 	attempts, logged := 0, true
-	fsys.mu.Lock()
-	fsys.failWrite = func(name string) error {
+	fsys.FailWrite(func(name string) error {
 		if name != "db" {
 			logged = true
 			return nil
@@ -111,13 +111,10 @@ func testCommitInDoubt(t *testing.T, failAll bool) {
 			return injected
 		}
 		return nil
-	}
-	fsys.mu.Unlock()
+	})
 	fsyncs := db.st.WALStats().Fsyncs
 	err = tx.Commit()
-	fsys.mu.Lock()
-	fsys.failWrite = nil
-	fsys.mu.Unlock()
+	fsys.FailWrite(nil)
 	if !errors.Is(err, storage.ErrWriteThroughFailed) {
 		t.Fatalf("Commit error %v does not wrap ErrWriteThroughFailed", err)
 	}
@@ -130,7 +127,7 @@ func testCommitInDoubt(t *testing.T, failAll bool) {
 	if got := db.st.WALStats().Fsyncs - fsyncs; got != 2 {
 		t.Fatalf("%d commit fsyncs, want 2: the batch must be durable in the log before each write-through", got)
 	}
-	inDoubt := fsys.snapshot()
+	inDoubt := fsys.Snapshot()
 
 	// this process: rolled back
 	if live := read("after failed commit"); !same(live, pre) {
@@ -152,7 +149,7 @@ func testCommitInDoubt(t *testing.T, failAll bool) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := loadRels(t, fsys.snapshot(), "post-checkpoint crash image"); !same(got, pre) {
+	if got := loadRels(t, fsys.Snapshot(), "post-checkpoint crash image"); !same(got, pre) {
 		t.Fatal("crash image after a checkpoint still contains the rolled-back batch")
 	}
 	if live := read("after checkpoint"); !same(live, pre) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/schema"
+	"repro/internal/storage/crashfs"
 	"repro/internal/tuple"
 	"repro/internal/workload"
 )
@@ -19,9 +20,9 @@ func BenchmarkMaterialize(b *testing.B) {
 	flats := workload.GenEnrollment(1, workload.EnrollmentParams{
 		Students: 250, CoursePool: 150, ClubPool: 20, SemesterPool: 1, CoursesPerStudent: 4, ClubsPerStudent: 2,
 	}).R1.Expand()
-	fsys := newTxFS()
+	fsys := crashfs.New(nil)
 	open := func() *Database {
-		db, err := Open("db", WithFileSystem(fsys.open, fsys.remove), WithPoolPages(64))
+		db, err := Open("db", WithFileSystem(fsys.Open, fsys.Remove), WithPoolPages(64))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -37,16 +38,13 @@ func BenchmarkMaterialize(b *testing.B) {
 	if err := db.Close(); err != nil {
 		b.Fatal(err)
 	}
-	closed := fsys.snapshot()
+	closed := fsys // as Close left it: each iteration opens a copy
 	first := tuple.FlatOfStrings("s9999", "c00", "b00")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		fsys.files = make(map[string][]byte, len(closed))
-		for name, body := range closed {
-			fsys.files[name] = append([]byte(nil), body...)
-		}
+		fsys = crashfs.New(closed.Snapshot())
 		b.StartTimer()
 		db := open()
 		if changed, err := db.Insert("R1", first); err != nil || !changed {

@@ -4,13 +4,12 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/storage/crashfs"
 	"repro/internal/tuple"
 )
 
@@ -367,79 +366,18 @@ func TestWaitDieFairnessUnderPipeline(t *testing.T) {
 	model.check(t, db, "r", "after the rounds")
 }
 
-// sweepJournal re-creates a crash at every byte offset of journal (both
-// replay modes) over base and demands recovery land BOTH r1 and r2
-// together on either the pre or the post side, with indexes and
-// checksums clean — the same contract as TestTxCrashRecoveryEveryOffset,
-// factored out so the sharded harness below can reuse it.
-func sweepJournal(t *testing.T, base map[string][]byte, journal []txOp, pre, post map[string]*core.Relation) {
-	t.Helper()
-	total := int64(0)
-	for _, op := range journal {
-		total += op.cost()
-	}
-	if total == 0 {
-		t.Fatal("empty journal")
-	}
-	t.Logf("journal: %d ops, %d injection points", len(journal), total)
-	stride := int64(1)
-	if testing.Short() {
-		stride = 13
-	}
-	workers := runtime.GOMAXPROCS(0)
-	var next, failed atomic.Int64
-	errs := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := (next.Add(1) - 1) * stride
-				if k > total || failed.Load() != 0 {
-					return
-				}
-				for _, mode := range []string{"inorder", "reordered"} {
-					state := txCrashState(base, journal, k, mode == "reordered")
-					label := fmt.Sprintf("%s@%d", mode, k)
-					got, err := loadRelsErr(state, label)
-					if err == nil {
-						preSide := got["r1"].Equal(pre["r1"]) && got["r2"].Equal(pre["r2"])
-						postSide := got["r1"].Equal(post["r1"]) && got["r2"].Equal(post["r2"])
-						if !preSide && !postSide {
-							err = fmt.Errorf("%s: recovery not on a transaction boundary:\nr1 %v\nr2 %v",
-								label, got["r1"], got["r2"])
-						}
-					}
-					if err != nil {
-						if failed.CompareAndSwap(0, 1) {
-							errs <- err
-						}
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-}
-
 // TestShardedTxCrashRecoveryEveryOffset drives the crash harness
 // through the SHARDED write path: both relations carry Shards=3, the
 // recorded transaction's statements fan out across several shard chains
 // (disjoint heap pages, one merged WAL group), and a crash at every
-// byte offset must still recover every shard of both relations on the
-// same side of the transaction boundary.
+// distinct crash state must still recover every shard of both
+// relations on the same side of the transaction boundary.
 func TestShardedTxCrashRecoveryEveryOffset(t *testing.T) {
-	fsys := newTxFS()
+	fsys := crashfs.New(nil)
 	open := func() *Database {
 		t.Helper()
 		db, err := Open("db",
-			WithFileSystem(fsys.open, fsys.remove),
+			WithFileSystem(fsys.Open, fsys.Remove),
 			WithPoolPages(8), WithCheckpointBytes(-1))
 		if err != nil {
 			t.Fatal(err)
@@ -472,14 +410,10 @@ func TestShardedTxCrashRecoveryEveryOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pre := loadRels(t, fsys.snapshot(), "reference pre")
+	pre := loadRels(t, fsys.Snapshot(), "reference pre")
 	db2 := open()
 	defer db2.Close()
-	base := fsys.snapshot()
-	fsys.mu.Lock()
-	fsys.recording = true
-	fsys.journal = nil
-	fsys.mu.Unlock()
+	base := fsys.Record()
 	tx, err := db2.Begin(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -519,28 +453,26 @@ func TestShardedTxCrashRecoveryEveryOffset(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	fsys.mu.Lock()
-	fsys.recording = false
-	journal := fsys.journal
-	fsys.mu.Unlock()
-	post := loadRels(t, fsys.snapshot(), "reference post")
+	journal := fsys.Journal()
+	post := loadRels(t, fsys.Snapshot(), "reference post")
 	if pre["r1"].Equal(post["r1"]) || pre["r2"].Equal(post["r2"]) {
 		t.Fatal("transaction changed nothing; harness is vacuous")
 	}
-	sweepJournal(t, base, journal, pre, post)
+	sweepTx(t, base, journal, pre, post)
 }
 
 // TestPipelineBatchCrashRecoveryEveryOffset records a journal for ONE
 // pipeline batch — several statements applied through applyBatch's
 // single-transaction path (one latch hold, one maintainer Apply, one
-// commit fsync) — and sweeps a crash across every byte of it. The
-// batch, like any transaction, must be all-or-nothing on disk.
+// commit fsync) — and sweeps a crash across every distinct state it
+// can leave. The batch, like any transaction, must be all-or-nothing
+// on disk.
 func TestPipelineBatchCrashRecoveryEveryOffset(t *testing.T) {
-	fsys := newTxFS()
+	fsys := crashfs.New(nil)
 	open := func() *Database {
 		t.Helper()
 		db, err := Open("db",
-			WithFileSystem(fsys.open, fsys.remove),
+			WithFileSystem(fsys.Open, fsys.Remove),
 			WithPoolPages(8), WithCheckpointBytes(-1))
 		if err != nil {
 			t.Fatal(err)
@@ -562,14 +494,10 @@ func TestPipelineBatchCrashRecoveryEveryOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pre := loadRels(t, fsys.snapshot(), "reference pre")
+	pre := loadRels(t, fsys.Snapshot(), "reference pre")
 	db2 := open()
 	defer db2.Close()
-	base := fsys.snapshot()
-	fsys.mu.Lock()
-	fsys.recording = true
-	fsys.journal = nil
-	fsys.mu.Unlock()
+	base := fsys.Record()
 
 	// hand applyBatch a ready-made batch: three statements that must
 	// commit as one unit on one shard chain
@@ -599,16 +527,13 @@ func TestPipelineBatchCrashRecoveryEveryOffset(t *testing.T) {
 		}
 	}
 
-	fsys.mu.Lock()
-	fsys.recording = false
-	journal := fsys.journal
-	fsys.mu.Unlock()
-	post := loadRels(t, fsys.snapshot(), "reference post")
+	journal := fsys.Journal()
+	post := loadRels(t, fsys.Snapshot(), "reference post")
 	if pre["r1"].Equal(post["r1"]) {
 		t.Fatal("batch changed nothing; harness is vacuous")
 	}
 	if !pre["r2"].Equal(post["r2"]) {
 		t.Fatal("batch leaked into r2")
 	}
-	sweepJournal(t, base, journal, pre, post)
+	sweepTx(t, base, journal, pre, post)
 }

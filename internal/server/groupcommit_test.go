@@ -13,7 +13,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/schema"
 	"repro/internal/storage"
-	"repro/internal/storage/syncgate"
+	"repro/internal/storage/crashfs"
 	"repro/internal/tuple"
 )
 
@@ -26,7 +26,7 @@ import (
 // definition: CanonicalFromFlats of R*), live and reopened.
 func TestGroupCommitOverTheWire(t *testing.T) {
 	const conns, txs, perTx = 4, 10, 4
-	gate := syncgate.New()
+	gate := crashfs.NewGate()
 	path := filepath.Join(t.TempDir(), "served.nfrs")
 	open := func() *engine.Database {
 		db, err := engine.Open(path, engine.WithFileSystem(gate.Open(storage.OpenOSFile), os.Remove), engine.WithCheckpointBytes(-1))

@@ -1,9 +1,4 @@
-// Package syncgate is test support for the engine's and the server's
-// group-commit tests: a filesystem wrapper whose log fsync a test
-// holds. Commits only merge when a commit fsync is slow; holding it
-// makes the merge counters follow from who was waiting, not from the
-// machine's fsync latency.
-package syncgate
+package crashfs
 
 import (
 	"strings"
@@ -15,18 +10,20 @@ import (
 // Gate holds the log's fsync while Armed: every Sync of a ".wal"
 // sidecar sends on Entered and then waits for a token on Release.
 // Commit fsyncs run one at a time (the group-commit leader holds the
-// commit lock), so at most one is parked.
+// commit lock), so at most one is parked. Commits only merge when a
+// commit fsync is slow; holding it makes the merge counters follow from
+// who was waiting, not from the machine's fsync latency.
 type Gate struct {
 	Armed            atomic.Bool
 	Entered, Release chan struct{}
 }
 
-// New returns a disarmed gate.
-func New() *Gate {
+// NewGate returns a disarmed gate.
+func NewGate() *Gate {
 	return &Gate{Entered: make(chan struct{}), Release: make(chan struct{})}
 }
 
-// Open wraps open, for engine.WithFileSystem.
+// Open wraps open, which may be an FS's or the operating system's.
 func (g *Gate) Open(open storage.OpenFileFunc) storage.OpenFileFunc {
 	return func(name string, create bool) (storage.File, error) {
 		f, err := open(name, create)

@@ -275,121 +275,6 @@ func TestWALAppendGroupRecovery(t *testing.T) {
 	}
 }
 
-// flakyFile wraps a File and fails WriteAt while failing is set — for
-// injecting data-file write-through errors after a successful WAL
-// fsync.
-type flakyFile struct {
-	File
-	mu      sync.Mutex
-	failing bool
-}
-
-func (f *flakyFile) setFailing(v bool) {
-	f.mu.Lock()
-	f.failing = v
-	f.mu.Unlock()
-}
-
-func (f *flakyFile) WriteAt(p []byte, off int64) (int, error) {
-	f.mu.Lock()
-	failing := f.failing
-	f.mu.Unlock()
-	if failing {
-		return 0, fmt.Errorf("flaky: injected write failure")
-	}
-	return f.File.WriteAt(p, off)
-}
-
-// TestWriteThroughFailureKeepsFramesDirty: when the data-file write
-// AFTER a successful WAL fsync fails, the transaction's frames must
-// stay dirty (the on-disk pages hold the PREVIOUS committed,
-// checksum-valid version — eviction would silently serve stale data)
-// and a retried commit must repair everything.
-func TestWriteThroughFailureKeepsFramesDirty(t *testing.T) {
-	dir := t.TempDir()
-	raw, err := OpenOSFile(filepath.Join(dir, "f.db"), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ff := &flakyFile{File: raw}
-	pg, err := NewPager(ff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pg.Close()
-	w, err := OpenWAL(filepath.Join(dir, "f.db.wal"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	bp, err := NewBufferPool(pg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp.AttachWAL(w)
-
-	// commit version 1 of the page normally
-	txn := bp.Begin()
-	fr, err := bp.NewPage(txn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pid := fr.PID()
-	if _, err := fr.Page().Insert([]byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := bp.Unpin(fr, true); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bp.CommitTxn(txn); err != nil {
-		t.Fatal(err)
-	}
-
-	// version 2: WAL append succeeds, data write-through fails
-	txn2 := bp.Begin()
-	fr2, err := bp.GetMut(txn2, pid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fr2.Page().Insert([]byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := bp.Unpin(fr2, true); err != nil {
-		t.Fatal(err)
-	}
-	ff.setFailing(true)
-	if _, err := bp.CommitTxn(txn2); err == nil {
-		t.Fatal("write-through failure not surfaced")
-	}
-	ff.setFailing(false)
-	if txn2.DirtyPages() != 1 {
-		t.Fatalf("failed write-through cleared the dirty set (%d pages)", txn2.DirtyPages())
-	}
-	// the pool still serves the committed-in-log version, not the stale disk copy
-	rfr, err := bp.Get(pid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rfr.Page().Get(1); err != nil {
-		t.Fatal("v2 record lost from the buffered page")
-	}
-	bp.Unpin(rfr, false)
-	// retry lands it on disk
-	if _, err := bp.CommitTxn(txn2); err != nil {
-		t.Fatalf("retried commit failed: %v", err)
-	}
-	var onDisk Page
-	if err := pg.Read(pid, &onDisk); err != nil {
-		t.Fatal(err)
-	}
-	if err := onDisk.VerifyChecksum(); err != nil {
-		t.Fatal(err)
-	}
-	if rec, err := onDisk.Get(1); err != nil || string(rec) != "v2" {
-		t.Fatalf("disk page after retry = %q, %v", rec, err)
-	}
-}
-
 // TestRollbackDiscardsDirtyFrames: Rollback drops a transaction's
 // dirty frames so the next read sees the last committed state, and
 // releases ownership so blocked claimants proceed.

@@ -125,6 +125,7 @@ type WAL struct {
 	hdrClock uint64           // clock value currently persisted in the header
 	images   map[uint32]*Page // latest committed image per page since the last reset
 	stats    WALStats
+	broken   error // a failed append's bytes could not be cut off: refuse appends
 }
 
 // OpenWAL attaches to the write-ahead log at path. An existing file is
@@ -454,6 +455,9 @@ func (w *WAL) AppendGroup(batches [][]WALPage, lsn uint64) error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.broken != nil {
+		return w.broken
+	}
 	if w.f == nil {
 		f, err := w.open(w.path, true)
 		if err != nil {
@@ -464,7 +468,7 @@ func (w *WAL) AppendGroup(batches [][]WALPage, lsn uint64) error {
 	if w.size == 0 {
 		hdr := w.header()
 		if _, err := w.f.WriteAt(hdr, 0); err != nil {
-			return err
+			return w.undoAppend(err)
 		}
 		w.size = int64(len(hdr))
 	}
@@ -508,10 +512,10 @@ func (w *WAL) AppendGroup(batches [][]WALPage, lsn uint64) error {
 		buf = append(buf, commit...)
 	}
 	if _, err := w.f.WriteAt(buf, w.size); err != nil {
-		return err
+		return w.undoAppend(err)
 	}
 	if err := w.f.Sync(); err != nil {
-		return err
+		return w.undoAppend(err)
 	}
 	w.stats.Fsyncs++
 	w.size += int64(len(buf))
@@ -534,6 +538,20 @@ func (w *WAL) AppendGroup(batches [][]WALPage, lsn uint64) error {
 		}
 	}
 	return nil
+}
+
+// undoAppend cuts a failed append's bytes off the log and returns err.
+// Left in place, they would outlive the failure: the group's sequence
+// numbers are reused, so a later batch exactly as long as the failed
+// group's first would be followed by the failed group's second, which
+// then parses as the next batch and is replayed although its commit
+// failed. If the cut fails too, every later append fails with that
+// error until the log is reopened.
+func (w *WAL) undoAppend(err error) error {
+	if terr := w.f.Truncate(w.size); terr != nil {
+		w.broken = fmt.Errorf("storage: log holds a failed append (%v) and cannot cut it off: %w", err, terr)
+	}
+	return err
 }
 
 // header builds the on-disk header with the current dbid and clock.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/storage/crashfs"
 	"repro/internal/value"
 )
 
@@ -15,8 +16,8 @@ import (
 // (student(i), c<i>, b), runs loop under the timer and reports the log
 // pages and bytes it appended per op.
 func benchShard(b *testing.B, n int, student func(i int) string, loop func(st *Store, sh *Shard)) {
-	fs := newMemFS()
-	st, err := Open("db", Options{OpenFile: fs.open, RemoveFile: fs.remove})
+	fs := crashfs.New(nil)
+	st, err := Open("db", Options{OpenFile: fs.Open, RemoveFile: fs.Remove})
 	if err != nil {
 		b.Fatal(err)
 	}

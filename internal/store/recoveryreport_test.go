@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/storage"
+	"repro/internal/storage/crashfs"
 	"repro/internal/workload"
 )
 
@@ -13,8 +14,8 @@ import (
 // the log; bytes past the last commit record are counted as discarded;
 // and a cleanly closed file reports nothing.
 func TestRecoveryReport(t *testing.T) {
-	fs := newMemFS()
-	opts := Options{PoolPages: 16, OpenFile: fs.open, RemoveFile: fs.remove, CheckpointBytes: -1}
+	fs := crashfs.New(nil)
+	opts := Options{PoolPages: 16, OpenFile: fs.Open, RemoveFile: fs.Remove, CheckpointBytes: -1}
 	st, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -45,14 +46,14 @@ func TestRecoveryReport(t *testing.T) {
 		}
 	}
 	batches := 1 + canon.Len() // the create and one insert each; initFile checkpointed its own
-	crash := fs.snapshot()
+	crash := crashfs.New(fs.Snapshot())
 	st.Discard()
 
 	reopen := func(files map[string][]byte) RecoveryReport {
 		t.Helper()
-		rfs := &memFS{files: files}
+		rfs := crashfs.New(files)
 		o := opts
-		o.OpenFile, o.RemoveFile = rfs.open, rfs.remove
+		o.OpenFile, o.RemoveFile = rfs.Open, rfs.Remove
 		st, err := Open("db", o)
 		if err != nil {
 			t.Fatal(err)
@@ -63,15 +64,7 @@ func TestRecoveryReport(t *testing.T) {
 		}
 		return st.RecoveryReport()
 	}
-	clone := func() map[string][]byte {
-		out := make(map[string][]byte, len(crash))
-		for n, b := range crash {
-			out[n] = append([]byte(nil), b...)
-		}
-		return out
-	}
-
-	r := reopen(clone())
+	r := reopen(crash.Snapshot())
 	if !r.Sidecar || r.Log.RecoveredBatches != batches || r.PagesWritten != 0 || r.PagesSkipped == 0 || r.Log.TornTailBytes != 0 || r.Log.RedoElapsed <= 0 {
 		t.Fatalf("report of the crash image = %+v, want %d batches and only skipped pages", r, batches)
 	}
@@ -79,7 +72,7 @@ func TestRecoveryReport(t *testing.T) {
 
 	// tear the last data page (the heap's or an index's: every page of
 	// this file is in the log) and leave half a record behind the log
-	files := clone()
+	files := crash.Snapshot()
 	last := len(files["db"]) - storage.PageSize
 	for i := 100; i < 200; i++ {
 		files["db"][last+i] ^= 0xff

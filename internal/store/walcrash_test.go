@@ -2,9 +2,6 @@ package store
 
 import (
 	"fmt"
-	"io"
-	"io/fs"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,266 +9,19 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/storage"
+	"repro/internal/storage/crashfs"
 	"repro/internal/workload"
 )
 
 // This file is the crash-injection harness for the recovery protocol
-// (docs/recovery.md): the whole database lives in an in-memory
-// filesystem that journals every write, and the harness re-creates the
-// on-disk state a crash would leave at EVERY byte offset of the journal
-// — torn log tails, torn data pages, and lost unsynced writes — then
-// reopens and asserts the canonical form is exactly a statement
-// boundary, never a mix, the durable indexes answer identically to the
-// heap-rebuilt oracle, and every page the recovered state references
-// is checksum-valid.
-
-// memOp is one journaled mutation.
-type memOp struct {
-	name string
-	kind byte // 'w' write, 't' truncate, 's' sync
-	off  int64
-	data []byte
-	size int64 // truncate target
-}
-
-// cost is the op's share of the byte-offset enumeration: every byte of
-// a write is an injection point; truncates count as one point.
-func (op memOp) cost() int64 {
-	switch op.kind {
-	case 'w':
-		return int64(len(op.data))
-	case 't':
-		return 1
-	default:
-		return 0
-	}
-}
-
-// memFS is an in-memory filesystem implementing the store's OpenFile
-// hook, with a journal of all mutations while recording. syncHook, when
-// set, runs at the start of every Sync (outside the lock) — the
-// merged-commit crash test uses it to gate a leader's fsync while
-// followers pile into the commit queue.
-type memFS struct {
-	mu        sync.Mutex
-	files     map[string][]byte
-	journal   []memOp
-	recording bool
-	syncHook  func(name string)
-	failSyncs int // >0: the next N Syncs fail (injected commit errors)
-}
-
-func newMemFS() *memFS { return &memFS{files: map[string][]byte{}} }
-
-func (m *memFS) open(name string, create bool) (storage.File, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.files[name]; !ok {
-		if !create {
-			return nil, fmt.Errorf("memfs: open %s: %w", name, fs.ErrNotExist)
-		}
-		m.files[name] = nil
-	}
-	return &memFile{fs: m, name: name}, nil
-}
-
-func (m *memFS) remove(name string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.files[name]; !ok {
-		return fs.ErrNotExist
-	}
-	delete(m.files, name)
-	return nil
-}
-
-func (m *memFS) record(op memOp) {
-	if m.recording {
-		m.journal = append(m.journal, op)
-	}
-}
-
-// snapshot deep-copies the current file contents.
-func (m *memFS) snapshot() map[string][]byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string][]byte, len(m.files))
-	for n, b := range m.files {
-		out[n] = append([]byte(nil), b...)
-	}
-	return out
-}
-
-func (m *memFS) startRecording() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.recording = true
-	m.journal = nil
-}
-
-func (m *memFS) stopRecording() []memOp {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.recording = false
-	return m.journal
-}
-
-type memFile struct {
-	fs   *memFS
-	name string
-}
-
-func (f *memFile) buf() []byte { return f.fs.files[f.name] }
-
-func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	b := f.buf()
-	if off >= int64(len(b)) {
-		return 0, io.EOF
-	}
-	n := copy(p, b[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	applyWrite(f.fs.files, f.name, off, p)
-	f.fs.record(memOp{name: f.name, kind: 'w', off: off, data: append([]byte(nil), p...)})
-	return len(p), nil
-}
-
-func (f *memFile) Truncate(size int64) error {
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	applyTruncate(f.fs.files, f.name, size)
-	f.fs.record(memOp{name: f.name, kind: 't', size: size})
-	return nil
-}
-
-func (f *memFile) Sync() error {
-	f.fs.mu.Lock()
-	hook := f.fs.syncHook
-	f.fs.mu.Unlock()
-	if hook != nil {
-		hook(f.name)
-	}
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	if f.fs.failSyncs > 0 {
-		f.fs.failSyncs--
-		return fmt.Errorf("memfs: injected sync failure on %s", f.name)
-	}
-	f.fs.record(memOp{name: f.name, kind: 's'})
-	return nil
-}
-
-func (f *memFile) Close() error { return nil }
-
-func (f *memFile) Size() (int64, error) {
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	return int64(len(f.buf())), nil
-}
-
-func applyWrite(files map[string][]byte, name string, off int64, p []byte) {
-	b := files[name]
-	if need := off + int64(len(p)); need > int64(len(b)) {
-		// amortised growth: a log is not copied whole on every append
-		b = append(b, make([]byte, need-int64(len(b)))...)
-	}
-	copy(b[off:], p)
-	files[name] = b
-}
-
-func applyTruncate(files map[string][]byte, name string, size int64) {
-	b := files[name]
-	if size <= int64(len(b)) {
-		files[name] = b[:size]
-	} else {
-		nb := make([]byte, size)
-		copy(nb, b)
-		files[name] = nb
-	}
-}
-
-// crashState materializes the durable state a crash at byte offset k of
-// the journal would leave.
-//
-// inorder mode applies the journal's ops in order up to k, tearing the
-// op containing k mid-way: the torn-tail families (log tail cut inside
-// a record; data page cut inside a page write).
-//
-// reordered mode models the OS persisting nothing since the last fsync
-// except the torn op itself: ops up to the last 's' barrier before k
-// apply, everything after is dropped, and only the prefix of the op
-// containing k lands. This is the "both torn" family — e.g. a
-// committed statement's data-file writes all lost while the next
-// statement's log append tore.
-func crashState(base map[string][]byte, journal []memOp, k int64, reordered bool) map[string][]byte {
-	files := make(map[string][]byte, len(base))
-	for n, b := range base {
-		files[n] = append([]byte(nil), b...)
-	}
-	apply := func(op memOp, upto int64) {
-		switch op.kind {
-		case 'w':
-			if upto > int64(len(op.data)) {
-				upto = int64(len(op.data))
-			}
-			applyWrite(files, op.name, op.off, op.data[:upto])
-		case 't':
-			if upto > 0 {
-				applyTruncate(files, op.name, op.size)
-			}
-		}
-	}
-	if !reordered {
-		at := int64(0)
-		for _, op := range journal {
-			c := op.cost()
-			if at+c <= k {
-				apply(op, c)
-				at += c
-				continue
-			}
-			apply(op, k-at)
-			break
-		}
-		return files
-	}
-	// find the op containing k and the last sync barrier before it
-	at := int64(0)
-	tornIdx, tornBytes := -1, int64(0)
-	for i, op := range journal {
-		c := op.cost()
-		if at+c > k {
-			tornIdx, tornBytes = i, k-at
-			break
-		}
-		at += c
-	}
-	if tornIdx == -1 {
-		tornIdx = len(journal)
-	}
-	lastSync := 0
-	for i := 0; i < tornIdx; i++ {
-		if journal[i].kind == 's' {
-			lastSync = i + 1
-		}
-	}
-	for i := 0; i < lastSync; i++ {
-		apply(journal[i], journal[i].cost())
-	}
-	if tornIdx < len(journal) {
-		apply(journal[tornIdx], tornBytes)
-	}
-	return files
-}
+// (docs/recovery.md): the whole database lives in a crashfs file system
+// that journals every write, and crashfs.Sweep re-creates every
+// distinct on-disk state a crash in the journal can leave — torn log
+// tails, torn data pages, and lost unsynced writes — then reopens and
+// asserts the canonical form is exactly a statement boundary, never a
+// mix, the durable indexes answer identically to the heap-rebuilt
+// oracle, and every page the recovered state references is
+// checksum-valid.
 
 // loadStateErr opens the database in the given filesystem state and
 // returns the canonical form of every named relation. Opening runs
@@ -279,8 +29,8 @@ func crashState(base map[string][]byte, journal []memOp, k int64, reordered bool
 // checksum-valid, and the recovered durable indexes must answer
 // identically to the rebuilt-from-heap oracle.
 func loadStateErr(files map[string][]byte, label string, names ...string) (map[string]*core.Relation, error) {
-	fs := &memFS{files: files}
-	st, err := Open("db", Options{PoolPages: 8, OpenFile: fs.open, RemoveFile: fs.remove, CheckpointBytes: -1})
+	fs := crashfs.New(files)
+	st, err := Open("db", Options{PoolPages: 8, OpenFile: fs.Open, RemoveFile: fs.Remove, CheckpointBytes: -1})
 	if err != nil {
 		return nil, fmt.Errorf("%s: recovery failed: %v", label, err)
 	}
@@ -301,91 +51,24 @@ func loadStateErr(files map[string][]byte, label string, names ...string) (map[s
 	if err := st.VerifyIndexes(); err != nil {
 		return nil, fmt.Errorf("%s: index diverged from heap oracle: %v", label, err)
 	}
-	// every page the recovered state references is checksum-valid.
-	// Unreferenced pages are exempt: a crash can strand an uncommitted
-	// allocation's page torn or zeroed (nothing ordered its write), and
-	// such orphans are never read — the sweep quarantines them and
-	// NewPage re-initializes them before reuse.
 	ref, err := st.ReferencedPages()
 	if err != nil {
 		return nil, fmt.Errorf("%s: walking recovered chains: %v", label, err)
 	}
-	data := fs.files["db"]
-	if len(data)%storage.PageSize != 0 {
-		return nil, fmt.Errorf("%s: recovered file size %d ragged", label, len(data))
-	}
-	var p storage.Page
-	for pid := 0; pid < len(data)/storage.PageSize; pid++ {
-		if !ref[uint32(pid+1)] {
-			continue
-		}
-		copy(p[:], data[pid*storage.PageSize:])
-		if err := p.VerifyChecksum(); err != nil {
-			return nil, fmt.Errorf("%s: page %d of recovered file: %v", label, pid+1, err)
-		}
+	if err := fs.CheckPages("db", ref); err != nil {
+		return nil, fmt.Errorf("%s: %v", label, err)
 	}
 	return out, nil
 }
 
-// loadState is loadStateErr for serial callers, failing the test on
-// any error.
-func loadState(t *testing.T, files map[string][]byte, label string, names ...string) map[string]*core.Relation {
+// sweep runs check on every distinct crash state of journal over base
+// and logs the sweep's work.
+func sweep(t *testing.T, base map[string][]byte, journal crashfs.Journal, check func(c crashfs.Cut, files map[string][]byte) error) {
 	t.Helper()
-	out, err := loadStateErr(files, label, names...)
+	stats, err := crashfs.Sweep(base, journal, check)
+	t.Logf("sweep: %v", stats)
 	if err != nil {
 		t.Fatal(err)
-	}
-	return out
-}
-
-// loadCanon is loadState for the single relation R1.
-func loadCanon(t *testing.T, files map[string][]byte, label string) *core.Relation {
-	t.Helper()
-	return loadState(t, files, label, "R1")["R1"]
-}
-
-// forEachOffset fans the per-offset crash checks out across CPUs: each
-// offset's crash state and recovery are fully independent, and the
-// journals grew with the index pages now riding every batch, so the
-// every-byte harnesses are parallel to stay fast. check runs for every
-// k in [0, total] in both replay modes and returns an error to fail
-// the test. Under -short (CI's repeated -race job, which is after
-// schedule-dependent races, not offset coverage) the offsets are
-// strided; the default run covers every byte.
-func forEachOffset(t *testing.T, total int64, check func(k int64, reordered bool) error) {
-	t.Helper()
-	stride := int64(1)
-	if testing.Short() {
-		stride = 13
-	}
-	workers := runtime.GOMAXPROCS(0)
-	var next, failed atomic.Int64
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := (next.Add(1) - 1) * stride
-				if k > total || failed.Load() != 0 {
-					return
-				}
-				for _, reordered := range []bool{false, true} {
-					if err := check(k, reordered); err != nil {
-						if failed.CompareAndSwap(0, 1) {
-							errs <- err
-						}
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
 	}
 }
 
@@ -395,8 +78,8 @@ func forEachOffset(t *testing.T, total int64, check func(k int64, reordered bool
 // checksum-valid file whose canonical form is exactly the pre-, mid-,
 // or post-statement state.
 func TestCrashRecoveryEveryOffset(t *testing.T) {
-	fs := newMemFS()
-	opts := Options{PoolPages: 8, OpenFile: fs.open, RemoveFile: fs.remove, CheckpointBytes: -1}
+	fs := crashfs.New(nil)
+	opts := Options{PoolPages: 8, OpenFile: fs.Open, RemoveFile: fs.Remove, CheckpointBytes: -1}
 	def := testDef(t)
 
 	// base: a small multi-page database, cleanly closed
@@ -441,8 +124,7 @@ func TestCrashRecoveryEveryOffset(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	base := fs.snapshot()
-	if _, ok := base["db.wal"]; ok {
+	if _, ok := fs.Snapshot()["db.wal"]; ok {
 		t.Fatal("clean close left a WAL sidecar")
 	}
 
@@ -456,7 +138,7 @@ func TestCrashRecoveryEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs.startRecording()
+	base := fs.Record()
 	// statement 1: a mixed add/remove batch dirtying several pages
 	// (victims from both ends of the heap chain), one transaction, one
 	// group commit
@@ -472,10 +154,7 @@ func TestCrashRecoveryEveryOffset(t *testing.T) {
 	if err := st2.Commit(stmt1); err != nil {
 		t.Fatal(err)
 	}
-	mark1 := int64(0)
-	for _, op := range fs.journal {
-		mark1 += op.cost()
-	}
+	mark1 := fs.Journal().End()
 	mid, err := rs2.Load()
 	if err != nil {
 		t.Fatal(err)
@@ -495,16 +174,13 @@ func TestCrashRecoveryEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	journal := fs.stopRecording()
+	journal := fs.Journal()
 	st2.Discard() // crash: no checkpoint, no close-time flush
 
 	if pre.Equal(mid) || mid.Equal(post) || pre.Equal(post) {
 		t.Fatal("statements must produce three distinct states")
 	}
-	total := int64(0)
-	for _, op := range journal {
-		total += op.cost()
-	}
+	total := journal.End()
 	if total < 2*storage.PageSize {
 		t.Fatalf("journal too small (%d bytes) to exercise torn pages", total)
 	}
@@ -518,9 +194,9 @@ func TestCrashRecoveryEveryOffset(t *testing.T) {
 		}
 		return false
 	}
-	forEachOffset(t, total, func(k int64, reordered bool) error {
-		label := fmt.Sprintf("k=%d reordered=%v", k, reordered)
-		state, err := loadStateErr(crashState(base, journal, k, reordered), label, "R1")
+	sweep(t, base, journal, func(c crashfs.Cut, files map[string][]byte) error {
+		label := c.String()
+		state, err := loadStateErr(files, label, "R1")
 		if err != nil {
 			return err
 		}
@@ -528,7 +204,7 @@ func TestCrashRecoveryEveryOffset(t *testing.T) {
 		// never a mix: only complete statement states are legal, and
 		// a crash before the second statement's journal region can
 		// never yield its outcome
-		if k <= mark1 {
+		if c.K <= mark1 {
 			if !matches(got, pre, mid) {
 				return fmt.Errorf("%s: recovered state is not pre or mid statement state", label)
 			}
@@ -541,12 +217,12 @@ func TestCrashRecoveryEveryOffset(t *testing.T) {
 
 // TestCrashRecoveryAcrossCheckpoints: with an aggressive auto-checkpoint
 // threshold the journal interleaves commits, data syncs, and log
-// truncations; a crash at every op boundary must still recover a
+// truncations; a crash in every distinct state must still recover a
 // statement-boundary state (the post-checkpoint batches carry
 // continuing sequence numbers — a regression here dropped them all).
 func TestCrashRecoveryAcrossCheckpoints(t *testing.T) {
-	fs := newMemFS()
-	opts := Options{PoolPages: 8, OpenFile: fs.open, RemoveFile: fs.remove, CheckpointBytes: 1}
+	fs := crashfs.New(nil)
+	opts := Options{PoolPages: 8, OpenFile: fs.Open, RemoveFile: fs.Remove, CheckpointBytes: 1}
 	def := testDef(t)
 	st, err := Open("db", opts)
 	if err != nil {
@@ -562,14 +238,13 @@ func TestCrashRecoveryAcrossCheckpoints(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	base := fs.snapshot()
 
 	st2, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rs2, _ := st2.Rel(def.Name)
-	fs.startRecording()
+	base := fs.Record()
 	states := []*core.Relation{}
 	rel, err := rs2.Load()
 	if err != nil {
@@ -593,39 +268,22 @@ func TestCrashRecoveryAcrossCheckpoints(t *testing.T) {
 		}
 		states = append(states, rel)
 	}
-	journal := fs.stopRecording()
+	journal := fs.Journal()
 	st2.Discard()
 
-	// crash at every op boundary (and mid-op at a stride) in both modes
-	total := int64(0)
-	for _, op := range journal {
-		total += op.cost()
-	}
-	boundaries := map[int64]bool{0: true, total: true}
-	at := int64(0)
-	for _, op := range journal {
-		at += op.cost()
-		boundaries[at] = true
-	}
-	for k := int64(0); k <= total; k += 97 {
-		boundaries[k] = true
-	}
-	for k := range boundaries {
-		for _, reordered := range []bool{false, true} {
-			label := fmt.Sprintf("ckpt k=%d reordered=%v", k, reordered)
-			got := loadCanon(t, crashState(base, journal, k, reordered), label)
-			ok := false
-			for _, s := range states {
-				if got.Equal(s) {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				t.Fatalf("%s: recovered state is not a statement boundary", label)
+	sweep(t, base, journal, func(c crashfs.Cut, files map[string][]byte) error {
+		label := "ckpt " + c.String()
+		got, err := loadStateErr(files, label, "R1")
+		if err != nil {
+			return err
+		}
+		for _, s := range states {
+			if got["R1"].Equal(s) {
+				return nil
 			}
 		}
-	}
+		return fmt.Errorf("%s: recovered state is not a statement boundary", label)
+	})
 }
 
 // TestRaggedTailWithEmptyWAL: a torn extension write can land after a
@@ -635,8 +293,8 @@ func TestCrashRecoveryAcrossCheckpoints(t *testing.T) {
 // down and succeed rather than brick the database (a regression here
 // made such files permanently unopenable).
 func TestRaggedTailWithEmptyWAL(t *testing.T) {
-	fs := newMemFS()
-	opts := Options{PoolPages: 8, OpenFile: fs.open, RemoveFile: fs.remove}
+	fs := crashfs.New(nil)
+	opts := Options{PoolPages: 8, OpenFile: fs.Open, RemoveFile: fs.Remove}
 	def := testDef(t)
 	st, err := Open("db", opts)
 	if err != nil {
@@ -658,7 +316,10 @@ func TestRaggedTailWithEmptyWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	// torn extension: a partial page appended past the committed end
-	fs.files["db"] = append(fs.files["db"], make([]byte, 1234)...)
+	files := fs.Snapshot()
+	files["db"] = append(files["db"], make([]byte, 1234)...)
+	fs = crashfs.New(files)
+	opts.OpenFile, opts.RemoveFile = fs.Open, fs.Remove
 	st2, err := Open("db", opts)
 	if err != nil {
 		t.Fatalf("ragged tail with empty WAL bricked the database: %v", err)
@@ -676,9 +337,8 @@ func TestRaggedTailWithEmptyWAL(t *testing.T) {
 		t.Fatal("content lost rounding off the torn tail")
 	}
 	// a file cut below one page still refuses (nothing to validate)
-	fs2 := newMemFS()
-	fs2.files["db"] = append([]byte(nil), fs.files["db"][:100]...)
-	if _, err := Open("db", Options{PoolPages: 8, OpenFile: fs2.open, RemoveFile: fs2.remove}); err == nil {
+	fs2 := crashfs.New(map[string][]byte{"db": append([]byte(nil), files["db"][:100]...)})
+	if _, err := Open("db", Options{PoolPages: 8, OpenFile: fs2.Open, RemoveFile: fs2.Remove}); err == nil {
 		t.Fatal("sub-page file reopened without error")
 	}
 }
@@ -687,8 +347,8 @@ func TestRaggedTailWithEmptyWAL(t *testing.T) {
 // onto the free list and a subsequent relation reuses those pages
 // instead of growing the file.
 func TestDropRelationReclaimsPages(t *testing.T) {
-	fs := newMemFS()
-	opts := Options{PoolPages: 8, OpenFile: fs.open, RemoveFile: fs.remove}
+	fs := crashfs.New(nil)
+	opts := Options{PoolPages: 8, OpenFile: fs.Open, RemoveFile: fs.Remove}
 	st, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -774,8 +434,8 @@ func TestDropRelationReclaimsPages(t *testing.T) {
 // catalog load, index rebuild) must not pollute the steady-state pool
 // counters the bench reports.
 func TestOpenStatsBucketedSeparately(t *testing.T) {
-	fs := newMemFS()
-	opts := Options{PoolPages: 8, OpenFile: fs.open, RemoveFile: fs.remove}
+	fs := crashfs.New(nil)
+	opts := Options{PoolPages: 8, OpenFile: fs.Open, RemoveFile: fs.Remove}
 	st, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -823,13 +483,13 @@ func TestOpenStatsBucketedSeparately(t *testing.T) {
 
 // TestCrashRecoveryMergedCommit crashes inside a MERGED commit batch:
 // transaction T1's fsync is gated while T2 and T3 pile into the commit
-// queue, so T2+T3 become one WAL write and one fsync. A crash at every
-// byte offset of the journal must recover a prefix of the commit order
+// queue, so T2+T3 become one WAL write and one fsync. A crash in every
+// distinct state of the journal must recover a prefix of the commit order
 // (T2's batch precedes T3's inside the merged write) — always whole
 // transactions, never a mix.
 func TestCrashRecoveryMergedCommit(t *testing.T) {
-	fs := newMemFS()
-	opts := Options{PoolPages: 16, OpenFile: fs.open, RemoveFile: fs.remove, CheckpointBytes: -1}
+	fs, gate := crashfs.New(nil), crashfs.NewGate()
+	opts := Options{PoolPages: 16, OpenFile: gate.Open(fs.Open), RemoveFile: fs.Remove, CheckpointBytes: -1}
 
 	// base: three one-tuple relations, cleanly closed
 	st, err := Open("db", opts)
@@ -858,7 +518,6 @@ func TestCrashRecoveryMergedCommit(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	base := fs.snapshot()
 
 	st2, err := Open("db", opts)
 	if err != nil {
@@ -885,25 +544,16 @@ func TestCrashRecoveryMergedCommit(t *testing.T) {
 	}
 	s0 := snap()
 
-	// gate the first WAL fsync (T1's) until told to proceed
-	entered := make(chan struct{})
-	gate := make(chan struct{})
-	var once sync.Once
-	fs.syncHook = func(string) {
-		once.Do(func() {
-			close(entered)
-			<-gate
-		})
-	}
-
-	fs.startRecording()
+	// hold the first WAL fsync (T1's) until told to proceed
+	gate.Armed.Store(true)
+	base := fs.Record()
 	errs := make(chan error, 3)
 	t1 := st2.Begin()
 	if err := relOf("R1").Insert(t1, tupleOf([][]string{{"x1"}, {"y1"}, {"z1"}}, order)); err != nil {
 		t.Fatal(err)
 	}
 	go func() { errs <- st2.Commit(t1) }()
-	<-entered // T1's leader is inside its fsync, holding the commit lock
+	<-gate.Entered // T1's leader is inside its fsync, holding the commit lock
 
 	t2 := st2.Begin()
 	if err := relOf("R2").Insert(t2, tupleOf([][]string{{"x2"}, {"y2"}, {"z2"}}, order)); err != nil {
@@ -927,14 +577,15 @@ func TestCrashRecoveryMergedCommit(t *testing.T) {
 	}
 	go func() { errs <- st2.Commit(t3) }()
 	waitPending(2)
-	close(gate) // release T1; the next leader drains T2+T3 as one group
+	// release T1; the next leader drains T2+T3 as one group
+	gate.Armed.Store(false)
+	gate.Release <- struct{}{}
 	for i := 0; i < 3; i++ {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
 	}
-	fs.syncHook = nil
-	journal := fs.stopRecording()
+	journal := fs.Journal()
 
 	ws := st2.WALStats()
 	if ws.Batches != 3 || ws.Fsyncs != 2 || ws.MaxGroupBatches < 2 {
@@ -969,11 +620,7 @@ func TestCrashRecoveryMergedCommit(t *testing.T) {
 	}
 	chain := []map[string]*core.Relation{s0, sA, sB, sC}
 
-	total := int64(0)
-	for _, op := range journal {
-		total += op.cost()
-	}
-	t.Logf("merged-commit journal: %d ops, %d bytes", len(journal), total)
+	t.Logf("merged-commit journal: %d ops, %d bytes", len(journal), journal.End())
 	matches := func(got, want map[string]*core.Relation) bool {
 		for _, name := range names {
 			if !got[name].Equal(want[name]) {
@@ -982,9 +629,9 @@ func TestCrashRecoveryMergedCommit(t *testing.T) {
 		}
 		return true
 	}
-	forEachOffset(t, total, func(k int64, reordered bool) error {
-		label := fmt.Sprintf("merged k=%d reordered=%v", k, reordered)
-		got, err := loadStateErr(crashState(base, journal, k, reordered), label, names...)
+	sweep(t, base, journal, func(c crashfs.Cut, files map[string][]byte) error {
+		label := "merged " + c.String()
+		got, err := loadStateErr(files, label, names...)
 		if err != nil {
 			return err
 		}
@@ -1004,8 +651,8 @@ func TestCrashRecoveryMergedCommit(t *testing.T) {
 // free-list pages) proceed instead of blocking forever, and the
 // store's in-memory state matches the durable state.
 func TestFailedCommitDoesNotWedge(t *testing.T) {
-	fs := newMemFS()
-	opts := Options{PoolPages: 8, OpenFile: fs.open, RemoveFile: fs.remove, CheckpointBytes: -1}
+	fs := crashfs.New(nil)
+	opts := Options{PoolPages: 8, OpenFile: fs.Open, RemoveFile: fs.Remove, CheckpointBytes: -1}
 	st, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -1024,9 +671,7 @@ func TestFailedCommitDoesNotWedge(t *testing.T) {
 	}
 
 	// failed CREATE: commit error, abort, then the same create succeeds
-	fs.mu.Lock()
-	fs.failSyncs = 1
-	fs.mu.Unlock()
+	fs.FailSyncs(1)
 	def2 := def
 	def2.Name = "R2"
 	ctxn := st.Begin()
@@ -1062,9 +707,7 @@ func TestFailedCommitDoesNotWedge(t *testing.T) {
 	}
 
 	// failed DROP: commit error, rollback, relation stays fully usable
-	fs.mu.Lock()
-	fs.failSyncs = 1
-	fs.mu.Unlock()
+	fs.FailSyncs(1)
 	dtxn := st.Begin()
 	if err := st.DropRelation(dtxn, def.Name); err != nil {
 		t.Fatal(err)
@@ -1109,12 +752,12 @@ func TestFailedCommitDoesNotWedge(t *testing.T) {
 // transaction inserts enough tuples to SPLIT B+tree nodes (forced via
 // the fan-out knob so the journal stays small), so the injected crashes
 // land inside index-page WAL images, the new root and the redistributed
-// leaf halves. Recovery at every byte offset must yield
+// leaf halves. Recovery in every distinct crash state must yield
 // a checksum-valid file whose durable index passes the heap-scan oracle
 // (loadStateErr checks it) at a transaction boundary.
 func TestCrashRecoveryIndexSplit(t *testing.T) {
-	fs := newMemFS()
-	opts := Options{PoolPages: 16, OpenFile: fs.open, RemoveFile: fs.remove, CheckpointBytes: -1}
+	fs := crashfs.New(nil)
+	opts := Options{PoolPages: 16, OpenFile: fs.Open, RemoveFile: fs.Remove, CheckpointBytes: -1}
 	def := testDef(t)
 
 	// base: a handful of committed tuples, cleanly closed
@@ -1141,7 +784,6 @@ func TestCrashRecoveryIndexSplit(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	base := fs.snapshot()
 
 	st2, err := Open("db", opts)
 	if err != nil {
@@ -1162,7 +804,7 @@ func TestCrashRecoveryIndexSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fs.startRecording()
+	base := fs.Record()
 	txn := st2.Begin()
 	for i := 0; i < 5; i++ {
 		tp := tupleOf([][]string{
@@ -1175,7 +817,7 @@ func TestCrashRecoveryIndexSplit(t *testing.T) {
 	if err := st2.Commit(txn); err != nil {
 		t.Fatal(err)
 	}
-	journal := fs.stopRecording()
+	journal := fs.Journal()
 	// (a root split, which is what grows the height, splits a leaf first)
 	if _, after, err := tree.PageCounts(); err != nil || after <= leaves {
 		t.Fatalf("journaled transaction split no leaf (%d→%d leaves, %v); harness is vacuous", leaves, after, err)
@@ -1189,17 +831,14 @@ func TestCrashRecoveryIndexSplit(t *testing.T) {
 		t.Fatal("transaction changed nothing")
 	}
 
-	total := int64(0)
-	for _, op := range journal {
-		total += op.cost()
-	}
+	total := journal.End()
 	if total < 3*storage.PageSize {
 		t.Fatalf("journal too small (%d bytes) to tear split pages", total)
 	}
 	t.Logf("index-split journal: %d ops, %d bytes", len(journal), total)
-	forEachOffset(t, total, func(k int64, reordered bool) error {
-		label := fmt.Sprintf("split k=%d reordered=%v", k, reordered)
-		state, err := loadStateErr(crashState(base, journal, k, reordered), label, "R1")
+	sweep(t, base, journal, func(c crashfs.Cut, files map[string][]byte) error {
+		label := "split " + c.String()
+		state, err := loadStateErr(files, label, "R1")
 		if err != nil {
 			return err
 		}
@@ -1214,14 +853,14 @@ func TestCrashRecoveryIndexSplit(t *testing.T) {
 // the journal holds four statements whose WAL records mix first-touch
 // full images and delta records, with an explicit checkpoint in the
 // middle (so the sweep crosses a log truncation and the first-touch
-// rule restarts). Every byte offset in both replay modes must recover
-// a statement-boundary state — a torn delta tail must roll back to the
+// rule restarts). Every distinct crash state in both replay modes must
+// recover a statement-boundary state — a torn delta tail must roll back to the
 // previous boundary, and a torn data page must be repairable from the
 // era's first-touch full image even when the only log records since
 // are deltas.
 func TestCrashRecoveryDeltaAcrossCheckpoint(t *testing.T) {
-	fs := newMemFS()
-	opts := Options{PoolPages: 8, OpenFile: fs.open, RemoveFile: fs.remove, CheckpointBytes: -1}
+	fs := crashfs.New(nil)
+	opts := Options{PoolPages: 8, OpenFile: fs.Open, RemoveFile: fs.Remove, CheckpointBytes: -1}
 	def := testDef(t)
 
 	// base: a multi-page database, cleanly closed
@@ -1262,7 +901,6 @@ func TestCrashRecoveryDeltaAcrossCheckpoint(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	base := fs.snapshot()
 
 	st2, err := Open("db", opts)
 	if err != nil {
@@ -1297,7 +935,7 @@ func TestCrashRecoveryDeltaAcrossCheckpoint(t *testing.T) {
 		states = append(states, snap())
 	}
 
-	fs.startRecording()
+	base := fs.Record()
 	// era 1: statement A first-touches its pages after recovery's Reset
 	// (full images), statement B dirties the same tail pages again
 	// (deltas)
@@ -1323,7 +961,7 @@ func TestCrashRecoveryDeltaAcrossCheckpoint(t *testing.T) {
 	if post.DeltaPages <= preCkpt.DeltaPages {
 		t.Fatal("no delta records after the checkpoint")
 	}
-	journal := fs.stopRecording()
+	journal := fs.Journal()
 	st2.Discard() // crash
 
 	for i := 1; i < len(states); i++ {
@@ -1331,18 +969,15 @@ func TestCrashRecoveryDeltaAcrossCheckpoint(t *testing.T) {
 			t.Fatalf("statement %d changed nothing", i)
 		}
 	}
-	total := int64(0)
-	for _, op := range journal {
-		total += op.cost()
-	}
+	total := journal.End()
 	if total < 2*storage.PageSize {
 		t.Fatalf("journal too small (%d bytes) to exercise torn pages", total)
 	}
 	t.Logf("delta-era journal: %d ops, %d bytes (full=%d delta=%d pages logged)",
 		len(journal), total, post.FullPages, post.DeltaPages)
-	forEachOffset(t, total, func(k int64, reordered bool) error {
-		label := fmt.Sprintf("delta k=%d reordered=%v", k, reordered)
-		state, err := loadStateErr(crashState(base, journal, k, reordered), label, "R1")
+	sweep(t, base, journal, func(c crashfs.Cut, files map[string][]byte) error {
+		label := "delta " + c.String()
+		state, err := loadStateErr(files, label, "R1")
 		if err != nil {
 			return err
 		}
@@ -1357,16 +992,18 @@ func TestCrashRecoveryDeltaAcrossCheckpoint(t *testing.T) {
 }
 
 // TestCrashRecoveryDoubleReplay proves redo is idempotent end to end:
-// recovery itself is crashed at every sampled offset of ITS journal —
-// including mid-redo-write, between the data sync and the log
-// truncation, and inside the truncation — and the second recovery must
-// land on exactly the state an uninterrupted single replay produces.
-// Before page LSNs this held only because records were whole-page
-// images; with delta records it holds because the LSN gate skips pages
-// the first replay already published, so deltas never apply twice.
+// every distinct crash state of a workload journal is recovered while
+// recovery's own writes are journaled, and recovery itself is then
+// crashed in every distinct state of ITS journal — mid-redo-write,
+// between the data sync and the log truncation, inside the truncation.
+// The second recovery must land on exactly the state the uninterrupted
+// replay produced. Before page LSNs this held only because records
+// were whole-page images; with delta records it holds because the LSN
+// gate skips pages the first replay already published, so deltas never
+// apply twice.
 func TestCrashRecoveryDoubleReplay(t *testing.T) {
-	fs := newMemFS()
-	opts := Options{PoolPages: 8, OpenFile: fs.open, RemoveFile: fs.remove, CheckpointBytes: -1}
+	fs := crashfs.New(nil)
+	opts := Options{PoolPages: 8, OpenFile: fs.Open, RemoveFile: fs.Remove, CheckpointBytes: -1}
 	def := testDef(t)
 
 	st, err := Open("db", opts)
@@ -1396,15 +1033,13 @@ func TestCrashRecoveryDoubleReplay(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	base := fs.snapshot()
-
 	// journal two statements (full images + deltas) and crash
 	st2, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rs2, _ := st2.Rel(def.Name)
-	fs.startRecording()
+	base := fs.Record()
 	for i := 0; i < 2; i++ {
 		txn := st2.Begin()
 		if err := rs2.Insert(txn, tupleOf([][]string{
@@ -1416,68 +1051,84 @@ func TestCrashRecoveryDoubleReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	journal := fs.stopRecording()
+	journal := fs.Journal()
 	st2.Discard() // crash #1
-
-	total := int64(0)
-	for _, op := range journal {
-		total += op.cost()
-	}
+	total := journal.End()
 	t.Logf("workload journal: %d bytes", total)
 
-	// outer crash points spread across the workload journal
-	outer := []int64{0, total / 4, total / 2, 3 * total / 4, total}
-	for _, k := range outer {
+	// the first-crash states, each at the cuts the sweep checks it at
+	type crashed struct {
+		c     crashfs.Cut
+		files map[string][]byte
+	}
+	var mu sync.Mutex
+	var outer []crashed
+	sweep(t, base, journal, func(c crashfs.Cut, files map[string][]byte) error {
+		mu.Lock()
+		defer mu.Unlock()
+		outer = append(outer, crashed{c, files})
+		return nil
+	})
+
+	// Subtest k=K_reordered=R replays the states checked at cuts in R's
+	// mode past the previous mark and up to K.
+	start, cycles := time.Now(), atomic.Int64{}
+	t.Cleanup(func() {
+		t.Logf("double replay: %d first-crash checks, %d reopen-and-check cycles, %v",
+			len(outer), cycles.Load(), time.Since(start).Round(time.Millisecond))
+	})
+	marks := []int64{0, total / 4, total / 2, 3 * total / 4, total}
+	for i, k := range marks {
 		for _, reordered := range []bool{false, true} {
-			k, reordered := k, reordered
 			t.Run(fmt.Sprintf("k=%d_reordered=%v", k, reordered), func(t *testing.T) {
 				t.Parallel()
-				crashed := crashState(base, journal, k, reordered)
-
-				// the oracle: one uninterrupted replay of the crashed state
-				want := loadState(t, crashed, "single-replay", "R1")["R1"]
-
-				// replay again, recording recovery's own writes; crash #2
-				// lands at sampled offsets of that recovery journal
-				rfs := &memFS{files: crashState(base, journal, k, reordered)}
-				rbase := rfs.snapshot()
-				rfs.startRecording()
-				rst, err := Open("db", Options{PoolPages: 8, OpenFile: rfs.open, RemoveFile: rfs.remove, CheckpointBytes: -1})
-				if err != nil {
-					t.Fatalf("recording replay failed: %v", err)
-				}
-				rjournal := rfs.stopRecording()
-				rst.Discard()
-				rtotal := int64(0)
-				for _, op := range rjournal {
-					rtotal += op.cost()
-				}
-
-				// every op boundary of the recovery journal, plus strided
-				// mid-op offsets to cut redo writes and the truncation
-				// mid-way
-				offsets := map[int64]bool{0: true, rtotal: true}
-				at := int64(0)
-				for _, op := range rjournal {
-					at += op.cost()
-					offsets[at] = true
-				}
-				for j := int64(0); j <= rtotal; j += 211 {
-					offsets[j] = true
-				}
-				for j := range offsets {
-					for _, rmode := range []bool{false, true} {
-						label := fmt.Sprintf("replay-crash j=%d reordered=%v", j, rmode)
-						got, err := loadStateErr(crashState(rbase, rjournal, j, rmode), label, "R1")
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !got["R1"].Equal(want) {
-							t.Fatalf("%s: double replay diverged from single replay", label)
-						}
+				for _, o := range outer {
+					if o.c.Reordered != reordered || o.c.K > k || i > 0 && o.c.K <= marks[i-1] {
+						continue
+					}
+					n, err := doubleReplay(o.c, o.files)
+					cycles.Add(int64(n))
+					if err != nil {
+						t.Fatal(err)
 					}
 				}
 			})
 		}
 	}
+}
+
+// doubleReplay recovers files, the state a crash at c left, while
+// journaling recovery's writes; then it crashes that recovery in every
+// distinct state of its journal and demands each second recovery equal
+// the first. It returns the reopen-and-check cycles it ran.
+func doubleReplay(c crashfs.Cut, files map[string][]byte) (int, error) {
+	rfs := crashfs.New(files)
+	rbase := rfs.Record()
+	rst, err := Open("db", Options{PoolPages: 8, OpenFile: rfs.Open, RemoveFile: rfs.Remove, CheckpointBytes: -1})
+	if err != nil {
+		return 0, fmt.Errorf("%v: recording replay failed: %v", c, err)
+	}
+	rjournal := rfs.Journal()
+	rs, ok := rst.Rel("R1")
+	if !ok {
+		rst.Discard()
+		return 0, fmt.Errorf("%v: relation R1 lost", c)
+	}
+	want, err := rs.Load()
+	rst.Discard()
+	if err != nil {
+		return 0, fmt.Errorf("%v: load after the recording replay: %v", c, err)
+	}
+	stats, err := crashfs.Sweep(rbase, rjournal, func(rc crashfs.Cut, files map[string][]byte) error {
+		label := fmt.Sprintf("%v, replay-crash %v", c, rc)
+		got, err := loadStateErr(files, label, "R1")
+		if err != nil {
+			return err
+		}
+		if !got["R1"].Equal(want) {
+			return fmt.Errorf("%s: double replay diverged from single replay", label)
+		}
+		return nil
+	})
+	return stats.Cycles, err
 }
