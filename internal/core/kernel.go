@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -13,8 +14,9 @@ import (
 )
 
 // The canonicalisation kernel behind Expand, ExpandRelation, Nest,
-// Canonical, CanonicalFromFlats and CanonicalWhere. The only strings it
-// builds are one rendering per gathered atom and the result's keys.
+// Canonical, CanonicalFromFlats and CanonicalWhere, and its check,
+// IsCanonicalFor. The only strings the kernel builds are one rendering
+// per gathered atom and the result's keys; the check builds none.
 
 // flatRows is a 1NF relation in rank form: n rows of deg ranks, sorted
 // the way Flat.Key() strings sort and duplicate-free. atoms[c][k] is
@@ -217,4 +219,93 @@ func canonicalOf(s *schema.Schema, ts []tuple.Tuple, p schema.Permutation) (*Rel
 		total += c
 	}
 	return MustFromTuples(s, ts), total
+}
+
+// IsCanonicalFor reports whether r equals V_P(R*) for the given
+// permutation — i.e. whether r is the canonical form of its own
+// information content under P. It panics on an invalid permutation.
+//
+// It builds neither R* nor V_P. With T_k the relation r unnested on
+// p[k..n−1] (T_n = r, T_0 = R*), r = V_P(R*) iff for every k < n no two
+// rows of T_{k+1} agree on every attribute but p[k]: each level is then
+// exactly ν_{p[k]} of the one below it, and V_P's levels unnest into
+// one another. A row of T_{k+1} is a tuple with one atom picked at each
+// attribute of p[>k], named by index arithmetic and never built, hashed
+// the way HashExcept(p[k]) hashes (set hashes at p[<k], atom hashes at
+// p[>k]) and compared exactly on a hash match. It touches
+// Σ_t Σ_k Π_{j>k}|t_{p[j]}| ≤ n·|R*| rows.
+func (r *Relation) IsCanonicalFor(p schema.Permutation) bool {
+	if !p.Valid(r.sch) {
+		panic(fmt.Sprintf("core: invalid permutation %v for schema %v", p, r.sch))
+	}
+	n := len(p)
+	level := make([]int, n) // level[c]: the position of attribute c in p
+	for k, c := range p {
+		level[c] = k
+	}
+	// pick[x][c] is the atom row q of t takes at c in p[>k], p[n−1]
+	// varying fastest; name returns the number of rows t unnests into
+	pick := [2][]int{make([]int, n), make([]int, n)}
+	name := func(x int, t tuple.Tuple, k, q int) int {
+		rows := 1
+		for j := n - 1; j > k; j-- {
+			size := t.Set(p[j]).Len()
+			pick[x][p[j]] = q / rows % size
+			rows *= size
+		}
+		return rows
+	}
+	type slot struct {
+		h    uint64
+		t, q int // 1 + the tuple's position (0: empty), the row within it
+	}
+	// agree reports whether the row of t named in pick[0] and the row in
+	// s agree on every attribute but p[k]
+	agree := func(t tuple.Tuple, k int, s slot) bool {
+		u := r.tuples[s.t-1]
+		name(1, u, k, s.q)
+		for c, l := range level {
+			if l < k && !t.Set(c).Equal(u.Set(c)) || l > k && !value.Equal(t.Set(c).At(pick[0][c]), u.Set(c).At(pick[1][c])) {
+				return false
+			}
+		}
+		return true
+	}
+	most := 0 // the rows of T_1, the largest level
+	for _, t := range r.tuples {
+		most += name(0, t, 0, 0)
+	}
+	slots := make([]slot, 1<<bits.Len(uint(2*most))) // open addressing
+	mask := uint64(len(slots) - 1)
+	for k := n - 1; k >= 0; k-- {
+		clear(slots)
+		for ti, t := range r.tuples {
+			for q, rows := 0, name(0, t, k, 0); q < rows; q++ {
+				name(0, t, k, q)
+				var h uint64 = 1469598103934665603
+				for c, s := range t.Sets() {
+					switch {
+					case level[c] == k:
+						h ^= 0x00c0ffee
+					case level[c] < k:
+						h ^= s.Hash()
+					default:
+						h ^= s.At(pick[0][c]).Hash()
+					}
+					h *= 1099511628211
+				}
+				h &= hashMask
+				for i := (h ^ h>>32) & mask; ; i = (i + 1) & mask {
+					if slots[i].t == 0 {
+						slots[i] = slot{h, ti + 1, q}
+						break
+					}
+					if slots[i].h == h && agree(t, k, slots[i]) {
+						return false
+					}
+				}
+			}
+		}
+	}
+	return true
 }

@@ -79,6 +79,13 @@ func refCanonicalFromFlats(r *core.Relation, p schema.Permutation) (*core.Relati
 	return refCanonical(core.MustFromFlats(r.Schema(), refExpand(r)), p)
 }
 
+// refIsCanonicalFor is IsCanonicalFor as it stood before the linear
+// check: rebuild V_P from R* and compare.
+func refIsCanonicalFor(r *core.Relation, p schema.Permutation) bool {
+	canon, _ := r.CanonicalFromFlats(p)
+	return r.Equal(canon)
+}
+
 // sameRelation requires got and want to hold equal tuples at equal
 // positions.
 func sameRelation(t testing.TB, what string, got, want *core.Relation) {
@@ -275,6 +282,164 @@ func FuzzKernel(f *testing.F) {
 	})
 }
 
+// hostileAtoms collide wherever two atoms could be confused: Int 1
+// beside String "1", Bool true beside String "true", both float zeros
+// (equal atoms, different bits), NaN (equal to itself as an atom) and
+// null.
+var hostileAtoms = []value.Atom{
+	value.NewInt(1), value.NewString("1"), value.NewFloat(0), value.NewFloat(math.Copysign(0, -1)),
+	value.NewFloat(math.NaN()), value.NullAtom(), value.NewBool(true), value.NewString("true"), value.NewInt(2),
+}
+
+// The inputs the verifier is held to the reference on.
+const (
+	caseVP      = iota // V_P of random flats: canonical
+	caseVQ             // V_Q for another order Q: irreducible, usually not V_P
+	caseNest           // one Nest, on p[0]
+	case1NF            // the flats themselves
+	caseOverlap        // hand-built tuples, expansions free to overlap
+	caseSplit          // V_P with one tuple split in two at p[j]: never canonical
+	caseKinds
+)
+
+// verifierCase decodes a relation of degree 1..4, a nest order P and
+// one of the cases above from bytes: a degree byte, an order byte, a
+// case byte, an argument byte (Q, or j), then atoms from hostileAtoms,
+// one byte each (for caseOverlap, each tuple component is a size byte
+// and then its atoms). split reports whether caseSplit found a tuple
+// to split.
+func verifierCase(data []byte) (r *core.Relation, p schema.Permutation, kind int, split bool) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	deg := 1 + next()%4
+	perms := schema.AllPermutations(deg)
+	pi := next() % len(perms)
+	p, kind, arg := perms[pi], next()%caseKinds, next()
+	s := schema.MustOf([]string{"A", "B", "C", "D"}[:deg]...)
+	atom := func() value.Atom { return hostileAtoms[next()%len(hostileAtoms)] }
+	if kind == caseOverlap {
+		r = core.NewRelation(s)
+		for len(data) > 0 && r.Len() < 12 {
+			sets := make([]vset.Set, deg)
+			for c := range sets {
+				atoms := make([]value.Atom, 1+next()%3)
+				for k := range atoms {
+					atoms[k] = atom()
+				}
+				sets[c] = vset.New(atoms...)
+			}
+			r.Add(tuple.MustNew(sets...))
+		}
+		return r, p, kind, false
+	}
+	var flats []tuple.Flat
+	for len(data) > 0 && len(flats) < 40 {
+		f := make(tuple.Flat, deg)
+		for c := range f {
+			f[c] = atom()
+		}
+		flats = append(flats, f)
+	}
+	r = core.MustFromFlats(s, flats)
+	switch kind {
+	case caseVP:
+		r, _ = r.Canonical(p)
+	case caseVQ:
+		if len(perms) > 1 {
+			r, _ = r.Canonical(perms[(pi+1+arg%(len(perms)-1))%len(perms)])
+		}
+	case caseNest:
+		r, _ = r.Nest(p[0])
+	case caseSplit:
+		r, _ = r.Canonical(p)
+		c := p[arg%deg]
+		ts := r.Tuples()
+		for i, t := range ts {
+			if atoms := t.Set(c).Atoms(); len(atoms) > 1 {
+				ts[i] = t.WithSet(c, vset.Single(atoms[0]))
+				ts = append(ts, t.WithSet(c, vset.New(atoms[1:]...)))
+				r, split = core.MustFromTuples(s, ts), true
+				break
+			}
+		}
+	}
+	return r, p, kind, split
+}
+
+// checkVerifier holds IsCanonicalFor to the reference on one case and
+// returns the answer.
+func checkVerifier(t testing.TB, data []byte) bool {
+	t.Helper()
+	r, p, kind, split := verifierCase(data)
+	got, want := r.IsCanonicalFor(p), refIsCanonicalFor(r, p)
+	if got != want || (kind == caseVP && !got) || (split && got) {
+		t.Fatalf("case %d, P=%v: IsCanonicalFor = %v, reference %v, over\n%v", kind, p, got, want, r)
+	}
+	return got
+}
+
+// verifierSeed is a case's header followed by n atom bytes drawn from
+// the first four atoms, so that the flats nest.
+func verifierSeed(deg, perm, kind, arg, n int, seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	data := []byte{byte(deg - 1), byte(perm), byte(kind), byte(arg)}
+	for i := 0; i < n; i++ {
+		data = append(data, byte(rng.Intn(4)))
+	}
+	return data
+}
+
+// TestIsCanonicalForMatchesReference: every degree 1..4, every order,
+// every case, against CanonicalFromFlats + Equal; both answers occur,
+// and every case but V_P answers "no" somewhere.
+func TestIsCanonicalForMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var answers [caseKinds][2]int
+	for deg := 1; deg <= 4; deg++ {
+		for perm := range schema.AllPermutations(deg) {
+			for kind := 0; kind < caseKinds; kind++ {
+				for round := 0; round < 8; round++ {
+					data := verifierSeed(deg, perm, kind, rng.Intn(24), 6+rng.Intn(30), rng.Int63())
+					if kind == caseOverlap || round%2 == 1 { // the whole pool
+						for i := 4; i < len(data); i++ {
+							data[i] = byte(rng.Intn(len(hostileAtoms)))
+						}
+					}
+					if checkVerifier(t, data) {
+						answers[kind][1]++
+					} else {
+						answers[kind][0]++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("answers (no, yes) by case: %v", answers)
+	for kind, a := range answers {
+		if a[0] == 0 && kind != caseVP || a[1] == 0 && kind != caseSplit {
+			t.Errorf("case %d answered no %d times and yes %d times", kind, a[0], a[1])
+		}
+	}
+}
+
+func FuzzIsCanonicalFor(f *testing.F) {
+	f.Add([]byte{})
+	for kind := 0; kind < caseKinds; kind++ {
+		for deg := 2; deg <= 3; deg++ {
+			for arg := 0; arg < deg; arg++ {
+				f.Add(verifierSeed(deg, arg+kind, kind, arg, 3*deg*deg, int64(10*kind+deg)))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkVerifier(t, data) })
+}
+
 // TestRemoveKeepsOrderAndIndex: Remove shifts the keys it keeps beside
 // the tuples, so every survivor is found, in order, after removals from
 // the front, the middle and the back, in clones and after a sort.
@@ -311,18 +476,23 @@ func TestRemoveKeepsOrderAndIndex(t *testing.T) {
 	}
 }
 
-// BenchmarkCanonicalFromFlats re-canonicalises the stored form of the
-// reopen_recover population, in heap order (what the first write after
-// Open does);
-// the reference sub-benchmark is the string-keyed kernel on the same
-// input.
-func BenchmarkCanonicalFromFlats(b *testing.B) {
-	flat := workload.GenEnrollment(1, benchShapes["reopen_recover"]).R1
+// storedForm is the canonical form of a benchShapes population in heap
+// order: a heap hands its tuples over in no particular order.
+func storedForm(shape string) *core.Relation {
+	flat := workload.GenEnrollment(1, benchShapes[shape]).R1
 	canon, _ := flat.Canonical(enrollOrder)
-	// a heap hands its tuples over in no particular order
 	ts := canon.Tuples()
 	rand.New(rand.NewSource(1)).Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
-	stored := core.MustFromTuples(flat.Schema(), ts)
+	return core.MustFromTuples(flat.Schema(), ts)
+}
+
+// BenchmarkCanonicalFromFlats re-canonicalises the stored form of the
+// reopen_recover population, in heap order: the repair the first write
+// after Open makes of a heap that fails IsCanonicalFor, and the
+// reference that check is held to. The reference sub-benchmark is the
+// string-keyed kernel on the same input.
+func BenchmarkCanonicalFromFlats(b *testing.B) {
+	stored := storedForm("reopen_recover")
 	b.Run("kernel", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -335,6 +505,29 @@ func BenchmarkCanonicalFromFlats(b *testing.B) {
 			refCanonicalFromFlats(stored, enrollOrder)
 		}
 	})
+}
+
+// BenchmarkIsCanonicalFor checks the stored form of the reopen_recover
+// and embed_write populations, in heap order, as the first write after
+// Open does before it adopts the heap; the rebuild sub-benchmarks time
+// the reference check (CanonicalFromFlats + Equal) on the same input.
+func BenchmarkIsCanonicalFor(b *testing.B) {
+	for _, shape := range []string{"reopen_recover", "embed_write"} {
+		stored := storedForm(shape)
+		for _, c := range []struct {
+			name  string
+			check func(*core.Relation, schema.Permutation) bool
+		}{{"check", (*core.Relation).IsCanonicalFor}, {"rebuild", refIsCanonicalFor}} {
+			b.Run(shape+"/"+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if !c.check(stored, enrollOrder) {
+						b.Fatal("the stored canonical form failed the check")
+					}
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkRelationRemove removes the oldest tuple of the embed_write

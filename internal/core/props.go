@@ -192,14 +192,6 @@ func (r *Relation) MaxFixedSet() schema.AttrSet {
 	return schema.NewAttrSet()
 }
 
-// IsCanonicalFor reports whether r equals V_P(R*) for the given
-// permutation — i.e. whether r is the canonical form of its own
-// information content under P.
-func (r *Relation) IsCanonicalFor(p schema.Permutation) bool {
-	canon, _ := r.CanonicalFromFlats(p)
-	return r.Equal(canon)
-}
-
 // IsCanonical reports whether r is the canonical form for some
 // permutation of its schema, returning the first such permutation.
 // Exhaustive over n! permutations; degree must be small.

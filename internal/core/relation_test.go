@@ -368,3 +368,40 @@ func TestRelationHashCollisions(t *testing.T) {
 		}
 	}
 }
+
+// TestIsCanonicalForHashCollisions: with row hashes cut to one bit
+// nearly every row collides with another, so each answer rests on the
+// exact comparison. Every order's V_P, V_Q and the 1NF form of random
+// degree-3 relations are checked against rebuilding V_P.
+func TestIsCanonicalForHashCollisions(t *testing.T) {
+	defer func(m uint64) { hashMask = m }(hashMask)
+	hashMask = 1
+
+	s := schema.MustOf("A", "B", "C")
+	perms := schema.AllPermutations(3)
+	rng := rand.New(rand.NewSource(3))
+	answers := map[bool]int{}
+	for round := 0; round < 40; round++ {
+		var fs []tuple.Flat
+		for i := 0; i < 4+rng.Intn(24); i++ {
+			fs = append(fs, tuple.Flat(value.Ints(int64(rng.Intn(3)), int64(rng.Intn(3)), int64(rng.Intn(2)))))
+		}
+		flat := MustFromFlats(s, fs)
+		for _, p := range perms {
+			want, _ := flat.CanonicalFromFlats(p)
+			for _, q := range perms {
+				r, _ := flat.Canonical(q)
+				for _, r := range []*Relation{r, flat} {
+					got := r.IsCanonicalFor(p)
+					if got != r.Equal(want) {
+						t.Fatalf("P=%v: IsCanonicalFor = %v over\n%v\nV_P is\n%v", p, got, r, want)
+					}
+					answers[got]++
+				}
+			}
+		}
+	}
+	if answers[false] == 0 || answers[true] == 0 {
+		t.Fatalf("answers = %v: both must occur", answers)
+	}
+}

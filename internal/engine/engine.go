@@ -194,9 +194,11 @@ func (r *Rel) shardFor(f tuple.Flat) *relShard {
 // maintainer returns the shard's canonical-form maintainer,
 // materializing it on first use: one shard-heap scan (refusing
 // duplicate records — the fail-stop the store's index-attach open no
-// longer provides), re-canonicalization of the shard partition, and
-// the write-through sink hookup. A stored form that drifted from the
-// partition's canonical form (it never does through this engine) is
+// longer provides), update.Adopt of what it read, and the write-through
+// sink hookup. The engine writes a heap only through its maintainer, so
+// a heap already holds V_P and Adopt checks it rather than rebuilding
+// it. A stored form that drifted from the partition's canonical form
+// (it never does through this engine) fails that check and is
 // resynchronized under txn, the caller's statement transaction. With a
 // nil txn (read-only paths) the canonical form of a drifted heap is
 // returned but NOT published: a published maintainer writes through to
@@ -225,19 +227,23 @@ func (sh *relShard) maintainer(txn *store.Txn) (*update.Maintainer, error) {
 	if dup != nil {
 		return nil, dup
 	}
-	m, err := update.FromRelationIndexed(rel, def.Order)
-	if err != nil {
-		return nil, err
-	}
-	if !m.Relation().Equal(rel) {
+	m, err := update.Adopt(rel, def.Order)
+	if errors.Is(err, update.ErrNotCanonical) {
+		canon, _ := rel.CanonicalFromFlats(def.Order)
+		if m, err = update.Adopt(canon, def.Order); err != nil {
+			return nil, err
+		}
 		if txn == nil {
-			return m, nil
+			return m, nil // a read: the repair is left to the first write
 		}
 		// the canonical form of the shard's flats keeps every fixed atom
 		// routing to this shard, so the shard-local Replace is sound
-		if err := sh.ss.Replace(txn, m.Relation()); err != nil {
+		if err := sh.ss.Replace(txn, canon); err != nil {
 			return nil, err
 		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	m.SetSink(sh)
 	sh.maint.Store(m)

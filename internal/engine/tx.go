@@ -429,7 +429,7 @@ func (tx *Tx) Create(def RelationDef) error {
 	// statements pass (nobody else can even look it up until commit
 	// publishes it).
 	for _, sh := range r.shards {
-		m, err := update.NewMaintainerIndexed(def.Schema, def.Order)
+		m, err := update.Adopt(core.NewRelation(def.Schema), def.Order)
 		if err != nil {
 			return err
 		}

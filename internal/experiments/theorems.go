@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/dep"
 	"repro/internal/schema"
 	"repro/internal/tuple"
 	"repro/internal/workload"
@@ -265,10 +264,4 @@ func RunTheorem5(w io.Writer, trials int, seed int64) TheoremCheck {
 	fmt.Fprintf(w, "Theorem 5 (canonical fixed on ≤ n−1 domains): %d/%d relations conformed across all permutations\n",
 		res.Passes, res.Trials)
 	return res
-}
-
-// FDsForEnrollment returns the dependency set used in enrollment-based
-// experiments (kept here so the CLI and tests agree).
-func FDsForEnrollment() []dep.MVD {
-	return []dep.MVD{dep.NewMVD([]string{"Student"}, []string{"Course"})}
 }

@@ -70,7 +70,7 @@ type Config struct {
 }
 
 // Server serves one engine.Database over the wire protocol. Create
-// with New, start with Serve or ListenAndServe, stop with Shutdown
+// with New, start with Serve on a listener, stop with Shutdown
 // (graceful) or Close (immediate). The Server does not own the
 // database: the caller closes it after the server has stopped.
 type Server struct {
@@ -121,16 +121,6 @@ func (s *Server) Addr() net.Addr {
 		return nil
 	}
 	return s.lis.Addr()
-}
-
-// ListenAndServe listens on addr ("host:port"; empty host = all
-// interfaces) and serves until Shutdown or Close.
-func (s *Server) ListenAndServe(addr string) error {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(lis)
 }
 
 // Serve accepts connections on lis until Shutdown or Close, then

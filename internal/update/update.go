@@ -25,6 +25,7 @@
 package update
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -167,6 +168,27 @@ func FromRelationIndexed(r *core.Relation, order schema.Permutation) (*Maintaine
 	if err != nil {
 		return nil, err
 	}
+	m.enableIndex()
+	return m, nil
+}
+
+// ErrNotCanonical is Adopt's refusal of a relation that is not V_P of
+// its own flat expansion.
+var ErrNotCanonical = errors.New("update: relation is not in canonical form")
+
+// Adopt returns an indexed maintainer that owns r, which must already
+// be V_P(R*(r)) for the nest order: r is checked
+// (core.Relation.IsCanonicalFor), not rebuilt, and refused with
+// ErrNotCanonical if it fails. The caller must not modify r afterwards.
+func Adopt(r *core.Relation, order schema.Permutation) (*Maintainer, error) {
+	m, err := NewMaintainer(r.Schema(), order)
+	if err != nil {
+		return nil, err
+	}
+	if !r.IsCanonicalFor(order) {
+		return nil, ErrNotCanonical
+	}
+	m.rel = r
 	m.enableIndex()
 	return m, nil
 }

@@ -247,14 +247,6 @@ func Decode(b []byte) (typ byte, payload []byte, n int, err error) {
 	return typ, payload, 4 + int(length), nil
 }
 
-// AppendErr appends a TErr frame built from code and message.
-func AppendErr(dst []byte, code byte, msg string) []byte {
-	p := make([]byte, 0, 1+len(msg))
-	p = append(p, code)
-	p = append(p, msg...)
-	return Append(dst, TErr, p)
-}
-
 // WriteErr writes a TErr frame built from code and message.
 func WriteErr(w io.Writer, code byte, msg string) error {
 	p := make([]byte, 0, 1+len(msg))
