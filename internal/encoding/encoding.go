@@ -1,7 +1,6 @@
 // Package encoding provides the binary codec for atoms, value sets,
 // NFR tuples, and relations — the serialization layer under the
-// storage engine — plus a line-oriented text format for loading the
-// paper's examples and workload files.
+// storage engine.
 //
 // Binary layout (little-endian varints, no alignment):
 //
@@ -13,13 +12,11 @@
 package encoding
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/schema"
@@ -270,94 +267,4 @@ func ReadRelation(r io.Reader) (*core.Relation, error) {
 		pos += n
 	}
 	return rel, nil
-}
-
-// WriteText writes the relation in the line-oriented text format:
-// a header "attr:kind attr:kind ...", then one tuple per line with
-// components separated by '|' and set members by ','. Atoms use the
-// value.Parse literal syntax.
-func WriteText(w io.Writer, r *core.Relation) error {
-	bw := bufio.NewWriter(w)
-	s := r.Schema()
-	for i := 0; i < s.Degree(); i++ {
-		if i > 0 {
-			bw.WriteByte(' ')
-		}
-		fmt.Fprintf(bw, "%s:%s", s.Attr(i).Name, s.Attr(i).Kind)
-	}
-	bw.WriteByte('\n')
-	for i := 0; i < r.Len(); i++ {
-		t := r.Tuple(i)
-		for j, set := range t.Sets() {
-			if j > 0 {
-				bw.WriteString(" | ")
-			}
-			atoms := set.Atoms()
-			for k, a := range atoms {
-				if k > 0 {
-					bw.WriteString(",")
-				}
-				bw.WriteString(a.String())
-			}
-		}
-		bw.WriteByte('\n')
-	}
-	return bw.Flush()
-}
-
-// ReadText parses the text format written by WriteText.
-func ReadText(r io.Reader) (*core.Relation, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("encoding: missing header")
-	}
-	var attrs []schema.Attribute
-	for _, field := range strings.Fields(sc.Text()) {
-		name, kindName, found := strings.Cut(field, ":")
-		kind := value.Null
-		if found {
-			k, ok := value.ParseKind(kindName)
-			if !ok {
-				return nil, fmt.Errorf("encoding: bad kind %q", kindName)
-			}
-			kind = k
-		}
-		attrs = append(attrs, schema.Attribute{Name: name, Kind: kind})
-	}
-	s, err := schema.New(attrs...)
-	if err != nil {
-		return nil, err
-	}
-	rel := core.NewRelation(s)
-	line := 1
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		parts := strings.Split(text, "|")
-		if len(parts) != s.Degree() {
-			return nil, fmt.Errorf("encoding: line %d has %d components, schema degree %d", line, len(parts), s.Degree())
-		}
-		sets := make([]vset.Set, len(parts))
-		for i, p := range parts {
-			var atoms []value.Atom
-			for _, lit := range strings.Split(p, ",") {
-				a, err := value.Parse(lit)
-				if err != nil {
-					return nil, fmt.Errorf("encoding: line %d: %v", line, err)
-				}
-				atoms = append(atoms, a)
-			}
-			sets[i] = vset.New(atoms...)
-		}
-		t, err := tuple.New(sets...)
-		if err != nil {
-			return nil, fmt.Errorf("encoding: line %d: %v", line, err)
-		}
-		rel.Add(t)
-	}
-	return rel, sc.Err()
 }

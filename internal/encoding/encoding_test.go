@@ -207,61 +207,6 @@ func TestReadRelationErrors(t *testing.T) {
 	}
 }
 
-func TestTextRoundTrip(t *testing.T) {
-	s := schema.MustNew(
-		schema.Attribute{Name: "Student", Kind: value.String},
-		schema.Attribute{Name: "Course", Kind: value.String},
-	)
-	r := core.MustFromTuples(s, []tuple.Tuple{
-		core.TupleOfSets([]string{"s1"}, []string{"c1", "c2"}),
-		core.TupleOfSets([]string{"s2", "s3"}, []string{"c1"}),
-	})
-	var buf bytes.Buffer
-	if err := WriteText(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(r) {
-		t.Errorf("text roundtrip:\n%v\nfrom:\n%s", got, buf.String())
-	}
-}
-
-func TestReadTextFormat(t *testing.T) {
-	in := `A:string B:int
-# comment line
-a1,a2 | 1
-a3 | 2,3
-
-`
-	r, err := ReadText(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 2 || r.ExpansionSize() != 4 {
-		t.Errorf("parsed: %v", r)
-	}
-	if r.Schema().Attr(1).Kind != value.Int {
-		t.Error("kind lost")
-	}
-}
-
-func TestReadTextErrors(t *testing.T) {
-	cases := []string{
-		"",                    // no header
-		"A:badkind\nx",        // bad kind
-		"A B\nonly|two|parts", // component count mismatch
-		"A A\nx",              // duplicate attrs
-	}
-	for i, in := range cases {
-		if _, err := ReadText(strings.NewReader(in)); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
-}
-
 // Property: random tuples round-trip through the binary codec.
 func TestTupleRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {

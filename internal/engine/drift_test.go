@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -262,5 +263,130 @@ func TestCleanHeapAdopted(t *testing.T) {
 	}
 	if logged[0] == 0 || logged[0] > logged[1] {
 		t.Fatalf("the first write after Open logged %d pages, the same write with the maintainer resident %d", logged[0], logged[1])
+	}
+}
+
+// TestDriftRepairFailureFailsBatch: a drift repair that stops
+// part-way fails the pipeline batch whose write ran it. The heap holds
+// the 1NF form of rows whose canonical form is one tuple too large for
+// a page, so the repair clears the heap and then cannot write that
+// tuple. The write must return the error and the batch must roll back:
+// every seeded row is still stored, live and after a reopen.
+func TestDriftRepairFailureFailsBatch(t *testing.T) {
+	sch := schema.MustOf("A", "B")
+	def := RelationDef{Name: "r", Schema: sch}
+	var flats []tuple.Flat
+	for i := 0; i < 100; i++ {
+		flats = append(flats, tuple.FlatOfStrings("a1", fmt.Sprintf("b%03d-%060d", i, i)))
+	}
+	path := filepath.Join(t.TempDir(), "db.nfrs")
+	db, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Create(def); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(path, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, _ := st.Rel("r")
+	seeded := core.MustFromFlats(sch, flats)
+	txn := st.Begin()
+	if err := rs.Shard(0).Replace(txn, seeded); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Commit(txn); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(path); err != nil {
+		t.Fatal(err)
+	}
+	_, err = db.Insert("r", tuple.FlatOfStrings("a2", "b"))
+	if err == nil || !strings.Contains(err.Error(), "can never fit a page") {
+		t.Fatalf("a write whose drift repair cannot store the canonical form returned %v", err)
+	}
+	for _, stage := range []string{"live", "after reopen"} {
+		if stage == "after reopen" {
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if db, err = Open(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := db.ReadRelation(context.Background(), "r")
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		if !got.Equal(seeded) {
+			t.Fatalf("%s: the heap holds %d tuples over %d rows, the seeded heap %d over %d",
+				stage, got.Len(), got.ExpansionSize(), seeded.Len(), seeded.ExpansionSize())
+		}
+		if err := db.VerifyIndexes(); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDriftRepairRolledBack: a Tx whose first write materialized a
+// drifted heap, and so repaired it, takes the repair with it when it
+// rolls back. The heap is drifted again, so the next write must repair
+// it again rather than write Section 4's changes to a non-canonical
+// form: the stored form is V_P of the rows, live and after a reopen.
+func TestDriftRepairRolledBack(t *testing.T) {
+	path, def, flats := seedDrifted(t)
+	db, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := db.Begin(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if changed, err := tx.Insert("R1", tuple.FlatOfStrings("s998", "c00", "b0")); err != nil || !changed {
+		t.Fatalf("insert in the Tx: changed=%v, %v", changed, err)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	extra := tuple.FlatOfStrings("s999", "c00", "b0")
+	if changed, err := db.Insert("R1", extra); err != nil || !changed {
+		t.Fatalf("insert after the rollback: changed=%v, %v", changed, err)
+	}
+	want, _ := core.MustFromFlats(def.Schema, append(flats[:len(flats):len(flats)], extra)).Canonical(def.Order)
+	for _, stage := range []string{"live", "after reopen"} {
+		if stage == "after reopen" {
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if db, err = Open(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := db.ReadRelation(context.Background(), "R1")
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s: heap %d tuples over %d rows, canonical %d over %d",
+				stage, got.Len(), got.ExpansionSize(), want.Len(), want.ExpansionSize())
+		}
+		if err := db.VerifyIndexes(); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -128,8 +128,8 @@ type relShard struct {
 	// stx is the storage transaction of the Tx holding the latch (nil
 	// while none has attached, see Tx.attachShard) and sinkErr the first
 	// error of a write-through under it. Both are guarded by the latch,
-	// read at the statement's end (Tx.syncAfterWrite, Tx.applyOps) and
-	// cleared by Tx.finish: the Tx alone owns the transaction's boundary.
+	// read at the statement's end (Tx.syncAfterWrite) and cleared by
+	// Tx.finish: the Tx alone owns the transaction's boundary.
 	stx     *store.Txn
 	sinkErr error
 
@@ -294,7 +294,9 @@ func (r *Rel) Relation() *core.Relation {
 
 // Stats returns the maintainers' accumulated operation counts, summed
 // across shards (zero when the canonical form was never materialized
-// or fails to).
+// or fails to). They count every run of the Section-4 algorithms on
+// the resident form, so a rejected statement or a rolled-back
+// transaction counts both its own work and the inverse that undid it.
 func (r *Rel) Stats() update.Stats {
 	var st update.Stats
 	for _, sh := range r.shards {
@@ -545,11 +547,9 @@ func (db *Database) autocommit(fn func(tx *Tx) error) error {
 			}
 			continue
 		}
-		// Commit even after a failed statement: the statement's repair
-		// (syncAfterWrite) left the transaction consistent at the
-		// pre-statement state, and committing it is what makes the
-		// repair durable as one atomic batch. A no-op transaction's
-		// commit costs nothing.
+		// Commit even after a failed statement: a failed statement
+		// leaves the transaction at its pre-statement state, and a
+		// no-op transaction's commit costs nothing.
 		if cerr := tx.Commit(); cerr != nil && opErr == nil {
 			opErr = cerr
 		}

@@ -142,11 +142,11 @@ func TestGroupCommitMergesBehindSlowFsync(t *testing.T) {
 }
 
 // TestBatchFallbackMixedBatch: three autocommit inserts that form ONE
-// pipeline batch, one of them too large for a page. The batch is rolled
-// back and re-applied statement by statement: the two good rows are
-// acked as applied, the oversized one gets the error a lone oversized
-// insert gets, and nothing of it is left live, on disk or in the
-// indexes.
+// pipeline batch, one of them too large for a page. The oversized
+// statement is rejected alone, as in a multi-statement Tx: the two good
+// rows are acked as applied, the oversized one gets the error a lone
+// oversized insert gets, the batch still commits as one WAL batch, and
+// nothing of the rejected row is left live, on disk or in the indexes.
 func TestBatchFallbackMixedBatch(t *testing.T) {
 	fsys, gate := crashfs.New(nil), crashfs.NewGate()
 	db := openGated(t, fsys, gate)
@@ -171,6 +171,7 @@ func TestBatchFallbackMixedBatch(t *testing.T) {
 	// The first insert parks the shard's maintainer in its commit fsync.
 	// While it is parked nothing drains the queue, so once the queue has
 	// reached three the next drain takes exactly those three as a batch.
+	ws0, _ := db.WALStats()
 	gate.Armed.Store(true)
 	acks := []chan error{insert(good[0])}
 	<-gate.Entered
@@ -187,8 +188,13 @@ func TestBatchFallbackMixedBatch(t *testing.T) {
 			t.Errorf("good row %d: %v", i, err)
 		}
 	}
+	err := <-bad
+	// the parked first insert, then the three-op batch
+	if ws1, _ := db.WALStats(); ws1.Batches-ws0.Batches != 2 {
+		t.Errorf("the four inserts logged %d WAL batches, want 2", ws1.Batches-ws0.Batches)
+	}
 	_, lone := db.Insert("r", huge)
-	if err := <-bad; err == nil || lone == nil || err.Error() != lone.Error() {
+	if err == nil || lone == nil || err.Error() != lone.Error() {
 		t.Errorf("oversized row in the batch: %v; alone: %v", err, lone)
 	}
 	if ps := db.PipelineStats()["r"]; ps.MaxBatch != 3 {

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/tuple"
-	"repro/internal/update"
 )
 
 // The write pipeline turns the per-shard statement latch from a
@@ -44,13 +43,13 @@ import (
 //     under an ordinary engine Tx that takes the shard latch, retries
 //     under its ORIGINAL id on conflict, and parks on the refused
 //     latch holding nothing (see Database.autocommit);
-//   - a write-through failure inside a batch (the shard's sinkErr, read
-//     once after the maintenance pass) rolls the batch back and
-//     re-applies its statements as batches of one: the statement whose
-//     write fails again is acked with that error, the others apply. A
-//     multi-statement Tx repairs the one statement in place instead
-//     (Tx.syncAfterWrite), because rolling back would take the caller's
-//     earlier statements with it;
+//   - each op of a batch is one statement of the batch's Tx
+//     (Tx.writeShard), so a write-through failure rejects that op alone,
+//     exactly as in a multi-statement Tx (Tx.syncAfterWrite): the op is
+//     acked with the error and the rest of the batch applies and commits
+//     with the one fsync. Only when that repair fails too, or the shard
+//     fails to materialize, does the batch roll back, every op acked
+//     with the error, as on a failed commit;
 //   - durability boundary: a statement is acked only after its batch's
 //     commit fsync returned, so an acked write is durable exactly as
 //     before.
@@ -182,26 +181,12 @@ func (db *Database) runPipeline(sh *relShard) {
 	}
 }
 
-// batchSinkError marks a write-through failure the shard recorded
-// while a batch was applied.
-type batchSinkError struct{ err error }
-
-func (e *batchSinkError) Error() string {
-	return fmt.Sprintf("engine: write-through to store failed (statement rolled back): %v", e.err)
-}
-
-func (e *batchSinkError) Unwrap() error { return e.err }
-
 // applyBatch applies one batch under one engine transaction (one
 // latch acquisition, one maintenance pass, one commit fsync), filling
 // each op's (changed, err). Mirrors Database.autocommit's conflict
 // protocol: retry under the ORIGINAL transaction id, parking on the
 // refused latch while holding nothing.
 func (db *Database) applyBatch(sh *relShard, batch []*pipeOp) {
-	ops := make([]update.Op, len(batch))
-	for i, op := range batch {
-		ops[i] = update.Op{F: op.f, Delete: !op.insert}
-	}
 	var id uint64
 	for {
 		tx, err := db.begin(context.Background(), id)
@@ -210,8 +195,7 @@ func (db *Database) applyBatch(sh *relShard, batch []*pipeOp) {
 			return
 		}
 		id = tx.id
-		results, err := tx.applyOps(sh, ops)
-		if err != nil {
+		if err := tx.applyOps(sh, batch); err != nil {
 			tx.Rollback()
 			if errors.Is(err, ErrTxConflict) {
 				var ce *conflictError
@@ -220,17 +204,6 @@ func (db *Database) applyBatch(sh *relShard, batch []*pipeOp) {
 				}
 				continue
 			}
-			var be *batchSinkError
-			if errors.As(err, &be) && len(batch) > 1 {
-				// The rollback above restored the shard from its heap
-				// (pre-batch committed state). Re-apply the statements
-				// as batches of one, so the fault lands on the statement
-				// that causes it and the others still apply.
-				for _, op := range batch {
-					db.applyBatch(sh, []*pipeOp{op})
-				}
-				return
-			}
 			failBatch(batch, err)
 			return
 		}
@@ -238,43 +211,38 @@ func (db *Database) applyBatch(sh *relShard, batch []*pipeOp) {
 			// Commit rolled the batch back; every statement of it failed
 			// the same way a lone autocommit statement would have.
 			failBatch(batch, cerr)
-			return
-		}
-		for i, res := range results {
-			batch[i].changed, batch[i].err = res.Changed, res.Err
 		}
 		return
 	}
 }
 
-// applyOps runs a whole pipeline batch on sh under the transaction: one
-// latch acquisition, one maintainer Apply whose write-through pools
-// under tx's storage transaction and commits as one WAL batch.
-func (tx *Tx) applyOps(sh *relShard, ops []update.Op) ([]update.OpResult, error) {
+// applyOps runs a pipeline batch on sh as statements of tx, whose
+// write-through pools under one storage transaction and commits as one
+// WAL batch; each op keeps its own (changed, err). It fails the batch
+// as a whole on a latch conflict, and whenever a failed op may have
+// left partial writes under the transaction: its shard failed to
+// materialize (the maintainer is still unpublished; a drift repair
+// may have stopped part-way), or its repair failed too (sh.sinkErr
+// still set).
+func (tx *Tx) applyOps(sh *relShard, batch []*pipeOp) error {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
 	if err := tx.usableWrite(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := tx.latchShard(sh); err != nil {
-		return nil, err
+	for _, op := range batch {
+		op.changed, op.err = tx.writeShard(sh, op.f, op.insert)
+		if op.err != nil && (errors.Is(op.err, ErrTxConflict) || sh.maint.Load() == nil || tx.held[sh] && sh.sinkErr != nil) {
+			return op.err
+		}
 	}
-	tx.attachShard(sh)
-	m, err := sh.maintainer(tx.stx)
-	if err != nil {
-		return nil, err
-	}
-	results := m.Apply(ops)
-	if sh.sinkErr != nil {
-		return nil, &batchSinkError{err: sh.sinkErr}
-	}
-	return results, nil
+	return nil
 }
 
 // failBatch acks every statement of a batch with the same error (the
 // batch never applied).
 func failBatch(batch []*pipeOp, err error) {
 	for _, op := range batch {
-		op.err = err
+		op.changed, op.err = false, err
 	}
 }

@@ -138,13 +138,21 @@ type Tx struct {
 	stx     *store.Txn         // lazily-begun storage transaction
 	held    map[*relShard]bool // shard latches held until commit/rollback
 	ddl     bool               // DDL latch held
-	touched map[*relShard]bool // shards with write-throughs under stx
+	touched map[*relShard]bool // shards written under stx -> maintainer materialized by this tx
+	writes  []txWrite          // statements that changed a shard, oldest first (see undoWrites)
 	creates map[string]*Rel    // pending creates still visible to this tx
 	drops   map[string]*Rel    // pending drops
 	// selfCreated names every relation this transaction created — even
 	// one it later dropped — so rollback can forget their store entries
-	// without reindexing relations that no longer exist.
+	// instead of restoring relations that no longer exist.
 	selfCreated map[*Rel]string
+}
+
+// txWrite is one statement that changed the canonical form of sh.
+type txWrite struct {
+	sh     *relShard
+	f      tuple.Flat
+	insert bool
 }
 
 // Begin starts a transaction. The context governs the transaction's
@@ -275,11 +283,11 @@ func (tx *Tx) storage() *store.Txn {
 // The caller holds sh's latch (or, in Create, the only reference).
 func (tx *Tx) attachShard(sh *relShard) {
 	stx := tx.storage()
-	if !tx.touched[sh] {
+	if _, ok := tx.touched[sh]; !ok {
 		if tx.touched == nil {
 			tx.touched = make(map[*relShard]bool)
 		}
-		tx.touched[sh] = true
+		tx.touched[sh] = false
 		sh.stx = stx
 	}
 }
@@ -317,9 +325,9 @@ func (tx *Tx) InsertMany(name string, fs []tuple.Flat) (int, error) {
 	return n, nil
 }
 
-// write is one Insert/Delete statement under the transaction. Only the
-// shard owning the tuple is latched, so statements on other shards of
-// the same relation — from other transactions — proceed concurrently.
+// write is one Insert/Delete statement under the transaction: it
+// resolves the relation as the transaction sees it, type-checks an
+// insert, and writes on the shard owning the tuple.
 func (tx *Tx) write(name string, f tuple.Flat, isInsert bool) (bool, error) {
 	if err := tx.usableWrite(); err != nil {
 		return false, err
@@ -333,14 +341,24 @@ func (tx *Tx) write(name string, f tuple.Flat, isInsert bool) (bool, error) {
 			return false, err
 		}
 	}
-	sh := r.shardFor(f)
+	return tx.writeShard(r.shardFor(f), f, isInsert)
+}
+
+// writeShard runs one statement on sh, the shard owning f, for a Tx
+// statement and for each op of a pipeline batch alike. Only sh is
+// latched, so statements on other shards of the same relation — from
+// other transactions — proceed concurrently.
+func (tx *Tx) writeShard(sh *relShard, f tuple.Flat, isInsert bool) (bool, error) {
 	if err := tx.latchShard(sh); err != nil {
 		return false, err
 	}
 	tx.attachShard(sh)
 	// materialize the shard's canonical partition on first touch, under
 	// the latch we hold; a drift resync rides this statement's
-	// transaction
+	// transaction, so rollback must unpublish what it materialized
+	if sh.maint.Load() == nil {
+		tx.touched[sh] = true
+	}
 	m, err := sh.maintainer(tx.stx)
 	if err != nil {
 		return false, err
@@ -356,6 +374,10 @@ func (tx *Tx) write(name string, f tuple.Flat, isInsert bool) (bool, error) {
 	}
 	if err := tx.syncAfterWrite(sh, m, ch, f, isInsert); err != nil {
 		return false, err
+	}
+	if ch {
+		// a copy: the caller may reuse f once the statement returns
+		tx.writes = append(tx.writes, txWrite{sh: sh, f: f.Clone(), insert: isInsert})
 	}
 	return ch, nil
 }
@@ -653,10 +675,11 @@ func (tx *Tx) Commit() error {
 
 // Rollback discards the transaction: every dirty frame is dropped from
 // the buffer pool (no-steal guarantees nothing uncommitted reached the
-// file, so the file is bit-identical to the pre-Begin state) and each
-// touched shard's in-memory state — index mirror, heap insertion
-// target, canonical partition — is rebuilt from its heap. Latches are
-// released and the handle is done.
+// file, so the file is bit-identical to the pre-Begin state), each
+// touched shard's canonical partition is returned to its pre-Begin
+// form by undoWrites, and its heap insertion target and index mirror
+// are re-attached to the reverted pages. Latches are released and the
+// handle is done.
 func (tx *Tx) Rollback() error {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
@@ -669,32 +692,54 @@ func (tx *Tx) Rollback() error {
 func (tx *Tx) rollbackLocked() error {
 	var err error
 	if tx.stx != nil {
-		if rerr := tx.db.st.Rollback(tx.stx); rerr != nil {
-			err = rerr
-		}
+		err = tx.db.st.Rollback(tx.stx)
 		for _, name := range tx.selfCreated {
 			tx.db.st.ForgetRelation(name)
 		}
+		tx.undoWrites()
 		for sh := range tx.touched {
-			if _, wasCreated := tx.selfCreated[sh.r]; wasCreated {
+			if _, created := tx.selfCreated[sh.r]; created {
 				continue
 			}
-			rel, rerr := sh.ss.Reindex()
-			if rerr != nil {
-				if err == nil {
-					err = rerr
-				}
-				continue
-			}
-			// a shard touched but never materialized (the maintainer
-			// scan itself failed) has no resident form to reset
-			if m := sh.maint.Load(); m != nil {
-				m.ResetRelation(rel)
+			if rerr := sh.ss.Rewind(); rerr != nil && err == nil {
+				err = rerr
 			}
 		}
 	}
 	tx.finish()
 	return err
+}
+
+// undoWrites applies the inverse of each statement in tx.writes, newest
+// first, with the shard's sink detached: the pages are reverted
+// already. Section 4's insertion and deletion are exact inverses on R*,
+// and V_P is unique for a given R*, so each partition ends at its
+// pre-Begin canonical form. A shard whose maintainer this transaction
+// materialized is unpublished instead, because the drift repair that
+// materialization may have made was rolled back with the pages: the
+// next write materializes it again from the reverted heap. Relations
+// the transaction created are discarded whole. The inverses count in
+// the maintainer's Stats, as a rejected statement's inverse does.
+func (tx *Tx) undoWrites() {
+	for sh, materialized := range tx.touched {
+		if materialized {
+			sh.maint.Store(nil)
+		}
+	}
+	for i := len(tx.writes) - 1; i >= 0; i-- {
+		w := tx.writes[i]
+		m := w.sh.maint.Load()
+		if _, created := tx.selfCreated[w.sh.r]; created || m == nil {
+			continue
+		}
+		m.SetSink(nil)
+		if w.insert {
+			m.Delete(w.f)
+		} else {
+			m.Insert(w.f)
+		}
+		m.SetSink(w.sh)
+	}
 }
 
 // finish detaches the storage transaction from every shard it wrote

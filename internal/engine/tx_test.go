@@ -407,7 +407,7 @@ func TestTxMemoryRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	model.check(t, db, "r", "after rollback")
-	// the resident canonical form was reset from the heap, too
+	// the resident canonical form was restored, too
 	r, _ := db.Rel("r")
 	if !r.Relation().Equal(model.Canonical()) {
 		t.Fatalf("resident form after rollback is\n%v", r.Relation())

@@ -13,13 +13,13 @@ import (
 	"repro/internal/value"
 )
 
-// reindexShards re-attaches every shard of rs to its reverted pages, as
+// rewindShards re-attaches every shard of rs to its reverted pages, as
 // the engine does for the shards a rolled-back Tx touched.
-func reindexShards(t *testing.T, rs *RelStore) {
+func rewindShards(t *testing.T, rs *RelStore) {
 	t.Helper()
 	for _, sh := range rs.shards {
-		if _, err := sh.Reindex(); err != nil {
-			t.Fatalf("Reindex(%s) after rollback: %v", rs.def.Name, err)
+		if err := sh.Rewind(); err != nil {
+			t.Fatalf("Rewind(%s) after rollback: %v", rs.def.Name, err)
 		}
 	}
 }
@@ -99,7 +99,7 @@ func TestDurableIndexOracle(t *testing.T) {
 			if !ok {
 				continue
 			}
-			reindexShards(t, rs)
+			rewindShards(t, rs)
 		}
 		txn = nil
 		touched = map[string]bool{}
@@ -332,7 +332,7 @@ func TestSnapshotIsolationOracle(t *testing.T) {
 		}
 		for name := range touched {
 			if rs, ok := st.Rel(name); ok {
-				reindexShards(t, rs)
+				rewindShards(t, rs)
 			}
 		}
 		txn = nil
@@ -712,7 +712,7 @@ func TestConcurrentSnapshotReaders(t *testing.T) {
 			}
 			for name := range touched {
 				rs, _ := st.Rel(name)
-				reindexShards(t, rs)
+				rewindShards(t, rs)
 			}
 			live = committed(backup)
 			continue

@@ -56,9 +56,8 @@ func ShardOfAtom(a value.Atom, k int) int {
 // caused them, so a commit makes heap and index durable as one batch
 // and a crash recovers them on the same boundary; reopening attaches to
 // the persisted tree in one page read instead of rebuilding by heap
-// scan. Reindex remains the heap-scan oracle: it
-// verifies the durable index against the heap and rebuilds it only on
-// divergence.
+// scan. VerifyIndex remains the heap-scan oracle: it checks the
+// durable index against the heap.
 //
 // A Shard keeps no statement state. Every write takes the storage
 // transaction it belongs to and returns its error: Insert, Remove and
@@ -271,38 +270,18 @@ type ridTuple struct {
 	t   tuple.Tuple
 }
 
-// Reindex resets the shard's derived state from the heap — the
-// heap-scan oracle — returning the shard's partition materialized by
-// the same single scan. A transaction rollback discards uncommitted
-// frames from the pool, reverting heap AND index pages to their last
-// committed content; the durable index is then re-attached from its
-// (reverted) meta page, checked entry-for-entry against the heap, and
-// rebuilt in place only if the check fails — so a clean rollback
-// performs no writes and leaves the file untouched.
-func (r *Shard) Reindex() (*core.Relation, error) {
+// Rewind re-attaches the shard's in-memory state to its pages after a
+// transaction rollback discarded the uncommitted frames, reverting heap
+// AND index pages to their last committed content: the heap's
+// insertion target is walked again from the chain's first page, and
+// the index mirror re-reads its meta page. It performs no writes.
+func (r *Shard) Rewind() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := r.heap.Rewind(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := r.rangeD.Refresh(); err != nil {
-		return nil, err
-	}
-	rel := core.NewRelation(r.def.Schema)
-	var rts []ridTuple
-	if err := r.scanRawLocked(context.Background(), func(rid storage.RID, t tuple.Tuple) bool {
-		rel.Add(t)
-		rts = append(rts, ridTuple{rid, t})
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	if r.checkLocked(rts) != nil {
-		if err := r.rebuildLocked(rts); err != nil {
-			return nil, err
-		}
-	}
-	return rel, nil
+	return r.rangeD.Refresh()
 }
 
 // checkLocked is the oracle comparison: the index must answer exactly
@@ -341,47 +320,6 @@ func containsRID(rids []storage.RID, rid storage.RID) bool {
 		}
 	}
 	return false
-}
-
-// rebuildLocked is the repair path: the durable index is cleared and
-// refilled from the heap under a fresh transaction, committed as one
-// batch; the pages the cleared tree sheds go to the free list. A
-// failure rolls the transaction back — releasing its frame and
-// free-list ownership, which would otherwise wedge every later
-// statement on those pages — and re-attaches the in-memory mirror to
-// the reverted on-disk state (the damage survives for the next repair
-// attempt; a wedge would not recover at all).
-func (r *Shard) rebuildLocked(rts []ridTuple) (err error) {
-	txn := r.st.Begin()
-	defer func() {
-		if err == nil {
-			return
-		}
-		if rbErr := r.st.Rollback(txn); rbErr != nil {
-			err = fmt.Errorf("index rebuild failed (%v) and rollback failed: %w", err, rbErr)
-		}
-		// A failed re-attach may not be swallowed: a mirror left holding
-		// the aborted rebuild's layout would silently descend from the
-		// wrong root afterwards.
-		if rfErr := r.rangeD.Refresh(); rfErr != nil {
-			err = fmt.Errorf("index rebuild failed (%v) and re-attach failed: %w", err, rfErr)
-		}
-	}()
-	released, err := r.rangeD.Clear(txn)
-	if err != nil {
-		return err
-	}
-	for _, rt := range rts {
-		if err := r.indexTuple(txn, rt.t, rt.rid); err != nil {
-			return err
-		}
-	}
-	if len(released) > 0 {
-		if err := r.st.freePages(txn, released); err != nil {
-			return err
-		}
-	}
-	return r.st.Commit(txn)
 }
 
 // VerifyIndex checks every shard's index against a fresh heap scan —

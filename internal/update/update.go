@@ -197,19 +197,6 @@ func Adopt(r *core.Relation, order schema.Permutation) (*Maintainer, error) {
 // modify it; Clone before mutating.
 func (m *Maintainer) Relation() *core.Relation { return m.rel }
 
-// ResetRelation replaces the maintained relation with rel — which must
-// already be in canonical form for the maintainer's nest order — and
-// rebuilds the candidate indexes from it. The sink is NOT notified:
-// the engine's transaction rollback uses this after the storage layer
-// has already discarded the uncommitted heap mutations, so memory and
-// disk converge on the same pre-transaction state.
-func (m *Maintainer) ResetRelation(rel *core.Relation) {
-	m.rel = rel
-	if m.idx != nil {
-		m.enableIndex()
-	}
-}
-
 // Order returns the nest order.
 func (m *Maintainer) Order() schema.Permutation { return m.order }
 
