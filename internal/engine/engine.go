@@ -294,9 +294,9 @@ func (r *Rel) Relation() *core.Relation {
 
 // Stats returns the maintainers' accumulated operation counts, summed
 // across shards (zero when the canonical form was never materialized
-// or fails to). They count every run of the Section-4 algorithms on
-// the resident form, so a rejected statement or a rolled-back
-// transaction counts both its own work and the inverse that undid it.
+// or fails to): every run of the Section-4 algorithms on the resident
+// form, so a rejected statement counts the inverse that undid it too,
+// but a rolled-back transaction's undo replay is not counted.
 func (r *Rel) Stats() update.Stats {
 	var st update.Stats
 	for _, sh := range r.shards {
@@ -440,9 +440,9 @@ func (db *Database) Flush() error {
 }
 
 // Close rolls back every still-open transaction (whose handles then
-// return ErrTxDone), checkpoints, and closes the paged file. Close is
-// idempotent: the second and later calls return nil. A read-only
-// database discards instead of checkpointing.
+// return ErrTxDone), fsyncs the data file, deletes the WAL sidecar and
+// closes the paged file. Close is idempotent: the second and later
+// calls return nil. A read-only database discards instead.
 func (db *Database) Close() error {
 	if !db.closed.CompareAndSwap(false, true) {
 		return nil

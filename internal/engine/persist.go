@@ -118,8 +118,8 @@ func (db *Database) isOwnFile(path string) bool {
 //
 // Loading a cleanly closed file never writes. Loading a crashed file —
 // one whose WAL sidecar still holds committed batches — first completes
-// crash recovery (store.Open replays the log into the data file), which
-// is the only circumstance under which Load writes.
+// crash recovery (store.Open replays the log into the data file and
+// keeps it), which is the only circumstance under which Load writes.
 func Load(path string) (*Database, error) {
 	fi, err := os.Stat(path)
 	if err != nil {

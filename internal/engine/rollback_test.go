@@ -84,6 +84,9 @@ func TestTxRollbackRestoresCanonicalForm(t *testing.T) {
 			if err := tx.Rollback(); err != nil {
 				t.Fatal(err)
 			}
+			if got := r.Stats(); got != ops {
+				t.Fatalf("STATS after rollback is %+v, want %+v: the undo replay counted as work", got, ops)
+			}
 			if got := r.Relation(); !got.Equal(before) {
 				t.Fatalf("resident form after rollback is\n%v\nwant the pre-Begin form\n%v", got, before)
 			}

@@ -718,8 +718,8 @@ func (tx *Tx) rollbackLocked() error {
 // materialized is unpublished instead, because the drift repair that
 // materialization may have made was rolled back with the pages: the
 // next write materializes it again from the reverted heap. Relations
-// the transaction created are discarded whole. The inverses count in
-// the maintainer's Stats, as a rejected statement's inverse does.
+// the transaction created are discarded whole. The inverses leave the
+// maintainer's Stats as they found them.
 func (tx *Tx) undoWrites() {
 	for sh, materialized := range tx.touched {
 		if materialized {
@@ -732,6 +732,7 @@ func (tx *Tx) undoWrites() {
 		if _, created := tx.selfCreated[w.sh.r]; created || m == nil {
 			continue
 		}
+		st := m.Stats()
 		m.SetSink(nil)
 		if w.insert {
 			m.Delete(w.f)
@@ -739,6 +740,7 @@ func (tx *Tx) undoWrites() {
 			m.Insert(w.f)
 		}
 		m.SetSink(w.sh)
+		m.SetStats(st)
 	}
 }
 

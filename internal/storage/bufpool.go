@@ -641,3 +641,11 @@ func (bp *BufferPool) Checkpoint() error {
 	}
 	return wal.Reset()
 }
+
+// SyncData fsyncs the data file under Checkpoint's exclusion and leaves
+// the WAL alone, for a caller about to delete the log.
+func (bp *BufferPool) SyncData() error {
+	bp.ckptMu.Lock()
+	defer bp.ckptMu.Unlock()
+	return bp.pager.Sync()
+}

@@ -262,41 +262,29 @@ func Open(path string, opts Options) (*Store, error) {
 		}
 	}
 
-	// Redo: apply the latest committed image of every logged page, then
-	// checkpoint the log. Replay is gated by the page LSN — an image is
-	// written only when the data file's copy is torn or older — so redo
-	// is idempotent by construction: a crash mid-replay (or a double
-	// replay) just skips what already landed on the next open.
+	// Redo: apply the latest committed image of every logged page, gated
+	// by the page LSN (written only when the data file's copy is torn or
+	// older), so a crash mid-replay or a double replay skips what landed.
+	// The log stays as it is, the durable copy of these unsynced writes:
+	// new commits append after it, and a checkpoint or Close retires it.
 	report := RecoveryReport{Sidecar: hadSidecar, Log: wal.Stats()}
-	if images := wal.CommittedImages(); len(images) > 0 {
-		for pid, img := range images {
-			if err := pg.EnsureAllocated(pid); err != nil {
-				pg.Close()
-				closeWAL()
-				return nil, err
-			}
-			var cur storage.Page
-			if pg.Read(pid, &cur) == nil && cur.VerifyChecksum() == nil && cur.LSN() >= img.LSN() {
-				report.PagesSkipped++
-				continue
-			}
-			if err := pg.Write(pid, img); err != nil {
-				pg.Close()
-				closeWAL()
-				return nil, err
-			}
-			report.PagesWritten++
-		}
-		if err := pg.Sync(); err != nil {
+	for pid, img := range wal.CommittedImages() {
+		if err := pg.EnsureAllocated(pid); err != nil {
 			pg.Close()
 			closeWAL()
 			return nil, err
 		}
-		if err := wal.Reset(); err != nil {
+		var cur storage.Page
+		if pg.Read(pid, &cur) == nil && cur.VerifyChecksum() == nil && cur.LSN() >= img.LSN() {
+			report.PagesSkipped++
+			continue
+		}
+		if err := pg.Write(pid, img); err != nil {
 			pg.Close()
 			closeWAL()
 			return nil, err
 		}
+		report.PagesWritten++
 	}
 
 	// Seed the MVCC commit clock from durable state instead of starting
@@ -796,31 +784,28 @@ func (s *Store) sealClock() error {
 	return s.Commit(txn)
 }
 
-// Close checkpoints and closes the underlying files. After a clean
-// close the WAL sidecar is removed — its absence marks a clean
-// shutdown, and Save snapshots leave no sidecar behind. Transactions
-// still open at Close are discarded, not committed.
+// Close seals the commit clock, fsyncs the data file and deletes the
+// WAL sidecar without resetting it: its absence marks a clean shutdown,
+// and a crash before the delete leaves a log that replays as all
+// skipped. Transactions still open at Close are discarded.
 func (s *Store) Close() error {
-	if err := s.sealClock(); err != nil {
-		s.wal.Close()
-		s.pager.Close()
-		return err
-	}
-	if err := s.Flush(); err != nil {
-		s.wal.Close()
-		s.pager.Close()
-		return err
+	err := s.sealClock()
+	if err == nil {
+		err = s.bp.SyncData()
 	}
 	existed, werr := s.wal.Close()
-	if existed && werr == nil {
-		if rerr := s.remove(s.walPath); rerr != nil && !os.IsNotExist(rerr) {
-			werr = rerr
+	if err == nil && werr == nil && existed {
+		if werr = s.remove(s.walPath); os.IsNotExist(werr) {
+			werr = nil
 		}
 	}
-	if cerr := s.pager.Close(); cerr != nil {
-		return cerr
+	if cerr := s.pager.Close(); err == nil {
+		err = cerr
 	}
-	return werr
+	if err == nil {
+		err = werr
+	}
+	return err
 }
 
 // Discard closes the underlying files WITHOUT flushing dirty buffered

@@ -994,8 +994,8 @@ func TestCrashRecoveryDeltaAcrossCheckpoint(t *testing.T) {
 // TestCrashRecoveryDoubleReplay proves redo is idempotent end to end:
 // every distinct crash state of a workload journal is recovered while
 // recovery's own writes are journaled, and recovery itself is then
-// crashed in every distinct state of ITS journal — mid-redo-write,
-// between the data sync and the log truncation, inside the truncation.
+// crashed in every distinct state of ITS journal — anywhere among its
+// redo writes, which it neither syncs nor follows with a log reset.
 // The second recovery must land on exactly the state the uninterrupted
 // replay produced. Before page LSNs this held only because records
 // were whole-page images; with delta records it holds because the LSN
@@ -1131,4 +1131,191 @@ func doubleReplay(c crashfs.Cut, files map[string][]byte) (int, error) {
 		return nil
 	})
 	return stats.Cycles, err
+}
+
+// closedPaddedDB creates testDef's relation under opts holding n fat
+// padding tuples, so a statement's tuple lands beside them on a heap
+// page the next statement dirties again, and closes the database
+// cleanly.
+func closedPaddedDB(t testing.TB, opts Options, pad byte, n int) RelationDef {
+	t.Helper()
+	def := testDef(t)
+	st, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txn := st.Begin()
+	rs, err := st.CreateRelation(txn, def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fat := make([]byte, 700)
+	for i := range fat {
+		fat[i] = pad
+	}
+	for i := 0; i < n; i++ {
+		tp := tupleOf([][]string{
+			{fmt.Sprintf("%s-%d", fat, i)}, {"padclub"}, {fmt.Sprintf("pads%d", i)},
+		}, def.Order)
+		if err := rs.Insert(txn, tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Commit(txn); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return def
+}
+
+// insertStmt commits one statement inserting the tuple named by tag and
+// i, and returns the relation as it stands after it.
+func insertStmt(t testing.TB, st *Store, rs *RelStore, tag string, i int) *core.Relation {
+	t.Helper()
+	txn := st.Begin()
+	tp := tupleOf([][]string{
+		{fmt.Sprintf("%sc%d", tag, i)}, {fmt.Sprintf("%sb%d", tag, i)}, {fmt.Sprintf("%ss%d", tag, i)},
+	}, rs.def.Order)
+	if err := rs.Insert(txn, tp); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Commit(txn); err != nil {
+		t.Fatal(err)
+	}
+	rel, err := rs.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel
+}
+
+// TestCrashDuringClose crashes Close in every distinct state: the clock
+// seal's commit, the data file's fsync and the log's close. Close
+// deletes the log without resetting it, so a crash anywhere in it
+// leaves a whole log, and every such state must load as the committed
+// state. crashfs does not journal the delete, so the final state, with
+// the sidecar gone, is reopened on its own: its next commit must carry
+// an LSN above every page LSN in the file, so the clock the deleted log
+// carried is not lost with it.
+func TestCrashDuringClose(t *testing.T) {
+	fs := crashfs.New(nil)
+	opts := Options{PoolPages: 8, OpenFile: fs.Open, RemoveFile: fs.Remove, CheckpointBytes: -1}
+	def := closedPaddedDB(t, opts, 'c', 6)
+	st, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, _ := st.Rel(def.Name)
+	want := insertStmt(t, st, rs, "close", 0)
+	base := fs.Record()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	journal := fs.Journal()
+	t.Logf("close journal: %d ops, %d bytes", len(journal), journal.End())
+	sweep(t, base, journal, func(c crashfs.Cut, files map[string][]byte) error {
+		label := "close " + c.String()
+		got, err := loadStateErr(files, label, def.Name)
+		if err != nil {
+			return err
+		}
+		if !got[def.Name].Equal(want) {
+			return fmt.Errorf("%s: recovered state is not the committed state", label)
+		}
+		return nil
+	})
+
+	final := fs.Snapshot()
+	if _, ok := final["db.wal"]; ok {
+		t.Fatal("clean close left a WAL sidecar")
+	}
+	var maxLSN uint64
+	for off := 0; off+storage.PageSize <= len(final["db"]); off += storage.PageSize {
+		var p storage.Page
+		copy(p[:], final["db"][off:])
+		if p.VerifyChecksum() == nil && p.LSN() > maxLSN {
+			maxLSN = p.LSN()
+		}
+	}
+	ffs := crashfs.New(final)
+	st2, err := Open("db", Options{PoolPages: 8, OpenFile: ffs.Open, RemoveFile: ffs.Remove, CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Discard()
+	rs2, _ := st2.Rel(def.Name)
+	if got, err := rs2.Load(); err != nil || !got.Equal(want) {
+		t.Fatalf("clean reopen: %v, state equal to the committed one: %v", err, err == nil && got.Equal(want))
+	}
+	insertStmt(t, st2, rs2, "close", 1)
+	if lsn := st2.bp.LSN(); lsn <= maxLSN {
+		t.Fatalf("the commit after a clean close got LSN %d, the file already holds a page at LSN %d", lsn, maxLSN)
+	}
+}
+
+// TestCrashAfterRecoveryAppend: recovery keeps the log it replayed, so
+// the commits after it append to that log and log deltas against its
+// recovered images. Two statements crash unclosed; the crash image is
+// opened (redo, no checkpoint) while its writes are journaled, and two
+// more statements follow. Every crash state of that journal, from lost
+// or torn redo writes to a torn tail of the second era, must load as
+// one of the three statement boundaries, with the indexes a view of the
+// heap and every referenced page checksum-valid (loadStateErr).
+func TestCrashAfterRecoveryAppend(t *testing.T) {
+	fs := crashfs.New(nil)
+	opts := Options{PoolPages: 8, OpenFile: fs.Open, RemoveFile: fs.Remove, CheckpointBytes: -1}
+	def := closedPaddedDB(t, opts, 'a', 6)
+	st, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, _ := st.Rel(def.Name)
+	insertStmt(t, st, rs, "era1", 0)
+	states := []*core.Relation{insertStmt(t, st, rs, "era1", 1)}
+	crashed := fs.Snapshot()
+	st.Discard() // crash #1: a whole log, no checkpoint
+
+	rfs := crashfs.New(crashed)
+	ropts := Options{PoolPages: 8, OpenFile: rfs.Open, RemoveFile: rfs.Remove, CheckpointBytes: -1}
+	base := rfs.Record()
+	rst, err := Open("db", ropts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := rst.RecoveryReport(); r.Log.RecoveredBatches != 2 || r.PagesWritten+r.PagesSkipped == 0 {
+		t.Fatalf("recovery report %+v: want 2 batches redone", r)
+	}
+	if ws := rst.WALStats(); ws.CheckpointFsyncs != 0 || rst.wal.Size() == 0 {
+		t.Fatalf("recovery checkpointed the log (%d checkpoint fsyncs, size %d)", ws.CheckpointFsyncs, rst.wal.Size())
+	}
+	rrs, _ := rst.Rel(def.Name)
+	if got, err := rrs.Load(); err != nil || !got.Equal(states[0]) {
+		t.Fatalf("recovered state: %v, equal to the last committed one: %v", err, err == nil && got.Equal(states[0]))
+	}
+	states = append(states, insertStmt(t, rst, rrs, "era2", 0))
+	// no page was logged by this process before, so a delta here is
+	// against an image recovery read back from the log
+	if ws := rst.WALStats(); ws.DeltaPages == 0 {
+		t.Fatalf("the first commit after recovery logged no delta (full=%d): the recovered images were not kept", ws.FullPages)
+	}
+	states = append(states, insertStmt(t, rst, rrs, "era2", 1))
+	journal := rfs.Journal()
+	rst.Discard() // crash #2
+	t.Logf("recovery-and-append journal: %d ops, %d bytes", len(journal), journal.End())
+
+	sweep(t, base, journal, func(c crashfs.Cut, files map[string][]byte) error {
+		label := "append " + c.String()
+		got, err := loadStateErr(files, label, def.Name)
+		if err != nil {
+			return err
+		}
+		for _, s := range states {
+			if got[def.Name].Equal(s) {
+				return nil
+			}
+		}
+		return fmt.Errorf("%s: recovered state is not a statement boundary", label)
+	})
 }

@@ -206,6 +206,9 @@ func (m *Maintainer) Stats() Stats { return m.stats }
 // ResetStats zeroes the operation counters.
 func (m *Maintainer) ResetStats() { m.stats = Stats{} }
 
+// SetStats replaces the operation counters.
+func (m *Maintainer) SetStats(s Stats) { m.stats = s }
+
 // Len returns the number of NFR tuples currently stored.
 func (m *Maintainer) Len() int { return m.rel.Len() }
 
