@@ -79,6 +79,8 @@ func (e *ServerError) Unwrap() error {
 		return nfr.ErrCorrupt
 	case wire.CodeMispaired:
 		return nfr.ErrMispaired
+	case wire.CodeFailed:
+		return nfr.ErrFailed
 	case wire.CodeParse:
 		return ErrParse
 	case wire.CodeBusy:

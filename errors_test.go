@@ -8,14 +8,16 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/schema"
+	"repro/internal/storage/crashfs"
 	"repro/internal/value"
 )
 
 // TestErrorTaxonomy is the errors.Is table for the public taxonomy:
 // every failure mode of the facade must wrap its documented sentinel,
 // including storage errors (ErrMispaired, ErrCorrupt) surfacing through
-// Open.
+// Open and ErrFailed after a failed write-through.
 func TestErrorTaxonomy(t *testing.T) {
 	dir := t.TempDir()
 
@@ -123,6 +125,32 @@ func TestErrorTaxonomy(t *testing.T) {
 	mis := makeMispairedPair(t, dir)
 	if _, err := Open(mis); !errors.Is(err, ErrMispaired) {
 		t.Errorf("mispaired open: %v, want ErrMispaired", err)
+	}
+
+	// ErrFailed: a data-file write-through fails after the log fsync;
+	// the commit and every later statement return it
+	fsys := crashfs.New(nil)
+	failing, err := Open("db", engine.WithFileSystem(fsys.Open, fsys.Remove))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := failing.Create(RelationDef{Name: "r", Schema: MustSchema("A", "B")}); err != nil {
+		t.Fatal(err)
+	}
+	fsys.FailWrite(func(name string) error {
+		if name == "db" {
+			return errors.New("injected data-file write failure")
+		}
+		return nil
+	})
+	if _, err := failing.Insert("r", Row("a", "b")); !errors.Is(err, ErrFailed) {
+		t.Errorf("commit with a failed write-through: %v, want ErrFailed", err)
+	}
+	if _, err := failing.ReadRelation(context.Background(), "r"); !errors.Is(err, ErrFailed) {
+		t.Errorf("read after a failed write-through: %v, want ErrFailed", err)
+	}
+	if err := failing.Close(); !errors.Is(err, ErrFailed) {
+		t.Errorf("close after a failed write-through: %v, want ErrFailed", err)
 	}
 
 	// errors.As still reaches concrete wrapped types (the taxonomy wraps,

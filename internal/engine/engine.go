@@ -128,8 +128,8 @@ type relShard struct {
 	// stx is the storage transaction of the Tx holding the latch (nil
 	// while none has attached, see Tx.attachShard) and sinkErr the first
 	// error of a write-through under it. Both are guarded by the latch,
-	// read at the statement's end (Tx.syncAfterWrite) and cleared by
-	// Tx.finish: the Tx alone owns the transaction's boundary.
+	// read by Tx.syncAfterWrite and Tx.Commit, and cleared by Tx.finish:
+	// the Tx alone owns the transaction's boundary.
 	stx     *store.Txn
 	sinkErr error
 
@@ -197,13 +197,9 @@ func (r *Rel) shardFor(f tuple.Flat) *relShard {
 // longer provides), update.Adopt of what it read, and the write-through
 // sink hookup. The engine writes a heap only through its maintainer, so
 // a heap already holds V_P and Adopt checks it rather than rebuilding
-// it. A stored form that drifted from the partition's canonical form
-// (it never does through this engine) fails that check and is
-// resynchronized under txn, the caller's statement transaction. With a
-// nil txn (read-only paths) the canonical form of a drifted heap is
-// returned but NOT published: a published maintainer writes through to
-// a heap it must mirror, so the repair is left to the first write.
-func (sh *relShard) maintainer(txn *store.Txn) (*update.Maintainer, error) {
+// it. A heap that fails the check was written around the engine, and is
+// ErrCorrupt: nothing is published and nothing is written.
+func (sh *relShard) maintainer() (*update.Maintainer, error) {
 	if m := sh.maint.Load(); m != nil {
 		return m, nil
 	}
@@ -229,18 +225,7 @@ func (sh *relShard) maintainer(txn *store.Txn) (*update.Maintainer, error) {
 	}
 	m, err := update.Adopt(rel, def.Order)
 	if errors.Is(err, update.ErrNotCanonical) {
-		canon, _ := rel.CanonicalFromFlats(def.Order)
-		if m, err = update.Adopt(canon, def.Order); err != nil {
-			return nil, err
-		}
-		if txn == nil {
-			return m, nil // a read: the repair is left to the first write
-		}
-		// the canonical form of the shard's flats keeps every fixed atom
-		// routing to this shard, so the shard-local Replace is sound
-		if err := sh.ss.Replace(txn, canon); err != nil {
-			return nil, err
-		}
+		return nil, fmt.Errorf("%w: %q: %v", store.ErrCorrupt, def.Name, err)
 	}
 	if err != nil {
 		return nil, err
@@ -255,9 +240,9 @@ func (sh *relShard) maintainer(txn *store.Txn) (*update.Maintainer, error) {
 // relation it is the resident form itself (not a copy); a K-sharded
 // relation re-canonicalizes the union of the shard partitions. Callers
 // must hold every shard latch (or otherwise exclude writers).
-func (r *Rel) canonical(txn *store.Txn) (*core.Relation, update.Stats, error) {
+func (r *Rel) canonical() (*core.Relation, update.Stats, error) {
 	if len(r.shards) == 1 {
-		m, err := r.shards[0].maintainer(txn)
+		m, err := r.shards[0].maintainer()
 		if err != nil {
 			return nil, update.Stats{}, err
 		}
@@ -266,7 +251,7 @@ func (r *Rel) canonical(txn *store.Txn) (*core.Relation, update.Stats, error) {
 	union := core.NewRelation(r.def.Schema)
 	var st update.Stats
 	for _, sh := range r.shards {
-		m, err := sh.maintainer(txn)
+		m, err := sh.maintainer()
 		if err != nil {
 			return nil, update.Stats{}, err
 		}
@@ -285,7 +270,7 @@ func (r *Rel) canonical(txn *store.Txn) (*core.Relation, update.Stats, error) {
 // returns an isolated snapshot). It returns nil when materialization
 // fails (a corrupt heap); error-aware callers use ReadRelation or Stats.
 func (r *Rel) Relation() *core.Relation {
-	rel, _, err := r.canonical(nil)
+	rel, _, err := r.canonical()
 	if err != nil {
 		return nil
 	}
@@ -441,8 +426,9 @@ func (db *Database) Flush() error {
 
 // Close rolls back every still-open transaction (whose handles then
 // return ErrTxDone), fsyncs the data file, deletes the WAL sidecar and
-// closes the paged file. Close is idempotent: the second and later
-// calls return nil. A read-only database discards instead.
+// closes the paged file; after ErrFailed it only closes, keeping the
+// sidecar. Close is idempotent: later calls return nil. A read-only
+// database discards instead.
 func (db *Database) Close() error {
 	if !db.closed.CompareAndSwap(false, true) {
 		return nil

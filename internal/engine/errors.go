@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/storage"
 	"repro/internal/store"
 )
 
@@ -45,6 +46,9 @@ var (
 	// ErrMispaired wraps opens refused because the data file and WAL
 	// sidecar belong to different databases.
 	ErrMispaired = store.ErrMispaired
+	// ErrFailed wraps every operation after a data-file write-through
+	// failed past the log fsync, until a reopen (see storage.ErrFailed).
+	ErrFailed = storage.ErrFailed
 )
 
 func errNotFound(name string) error {

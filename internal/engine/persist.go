@@ -55,10 +55,10 @@ func (db *Database) Save(path string) error {
 
 // copyTo creates every relation of db in st and fills it from the
 // relation's canonical form, all as one committed transaction.
-// Materializing that form scans the heap, refusing duplicate records:
-// the store's fast open does not scan, so this is where a heap holding
-// the same encoded tuple twice (external damage) fails stop on Save
-// and Load.
+// Materializing that form scans the heap, refusing duplicate records
+// and a stored form that is not V_P: the store's fast open does not
+// scan, so this is where such a heap (external damage) fails stop on
+// Save and Load.
 func (db *Database) copyTo(st *store.Store) error {
 	txn := st.Begin()
 	for _, name := range db.Names() {
@@ -75,7 +75,7 @@ func (db *Database) copyTo(st *store.Store) error {
 			return err
 		}
 		// materialize explicitly: Relation() hides errors behind nil
-		rel, _, err := r.canonical(nil)
+		rel, _, err := r.canonical()
 		if err != nil {
 			return err
 		}

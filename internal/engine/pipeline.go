@@ -47,9 +47,9 @@ import (
 //     (Tx.writeShard), so a write-through failure rejects that op alone,
 //     exactly as in a multi-statement Tx (Tx.syncAfterWrite): the op is
 //     acked with the error and the rest of the batch applies and commits
-//     with the one fsync. Only when that repair fails too, or the shard
-//     fails to materialize, does the batch roll back, every op acked
-//     with the error, as on a failed commit;
+//     with the one fsync. Only when that repair fails too does Commit
+//     refuse the batch, every op acked with the error, as on any failed
+//     commit;
 //   - durability boundary: a statement is acked only after its batch's
 //     commit fsync returned, so an acked write is durable exactly as
 //     before.
@@ -208,8 +208,8 @@ func (db *Database) applyBatch(sh *relShard, batch []*pipeOp) {
 			return
 		}
 		if cerr := tx.Commit(); cerr != nil {
-			// Commit rolled the batch back; every statement of it failed
-			// the same way a lone autocommit statement would have.
+			// every statement of the batch failed the same way a lone
+			// autocommit statement would have
 			failBatch(batch, cerr)
 		}
 		return
@@ -219,11 +219,8 @@ func (db *Database) applyBatch(sh *relShard, batch []*pipeOp) {
 // applyOps runs a pipeline batch on sh as statements of tx, whose
 // write-through pools under one storage transaction and commits as one
 // WAL batch; each op keeps its own (changed, err). It fails the batch
-// as a whole on a latch conflict, and whenever a failed op may have
-// left partial writes under the transaction: its shard failed to
-// materialize (the maintainer is still unpublished; a drift repair
-// may have stopped part-way), or its repair failed too (sh.sinkErr
-// still set).
+// as a whole only on a latch conflict; an op whose heap resync failed
+// fails it through Commit.
 func (tx *Tx) applyOps(sh *relShard, batch []*pipeOp) error {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
@@ -232,7 +229,7 @@ func (tx *Tx) applyOps(sh *relShard, batch []*pipeOp) error {
 	}
 	for _, op := range batch {
 		op.changed, op.err = tx.writeShard(sh, op.f, op.insert)
-		if op.err != nil && (errors.Is(op.err, ErrTxConflict) || sh.maint.Load() == nil || tx.held[sh] && sh.sinkErr != nil) {
+		if errors.Is(op.err, ErrTxConflict) {
 			return op.err
 		}
 	}

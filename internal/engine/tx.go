@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/storage"
 	"repro/internal/store"
 	"repro/internal/tuple"
 	"repro/internal/update"
@@ -138,7 +137,7 @@ type Tx struct {
 	stx     *store.Txn         // lazily-begun storage transaction
 	held    map[*relShard]bool // shard latches held until commit/rollback
 	ddl     bool               // DDL latch held
-	touched map[*relShard]bool // shards written under stx -> maintainer materialized by this tx
+	touched map[*relShard]bool // shards written under stx
 	writes  []txWrite          // statements that changed a shard, oldest first (see undoWrites)
 	creates map[string]*Rel    // pending creates still visible to this tx
 	drops   map[string]*Rel    // pending drops
@@ -283,11 +282,11 @@ func (tx *Tx) storage() *store.Txn {
 // The caller holds sh's latch (or, in Create, the only reference).
 func (tx *Tx) attachShard(sh *relShard) {
 	stx := tx.storage()
-	if _, ok := tx.touched[sh]; !ok {
+	if !tx.touched[sh] {
 		if tx.touched == nil {
 			tx.touched = make(map[*relShard]bool)
 		}
-		tx.touched[sh] = false
+		tx.touched[sh] = true
 		sh.stx = stx
 	}
 }
@@ -354,12 +353,8 @@ func (tx *Tx) writeShard(sh *relShard, f tuple.Flat, isInsert bool) (bool, error
 	}
 	tx.attachShard(sh)
 	// materialize the shard's canonical partition on first touch, under
-	// the latch we hold; a drift resync rides this statement's
-	// transaction, so rollback must unpublish what it materialized
-	if sh.maint.Load() == nil {
-		tx.touched[sh] = true
-	}
-	m, err := sh.maintainer(tx.stx)
+	// the latch we hold
+	m, err := sh.maintainer()
 	if err != nil {
 		return false, err
 	}
@@ -390,7 +385,8 @@ func (tx *Tx) writeShard(sh *relShard, f tuple.Flat, isInsert bool) (bool, error
 // shard's canonical partition UNDER THE SAME open transaction — so the
 // half-applied pages and their repair stay one atomic unit — and the
 // original failure is returned. The transaction remains open and
-// consistent; only this one statement was rejected.
+// consistent; only this one statement was rejected. If the rewrite
+// fails too, it may be half done: sh.sinkErr keeps it, and Commit refuses.
 func (tx *Tx) syncAfterWrite(sh *relShard, m *update.Maintainer, changed bool, f tuple.Flat, wasInsert bool) error {
 	err := sh.sinkErr
 	if err == nil {
@@ -404,7 +400,8 @@ func (tx *Tx) syncAfterWrite(sh *relShard, m *update.Maintainer, changed bool, f
 		}
 	}
 	if rerr := sh.ss.Replace(tx.stx, m.Relation()); rerr != nil {
-		return fmt.Errorf("engine: write-through failed (%v) and heap resync failed: %w", err, rerr)
+		sh.sinkErr = fmt.Errorf("engine: write-through failed (%v) and heap resync failed: %w", err, rerr)
+		return sh.sinkErr
 	}
 	sh.sinkErr = nil
 	return fmt.Errorf("engine: write-through to store failed (statement rolled back): %w", err)
@@ -565,7 +562,7 @@ func (tx *Tx) Stats(name string) (RelStats, error) {
 	if err := tx.latchRel(r); err != nil {
 		return RelStats{}, err
 	}
-	rel, ops, err := r.canonical(nil)
+	rel, ops, err := r.canonical()
 	if err != nil {
 		return RelStats{}, err
 	}
@@ -594,7 +591,7 @@ func (tx *Tx) ValidateDeps(name string) ([]Violation, error) {
 	if err := tx.latchRel(r); err != nil {
 		return nil, err
 	}
-	rel, _, err := r.canonical(nil)
+	rel, _, err := r.canonical()
 	if err != nil {
 		return nil, err
 	}
@@ -620,8 +617,9 @@ func (tx *Tx) Def(name string) (RelationDef, error) {
 // group-committed WAL batch (one fsync, shared with concurrently
 // committing transactions), publishes its creates and drops, and
 // releases its latches. A failed commit rolls the transaction back —
-// memory and disk return to the pre-Begin state — and reports both. A
-// commit under a cancelled context rolls back too.
+// memory and disk return to the pre-Begin state — and reports both, as
+// does a commit under a cancelled context or after a failed heap resync.
+// On ErrFailed nothing is rolled back: the batch is in the log.
 func (tx *Tx) Commit() error {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
@@ -633,21 +631,17 @@ func (tx *Tx) Commit() error {
 		return fmt.Errorf("engine: commit aborted (transaction rolled back): %w", err)
 	}
 	if tx.stx != nil {
-		err := tx.db.st.Commit(tx.stx)
-		if errors.Is(err, storage.ErrWriteThroughFailed) {
-			// The batch already survived its commit fsync — it is
-			// durable in the log, only the data-file propagation failed,
-			// and the frames stayed dirty and owned. Retry the
-			// idempotent relog once: on a transient error this completes
-			// the commit cleanly. If the retry fails too we fall through
-			// to rollback, accepting a documented in-doubt window: until
-			// the next successful checkpoint resets the log, a crash
-			// would replay the batch recovery-side even though this
-			// process reports the transaction rolled back. (Perfect
-			// semantics are unattainable once the disk fails between the
-			// commit fsync and the write-through; the window closes at
-			// the next checkpoint.)
-			err = tx.db.st.Commit(tx.stx)
+		var err error
+		for sh := range tx.touched {
+			if sh.sinkErr != nil {
+				err = sh.sinkErr
+			}
+		}
+		if err == nil {
+			if err = tx.db.st.Commit(tx.stx); errors.Is(err, ErrFailed) {
+				tx.finish()
+				return fmt.Errorf("engine: commit: %w", err)
+			}
 		}
 		if err != nil {
 			if rbErr := tx.rollbackLocked(); rbErr != nil {
@@ -714,24 +708,16 @@ func (tx *Tx) rollbackLocked() error {
 // first, with the shard's sink detached: the pages are reverted
 // already. Section 4's insertion and deletion are exact inverses on R*,
 // and V_P is unique for a given R*, so each partition ends at its
-// pre-Begin canonical form. A shard whose maintainer this transaction
-// materialized is unpublished instead, because the drift repair that
-// materialization may have made was rolled back with the pages: the
-// next write materializes it again from the reverted heap. Relations
-// the transaction created are discarded whole. The inverses leave the
-// maintainer's Stats as they found them.
+// pre-Begin canonical form. Relations the transaction created are
+// discarded whole. The inverses leave the maintainer's Stats as they
+// found them.
 func (tx *Tx) undoWrites() {
-	for sh, materialized := range tx.touched {
-		if materialized {
-			sh.maint.Store(nil)
-		}
-	}
 	for i := len(tx.writes) - 1; i >= 0; i-- {
 		w := tx.writes[i]
-		m := w.sh.maint.Load()
-		if _, created := tx.selfCreated[w.sh.r]; created || m == nil {
+		if _, created := tx.selfCreated[w.sh.r]; created {
 			continue
 		}
+		m := w.sh.maint.Load()
 		st := m.Stats()
 		m.SetSink(nil)
 		if w.insert {

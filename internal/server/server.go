@@ -464,6 +464,8 @@ func errCode(err error) byte {
 		return wire.CodeReadOnly
 	case errors.Is(err, engine.ErrClosed):
 		return wire.CodeClosed
+	case errors.Is(err, engine.ErrFailed):
+		return wire.CodeFailed
 	case errors.Is(err, engine.ErrCorrupt):
 		return wire.CodeCorrupt
 	case errors.Is(err, engine.ErrMispaired):

@@ -40,15 +40,12 @@ type PoolStats struct {
 	Repairs   int
 }
 
-// ErrWriteThroughFailed marks a commit whose batch IS durable in the
-// log (the commit fsync succeeded) but whose data-file write-through
-// failed. The transaction's frames stay dirty and owned; retrying the
-// commit relogs and rewrites them idempotently. Callers deciding
-// between retry and rollback must know this case: rolling back after
-// it leaves a committed batch in the log that recovery would replay,
-// and Rollback must first undo whatever part of the write-through did
-// reach the data file.
-var ErrWriteThroughFailed = errors.New("storage: write-through after commit failed")
+// ErrFailed is the sticky error of a pool whose data-file write-through
+// failed after its group reached the log: that group's commits and every
+// later CommitTxn, Get, GetMut, NewPage, snapshot read, Checkpoint and
+// SyncData return it, and neither file is written again. A commit that
+// returned it is durable in the log, and the next Open applies it.
+var ErrFailed = errors.New("storage: write-through after commit failed; reopen to recover")
 
 // commitReq is one transaction waiting in the group-commit queue.
 type commitReq struct {
@@ -109,6 +106,7 @@ type BufferPool struct {
 	bases    map[uint32]*Page
 	versions map[uint32][]pageVersion
 	pins     map[uint64]int
+	failed   error // the sticky ErrFailed (see commitGroup)
 
 	stats PoolStats
 }
@@ -240,6 +238,9 @@ func (bp *BufferPool) GetMut(txn *Txn, pid uint32) (*Frame, error) {
 }
 
 func (bp *BufferPool) getLocked(pid uint32) (*Frame, error) {
+	if bp.failed != nil {
+		return nil, bp.failed
+	}
 	if fr, ok := bp.frames[pid]; ok {
 		bp.stats.Hits++
 		if fr.pins == 0 && fr.elem != nil {
@@ -290,8 +291,11 @@ func (bp *BufferPool) NewPage(txn *Txn) (*Frame, error) {
 		bp.mu.Unlock()
 		return nil, errors.New("storage: page allocated outside a transaction on a WAL pool")
 	}
-	alloc := bp.allocate
+	alloc, failed := bp.allocate, bp.failed
 	bp.mu.Unlock()
+	if failed != nil {
+		return nil, failed
+	}
 	var pid uint32
 	recycled := false
 	if alloc != nil {
@@ -430,9 +434,7 @@ func (bp *BufferPool) makeRoomLocked() {
 func (bp *BufferPool) CommitTxn(txn *Txn) (uint64, error) {
 	// Deferred work first (index meta flushes): it may dirty more
 	// pages, so it must run before the dirty set is collected. An error
-	// aborts the commit; the callbacks are kept registered so a retried
-	// commit re-runs them (they rewrite current in-memory state, so
-	// re-running is idempotent).
+	// aborts the commit.
 	for i := 0; i < len(txn.deferred); i++ {
 		if err := txn.deferred[i].fn(txn); err != nil {
 			return 0, err
@@ -444,10 +446,10 @@ func (bp *BufferPool) CommitTxn(txn *Txn) (uint64, error) {
 		bp.mu.Unlock()
 		return 0, fmt.Errorf("storage: CommitTxn on a pool without a WAL")
 	}
-	if len(txn.dirty) == 0 {
-		lsn := bp.lsn
+	if len(txn.dirty) == 0 || bp.failed != nil {
+		lsn, err := bp.lsn, bp.failed
 		bp.mu.Unlock()
-		return lsn, nil
+		return lsn, err
 	}
 	frames := make([]*Frame, 0, len(txn.dirty))
 	for _, fr := range txn.dirty {
@@ -489,18 +491,21 @@ func (bp *BufferPool) PendingCommits() int {
 // fsync, then writes their pages through to the data file. Page images
 // are stable while we read them: each frame is owned by a transaction
 // that is blocked in CommitTxn, and claims by other transactions wait
-// for the commit to finish.
+// for the commit to finish. A write-through failure after the log
+// append fails the pool: see ErrFailed.
 func (bp *BufferPool) commitGroup(group []*commitReq) {
 	// Allocate the group's commit LSN before anything is stamped or
 	// logged. nextLSN advances even if this group fails before publish:
-	// a failed group may have left pages stamped (and possibly
-	// partially written through) under this LSN, and reusing it for
-	// different content would defeat the LSN-gated redo rule.
+	// a failed group may have left pages stamped under this LSN, and
+	// reusing it for different content would defeat the LSN-gated redo
+	// rule.
 	bp.mu.Lock()
+	err := bp.failed
 	newLSN := bp.nextLSN + 1
 	bp.nextLSN = newLSN
 	bp.mu.Unlock()
 	bp.ckptMu.RLock()
+	defer bp.ckptMu.RUnlock()
 	batches := make([][]WALPage, len(group))
 	for i, req := range group {
 		batch := make([]WALPage, len(req.frames))
@@ -516,57 +521,50 @@ func (bp *BufferPool) commitGroup(group []*commitReq) {
 		}
 		batches[i] = batch
 	}
-	if err := bp.wal.AppendGroup(batches, newLSN); err != nil {
-		bp.ckptMu.RUnlock()
+	if err == nil { // a failed pool appends nothing
+		err = bp.wal.AppendGroup(batches, newLSN)
+	}
+	if err != nil {
 		for _, req := range group {
 			req.err = err
 			close(req.done)
 		}
 		return
 	}
-	// The group is durable in the log; write the pages through. A
-	// write-through failure is surfaced AND the failed transaction's
-	// frames stay dirty and owned: the on-disk copies of its pages are
-	// the previous committed versions (checksum-valid, so the repair
-	// path would never fire), and marking them clean would let eviction
-	// silently serve that stale state. Kept dirty, the pages keep
-	// serving from the pool and a retried commit relogs and rewrites
-	// them (idempotent full-page redo).
+	// The group is durable in the log; write the pages through, and stop
+	// at the first failure.
 	for _, req := range group {
 		for _, fr := range req.frames {
-			if err := bp.pager.Write(fr.pid, &fr.page); err != nil && req.err == nil {
-				req.err = fmt.Errorf("%w: %v", ErrWriteThroughFailed, err)
+			if err == nil {
+				err = bp.pager.Write(fr.pid, &fr.page)
 			}
 		}
 	}
-	bp.ckptMu.RUnlock()
 	// Publish: the whole group becomes visible under one new committed
 	// LSN, atomically with the frames going clean — a snapshot pinned
 	// before this critical section sees none of the group's pages, one
 	// pinned after sees all of them. Superseded committed images move
 	// into the retained-version chain iff a pinned snapshot still needs
 	// them (every pin is ≤ the pre-bump clock, so "pin ≥ old image's
-	// LSN" is exactly reachability).
+	// LSN" is exactly reachability). A failed pool is marked before
+	// ckptMu is released, so no checkpoint can reset the log under it.
 	bp.mu.Lock()
-	published := false
-	for _, req := range group {
-		// a failed write-through may still have put some of the pages in
-		// the data file; Rollback has to take them out again
-		req.txn.spilled = req.err != nil
-		if req.err != nil {
-			continue
+	if err != nil {
+		bp.failed = fmt.Errorf("%w: %v", ErrFailed, err)
+		for _, req := range group {
+			req.err = bp.failed
 		}
-		published = true
-		for _, fr := range req.frames {
-			bp.retireBaseLocked(fr.pid, bp.lsns[fr.pid])
-			bp.lsns[fr.pid] = newLSN
-			fr.dirty = false
-			fr.owner = nil
+	} else {
+		for _, req := range group {
+			for _, fr := range req.frames {
+				bp.retireBaseLocked(fr.pid, bp.lsns[fr.pid])
+				bp.lsns[fr.pid] = newLSN
+				fr.dirty = false
+				fr.owner = nil
+			}
+			req.txn.dirty = make(map[uint32]*Frame)
+			req.lsn = newLSN
 		}
-		req.txn.dirty = make(map[uint32]*Frame)
-		req.lsn = newLSN
-	}
-	if published {
 		bp.lsn = newLSN
 	}
 	bp.ownerCond.Broadcast()
@@ -579,29 +577,20 @@ func (bp *BufferPool) commitGroup(group []*commitReq) {
 // Rollback discards every page the transaction dirtied: the frames are
 // dropped from the pool, so the next read sees the last committed
 // version from disk (or the WAL's repair image) — the no-steal rule
-// guarantees nothing uncommitted ever reached the data file, except
-// after a failed write-through (ErrWriteThroughFailed), whose pages are
-// first overwritten with their committed base images. Ownership is
-// released and waiters are woken. Callers must separately restore
-// any in-memory structures derived from the rolled-back pages; the
-// store layers that (see Store.Rollback). Rolling back while a page is
-// still pinned is a caller bug and is reported.
+// guarantees nothing uncommitted ever reached the data file, and
+// Rollback writes nothing. Ownership is released and waiters are woken.
+// Callers must separately restore any in-memory structures derived from
+// the rolled-back pages; the store layers that (see Store.Rollback).
+// Rolling back while a page is still pinned is a caller bug and is
+// reported.
 func (bp *BufferPool) Rollback(txn *Txn) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	var pinned []uint32
-	var restoreErr error
 	for pid, fr := range txn.dirty {
 		if fr.pins > 0 {
 			pinned = append(pinned, pid)
 			continue
-		}
-		if base, ok := bp.bases[pid]; ok && txn.spilled {
-			// pages with no base were allocated by this transaction and
-			// are unreferenced once the ones that point at them revert
-			if err := bp.pager.Write(pid, base); err != nil && restoreErr == nil {
-				restoreErr = fmt.Errorf("storage: rollback could not restore page %d after a failed write-through: %w", pid, err)
-			}
 		}
 		if fr.elem != nil {
 			bp.lru.Remove(fr.elem)
@@ -613,13 +602,12 @@ func (bp *BufferPool) Rollback(txn *Txn) error {
 		fr.owner = nil
 	}
 	txn.dirty = make(map[uint32]*Frame)
-	txn.spilled = false
 	txn.clearDeferred()
 	bp.ownerCond.Broadcast()
 	if len(pinned) > 0 {
 		return fmt.Errorf("storage: rollback of transaction with pinned pages %v", pinned)
 	}
-	return restoreErr
+	return nil
 }
 
 // Checkpoint fsyncs the data file and truncates the WAL back to its
@@ -627,25 +615,26 @@ func (bp *BufferPool) Rollback(txn *Txn) error {
 // between its log append and its data write-through must not see the
 // log reset under it). Dirty pages of uncommitted transactions are
 // untouched — they are buffered only and survive in memory.
-func (bp *BufferPool) Checkpoint() error {
+func (bp *BufferPool) Checkpoint() error { return bp.syncData(true) }
+
+// SyncData fsyncs the data file under Checkpoint's exclusion and leaves
+// the WAL alone, for a caller about to delete the log.
+func (bp *BufferPool) SyncData() error { return bp.syncData(false) }
+
+func (bp *BufferPool) syncData(resetLog bool) error {
+	bp.ckptMu.Lock()
+	defer bp.ckptMu.Unlock()
 	bp.mu.Lock()
-	wal := bp.wal
+	wal, err := bp.wal, bp.failed
 	bp.mu.Unlock()
 	if wal == nil {
 		return fmt.Errorf("storage: Checkpoint on a pool without a WAL")
 	}
-	bp.ckptMu.Lock()
-	defer bp.ckptMu.Unlock()
-	if err := bp.pager.Sync(); err != nil {
-		return err
+	if err == nil {
+		err = bp.pager.Sync()
 	}
-	return wal.Reset()
-}
-
-// SyncData fsyncs the data file under Checkpoint's exclusion and leaves
-// the WAL alone, for a caller about to delete the log.
-func (bp *BufferPool) SyncData() error {
-	bp.ckptMu.Lock()
-	defer bp.ckptMu.Unlock()
-	return bp.pager.Sync()
+	if err == nil && resetLog {
+		err = wal.Reset()
+	}
+	return err
 }

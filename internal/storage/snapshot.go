@@ -115,7 +115,7 @@ func (s *Snapshot) Close() {
 // the retained version chain. A page that had no committed content at
 // the snapshot LSN is an error — with correct retention it is
 // unreachable, because chain pointers leading to it are themselves
-// versioned.
+// versioned — and so is any read of a failed pool (ErrFailed).
 func (s *Snapshot) Get(pid uint32, out *Page) error {
 	bp := s.bp
 	if bp == nil {
@@ -123,6 +123,9 @@ func (s *Snapshot) Get(pid uint32, out *Page) error {
 	}
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
+	if bp.failed != nil {
+		return bp.failed
+	}
 	if bp.lsns[pid] <= s.lsn {
 		// The current committed image is the visible one.
 		if fr, ok := bp.frames[pid]; ok {

@@ -21,10 +21,6 @@ package storage
 type Txn struct {
 	bp    *BufferPool
 	dirty map[uint32]*Frame // guarded by bp.mu
-	// spilled: the last commit attempt was logged but its write-through
-	// failed, so the data file may hold some of dirty's pages (guarded
-	// by bp.mu).
-	spilled bool
 
 	// deferred commit work (single-goroutine, like the Txn itself):
 	// callbacks registered by Defer, run once at the head of CommitTxn.
@@ -44,7 +40,7 @@ type deferredCall struct {
 // key: a second Defer with the same key before the commit is a no-op.
 // Callbacks run in registration order and may dirty pages under the
 // transaction; an error aborts the commit (the transaction stays
-// uncommitted and may be retried or rolled back). Rollback discards
+// uncommitted, to be rolled back). Rollback discards
 // pending callbacks; a successful commit clears them.
 func (t *Txn) Defer(key any, fn func(*Txn) error) {
 	if t.deferredKeys == nil {

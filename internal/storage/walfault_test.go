@@ -2,8 +2,10 @@ package storage_test
 
 import (
 	"errors"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/storage"
 	"repro/internal/storage/crashfs"
@@ -57,12 +59,14 @@ func TestFailedGroupAppendLeavesNoBatch(t *testing.T) {
 	}
 }
 
-// TestWriteThroughFailureKeepsFramesDirty: when the data-file write
-// AFTER a successful WAL fsync fails, the transaction's frames must
-// stay dirty (the on-disk pages hold the PREVIOUS committed,
-// checksum-valid version — eviction would silently serve stale data)
-// and a retried commit must repair everything.
-func TestWriteThroughFailureKeepsFramesDirty(t *testing.T) {
+// TestWriteThroughFailureFailsPool: when the data-file write AFTER a
+// successful log fsync fails, the pool fails stop. The commit returns
+// ErrFailed; so do a claim that was waiting for the commit's frame and
+// every later CommitTxn, Get, GetMut, NewPage, snapshot read,
+// Checkpoint and SyncData, even once the disk works again; neither file
+// is written again; and the log holds the batch for the next open to
+// apply.
+func TestWriteThroughFailureFailsPool(t *testing.T) {
 	fsys := crashfs.New(nil)
 	f, err := fsys.Open("f.db", true)
 	if err != nil {
@@ -83,70 +87,101 @@ func TestWriteThroughFailureKeepsFramesDirty(t *testing.T) {
 		t.Fatal(err)
 	}
 	bp.AttachWAL(w)
+	write := func(fr *storage.Frame, rec string) {
+		t.Helper()
+		if _, err := fr.Page().Insert([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+		if err := bp.Unpin(fr, true); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	// commit version 1 of the page normally
+	// version 1 commits normally
 	txn := bp.Begin()
 	fr, err := bp.NewPage(txn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pid := fr.PID()
-	if _, err := fr.Page().Insert([]byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := bp.Unpin(fr, true); err != nil {
-		t.Fatal(err)
-	}
+	write(fr, "v1")
 	if _, err := bp.CommitTxn(txn); err != nil {
 		t.Fatal(err)
 	}
 
-	// version 2: WAL append succeeds, data write-through fails
+	// version 2: the log append succeeds, the write-through fails once
 	txn2 := bp.Begin()
 	fr2, err := bp.GetMut(txn2, pid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fr2.Page().Insert([]byte("v2")); err != nil {
-		t.Fatal(err)
+	write(fr2, "v2")
+	// a transaction waiting to claim the page must wake with the error;
+	// GetMut counts its pool hit and waits under one hold of the pool's
+	// lock, so once the hit shows, the claim is waiting
+	hits := bp.Snapshot().Hits
+	claim := make(chan error, 1)
+	go func() { claim <- errOf(bp.GetMut(bp.Begin(), pid)) }()
+	for bp.Snapshot().Hits == hits {
+		runtime.Gosched()
 	}
-	if err := bp.Unpin(fr2, true); err != nil {
-		t.Fatal(err)
-	}
+	failed := false
 	fsys.FailWrite(func(name string) error {
-		if name == "f.db" {
+		if name == "f.db" && !failed {
+			failed = true
 			return errors.New("injected write failure")
 		}
 		return nil
 	})
-	if _, err := bp.CommitTxn(txn2); err == nil {
-		t.Fatal("write-through failure not surfaced")
+	if _, err := bp.CommitTxn(txn2); !errors.Is(err, storage.ErrFailed) {
+		t.Fatalf("commit with a failed write-through: %v, want ErrFailed", err)
 	}
-	fsys.FailWrite(nil)
-	if txn2.DirtyPages() != 1 {
-		t.Fatalf("failed write-through cleared the dirty set (%d pages)", txn2.DirtyPages())
+	select {
+	case err := <-claim:
+		if !errors.Is(err, storage.ErrFailed) {
+			t.Errorf("the waiting claim: %v, want ErrFailed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the waiting claim never woke")
 	}
-	// the pool still serves the committed-in-log version, not the stale disk copy
-	rfr, err := bp.Get(pid)
+	fsys.Record()
+
+	snap := bp.PinSnapshot()
+	defer snap.Close()
+	var p storage.Page
+	for _, c := range []struct {
+		call string
+		err  error
+	}{
+		{"CommitTxn", errOf(bp.CommitTxn(bp.Begin()))},
+		{"Get", errOf(bp.Get(pid))},
+		{"GetMut", errOf(bp.GetMut(bp.Begin(), pid))},
+		{"NewPage", errOf(bp.NewPage(bp.Begin()))},
+		{"snapshot read", snap.Get(pid, &p)},
+		{"Checkpoint", bp.Checkpoint()},
+		{"SyncData", bp.SyncData()},
+	} {
+		if !errors.Is(c.err, storage.ErrFailed) {
+			t.Errorf("%s on the failed pool: %v, want ErrFailed", c.call, c.err)
+		}
+	}
+	if j := fsys.Journal(); len(j) != 0 {
+		t.Errorf("the failed pool wrote or synced %d more times", len(j))
+	}
+
+	// the log holds version 2 for the next open
+	w2, err := storage.OpenWAL("f.db.wal", crashfs.New(fsys.Snapshot()).Open)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rfr.Page().Get(1); err != nil {
-		t.Fatal("v2 record lost from the buffered page")
+	defer w2.Close()
+	img, ok := w2.CommittedImages()[pid]
+	if !ok {
+		t.Fatalf("the log lost page %d", pid)
 	}
-	bp.Unpin(rfr, false)
-	// retry lands it on disk
-	if _, err := bp.CommitTxn(txn2); err != nil {
-		t.Fatalf("retried commit failed: %v", err)
-	}
-	var onDisk storage.Page
-	if err := pg.Read(pid, &onDisk); err != nil {
-		t.Fatal(err)
-	}
-	if err := onDisk.VerifyChecksum(); err != nil {
-		t.Fatal(err)
-	}
-	if rec, err := onDisk.Get(1); err != nil || string(rec) != "v2" {
-		t.Fatalf("disk page after retry = %q, %v", rec, err)
+	if rec, err := img.Get(1); err != nil || string(rec) != "v2" {
+		t.Fatalf("logged page %d holds %q, %v; want v2", pid, rec, err)
 	}
 }
+
+func errOf[T any](_ T, err error) error { return err }

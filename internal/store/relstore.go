@@ -402,9 +402,9 @@ func (r *Shard) scanRawLocked(ctx context.Context, fn func(rid storage.RID, t tu
 		return fn(rid, t)
 	})
 	if err != nil {
-		// a cancelled scan is the caller's context speaking, not a
-		// malformed file
-		if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
+		// a cancelled scan is the caller's context speaking and a failed
+		// pool its own error, neither a malformed file
+		if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) || errors.Is(err, storage.ErrFailed) {
 			return err
 		}
 		return fmt.Errorf("%w: scanning %q: %v", ErrCorrupt, r.def.Name, err)

@@ -148,7 +148,7 @@ func (sn *Snap) LoadCtx(ctx context.Context, name string) (*core.Relation, error
 			return true
 		})
 		if err != nil {
-			if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
+			if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) || errors.Is(err, storage.ErrFailed) {
 				return nil, err
 			}
 			return nil, fmt.Errorf("%w: scanning %q: %v", ErrCorrupt, name, err)

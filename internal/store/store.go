@@ -731,8 +731,6 @@ func (s *Store) Commit(txn *Txn) error {
 	lsn, err := s.bp.CommitTxn(txn)
 	s.releaseFree(txn)
 	if err != nil {
-		// marks stay pending: a retried commit (ErrWriteThroughFailed)
-		// publishes them, a rollback drops them
 		return err
 	}
 	s.publishMarks(txn, lsn)
@@ -787,7 +785,9 @@ func (s *Store) sealClock() error {
 // Close seals the commit clock, fsyncs the data file and deletes the
 // WAL sidecar without resetting it: its absence marks a clean shutdown,
 // and a crash before the delete leaves a log that replays as all
-// skipped. Transactions still open at Close are discarded.
+// skipped. Transactions still open at Close are discarded. A failed
+// pool (storage.ErrFailed) writes nothing: Close closes both files,
+// keeps the log for the next Open to apply, and returns the error.
 func (s *Store) Close() error {
 	err := s.sealClock()
 	if err == nil {

@@ -111,6 +111,7 @@ const (
 	CodeParse        byte = 10 // statement failed to parse
 	CodeBusy         byte = 11 // connection refused: at MaxConns
 	CodeShutdown     byte = 12 // server is draining; connection closing
+	CodeFailed       byte = 13 // engine.ErrFailed: reopen to recover
 )
 
 // ServerStats is the TStatsReply payload (JSON): the storage counters

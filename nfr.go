@@ -152,6 +152,7 @@ var (
 	ErrClosed       = engine.ErrClosed
 	ErrCorrupt      = engine.ErrCorrupt
 	ErrMispaired    = engine.ErrMispaired
+	ErrFailed       = engine.ErrFailed
 )
 
 // NewDatabase creates an empty database held in memory: the engine
