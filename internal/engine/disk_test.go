@@ -100,8 +100,8 @@ func TestDiskEngineEquivalence(t *testing.T) {
 }
 
 // TestOversizedTupleRollsBack: a record that can never fit a page must
-// reject that one update — rolled back in memory, heap resynced — and
-// leave the relation fully usable, not poisoned.
+// reject that one update — refused before it writes, rolled back in
+// memory — and leave the relation fully usable, not poisoned.
 func TestOversizedTupleRollsBack(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "big.nfrs")
 	db, err := Open(path)

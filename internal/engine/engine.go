@@ -96,13 +96,13 @@ type Rel struct {
 }
 
 // relShard is one independently-latched slice of a relation: the
-// Section-4 maintainer of one shard partition, the store shard it
-// writes through to (the relShard is the maintainer's update.Sink), and
-// the write pipeline batching autocommit statements on it. Statements
-// on different shards of one relation dirty disjoint pages and commit
-// concurrently (their WAL batches merged by the store's group-commit
-// scheduler); reads latch or snapshot ALL shards and re-canonicalize
-// the union.
+// Section-4 maintainer of one shard partition, the store shard its
+// statements write through to (Tx.writeShard), and the write pipeline
+// batching autocommit statements on it. It holds no transaction state.
+// Statements on different shards of one relation dirty disjoint pages
+// and commit concurrently (their WAL batches merged by the store's
+// group-commit scheduler); reads latch or snapshot ALL shards and
+// re-canonicalize the union.
 type relShard struct {
 	r   *Rel
 	ord int
@@ -125,14 +125,6 @@ type relShard struct {
 	// rolls back. Deadlocks are avoided with wait-die (see latch).
 	latch *latch
 
-	// stx is the storage transaction of the Tx holding the latch (nil
-	// while none has attached, see Tx.attachShard) and sinkErr the first
-	// error of a write-through under it. Both are guarded by the latch,
-	// read by Tx.syncAfterWrite and Tx.Commit, and cleared by Tx.finish:
-	// the Tx alone owns the transaction's boundary.
-	stx     *store.Txn
-	sinkErr error
-
 	// pipe batches concurrent autocommit writes on this shard into
 	// single-fsync group applications (see pipeline).
 	pipe pipeline
@@ -145,32 +137,6 @@ func newRel(def RelationDef, rs *store.RelStore) *Rel {
 		r.shards[i] = &relShard{r: r, ord: i, ss: rs.Shard(i), latch: newLatch()}
 	}
 	return r
-}
-
-// TupleAdded and TupleRemoved implement update.Sink: each tuple the
-// Section-4 algorithms compose or decompose is written through to the
-// store shard under the attached transaction, so one statement's
-// tuples (and one Tx's statements) reach the log as one atomic batch.
-func (sh *relShard) TupleAdded(t tuple.Tuple) {
-	if sh.writable() {
-		sh.sinkErr = sh.ss.Insert(sh.stx, t)
-	}
-}
-
-func (sh *relShard) TupleRemoved(t tuple.Tuple) {
-	if sh.writable() {
-		sh.sinkErr = sh.ss.Remove(sh.stx, t)
-	}
-}
-
-// writable gates a write-through: nothing is written after the first
-// error, and with no transaction attached the write is refused, never
-// made outside one.
-func (sh *relShard) writable() bool {
-	if sh.sinkErr == nil && sh.stx == nil {
-		sh.sinkErr = fmt.Errorf("engine: write-through to %q outside a transaction", sh.r.def.Name)
-	}
-	return sh.sinkErr == nil
 }
 
 // Def returns the relation's definition.
@@ -194,11 +160,11 @@ func (r *Rel) shardFor(f tuple.Flat) *relShard {
 // maintainer returns the shard's canonical-form maintainer,
 // materializing it on first use: one shard-heap scan (refusing
 // duplicate records — the fail-stop the store's index-attach open no
-// longer provides), update.Adopt of what it read, and the write-through
-// sink hookup. The engine writes a heap only through its maintainer, so
-// a heap already holds V_P and Adopt checks it rather than rebuilding
-// it. A heap that fails the check was written around the engine, and is
-// ErrCorrupt: nothing is published and nothing is written.
+// longer provides) and update.Adopt of what it read. The engine writes
+// a heap only through its maintainer, so a heap already holds V_P and
+// Adopt checks it rather than rebuilding it. A heap that fails the
+// check was written around the engine, and is ErrCorrupt: nothing is
+// published and nothing is written.
 func (sh *relShard) maintainer() (*update.Maintainer, error) {
 	if m := sh.maint.Load(); m != nil {
 		return m, nil
@@ -230,7 +196,6 @@ func (sh *relShard) maintainer() (*update.Maintainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.SetSink(sh)
 	sh.maint.Store(m)
 	return m, nil
 }
@@ -280,8 +245,8 @@ func (r *Rel) Relation() *core.Relation {
 // Stats returns the maintainers' accumulated operation counts, summed
 // across shards (zero when the canonical form was never materialized
 // or fails to): every run of the Section-4 algorithms on the resident
-// form, so a rejected statement counts the inverse that undid it too,
-// but a rolled-back transaction's undo replay is not counted.
+// form, a refused statement's included, but not the inverse that undoes
+// a refused statement or a rolled-back transaction.
 func (r *Rel) Stats() update.Stats {
 	var st update.Stats
 	for _, sh := range r.shards {

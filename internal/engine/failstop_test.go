@@ -277,18 +277,17 @@ func TestCommitFailStopConcurrent(t *testing.T) {
 	}
 }
 
-// TestFailedResyncRefusesCommit: a statement in a Tx whose page
-// allocation fails, as on a full disk, and whose heap resync then fails
-// part-way makes the transaction uncommittable, even though the disk
-// works again by the time of the commit. Commit returns the resync
-// error and rolls back, and the 200 rows committed before Begin are all
-// there, live and after a reopen. A pipeline batch fails the same way:
-// every op is acked with the error.
-func TestFailedResyncRefusesCommit(t *testing.T) {
+// TestFailedWriteThroughRefusesCommit: a statement in a Tx whose page
+// allocation fails, as on a full disk, passed the store's check and may
+// have written part of its tuples, so it makes the transaction
+// uncommittable, even though the disk works again by the time of the
+// commit. Commit returns the write-through error and rolls back, and
+// the 200 rows committed before Begin are all there, live and after a
+// reopen. A pipeline batch fails the same way: every op is acked with
+// the error.
+func TestFailedWriteThroughRefusesCommit(t *testing.T) {
 	var seed, extra []tuple.Flat
 	for i := 0; i < 200; i++ {
-		// long course names fill more heap pages than the B+tree frees
-		// when a resync clears it, so the rewrite must grow the file
 		seed = append(seed, row(fmt.Sprintf("s%03d", i), fmt.Sprintf("c%d-%s", i%10, strings.Repeat("c", 150)), fmt.Sprintf("b%d", i%4)))
 	}
 	for i := 0; i < 20; i++ {
@@ -338,8 +337,8 @@ func TestFailedResyncRefusesCommit(t *testing.T) {
 				}
 				db.applyBatch(r.shards[0], batch)
 				for i, op := range batch {
-					if op.err == nil || !strings.Contains(op.err.Error(), "heap resync failed") {
-						t.Errorf("op %d of the batch: %v, want the resync error", i, op.err)
+					if op.err == nil || !strings.Contains(op.err.Error(), "write-through failed") {
+						t.Errorf("op %d of the batch: %v, want the write-through error", i, op.err)
 						break
 					}
 				}
@@ -353,11 +352,11 @@ func TestFailedResyncRefusesCommit(t *testing.T) {
 						break
 					}
 				}
-				if stmtErr == nil || !strings.Contains(stmtErr.Error(), "heap resync failed") {
-					t.Fatalf("no statement failed its heap resync: %v", stmtErr)
+				if stmtErr == nil || !strings.Contains(stmtErr.Error(), "write-through failed") {
+					t.Fatalf("no statement failed its write-through: %v", stmtErr)
 				}
-				if err := tx.Commit(); err == nil || !strings.Contains(err.Error(), "heap resync failed") {
-					t.Errorf("Commit after a failed heap resync: %v, want the resync error", err)
+				if err := tx.Commit(); err == nil || !strings.Contains(err.Error(), "write-through failed") {
+					t.Errorf("Commit after a failed write-through: %v, want the write-through error", err)
 				}
 			}
 			fsys.FailWrite(nil)
@@ -381,6 +380,65 @@ func TestFailedResyncRefusesCommit(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFailedCheckpointFailsPool: an automatic checkpoint that fails
+// after its commit's batch is durable and published (here the log
+// reset's header rewrite, the first log write after the commit's
+// data-file write) fails the pool instead of undoing the commit. Commit
+// returns ErrFailed and rolls nothing back, so the resident form holds
+// the batch, and a reopen replays it from the log.
+func TestFailedCheckpointFailsPool(t *testing.T) {
+	fsys := crashfs.New(nil)
+	open := func() *Database {
+		t.Helper()
+		db, err := Open("db", WithFileSystem(fsys.Open, fsys.Remove), WithCheckpointBytes(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	db := open()
+	if err := db.Create(txTestDef("r")); err != nil {
+		t.Fatal(err)
+	}
+	rows := []tuple.Flat{row("s1", "c1", "b1"), row("s2", "c2", "b2")}
+	if _, err := db.Insert("r", rows[0]); err != nil {
+		t.Fatal(err)
+	}
+	wroteData := false
+	fsys.FailWrite(func(name string) error {
+		if name == "db" {
+			wroteData = true
+		} else if wroteData {
+			return errors.New("injected")
+		}
+		return nil
+	})
+	tx, err := db.Begin(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Insert("r", rows[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); !errors.Is(err, ErrFailed) {
+		t.Fatalf("Commit whose checkpoint failed: %v, want ErrFailed", err)
+	}
+	fsys.FailWrite(nil)
+	r, _ := db.Rel("r")
+	if n := r.Relation().ExpansionSize(); n != len(rows) {
+		t.Fatalf("the resident form holds %d of the %d committed rows: the commit was rolled back", n, len(rows))
+	}
+	if err := db.Close(); !errors.Is(err, ErrFailed) {
+		t.Fatalf("Close of the failed handle: %v, want ErrFailed", err)
+	}
+	db = open()
+	defer db.Close()
+	got, err := db.ReadRelation(context.Background(), "r")
+	if err != nil || !got.EquivalentTo(core.MustFromFlats(txTestDef("r").Schema, rows)) {
+		t.Fatalf("after the reopen: %v (%v), want the %d committed rows", got, err, len(rows))
 	}
 }
 

@@ -44,12 +44,12 @@ import (
 //     under its ORIGINAL id on conflict, and parks on the refused
 //     latch holding nothing (see Database.autocommit);
 //   - each op of a batch is one statement of the batch's Tx
-//     (Tx.writeShard), so a write-through failure rejects that op alone,
-//     exactly as in a multi-statement Tx (Tx.syncAfterWrite): the op is
-//     acked with the error and the rest of the batch applies and commits
-//     with the one fsync. Only when that repair fails too does Commit
-//     refuse the batch, every op acked with the error, as on any failed
-//     commit;
+//     (Tx.writeShard), so an op whose tuple the store cannot hold is
+//     refused alone, with nothing written, exactly as in a
+//     multi-statement Tx: the op is acked with the error and the rest of
+//     the batch applies and commits with the one fsync. A write that
+//     fails after that check stops the Tx: Commit refuses the batch and
+//     every op is acked with the error, as on any failed commit;
 //   - durability boundary: a statement is acked only after its batch's
 //     commit fsync returned, so an acked write is durable exactly as
 //     before.
@@ -219,16 +219,15 @@ func (db *Database) applyBatch(sh *relShard, batch []*pipeOp) {
 // applyOps runs a pipeline batch on sh as statements of tx, whose
 // write-through pools under one storage transaction and commits as one
 // WAL batch; each op keeps its own (changed, err). It fails the batch
-// as a whole only on a latch conflict; an op whose heap resync failed
-// fails it through Commit.
+// as a whole only on a latch conflict; a failed write-through fails it
+// through Commit.
 func (tx *Tx) applyOps(sh *relShard, batch []*pipeOp) error {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
-	if err := tx.usableWrite(); err != nil {
-		return err
-	}
 	for _, op := range batch {
-		op.changed, op.err = tx.writeShard(sh, op.f, op.insert)
+		if op.err = tx.usableWrite(); op.err == nil {
+			op.changed, op.err = tx.writeShard(sh, op.f, op.insert)
+		}
 		if errors.Is(op.err, ErrTxConflict) {
 			return op.err
 		}

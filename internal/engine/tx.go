@@ -139,6 +139,8 @@ type Tx struct {
 	ddl     bool               // DDL latch held
 	touched map[*relShard]bool // shards written under stx
 	writes  []txWrite          // statements that changed a shard, oldest first (see undoWrites)
+	events  stmtEvents         // the running statement's tuple events (see writeShard)
+	failed  error              // a write that failed after its check: the Tx can only roll back
 	creates map[string]*Rel    // pending creates still visible to this tx
 	drops   map[string]*Rel    // pending drops
 	// selfCreated names every relation this transaction created — even
@@ -153,6 +155,35 @@ type txWrite struct {
 	f      tuple.Flat
 	insert bool
 }
+
+// undo applies the inverse of w to its shard's maintainer. Section 4's
+// insertion and deletion are exact inverses on R*, and V_P is unique
+// for a given R*, so the partition returns to its form before w. The
+// inverse leaves the maintainer's Stats as it found them and writes no
+// page: the maintainer has a sink only while writeShard runs it.
+func (w txWrite) undo() {
+	m := w.sh.maint.Load()
+	st := m.Stats()
+	if w.insert {
+		m.Delete(w.f)
+	} else {
+		m.Insert(w.f)
+	}
+	m.SetStats(st)
+}
+
+// stmtEvents is the maintainer's sink for one statement: the tuples
+// its Section-4 run composes (added) and decomposes (removed), in
+// order.
+type stmtEvents []tupleEvent
+
+type tupleEvent struct {
+	t     tuple.Tuple
+	added bool
+}
+
+func (e *stmtEvents) TupleAdded(t tuple.Tuple)   { *e = append(*e, tupleEvent{t, true}) }
+func (e *stmtEvents) TupleRemoved(t tuple.Tuple) { *e = append(*e, tupleEvent{t, false}) }
 
 // Begin starts a transaction. The context governs the transaction's
 // whole lifetime: statements fail once it is cancelled, relation scans
@@ -194,6 +225,9 @@ func (tx *Tx) holdsAny() bool { return len(tx.held) > 0 || tx.ddl }
 func (tx *Tx) usable() error {
 	if tx.done {
 		return ErrTxDone
+	}
+	if tx.failed != nil {
+		return tx.failed
 	}
 	if tx.db.isClosed() {
 		return fmt.Errorf("engine: statement: %w", ErrClosed)
@@ -277,20 +311,6 @@ func (tx *Tx) storage() *store.Txn {
 	return tx.stx
 }
 
-// attachShard routes sh's write-throughs to this transaction's storage
-// transaction, begun at the first write, until finish detaches them.
-// The caller holds sh's latch (or, in Create, the only reference).
-func (tx *Tx) attachShard(sh *relShard) {
-	stx := tx.storage()
-	if !tx.touched[sh] {
-		if tx.touched == nil {
-			tx.touched = make(map[*relShard]bool)
-		}
-		tx.touched[sh] = true
-		sh.stx = stx
-	}
-}
-
 // Insert adds a flat tuple to the named relation, maintaining the
 // canonical form. It reports whether the relation changed.
 func (tx *Tx) Insert(name string, f tuple.Flat) (bool, error) {
@@ -347,64 +367,65 @@ func (tx *Tx) write(name string, f tuple.Flat, isInsert bool) (bool, error) {
 // statement and for each op of a pipeline batch alike. Only sh is
 // latched, so statements on other shards of the same relation — from
 // other transactions — proceed concurrently.
+//
+// The maintainer runs first, with tx.events as its sink, so the
+// statement's tuples are known before any is written. Every tuple it
+// adds is checked against what the store can hold (store.Shard.Check);
+// a refused statement is undone in memory, has written nothing, and
+// leaves the transaction open. Only then are the events written under
+// the storage transaction. A write that fails after the check (I/O, a
+// failed pool, corruption) may be half done, so it is kept in
+// tx.failed: every later statement returns it and Commit rolls back.
 func (tx *Tx) writeShard(sh *relShard, f tuple.Flat, isInsert bool) (bool, error) {
 	if err := tx.latchShard(sh); err != nil {
 		return false, err
 	}
-	tx.attachShard(sh)
 	// materialize the shard's canonical partition on first touch, under
 	// the latch we hold
 	m, err := sh.maintainer()
 	if err != nil {
 		return false, err
 	}
+	tx.events = tx.events[:0]
+	m.SetSink(&tx.events)
 	var ch bool
 	if isInsert {
 		ch, err = m.Insert(f)
 	} else {
 		ch, err = m.Delete(f)
 	}
-	if err != nil {
+	m.SetSink(nil)
+	if err != nil || !ch {
 		return ch, err
 	}
-	if err := tx.syncAfterWrite(sh, m, ch, f, isInsert); err != nil {
-		return false, err
-	}
-	if ch {
-		// a copy: the caller may reuse f once the statement returns
-		tx.writes = append(tx.writes, txWrite{sh: sh, f: f.Clone(), insert: isInsert})
-	}
-	return ch, nil
-}
-
-// syncAfterWrite surfaces the statement's first write-through failure
-// (sh.sinkErr) without leaving memory and disk divergent: the
-// in-memory mutation is rolled back (the Section-4 algorithms are exact
-// inverses on R*, and the canonical form is unique, so memory returns
-// to its pre-statement state), the shard heap is rewritten from the
-// shard's canonical partition UNDER THE SAME open transaction — so the
-// half-applied pages and their repair stay one atomic unit — and the
-// original failure is returned. The transaction remains open and
-// consistent; only this one statement was rejected. If the rewrite
-// fails too, it may be half done: sh.sinkErr keeps it, and Commit refuses.
-func (tx *Tx) syncAfterWrite(sh *relShard, m *update.Maintainer, changed bool, f tuple.Flat, wasInsert bool) error {
-	err := sh.sinkErr
-	if err == nil {
-		return nil
-	}
-	if changed {
-		if wasInsert {
-			m.Delete(f)
-		} else {
-			m.Insert(f)
+	// a copy: the caller may reuse f once the statement returns
+	w := txWrite{sh: sh, f: f.Clone(), insert: isInsert}
+	for _, e := range tx.events {
+		if e.added {
+			if err := sh.ss.Check(e.t); err != nil {
+				w.undo()
+				return false, fmt.Errorf("engine: statement refused, nothing written: %w", err)
+			}
 		}
 	}
-	if rerr := sh.ss.Replace(tx.stx, m.Relation()); rerr != nil {
-		sh.sinkErr = fmt.Errorf("engine: write-through failed (%v) and heap resync failed: %w", err, rerr)
-		return sh.sinkErr
+	stx := tx.storage()
+	if tx.touched == nil {
+		tx.touched = make(map[*relShard]bool)
 	}
-	sh.sinkErr = nil
-	return fmt.Errorf("engine: write-through to store failed (statement rolled back): %w", err)
+	tx.touched[sh] = true
+	tx.writes = append(tx.writes, w)
+	for _, e := range tx.events {
+		if e.added {
+			err = sh.ss.Insert(stx, e.t)
+		} else {
+			err = sh.ss.Remove(stx, e.t)
+		}
+		if err != nil {
+			tx.failed = fmt.Errorf("engine: write-through failed, the transaction can only roll back: %w", err)
+			return false, tx.failed
+		}
+	}
+	return true, nil
 }
 
 // Create registers a new empty relation, visible only to this
@@ -452,9 +473,7 @@ func (tx *Tx) Create(def RelationDef) error {
 		if err != nil {
 			return err
 		}
-		m.SetSink(sh)
 		sh.maint.Store(m)
-		tx.attachShard(sh)
 		if err := tx.latchShard(sh); err != nil {
 			return err
 		}
@@ -618,8 +637,9 @@ func (tx *Tx) Def(name string) (RelationDef, error) {
 // committing transactions), publishes its creates and drops, and
 // releases its latches. A failed commit rolls the transaction back —
 // memory and disk return to the pre-Begin state — and reports both, as
-// does a commit under a cancelled context or after a failed heap resync.
-// On ErrFailed nothing is rolled back: the batch is in the log.
+// does a commit under a cancelled context or after a failed
+// write-through (tx.failed). On ErrFailed from the commit itself
+// nothing is rolled back: the batch is in the log.
 func (tx *Tx) Commit() error {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
@@ -631,12 +651,7 @@ func (tx *Tx) Commit() error {
 		return fmt.Errorf("engine: commit aborted (transaction rolled back): %w", err)
 	}
 	if tx.stx != nil {
-		var err error
-		for sh := range tx.touched {
-			if sh.sinkErr != nil {
-				err = sh.sinkErr
-			}
-		}
+		err := tx.failed
 		if err == nil {
 			if err = tx.db.st.Commit(tx.stx); errors.Is(err, ErrFailed) {
 				tx.finish()
@@ -704,38 +719,21 @@ func (tx *Tx) rollbackLocked() error {
 	return err
 }
 
-// undoWrites applies the inverse of each statement in tx.writes, newest
-// first, with the shard's sink detached: the pages are reverted
-// already. Section 4's insertion and deletion are exact inverses on R*,
-// and V_P is unique for a given R*, so each partition ends at its
-// pre-Begin canonical form. Relations the transaction created are
-// discarded whole. The inverses leave the maintainer's Stats as they
-// found them.
+// undoWrites undoes each statement in tx.writes, newest first, so each
+// partition ends at its pre-Begin canonical form; the pages are
+// reverted already. Relations the transaction created are discarded
+// whole.
 func (tx *Tx) undoWrites() {
 	for i := len(tx.writes) - 1; i >= 0; i-- {
 		w := tx.writes[i]
-		if _, created := tx.selfCreated[w.sh.r]; created {
-			continue
+		if _, created := tx.selfCreated[w.sh.r]; !created {
+			w.undo()
 		}
-		m := w.sh.maint.Load()
-		st := m.Stats()
-		m.SetSink(nil)
-		if w.insert {
-			m.Delete(w.f)
-		} else {
-			m.Insert(w.f)
-		}
-		m.SetSink(w.sh)
-		m.SetStats(st)
 	}
 }
 
-// finish detaches the storage transaction from every shard it wrote
-// through, releases every latch and retires the handle.
+// finish releases every latch and retires the handle.
 func (tx *Tx) finish() {
-	for sh := range tx.touched {
-		sh.stx, sh.sinkErr = nil, nil
-	}
 	for sh := range tx.held {
 		sh.latch.release(tx)
 	}

@@ -769,13 +769,32 @@ func TestTxStressInterleaved(t *testing.T) {
 	verify(db2, "reopened")
 }
 
-// TestTxRejectedStatementKeepsTxUsable: a statement the store rejects
-// in the middle of a multi-statement Tx is repaired in place — the
+// TestTxRejectedStatementKeepsTxUsable: a statement whose tuple the
+// store cannot hold, in the middle of a multi-statement Tx on 200
+// committed rows, is refused before it writes: it dirties no page, the
+// commit logs exactly the pages of the same Tx without it, and the
 // statements before and after it still commit (or roll back) as one
-// unit, live and across a reopen.
+// unit, live and across a reopen. Two tuples are refused: one whose
+// record no page can hold, and one whose record fits a page but whose
+// fixed atom (B, the last-nested attribute) is over the B+tree key cap.
 func TestTxRejectedStatementKeepsTxUsable(t *testing.T) {
 	def := RelationDef{Name: "r", Schema: schema.MustOf("A", "B")}
-	for _, commit := range []bool{true, false} {
+	var seed []tuple.Flat
+	for i := 0; i < 200; i++ {
+		seed = append(seed, row(fmt.Sprintf("s%03d", i), fmt.Sprintf("b%d", i%7)))
+	}
+	refused := []struct {
+		f    tuple.Flat
+		want string
+	}{
+		{row(strings.Repeat("x", 5000), "b9"), "can never fit a page"},
+		{row("a9", strings.Repeat("y", 3000)), "exceeds the 2000-byte cap"},
+	}
+	// run applies the Tx, with bad as its second statement unless nil,
+	// to a fresh file holding seed and returns the open database, the
+	// path and the pages the commit logged (0 on rollback).
+	run := func(bad *tuple.Flat, want string, commit bool) (*Database, string, int) {
+		t.Helper()
 		path := filepath.Join(t.TempDir(), "rej.nfrs")
 		db, err := Open(path)
 		if err != nil {
@@ -784,50 +803,80 @@ func TestTxRejectedStatementKeepsTxUsable(t *testing.T) {
 		if err := db.Create(def); err != nil {
 			t.Fatal(err)
 		}
-		model := newFlatModel(def)
+		seeded, _ := db.Begin(context.Background())
+		if _, err := seeded.InsertMany("r", seed); err != nil {
+			t.Fatal(err)
+		}
+		if err := seeded.Commit(); err != nil {
+			t.Fatal(err)
+		}
 		tx, _ := db.Begin(context.Background())
 		if ch, err := tx.Insert("r", row("a1", "b1")); err != nil || !ch {
 			t.Fatalf("first statement: %v %v", ch, err)
 		}
-		_, err = tx.Insert("r", row(strings.Repeat("x", 5000), "b9"))
-		if err == nil || !strings.Contains(err.Error(), "can never fit a page") {
-			t.Fatalf("oversized statement: %v", err)
+		if bad != nil {
+			dirty := tx.stx.DirtyPages()
+			_, err = tx.Insert("r", *bad)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("oversized statement: %v", err)
+			}
+			if d := tx.stx.DirtyPages(); d != dirty {
+				t.Fatalf("the refused statement dirtied pages: %d → %d", dirty, d)
+			}
 		}
 		if ch, err := tx.Insert("r", row("a2", "b2")); err != nil || !ch {
 			t.Fatalf("statement after the rejected one: %v %v", ch, err)
 		}
+		ws0, _ := db.WALStats()
 		if commit {
 			err = tx.Commit()
-			model.InsertMany([]tuple.Flat{row("a1", "b1"), row("a2", "b2")})
 		} else {
 			err = tx.Rollback()
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, reopen := range []bool{false, true} {
-			if reopen {
-				if err := db.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if db, err = Open(path); err != nil {
-					t.Fatal(err)
+		ws1, _ := db.WALStats()
+		return db, path, ws1.PagesLogged - ws0.PagesLogged
+	}
+	db0, _, without := run(nil, "", true)
+	db0.Close()
+	for _, bad := range refused {
+		for _, commit := range []bool{true, false} {
+			model := newFlatModel(def)
+			model.InsertMany(seed)
+			db, path, logged := run(&bad.f, bad.want, commit)
+			if commit {
+				model.InsertMany([]tuple.Flat{row("a1", "b1"), row("a2", "b2")})
+				if logged != without {
+					t.Errorf("%s: the commit logged %d pages, the same Tx without the refused statement %d", bad.want, logged, without)
 				}
 			}
-			if err := db.VerifyIndexes(); err != nil {
-				t.Fatal(err)
+			for _, reopen := range []bool{false, true} {
+				if reopen {
+					var err error
+					if err = db.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if db, err = Open(path); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := db.VerifyIndexes(); err != nil {
+					t.Fatal(err)
+				}
+				model.check(t, db, "r", fmt.Sprintf("%s commit=%v reopen=%v", bad.want, commit, reopen))
 			}
-			model.check(t, db, "r", fmt.Sprintf("commit=%v reopen=%v", commit, reopen))
+			db.Close()
 		}
-		db.Close()
 	}
 }
 
-// TestNoStatementStateOutlivesTx: a shard's storage transaction and
-// first write-through error belong to the Tx holding its latch. Both
-// are gone after Commit and after Rollback; with no Tx attached a
-// write-through is refused, not made; and after the first error of a
-// statement nothing more is written.
+// TestNoStatementStateOutlivesTx: a shard holds no transaction state,
+// and its maintainer has a sink only while a statement runs. After a
+// Commit and a Rollback that each touched several shards, driving a
+// shard's maintainer directly writes no heap record and logs no batch,
+// and the shard's next statement still writes only its own tuples.
 func TestNoStatementStateOutlivesTx(t *testing.T) {
 	db, err := Open(filepath.Join(t.TempDir(), "own.nfrs"))
 	if err != nil {
@@ -853,11 +902,6 @@ func TestNoStatementStateOutlivesTx(t *testing.T) {
 		if err != nil || len(tx.touched) < 2 {
 			t.Fatalf("commit=%v: err %v, %d shards touched", commit, err, len(tx.touched))
 		}
-		for _, sh := range r.shards {
-			if sh.stx != nil || sh.sinkErr != nil {
-				t.Fatalf("commit=%v: shard %d keeps stx=%v sinkErr=%v", commit, sh.ord, sh.stx, sh.sinkErr)
-			}
-		}
 	}
 
 	heapAndLog := func() (int, int) {
@@ -871,30 +915,22 @@ func TestNoStatementStateOutlivesTx(t *testing.T) {
 	stored, fresh := row("s0-true", "c1", "b1"), row("s0-true", "c2", "b2")
 	sh := r.shardFor(stored)
 	recs, batches := heapAndLog()
-	sh.maint.Load().Insert(fresh)
-	if sh.sinkErr == nil || !strings.Contains(sh.sinkErr.Error(), "outside a transaction") {
-		t.Fatalf("write-through with no Tx attached: %v", sh.sinkErr)
-	}
-	if r2, b2 := heapAndLog(); r2 != recs || b2 != batches {
-		t.Fatalf("refused write reached the store: %d→%d records, %d→%d batches", recs, r2, batches, b2)
-	}
-	sh.maint.Load().Delete(fresh) // memory back in step with the heap
-	sh.sinkErr = nil
-
-	tx, _ := db.Begin(context.Background())
-	if ch, err := tx.Delete("r", stored); err != nil || !ch {
+	if ch, err := sh.maint.Load().Insert(fresh); err != nil || !ch {
 		t.Fatal(ch, err)
 	}
-	recs, _ = heapAndLog()
-	sh.TupleAdded(tuple.FromFlat(row(strings.Repeat("x", 5000), "c1", "b1")))
-	first := sh.sinkErr
-	sh.TupleAdded(tuple.FromFlat(fresh))
-	if r2, _ := heapAndLog(); first == nil || sh.sinkErr != first || r2 != recs {
-		t.Fatalf("after the first error %v: sinkErr %v, %d→%d records", first, sh.sinkErr, recs, r2)
+	if r2, b2 := heapAndLog(); r2 != recs || b2 != batches {
+		t.Fatalf("a maintainer run outside a statement reached the store: %d→%d records, %d→%d batches", recs, r2, batches, b2)
 	}
-	if err := tx.Rollback(); err != nil {
-		t.Fatal(err)
+	sh.maint.Load().Delete(fresh) // memory back in step with the heap
+
+	if ch, err := db.Delete("r", stored); err != nil || !ch {
+		t.Fatal(ch, err)
 	}
+	model := newFlatModel(shardedDef("r", 3))
+	for i := 1; i < 9; i++ {
+		model.Insert(row(fmt.Sprintf("s%d-true", i), "c1", "b1"))
+	}
+	model.check(t, db, "r", "after the next statement")
 	if err := db.VerifyIndexes(); err != nil {
 		t.Fatal(err)
 	}

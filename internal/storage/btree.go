@@ -49,14 +49,15 @@ import (
 // live records leave room for is compacted first; a node splits exactly
 // when its live records plus the entry exceed a page, whatever its
 // holes, so tree shape is a function of the entries alone. Only a split
-// (both halves) and Clear rewrite a node wholesale. The WAL's delta
-// records diff a page against its previous committed image, so a leaf
-// edit logs the new entry and the shifted directory words.
+// (both halves) rewrites a node wholesale. The WAL's delta records diff
+// a page against its previous committed image, so a leaf edit logs the
+// new entry and the shifted directory words.
 //
 // Shrinking is pragmatic: a leaf emptied by deletes is unlinked from
 // its parent and chain and handed to TakeReleased for the free list,
 // unless it is its parent's leftmost child (the descent anchor). Inner
-// pages never merge: they are reclaimed only by Clear (rebuild) or drop.
+// pages never merge: they are reclaimed only when the relation is
+// dropped.
 
 const (
 	btreeMetaTag  = 'B'
@@ -68,6 +69,14 @@ const (
 	// always fit one page — the minimum fan-out a split requires.
 	MaxBTreeKey = 2000
 )
+
+// CheckBTreeKey refuses a key of n bytes over MaxBTreeKey.
+func CheckBTreeKey(n int) error {
+	if n > MaxBTreeKey {
+		return fmt.Errorf("storage: btree key of %d bytes exceeds the %d-byte cap", n, MaxBTreeKey)
+	}
+	return nil
+}
 
 // ErrCorruptBTree wraps structural damage found in a paged B+tree
 // (bad meta or node header, malformed entry, cyclic or cross-linked
@@ -436,8 +445,8 @@ func (ix *BTree) descend(path []pathEl, key []byte, rid RID) ([]pathEl, uint32, 
 // Put inserts a key → rid entry (duplicate keys allowed) under txn,
 // splitting nodes bottom-up as needed, and persists the updated meta.
 func (ix *BTree) Put(txn *Txn, key []byte, rid RID) error {
-	if len(key) > MaxBTreeKey {
-		return fmt.Errorf("storage: btree key of %d bytes exceeds the %d-byte cap", len(key), MaxBTreeKey)
+	if err := CheckBTreeKey(len(key)); err != nil {
+		return err
 	}
 	var pbuf [8]pathEl
 	path, leafPid, err := ix.descend(pbuf[:0], key, rid)
@@ -548,7 +557,7 @@ func (ix *BTree) split(txn *Txn, path []pathEl, fr *Frame, nd node, pos int, rec
 // existed. A leaf emptied by the delete is unlinked from its parent
 // and the leaf chain and queued on TakeReleased — unless it is its
 // parent's leftmost child, which anchors descents and stays. Inner
-// nodes never merge (Clear or drop reclaims them).
+// nodes never merge (a drop reclaims them).
 func (ix *BTree) Delete(txn *Txn, key []byte, rid RID) (bool, error) {
 	var pbuf [8]pathEl
 	path, leafPid, err := ix.descend(pbuf[:0], key, rid)
@@ -821,34 +830,4 @@ func (ix *BTree) walk() (inner, leaves []uint32, err error) {
 		}
 		pid = chain[i]
 	}
-}
-
-// Clear resets the tree to empty under txn, reusing the meta page and
-// the first leaf as the new empty root and returning every other page
-// for the caller to reclaim.
-func (ix *BTree) Clear(txn *Txn) ([]uint32, error) {
-	all, err := ix.Pages()
-	if err != nil {
-		return nil, err
-	}
-	var released []uint32
-	for _, pid := range all {
-		if pid != ix.metaPid && pid != ix.firstLeaf {
-			released = append(released, pid)
-		}
-	}
-	fr, err := ix.bp.GetMut(txn, ix.firstLeaf)
-	if err != nil {
-		return nil, err
-	}
-	if err := ix.release(fr, true, writeNode(fr.Page(), []byte{btreeLeafTag}, 0, nil)); err != nil {
-		return nil, err
-	}
-	ix.root = ix.firstLeaf
-	ix.height = 1
-	ix.count = 0
-	if err := ix.writeMeta(txn); err != nil {
-		return nil, err
-	}
-	return released, nil
 }

@@ -302,48 +302,6 @@ func TestBTreeDeleteUnlink(t *testing.T) {
 	}
 }
 
-// TestBTreeClear resets to a one-leaf tree, releasing everything else.
-func TestBTreeClear(t *testing.T) {
-	bp, txn, _ := newTestPool(t, 16)
-	ix, err := CreateBTree(bp, txn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix.SetMaxNodeEntries(3)
-	for i := 0; i < 80; i++ {
-		if err := ix.Put(txn, btKey(i), RID{Page: uint32(i + 1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before, err := ix.Pages()
-	if err != nil {
-		t.Fatal(err)
-	}
-	released, err := ix.Clear(txn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.Len() != 0 || ix.Height() != 1 {
-		t.Fatalf("after Clear: len %d height %d", ix.Len(), ix.Height())
-	}
-	if len(released)+2 != len(before) {
-		t.Fatalf("Clear released %d of %d pages (meta + root leaf stay)", len(released), len(before))
-	}
-	if got := scanAll(t, ix); len(got) != 0 {
-		t.Fatalf("cleared tree still yields %d entries", len(got))
-	}
-	if err := ix.Put(txn, btKey(1), RID{Page: 1}); err != nil {
-		t.Fatalf("Put after Clear: %v", err)
-	}
-	inner, leaf, err := ix.PageCounts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inner != 1 || leaf != 1 {
-		t.Fatalf("PageCounts = %d inner, %d leaf; want 1, 1", inner, leaf)
-	}
-}
-
 // TestBTreeKeyCap rejects impossible keys instead of corrupting pages.
 func TestBTreeKeyCap(t *testing.T) {
 	bp, txn, _ := newTestPool(t, 8)
@@ -477,7 +435,7 @@ func TestBTreeCompactsBeforeSplitting(t *testing.T) {
 		}
 	}
 	// n-1 entries fit one leaf; start over with exactly that many
-	if _, err := ix.Clear(txn); err != nil {
+	if ix, err = CreateBTree(bp, txn); err != nil {
 		t.Fatal(err)
 	}
 	full := n - 1

@@ -41,10 +41,12 @@ type PoolStats struct {
 }
 
 // ErrFailed is the sticky error of a pool whose data-file write-through
-// failed after its group reached the log: that group's commits and every
-// later CommitTxn, Get, GetMut, NewPage, snapshot read, Checkpoint and
-// SyncData return it, and neither file is written again. A commit that
-// returned it is durable in the log, and the next Open applies it.
+// failed after its group reached the log, or whose Checkpoint or
+// SyncData failed (a data-file fsync or the log reset): that call, the
+// group's commits, and every later CommitTxn, Get, GetMut, NewPage,
+// snapshot read, Checkpoint and SyncData return it, and neither file is
+// written again. A commit that returned it is durable in the log, and
+// the next Open applies it.
 var ErrFailed = errors.New("storage: write-through after commit failed; reopen to recover")
 
 // commitReq is one transaction waiting in the group-commit queue.
@@ -621,6 +623,11 @@ func (bp *BufferPool) Checkpoint() error { return bp.syncData(true) }
 // the WAL alone, for a caller about to delete the log.
 func (bp *BufferPool) SyncData() error { return bp.syncData(false) }
 
+// syncData fails the pool when the fsync or the reset fails: after a
+// failed fsync the data file's state is unknown (a retry may report
+// success for pages the kernel dropped), so only the log, which holds
+// every commit since the last checkpoint, is trusted, and the next Open
+// replays it.
 func (bp *BufferPool) syncData(resetLog bool) error {
 	bp.ckptMu.Lock()
 	defer bp.ckptMu.Unlock()
@@ -630,11 +637,18 @@ func (bp *BufferPool) syncData(resetLog bool) error {
 	if wal == nil {
 		return fmt.Errorf("storage: Checkpoint on a pool without a WAL")
 	}
-	if err == nil {
-		err = bp.pager.Sync()
+	if err != nil {
+		return err
 	}
+	err = bp.pager.Sync()
 	if err == nil && resetLog {
 		err = wal.Reset()
+	}
+	if err != nil {
+		bp.mu.Lock()
+		bp.failed = fmt.Errorf("%w: %v", ErrFailed, err)
+		err = bp.failed
+		bp.mu.Unlock()
 	}
 	return err
 }

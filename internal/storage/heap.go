@@ -43,39 +43,12 @@ func CreateHeap(bp *BufferPool, txn *Txn) (*HeapFile, error) {
 var ErrChainCycle = errors.New("storage: heap chain cycle")
 
 // OpenHeapAt attaches to an existing heap chain WITHOUT walking it:
-// the insertion target is resolved lazily by the first Insert. The
-// store's fast reopen path uses it so attaching a relation costs zero
-// page reads (scans never need the tail; only inserts do).
+// the insertion target is resolved lazily by the first Insert (scans
+// never need the tail; only inserts do). The store attaches every heap
+// with it, so attaching a relation costs zero page reads; the catalog
+// and the free list are scanned right after, which also finds a cycle.
 func OpenHeapAt(bp *BufferPool, first uint32) *HeapFile {
 	return &HeapFile{bp: bp, first: first, last: first}
-}
-
-// OpenHeap attaches to an existing heap chain starting at first,
-// eagerly walking to its last page.
-func OpenHeap(bp *BufferPool, first uint32) (*HeapFile, error) {
-	h := &HeapFile{bp: bp, first: first, last: first, tail: true}
-	// walk to the end of the chain
-	pid := first
-	seen := make(map[uint32]bool)
-	for {
-		if seen[pid] {
-			return nil, fmt.Errorf("%w: page %d revisited", ErrChainCycle, pid)
-		}
-		seen[pid] = true
-		fr, err := bp.Get(pid)
-		if err != nil {
-			return nil, err
-		}
-		next := fr.Page().Next()
-		if err := bp.Unpin(fr, false); err != nil {
-			return nil, err
-		}
-		if next == 0 {
-			h.last = pid
-			return h, nil
-		}
-		pid = next
-	}
 }
 
 // FirstPage returns the id of the chain's first page (persist this to

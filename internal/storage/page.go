@@ -46,8 +46,20 @@ const (
 	slotSize       = 4
 )
 
+// MaxRecord is the largest record a page can hold: an empty page less
+// its header and one slot.
+const MaxRecord = PageSize - pageHeaderSize - slotSize
+
 // ErrPageFull is returned when a record does not fit in a page.
 var ErrPageFull = errors.New("storage: page full")
+
+// CheckRecord refuses a record of n bytes that no page can hold.
+func CheckRecord(n int) error {
+	if n > MaxRecord {
+		return fmt.Errorf("storage: record of %d bytes can never fit a page", n)
+	}
+	return nil
+}
 
 // ErrBadSlot is returned for out-of-range or deleted slots.
 var ErrBadSlot = errors.New("storage: bad slot")
@@ -155,8 +167,8 @@ func (p *Page) Insert(rec []byte) (int, error) {
 	if len(rec) == 0 {
 		return 0, fmt.Errorf("storage: empty record")
 	}
-	if len(rec) > PageSize-pageHeaderSize-slotSize {
-		return 0, fmt.Errorf("storage: record of %d bytes can never fit a page", len(rec))
+	if err := CheckRecord(len(rec)); err != nil {
+		return 0, err
 	}
 	// find a tombstone to reuse
 	slot := -1

@@ -436,10 +436,7 @@ func TestHeapReopen(t *testing.T) {
 	pg.Close()
 
 	_, _, bp2 := openWALPool(t, path, 4)
-	h2, err := OpenHeap(bp2, first)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h2 := OpenHeapAt(bp2, first)
 	st, err := h2.Stats()
 	if err != nil {
 		t.Fatal(err)

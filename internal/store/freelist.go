@@ -51,13 +51,9 @@ func (s *Store) initFreeList(txn *Txn) error {
 // loadFreeList attaches to the free-list heap of an existing file and
 // mirrors its records.
 func (s *Store) loadFreeList() error {
-	fh, err := storage.OpenHeap(s.bp, freeRoot)
-	if err != nil {
-		return fmt.Errorf("%w: opening free list: %v", ErrCorrupt, err)
-	}
-	s.freeHeap = fh
+	s.freeHeap = storage.OpenHeapAt(s.bp, freeRoot)
 	var badRec error
-	err = fh.Scan(func(rid storage.RID, rec []byte) bool {
+	err := s.freeHeap.Scan(func(rid storage.RID, rec []byte) bool {
 		if len(rec) != 4 {
 			badRec = fmt.Errorf("%w: free-list record at %v has %d bytes", ErrCorrupt, rid, len(rec))
 			return false

@@ -60,10 +60,11 @@ func ShardOfAtom(a value.Atom, k int) int {
 // durable index against the heap.
 //
 // A Shard keeps no statement state. Every write takes the storage
-// transaction it belongs to and returns its error: Insert, Remove and
-// Replace are (txn, tuple) -> error. Whoever drives them owns the
-// transaction's boundary; in the engine that is the Tx holding the
-// shard's latch, which also serializes statements per shard. mu only
+// transaction it belongs to and returns its error: Insert and Remove
+// are (txn, tuple) -> error, and Check tells beforehand whether Insert
+// can store a tuple at all. Whoever drives them owns the transaction's
+// boundary; in the engine that is the Tx holding the shard's latch,
+// which also serializes statements per shard. mu only
 // keeps the engine's unlatched readers (IndexPageStats, a lazy
 // materialization through Rel.Relation) from seeing page bytes
 // mid-mutation.
@@ -171,6 +172,26 @@ func (r *Shard) unindexTuple(txn *Txn, t tuple.Tuple, rid storage.RID) error {
 // canonical relations go through Fill, which re-partitions.
 func (r *RelStore) Insert(txn *Txn, t tuple.Tuple) error {
 	return r.shardOfTuple(t).Insert(txn, t)
+}
+
+// Check refuses a tuple Insert could never store: its record larger
+// than storage.MaxRecord, or a fixed atom whose key is over
+// storage.MaxBTreeKey, with the errors Insert would return. It reads
+// and writes no page, so a statement can check every tuple it adds
+// before its first write; an Insert of a checked tuple fails only on
+// I/O, a failed pool or a corrupt page.
+func (r *Shard) Check(t tuple.Tuple) error {
+	if err := storage.CheckRecord(len(encoding.EncodeTuple(t))); err != nil {
+		return err
+	}
+	var key []byte
+	for _, a := range t.Set(r.fixedAttr()).Atoms() {
+		key = encoding.AppendOrderedAtom(key[:0], a)
+		if err := storage.CheckBTreeKey(len(key)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Insert appends one canonical tuple to the shard's heap under txn and
@@ -668,45 +689,4 @@ func PartitionCanonical(rel *core.Relation, order []int, k int) []*core.Relation
 		out[i] = canon
 	}
 	return out
-}
-
-// Replace swaps this shard's content for the given SHARD-canonical
-// relation under txn (every fixed atom must route to this shard).
-func (r *Shard) Replace(txn *Txn, rel *core.Relation) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.clearLocked(txn); err != nil {
-		return err
-	}
-	for i := 0; i < rel.Len(); i++ {
-		if err := r.insertLocked(txn, rel.Tuple(i)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// clearLocked tombstones every live record and resets the index; the
-// pages the tree sheds go to the free list under the same transaction.
-func (r *Shard) clearLocked(txn *Txn) error {
-	var rids []storage.RID
-	if err := r.heap.Scan(func(rid storage.RID, _ []byte) bool {
-		rids = append(rids, rid)
-		return true
-	}); err != nil {
-		return err
-	}
-	for _, rid := range rids {
-		if err := r.heap.Delete(txn, rid); err != nil {
-			return err
-		}
-	}
-	released, err := r.rangeD.Clear(txn)
-	if err != nil {
-		return err
-	}
-	if len(released) > 0 {
-		return r.st.freePages(txn, released)
-	}
-	return nil
 }

@@ -472,14 +472,11 @@ func (s *Store) initFile() error {
 // loadCatalog reads the header and every relation record, opening each
 // relation's heap and attaching its indexes.
 func (s *Store) loadCatalog() error {
-	cat, err := storage.OpenHeap(s.bp, catalogRoot)
-	if err != nil {
-		return fmt.Errorf("%w: opening catalog: %v", ErrCorrupt, err)
-	}
-	s.catalog = cat
+	s.catalog = storage.OpenHeapAt(s.bp, catalogRoot)
+	var err error
 	sawHeader := false
 	var defs []catalogEntry
-	scanErr := cat.Scan(func(rid storage.RID, rec []byte) bool {
+	scanErr := s.catalog.Scan(func(rid storage.RID, rec []byte) bool {
 		if len(rec) == 0 {
 			err = fmt.Errorf("%w: empty catalog record at %v", ErrCorrupt, rid)
 			return false

@@ -61,9 +61,9 @@ func (s *Stats) Add(s2 Stats) {
 // tuples; Added/Removed fire only for mutations that actually changed
 // the relation. It is an observer and nothing more: it cannot fail a
 // statement and it sees no statement boundary. Whoever registers one
-// owns both, as the engine does: its shard writes each event through
-// under the transaction of the Tx in progress and keeps the first error
-// for the statement's end.
+// owns both, as the engine does: its Tx is the sink for one statement's
+// run, checks every tuple added, and only then writes the events under
+// its transaction.
 type Sink interface {
 	TupleAdded(t tuple.Tuple)
 	TupleRemoved(t tuple.Tuple)
