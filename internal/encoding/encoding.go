@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/schema"
@@ -52,45 +53,41 @@ func AppendAtom(dst []byte, a value.Atom) []byte {
 	return dst
 }
 
-// DecodeAtom decodes one atom from b, returning the atom and the
-// number of bytes consumed.
-func DecodeAtom(b []byte) (value.Atom, int, error) {
+// atomAt decodes the atom at the front of b but for a string's
+// payload, and returns its encoded length and the length of the
+// payload, which ends the encoding (0 for other kinds).
+func atomAt(b []byte) (a value.Atom, n, strLen int, err error) {
 	if len(b) == 0 {
-		return value.Atom{}, 0, fmt.Errorf("%w: empty atom", ErrCorrupt)
+		return a, 0, 0, fmt.Errorf("%w: empty atom", ErrCorrupt)
 	}
-	k := value.Kind(b[0])
-	pos := 1
-	switch k {
+	switch k := value.Kind(b[0]); k {
 	case value.Null:
-		return value.NullAtom(), pos, nil
+		return value.NullAtom(), 1, 0, nil
 	case value.Bool, value.Int:
-		v, n := binary.Varint(b[pos:])
+		v, n := binary.Varint(b[1:])
 		if n <= 0 {
-			return value.Atom{}, 0, fmt.Errorf("%w: bad varint", ErrCorrupt)
+			return a, 0, 0, fmt.Errorf("%w: bad varint", ErrCorrupt)
 		}
-		pos += n
 		if k == value.Bool {
-			return value.NewBool(v != 0), pos, nil
+			return value.NewBool(v != 0), 1 + n, 0, nil
 		}
-		return value.NewInt(v), pos, nil
+		return value.NewInt(v), 1 + n, 0, nil
 	case value.Float:
-		if len(b) < pos+8 {
-			return value.Atom{}, 0, fmt.Errorf("%w: short float", ErrCorrupt)
+		if len(b) < 9 {
+			return a, 0, 0, fmt.Errorf("%w: short float", ErrCorrupt)
 		}
-		f := math.Float64frombits(binary.LittleEndian.Uint64(b[pos:]))
-		return value.NewFloat(f), pos + 8, nil
+		return value.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b[1:]))), 9, 0, nil
 	case value.String:
-		l, n := binary.Uvarint(b[pos:])
+		l, n := binary.Uvarint(b[1:])
 		if n <= 0 {
-			return value.Atom{}, 0, fmt.Errorf("%w: bad string length", ErrCorrupt)
+			return a, 0, 0, fmt.Errorf("%w: bad string length", ErrCorrupt)
 		}
-		pos += n
-		if uint64(len(b)-pos) < l {
-			return value.Atom{}, 0, fmt.Errorf("%w: short string", ErrCorrupt)
+		if uint64(len(b)-1-n) < l {
+			return a, 0, 0, fmt.Errorf("%w: short string", ErrCorrupt)
 		}
-		return value.NewString(string(b[pos : pos+int(l)])), pos + int(l), nil
+		return value.NewString(""), 1 + n + int(l), int(l), nil
 	default:
-		return value.Atom{}, 0, fmt.Errorf("%w: unknown atom kind %d", ErrCorrupt, b[0])
+		return a, 0, 0, fmt.Errorf("%w: unknown atom kind %d", ErrCorrupt, b[0])
 	}
 }
 
@@ -101,34 +98,6 @@ func AppendSet(dst []byte, s vset.Set) []byte {
 		dst = AppendAtom(dst, a)
 	}
 	return dst
-}
-
-// DecodeSet decodes one set from b. AppendSet writes a set's atoms in
-// its canonical order, strictly ascending by value.Compare, so the
-// decoded slice is adopted as it stands; atoms out of that order, or
-// repeated, are ErrCorrupt.
-func DecodeSet(b []byte) (vset.Set, int, error) {
-	cnt, n := binary.Uvarint(b)
-	if n <= 0 {
-		return vset.Set{}, 0, fmt.Errorf("%w: bad set count", ErrCorrupt)
-	}
-	pos := n
-	if cnt > uint64(len(b)) { // each atom needs ≥1 byte
-		return vset.Set{}, 0, fmt.Errorf("%w: set count %d too large", ErrCorrupt, cnt)
-	}
-	atoms := make([]value.Atom, 0, cnt)
-	for i := uint64(0); i < cnt; i++ {
-		a, n, err := DecodeAtom(b[pos:])
-		if err != nil {
-			return vset.Set{}, 0, err
-		}
-		if i > 0 && value.Compare(atoms[i-1], a) >= 0 {
-			return vset.Set{}, 0, fmt.Errorf("%w: set atom %d is not above atom %d", ErrCorrupt, i, i-1)
-		}
-		atoms = append(atoms, a)
-		pos += n
-	}
-	return vset.FromSorted(atoms), pos, nil
 }
 
 // AppendTuple appends the binary encoding of t to dst.
@@ -143,33 +112,80 @@ func AppendTuple(dst []byte, t tuple.Tuple) []byte {
 // EncodeTuple returns the binary encoding of t.
 func EncodeTuple(t tuple.Tuple) []byte { return AppendTuple(nil, t) }
 
-// DecodeTuple decodes one tuple from b.
+// DecodeTuple decodes one tuple from b. tupleLayout checks the
+// record first; the tuple is then built from three allocations: one
+// string holding every string payload, one atom slice shared by the
+// components, and the component slice. AppendSet writes a set's atoms
+// strictly ascending by value.Compare, so each component is adopted as
+// it stands; atoms out of that order, or repeated, are ErrCorrupt.
+// Because the components share those allocations, a set or atom kept
+// after the tuple is dropped keeps the whole record's atoms and string
+// bytes alive: at most one record's worth per kept set.
 func DecodeTuple(b []byte) (tuple.Tuple, int, error) {
-	deg, n := binary.Uvarint(b)
-	if n <= 0 {
-		return tuple.Tuple{}, 0, fmt.Errorf("%w: bad tuple degree", ErrCorrupt)
-	}
-	pos := n
-	if deg > uint64(len(b)) {
-		return tuple.Tuple{}, 0, fmt.Errorf("%w: tuple degree %d too large", ErrCorrupt, deg)
-	}
-	sets := make([]vset.Set, 0, deg)
-	for i := uint64(0); i < deg; i++ {
-		s, n, err := DecodeSet(b[pos:])
-		if err != nil {
-			return tuple.Tuple{}, 0, err
-		}
-		if s.IsEmpty() {
-			return tuple.Tuple{}, 0, fmt.Errorf("%w: empty tuple component", ErrCorrupt)
-		}
-		sets = append(sets, s)
-		pos += n
-	}
-	t, err := tuple.New(sets...)
+	deg, end, atoms, strBytes, err := tupleLayout(b)
 	if err != nil {
-		return tuple.Tuple{}, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return tuple.Tuple{}, 0, err
 	}
-	return t, pos, nil
+	var payloads strings.Builder
+	payloads.Grow(strBytes)
+	all := make([]value.Atom, atoms)
+	sets := make([]vset.Set, deg)
+	_, pos := binary.Uvarint(b)
+	for i := range sets {
+		cnt, n := binary.Uvarint(b[pos:])
+		pos += n
+		set := all[:cnt:cnt]
+		all = all[cnt:]
+		for j := range set {
+			a, n, sl, _ := atomAt(b[pos:])
+			payloads.Write(b[pos+n-sl : pos+n])
+			s := payloads.String()
+			a.S = s[len(s)-sl:] // "" but for a string
+			set[j] = a
+			pos += n
+		}
+		var bad int
+		if sets[i], bad = vset.AdoptSorted(set); bad > 0 {
+			return tuple.Tuple{}, 0, fmt.Errorf("%w: set atom %d is not above atom %d", ErrCorrupt, bad, bad-1)
+		}
+	}
+	return tuple.Adopt(sets), end, nil
+}
+
+// tupleLayout checks that b begins with a tuple whose components are
+// non-empty sets of well-formed atoms, and returns its degree, encoded
+// length, atom count and total string payload length.
+func tupleLayout(b []byte) (deg, end, atoms, strBytes int, err error) {
+	d, pos := binary.Uvarint(b)
+	if pos <= 0 {
+		return 0, 0, 0, 0, fmt.Errorf("%w: bad tuple degree", ErrCorrupt)
+	}
+	if d > uint64(len(b)) {
+		return 0, 0, 0, 0, fmt.Errorf("%w: tuple degree %d too large", ErrCorrupt, d)
+	}
+	for i := uint64(0); i < d; i++ {
+		cnt, n := binary.Uvarint(b[pos:])
+		if n <= 0 {
+			return 0, 0, 0, 0, fmt.Errorf("%w: bad set count", ErrCorrupt)
+		}
+		if cnt > uint64(len(b)-pos) { // each atom needs ≥1 byte
+			return 0, 0, 0, 0, fmt.Errorf("%w: set count %d too large", ErrCorrupt, cnt)
+		}
+		if cnt == 0 {
+			return 0, 0, 0, 0, fmt.Errorf("%w: empty tuple component", ErrCorrupt)
+		}
+		pos += n
+		for j := uint64(0); j < cnt; j++ {
+			_, n, sl, err := atomAt(b[pos:])
+			if err != nil {
+				return 0, 0, 0, 0, err
+			}
+			pos += n
+			strBytes += sl
+		}
+		atoms += int(cnt)
+	}
+	return int(d), pos, atoms, strBytes, nil
 }
 
 // AppendSchema appends the binary encoding of s to dst.

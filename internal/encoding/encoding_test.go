@@ -16,6 +16,15 @@ import (
 	"repro/internal/vset"
 )
 
+// decodeAtom decodes b as the one atom of a degree-1 tuple.
+func decodeAtom(b []byte) (value.Atom, int, error) {
+	tp, n, err := DecodeTuple(append([]byte{1, 1}, b...))
+	if err != nil {
+		return value.Atom{}, 0, err
+	}
+	return tp.Set(0).At(0), n - 2, nil
+}
+
 func TestAtomRoundTrip(t *testing.T) {
 	atoms := []value.Atom{
 		value.NullAtom(),
@@ -26,7 +35,7 @@ func TestAtomRoundTrip(t *testing.T) {
 	}
 	for _, a := range atoms {
 		b := AppendAtom(nil, a)
-		got, n, err := DecodeAtom(b)
+		got, n, err := decodeAtom(b)
 		if err != nil {
 			t.Fatalf("decode %v: %v", a, err)
 		}
@@ -39,7 +48,7 @@ func TestAtomRoundTrip(t *testing.T) {
 	}
 	// NaN round-trips to NaN-equal atom
 	b := AppendAtom(nil, value.NewFloat(math.NaN()))
-	got, _, err := DecodeAtom(b)
+	got, _, err := decodeAtom(b)
 	if err != nil || !value.Equal(got, value.NewFloat(math.NaN())) {
 		t.Error("NaN roundtrip failed")
 	}
@@ -55,44 +64,38 @@ func TestDecodeAtomErrors(t *testing.T) {
 		{99},                         // unknown kind
 	}
 	for i, b := range cases {
-		if _, _, err := DecodeAtom(b); err == nil {
-			t.Errorf("case %d: corrupt atom accepted", i)
+		if _, _, err := decodeAtom(b); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("case %d: corrupt atom: %v, want ErrCorrupt", i, err)
 		}
 	}
 }
 
+// TestSetRoundTrip: a set decodes as the one component of a degree-1
+// tuple; the empty set is no tuple component and is refused.
 func TestSetRoundTrip(t *testing.T) {
 	sets := []vset.Set{
-		{},
 		vset.OfStrings("a"),
 		vset.OfStrings("x", "y", "z"),
 		vset.OfInts(3, 1, 2),
 	}
 	for _, s := range sets {
-		b := AppendSet(nil, s)
-		got, n, err := DecodeSet(b)
+		b := AppendSet([]byte{1}, s)
+		got, n, err := DecodeTuple(b)
 		if err != nil {
 			t.Fatalf("decode %v: %v", s, err)
 		}
-		if n != len(b) || !got.Equal(s) {
+		if n != len(b) || !got.Set(0).Equal(s) {
 			t.Errorf("roundtrip %v -> %v (n=%d/%d)", s, got, n, len(b))
 		}
 	}
-}
-
-func TestDecodeSetErrors(t *testing.T) {
-	if _, _, err := DecodeSet(nil); err == nil {
-		t.Error("empty input accepted")
-	}
-	// count says 200 atoms but buffer is 2 bytes
-	if _, _, err := DecodeSet([]byte{200, 1}); err == nil {
-		t.Error("oversized count accepted")
+	if _, _, err := DecodeTuple(AppendSet([]byte{1}, vset.Set{})); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("empty set as a component: %v, want ErrCorrupt", err)
 	}
 }
 
 // TestDecodeSetRefusesUnsortedSets: AppendSet writes a set strictly
-// ascending, so a record whose atoms are out of order or repeated was
-// not written by it and is refused, not repaired.
+// ascending, so a tuple record with a component whose atoms are out of
+// order or repeated was not written by it and is refused, not repaired.
 func TestDecodeSetRefusesUnsortedSets(t *testing.T) {
 	set := func(atoms ...value.Atom) []byte {
 		b := []byte{byte(len(atoms))}
@@ -106,9 +109,6 @@ func TestDecodeSetRefusesUnsortedSets(t *testing.T) {
 		"repeated":     set(value.NewInt(7), value.NewInt(7)),
 	}
 	for name, rec := range cases {
-		if s, _, err := DecodeSet(rec); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: DecodeSet = %v, %v; want ErrCorrupt", name, s, err)
-		}
 		tup := append(append([]byte{2}, AppendSet(nil, vset.OfStrings("x"))...), rec...)
 		if tp, _, err := DecodeTuple(tup); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: DecodeTuple = %v, %v; want ErrCorrupt", name, tp, err)
@@ -139,6 +139,18 @@ func TestDecodeTupleErrors(t *testing.T) {
 	}
 	if _, _, err := DecodeTuple([]byte{200, 0}); err == nil {
 		t.Error("oversized degree accepted")
+	}
+}
+
+// TestDecodeSetErrors: a set record is decoded as the one component of
+// a degree-1 tuple; a missing or overlong one is refused.
+func TestDecodeSetErrors(t *testing.T) {
+	if _, _, err := DecodeTuple([]byte{1}); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("empty input: %v, want ErrCorrupt", err)
+	}
+	// count says 200 atoms but buffer is 2 bytes
+	if _, _, err := DecodeTuple([]byte{1, 200, 1}); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("oversized count: %v, want ErrCorrupt", err)
 	}
 }
 
@@ -237,10 +249,29 @@ func TestTupleRoundTripProperty(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeTuple decodes one stored tuple of nfr-spine's sparse
-// enrollment shape: one student, four courses, two clubs.
+// sparseRecord is one stored tuple of nfr-spine's sparse enrollment
+// shape: one student, four courses, two clubs.
+func sparseRecord() []byte {
+	return EncodeTuple(core.TupleOfSets([]string{"s0042"}, []string{"c017", "c230", "c412", "c588"}, []string{"k03", "k44"}))
+}
+
+// TestDecodeTupleAllocs: a decoded tuple costs one string for its
+// string payloads, one atom slice and one component slice, whatever its
+// atom count.
+func TestDecodeTupleAllocs(t *testing.T) {
+	rec := sparseRecord()
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, err := DecodeTuple(rec); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 3 {
+		t.Errorf("DecodeTuple: %v allocations, want ≤ 3", n)
+	}
+}
+
+// BenchmarkDecodeTuple decodes sparseRecord.
 func BenchmarkDecodeTuple(b *testing.B) {
-	rec := EncodeTuple(core.TupleOfSets([]string{"s0042"}, []string{"c017", "c230", "c412", "c588"}, []string{"k03", "k44"}))
+	rec := sparseRecord()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := DecodeTuple(rec); err != nil {

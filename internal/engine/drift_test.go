@@ -10,10 +10,13 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/encoding"
 	"repro/internal/schema"
+	"repro/internal/storage"
 	"repro/internal/storage/crashfs"
 	"repro/internal/store"
 	"repro/internal/tuple"
+	"repro/internal/value"
 	"repro/internal/vset"
 )
 
@@ -206,5 +209,79 @@ func TestCleanHeapAdopted(t *testing.T) {
 	}
 	if logged[0] == 0 || logged[0] > logged[1] {
 		t.Fatalf("the first write after Open logged %d pages, the same write with the maintainer resident %d", logged[0], logged[1])
+	}
+}
+
+// TestDeadIndexedSlotIsCorrupt: a record tombstoned in the data file
+// around the engine leaves its B+tree entry naming no record, so an
+// index probe or range scan that follows the entry is ErrCorrupt.
+func TestDeadIndexedSlotIsCorrupt(t *testing.T) {
+	sch := schema.MustOf("Student", "Course", "Club")
+	def := RelationDef{Name: "R1", Schema: sch, Order: schema.MustPermOf(sch, "Course", "Club", "Student")}
+	path := filepath.Join(t.TempDir(), "db.nfrs")
+	db, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Create(def); err != nil {
+		t.Fatal(err)
+	}
+	dead := row("s1", "c1", "b1")
+	if _, err := db.InsertMany("R1", []tuple.Flat{dead, row("s2", "c2", "b2")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tombstoneRecord(t, path, encoding.EncodeTuple(tuple.FromFlat(dead)))
+
+	db, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.LookupFixed("R1", value.NewString("s1")); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("LookupFixed through a dead slot: %v, want ErrCorrupt", err)
+	}
+	if _, _, err := db.ScanFixedRange("R1", nil, nil); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("ScanFixedRange through a dead slot: %v, want ErrCorrupt", err)
+	}
+}
+
+// tombstoneRecord deletes the one heap record whose bytes are rec from
+// the closed database file at path, leaving every index untouched.
+func tombstoneRecord(t *testing.T, path string, rec []byte) {
+	t.Helper()
+	pg, err := storage.OpenPager(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pg.Close()
+	found := 0
+	for pid := uint32(1); pid <= pg.NumPages(); pid++ {
+		var p storage.Page
+		if err := pg.Read(pid, &p); err != nil {
+			t.Fatal(err)
+		}
+		slot := -1
+		p.LiveRecords(func(s int, r []byte) bool {
+			if bytes.Equal(r, rec) {
+				slot = s
+			}
+			return slot < 0
+		})
+		if slot < 0 {
+			continue
+		}
+		found++
+		if err := p.Delete(slot); err != nil {
+			t.Fatal(err)
+		}
+		if err := pg.Write(pid, &p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if found != 1 {
+		t.Fatalf("%d records match, want 1", found)
 	}
 }

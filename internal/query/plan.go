@@ -64,31 +64,27 @@ func (k AccessKind) String() string {
 type Plan struct {
 	Relation string
 	Access   AccessKind
-	Attr     string        // indexed attribute (index paths)
+	Attr     string        // indexed attribute (set when a predicate could use it)
 	Point    *value.Atom   // probe atom (IndexPoint)
 	Lo, Hi   *engine.Bound // scan window (IndexRange; nil = unbounded)
-	Reason   string        // one-line why (shown by EXPLAIN)
 	Note     string        // soundness demotion note, if any
 	Residual algebra.Pred  // full predicate, re-applied to the fetch
+	shards   int           // the relation's shard count
 }
 
 // planRead picks the access path for reading relation name filtered by
 // where; flat reports flat-level predicate semantics (SELECT FLAT and
 // UPDATE), which admit two-sided Any windows.
 func planRead(target Execer, name string, where algebra.Pred, flat bool) (Plan, error) {
-	pl := Plan{Relation: name, Access: HeapScan, Residual: where}
 	info, err := target.IndexInfo(name)
 	if err != nil {
 		return Plan{}, err
 	}
-	switch {
-	case info.Shards != 1:
-		pl.Reason = fmt.Sprintf("relation is hash-sharded %d ways; stored tuples are shard-canonical", info.Shards)
-		return pl, nil
-	case where == nil:
-		pl.Reason = "no predicate"
+	pl := Plan{Relation: name, Access: HeapScan, Residual: where, shards: info.Shards}
+	if info.Shards != 1 || where == nil {
 		return pl, nil
 	}
+	pl.Attr = info.FixedAttr
 
 	var point *value.Atom
 	var lo, hi *engine.Bound
@@ -124,9 +120,7 @@ func planRead(target Execer, name string, where algebra.Pred, flat bool) (Plan, 
 	switch {
 	case point != nil:
 		pl.Access = IndexPoint
-		pl.Attr = info.FixedAttr
 		pl.Point = point
-		pl.Reason = fmt.Sprintf("equality conjunct on indexed attribute %s", info.FixedAttr)
 	case lo != nil || hi != nil:
 		if lo != nil && hi != nil && loAny && hiAny && !flat {
 			// Any/Any window at tuple level: fetch on the lower bound
@@ -135,13 +129,24 @@ func planRead(target Execer, name string, where algebra.Pred, flat bool) (Plan, 
 			pl.Note = "upper bound demoted to residual: a set-valued tuple can match both sides via different atoms"
 		}
 		pl.Access = IndexRange
-		pl.Attr = info.FixedAttr
 		pl.Lo, pl.Hi = lo, hi
-		pl.Reason = fmt.Sprintf("range conjunct(s) on indexed attribute %s", info.FixedAttr)
-	default:
-		pl.Reason = fmt.Sprintf("no usable conjunct on indexed attribute %s", info.FixedAttr)
 	}
 	return pl, nil
+}
+
+// reason is EXPLAIN's one-line why, rendered from the plan's fields.
+func (pl Plan) reason() string {
+	switch {
+	case pl.shards != 1:
+		return fmt.Sprintf("relation is hash-sharded %d ways; stored tuples are shard-canonical", pl.shards)
+	case pl.Residual == nil:
+		return "no predicate"
+	case pl.Access == IndexPoint:
+		return "equality conjunct on indexed attribute " + pl.Attr
+	case pl.Access == IndexRange:
+		return "range conjunct(s) on indexed attribute " + pl.Attr
+	}
+	return "no usable conjunct on indexed attribute " + pl.Attr
 }
 
 // tighterLo reports whether a is a tighter (larger) lower bound than b.
@@ -192,7 +197,7 @@ func (pl Plan) Explain() string {
 	if pl.Residual != nil {
 		fmt.Fprintf(&b, "\n  residual: %s", pl.Residual.String())
 	}
-	fmt.Fprintf(&b, "\n  reason: %s", pl.Reason)
+	fmt.Fprintf(&b, "\n  reason: %s", pl.reason())
 	if pl.Note != "" {
 		fmt.Fprintf(&b, "\n  note: %s", pl.Note)
 	}

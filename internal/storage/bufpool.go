@@ -15,7 +15,7 @@ type Frame struct {
 	dirty bool
 	pins  int
 	owner *Txn          // uncommitted transaction that dirtied (or claimed) the page
-	elem  *list.Element // position in LRU list when unpinned
+	elem  *list.Element // position in the LRU list, for the frame's whole life in the pool
 }
 
 // Page returns the buffered page for in-place reads and writes. The
@@ -58,8 +58,10 @@ type commitReq struct {
 	done   chan struct{}
 }
 
-// BufferPool caches pages with LRU eviction. Pinned frames are never
-// evicted. The pool is transactional and no-steal: every mutation
+// BufferPool caches pages with LRU eviction. Every cached frame stays on
+// the LRU list, the last unpin moves it to the front, eviction skips
+// pinned frames, and a miss reuses the frame it evicts. The pool is
+// transactional and no-steal: every mutation
 // happens under a Txn, a dirty page never reaches the data file before
 // its transaction's batch is committed to the log, eviction takes only
 // clean frames, and the pool temporarily overflows its capacity when
@@ -72,7 +74,7 @@ type BufferPool struct {
 	wal       *WAL // nil = read-only pool
 	capacity  int
 	frames    map[uint32]*Frame
-	lru       *list.List // of *Frame, front = most recently unpinned
+	lru       *list.List // of every cached *Frame, front = most recently unpinned
 
 	// group-commit scheduler: committing transactions enqueue under
 	// qmu; whoever holds leaderMu drains the queue and commits every
@@ -231,10 +233,7 @@ func (bp *BufferPool) GetMut(txn *Txn, pid uint32) (*Frame, error) {
 		// lookup from scratch once the owner commits or rolls back.
 		// The owner's commit never waits on a claim, so the wait
 		// always terminates.
-		fr.pins--
-		if fr.pins == 0 {
-			fr.elem = bp.lru.PushFront(fr)
-		}
+		bp.unpinReadLocked(fr)
 		bp.ownerCond.Wait()
 	}
 }
@@ -245,17 +244,13 @@ func (bp *BufferPool) getLocked(pid uint32) (*Frame, error) {
 	}
 	if fr, ok := bp.frames[pid]; ok {
 		bp.stats.Hits++
-		if fr.pins == 0 && fr.elem != nil {
-			bp.lru.Remove(fr.elem)
-			fr.elem = nil
-		}
 		fr.pins++
 		return fr, nil
 	}
 	bp.stats.Misses++
-	bp.makeRoomLocked()
-	fr := &Frame{pid: pid, pins: 1}
+	fr := bp.newFrameLocked(pid)
 	if err := bp.pager.Read(pid, &fr.page); err != nil {
+		bp.dropLocked(fr)
 		return nil, err
 	}
 	if err := fr.page.VerifyChecksum(); err != nil {
@@ -266,10 +261,12 @@ func (bp *BufferPool) getLocked(pid uint32) (*Frame, error) {
 			img, ok = bp.wal.Image(pid)
 		}
 		if !ok {
+			bp.dropLocked(fr)
 			return nil, fmt.Errorf("page %d: %w", pid, err)
 		}
 		fr.page = img
 		if werr := bp.pager.Write(pid, &fr.page); werr != nil {
+			bp.dropLocked(fr)
 			return nil, fmt.Errorf("page %d: repairing torn page: %w", pid, werr)
 		}
 		bp.stats.Repairs++
@@ -278,9 +275,9 @@ func (bp *BufferPool) getLocked(pid uint32) (*Frame, error) {
 	// downstream slot arithmetic never indexes out of range on a torn
 	// or garbage page.
 	if err := fr.page.Validate(); err != nil {
+		bp.dropLocked(fr)
 		return nil, fmt.Errorf("page %d: %w", pid, err)
 	}
-	bp.frames[pid] = fr
 	return fr, nil
 }
 
@@ -325,10 +322,6 @@ func (bp *BufferPool) NewPage(txn *Txn) (*Frame, error) {
 			// so a foreign owner here is a latching bug, not a wait
 			return nil, fmt.Errorf("storage: recycled page %d owned by another transaction", pid)
 		}
-		if fr.elem != nil {
-			bp.lru.Remove(fr.elem)
-			fr.elem = nil
-		}
 		if fr.owner == nil {
 			// The cached content is the page's last committed life; a
 			// pinned snapshot may still reach it through a since-dropped
@@ -340,8 +333,7 @@ func (bp *BufferPool) NewPage(txn *Txn) (*Frame, error) {
 		bp.markDirtyLocked(fr, txn)
 		return fr, nil
 	}
-	bp.makeRoomLocked()
-	fr := &Frame{pid: pid, pins: 1}
+	fr := bp.newFrameLocked(pid)
 	if recycled {
 		// Uncached recycled page: its last committed life is on disk and
 		// may still be snapshot-reachable. Best-effort capture — a page
@@ -355,7 +347,6 @@ func (bp *BufferPool) NewPage(txn *Txn) (*Frame, error) {
 		}
 	}
 	fr.page.Init()
-	bp.frames[pid] = fr
 	bp.markDirtyLocked(fr, txn)
 	return fr, nil
 }
@@ -392,31 +383,43 @@ func (bp *BufferPool) Unpin(fr *Frame, dirty bool) error {
 			delete(bp.bases, fr.pid)
 			bp.ownerCond.Broadcast()
 		}
-		fr.elem = bp.lru.PushFront(fr)
+		bp.lru.MoveToFront(fr.elem)
 	}
 	return nil
 }
 
-// makeRoomLocked evicts the least recently used clean frame if the
-// pool is at capacity. A dirty frame must not reach the data file
+// newFrameLocked caches a frame for pid, pinned once, clean and
+// unowned, with stale page bytes for the caller to fill. At capacity it
+// evicts the least recently used unpinned clean frame and reuses it,
+// list element included. A dirty frame must not reach the data file
 // before its batch commits (no-steal), so a pool with no clean unpinned
 // frame overflows its capacity instead.
-func (bp *BufferPool) makeRoomLocked() {
-	if len(bp.frames) < bp.capacity {
-		return
-	}
-	for e := bp.lru.Back(); e != nil; e = e.Prev() {
-		fr := e.Value.(*Frame)
-		if fr.dirty {
-			continue
+func (bp *BufferPool) newFrameLocked(pid uint32) *Frame {
+	var fr *Frame
+	for e := bp.lru.Back(); e != nil && fr == nil && len(bp.frames) >= bp.capacity; e = e.Prev() {
+		if v := e.Value.(*Frame); v.pins == 0 && !v.dirty {
+			fr = v
+			delete(bp.frames, fr.pid)
+			bp.stats.Evictions++
+			bp.lru.MoveToFront(fr.elem)
 		}
-		bp.lru.Remove(e)
-		fr.elem = nil
-		delete(bp.frames, fr.pid)
-		bp.stats.Evictions++
-		return
 	}
-	bp.stats.Overflows++
+	if fr == nil {
+		if len(bp.frames) >= bp.capacity {
+			bp.stats.Overflows++
+		}
+		fr = &Frame{}
+		fr.elem = bp.lru.PushFront(fr)
+	}
+	fr.pid, fr.pins, fr.dirty, fr.owner = pid, 1, false, nil
+	bp.frames[pid] = fr
+	return fr
+}
+
+// dropLocked removes fr from the pool.
+func (bp *BufferPool) dropLocked(fr *Frame) {
+	bp.lru.Remove(fr.elem)
+	delete(bp.frames, fr.pid)
 }
 
 // CommitTxn makes the transaction durable: its dirty pages are appended
@@ -594,11 +597,7 @@ func (bp *BufferPool) Rollback(txn *Txn) error {
 			pinned = append(pinned, pid)
 			continue
 		}
-		if fr.elem != nil {
-			bp.lru.Remove(fr.elem)
-			fr.elem = nil
-		}
-		delete(bp.frames, pid)
+		bp.dropLocked(fr)
 		delete(bp.bases, pid) // next read reloads the same committed image
 		fr.dirty = false
 		fr.owner = nil

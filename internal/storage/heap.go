@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -128,19 +129,26 @@ func (h *HeapFile) Insert(txn *Txn, rec []byte) (RID, error) {
 }
 
 // Get returns a copy of the record at rid.
-func (h *HeapFile) Get(rid RID) ([]byte, error) {
+func (h *HeapFile) Get(rid RID) (rec []byte, err error) {
+	err = h.View(rid, func(r []byte) { rec = bytes.Clone(r) })
+	return rec, err
+}
+
+// View calls fn with the record at rid while its page is pinned; rec is
+// only valid during the call. A rid that names no live record is
+// ErrBadSlot, and fn is not called.
+func (h *HeapFile) View(rid RID, fn func(rec []byte)) error {
 	fr, err := h.bp.Get(rid.Page)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rec, err := fr.Page().Get(int(rid.Slot))
 	if err != nil {
 		h.bp.Unpin(fr, false)
-		return nil, err
+		return err
 	}
-	cp := make([]byte, len(rec))
-	copy(cp, rec)
-	return cp, h.bp.Unpin(fr, false)
+	fn(rec)
+	return h.bp.Unpin(fr, false)
 }
 
 // Delete tombstones the record at rid under txn.

@@ -178,8 +178,8 @@ func (s *Snapshot) Get(pid uint32, out *Page) error {
 // (the snapshot path's private unpin — no ownership bookkeeping).
 func (bp *BufferPool) unpinReadLocked(fr *Frame) {
 	fr.pins--
-	if fr.pins == 0 && fr.elem == nil {
-		fr.elem = bp.lru.PushFront(fr)
+	if fr.pins == 0 {
+		bp.lru.MoveToFront(fr.elem)
 	}
 }
 

@@ -219,6 +219,147 @@ func TestBufferPoolPinEvict(t *testing.T) {
 	if evictions == 0 || misses == 0 {
 		t.Error("expected evictions and misses")
 	}
+
+	// A pinned frame is never evicted, so never reused for another page,
+	// while ten other pages cycle through the one frame left.
+	for i := 4; i < 14; i++ {
+		fr, err := bp.NewPage(txn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr.Page().Insert([]byte{byte(i + 1)})
+		pids = append(pids, fr.PID())
+		if err := bp.Unpin(fr, true); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bp.CommitTxn(txn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pinned, err := bp.Get(pids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := *pinned.Page()
+	for _, pid := range pids[4:] {
+		fr, err := bp.Get(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fr == pinned {
+			t.Fatalf("page %d loaded into the frame pinned for page %d", pid, pids[0])
+		}
+		bp.Unpin(fr, false)
+	}
+	if pinned.PID() != pids[0] || *pinned.Page() != want {
+		t.Errorf("pinned frame of page %d changed under its pin (now page %d)", pids[0], pinned.PID())
+	}
+	bp.Unpin(pinned, false)
+}
+
+// memPool returns a read-only pool of the given capacity over a
+// MemFile holding n committed empty pages, ids 1..n.
+func memPool(t testing.TB, capacity, n int) *BufferPool {
+	t.Helper()
+	pg, err := NewPager(&MemFile{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p Page
+	p.Init()
+	for i := 0; i < n; i++ {
+		pid, err := pg.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pg.Write(pid, &p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bp, err := NewBufferPool(pg, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bp
+}
+
+// getUnpin pins page pid for reading and releases it.
+func getUnpin(t testing.TB, bp *BufferPool, pid uint32) {
+	fr, err := bp.Get(pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bp.Unpin(fr, false); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBufferPoolAllocs: a hit and a miss that evicts a clean frame
+// allocate nothing. The LRU list keeps every cached frame, so an unpin
+// moves an element instead of allocating one, and a miss reuses the
+// frame it evicted.
+func TestBufferPoolAllocs(t *testing.T) {
+	bp := memPool(t, 1, 2)
+	getUnpin(t, bp, 1)
+	if n := testing.AllocsPerRun(100, func() { getUnpin(t, bp, 1) }); n != 0 {
+		t.Errorf("pool hit: %v allocations, want 0", n)
+	}
+	pid := uint32(1)
+	if n := testing.AllocsPerRun(100, func() {
+		pid = 3 - pid
+		getUnpin(t, bp, pid)
+	}); n != 0 {
+		t.Errorf("pool miss at capacity: %v allocations, want 0", n)
+	}
+	if hits, misses, evictions := bp.Stats(); hits < 100 || misses < 100 || evictions < 100 {
+		t.Errorf("stats = %d hits, %d misses, %d evictions; want ≥ 100 each", hits, misses, evictions)
+	}
+}
+
+// BenchmarkBufferPoolGet: one op pins a page and releases it. "hit"
+// reads a cached page; "miss" alternates two pages through a
+// one-frame pool, so every op evicts a clean frame and reads the data
+// file; "getmut" claims a cached page under a transaction and releases
+// the claim unmodified.
+func BenchmarkBufferPoolGet(b *testing.B) {
+	b.Run("hit", func(b *testing.B) {
+		bp := memPool(b, 8, 1)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			getUnpin(b, bp, 1)
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		bp := memPool(b, 1, 2)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			getUnpin(b, bp, uint32(1+i%2))
+		}
+	})
+	b.Run("getmut", func(b *testing.B) {
+		_, _, bp := newWALPool(b, 8)
+		txn := bp.Begin()
+		fr, err := bp.NewPage(txn)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pid := fr.PID()
+		bp.Unpin(fr, true)
+		if _, err := bp.CommitTxn(txn); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fr, err := bp.GetMut(txn, pid)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := bp.Unpin(fr, false); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestBufferPoolAllPinned: with every frame pinned there is nothing to

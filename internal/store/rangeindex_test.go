@@ -1,11 +1,13 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
 	"testing"
 
+	"repro/internal/encoding"
 	"repro/internal/tuple"
 	"repro/internal/value"
 )
@@ -237,5 +239,52 @@ func TestRangeIndexMaintenance(t *testing.T) {
 	}
 	if !sort.StringsAreSorted(names) {
 		t.Fatalf("range scan out of order: %v", names)
+	}
+}
+
+// TestDeadIndexedSlotIsCorrupt: a B+tree entry whose record was
+// tombstoned around the store names no record, so the probe and the
+// range scan that follow it report ErrCorrupt, as a heap scan that
+// meets damaged records does.
+func TestDeadIndexedSlotIsCorrupt(t *testing.T) {
+	st, err := Open(filepath.Join(t.TempDir(), "db.nfrs"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	def := testDef(t)
+	txn := st.Begin()
+	rs, err := st.CreateRelation(txn, def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{"s1", "s2"} {
+		if err := rs.Insert(txn, tupleOf([][]string{{"c1"}, {"b1"}, {s}}, def.Order)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Commit(txn); err != nil {
+		t.Fatal(err)
+	}
+	sh := rs.Shard(0)
+	rids, err := sh.rangeD.Get(encoding.AppendOrderedAtom(nil, value.NewString("s1")))
+	if err != nil || len(rids) != 1 {
+		t.Fatalf("index entries of s1: %v, %v", rids, err)
+	}
+	txn = st.Begin()
+	if err := sh.heap.Delete(txn, rids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Commit(txn); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rs.LookupFixed(value.NewString("s1")); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("LookupFixed through a dead slot: %v, want ErrCorrupt", err)
+	}
+	if _, _, err := rs.ScanFixedRange(nil, nil); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("ScanFixedRange through a dead slot: %v, want ErrCorrupt", err)
+	}
+	if ts, err := rs.LookupFixed(value.NewString("s2")); err != nil || len(ts) != 1 {
+		t.Errorf("LookupFixed of the live row: %v, %v", ts, err)
 	}
 }

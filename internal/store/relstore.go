@@ -258,15 +258,19 @@ func (r *Shard) findLocked(t tuple.Tuple) (storage.RID, error) {
 	return storage.RID{}, fmt.Errorf("store: tuple not found in %q: %s", r.def.Name, t)
 }
 
-// fetchLocked reads and decodes the record an index entry points at.
-func (r *Shard) fetchLocked(rid storage.RID) (tuple.Tuple, error) {
-	rec, err := r.heap.Get(rid)
-	if err != nil {
+// fetchLocked decodes the record an index entry points at while its
+// page is pinned. A dead slot is ErrCorrupt, as a record that does not
+// decode is.
+func (r *Shard) fetchLocked(rid storage.RID) (t tuple.Tuple, err error) {
+	var bad error
+	err = r.heap.View(rid, func(rec []byte) { t, bad = r.decode(rec) })
+	if errors.Is(err, storage.ErrBadSlot) {
+		bad = err
+	} else if err != nil {
 		return tuple.Tuple{}, err
 	}
-	t, _, err := encoding.DecodeTuple(rec)
-	if err != nil {
-		return tuple.Tuple{}, fmt.Errorf("%w: record %v of %q: %v", ErrCorrupt, rid, r.def.Name, err)
+	if bad != nil {
+		return tuple.Tuple{}, fmt.Errorf("%w: record %v of %q: %v", ErrCorrupt, rid, r.def.Name, bad)
 	}
 	return t, nil
 }
@@ -398,6 +402,16 @@ func (r *Shard) pages() ([]uint32, error) {
 	return append(out, ix...), nil
 }
 
+// decode decodes one heap record of the shard. The tuple shares no
+// bytes with rec, so rec's page may be unpinned afterwards.
+func (r *Shard) decode(rec []byte) (tuple.Tuple, error) {
+	t, n, err := encoding.DecodeTuple(rec)
+	if err == nil && (n != len(rec) || t.Degree() != r.def.Schema.Degree()) {
+		err = errors.New("malformed tuple record")
+	}
+	return t, err
+}
+
 // scanRaw decodes every live record in chain order, reporting rids.
 // r.mu is held for the whole walk so readers never observe page bytes
 // mid-mutation from a concurrent write-through.
@@ -408,16 +422,11 @@ func (r *Shard) scanRaw(ctx context.Context, fn func(rid storage.RID, t tuple.Tu
 }
 
 func (r *Shard) scanRawLocked(ctx context.Context, fn func(rid storage.RID, t tuple.Tuple) bool) error {
-	deg := r.def.Schema.Degree()
 	var decodeErr error
 	err := r.heap.ScanCtx(ctx, func(rid storage.RID, rec []byte) bool {
-		t, n, err := encoding.DecodeTuple(rec)
+		t, err := r.decode(rec)
 		if err != nil {
 			decodeErr = fmt.Errorf("%w: record %v of %q: %v", ErrCorrupt, rid, r.def.Name, err)
-			return false
-		}
-		if n != len(rec) || t.Degree() != deg {
-			decodeErr = fmt.Errorf("%w: record %v of %q: malformed tuple record", ErrCorrupt, rid, r.def.Name)
 			return false
 		}
 		return fn(rid, t)

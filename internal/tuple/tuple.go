@@ -96,6 +96,10 @@ func New(sets ...vset.Set) (Tuple, error) {
 	return Tuple{sets: cp, hash: hashSets(cp)}, nil
 }
 
+// Adopt builds a tuple on sets without New's copy. Every set must be
+// non-empty, and the caller must not modify sets afterwards.
+func Adopt(sets []vset.Set) Tuple { return Tuple{sets: sets, hash: hashSets(sets)} }
+
 // MustNew is New but panics on error.
 func MustNew(sets ...vset.Set) Tuple {
 	t, err := New(sets...)

@@ -8,6 +8,7 @@
 package value
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"math"
@@ -190,44 +191,34 @@ func Equal(a, b Atom) bool { return Compare(a, b) == 0 }
 // Less reports whether a orders strictly before b.
 func Less(a, b Atom) bool { return Compare(a, b) < 0 }
 
-var hashSeed = maphash.MakeSeed()
+// hashSeed hashes the kind byte and fixed-width payload of non-string
+// atoms; stringSeed hashes string payloads, so a string never collides
+// by construction with the bytes of another kind.
+var hashSeed, stringSeed = maphash.MakeSeed(), maphash.MakeSeed()
 
 // Hash returns a 64-bit hash of the atom, stable within a process run.
+// It makes one maphash.Bytes or maphash.String call and builds no hash
+// state.
 func (a Atom) Hash() uint64 {
-	var h maphash.Hash
-	h.SetSeed(hashSeed)
-	h.WriteByte(byte(a.K))
+	var buf [9]byte
+	buf[0] = byte(a.K)
 	switch a.K {
 	case Bool, Int:
-		var buf [8]byte
-		putUint64(buf[:], uint64(a.I))
-		h.Write(buf[:])
+		binary.LittleEndian.PutUint64(buf[1:], uint64(a.I))
 	case Float:
-		var buf [8]byte
 		f := a.F
 		if math.IsNaN(f) {
 			f = math.NaN()
 		} else if f == 0 {
 			f = 0 // -0.0, which Compare calls equal to +0.0
 		}
-		putUint64(buf[:], math.Float64bits(f))
-		h.Write(buf[:])
+		binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(f))
 	case String:
-		h.WriteString(a.S)
+		return maphash.String(stringSeed, a.S)
+	default:
+		return maphash.Bytes(hashSeed, buf[:1])
 	}
-	return h.Sum64()
-}
-
-func putUint64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
+	return maphash.Bytes(hashSeed, buf[:])
 }
 
 // String renders the atom the way the paper prints domain elements:

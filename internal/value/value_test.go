@@ -124,6 +124,12 @@ func TestNaNHandling(t *testing.T) {
 	if nan1.Hash() != nan2.Hash() {
 		t.Error("NaN atoms must hash equal")
 	}
+	// a NaN with another payload, built without NewFloat, is still the
+	// same set element
+	raw := Atom{K: Float, F: math.Float64frombits(0x7ff8000000000001)}
+	if !Equal(raw, nan1) || raw.Hash() != nan1.Hash() {
+		t.Error("a raw NaN payload must compare and hash equal to NewFloat(NaN)")
+	}
 }
 
 func TestHashConsistency(t *testing.T) {
@@ -147,6 +153,10 @@ func TestHashConsistency(t *testing.T) {
 	// different kinds with same payload must not collide in equality
 	if Equal(NewInt(1), NewBool(true)) {
 		t.Error("int 1 == bool true")
+	}
+	// Compare calls -0.0 and +0.0 equal, so they must hash equal
+	if negZero := NewFloat(math.Copysign(0, -1)); !Equal(negZero, NewFloat(0)) || negZero.Hash() != NewFloat(0).Hash() {
+		t.Error("-0.0 and +0.0 must compare and hash equal")
 	}
 }
 

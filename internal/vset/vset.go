@@ -45,12 +45,22 @@ func Single(a value.Atom) Set {
 // no duplicates). It panics if the invariant does not hold; use it only
 // on slices produced by this package or verified by the caller.
 func FromSorted(atoms []value.Atom) Set {
+	s, bad := AdoptSorted(atoms)
+	if bad > 0 {
+		panic("vset: FromSorted input not strictly sorted")
+	}
+	return s
+}
+
+// AdoptSorted adopts atoms without copying if they are strictly
+// ascending; otherwise bad > 0 is the first atom not above atom bad-1.
+func AdoptSorted(atoms []value.Atom) (s Set, bad int) {
 	for i := 1; i < len(atoms); i++ {
 		if value.Compare(atoms[i-1], atoms[i]) >= 0 {
-			panic("vset: FromSorted input not strictly sorted")
+			return Set{}, i
 		}
 	}
-	return fromSorted(atoms)
+	return fromSorted(atoms), 0
 }
 
 func fromSorted(atoms []value.Atom) Set {
