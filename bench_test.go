@@ -326,26 +326,42 @@ func BenchmarkEncodeTuple(b *testing.B) {
 	}
 }
 
-// Heap insert throughput (storage engine).
+// Heap insert throughput (storage engine): one op is one 64-byte
+// record inserted; every 64 inserts commit as one transaction, with
+// its log append and fsync.
 func BenchmarkHeapInsert(b *testing.B) {
-	pg, err := storage.OpenPager(filepath.Join(b.TempDir(), "bench.db"))
+	path := filepath.Join(b.TempDir(), "bench.db")
+	pg, err := storage.OpenPager(path)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer pg.Close()
+	w, err := storage.OpenWAL(path+".wal", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
 	bp, err := storage.NewBufferPool(pg, 64)
 	if err != nil {
 		b.Fatal(err)
 	}
-	h, err := storage.CreateHeap(bp, nil)
+	bp.AttachWAL(w)
+	txn := bp.Begin()
+	h, err := storage.CreateHeap(bp, txn)
 	if err != nil {
 		b.Fatal(err)
 	}
+	const batch = 64
 	rec := make([]byte, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := h.Insert(nil, rec); err != nil {
+		if _, err := h.Insert(txn, rec); err != nil {
 			b.Fatal(err)
+		}
+		if (i+1)%batch == 0 || i == b.N-1 {
+			if _, err := bp.CommitTxn(txn); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -1,10 +1,11 @@
 package storage
 
 import (
+	"cmp"
 	"container/list"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -109,6 +110,7 @@ type BufferPool struct {
 	lsns     map[uint32]uint64
 	bases    map[uint32]*Page
 	versions map[uint32][]pageVersion
+	spare    []*Page // base-image buffers no base or version holds, at most maxSpareBases
 	pins     map[uint64]int
 	failed   error // the sticky ErrFailed (see commitGroup)
 
@@ -338,11 +340,11 @@ func (bp *BufferPool) NewPage(txn *Txn) (*Frame, error) {
 		// Uncached recycled page: its last committed life is on disk and
 		// may still be snapshot-reachable. Best-effort capture — a page
 		// that never made it to disk intact has no committed readers.
-		var prev Page
-		if err := bp.pager.Read(pid, &prev); err == nil && prev.VerifyChecksum() == nil {
-			if _, ok := bp.bases[pid]; !ok {
-				cp := prev
-				bp.bases[pid] = &cp
+		if _, ok := bp.bases[pid]; !ok {
+			img := bp.newBaseLocked()
+			bp.bases[pid] = img
+			if err := bp.pager.Read(pid, img); err != nil || img.VerifyChecksum() != nil {
+				bp.dropBaseLocked(pid)
 			}
 		}
 	}
@@ -380,7 +382,7 @@ func (bp *BufferPool) Unpin(fr *Frame, dirty bool) error {
 			// frame stays evictable and unblocks waiters; the base
 			// captured at claim time matches the frame again
 			fr.owner = nil
-			delete(bp.bases, fr.pid)
+			bp.dropBaseLocked(fr.pid)
 			bp.ownerCond.Broadcast()
 		}
 		bp.lru.MoveToFront(fr.elem)
@@ -461,7 +463,7 @@ func (bp *BufferPool) CommitTxn(txn *Txn) (uint64, error) {
 		frames = append(frames, fr)
 	}
 	bp.mu.Unlock()
-	sort.Slice(frames, func(i, j int) bool { return frames[i].pid < frames[j].pid })
+	slices.SortFunc(frames, func(a, b *Frame) int { return cmp.Compare(a.pid, b.pid) })
 
 	req := &commitReq{txn: txn, frames: frames, done: make(chan struct{})}
 	bp.qmu.Lock()
@@ -567,7 +569,7 @@ func (bp *BufferPool) commitGroup(group []*commitReq) {
 				fr.dirty = false
 				fr.owner = nil
 			}
-			req.txn.dirty = make(map[uint32]*Frame)
+			clear(req.txn.dirty)
 			req.lsn = newLSN
 		}
 		bp.lsn = newLSN
@@ -598,11 +600,11 @@ func (bp *BufferPool) Rollback(txn *Txn) error {
 			continue
 		}
 		bp.dropLocked(fr)
-		delete(bp.bases, pid) // next read reloads the same committed image
+		bp.dropBaseLocked(pid) // next read reloads the same committed image
 		fr.dirty = false
 		fr.owner = nil
 	}
-	txn.dirty = make(map[uint32]*Frame)
+	clear(txn.dirty)
 	txn.clearDeferred()
 	bp.ownerCond.Broadcast()
 	if len(pinned) > 0 {

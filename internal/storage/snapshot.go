@@ -27,6 +27,12 @@ import (
 //     bp.versions keyed by the LSN range it was current for. Unpinning
 //     a snapshot garbage-collects whatever no remaining pin can read.
 
+// maxSpareBases bounds the spare list of base-image buffers: a commit
+// returns each base no pin needs and the next claims take them back,
+// so a steady stream of small transactions copies bases without
+// allocating. Past the bound (64 KiB) a buffer is left to the GC.
+const maxSpareBases = 16
+
 // pageVersion is a superseded committed image: it was the page's
 // current content from lsn up to (but excluding) the next version's
 // lsn — or the page's current lsn, for the newest retained entry.
@@ -190,22 +196,47 @@ func (bp *BufferPool) captureBaseLocked(fr *Frame) {
 	if _, ok := bp.bases[fr.pid]; ok {
 		return
 	}
-	cp := fr.page
-	bp.bases[fr.pid] = &cp
+	cp := bp.newBaseLocked()
+	*cp = fr.page
+	bp.bases[fr.pid] = cp
 }
 
-// retireBaseLocked runs at commit publish for one page: the old
-// committed image either moves into the retained-version chain (some
-// pinned snapshot can still read it) or is dropped.
-func (bp *BufferPool) retireBaseLocked(pid uint32, oldLSN uint64) {
-	base, ok := bp.bases[pid]
+// newBaseLocked returns a page buffer for a base image, from the spare
+// list when it has one.
+func (bp *BufferPool) newBaseLocked() *Page {
+	if n := len(bp.spare); n > 0 {
+		img := bp.spare[n-1]
+		bp.spare = bp.spare[:n-1]
+		return img
+	}
+	return new(Page)
+}
+
+// dropBaseLocked removes pid's base image, if any, and keeps its
+// buffer as a spare, up to maxSpareBases. Nothing else holds a base:
+// a snapshot read copies it out under bp.mu.
+func (bp *BufferPool) dropBaseLocked(pid uint32) {
+	img, ok := bp.bases[pid]
 	if !ok {
 		return
 	}
 	delete(bp.bases, pid)
-	if bp.anyPinAtOrAboveLocked(oldLSN) {
-		bp.versions[pid] = append(bp.versions[pid], pageVersion{lsn: oldLSN, img: base})
+	if len(bp.spare) < maxSpareBases {
+		bp.spare = append(bp.spare, img)
 	}
+}
+
+// retireBaseLocked runs at commit publish for one page: the old
+// committed image either moves into the retained-version chain (some
+// pinned snapshot can still read it) or goes back to the spare list.
+func (bp *BufferPool) retireBaseLocked(pid uint32, oldLSN uint64) {
+	base, ok := bp.bases[pid]
+	if !ok || !bp.anyPinAtOrAboveLocked(oldLSN) {
+		bp.dropBaseLocked(pid)
+		return
+	}
+	delete(bp.bases, pid)
+	bp.versions[pid] = append(bp.versions[pid], pageVersion{lsn: oldLSN, img: base})
 }
 
 // anyPinAtOrAboveLocked reports whether a pinned snapshot exists with

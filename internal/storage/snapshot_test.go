@@ -339,3 +339,33 @@ func TestSnapshotRollbackRestoresBase(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSnapshotPinnedAcrossCommits: a snapshot pinned before 100
+// commits to one page reads that page's pinned bytes after every one
+// of them. The base image each commit retires is retained for the pin
+// and must never return to the pool's spare list, where the next
+// claim would overwrite it.
+func TestSnapshotPinnedAcrossCommits(t *testing.T) {
+	_, _, bp := newWALPool(t, 8)
+	txn := bp.Begin()
+	pid := dirtyNewPage(t, bp, txn, "v0")
+	if _, err := bp.CommitTxn(txn); err != nil {
+		t.Fatal(err)
+	}
+	snap := bp.PinSnapshot()
+	defer snap.Close()
+	for i := 1; i <= 100; i++ {
+		setRecord(t, bp, txn, pid, fmt.Sprintf("v%d", i))
+		if _, err := bp.CommitTxn(txn); err != nil {
+			t.Fatal(err)
+		}
+		if got := snapRecord(t, snap, pid); got != "v0" {
+			t.Fatalf("after commit %d the pinned snapshot reads %q, want v0", i, got)
+		}
+	}
+	now := bp.PinSnapshot()
+	defer now.Close()
+	if got := snapRecord(t, now, pid); got != "v100" {
+		t.Fatalf("a fresh snapshot reads %q, want v100", got)
+	}
+}

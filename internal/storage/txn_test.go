@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -328,4 +329,91 @@ func TestRollbackDiscardsDirtyFrames(t *testing.T) {
 		t.Fatal("uncommitted record survived rollback")
 	}
 	bp.Unpin(rfr, false)
+}
+
+// TestCommitAllocs: a steady-state commit that logs three delta pages
+// (a heap record, a B+tree leaf entry and the tree's meta page)
+// allocates less than one page's worth per commit, on a MemFS whose
+// writes copy into buffers it already has. Base images come from the
+// pool's spare list, log records are built in the WAL's buffer, and
+// the retained log images are refreshed in place.
+func TestCommitAllocs(t *testing.T) {
+	fs := NewMemFS()
+	f, err := fs.Open("db", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, err := NewPager(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := OpenWAL("db.wal", fs.Open)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp, err := NewBufferPool(pg, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp.AttachWAL(w)
+	txn := bp.Begin()
+	h, err := CreateHeap(bp, txn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := CreateBTree(bp, txn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		rid, err := h.Insert(txn, []byte(fmt.Sprintf("record %04d", i)))
+		if err == nil {
+			err = ix.Put(txn, btKey(i), rid)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := bp.CommitTxn(txn); err != nil {
+		t.Fatal(err)
+	}
+	// One op inserts a record and its key, the next removes both.
+	rec, key := []byte("the toggled record"), btKey(999)
+	var rid RID
+	write := func(i int) {
+		var err error
+		if i%2 == 0 {
+			if rid, err = h.Insert(txn, rec); err == nil {
+				err = ix.Put(txn, key, rid)
+			}
+		} else if _, err = ix.Delete(txn, key, rid); err == nil {
+			err = h.Delete(txn, rid)
+		}
+		if err == nil {
+			_, err = bp.CommitTxn(txn)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		write(i)
+	}
+	const commits = 1000
+	before := w.Stats()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < commits; i++ {
+		write(i)
+	}
+	runtime.ReadMemStats(&m1)
+	if st := w.Stats(); st.DeltaPages-before.DeltaPages != 3*commits || st.FullPages != before.FullPages {
+		t.Fatalf("%d commits logged %d deltas and %d full images, want %d and 0", commits,
+			st.DeltaPages-before.DeltaPages, st.FullPages-before.FullPages, 3*commits)
+	}
+	per := (m1.TotalAlloc - m0.TotalAlloc) / commits
+	t.Logf("%d B per commit", per)
+	if per >= PageSize {
+		t.Fatalf("a three-page commit allocates %d B, want under one page (%d B)", per, PageSize)
+	}
 }

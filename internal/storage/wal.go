@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
+	"math/bits"
 	"sync"
 	"time"
 )
@@ -73,6 +74,10 @@ const (
 	// walDeltaMax caps a delta payload: past half a page the full image
 	// is barely bigger and needs no base to replay.
 	walDeltaMax = PageSize / 2
+
+	// walBufKeep bounds the record buffer the WAL keeps between
+	// appends: 16 full page records. A larger group's buffer is dropped.
+	walBufKeep = 16 * walPageRecSize
 )
 
 // ErrCorruptWAL wraps WAL open failures that are not a plain torn tail
@@ -124,6 +129,7 @@ type WAL struct {
 	clock    uint64           // highest commit LSN carried by the log
 	hdrClock uint64           // clock value currently persisted in the header
 	images   map[uint32]*Page // latest committed image per page since the last reset
+	buf      []byte           // AppendGroup's record buffer, kept up to walBufKeep bytes
 	stats    WALStats
 	broken   error // a failed append's bytes could not be cut off: refuse appends
 }
@@ -356,45 +362,81 @@ func tornHeader(hdr, prefix []byte) bool {
 	return true
 }
 
-// diffPage returns a physiological delta payload transforming prev
-// into cur — `nranges:u16 {off:u16 len:u16 bytes}` with nearby ranges
-// merged — or ok=false when the delta would not be materially smaller
-// than a full image (then the caller logs the image).
-func diffPage(prev, cur *Page) ([]byte, bool) {
+// diffPage appends to dst a physiological delta payload transforming
+// prev into cur — `nranges:u16 {off:u16 len:u16 bytes}` — or returns
+// dst unchanged and ok=false when the payload would pass walDeltaMax
+// (then the caller logs the full image). A range runs from a changed
+// byte to the last changed byte before 16 or more equal ones, so
+// nearby edits share one range header. The scan skips equal 256- and
+// 32-byte blocks and then 8-byte words to the next changed byte, and
+// follows a range a word at a time, so a page costs about its changed
+// bytes plus PageSize/256 block compares. The payload is the one a
+// byte-at-a-time scan with the same merge rule writes
+// (TestDiffPageMatchesByteLoop and FuzzDiffPage hold it there).
+func diffPage(dst []byte, prev, cur *Page) ([]byte, bool) {
 	const gap = 16 // merge ranges separated by fewer unchanged bytes
-	type span struct{ off, end int }
-	var spans []span
-	for i := 0; i < PageSize; {
-		if prev[i] == cur[i] {
-			i++
-			continue
+	base := len(dst)
+	dst = append(dst, 0, 0) // nranges, set once the scan is done
+	n := 0
+	for i := nextDiff(prev, cur, 0); i < PageSize; n++ {
+		// limit is the last end this range may reach within walDeltaMax.
+		limit := i + walDeltaMax - (len(dst) - base) - 4
+		// The range so far is [i, end); the bytes in [end, p) are equal
+		// and fewer than gap, so a change before end+gap extends it.
+		end, p, next := i+1, i+1, PageSize
+		for end <= limit && p < PageSize {
+			x := xorWord(prev, cur, p)
+			if x == 0 {
+				if p += 8; p-end >= gap {
+					next = nextDiff(prev, cur, min(p, PageSize))
+					break
+				}
+				continue
+			}
+			if q := p + bits.TrailingZeros64(x)/8; q-end >= gap {
+				next = q
+				break
+			}
+			end = p + 8 - bits.LeadingZeros64(x)/8
+			p += 8
 		}
-		j := i + 1
-		for j < PageSize && prev[j] != cur[j] {
-			j++
+		if end > limit {
+			return dst[:base], false
 		}
-		if n := len(spans); n > 0 && i-spans[n-1].end < gap {
-			spans[n-1].end = j
-		} else {
-			spans = append(spans, span{i, j})
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(i))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(end-i))
+		dst = append(dst, cur[i:end]...)
+		i = next
+	}
+	binary.LittleEndian.PutUint16(dst[base:], uint16(n))
+	return dst, true
+}
+
+// xorWord returns the xor of the 8 bytes of a and b at offset p, read
+// little-endian; bytes past the end of the page read as equal.
+func xorWord(a, b *Page, p int) uint64 {
+	if p+8 <= PageSize {
+		return binary.LittleEndian.Uint64(a[p:]) ^ binary.LittleEndian.Uint64(b[p:])
+	}
+	const last = PageSize - 8
+	return (binary.LittleEndian.Uint64(a[last:]) ^ binary.LittleEndian.Uint64(b[last:])) >> (8 * (p - last))
+}
+
+// nextDiff returns the first offset at or after i where a and b
+// differ, or PageSize when none does.
+func nextDiff(a, b *Page, i int) int {
+	for i+256 <= PageSize && bytes.Equal(a[i:i+256], b[i:i+256]) {
+		i += 256
+	}
+	for i+32 <= PageSize && bytes.Equal(a[i:i+32], b[i:i+32]) {
+		i += 32
+	}
+	for ; i < PageSize; i += 8 {
+		if x := xorWord(a, b, i); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
 		}
-		i = j
 	}
-	size := 2
-	for _, s := range spans {
-		size += 4 + s.end - s.off
-	}
-	if size > walDeltaMax {
-		return nil, false
-	}
-	payload := make([]byte, 0, size)
-	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(spans)))
-	for _, s := range spans {
-		payload = binary.LittleEndian.AppendUint16(payload, uint16(s.off))
-		payload = binary.LittleEndian.AppendUint16(payload, uint16(s.end-s.off))
-		payload = append(payload, cur[s.off:s.end]...)
-	}
-	return payload, true
+	return PageSize
 }
 
 // applyDelta folds a delta payload onto img in place, bounds-checking
@@ -472,7 +514,12 @@ func (w *WAL) AppendGroup(batches [][]WALPage, lsn uint64) error {
 		}
 		w.size = int64(len(hdr))
 	}
-	buf := make([]byte, 0, n*walPageRecSize+len(batches)*walCommitRecSize)
+	// Each record is appended straight into w.buf and its CRC taken over
+	// the buffer's tail, so a commit allocates nothing per record.
+	buf := w.buf[:0]
+	if need := n*walPageRecSize + len(batches)*walCommitRecSize; cap(buf) < need {
+		buf = make([]byte, 0, need)
+	}
 	seq := w.seq
 	nBatches, nFull, nDelta := 0, 0, 0
 	for _, pages := range batches {
@@ -480,36 +527,37 @@ func (w *WAL) AppendGroup(batches [][]WALPage, lsn uint64) error {
 			continue
 		}
 		for _, p := range pages {
+			rec := len(buf)
 			if prev, ok := w.images[p.PID]; ok {
-				if payload, ok := diffPage(prev, p.Img); ok {
-					rec := make([]byte, 0, walDeltaHdrSize+len(payload)+4)
-					rec = append(rec, walRecDelta)
-					rec = binary.LittleEndian.AppendUint32(rec, p.PID)
-					rec = binary.LittleEndian.AppendUint32(rec, uint32(len(payload)))
-					rec = append(rec, payload...)
-					rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(rec, crcTable))
-					buf = append(buf, rec...)
+				buf = append(buf, walRecDelta)
+				buf = binary.LittleEndian.AppendUint32(buf, p.PID)
+				buf = binary.LittleEndian.AppendUint32(buf, 0) // size, set below
+				if out, ok := diffPage(buf, prev, p.Img); ok {
+					buf = out
+					binary.LittleEndian.PutUint32(buf[rec+5:], uint32(len(buf)-rec-walDeltaHdrSize))
+					buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[rec:], crcTable))
 					nDelta++
 					continue
 				}
+				buf = buf[:rec]
 			}
-			rec := make([]byte, 0, walPageRecSize)
-			rec = append(rec, walRecPage)
-			rec = binary.LittleEndian.AppendUint32(rec, p.PID)
-			rec = append(rec, p.Img[:]...)
-			rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(rec, crcTable))
-			buf = append(buf, rec...)
+			buf = append(buf, walRecPage)
+			buf = binary.LittleEndian.AppendUint32(buf, p.PID)
+			buf = append(buf, p.Img[:]...)
+			buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[rec:], crcTable))
 			nFull++
 		}
 		seq++
 		nBatches++
-		commit := make([]byte, 0, walCommitRecSize)
-		commit = append(commit, walRecCommit)
-		commit = binary.LittleEndian.AppendUint64(commit, seq)
-		commit = binary.LittleEndian.AppendUint32(commit, uint32(len(pages)))
-		commit = binary.LittleEndian.AppendUint64(commit, lsn)
-		commit = binary.LittleEndian.AppendUint32(commit, crc32.Checksum(commit, crcTable))
-		buf = append(buf, commit...)
+		rec := len(buf)
+		buf = append(buf, walRecCommit)
+		buf = binary.LittleEndian.AppendUint64(buf, seq)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(pages)))
+		buf = binary.LittleEndian.AppendUint64(buf, lsn)
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[rec:], crcTable))
+	}
+	if cap(buf) <= walBufKeep {
+		w.buf = buf
 	}
 	if _, err := w.f.WriteAt(buf, w.size); err != nil {
 		return w.undoAppend(err)
@@ -531,10 +579,17 @@ func (w *WAL) AppendGroup(batches [][]WALPage, lsn uint64) error {
 	w.stats.FullPages += nFull
 	w.stats.DeltaPages += nDelta
 	w.stats.BytesLogged += len(buf)
+	// Only now, with the group durable, may the images move: a failed
+	// append must leave the next one diffing against the last committed
+	// bytes. A page already retained is overwritten in place.
 	for _, pages := range batches {
 		for _, p := range pages {
-			img := *p.Img
-			w.images[p.PID] = &img
+			if img := w.images[p.PID]; img != nil {
+				*img = *p.Img
+			} else {
+				img := *p.Img
+				w.images[p.PID] = &img
+			}
 		}
 	}
 	return nil

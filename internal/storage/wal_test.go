@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -496,7 +497,7 @@ func TestDiffPageApplyDeltaRoundTrip(t *testing.T) {
 	cur[2000] = 7
 	cur[PageSize-9] ^= 0xaa
 	cur.StampChecksum()
-	payload, ok := diffPage(prev, &cur)
+	payload, ok := diffPage(nil, prev, &cur)
 	if !ok {
 		t.Fatal("small edit did not encode as a delta")
 	}
@@ -511,7 +512,7 @@ func TestDiffPageApplyDeltaRoundTrip(t *testing.T) {
 		t.Fatal("applyDelta(diffPage(prev,cur)) != cur")
 	}
 	// identical pages: a valid, nearly empty delta
-	same, ok := diffPage(prev, prev)
+	same, ok := diffPage(nil, prev, prev)
 	if !ok || len(same) != 2 {
 		t.Fatalf("identical-page delta = %d bytes, ok=%v", len(same), ok)
 	}
@@ -520,7 +521,7 @@ func TestDiffPageApplyDeltaRoundTrip(t *testing.T) {
 	for i := range noise {
 		noise[i] = byte(i*31 + 7)
 	}
-	if _, ok := diffPage(prev, &noise); ok {
+	if _, ok := diffPage(nil, prev, &noise); ok {
 		t.Fatal("whole-page rewrite encoded as a delta")
 	}
 	// malformed payloads are refused, never applied out of bounds
@@ -534,5 +535,308 @@ func TestDiffPageApplyDeltaRoundTrip(t *testing.T) {
 		if err := applyDelta(&img, bad); err == nil {
 			t.Fatalf("malformed payload %v accepted", bad)
 		}
+	}
+}
+
+// diffPageRef is the byte-at-a-time delta encoder diffPage replaced:
+// the reference whose payload diffPage must write byte for byte.
+func diffPageRef(prev, cur *Page) ([]byte, bool) {
+	const gap = 16
+	type span struct{ off, end int }
+	var spans []span
+	for i := 0; i < PageSize; {
+		if prev[i] == cur[i] {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < PageSize && prev[j] != cur[j] {
+			j++
+		}
+		if n := len(spans); n > 0 && i-spans[n-1].end < gap {
+			spans[n-1].end = j
+		} else {
+			spans = append(spans, span{i, j})
+		}
+		i = j
+	}
+	size := 2
+	for _, s := range spans {
+		size += 4 + s.end - s.off
+	}
+	if size > walDeltaMax {
+		return nil, false
+	}
+	payload := make([]byte, 0, size)
+	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(spans)))
+	for _, s := range spans {
+		payload = binary.LittleEndian.AppendUint16(payload, uint16(s.off))
+		payload = binary.LittleEndian.AppendUint16(payload, uint16(s.end-s.off))
+		payload = append(payload, cur[s.off:s.end]...)
+	}
+	return payload, true
+}
+
+// checkDiffPage holds diffPage(prev, cur) to diffPageRef, both alone
+// and appended after a prefix, and checks that the payload rebuilds
+// cur from prev.
+func checkDiffPage(t *testing.T, prev, cur *Page) {
+	t.Helper()
+	want, wantOK := diffPageRef(prev, cur)
+	got, ok := diffPage(nil, prev, cur)
+	if ok != wantOK || !bytes.Equal(got, want) {
+		t.Fatalf("diffPage = (%d bytes, %v), byte loop = (%d bytes, %v)", len(got), ok, len(want), wantOK)
+	}
+	prefix := []byte("prefix")
+	got, ok = diffPage(prefix, prev, cur)
+	if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) || ok != wantOK {
+		t.Fatal("diffPage after a prefix differs from the byte loop")
+	}
+	if !ok {
+		return
+	}
+	img := *prev
+	if err := applyDelta(&img, want); err != nil {
+		t.Fatal(err)
+	}
+	if img != *cur {
+		t.Fatal("applyDelta(prev, diffPage(prev, cur)) != cur")
+	}
+}
+
+// diffEdgeOffsets are the word and block boundaries of diffPage's scan.
+var diffEdgeOffsets = []int{0, 7, 8, 31, 32, 255, 256, 4088, 4095}
+
+// diffBases returns the pages random edit sets start from: zeroed,
+// formatted with one record, and random bytes.
+func diffBases(rng *rand.Rand) []Page {
+	bases := make([]Page, 12)
+	for k := range bases {
+		switch k % 3 {
+		case 1:
+			bases[k].Init()
+			rec := make([]byte, 1+rng.Intn(200))
+			rng.Read(rec)
+			bases[k].Insert(rec)
+		case 2:
+			rng.Read(bases[k][:])
+		}
+	}
+	return bases
+}
+
+// randomEdits sets cur to prev plus a random edit set: runs xored with
+// a nonzero byte, runs of fresh random bytes (which leave some bytes
+// equal inside the run), and strided edits whose gaps straddle the
+// 16-byte merge distance. Some edits start on a block or word boundary,
+// and some are long enough to pass walDeltaMax.
+func randomEdits(rng *rand.Rand, prev, cur *Page) {
+	*cur = *prev
+	for k := rng.Intn(12); k > 0; k-- {
+		off := rng.Intn(PageSize)
+		if rng.Intn(4) == 0 {
+			off = diffEdgeOffsets[rng.Intn(len(diffEdgeOffsets))]
+		}
+		n := 1 + rng.Intn(64)
+		if rng.Intn(16) == 0 {
+			n = 1 + rng.Intn(PageSize)
+		}
+		end := min(off+n, PageSize)
+		switch rng.Intn(3) {
+		case 0:
+			x := byte(1 + rng.Intn(255))
+			for i := off; i < end; i++ {
+				cur[i] ^= x
+			}
+		case 1:
+			rng.Read(cur[off:end])
+		default:
+			stride := 14 + rng.Intn(5) // 13 to 17 equal bytes between edits
+			for i := off; i < end; i += stride {
+				cur[i] ^= 0xff
+			}
+		}
+	}
+}
+
+// TestDiffPageMatchesByteLoop: over 200 000 seeded random edit sets,
+// the block-skipping diffPage writes the byte loop's payload and
+// refuses exactly the deltas it refuses. Under -race, which has no
+// goroutines to watch here, the first 10 000 sets run.
+func TestDiffPageMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	bases := diffBases(rng)
+	sets := 200_000
+	if raceEnabled {
+		sets = 10_000
+	}
+	var cur Page
+	for n := 0; n < sets; n++ {
+		prev := &bases[rng.Intn(len(bases))]
+		randomEdits(rng, prev, &cur)
+		checkDiffPage(t, prev, &cur)
+	}
+}
+
+// diffEdit encodes one FuzzDiffPage edit: xor n bytes from off with x.
+func diffEdit(off, n int, x byte) []byte {
+	e := binary.LittleEndian.AppendUint16(nil, uint16(off))
+	return append(binary.LittleEndian.AppendUint16(e, uint16(n)), x)
+}
+
+// FuzzDiffPage holds diffPage to the byte loop on pages built from a
+// fill pattern and a list of 5-byte edits (off:u16 n:u16 xor:u8).
+func FuzzDiffPage(f *testing.F) {
+	var all []byte
+	for _, off := range diffEdgeOffsets {
+		f.Add([]byte{0}, diffEdit(off, 1, 0xff))
+		f.Add([]byte("pattern"), diffEdit(off, 9, 0x5a))
+		all = append(all, diffEdit(off, 1, 0x01)...)
+	}
+	f.Add([]byte{0}, all)
+	for _, gap := range []int{15, 16, 17} {
+		f.Add([]byte{0}, append(diffEdit(100, 4, 0xff), diffEdit(104+gap, 4, 0xff)...))
+		f.Add([]byte("ab"), append(diffEdit(250, 6, 0x11), diffEdit(256+gap, 3, 0x22)...))
+	}
+	// one range whose payload is exactly walDeltaMax bytes, then one more
+	f.Add([]byte{0}, diffEdit(1000, walDeltaMax-6, 0xff))
+	f.Add([]byte{0}, diffEdit(1000, walDeltaMax-5, 0xff))
+	f.Add([]byte{7, 9}, append(diffEdit(0, 1020, 0xff), diffEdit(1030, 1016, 0xff)...))
+	f.Fuzz(func(t *testing.T, fill, edits []byte) {
+		var prev Page
+		for i := range prev {
+			if len(fill) > 0 {
+				prev[i] = fill[i%len(fill)]
+			}
+		}
+		cur := prev
+		for ; len(edits) >= 5; edits = edits[5:] {
+			off := int(binary.LittleEndian.Uint16(edits)) % PageSize
+			end := min(off+int(binary.LittleEndian.Uint16(edits[2:])), PageSize)
+			for i := off; i < end; i++ {
+				cur[i] ^= edits[4]
+			}
+		}
+		checkDiffPage(t, &prev, &cur)
+	})
+}
+
+// BenchmarkDiffPage prices the delta encoder per page: an entry added
+// to a B+tree leaf, a record appended to a heap page, an unchanged
+// page, and a page rewritten with noise (refused as a delta).
+func BenchmarkDiffPage(b *testing.B) {
+	_, _, bp := newWALPool(b, 16)
+	txn := bp.Begin()
+	ix, err := CreateBTree(bp, txn)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 100; i += 2 {
+		if err := ix.Put(txn, benchKey(i), benchRID(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	leaf := func() Page { // the tree is one leaf below its meta page
+		fr, err := bp.Get(ix.root)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer bp.Unpin(fr, false)
+		return *fr.Page()
+	}
+	leafPrev := leaf()
+	if err := ix.Put(txn, benchKey(51), benchRID(51)); err != nil {
+		b.Fatal(err)
+	}
+	leafCur := leaf()
+
+	var heapPrev Page
+	heapPrev.Init()
+	for i := 0; i < 20; i++ {
+		heapPrev.Insert(bytes.Repeat([]byte{byte(i)}, 90))
+	}
+	heapPrev.StampChecksum()
+	heapSame, heapCur := heapPrev, heapPrev
+	heapCur.Insert(bytes.Repeat([]byte{0xee}, 90))
+	heapCur.StampChecksum()
+
+	var noise Page
+	rand.New(rand.NewSource(1)).Read(noise[:])
+
+	for _, c := range []struct {
+		name      string
+		prev, cur *Page
+	}{
+		{"leaf_edit", &leafPrev, &leafCur},
+		{"heap_append", &heapPrev, &heapCur},
+		{"identical", &heapPrev, &heapSame},
+		{"noise", &heapPrev, &noise},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			buf := make([]byte, 0, PageSize)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf, _ = diffPage(buf[:0], c.prev, c.cur)
+			}
+		})
+	}
+}
+
+// BenchmarkAppendGroup prices one commit's log append: a batch of three
+// delta pages (a heap record, a leaf entry and the meta page, each
+// toggling between two versions) to a log on a MemFS, whose sync does
+// nothing. Every 4096 appends the log is reset and the full images
+// logged again outside the timer, as a checkpoint does, so the file
+// stays small.
+func BenchmarkAppendGroup(b *testing.B) {
+	fs := NewMemFS()
+	w, err := OpenWAL("db.wal", fs.Open)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	var versions [2][3]Page
+	for v := range versions {
+		for k := range versions[v] {
+			p := &versions[v][k]
+			p.Init()
+			for i := 0; i < 10+k; i++ {
+				p.Insert(bytes.Repeat([]byte{byte(i + k)}, 60))
+			}
+			if v == 1 {
+				p.Insert([]byte("one more entry"))
+			}
+			p.StampChecksum()
+		}
+	}
+	batch := func(v int) []WALPage {
+		return []WALPage{{2, &versions[v][0]}, {5, &versions[v][1]}, {9, &versions[v][2]}}
+	}
+	batches := [2][][]WALPage{{batch(0)}, {batch(1)}}
+	checkpoint := func() {
+		if err := w.Reset(); err != nil {
+			b.Fatal(err)
+		}
+		if err := w.AppendGroup(batches[1], w.Clock()+1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	checkpoint()
+	before := w.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%4096 == 0 {
+			b.StopTimer()
+			checkpoint()
+			b.StartTimer()
+		}
+		if err := w.AppendGroup(batches[i%2], w.Clock()+1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := w.Stats(); st.DeltaPages-before.DeltaPages != 3*b.N {
+		b.Fatalf("%d delta records for %d batches of 3 pages", st.DeltaPages-before.DeltaPages, b.N)
 	}
 }

@@ -94,7 +94,7 @@ func pageRecord(pid uint32, img *Page) []byte {
 
 func deltaRecord(t *testing.T, pid uint32, prev, cur *Page) []byte {
 	t.Helper()
-	payload, ok := diffPage(prev, cur)
+	payload, ok := diffPage(nil, prev, cur)
 	if !ok {
 		t.Fatal("the two versions differ by more than a delta holds")
 	}
