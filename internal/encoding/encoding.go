@@ -12,6 +12,7 @@
 package encoding
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -54,41 +55,54 @@ func AppendAtom(dst []byte, a value.Atom) []byte {
 }
 
 // atomAt decodes the atom at the front of b but for a string's
-// payload, and returns its encoded length and the length of the
-// payload, which ends the encoding (0 for other kinds).
-func atomAt(b []byte) (a value.Atom, n, strLen int, err error) {
+// payload, and returns that payload as a slice of b (nil for other
+// kinds) and the atom's encoded length.
+func atomAt(b []byte) (a value.Atom, str []byte, n int, err error) {
+	if str, ok := shortString(b); ok {
+		return value.Atom{K: value.String}, str, 2 + len(str), nil
+	}
 	if len(b) == 0 {
-		return a, 0, 0, fmt.Errorf("%w: empty atom", ErrCorrupt)
+		return a, nil, 0, fmt.Errorf("%w: empty atom", ErrCorrupt)
 	}
 	switch k := value.Kind(b[0]); k {
 	case value.Null:
-		return value.NullAtom(), 1, 0, nil
+		return value.NullAtom(), nil, 1, nil
 	case value.Bool, value.Int:
 		v, n := binary.Varint(b[1:])
 		if n <= 0 {
-			return a, 0, 0, fmt.Errorf("%w: bad varint", ErrCorrupt)
+			return a, nil, 0, fmt.Errorf("%w: bad varint", ErrCorrupt)
 		}
 		if k == value.Bool {
-			return value.NewBool(v != 0), 1 + n, 0, nil
+			return value.NewBool(v != 0), nil, 1 + n, nil
 		}
-		return value.NewInt(v), 1 + n, 0, nil
+		return value.NewInt(v), nil, 1 + n, nil
 	case value.Float:
 		if len(b) < 9 {
-			return a, 0, 0, fmt.Errorf("%w: short float", ErrCorrupt)
+			return a, nil, 0, fmt.Errorf("%w: short float", ErrCorrupt)
 		}
-		return value.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b[1:]))), 9, 0, nil
+		return value.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b[1:]))), nil, 9, nil
 	case value.String:
 		l, n := binary.Uvarint(b[1:])
 		if n <= 0 {
-			return a, 0, 0, fmt.Errorf("%w: bad string length", ErrCorrupt)
+			return a, nil, 0, fmt.Errorf("%w: bad string length", ErrCorrupt)
 		}
 		if uint64(len(b)-1-n) < l {
-			return a, 0, 0, fmt.Errorf("%w: short string", ErrCorrupt)
+			return a, nil, 0, fmt.Errorf("%w: short string", ErrCorrupt)
 		}
-		return value.NewString(""), 1 + n + int(l), int(l), nil
+		return value.NewString(""), b[1+n : 1+n+int(l)], 1 + n + int(l), nil
 	default:
-		return a, 0, 0, fmt.Errorf("%w: unknown atom kind %d", ErrCorrupt, b[0])
+		return a, nil, 0, fmt.Errorf("%w: unknown atom kind %d", ErrCorrupt, b[0])
 	}
+}
+
+// shortString returns the payload of a string atom of fewer than 128
+// bytes, the common atom, at the front of b: its length is one varint
+// byte.
+func shortString(b []byte) ([]byte, bool) {
+	if len(b) > 1 && b[0] == byte(value.String) && b[1] < 0x80 && int(b[1]) < len(b)-1 {
+		return b[2 : 2+b[1]], true
+	}
+	return nil, false
 }
 
 // AppendSet appends the binary encoding of s to dst.
@@ -112,24 +126,22 @@ func AppendTuple(dst []byte, t tuple.Tuple) []byte {
 // EncodeTuple returns the binary encoding of t.
 func EncodeTuple(t tuple.Tuple) []byte { return AppendTuple(nil, t) }
 
-// DecodeTuple decodes one tuple from b. tupleLayout checks the
-// record first; the tuple is then built from three allocations: one
-// string holding every string payload, one atom slice shared by the
-// components, and the component slice. AppendSet writes a set's atoms
-// strictly ascending by value.Compare, so each component is adopted as
-// it stands; atoms out of that order, or repeated, are ErrCorrupt.
-// Because the components share those allocations, a set or atom kept
-// after the tuple is dropped keeps the whole record's atoms and string
-// bytes alive: at most one record's worth per kept set.
+// DecodeTuple decodes one tuple from b. walkTuple checks the record
+// first; the tuple is then built from three allocations: one string
+// holding every string payload, one atom slice shared by the
+// components, and the component slice. Because the components share
+// those allocations, a set or atom kept after the tuple is dropped
+// keeps the whole record's atoms and string bytes alive: at most one
+// record's worth per kept set.
 func DecodeTuple(b []byte) (tuple.Tuple, int, error) {
-	deg, end, atoms, strBytes, err := tupleLayout(b)
+	l, _, err := walkTuple(b, nil)
 	if err != nil {
 		return tuple.Tuple{}, 0, err
 	}
 	var payloads strings.Builder
-	payloads.Grow(strBytes)
-	all := make([]value.Atom, atoms)
-	sets := make([]vset.Set, deg)
+	payloads.Grow(l.strBytes)
+	all := make([]value.Atom, l.atoms)
+	sets := make([]vset.Set, l.deg)
 	_, pos := binary.Uvarint(b)
 	for i := range sets {
 		cnt, n := binary.Uvarint(b[pos:])
@@ -137,55 +149,141 @@ func DecodeTuple(b []byte) (tuple.Tuple, int, error) {
 		set := all[:cnt:cnt]
 		all = all[cnt:]
 		for j := range set {
-			a, n, sl, _ := atomAt(b[pos:])
-			payloads.Write(b[pos+n-sl : pos+n])
+			a, str, n, _ := atomAt(b[pos:])
+			payloads.Write(str)
 			s := payloads.String()
-			a.S = s[len(s)-sl:] // "" but for a string
+			a.S = s[len(s)-len(str):] // "" but for a string
 			set[j] = a
 			pos += n
 		}
-		var bad int
-		if sets[i], bad = vset.AdoptSorted(set); bad > 0 {
-			return tuple.Tuple{}, 0, fmt.Errorf("%w: set atom %d is not above atom %d", ErrCorrupt, bad, bad-1)
-		}
+		sets[i] = vset.Adopt(set)
 	}
-	return tuple.Adopt(sets), end, nil
+	return tuple.Adopt(sets), l.end, nil
 }
 
-// tupleLayout checks that b begins with a tuple whose components are
-// non-empty sets of well-formed atoms, and returns its degree, encoded
-// length, atom count and total string payload length.
-func tupleLayout(b []byte) (deg, end, atoms, strBytes int, err error) {
+// AtomTest is one conjunct a tuple record can answer before it is
+// decoded: some atom a of component Comp has the outcome of
+// value.Compare(a, Val) in Accept, a mask of AcceptLess, AcceptEqual
+// and AcceptGreater.
+type AtomTest struct {
+	Comp   int
+	Val    value.Atom
+	Accept uint8
+}
+
+// The outcomes an AtomTest's Accept mask can hold, bit c+1 for
+// value.Compare's result c.
+const (
+	AcceptLess uint8 = 1 << iota
+	AcceptEqual
+	AcceptGreater
+)
+
+// MaxAtomTests bounds the tests one MatchTuple call takes: walkTuple
+// keeps one bit per test.
+const MaxAtomTests = 64
+
+// MatchTuple reports whether the tuple record rec, of degree deg,
+// passes every test, without decoding it and without allocating. It
+// errs exactly when DecodeTuple(rec) errs, leaves bytes after the
+// tuple, or decodes a degree other than deg; a test on a component the
+// tuple lacks fails.
+func MatchTuple(rec []byte, deg int, tests []AtomTest) (bool, error) {
+	if len(tests) > MaxAtomTests {
+		return false, fmt.Errorf("encoding: %d atom tests, at most %d", len(tests), MaxAtomTests)
+	}
+	l, hit, err := walkTuple(rec, tests)
+	if err != nil {
+		return false, err
+	}
+	if l.end != len(rec) || l.deg != deg {
+		return false, fmt.Errorf("%w: malformed tuple record", ErrCorrupt)
+	}
+	return hit == ^uint64(0)>>(64-len(tests)), nil
+}
+
+// layout is what walkTuple learns of a tuple record: its degree,
+// encoded length, atom count and total string payload length.
+type layout struct{ deg, end, atoms, strBytes int }
+
+// walkTuple is the one walk of a tuple record under DecodeTuple and
+// MatchTuple. It checks that b begins with a tuple whose components
+// are non-empty sets of well-formed atoms, strictly ascending under
+// value.Compare (AppendSet writes them so; out of order or repeated is
+// ErrCorrupt, not repaired), and sets bit j of hit when some atom
+// passes tests[j].
+func walkTuple(b []byte, tests []AtomTest) (l layout, hit uint64, err error) {
 	d, pos := binary.Uvarint(b)
 	if pos <= 0 {
-		return 0, 0, 0, 0, fmt.Errorf("%w: bad tuple degree", ErrCorrupt)
+		return l, 0, fmt.Errorf("%w: bad tuple degree", ErrCorrupt)
 	}
 	if d > uint64(len(b)) {
-		return 0, 0, 0, 0, fmt.Errorf("%w: tuple degree %d too large", ErrCorrupt, d)
+		return l, 0, fmt.Errorf("%w: tuple degree %d too large", ErrCorrupt, d)
 	}
-	for i := uint64(0); i < d; i++ {
+	for i := 0; i < int(d); i++ {
 		cnt, n := binary.Uvarint(b[pos:])
 		if n <= 0 {
-			return 0, 0, 0, 0, fmt.Errorf("%w: bad set count", ErrCorrupt)
+			return l, 0, fmt.Errorf("%w: bad set count", ErrCorrupt)
 		}
 		if cnt > uint64(len(b)-pos) { // each atom needs ≥1 byte
-			return 0, 0, 0, 0, fmt.Errorf("%w: set count %d too large", ErrCorrupt, cnt)
+			return l, 0, fmt.Errorf("%w: set count %d too large", ErrCorrupt, cnt)
 		}
 		if cnt == 0 {
-			return 0, 0, 0, 0, fmt.Errorf("%w: empty tuple component", ErrCorrupt)
+			return l, 0, fmt.Errorf("%w: empty tuple component", ErrCorrupt)
 		}
 		pos += n
-		for j := uint64(0); j < cnt; j++ {
-			_, n, sl, err := atomAt(b[pos:])
-			if err != nil {
-				return 0, 0, 0, 0, err
+		var prev value.Atom
+		var prevStr []byte
+		for j := 0; j < int(cnt); j++ {
+			// a short string is read here, not through atomAt, whose
+			// call and results cost MatchTuple about a fifth of its time
+			a := value.Atom{K: value.String}
+			str, ok := shortString(b[pos:])
+			n := 2 + len(str)
+			if !ok {
+				if a, str, n, err = atomAt(b[pos:]); err != nil {
+					return l, 0, err
+				}
 			}
 			pos += n
-			strBytes += sl
+			if j > 0 && compareEncoded(&prev, prevStr, &a, str) >= 0 {
+				return l, 0, fmt.Errorf("%w: set atom %d is not above atom %d", ErrCorrupt, j, j-1)
+			}
+			prev, prevStr = a, str
+			l.strBytes += len(str)
+			for k := range tests {
+				if tests[k].Comp == i && hit&(1<<k) == 0 && tests[k].Accept&(1<<(compareTo(&a, str, &tests[k].Val)+1)) != 0 {
+					hit |= 1 << k
+				}
+			}
 		}
-		atoms += int(cnt)
+		l.atoms += int(cnt)
 	}
-	return int(d), pos, atoms, strBytes, nil
+	l.deg, l.end = int(d), pos
+	return l, hit, nil
+}
+
+// compareEncoded is value.Compare(*a, *b) for atoms whose string
+// payloads are s and t.
+func compareEncoded(a *value.Atom, s []byte, b *value.Atom, t []byte) int {
+	if a.K == value.String && b.K == value.String {
+		return bytes.Compare(s, t)
+	}
+	return value.Compare(*a, *b)
+}
+
+// compareTo is compareEncoded against a decoded atom v, without copying
+// its string: string(s) in a comparison does not copy s.
+func compareTo(a *value.Atom, s []byte, v *value.Atom) int {
+	switch {
+	case a.K != value.String || v.K != value.String:
+		return value.Compare(*a, *v)
+	case string(s) == v.S:
+		return 0
+	case string(s) < v.S:
+		return -1
+	}
+	return 1
 }
 
 // AppendSchema appends the binary encoding of s to dst.

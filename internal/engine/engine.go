@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dep"
+	"repro/internal/encoding"
 	"repro/internal/schema"
 	"repro/internal/storage"
 	"repro/internal/store"
@@ -517,6 +518,15 @@ func (db *Database) autocommit(fn func(tx *Tx) error) error {
 // The caller owns the copy. ctx cancels the heap walk at page
 // granularity (nil = background).
 func (db *Database) ReadRelation(ctx context.Context, name string) (*core.Relation, error) {
+	return db.ReadFiltered(ctx, name, nil)
+}
+
+// ReadFiltered is ReadRelation of the tuples that pass every test (nil:
+// all); a heap record the tests reject is checked but not decoded. A
+// K-sharded relation's read ignores the tests: it re-canonicalizes the
+// union of its shards, and filtering shard tuples first could change
+// the answer.
+func (db *Database) ReadFiltered(ctx context.Context, name string, tests []encoding.AtomTest) (*core.Relation, error) {
 	if db.isClosed() {
 		return nil, fmt.Errorf("engine: read: %w", ErrClosed)
 	}
@@ -525,16 +535,20 @@ func (db *Database) ReadRelation(ctx context.Context, name string) (*core.Relati
 	}
 	snap := db.st.PinSnapshot()
 	defer snap.Close()
-	if !snap.Has(name) {
+	def, ok := snap.Def(name)
+	if !ok {
 		return nil, errNotFound(name)
 	}
-	rel, err := snap.LoadCtx(ctx, name)
+	if def.Shards > 1 {
+		tests = nil
+	}
+	rel, err := snap.LoadCtx(ctx, name, tests)
 	if err != nil {
 		return nil, err
 	}
 	// a K-sharded heap stores K shard-canonical partitions; merge them
 	// back into the global canonical form
-	if def, _ := snap.Def(name); def.Shards > 1 {
+	if def.Shards > 1 {
 		rel, _ = rel.CanonicalFromFlats(def.Order)
 	}
 	return rel, nil

@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/schema"
 	"repro/internal/store"
 	"repro/internal/value"
 )
@@ -36,7 +37,8 @@ func (b *Bound) toStore() *store.RangeBound {
 // atoms, which answers equality probes and ordered scans.
 type IndexInfo struct {
 	Shards    int
-	FixedAttr string // attribute the canonical form is fixed on (index key)
+	FixedAttr string         // attribute the canonical form is fixed on (index key)
+	Schema    *schema.Schema // the relation's attributes, which record tests index
 }
 
 // IndexInfo reports the named relation's access paths: point probes
@@ -68,12 +70,16 @@ func indexInfoOf(r *Rel) IndexInfo {
 	return IndexInfo{
 		Shards:    len(r.shards),
 		FixedAttr: r.def.Schema.Attr(r.def.Order[len(r.def.Order)-1]).Name,
+		Schema:    r.def.Schema,
 	}
 }
 
 // LookupFixed returns the stored tuples whose fixed component contains
 // atom a, via the owning shard's B+tree (autocommit: the shard is
-// latched for the probe and released).
+// latched for the probe and released). On a sharded relation those are
+// the shard's stored, shard-canonical tuples, not tuples of the
+// relation's canonical form (ReadRelation's); the planner never sends
+// a sharded relation here.
 func (db *Database) LookupFixed(name string, a value.Atom) (*core.Relation, error) {
 	var rel *core.Relation
 	err := db.autocommit(func(tx *Tx) error {
@@ -102,7 +108,10 @@ func (db *Database) ScanFixedRange(name string, lo, hi *Bound) (*core.Relation, 
 // LookupFixed returns the stored tuples whose fixed component contains
 // atom a, as this transaction sees them (its own uncommitted writes
 // included). Only the shard owning the atom is latched — concurrent
-// statements on other shards proceed.
+// statements on other shards proceed. On a sharded relation those are
+// the shard's stored, shard-canonical tuples, not tuples of the
+// relation's canonical form (ReadRelation's); the planner never sends
+// a sharded relation here.
 func (tx *Tx) LookupFixed(name string, a value.Atom) (*core.Relation, error) {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/encoding"
 	"repro/internal/store"
 	"repro/internal/tuple"
 	"repro/internal/update"
@@ -540,6 +541,13 @@ func (tx *Tx) setDrop(name string, r *Rel) {
 // form. ctx (nil = the transaction's context) cancels the heap scan at
 // page-fetch granularity.
 func (tx *Tx) ReadRelation(ctx context.Context, name string) (*core.Relation, error) {
+	return tx.ReadFiltered(ctx, name, nil)
+}
+
+// ReadFiltered is ReadRelation of the tuples that pass every test, as
+// Database.ReadFiltered: nil reads all, and a K-sharded relation's read
+// ignores the tests.
+func (tx *Tx) ReadFiltered(ctx context.Context, name string, tests []encoding.AtomTest) (*core.Relation, error) {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
 	if err := tx.usable(); err != nil {
@@ -555,7 +563,10 @@ func (tx *Tx) ReadRelation(ctx context.Context, name string) (*core.Relation, er
 	if err := tx.latchRel(r); err != nil {
 		return nil, err
 	}
-	rel, err := r.rs.LoadCtx(ctx)
+	if len(r.shards) > 1 {
+		tests = nil
+	}
+	rel, err := r.rs.LoadCtx(ctx, tests)
 	if err != nil {
 		return nil, err
 	}

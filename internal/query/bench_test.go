@@ -58,39 +58,60 @@ func BenchmarkSessionScript(b *testing.B) {
 	}
 }
 
-// BenchmarkSelect times the three read statements of nfr-spine's
-// embed_read through a session on a disk database of 2 000 sparse
-// students with a pool a fraction of the relation: a point SELECT (a
-// B+tree probe), a 20-student SELECT FLAT window (a B+tree range scan,
-// then the fixed-attribute restriction) and a SELECT on Course (a heap
-// scan).
-func BenchmarkSelect(b *testing.B) {
-	const students = 2000
-	db, err := engine.Open(filepath.Join(b.TempDir(), "select.nfrs"), engine.WithPoolPages(32))
+// sparseSession opens a session on a disk database of sparse students
+// (R1, fixed on Student) with a pool a fraction of the relation.
+func sparseSession(tb testing.TB, students int) *Session {
+	db, err := engine.Open(filepath.Join(tb.TempDir(), "select.nfrs"), engine.WithPoolPages(32))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer db.Close()
+	tb.Cleanup(func() { db.Close() })
 	sch := schema.MustOf("Student", "Course", "Club")
 	if err := db.Create(engine.RelationDef{Name: "R1", Schema: sch, Order: schema.MustPermOf(sch, "Course", "Club", "Student")}); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	flats := sparseStudents(students)
 	for len(flats) > 0 {
 		n := min(len(flats), 256)
 		tx, err := db.Begin(context.Background())
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, err := tx.InsertMany("R1", flats[:n]); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := tx.Commit(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		flats = flats[n:]
 	}
-	sess := NewSessionOn(db)
+	return NewSessionOn(db)
+}
+
+// TestHeapScanAllocs: a SELECT on a non-fixed attribute of
+// BenchmarkSelect's relation tests every stored record and decodes
+// only those that hold the course, so its allocations do not grow with
+// the relation's 2 000 tuples.
+func TestHeapScanAllocs(t *testing.T) {
+	sess := sparseSession(t, 2000)
+	const stmt = `SELECT * FROM R1 WHERE Course CONTAINS c001`
+	if res := mustExec(t, sess, stmt); res.Relation.Len() == 0 {
+		t.Fatalf("%s: empty answer", stmt)
+	}
+	if n := testing.AllocsPerRun(10, func() { mustExec(t, sess, stmt) }); n > 100 {
+		t.Errorf("%s: %v allocations, want ≤ 100", stmt, n)
+	}
+}
+
+// BenchmarkSelect times the three read statements of nfr-spine's
+// embed_read through a session on a disk database of 2 000 sparse
+// students with a pool a fraction of the relation: a point SELECT (a
+// B+tree probe), a 20-student SELECT FLAT window (a B+tree range scan,
+// then the fixed-attribute restriction) and a SELECT on Course (a heap
+// scan that decodes only the records holding the course).
+func BenchmarkSelect(b *testing.B) {
+	const students = 2000
+	sess := sparseSession(b, students)
 	rng := rand.New(rand.NewSource(2))
 	stmts := func(format func(i int) string) []string {
 		out := make([]string, 64)

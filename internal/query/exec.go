@@ -10,6 +10,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/dep"
+	"repro/internal/encoding"
 	"repro/internal/engine"
 	"repro/internal/schema"
 	"repro/internal/tuple"
@@ -36,7 +37,7 @@ func (r Result) String() string {
 // statements against. Both *engine.Database (every statement
 // autocommits) and *engine.Tx (statements pool under the transaction
 // until Commit) implement it. The read methods inherit each target's
-// concurrency contract: through a Database, ReadRelation serves a
+// concurrency contract: through a Database, ReadFiltered serves a
 // latch-free MVCC snapshot of the last committed state (docs/mvcc.md),
 // so queries outside a transaction never wait on writers; through a
 // Tx, reads stay on the latched path and see the transaction's own
@@ -46,7 +47,9 @@ type Execer interface {
 	Drop(name string) error
 	Insert(name string, f tuple.Flat) (bool, error)
 	Delete(name string, f tuple.Flat) (bool, error)
-	ReadRelation(ctx context.Context, name string) (*core.Relation, error)
+	// ReadFiltered reads the tuples that pass every test (nil: all);
+	// a sharded relation's read ignores the tests.
+	ReadFiltered(ctx context.Context, name string, tests []encoding.AtomTest) (*core.Relation, error)
 	Def(name string) (engine.RelationDef, error)
 	Stats(name string) (engine.RelStats, error)
 	ValidateDeps(name string) ([]engine.Violation, error)
@@ -176,7 +179,7 @@ func ExecOn(ctx context.Context, target Execer, stmtText string) (Result, error)
 // ExecStmtOn executes a parsed DDL/DML/query statement against target.
 func ExecStmtOn(ctx context.Context, target Execer, st Stmt) (Result, error) {
 	relation := func(name string) (*core.Relation, error) {
-		return target.ReadRelation(ctx, name)
+		return target.ReadFiltered(ctx, name, nil)
 	}
 	switch st := st.(type) {
 	case CreateStmt:

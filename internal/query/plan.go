@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/core"
+	"repro/internal/encoding"
 	"repro/internal/engine"
+	"repro/internal/schema"
 	"repro/internal/value"
 )
 
@@ -39,6 +41,11 @@ import (
 //     Index paths are therefore restricted to single-shard relations.
 //
 // NE, OR, NOT, CARD and attr-vs-attr conjuncts are never indexable.
+//
+// A heap scan of a single-shard relation tests the residual's
+// attr-vs-constant and CONTAINS conjuncts on each stored record before
+// decoding it (recordTests). A sharded read re-canonicalizes the union
+// of its shards, which filtering shard tuples first could change.
 
 // AccessKind is the chosen access path.
 type AccessKind uint8
@@ -70,6 +77,11 @@ type Plan struct {
 	Note     string        // soundness demotion note, if any
 	Residual algebra.Pred  // full predicate, re-applied to the fetch
 	shards   int           // the relation's shard count
+
+	// Filter holds the conjuncts a heap scan tests on each record
+	// before decoding it, and tests the same as encoding.AtomTests.
+	Filter []algebra.Pred
+	tests  []encoding.AtomTest
 }
 
 // planRead picks the access path for reading relation name filtered by
@@ -130,8 +142,46 @@ func planRead(target Execer, name string, where algebra.Pred, flat bool) (Plan, 
 		}
 		pl.Access = IndexRange
 		pl.Lo, pl.Hi = lo, hi
+	default:
+		pl.Filter, pl.tests = recordTests(info.Schema, where)
 	}
 	return pl, nil
+}
+
+// recordTests turns where's attr-vs-constant (either quantifier) and
+// CONTAINS conjuncts into tests on the encoded record. Each conjunct
+// holds of a tuple only if some atom of its component passes the test:
+// Any says so, All ranges over a non-empty set, and a flat's atom is
+// one of the tuple's. So a tuple with no such atom passes no reading of
+// the conjunct, and leaving it undecoded changes no SELECT, SELECT
+// FLAT or UPDATE.
+func recordTests(sch *schema.Schema, where algebra.Pred) (filter []algebra.Pred, tests []encoding.AtomTest) {
+	for _, c := range algebra.Conjuncts(where) {
+		if len(tests) == encoding.MaxAtomTests {
+			break
+		}
+		test := encoding.AtomTest{Accept: encoding.AcceptEqual}
+		if attr, v, ok := algebra.AsContains(c); ok {
+			test.Comp, test.Val = sch.Index(attr), v
+		} else if cmp, ok := algebra.AsCmp(c); ok {
+			test.Comp, test.Val, test.Accept = sch.Index(cmp.Attr), cmp.Val, accepts[cmp.Op]
+		} else {
+			continue
+		}
+		filter, tests = append(filter, c), append(tests, test)
+	}
+	return filter, tests
+}
+
+// accepts holds, for each comparison, the outcomes of
+// value.Compare(atom, v) that satisfy atom op v.
+var accepts = [...]uint8{
+	algebra.EQ: encoding.AcceptEqual,
+	algebra.NE: encoding.AcceptLess | encoding.AcceptGreater,
+	algebra.LT: encoding.AcceptLess,
+	algebra.LE: encoding.AcceptLess | encoding.AcceptEqual,
+	algebra.GT: encoding.AcceptGreater,
+	algebra.GE: encoding.AcceptGreater | encoding.AcceptEqual,
 }
 
 // reason is EXPLAIN's one-line why, rendered from the plan's fields.
@@ -147,6 +197,22 @@ func (pl Plan) reason() string {
 		return "range conjunct(s) on indexed attribute " + pl.Attr
 	}
 	return "no usable conjunct on indexed attribute " + pl.Attr
+}
+
+// filter is EXPLAIN's heap-scan filter line: the conjuncts tested on
+// each record, or why there are none.
+func (pl Plan) filter() string {
+	switch {
+	case len(pl.Filter) > 0:
+		out := make([]string, len(pl.Filter))
+		for i, c := range pl.Filter {
+			out[i] = c.String()
+		}
+		return strings.Join(out, " and ")
+	case pl.shards != 1:
+		return "none (a sharded read re-canonicalizes the union of its shards)"
+	}
+	return "none (no attr-vs-constant or contains conjunct)"
 }
 
 // tighterLo reports whether a is a tighter (larger) lower bound than b.
@@ -171,7 +237,7 @@ func (pl Plan) fetch(ctx context.Context, target Execer) (*core.Relation, int, e
 	case IndexRange:
 		return target.ScanFixedRange(pl.Relation, pl.Lo, pl.Hi)
 	default:
-		rel, err := target.ReadRelation(ctx, pl.Relation)
+		rel, err := target.ReadFiltered(ctx, pl.Relation, pl.tests)
 		return rel, 0, err
 	}
 }
@@ -193,6 +259,8 @@ func (pl Plan) Explain() string {
 		fmt.Fprintf(&b, "\n  probe: %s", algebra.LiteralString(*pl.Point))
 	case IndexRange:
 		fmt.Fprintf(&b, "\n  range: %s .. %s", boundString(pl.Lo, true), boundString(pl.Hi, false))
+	default:
+		fmt.Fprintf(&b, "\n  filter: %s", pl.filter())
 	}
 	if pl.Residual != nil {
 		fmt.Fprintf(&b, "\n  residual: %s", pl.Residual.String())

@@ -94,6 +94,23 @@ func TestExplainAccessPaths(t *testing.T) {
 		t.Errorf("sharded explain =\n%s", res.Message)
 	}
 
+	// a heap scan names the conjuncts it tests on each record before
+	// decoding it, or why there are none; an index fetch has no filter
+	for q, want := range map[string]string{
+		`EXPLAIN SELECT * FROM R1 WHERE Course CONTAINS c001`:                                     `filter: Course contains "c001"`,
+		`EXPLAIN UPDATE R1 SET Club = b9 WHERE Course = c1 AND CARD(Club) = 1 AND Club ALL <> b0`: `filter: Course = "c1" and Club all <> "b0"`,
+		`EXPLAIN SELECT * FROM R1 WHERE Student = s01 OR Student = s02`:                           `filter: none (no attr-vs-constant or contains conjunct)`,
+		`EXPLAIN SELECT * FROM R1`:                            `filter: none (no attr-vs-constant or contains conjunct)`,
+		`EXPLAIN SELECT * FROM RS WHERE Course CONTAINS c001`: `filter: none (a sharded read re-canonicalizes the union of its shards)`,
+	} {
+		if res = mustExec(t, s, q); !strings.Contains(res.Message, "\n  "+want+"\n") {
+			t.Errorf("%s =\n%s\nwant the line %q", q, res.Message, want)
+		}
+	}
+	if res = mustExec(t, s, `EXPLAIN SELECT * FROM R1 WHERE Student = s07 AND Course = c3`); strings.Contains(res.Message, "filter:") {
+		t.Errorf("index-point explain =\n%s", res.Message)
+	}
+
 	// explain surfaces attribute errors like execution would
 	if _, err := s.Exec(`EXPLAIN SELECT * FROM R1 WHERE Nope = 1`); err == nil {
 		t.Error("explain accepted unknown attribute")

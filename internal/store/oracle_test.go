@@ -376,7 +376,7 @@ func TestSnapshotIsolationOracle(t *testing.T) {
 					step, op, p.step, got, want)
 			}
 			for name, m := range p.want {
-				if !p.snap.Has(name) {
+				if _, ok := p.snap.Def(name); !ok {
 					t.Fatalf("step %d (%s): pin@%d lost relation %s", step, op, p.step, name)
 				}
 				rel, err := p.snap.Load(name)

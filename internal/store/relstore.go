@@ -263,16 +263,14 @@ func (r *Shard) findLocked(t tuple.Tuple) (storage.RID, error) {
 // decode is.
 func (r *Shard) fetchLocked(rid storage.RID) (t tuple.Tuple, err error) {
 	var bad error
-	err = r.heap.View(rid, func(rec []byte) { t, bad = r.decode(rec) })
+	err = r.heap.View(rid, func(rec []byte) { t, _, bad = decodeRecord(r.def.Name, r.def.Schema.Degree(), rid, rec, nil) })
 	if errors.Is(err, storage.ErrBadSlot) {
-		bad = err
-	} else if err != nil {
+		return tuple.Tuple{}, fmt.Errorf("%w: record %v of %q: %v", ErrCorrupt, rid, r.def.Name, err)
+	}
+	if err != nil {
 		return tuple.Tuple{}, err
 	}
-	if bad != nil {
-		return tuple.Tuple{}, fmt.Errorf("%w: record %v of %q: %v", ErrCorrupt, rid, r.def.Name, bad)
-	}
-	return t, nil
+	return t, bad
 }
 
 // fetchAllLocked fetches the records of rids, in order.
@@ -366,7 +364,7 @@ func (r *Shard) VerifyIndex() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var rts []ridTuple
-	if err := r.scanRawLocked(context.Background(), func(rid storage.RID, t tuple.Tuple) bool {
+	if err := r.scanRawLocked(context.Background(), nil, func(rid storage.RID, t tuple.Tuple) bool {
 		rts = append(rts, ridTuple{rid, t})
 		return true
 	}); err != nil {
@@ -402,51 +400,75 @@ func (r *Shard) pages() ([]uint32, error) {
 	return append(out, ix...), nil
 }
 
-// decode decodes one heap record of the shard. The tuple shares no
-// bytes with rec, so rec's page may be unpinned afterwards.
-func (r *Shard) decode(rec []byte) (tuple.Tuple, error) {
-	t, n, err := encoding.DecodeTuple(rec)
-	if err == nil && (n != len(rec) || t.Degree() != r.def.Schema.Degree()) {
-		err = errors.New("malformed tuple record")
+// decodeRecord decodes the heap record rid of relation name, of
+// degree deg. The tuple shares no bytes with rec, so rec's page may be
+// unpinned afterwards. With tests, a record they reject is checked
+// (encoding.MatchTuple) but not decoded, and ok is false; without, it
+// is one DecodeTuple. A record that is not one tuple of degree deg is
+// ErrCorrupt either way.
+func decodeRecord(name string, deg int, rid storage.RID, rec []byte, tests []encoding.AtomTest) (t tuple.Tuple, ok bool, err error) {
+	ok = true
+	if len(tests) > 0 {
+		ok, err = encoding.MatchTuple(rec, deg, tests)
 	}
-	return t, err
+	if ok && err == nil {
+		var n int
+		if t, n, err = encoding.DecodeTuple(rec); err == nil && (n != len(rec) || t.Degree() != deg) {
+			err = errors.New("malformed tuple record")
+		}
+	}
+	if err != nil {
+		return tuple.Tuple{}, false, fmt.Errorf("%w: record %v of %q: %v", ErrCorrupt, rid, name, err)
+	}
+	return t, ok, nil
 }
 
-// scanRaw decodes every live record in chain order, reporting rids.
-// r.mu is held for the whole walk so readers never observe page bytes
-// mid-mutation from a concurrent write-through.
-func (r *Shard) scanRaw(ctx context.Context, fn func(rid storage.RID, t tuple.Tuple) bool) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.scanRawLocked(ctx, fn)
-}
-
-func (r *Shard) scanRawLocked(ctx context.Context, fn func(rid storage.RID, t tuple.Tuple) bool) error {
+// scanRecords runs walk, a heap walk that hands each live record to
+// its callback, and passes fn every record that decodes and passes
+// tests (decodeRecord), stopping when fn returns false. A cancelled
+// walk is the caller's context speaking and a failed pool its own
+// error, neither a malformed file.
+func scanRecords(ctx context.Context, name string, deg int, tests []encoding.AtomTest,
+	walk func(func(storage.RID, []byte) bool) error, fn func(storage.RID, tuple.Tuple) bool) error {
 	var decodeErr error
-	err := r.heap.ScanCtx(ctx, func(rid storage.RID, rec []byte) bool {
-		t, err := r.decode(rec)
+	err := walk(func(rid storage.RID, rec []byte) bool {
+		t, ok, err := decodeRecord(name, deg, rid, rec, tests)
 		if err != nil {
-			decodeErr = fmt.Errorf("%w: record %v of %q: %v", ErrCorrupt, rid, r.def.Name, err)
+			decodeErr = err
 			return false
 		}
-		return fn(rid, t)
+		return !ok || fn(rid, t)
 	})
 	if err != nil {
-		// a cancelled scan is the caller's context speaking and a failed
-		// pool its own error, neither a malformed file
 		if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) || errors.Is(err, storage.ErrFailed) {
 			return err
 		}
-		return fmt.Errorf("%w: scanning %q: %v", ErrCorrupt, r.def.Name, err)
+		return fmt.Errorf("%w: scanning %q: %v", ErrCorrupt, name, err)
 	}
 	return decodeErr
 }
 
+// scanRaw decodes every live record in chain order that passes tests
+// (nil: every record), reporting rids. r.mu is held for the whole walk
+// so readers never observe page bytes mid-mutation from a concurrent
+// write-through.
+func (r *Shard) scanRaw(ctx context.Context, tests []encoding.AtomTest, fn func(rid storage.RID, t tuple.Tuple) bool) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.scanRawLocked(ctx, tests, fn)
+}
+
+func (r *Shard) scanRawLocked(ctx context.Context, tests []encoding.AtomTest, fn func(rid storage.RID, t tuple.Tuple) bool) error {
+	return scanRecords(ctx, r.def.Name, r.def.Schema.Degree(), tests, func(each func(storage.RID, []byte) bool) error {
+		return r.heap.ScanCtx(ctx, each)
+	}, fn)
+}
+
 // scanRaw walks every shard's heap in shard order.
-func (r *RelStore) scanRaw(ctx context.Context, fn func(rid storage.RID, t tuple.Tuple) bool) error {
+func (r *RelStore) scanRaw(ctx context.Context, tests []encoding.AtomTest, fn func(rid storage.RID, t tuple.Tuple) bool) error {
 	for _, sh := range r.shards {
 		stopped := false
-		if err := sh.scanRaw(ctx, func(rid storage.RID, t tuple.Tuple) bool {
+		if err := sh.scanRaw(ctx, tests, func(rid storage.RID, t tuple.Tuple) bool {
 			if !fn(rid, t) {
 				stopped = true
 				return false
@@ -466,13 +488,13 @@ func (r *RelStore) scanRaw(ctx context.Context, fn func(rid storage.RID, t tuple
 // reading pages through the shared buffer pool. fn returning false
 // stops the scan.
 func (r *RelStore) Scan(fn func(t tuple.Tuple) bool) error {
-	return r.scanRaw(context.Background(), func(_ storage.RID, t tuple.Tuple) bool { return fn(t) })
+	return r.scanRaw(context.Background(), nil, func(_ storage.RID, t tuple.Tuple) bool { return fn(t) })
 }
 
 // Scan calls fn for every tuple stored in THIS shard in heap order —
 // the engine materializes each shard's resident partition from it.
 func (r *Shard) Scan(fn func(t tuple.Tuple) bool) error {
-	return r.scanRaw(context.Background(), func(_ storage.RID, t tuple.Tuple) bool { return fn(t) })
+	return r.scanRaw(context.Background(), nil, func(_ storage.RID, t tuple.Tuple) bool { return fn(t) })
 }
 
 // Load materializes the stored relation by scanning its heaps. For a
@@ -480,15 +502,16 @@ func (r *Shard) Scan(fn func(t tuple.Tuple) bool) error {
 // each shard-canonical, together not necessarily globally canonical;
 // the engine re-canonicalizes (see Def().Shards).
 func (r *RelStore) Load() (*core.Relation, error) {
-	return r.LoadCtx(context.Background())
+	return r.LoadCtx(context.Background(), nil)
 }
 
-// LoadCtx is Load with cancellation checked at page-fetch granularity:
-// a cancelled context stops the heap walk before the next page is
-// pulled through the buffer pool.
-func (r *RelStore) LoadCtx(ctx context.Context) (*core.Relation, error) {
+// LoadCtx is Load of the stored tuples that pass tests (nil: all),
+// with cancellation checked at page-fetch granularity: a cancelled
+// context stops the heap walk before the next page is pulled through
+// the buffer pool.
+func (r *RelStore) LoadCtx(ctx context.Context, tests []encoding.AtomTest) (*core.Relation, error) {
 	rel := core.NewRelation(r.def.Schema)
-	if err := r.scanRaw(ctx, func(_ storage.RID, t tuple.Tuple) bool {
+	if err := r.scanRaw(ctx, tests, func(_ storage.RID, t tuple.Tuple) bool {
 		rel.Add(t)
 		return true
 	}); err != nil {

@@ -2,12 +2,12 @@ package store
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/encoding"
 	"repro/internal/storage"
+	"repro/internal/tuple"
 )
 
 // Store-level snapshots: a Snap pairs a pinned page-level snapshot
@@ -87,12 +87,6 @@ func (s *Store) PinSnapshot() *Snap {
 // LSN reports the commit LSN the snapshot is pinned at.
 func (sn *Snap) LSN() uint64 { return sn.ps.LSN() }
 
-// Has reports whether the relation existed at the pin point.
-func (sn *Snap) Has(name string) bool {
-	_, ok := sn.rels[name]
-	return ok
-}
-
 // Relations returns the names of all relations visible at the pin
 // point (unsorted).
 func (sn *Snap) Relations() []string {
@@ -111,18 +105,20 @@ func (sn *Snap) Def(name string) (RelationDef, bool) {
 
 // Load materializes a relation as of the pin point.
 func (sn *Snap) Load(name string) (*core.Relation, error) {
-	return sn.LoadCtx(context.Background(), name)
+	return sn.LoadCtx(context.Background(), name, nil)
 }
 
-// LoadCtx is Load with cancellation checked at page granularity. The
-// heap walks read every page — chain pointers included — through the
-// pinned snapshot, so a concurrent writer splicing pages or committing
-// tuples is invisible: the result is exactly the relation's content at
-// the pin's transaction boundary. For a K-sharded relation the result
-// is the UNION of the shard partitions (each shard-canonical, together
-// not necessarily globally canonical); the engine re-canonicalizes
-// when Def(name).Shards > 1.
-func (sn *Snap) LoadCtx(ctx context.Context, name string) (*core.Relation, error) {
+// LoadCtx is Load of the stored tuples that pass tests (nil: all),
+// with cancellation checked at page granularity; a record the tests
+// reject is checked but not decoded. The heap walks read every page —
+// chain pointers included — through the pinned snapshot, so a
+// concurrent writer splicing pages or committing tuples is invisible:
+// the result is exactly the relation's content at the pin's
+// transaction boundary. For a K-sharded relation the result is the
+// UNION of the shard partitions (each shard-canonical, together not
+// necessarily globally canonical); the engine re-canonicalizes when
+// Def(name).Shards > 1.
+func (sn *Snap) LoadCtx(ctx context.Context, name string, tests []encoding.AtomTest) (*core.Relation, error) {
 	if sn.st == nil {
 		return nil, fmt.Errorf("store: read through a closed snapshot")
 	}
@@ -131,30 +127,14 @@ func (sn *Snap) LoadCtx(ctx context.Context, name string) (*core.Relation, error
 		return nil, fmt.Errorf("store: unknown relation %q", name)
 	}
 	rel := core.NewRelation(sr.def.Schema)
-	deg := sr.def.Schema.Degree()
 	for _, first := range sr.firsts {
-		var decodeErr error
-		err := storage.ScanHeapSnapshot(ctx, sn.ps, first, func(rid storage.RID, rec []byte) bool {
-			t, n, derr := encoding.DecodeTuple(rec)
-			if derr != nil {
-				decodeErr = fmt.Errorf("%w: record %v of %q: %v", ErrCorrupt, rid, name, derr)
-				return false
-			}
-			if n != len(rec) || t.Degree() != deg {
-				decodeErr = fmt.Errorf("%w: record %v of %q: malformed tuple record", ErrCorrupt, rid, name)
-				return false
-			}
+		if err := scanRecords(ctx, name, sr.def.Schema.Degree(), tests, func(each func(storage.RID, []byte) bool) error {
+			return storage.ScanHeapSnapshot(ctx, sn.ps, first, each)
+		}, func(_ storage.RID, t tuple.Tuple) bool {
 			rel.Add(t)
 			return true
-		})
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) || errors.Is(err, storage.ErrFailed) {
-				return nil, err
-			}
-			return nil, fmt.Errorf("%w: scanning %q: %v", ErrCorrupt, name, err)
-		}
-		if decodeErr != nil {
-			return nil, decodeErr
+		}); err != nil {
+			return nil, err
 		}
 	}
 	return rel, nil

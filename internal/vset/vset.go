@@ -45,23 +45,18 @@ func Single(a value.Atom) Set {
 // no duplicates). It panics if the invariant does not hold; use it only
 // on slices produced by this package or verified by the caller.
 func FromSorted(atoms []value.Atom) Set {
-	s, bad := AdoptSorted(atoms)
-	if bad > 0 {
-		panic("vset: FromSorted input not strictly sorted")
-	}
-	return s
-}
-
-// AdoptSorted adopts atoms without copying if they are strictly
-// ascending; otherwise bad > 0 is the first atom not above atom bad-1.
-func AdoptSorted(atoms []value.Atom) (s Set, bad int) {
 	for i := 1; i < len(atoms); i++ {
 		if value.Compare(atoms[i-1], atoms[i]) >= 0 {
-			return Set{}, i
+			panic("vset: FromSorted input not strictly sorted")
 		}
 	}
-	return fromSorted(atoms), 0
+	return fromSorted(atoms)
 }
+
+// Adopt adopts atoms without copying or checking them: the caller
+// guarantees they are strictly ascending under value.Compare, as
+// encoding.DecodeTuple does for the records it checks.
+func Adopt(atoms []value.Atom) Set { return fromSorted(atoms) }
 
 func fromSorted(atoms []value.Atom) Set {
 	var h uint64
