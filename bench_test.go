@@ -253,7 +253,7 @@ func BenchmarkCandtScanVsIndex(b *testing.B) {
 				var m *update.Maintainer
 				var err error
 				if indexed {
-					m, err = update.NewMaintainerIndexed(s, schema.IdentityPerm(3))
+					m, err = update.FromRelationIndexed(core.NewRelation(s), schema.IdentityPerm(3))
 				} else {
 					m, err = update.NewMaintainer(s, schema.IdentityPerm(3))
 				}

@@ -104,17 +104,12 @@ type Result struct {
 type ServerStats = wire.ServerStats
 
 type config struct {
-	dialTimeout time.Duration
-	ioTimeout   time.Duration
-	retries     int
-	backoff     time.Duration
+	ioTimeout time.Duration
+	retries   int
 }
 
 // Option configures Dial.
 type Option func(*config)
-
-// WithDialTimeout bounds each TCP connect attempt (default 5s).
-func WithDialTimeout(d time.Duration) Option { return func(c *config) { c.dialTimeout = d } }
 
 // WithIOTimeout bounds each request/response exchange (default 30s;
 // negative disables; a sooner context deadline always wins).
@@ -123,10 +118,6 @@ func WithIOTimeout(d time.Duration) Option { return func(c *config) { c.ioTimeou
 // WithDialRetries sets how many times Dial retries a failed or
 // CodeBusy-refused connect before giving up (default 3 retries).
 func WithDialRetries(n int) Option { return func(c *config) { c.retries = n } }
-
-// WithRetryBackoff sets the initial delay between dial retries; it
-// doubles each attempt (default 50ms).
-func WithRetryBackoff(d time.Duration) Option { return func(c *config) { c.backoff = d } }
 
 // Client is one wire-protocol connection. Safe for concurrent use;
 // requests serialize on the connection.
@@ -139,27 +130,24 @@ type Client struct {
 }
 
 // Dial connects to an nfr-server at addr ("host:port"), verifies the
-// protocol handshake, and returns a ready client. Connect failures
-// and busy refusals are retried with exponential backoff per
-// WithDialRetries; a protocol-version mismatch fails immediately.
+// protocol handshake, and returns a ready client. Each connect attempt
+// is bounded by 5s. Connect failures and busy refusals are retried per
+// WithDialRetries, 50ms after the first attempt and twice as long
+// after each later one; a protocol-version mismatch fails immediately.
 func Dial(addr string, opts ...Option) (*Client, error) {
-	cfg := config{
-		dialTimeout: 5 * time.Second,
-		ioTimeout:   30 * time.Second,
-		retries:     3,
-		backoff:     50 * time.Millisecond,
-	}
+	const dialTimeout = 5 * time.Second
+	cfg := config{ioTimeout: 30 * time.Second, retries: 3}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	backoff := cfg.backoff
+	backoff := 50 * time.Millisecond
 	var lastErr error
 	for attempt := 0; attempt <= cfg.retries; attempt++ {
 		if attempt > 0 {
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		nc, err := net.DialTimeout("tcp", addr, cfg.dialTimeout)
+		nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 		if err != nil {
 			lastErr = err
 			continue

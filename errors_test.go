@@ -8,8 +8,10 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/encoding"
 	"repro/internal/engine"
 	"repro/internal/schema"
+	"repro/internal/storage"
 	"repro/internal/storage/crashfs"
 	"repro/internal/value"
 )
@@ -158,6 +160,119 @@ func TestErrorTaxonomy(t *testing.T) {
 	var pathErr *fs.PathError
 	if _, err := LoadDatabase(filepath.Join(dir, "missing.nfrs")); !errors.As(err, &pathErr) {
 		t.Errorf("load of missing file: %v, want a wrapped *fs.PathError", err)
+	}
+}
+
+// TestCorruptionIsErrCorrupt: each layer that finds stored bytes the
+// engine cannot have written reports the facade's one ErrCorrupt — a
+// heap record that does not decode, a B+tree leaf entry that does not
+// decode, and a B+tree that disagrees with its heap. Each case edits
+// one page of a cleanly closed file and restamps its checksum, so the
+// bytes reach the decoders.
+func TestCorruptionIsErrCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	clean := filepath.Join(dir, "clean.nfrs")
+	db, err := Open(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Create(RelationDef{Name: "r", Schema: MustSchema("A", "B")}); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []Flat{Row("a1", "b1"), Row("a2", "b2"), Row("a3", "b3")} {
+		if _, err := db.Insert("r", row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// corrupt copies clean, applies edit to the first page pick accepts,
+	// and opens the copy.
+	corrupt := func(name string, pick func(p *storage.Page) bool, edit func(p *storage.Page)) *Database {
+		t.Helper()
+		path := filepath.Join(dir, name+".nfrs")
+		cp(t, clean, path)
+		pg, err := storage.OpenPager(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p storage.Page
+		found := false
+		for pid := uint32(1); pid <= pg.NumPages() && !found; pid++ {
+			if err := pg.Read(pid, &p); err != nil {
+				t.Fatal(err)
+			}
+			if found = pick(&p); found {
+				edit(&p)
+				if err := pg.Write(pid, &p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := pg.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !found {
+			t.Fatalf("%s: no page to edit", name)
+		}
+		db, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		return db
+	}
+	// a heap page holds only degree-2 tuple records; a B+tree leaf's
+	// record 0 is its 'L' header, followed by its entries
+	heapPage := func(p *storage.Page) bool {
+		n := 0
+		p.LiveRecords(func(_ int, rec []byte) bool {
+			if tp, m, err := encoding.DecodeTuple(rec); err != nil || m != len(rec) || tp.Degree() != 2 {
+				n = -1
+				return false
+			}
+			n++
+			return true
+		})
+		return n > 0
+	}
+	leafPage := func(p *storage.Page) bool {
+		hdr, err := p.Get(0)
+		return err == nil && string(hdr) == "L" && p.Validate() == nil
+	}
+	lastRecord := func(p *storage.Page) []byte {
+		var last []byte
+		p.LiveRecords(func(_ int, rec []byte) bool { last = rec; return true })
+		return last
+	}
+
+	badRecord := corrupt("record", heapPage, func(p *storage.Page) {
+		lastRecord(p)[0] = 5 // a degree the record's bytes cannot hold
+	})
+	if _, err := badRecord.ReadRelation(context.Background(), "r"); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("read of a bad heap record: %v, want ErrCorrupt", err)
+	}
+
+	badLeaf := corrupt("leaf", leafPage, func(p *storage.Page) {
+		p.LiveRecords(func(slot int, rec []byte) bool {
+			if slot > 0 {
+				rec[0] = 0x7f // a key longer than the entry
+			}
+			return true
+		})
+	})
+	if _, err := badLeaf.LookupFixed("r", value.NewString("a1")); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("lookup through a bad B+tree leaf entry: %v, want ErrCorrupt", err)
+	}
+
+	disagree := corrupt("disagree", leafPage, func(p *storage.Page) {
+		e := lastRecord(p)
+		e[len(e)-2], e[len(e)-1] = 0xff, 0xff // the last entry's rid.Slot, still in key order
+	})
+	if err := disagree.VerifyIndexes(); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("an index that disagrees with its heap: %v, want ErrCorrupt", err)
 	}
 }
 

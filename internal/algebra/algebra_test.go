@@ -84,7 +84,13 @@ func TestSelectCmpQuantifiers(t *testing.T) {
 	}
 }
 
-func numSet(vs ...int64) vset.Set { return vset.OfInts(vs...) }
+func numSet(vs ...int64) vset.Set {
+	atoms := make([]value.Atom, len(vs))
+	for i, v := range vs {
+		atoms[i] = value.NewInt(v)
+	}
+	return vset.New(atoms...)
+}
 
 func TestCardPredicate(t *testing.T) {
 	r := fig1R1()

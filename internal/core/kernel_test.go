@@ -162,7 +162,7 @@ func checkKernel(t testing.TB, r *core.Relation, p schema.Permutation) {
 var atomPools = [][]value.Atom{
 	{value.NullAtom()},
 	{value.NewBool(false), value.NewBool(true)},
-	value.Ints(-11, -2, -1, 0, 3, 9, 10, 100),
+	{value.NewInt(-11), value.NewInt(-2), value.NewInt(-1), value.NewInt(0), value.NewInt(3), value.NewInt(9), value.NewInt(10), value.NewInt(100)},
 	{value.NewFloat(0.5), value.NewFloat(-2.25), value.NewFloat(1e21), value.NewFloat(math.NaN()), value.NewFloat(math.Inf(1))},
 	value.Strings("a", "b", "B", "ab", "a b", "", "x,y", `q"t`, "é", "\x01", "s-1", "z.9", "_", "10x", "a\x1fb"),
 }

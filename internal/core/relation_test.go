@@ -384,7 +384,7 @@ func TestIsCanonicalForHashCollisions(t *testing.T) {
 	for round := 0; round < 40; round++ {
 		var fs []tuple.Flat
 		for i := 0; i < 4+rng.Intn(24); i++ {
-			fs = append(fs, tuple.Flat(value.Ints(int64(rng.Intn(3)), int64(rng.Intn(3)), int64(rng.Intn(2)))))
+			fs = append(fs, tuple.Flat{value.NewInt(int64(rng.Intn(3))), value.NewInt(int64(rng.Intn(3))), value.NewInt(int64(rng.Intn(2)))})
 		}
 		flat := MustFromFlats(s, fs)
 		for _, p := range perms {

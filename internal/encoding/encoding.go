@@ -14,7 +14,6 @@ package encoding
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -22,6 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/schema"
+	"repro/internal/storage"
 	"repro/internal/tuple"
 	"repro/internal/value"
 	"repro/internal/vset"
@@ -32,9 +32,6 @@ var Magic = [4]byte{'N', 'F', 'R', '1'}
 
 // Version is the current format version.
 const Version = 1
-
-// ErrCorrupt is wrapped by decode errors caused by malformed input.
-var ErrCorrupt = errors.New("encoding: corrupt data")
 
 // AppendAtom appends the binary encoding of a to dst.
 func AppendAtom(dst []byte, a value.Atom) []byte {
@@ -62,7 +59,7 @@ func atomAt(b []byte) (a value.Atom, str []byte, n int, err error) {
 		return value.Atom{K: value.String}, str, 2 + len(str), nil
 	}
 	if len(b) == 0 {
-		return a, nil, 0, fmt.Errorf("%w: empty atom", ErrCorrupt)
+		return a, nil, 0, fmt.Errorf("%w: empty atom", storage.ErrCorrupt)
 	}
 	switch k := value.Kind(b[0]); k {
 	case value.Null:
@@ -70,7 +67,7 @@ func atomAt(b []byte) (a value.Atom, str []byte, n int, err error) {
 	case value.Bool, value.Int:
 		v, n := binary.Varint(b[1:])
 		if n <= 0 {
-			return a, nil, 0, fmt.Errorf("%w: bad varint", ErrCorrupt)
+			return a, nil, 0, fmt.Errorf("%w: bad varint", storage.ErrCorrupt)
 		}
 		if k == value.Bool {
 			return value.NewBool(v != 0), nil, 1 + n, nil
@@ -78,20 +75,20 @@ func atomAt(b []byte) (a value.Atom, str []byte, n int, err error) {
 		return value.NewInt(v), nil, 1 + n, nil
 	case value.Float:
 		if len(b) < 9 {
-			return a, nil, 0, fmt.Errorf("%w: short float", ErrCorrupt)
+			return a, nil, 0, fmt.Errorf("%w: short float", storage.ErrCorrupt)
 		}
 		return value.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b[1:]))), nil, 9, nil
 	case value.String:
 		l, n := binary.Uvarint(b[1:])
 		if n <= 0 {
-			return a, nil, 0, fmt.Errorf("%w: bad string length", ErrCorrupt)
+			return a, nil, 0, fmt.Errorf("%w: bad string length", storage.ErrCorrupt)
 		}
 		if uint64(len(b)-1-n) < l {
-			return a, nil, 0, fmt.Errorf("%w: short string", ErrCorrupt)
+			return a, nil, 0, fmt.Errorf("%w: short string", storage.ErrCorrupt)
 		}
 		return value.NewString(""), b[1+n : 1+n+int(l)], 1 + n + int(l), nil
 	default:
-		return a, nil, 0, fmt.Errorf("%w: unknown atom kind %d", ErrCorrupt, b[0])
+		return a, nil, 0, fmt.Errorf("%w: unknown atom kind %d", storage.ErrCorrupt, b[0])
 	}
 }
 
@@ -197,7 +194,7 @@ func MatchTuple(rec []byte, deg int, tests []AtomTest) (bool, error) {
 		return false, err
 	}
 	if l.end != len(rec) || l.deg != deg {
-		return false, fmt.Errorf("%w: malformed tuple record", ErrCorrupt)
+		return false, fmt.Errorf("%w: malformed tuple record", storage.ErrCorrupt)
 	}
 	return hit == ^uint64(0)>>(64-len(tests)), nil
 }
@@ -210,26 +207,26 @@ type layout struct{ deg, end, atoms, strBytes int }
 // MatchTuple. It checks that b begins with a tuple whose components
 // are non-empty sets of well-formed atoms, strictly ascending under
 // value.Compare (AppendSet writes them so; out of order or repeated is
-// ErrCorrupt, not repaired), and sets bit j of hit when some atom
+// storage.ErrCorrupt, not repaired), and sets bit j of hit when some atom
 // passes tests[j].
 func walkTuple(b []byte, tests []AtomTest) (l layout, hit uint64, err error) {
 	d, pos := binary.Uvarint(b)
 	if pos <= 0 {
-		return l, 0, fmt.Errorf("%w: bad tuple degree", ErrCorrupt)
+		return l, 0, fmt.Errorf("%w: bad tuple degree", storage.ErrCorrupt)
 	}
 	if d > uint64(len(b)) {
-		return l, 0, fmt.Errorf("%w: tuple degree %d too large", ErrCorrupt, d)
+		return l, 0, fmt.Errorf("%w: tuple degree %d too large", storage.ErrCorrupt, d)
 	}
 	for i := 0; i < int(d); i++ {
 		cnt, n := binary.Uvarint(b[pos:])
 		if n <= 0 {
-			return l, 0, fmt.Errorf("%w: bad set count", ErrCorrupt)
+			return l, 0, fmt.Errorf("%w: bad set count", storage.ErrCorrupt)
 		}
 		if cnt > uint64(len(b)-pos) { // each atom needs ≥1 byte
-			return l, 0, fmt.Errorf("%w: set count %d too large", ErrCorrupt, cnt)
+			return l, 0, fmt.Errorf("%w: set count %d too large", storage.ErrCorrupt, cnt)
 		}
 		if cnt == 0 {
-			return l, 0, fmt.Errorf("%w: empty tuple component", ErrCorrupt)
+			return l, 0, fmt.Errorf("%w: empty tuple component", storage.ErrCorrupt)
 		}
 		pos += n
 		var prev value.Atom
@@ -247,7 +244,7 @@ func walkTuple(b []byte, tests []AtomTest) (l layout, hit uint64, err error) {
 			}
 			pos += n
 			if j > 0 && compareEncoded(&prev, prevStr, &a, str) >= 0 {
-				return l, 0, fmt.Errorf("%w: set atom %d is not above atom %d", ErrCorrupt, j, j-1)
+				return l, 0, fmt.Errorf("%w: set atom %d is not above atom %d", storage.ErrCorrupt, j, j-1)
 			}
 			prev, prevStr = a, str
 			l.strBytes += len(str)
@@ -302,21 +299,21 @@ func AppendSchema(dst []byte, s *schema.Schema) []byte {
 func DecodeSchema(b []byte) (*schema.Schema, int, error) {
 	deg, n := binary.Uvarint(b)
 	if n <= 0 {
-		return nil, 0, fmt.Errorf("%w: bad schema degree", ErrCorrupt)
+		return nil, 0, fmt.Errorf("%w: bad schema degree", storage.ErrCorrupt)
 	}
 	pos := n
 	if deg > uint64(len(b)) {
-		return nil, 0, fmt.Errorf("%w: schema degree %d too large", ErrCorrupt, deg)
+		return nil, 0, fmt.Errorf("%w: schema degree %d too large", storage.ErrCorrupt, deg)
 	}
 	attrs := make([]schema.Attribute, 0, deg)
 	for i := uint64(0); i < deg; i++ {
 		l, n := binary.Uvarint(b[pos:])
 		if n <= 0 {
-			return nil, 0, fmt.Errorf("%w: bad attribute name length", ErrCorrupt)
+			return nil, 0, fmt.Errorf("%w: bad attribute name length", storage.ErrCorrupt)
 		}
 		pos += n
 		if uint64(len(b)-pos) < l+1 {
-			return nil, 0, fmt.Errorf("%w: short attribute", ErrCorrupt)
+			return nil, 0, fmt.Errorf("%w: short attribute", storage.ErrCorrupt)
 		}
 		name := string(b[pos : pos+int(l)])
 		pos += int(l)
@@ -326,7 +323,7 @@ func DecodeSchema(b []byte) (*schema.Schema, int, error) {
 	}
 	s, err := schema.New(attrs...)
 	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, 0, fmt.Errorf("%w: %v", storage.ErrCorrupt, err)
 	}
 	return s, pos, nil
 }
@@ -352,10 +349,10 @@ func ReadRelation(r io.Reader) (*core.Relation, error) {
 		return nil, err
 	}
 	if len(b) < 5 || string(b[:4]) != string(Magic[:]) {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+		return nil, fmt.Errorf("%w: bad magic", storage.ErrCorrupt)
 	}
 	if b[4] != Version {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, b[4])
+		return nil, fmt.Errorf("%w: unsupported version %d", storage.ErrCorrupt, b[4])
 	}
 	pos := 5
 	s, n, err := DecodeSchema(b[pos:])
@@ -365,7 +362,7 @@ func ReadRelation(r io.Reader) (*core.Relation, error) {
 	pos += n
 	cnt, n := binary.Uvarint(b[pos:])
 	if n <= 0 {
-		return nil, fmt.Errorf("%w: bad tuple count", ErrCorrupt)
+		return nil, fmt.Errorf("%w: bad tuple count", storage.ErrCorrupt)
 	}
 	pos += n
 	rel := core.NewRelation(s)
@@ -375,7 +372,7 @@ func ReadRelation(r io.Reader) (*core.Relation, error) {
 			return nil, err
 		}
 		if t.Degree() != s.Degree() {
-			return nil, fmt.Errorf("%w: tuple degree mismatch", ErrCorrupt)
+			return nil, fmt.Errorf("%w: tuple degree mismatch", storage.ErrCorrupt)
 		}
 		rel.Add(t)
 		pos += n

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/schema"
+	"repro/internal/storage"
 	"repro/internal/tuple"
 	"repro/internal/value"
 	"repro/internal/vset"
@@ -64,8 +65,8 @@ func TestDecodeAtomErrors(t *testing.T) {
 		{99},                         // unknown kind
 	}
 	for i, b := range cases {
-		if _, _, err := decodeAtom(b); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("case %d: corrupt atom: %v, want ErrCorrupt", i, err)
+		if _, _, err := decodeAtom(b); !errors.Is(err, storage.ErrCorrupt) {
+			t.Errorf("case %d: corrupt atom: %v, want storage.ErrCorrupt", i, err)
 		}
 	}
 }
@@ -76,7 +77,7 @@ func TestSetRoundTrip(t *testing.T) {
 	sets := []vset.Set{
 		vset.OfStrings("a"),
 		vset.OfStrings("x", "y", "z"),
-		vset.OfInts(3, 1, 2),
+		vset.New(value.NewInt(3), value.NewInt(1), value.NewInt(2)),
 	}
 	for _, s := range sets {
 		b := AppendSet([]byte{1}, s)
@@ -88,8 +89,8 @@ func TestSetRoundTrip(t *testing.T) {
 			t.Errorf("roundtrip %v -> %v (n=%d/%d)", s, got, n, len(b))
 		}
 	}
-	if _, _, err := DecodeTuple(AppendSet([]byte{1}, vset.Set{})); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("empty set as a component: %v, want ErrCorrupt", err)
+	if _, _, err := DecodeTuple(AppendSet([]byte{1}, vset.Set{})); !errors.Is(err, storage.ErrCorrupt) {
+		t.Errorf("empty set as a component: %v, want storage.ErrCorrupt", err)
 	}
 }
 
@@ -110,8 +111,8 @@ func TestDecodeSetRefusesUnsortedSets(t *testing.T) {
 	}
 	for name, rec := range cases {
 		tup := append(append([]byte{2}, AppendSet(nil, vset.OfStrings("x"))...), rec...)
-		if tp, _, err := DecodeTuple(tup); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: DecodeTuple = %v, %v; want ErrCorrupt", name, tp, err)
+		if tp, _, err := DecodeTuple(tup); !errors.Is(err, storage.ErrCorrupt) {
+			t.Errorf("%s: DecodeTuple = %v, %v; want storage.ErrCorrupt", name, tp, err)
 		}
 	}
 }
@@ -145,12 +146,12 @@ func TestDecodeTupleErrors(t *testing.T) {
 // TestDecodeSetErrors: a set record is decoded as the one component of
 // a degree-1 tuple; a missing or overlong one is refused.
 func TestDecodeSetErrors(t *testing.T) {
-	if _, _, err := DecodeTuple([]byte{1}); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("empty input: %v, want ErrCorrupt", err)
+	if _, _, err := DecodeTuple([]byte{1}); !errors.Is(err, storage.ErrCorrupt) {
+		t.Errorf("empty input: %v, want storage.ErrCorrupt", err)
 	}
 	// count says 200 atoms but buffer is 2 bytes
-	if _, _, err := DecodeTuple([]byte{1, 200, 1}); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("oversized count: %v, want ErrCorrupt", err)
+	if _, _, err := DecodeTuple([]byte{1, 200, 1}); !errors.Is(err, storage.ErrCorrupt) {
+		t.Errorf("oversized count: %v, want storage.ErrCorrupt", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/storage"
 	"repro/internal/tuple"
 	"repro/internal/value"
 )
@@ -68,7 +69,7 @@ func record(comps ...[]value.Atom) []byte {
 }
 
 // FuzzMatchTuple holds MatchTuple to DecodeTuple: on any record and any
-// tests it errs, with ErrCorrupt, exactly when DecodeTuple errs, leaves
+// tests it errs, with storage.ErrCorrupt, exactly when DecodeTuple errs, leaves
 // bytes after the tuple or decodes another degree, and otherwise
 // answers what the tests say of the decoded tuple. Every set
 // DecodeTuple returns is strictly ascending under value.Compare, the
@@ -104,8 +105,8 @@ func FuzzMatchTuple(f *testing.F) {
 				err, derr, n, len(rec), tp.Degree(), deg)
 		}
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("MatchTuple err = %v, want ErrCorrupt", err)
+			if !errors.Is(err, storage.ErrCorrupt) {
+				t.Fatalf("MatchTuple err = %v, want storage.ErrCorrupt", err)
 			}
 			return
 		}

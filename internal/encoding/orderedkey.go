@@ -2,7 +2,6 @@ package encoding
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 
 	"repro/internal/value"
@@ -70,51 +69,4 @@ func orderedFloatBits(f float64) uint64 {
 		return ^bits
 	}
 	return bits | 1<<63
-}
-
-// DecodeOrderedAtom is the inverse of AppendOrderedAtom (up to the
-// equivalences it collapses: −0.0 decodes as +0.0, every NaN as the
-// canonical NaN). The string payload consumes the whole remainder of
-// b, so a buffer holds exactly one ordered atom.
-func DecodeOrderedAtom(b []byte) (value.Atom, error) {
-	if len(b) == 0 {
-		return value.Atom{}, fmt.Errorf("%w: empty ordered atom", ErrCorrupt)
-	}
-	k, payload := value.Kind(b[0]), b[1:]
-	switch k {
-	case value.Null:
-		if len(payload) != 0 {
-			return value.Atom{}, fmt.Errorf("%w: null key with payload", ErrCorrupt)
-		}
-		return value.NullAtom(), nil
-	case value.Bool:
-		if len(payload) != 1 || payload[0] > 1 {
-			return value.Atom{}, fmt.Errorf("%w: bad bool key", ErrCorrupt)
-		}
-		return value.NewBool(payload[0] == 1), nil
-	case value.Int:
-		if len(payload) != 8 {
-			return value.Atom{}, fmt.Errorf("%w: int key of %d bytes", ErrCorrupt, len(payload))
-		}
-		return value.NewInt(int64(binary.BigEndian.Uint64(payload) ^ (1 << 63))), nil
-	case value.Float:
-		if len(payload) != 8 {
-			return value.Atom{}, fmt.Errorf("%w: float key of %d bytes", ErrCorrupt, len(payload))
-		}
-		enc := binary.BigEndian.Uint64(payload)
-		if enc == 0 {
-			return value.NewFloat(math.NaN()), nil
-		}
-		var bits uint64
-		if enc&(1<<63) != 0 {
-			bits = enc &^ (1 << 63)
-		} else {
-			bits = ^enc
-		}
-		return value.NewFloat(math.Float64frombits(bits)), nil
-	case value.String:
-		return value.NewString(string(payload)), nil
-	default:
-		return value.Atom{}, fmt.Errorf("%w: unknown ordered atom kind %d", ErrCorrupt, b[0])
-	}
 }

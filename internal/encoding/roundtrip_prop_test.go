@@ -2,6 +2,7 @@ package encoding_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -177,7 +178,7 @@ func TestPagedFormatRoundTripProperty(t *testing.T) {
 		if !ok {
 			t.Fatalf("case %d: relation lost", i)
 		}
-		got, err := rs2.Load()
+		got, err := rs2.LoadCtx(context.Background(), nil)
 		if err != nil {
 			t.Fatalf("case %d: load: %v", i, err)
 		}

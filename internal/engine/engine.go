@@ -438,8 +438,8 @@ func (db *Database) PoolStats() (hits, misses, evictions int, ok bool) {
 
 // AllPoolStats reports the full buffer-pool counter set (including
 // overflow and checksum-repair counts, which the three-int PoolStats
-// omits); ok is always true. The server's STATS frame serves this
-// snapshot.
+// omits) and the snapshot gauges (pins, retained page versions); ok is
+// always true. The server's STATS frame serves this snapshot.
 func (db *Database) AllPoolStats() (st storage.PoolStats, ok bool) {
 	return db.st.AllPoolStats(), true
 }

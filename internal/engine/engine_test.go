@@ -146,13 +146,13 @@ func TestTypeChecking(t *testing.T) {
 	if err := db.Create(def); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Insert("typed", tuple.FlatOf(value.NewInt(1), value.NewString("x"))); err != nil {
+	if _, err := db.Insert("typed", tuple.Flat{value.NewInt(1), value.NewString("x")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Insert("typed", tuple.FlatOf(value.NewString("no"), value.NewString("x"))); err == nil {
+	if _, err := db.Insert("typed", tuple.Flat{value.NewString("no"), value.NewString("x")}); err == nil {
 		t.Error("kind mismatch accepted")
 	}
-	if _, err := db.Insert("typed", tuple.FlatOf(value.NewInt(1))); err == nil {
+	if _, err := db.Insert("typed", tuple.Flat{value.NewInt(1)}); err == nil {
 		t.Error("short tuple accepted")
 	}
 }
@@ -327,12 +327,12 @@ func TestEngineCanonicalInvariant(t *testing.T) {
 			a := rng.Intn(40)
 			f, ok := byA[a]
 			if !ok {
-				f = tuple.FlatOf(
+				f = tuple.Flat{
 					value.NewInt(int64(a)),
 					value.NewInt(int64(rng.Intn(3))),
 					value.NewInt(int64(rng.Intn(3))),
 					value.NewInt(int64(rng.Intn(3))),
-				)
+				}
 				byA[a] = f
 			}
 			ch, err := db.Insert("r", f)

@@ -40,8 +40,8 @@ var (
 // Storage sentinels surfaced through the engine, re-exported so facade
 // callers need one import for the whole taxonomy.
 var (
-	// ErrCorrupt wraps open/scan failures caused by a malformed
-	// database file.
+	// ErrCorrupt wraps every failure caused by a malformed database
+	// file or log, whichever layer found it (storage.ErrCorrupt).
 	ErrCorrupt = store.ErrCorrupt
 	// ErrMispaired wraps opens refused because the data file and WAL
 	// sidecar belong to different databases.

@@ -624,12 +624,3 @@ func RenderTable(r *core.Relation) string {
 	fmt.Fprintf(&b, "%d tuple(s), %d flat tuple(s)", r.Len(), r.ExpansionSize())
 	return b.String()
 }
-
-// Atoms is a helper to build literal rows for tests and examples.
-func Atoms(lits ...string) []value.Atom {
-	out := make([]value.Atom, len(lits))
-	for i, l := range lits {
-		out[i] = value.MustParse(l)
-	}
-	return out
-}

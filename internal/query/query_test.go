@@ -294,13 +294,6 @@ func TestLiteralKinds(t *testing.T) {
 	}
 }
 
-func TestAtomsHelper(t *testing.T) {
-	row := Atoms("s1", "42", "2.5")
-	if row[0].K != value.String || row[1].K != value.Int || row[2].K != value.Float {
-		t.Errorf("Atoms kinds = %v %v %v", row[0].K, row[1].K, row[2].K)
-	}
-}
-
 func TestCreateWithFD(t *testing.T) {
 	s := NewSession()
 	res := mustExec(t, s, "CREATE emp (Emp, Dept, Mgr) FD Dept -> Mgr")

@@ -112,17 +112,6 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// Addr returns the listener address once Serve has one (for tests and
-// for -addr :0).
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.lis == nil {
-		return nil
-	}
-	return s.lis.Addr()
-}
-
 // Serve accepts connections on lis until Shutdown or Close, then
 // returns ErrServerClosed. Each accepted connection is served by its
 // own goroutine with its own query.Session.

@@ -7,6 +7,7 @@ import (
 	"net"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -42,6 +43,62 @@ func startServer(t *testing.T, dir string, cfg Config) (*Server, *engine.Databas
 		db.Close()
 	})
 	return srv, db, lis.Addr().String()
+}
+
+// heldCtx is a context whose Err blocks until release is closed, and
+// closes entered the first time it is called. A snapshot read checks
+// its context at each heap page, so a read under it keeps its snapshot
+// pinned until release.
+type heldCtx struct {
+	context.Context
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (c *heldCtx) Err() error {
+	c.once.Do(func() { close(c.entered) })
+	<-c.release
+	return nil
+}
+
+// TestStatsShowSnapshotPins: the stats frame carries the buffer pool's
+// snapshot gauges — one pin while a read holds its snapshot, none once
+// it returns.
+func TestStatsShowSnapshotPins(t *testing.T) {
+	_, db, addr := startServer(t, t.TempDir(), Config{})
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	mustExec(t, c, "CREATE enrollment (Student, Course, Club)")
+	mustExec(t, c, "INSERT INTO enrollment VALUES (s1, c1, b1), (s1, c2, b1)")
+
+	ctx := &heldCtx{Context: context.Background(), entered: make(chan struct{}), release: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() {
+		_, err := db.ReadRelation(ctx, "enrollment")
+		done <- err
+	}()
+	<-ctx.entered
+	st, err := c.Stats(context.Background())
+	close(ctx.release)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Pool.PinnedSnapshots != 1 {
+		t.Fatalf("stats during a snapshot read: %d pins, want 1", st.Pool.PinnedSnapshots)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if st, err = c.Stats(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st.Pool.PinnedSnapshots != 0 || st.Pool.RetainedVersions != 0 {
+		t.Fatalf("stats after the read: %d pins, %d retained versions, want none", st.Pool.PinnedSnapshots, st.Pool.RetainedVersions)
+	}
 }
 
 // connCount reads the live-connection count (tests only).
@@ -337,7 +394,7 @@ func TestRefusedWhileDraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The listener is closed: new dials are refused at the TCP level.
-	if _, err := client.Dial(addr, client.WithDialRetries(0), client.WithDialTimeout(time.Second)); err == nil {
+	if _, err := client.Dial(addr, client.WithDialRetries(0)); err == nil {
 		t.Fatal("dial succeeded after shutdown")
 	}
 	// The drained client's next call reports the shutdown.

@@ -105,7 +105,7 @@ func TestShutdownDrainsInFlightCommit(t *testing.T) {
 		t.Fatal("idle connection still usable after shutdown")
 	}
 	// The listener is closed.
-	if _, err := client.Dial(addr, client.WithDialRetries(0), client.WithDialTimeout(time.Second)); err == nil {
+	if _, err := client.Dial(addr, client.WithDialRetries(0)); err == nil {
 		t.Fatal("dial succeeded after shutdown")
 	}
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"slices"
 )
@@ -77,11 +76,6 @@ func CheckBTreeKey(n int) error {
 	}
 	return nil
 }
-
-// ErrCorruptBTree wraps structural damage found in a paged B+tree
-// (bad meta or node header, malformed entry, cyclic or cross-linked
-// pages, unsorted node).
-var ErrCorruptBTree = errors.New("storage: corrupt btree index")
 
 // BTree is a durable ordered index: memcomparable byte-string keys
 // mapped to record ids (duplicates allowed), stored in slotted pages
@@ -182,15 +176,15 @@ func (ix *BTree) load() error {
 		return err
 	}
 	if gerr != nil || len(meta) != btreeMetaLen || meta[0] != btreeMetaTag {
-		return fmt.Errorf("%w: bad meta record on page %d", ErrCorruptBTree, ix.metaPid)
+		return fmt.Errorf("%w: btree: bad meta record on page %d", ErrCorrupt, ix.metaPid)
 	}
 	root := binary.LittleEndian.Uint32(meta[1:5])
 	height := int(binary.LittleEndian.Uint16(meta[5:7]))
 	count := binary.LittleEndian.Uint64(meta[7:15])
 	first := binary.LittleEndian.Uint32(meta[15:19])
 	if root == 0 || first == 0 || height < 1 || height > 64 || count > 1<<50 {
-		return fmt.Errorf("%w: impossible meta (root %d, height %d, count %d, first leaf %d)",
-			ErrCorruptBTree, root, height, count, first)
+		return fmt.Errorf("%w: btree: impossible meta (root %d, height %d, count %d, first leaf %d)",
+			ErrCorrupt, root, height, count, first)
 	}
 	ix.root, ix.height, ix.count, ix.firstLeaf = root, height, int(count), first
 	return nil
@@ -224,7 +218,7 @@ func (ix *BTree) writeMeta(txn *Txn) error {
 	rec, gerr := fr.Page().Get(0)
 	if gerr != nil || len(rec) != btreeMetaLen || rec[0] != btreeMetaTag {
 		ix.bp.Unpin(fr, false)
-		return fmt.Errorf("%w: meta record missing from page %d", ErrCorruptBTree, ix.metaPid)
+		return fmt.Errorf("%w: btree: meta record missing from page %d", ErrCorrupt, ix.metaPid)
 	}
 	copy(rec, ix.metaBytes())
 	return ix.bp.Unpin(fr, true)
@@ -280,13 +274,13 @@ func (ix *BTree) pin(txn *Txn, pid uint32, inner bool) (*Frame, node, error) {
 	p := fr.Page()
 	nd := node{p: p, pid: pid, inner: inner, n: p.numSlots() - 1}
 	if nd.n < 0 || pageHeaderSize+p.numSlots()*slotSize > PageSize {
-		err = fmt.Errorf("%w: page %d has an impossible slot directory", ErrCorruptBTree, pid)
+		err = fmt.Errorf("%w: btree: page %d has an impossible slot directory", ErrCorrupt, pid)
 	} else if hdr, herr := nd.rec(0); herr != nil {
 		err = herr
 	} else if leaf := len(hdr) == 1 && hdr[0] == btreeLeafTag; !leaf && !(len(hdr) == 5 && hdr[0] == btreeInnerTag) {
-		err = fmt.Errorf("%w: bad node header on page %d", ErrCorruptBTree, pid)
+		err = fmt.Errorf("%w: btree: bad node header on page %d", ErrCorrupt, pid)
 	} else if leaf == inner {
-		err = fmt.Errorf("%w: page %d has the wrong node kind for its depth", ErrCorruptBTree, pid)
+		err = fmt.Errorf("%w: btree: page %d has the wrong node kind for its depth", ErrCorrupt, pid)
 	}
 	if err != nil {
 		ix.bp.Unpin(fr, false)
@@ -309,7 +303,7 @@ func (ix *BTree) release(fr *Frame, dirty bool, err error) error {
 func (nd node) rec(i int) ([]byte, error) {
 	off, ln := nd.p.slotAt(i)
 	if off < pageHeaderSize || off+ln > PageSize-nd.p.numSlots()*slotSize {
-		return nil, fmt.Errorf("%w: page %d slot %d region [%d,%d) outside the record area", ErrCorruptBTree, nd.pid, i, off, off+ln)
+		return nil, fmt.Errorf("%w: btree: page %d slot %d region [%d,%d) outside the record area", ErrCorrupt, nd.pid, i, off, off+ln)
 	}
 	return nd.p[off : off+ln], nil
 }
@@ -327,11 +321,11 @@ func (nd node) splitChild(rec []byte) ([]byte, uint32, error) {
 		return rec, 0, nil
 	}
 	if len(rec) < 4 {
-		return nil, 0, fmt.Errorf("%w: page %d: short inner entry", ErrCorruptBTree, nd.pid)
+		return nil, 0, fmt.Errorf("%w: btree: page %d: short inner entry", ErrCorrupt, nd.pid)
 	}
 	child := binary.LittleEndian.Uint32(rec[len(rec)-4:])
 	if child == 0 {
-		return nil, 0, fmt.Errorf("%w: page %d: inner entry with child 0", ErrCorruptBTree, nd.pid)
+		return nil, 0, fmt.Errorf("%w: btree: page %d: inner entry with child 0", ErrCorrupt, nd.pid)
 	}
 	return rec[:len(rec)-4], child, nil
 }
@@ -345,7 +339,7 @@ func (nd node) entry(i int) (key []byte, rid RID, child uint32, err error) {
 	}
 	if err == nil {
 		if key, rid, err = decodeIndexEntry(rec); err != nil {
-			err = fmt.Errorf("%w: page %d slot %d: %v", ErrCorruptBTree, nd.pid, i+1, err)
+			err = fmt.Errorf("%w: btree: page %d slot %d: %v", ErrCorrupt, nd.pid, i+1, err)
 		}
 	}
 	return key, rid, child, err
@@ -431,7 +425,7 @@ func (ix *BTree) descend(path []pathEl, key []byte, rid RID) ([]pathEl, uint32, 
 			_, _, child, err = nd.entry(idx - 1)
 		}
 		if err == nil && child == 0 {
-			err = fmt.Errorf("%w: descent hit child 0 on page %d", ErrCorruptBTree, pid)
+			err = fmt.Errorf("%w: btree: descent hit child 0 on page %d", ErrCorrupt, pid)
 		}
 		if err = ix.release(fr, false, err); err != nil {
 			return nil, 0, err
@@ -609,7 +603,7 @@ func (ix *BTree) unlinkLeaf(txn *Txn, parent pathEl, leafPid, next uint32) error
 	idx := parent.childIdx // ≥ 1, checked by the caller
 	siblingPid := pn.leftmost()
 	if idx > pn.n {
-		err = fmt.Errorf("%w: page %d lost the separator of leaf %d", ErrCorruptBTree, parent.pid, leafPid)
+		err = fmt.Errorf("%w: btree: page %d lost the separator of leaf %d", ErrCorrupt, parent.pid, leafPid)
 	} else if idx > 1 {
 		_, _, siblingPid, err = pn.entry(idx - 2)
 	}
@@ -663,7 +657,7 @@ func (ix *BTree) Scan(lo []byte, loIncl bool, hi []byte, hiIncl bool, fn func(ke
 	limit := int(ix.bp.pager.NumPages()) + 1
 	for steps := 0; leafPid != 0; steps++ {
 		if steps > limit {
-			return pages, fmt.Errorf("%w: leaf chain cycle at page %d", ErrCorruptBTree, leafPid)
+			return pages, fmt.Errorf("%w: btree: leaf chain cycle at page %d", ErrCorrupt, leafPid)
 		}
 		pages++
 		fr, nd, err := ix.pin(nil, leafPid, false)
@@ -767,7 +761,7 @@ func (ix *BTree) checkNode(pid uint32, leaf bool) (children []uint32, entries in
 			return nil, 0, 0, err
 		}
 		if i > 0 && cmpKeyRID(prevKey, prevRID, key, rid) > 0 {
-			return nil, 0, 0, fmt.Errorf("%w: page %d entries out of order", ErrCorruptBTree, pid)
+			return nil, 0, 0, fmt.Errorf("%w: btree: page %d entries out of order", ErrCorrupt, pid)
 		}
 		prevKey, prevRID = key, rid
 		if nd.inner {
@@ -789,7 +783,7 @@ func (ix *BTree) walk() (inner, leaves []uint32, err error) {
 	var rec func(pid uint32, depth int) error
 	rec = func(pid uint32, depth int) error {
 		if pid == 0 || seen[pid] {
-			return fmt.Errorf("%w: page %d reached twice (or zero)", ErrCorruptBTree, pid)
+			return fmt.Errorf("%w: btree: page %d reached twice (or zero)", ErrCorrupt, pid)
 		}
 		seen[pid] = true
 		children, n, next, err := ix.checkNode(pid, depth == ix.height-1)
@@ -814,19 +808,19 @@ func (ix *BTree) walk() (inner, leaves []uint32, err error) {
 		return nil, nil, err
 	}
 	if entryTotal != ix.count {
-		return nil, nil, fmt.Errorf("%w: leaves hold %d entries, meta says %d", ErrCorruptBTree, entryTotal, ix.count)
+		return nil, nil, fmt.Errorf("%w: btree: leaves hold %d entries, meta says %d", ErrCorrupt, entryTotal, ix.count)
 	}
 	// the chain must visit exactly the leaves, in tree order
 	pid := ix.firstLeaf
 	for i := 0; ; i++ {
 		if pid == 0 {
 			if i != len(leaves) {
-				return nil, nil, fmt.Errorf("%w: leaf chain ends after %d of %d leaves", ErrCorruptBTree, i, len(leaves))
+				return nil, nil, fmt.Errorf("%w: btree: leaf chain ends after %d of %d leaves", ErrCorrupt, i, len(leaves))
 			}
 			return inner, leaves, nil
 		}
 		if i >= len(leaves) || leaves[i] != pid {
-			return nil, nil, fmt.Errorf("%w: leaf chain diverges from the tree at page %d", ErrCorruptBTree, pid)
+			return nil, nil, fmt.Errorf("%w: btree: leaf chain diverges from the tree at page %d", ErrCorrupt, pid)
 		}
 		pid = chain[i]
 	}

@@ -69,7 +69,7 @@ func (ix refBTree) readNode(pid uint32) (*btNode, error) {
 			case len(rec) == 5 && rec[0] == btreeInnerTag:
 				n.leftmost = binary.LittleEndian.Uint32(rec[1:5])
 			default:
-				derr = fmt.Errorf("%w: bad node header on page %d", ErrCorruptBTree, pid)
+				derr = fmt.Errorf("%w: bad node header on page %d", ErrCorrupt, pid)
 				return false
 			}
 			return true
@@ -90,7 +90,7 @@ func (ix refBTree) readNode(pid uint32) (*btNode, error) {
 	}
 	for i := 1; i < len(n.entries); i++ {
 		if cmpEntry(n.entries[i-1], n.entries[i].key, n.entries[i].rid) > 0 {
-			return nil, fmt.Errorf("%w: page %d entries out of order", ErrCorruptBTree, pid)
+			return nil, fmt.Errorf("%w: page %d entries out of order", ErrCorrupt, pid)
 		}
 	}
 	return n, nil
@@ -108,17 +108,17 @@ func decodeBTreeEntry(rec []byte, inner bool) (btEntry, error) {
 	var e btEntry
 	if inner {
 		if len(rec) < 4 {
-			return e, fmt.Errorf("%w: short inner entry", ErrCorruptBTree)
+			return e, fmt.Errorf("%w: short inner entry", ErrCorrupt)
 		}
 		e.child = binary.LittleEndian.Uint32(rec[len(rec)-4:])
 		if e.child == 0 {
-			return e, fmt.Errorf("%w: inner entry with child 0", ErrCorruptBTree)
+			return e, fmt.Errorf("%w: inner entry with child 0", ErrCorrupt)
 		}
 		rec = rec[:len(rec)-4]
 	}
 	key, rid, err := decodeIndexEntry(rec)
 	if err != nil {
-		return e, fmt.Errorf("%w: %v", ErrCorruptBTree, err)
+		return e, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	e.key = append([]byte(nil), key...)
 	e.rid = rid
@@ -199,7 +199,7 @@ func (ix refBTree) descend(key []byte, rid RID) ([]refPathEl, error) {
 	pid := ix.root
 	for depth := 0; ; depth++ {
 		if depth >= ix.height {
-			return nil, fmt.Errorf("%w: descent deeper than height %d", ErrCorruptBTree, ix.height)
+			return nil, fmt.Errorf("%w: descent deeper than height %d", ErrCorrupt, ix.height)
 		}
 		n, err := ix.readNode(pid)
 		if err != nil {
@@ -207,7 +207,7 @@ func (ix refBTree) descend(key []byte, rid RID) ([]refPathEl, error) {
 		}
 		wantLeaf := depth == ix.height-1
 		if n.leaf != wantLeaf {
-			return nil, fmt.Errorf("%w: page %d at depth %d has the wrong node kind", ErrCorruptBTree, pid, depth)
+			return nil, fmt.Errorf("%w: page %d at depth %d has the wrong node kind", ErrCorrupt, pid, depth)
 		}
 		el := refPathEl{pid: pid, node: n}
 		if n.leaf {
@@ -227,7 +227,7 @@ func (ix refBTree) descend(key []byte, rid RID) ([]refPathEl, error) {
 			pid = n.entries[idx-1].child
 		}
 		if pid == 0 {
-			return nil, fmt.Errorf("%w: descent hit child 0", ErrCorruptBTree)
+			return nil, fmt.Errorf("%w: descent hit child 0", ErrCorrupt)
 		}
 	}
 }

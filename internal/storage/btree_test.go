@@ -477,7 +477,7 @@ func TestBTreeCompactsBeforeSplitting(t *testing.T) {
 }
 
 // TestBTreeCorruptNodes damages one node at a time. Verification
-// (Pages, which store.VerifyIndexes runs) must name ErrCorruptBTree;
+// (Pages, which store.VerifyIndexes runs) must name ErrCorrupt;
 // Put, Get, Scan and Delete read nodes without re-validating them, so
 // they may answer wrongly, but must return — no panic, no endless loop.
 func TestBTreeCorruptNodes(t *testing.T) {
@@ -578,8 +578,8 @@ func TestBTreeCorruptNodes(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !strings.HasPrefix(tc.name, "free start") { // the free tail is no reader's business
-				if _, err := ix.Pages(); !errors.Is(err, ErrCorruptBTree) {
-					t.Errorf("Pages() = %v, want ErrCorruptBTree", err)
+				if _, err := ix.Pages(); !errors.Is(err, ErrCorrupt) {
+					t.Errorf("Pages() = %v, want ErrCorrupt", err)
 				}
 			}
 			// every operation returns; errors and wrong answers are both fine

@@ -33,12 +33,19 @@ func (fr *Frame) PID() uint32 { return fr.pid }
 // frame was dirty and the WAL's no-steal rule forbade writing one out;
 // Repairs counts pages whose data-file copy failed its checksum and was
 // restored from the WAL's committed image.
+//
+// PinnedSnapshots and RetainedVersions are gauges, read when the
+// snapshot is taken and never reset: the outstanding snapshot pins, and
+// the superseded page images the pool holds for them.
 type PoolStats struct {
 	Hits      int
 	Misses    int
 	Evictions int
 	Overflows int
 	Repairs   int
+
+	PinnedSnapshots  int
+	RetainedVersions int
 }
 
 // ErrFailed is the sticky error of a pool whose data-file write-through
@@ -178,21 +185,34 @@ func (bp *BufferPool) Stats() (hits, misses, evictions int) {
 	return bp.stats.Hits, bp.stats.Misses, bp.stats.Evictions
 }
 
-// Snapshot returns all pool counters.
+// Snapshot returns all pool counters and gauges.
 func (bp *BufferPool) Snapshot() PoolStats {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	return bp.stats
+	return bp.statsLocked()
 }
 
-// TakeStats returns the counters and zeroes them. The store uses it to
-// bucket open-time I/O (recovery replay, catalog load, index rebuild)
-// separately from steady-state traffic so hit rates stay honest.
+// TakeStats returns the counters and gauges, and zeroes the counters.
+// The store uses it to bucket open-time I/O (recovery replay, catalog
+// load, index rebuild) separately from steady-state traffic so hit
+// rates stay honest.
 func (bp *BufferPool) TakeStats() PoolStats {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	st := bp.stats
+	st := bp.statsLocked()
 	bp.stats = PoolStats{}
+	return st
+}
+
+// statsLocked is the counters with the gauges filled in (bp.mu held).
+func (bp *BufferPool) statsLocked() PoolStats {
+	st := bp.stats
+	for _, c := range bp.pins {
+		st.PinnedSnapshots += c
+	}
+	for _, vs := range bp.versions {
+		st.RetainedVersions += len(vs)
+	}
 	return st
 }
 

@@ -79,7 +79,7 @@ func TestClassesAreExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendBatch([]storage.WALPage{{PID: 1, Img: page(1, "a")}}); err != nil {
+	if err := w.AppendGroup([][]storage.WALPage{{{PID: 1, Img: page(1, "a")}}}, w.Clock()+1); err != nil {
 		t.Fatal(err)
 	}
 	logBase := logFS.Record()

@@ -35,9 +35,13 @@ import (
 // of bucket `next`: a new bucket is appended to the directory and the
 // split bucket's entries are redistributed between the pair using the
 // next-level mask. `next` then advances, doubling the table level by
-// level — the classic Litwin scheme, chosen because the directory only
-// ever appends, so attaching to an index costs O(directory pages), not
-// O(entries).
+// level — the classic Litwin scheme.
+//
+// The store has not used this index since each shard's B+tree took
+// over its lookups; nfr-spine's traced runs still replay it. So it
+// keeps only what that replay calls: CreateDiskIndex, Put, Get,
+// Delete and the split. There is no reattach, and Delete leaves an
+// emptied page on its chain.
 const (
 	// indexInitBuckets is the bucket count of a fresh index (a power of
 	// two; linear splitting doubles the address space level by level).
@@ -57,16 +61,11 @@ func hashKey(key []byte) uint64 {
 	return h.Sum64()
 }
 
-// ErrCorruptIndex wraps structural damage found in a paged hash index
-// (bad meta record, malformed entry, cyclic or cross-linked chains).
-var ErrCorruptIndex = errors.New("storage: corrupt hash index")
-
 // DiskHashIndex is a durable hash index: byte-string keys mapped to
 // record ids (duplicates allowed), stored in pages behind a buffer
 // pool. The struct itself is only a small in-memory mirror of the
 // directory (bucket page ids plus the split state); all entries live
-// in bucket pages. Callers serialize access per index — the store does
-// so under its per-shard latch.
+// in bucket pages. Callers serialize access per index.
 type DiskHashIndex struct {
 	bp      *BufferPool
 	root    uint32   // first page of the directory chain
@@ -76,19 +75,10 @@ type DiskHashIndex struct {
 	level   int
 	next    int // split pointer: the next bucket to split
 	count   int
-	// maxEntries, when > 0, caps how many live entries a bucket's
-	// primary page may hold before an insert counts as a spill (tests
-	// use it to force splits from tiny workloads; 0 = page capacity
-	// decides).
-	maxEntries int
-	// released accumulates overflow pages emptied by deletes and
-	// unlinked from their bucket chains, until the owner drains them
-	// via TakeReleased (to hand to a free list under the same txn).
-	released []uint32
 }
 
 // CreateDiskIndex allocates a fresh empty index under txn and returns
-// it. Persist Root() to reattach later.
+// it.
 func CreateDiskIndex(bp *BufferPool, txn *Txn) (*DiskHashIndex, error) {
 	ix := &DiskHashIndex{bp: bp, n0: indexInitBuckets}
 	fr, err := bp.NewPage(txn)
@@ -116,9 +106,8 @@ func CreateDiskIndex(bp *BufferPool, txn *Txn) (*DiskHashIndex, error) {
 	return ix, bp.Unpin(fr, true)
 }
 
-// writeDirectory rewrites a (fresh or reset) directory root page with
-// the meta record followed by every bucket pid. Only valid while the
-// whole directory fits one page (creation and Clear guarantee it).
+// writeDirectory fills a fresh directory root page with the meta record
+// followed by every bucket pid.
 func (ix *DiskHashIndex) writeDirectory(fr *Frame) error {
 	if _, err := fr.Page().Insert(ix.metaBytes()); err != nil {
 		return err
@@ -133,91 +122,7 @@ func (ix *DiskHashIndex) writeDirectory(fr *Frame) error {
 	return nil
 }
 
-// OpenDiskIndex attaches to the index whose directory chain starts at
-// root, reading only the directory — O(buckets/page) page reads, never
-// the entries.
-func OpenDiskIndex(bp *BufferPool, root uint32) (*DiskHashIndex, error) {
-	ix := &DiskHashIndex{bp: bp, root: root}
-	if err := ix.load(); err != nil {
-		return nil, err
-	}
-	return ix, nil
-}
-
-// Refresh re-reads the directory from its pages, discarding the
-// in-memory mirror. Callers use it after a transaction rollback
-// discarded uncommitted index frames: the pages have reverted to the
-// committed state and the mirror (split pointer, appended buckets,
-// count) must follow.
-func (ix *DiskHashIndex) Refresh() error {
-	// pages shed under a since-rolled-back txn are back on their chains;
-	// handing them to a free list now would double-own them
-	ix.released = nil
-	return ix.load()
-}
-
-func (ix *DiskHashIndex) load() error {
-	var (
-		dir     []uint32
-		buckets []uint32
-		meta    []byte
-	)
-	seen := make(map[uint32]bool)
-	pid := ix.root
-	first := true
-	for pid != 0 {
-		if seen[pid] {
-			return fmt.Errorf("%w: directory chain cycle at page %d", ErrCorruptIndex, pid)
-		}
-		seen[pid] = true
-		fr, err := ix.bp.Get(pid)
-		if err != nil {
-			return err
-		}
-		dir = append(dir, pid)
-		var recErr error
-		fr.Page().LiveRecords(func(slot int, rec []byte) bool {
-			if first && slot == 0 {
-				meta = append([]byte(nil), rec...)
-				return true
-			}
-			if len(rec) != 4 {
-				recErr = fmt.Errorf("%w: directory record of %d bytes", ErrCorruptIndex, len(rec))
-				return false
-			}
-			buckets = append(buckets, binary.LittleEndian.Uint32(rec))
-			return true
-		})
-		next := fr.Page().Next()
-		if err := ix.bp.Unpin(fr, false); err != nil {
-			return err
-		}
-		if recErr != nil {
-			return recErr
-		}
-		first = false
-		pid = next
-	}
-	n0, level, next, nbuckets, count, err := decodeIndexMeta(meta)
-	if err != nil {
-		return err
-	}
-	if len(buckets) != nbuckets {
-		return fmt.Errorf("%w: directory lists %d buckets, meta says %d",
-			ErrCorruptIndex, len(buckets), nbuckets)
-	}
-	dup := make(map[uint32]bool, len(buckets))
-	for _, b := range buckets {
-		if b == 0 || seen[b] || dup[b] {
-			return fmt.Errorf("%w: impossible bucket page id %d", ErrCorruptIndex, b)
-		}
-		dup[b] = true
-	}
-	ix.dir, ix.buckets = dir, buckets
-	ix.n0, ix.level, ix.next, ix.count = n0, level, next, count
-	return nil
-}
-
+// metaBytes encodes the meta record: the split state and entry count.
 func (ix *DiskHashIndex) metaBytes() []byte {
 	b := make([]byte, indexMetaLen)
 	b[0] = indexMetaTag
@@ -227,36 +132,6 @@ func (ix *DiskHashIndex) metaBytes() []byte {
 	binary.LittleEndian.PutUint32(b[9:13], uint32(len(ix.buckets)))
 	binary.LittleEndian.PutUint64(b[13:21], uint64(ix.count))
 	return b
-}
-
-func decodeIndexMeta(rec []byte) (n0, level, next, nbuckets, count int, err error) {
-	fail := func(form string, args ...any) (int, int, int, int, int, error) {
-		return 0, 0, 0, 0, 0, fmt.Errorf("%w: "+form, append([]any{ErrCorruptIndex}, args...)...)
-	}
-	if len(rec) != indexMetaLen || rec[0] != indexMetaTag {
-		return fail("bad meta record (%d bytes)", len(rec))
-	}
-	n0 = int(binary.LittleEndian.Uint16(rec[1:3]))
-	level = int(binary.LittleEndian.Uint16(rec[3:5]))
-	next = int(binary.LittleEndian.Uint32(rec[5:9]))
-	nbuckets = int(binary.LittleEndian.Uint32(rec[9:13]))
-	c := binary.LittleEndian.Uint64(rec[13:21])
-	if n0 < 1 || n0 > 4096 || n0&(n0-1) != 0 {
-		return fail("initial bucket count %d", n0)
-	}
-	if level > 31 {
-		return fail("level %d", level)
-	}
-	if next >= n0<<level {
-		return fail("split pointer %d beyond level %d", next, level)
-	}
-	if nbuckets != n0<<level+next {
-		return fail("bucket count %d inconsistent with level %d / split %d", nbuckets, level, next)
-	}
-	if c > 1<<50 {
-		return fail("entry count %d", c)
-	}
-	return n0, level, next, nbuckets, int(c), nil
 }
 
 // appendIndexEntry encodes one key → rid entry record.
@@ -269,16 +144,17 @@ func appendIndexEntry(b, key []byte, rid RID) []byte {
 }
 
 // decodeIndexEntry is the strict inverse of appendIndexEntry: trailing
-// or missing bytes are corruption, never guessed at. The returned key
-// aliases rec.
+// or missing bytes are an error, never guessed at, which each caller
+// wraps as ErrCorrupt with the page it read. The returned key aliases
+// rec.
 func decodeIndexEntry(rec []byte) (key []byte, rid RID, err error) {
 	kl, n := binary.Uvarint(rec)
 	if n <= 0 || kl > uint64(len(rec))-uint64(n) {
-		return nil, RID{}, fmt.Errorf("%w: bad entry key length", ErrCorruptIndex)
+		return nil, RID{}, errors.New("bad entry key length")
 	}
 	rest := rec[n:]
 	if uint64(len(rest)) != kl+6 {
-		return nil, RID{}, fmt.Errorf("%w: entry of %d bytes, want %d", ErrCorruptIndex, len(rest), kl+6)
+		return nil, RID{}, fmt.Errorf("entry of %d bytes, want %d", len(rest), kl+6)
 	}
 	key = rest[:kl]
 	rid.Page = binary.LittleEndian.Uint32(rest[kl : kl+4])
@@ -286,31 +162,10 @@ func decodeIndexEntry(rec []byte) (key []byte, rid RID, err error) {
 	return key, rid, nil
 }
 
-// Root returns the directory chain's first page id (persist this to
-// reattach with OpenDiskIndex).
-func (ix *DiskHashIndex) Root() uint32 { return ix.root }
-
-// Len returns the number of stored entries.
-func (ix *DiskHashIndex) Len() int { return ix.count }
-
-// Buckets returns the current bucket count (grows by one per split).
-func (ix *DiskHashIndex) Buckets() int { return len(ix.buckets) }
-
-// Level returns the current hashing level.
-func (ix *DiskHashIndex) Level() int { return ix.level }
-
-// SetMaxBucketEntries caps how many live entries a bucket's primary
-// page may hold before an insert counts as a spill and triggers a
-// split (0 restores the default: page capacity decides). Only the
-// split TIMING changes — the on-disk structure stays self-describing —
-// so tests use it to exercise splits with tiny workloads.
-func (ix *DiskHashIndex) SetMaxBucketEntries(n int) { ix.maxEntries = n }
-
 // chainLimit bounds bucket-chain walks without allocating a visited
 // set on every probe (Get/Put/Delete are the engine's key-probe hot
 // path): a chain with more pages than the file holds is provably
-// cyclic. The cold paths that need exact cross-chain duplicate
-// detection (load, Pages) keep their maps.
+// cyclic.
 func (ix *DiskHashIndex) chainLimit() int { return int(ix.bp.pager.NumPages()) + 1 }
 
 // bucketOf addresses a hash: the current-level mask, one level deeper
@@ -354,7 +209,7 @@ func (ix *DiskHashIndex) bucketInsert(txn *Txn, first uint32, rec []byte) (spill
 	limit := ix.chainLimit()
 	for steps := 0; ; {
 		if steps++; steps > limit {
-			return false, fmt.Errorf("%w: bucket chain cycle at page %d", ErrCorruptIndex, pid)
+			return false, fmt.Errorf("%w: hash index bucket chain cycle at page %d", ErrCorrupt, pid)
 		}
 		fr, err := ix.bp.GetMut(txn, pid)
 		if err != nil {
@@ -369,9 +224,6 @@ func (ix *DiskHashIndex) bucketInsert(txn *Txn, first uint32, rec []byte) (spill
 			_, ierr = p.Insert(rec)
 		}
 		if ierr == nil {
-			if pid == first && ix.maxEntries > 0 && liveSlots(p) > ix.maxEntries {
-				spilled = true
-			}
 			return spilled, ix.bp.Unpin(fr, true)
 		}
 		if ierr != ErrPageFull {
@@ -405,12 +257,6 @@ func (ix *DiskHashIndex) bucketInsert(txn *Txn, first uint32, rec []byte) (spill
 	}
 }
 
-func liveSlots(p *Page) int {
-	n := 0
-	p.LiveRecords(func(int, []byte) bool { n++; return true })
-	return n
-}
-
 // split performs one linear split: bucket `next` is split, a new
 // bucket is appended to the directory, and the split bucket's entries
 // are redistributed between the pair using the next-level mask.
@@ -442,7 +288,7 @@ func (ix *DiskHashIndex) split(txn *Txn) error {
 	for _, rec := range entries {
 		key, _, derr := decodeIndexEntry(rec)
 		if derr != nil {
-			return derr
+			return fmt.Errorf("%w: hash index bucket %d: %v", ErrCorrupt, old, derr)
 		}
 		switch ix.bucketOf(hashKey(key)) {
 		case old:
@@ -450,7 +296,7 @@ func (ix *DiskHashIndex) split(txn *Txn) error {
 		case newIdx:
 			move = append(move, rec)
 		default:
-			return fmt.Errorf("%w: entry rehashed outside split pair", ErrCorruptIndex)
+			return fmt.Errorf("%w: hash index entry rehashed outside split pair", ErrCorrupt)
 		}
 	}
 	if err := ix.rewriteChain(txn, oldPids, keep); err != nil {
@@ -466,7 +312,7 @@ func (ix *DiskHashIndex) dumpBucket(first uint32) (pids []uint32, recs [][]byte,
 	limit := ix.chainLimit()
 	for steps := 0; pid != 0; {
 		if steps++; steps > limit {
-			return nil, nil, fmt.Errorf("%w: bucket chain cycle at page %d", ErrCorruptIndex, pid)
+			return nil, nil, fmt.Errorf("%w: hash index bucket chain cycle at page %d", ErrCorrupt, pid)
 		}
 		fr, err := ix.bp.Get(pid)
 		if err != nil {
@@ -588,7 +434,7 @@ func (ix *DiskHashIndex) writeMeta(txn *Txn) error {
 	rec, gerr := fr.Page().Get(0)
 	if gerr != nil || len(rec) != indexMetaLen || rec[0] != indexMetaTag {
 		ix.bp.Unpin(fr, false)
-		return fmt.Errorf("%w: meta record missing from directory root %d", ErrCorruptIndex, ix.root)
+		return fmt.Errorf("%w: hash index meta record missing from directory root %d", ErrCorrupt, ix.root)
 	}
 	copy(rec, ix.metaBytes())
 	return ix.bp.Unpin(fr, true)
@@ -602,7 +448,7 @@ func (ix *DiskHashIndex) walkBucket(first uint32, fn func(pid uint32, slot int, 
 	limit := ix.chainLimit()
 	for steps := 0; pid != 0; {
 		if steps++; steps > limit {
-			return fmt.Errorf("%w: bucket chain cycle at page %d", ErrCorruptIndex, pid)
+			return fmt.Errorf("%w: hash index bucket chain cycle at page %d", ErrCorrupt, pid)
 		}
 		fr, err := ix.bp.Get(pid)
 		if err != nil {
@@ -613,7 +459,7 @@ func (ix *DiskHashIndex) walkBucket(first uint32, fn func(pid uint32, slot int, 
 		fr.Page().LiveRecords(func(slot int, rec []byte) bool {
 			k, rid, err := decodeIndexEntry(rec)
 			if err != nil {
-				derr = fmt.Errorf("page %d slot %d: %w", pid, slot, err)
+				derr = fmt.Errorf("%w: hash index page %d slot %d: %v", ErrCorrupt, pid, slot, err)
 				return false
 			}
 			if !fn(pid, slot, k, rid) {
@@ -653,16 +499,11 @@ func (ix *DiskHashIndex) Get(key []byte) ([]RID, error) {
 }
 
 // Delete removes one key → rid mapping under txn, reporting whether a
-// mapping was removed. Buckets themselves are never merged, but an
-// overflow page the delete leaves empty is unlinked from its bucket
-// chain under the same txn and queued on TakeReleased for the caller
-// to return to its free list — so a fill/drain cycle gives chain pages
-// back instead of leaving ever-longer walks over tombstones. Primary
-// pages stay in place (the directory references them).
+// mapping was removed. Buckets are never merged, and a page the delete
+// empties stays on its chain.
 func (ix *DiskHashIndex) Delete(txn *Txn, key []byte, rid RID) (bool, error) {
-	primary := ix.buckets[ix.bucketOf(hashKey(key))]
 	foundPid, foundSlot := uint32(0), -1
-	err := ix.walkBucket(primary, func(pid uint32, slot int, k []byte, r RID) bool {
+	err := ix.walkBucket(ix.buckets[ix.bucketOf(hashKey(key))], func(pid uint32, slot int, k []byte, r RID) bool {
 		if r == rid && bytes.Equal(k, key) {
 			foundPid, foundSlot = pid, slot
 			return false
@@ -683,275 +524,10 @@ func (ix *DiskHashIndex) Delete(txn *Txn, key []byte, rid RID) (bool, error) {
 		ix.bp.Unpin(fr, false)
 		return false, derr
 	}
-	empty := fr.Page().NumLive() == 0
-	victimNext := fr.Page().Next()
 	if err := ix.bp.Unpin(fr, true); err != nil {
 		return false, err
 	}
 	ix.count--
-	if empty && foundPid != primary {
-		if err := ix.unlinkOverflow(txn, primary, foundPid, victimNext); err != nil {
-			return false, err
-		}
-	}
-	if empty {
-		// the delete emptied a page, so the trailing bucket may now be
-		// fully empty — the only state a linear split can be undone from
-		if err := ix.shrink(txn); err != nil {
-			return true, err
-		}
-	}
 	ix.deferMeta(txn)
 	return true, nil
-}
-
-// shrink reverses linear splits while the LAST bucket's whole chain is
-// empty: the trailing directory record is removed, the split pointer
-// steps back (one level up when it wraps), and every page of the empty
-// chain is queued for TakeReleased — so a heavily shrunk index gives
-// its directory and bucket pages back instead of keeping its high-water
-// footprint forever. Removing an empty trailing bucket is exactly an
-// undo of the split that created it: the bucket holds no entries to
-// move back, and any key that would have deep-hashed to it now
-// shallow-hashes to its buddy (the restored split target), which is
-// where pre-split lookups already probe.
-func (ix *DiskHashIndex) shrink(txn *Txn) error {
-	for len(ix.buckets) > ix.n0 {
-		last := ix.buckets[len(ix.buckets)-1]
-		empty, pids, err := ix.chainPagesIfEmpty(last)
-		if err != nil {
-			return err
-		}
-		if !empty {
-			return nil
-		}
-		if err := ix.dirRemoveLast(txn); err != nil {
-			return err
-		}
-		ix.buckets = ix.buckets[:len(ix.buckets)-1]
-		if ix.next == 0 {
-			ix.level--
-			ix.next = ix.n0 << ix.level
-		}
-		ix.next--
-		ix.released = append(ix.released, pids...)
-	}
-	return nil
-}
-
-// chainPagesIfEmpty walks the bucket chain rooted at first; when every
-// page is free of live entries it returns (true, all chain page ids).
-func (ix *DiskHashIndex) chainPagesIfEmpty(first uint32) (bool, []uint32, error) {
-	var pids []uint32
-	pid := first
-	limit := ix.chainLimit()
-	for steps := 0; pid != 0; {
-		if steps++; steps > limit {
-			return false, nil, fmt.Errorf("%w: bucket chain cycle at page %d", ErrCorruptIndex, pid)
-		}
-		fr, err := ix.bp.Get(pid)
-		if err != nil {
-			return false, nil, err
-		}
-		live := fr.Page().NumLive()
-		next := fr.Page().Next()
-		if err := ix.bp.Unpin(fr, false); err != nil {
-			return false, nil, err
-		}
-		if live > 0 {
-			return false, nil, nil
-		}
-		pids = append(pids, pid)
-		pid = next
-	}
-	return true, pids, nil
-}
-
-// dirRemoveLast tombstones the trailing bucket record in the directory
-// and trims a directory overflow page the removal leaves empty
-// (unlinked and queued for TakeReleased). Because shrink always removes
-// the HIGHEST live slot and Insert reuses the lowest tombstone first,
-// tombstones stay a suffix of each page's slot order and slot order
-// keeps matching bucket order — the invariant load() depends on.
-func (ix *DiskHashIndex) dirRemoveLast(txn *Txn) error {
-	last := ix.dir[len(ix.dir)-1]
-	fr, err := ix.bp.GetMut(txn, last)
-	if err != nil {
-		return err
-	}
-	p := fr.Page()
-	slot := -1
-	for i := 0; i < p.NumSlots(); i++ {
-		if _, gerr := p.Get(i); gerr == nil && !(last == ix.root && i == 0) {
-			slot = i // keep scanning: we want the highest live slot
-		}
-	}
-	if slot < 0 {
-		ix.bp.Unpin(fr, false)
-		return fmt.Errorf("%w: directory has no bucket record to remove", ErrCorruptIndex)
-	}
-	if derr := p.Delete(slot); derr != nil {
-		ix.bp.Unpin(fr, false)
-		return derr
-	}
-	emptied := last != ix.root && p.NumLive() == 0
-	if err := ix.bp.Unpin(fr, true); err != nil {
-		return err
-	}
-	if emptied {
-		prev := ix.dir[len(ix.dir)-2]
-		pf, err := ix.bp.GetMut(txn, prev)
-		if err != nil {
-			return err
-		}
-		pf.Page().SetNext(0)
-		if err := ix.bp.Unpin(pf, true); err != nil {
-			return err
-		}
-		ix.dir = ix.dir[:len(ix.dir)-1]
-		ix.released = append(ix.released, last)
-	}
-	return nil
-}
-
-// unlinkOverflow splices the empty overflow page victim out of the
-// bucket chain rooted at primary (victim's successor is next) and
-// queues it for TakeReleased. All page writes ride txn, so a rollback
-// or crash reverts the splice together with the delete that caused it.
-func (ix *DiskHashIndex) unlinkOverflow(txn *Txn, primary, victim, next uint32) error {
-	prev := primary
-	limit := ix.chainLimit()
-	for steps := 0; ; {
-		if steps++; steps > limit {
-			return fmt.Errorf("%w: bucket chain cycle at page %d", ErrCorruptIndex, prev)
-		}
-		fr, err := ix.bp.Get(prev)
-		if err != nil {
-			return err
-		}
-		n := fr.Page().Next()
-		if err := ix.bp.Unpin(fr, false); err != nil {
-			return err
-		}
-		if n == victim {
-			break
-		}
-		if n == 0 {
-			// already unlinked (should not happen; be conservative and
-			// keep the page rather than double-free it)
-			return nil
-		}
-		prev = n
-	}
-	fr, err := ix.bp.GetMut(txn, prev)
-	if err != nil {
-		return err
-	}
-	fr.Page().SetNext(next)
-	if err := ix.bp.Unpin(fr, true); err != nil {
-		return err
-	}
-	ix.released = append(ix.released, victim)
-	return nil
-}
-
-// TakeReleased drains the overflow pages shed by deletes since the
-// last call. The caller must hand them to a free list (or accept them
-// as orphans for the open-time sweep); they are no longer reachable
-// from the index.
-func (ix *DiskHashIndex) TakeReleased() []uint32 {
-	out := ix.released
-	ix.released = nil
-	return out
-}
-
-// Pages returns every page the index owns — the directory chain and
-// each bucket's chain — for drop-time reclamation and the open-time
-// orphan sweep. A page appearing on two chains is corruption.
-func (ix *DiskHashIndex) Pages() ([]uint32, error) {
-	seen := make(map[uint32]bool)
-	out := append([]uint32(nil), ix.dir...)
-	for _, pid := range ix.dir {
-		if seen[pid] {
-			return nil, fmt.Errorf("%w: page %d on two chains", ErrCorruptIndex, pid)
-		}
-		seen[pid] = true
-	}
-	for _, first := range ix.buckets {
-		pid := first
-		for pid != 0 {
-			if seen[pid] {
-				return nil, fmt.Errorf("%w: page %d on two chains", ErrCorruptIndex, pid)
-			}
-			seen[pid] = true
-			out = append(out, pid)
-			fr, err := ix.bp.Get(pid)
-			if err != nil {
-				return nil, err
-			}
-			next := fr.Page().Next()
-			if err := ix.bp.Unpin(fr, false); err != nil {
-				return nil, err
-			}
-			pid = next
-		}
-	}
-	return out, nil
-}
-
-// PageCounts reports the index's footprint split into directory chain
-// pages and bucket+overflow pages — the observable for the known
-// directory-never-shrinks growth (STATS surfaces it per relation).
-func (ix *DiskHashIndex) PageCounts() (dir, buckets int, err error) {
-	all, err := ix.Pages()
-	if err != nil {
-		return 0, 0, err
-	}
-	return len(ix.dir), len(all) - len(ix.dir), nil
-}
-
-// Clear resets the index to empty under txn, reusing the directory
-// root and the first n0 bucket primaries and returning every other
-// page (grown buckets, overflow chains, directory overflow) for the
-// caller to reclaim.
-func (ix *DiskHashIndex) Clear(txn *Txn) ([]uint32, error) {
-	all, err := ix.Pages()
-	if err != nil {
-		return nil, err
-	}
-	prims := append([]uint32(nil), ix.buckets[:ix.n0]...)
-	keep := make(map[uint32]bool, 1+ix.n0)
-	keep[ix.root] = true
-	for _, pid := range prims {
-		keep[pid] = true
-	}
-	var released []uint32
-	for _, pid := range all {
-		if !keep[pid] {
-			released = append(released, pid)
-		}
-	}
-	for _, pid := range prims {
-		fr, err := ix.bp.GetMut(txn, pid)
-		if err != nil {
-			return nil, err
-		}
-		fr.Page().Init()
-		if err := ix.bp.Unpin(fr, true); err != nil {
-			return nil, err
-		}
-	}
-	ix.dir = ix.dir[:1]
-	ix.buckets = prims
-	ix.level, ix.next, ix.count = 0, 0, 0
-	fr, err := ix.bp.GetMut(txn, ix.root)
-	if err != nil {
-		return nil, err
-	}
-	fr.Page().Init()
-	if err := ix.writeDirectory(fr); err != nil {
-		ix.bp.Unpin(fr, true)
-		return nil, err
-	}
-	return released, ix.bp.Unpin(fr, true)
 }

@@ -64,9 +64,13 @@ func CheckRecord(n int) error {
 // ErrBadSlot is returned for out-of-range or deleted slots.
 var ErrBadSlot = errors.New("storage: bad slot")
 
-// ErrCorruptPage is wrapped by Validate failures on structurally
-// invalid pages (torn writes, truncation, garbage).
-var ErrCorruptPage = errors.New("storage: corrupt page")
+// ErrCorrupt is the one corruption sentinel: every error caused by
+// stored bytes that cannot be what the engine wrote wraps it. That is
+// a page that fails its checksum or Validate (a torn write, truncation,
+// garbage), a log that is not this format's, a malformed B+tree node or
+// index entry, a heap record that does not decode, and an index that
+// disagrees with its heap.
+var ErrCorrupt = errors.New("corrupt database")
 
 // Page is one fixed-size slotted page.
 type Page [PageSize]byte
@@ -120,11 +124,11 @@ func (p *Page) StampChecksum() {
 }
 
 // VerifyChecksum compares the stored checksum against the computed one,
-// returning an ErrCorruptPage-wrapped error on mismatch (a torn write
+// returning an ErrCorrupt-wrapped error on mismatch (a torn write
 // or bit rot).
 func (p *Page) VerifyChecksum() error {
 	if got, want := p.ComputeChecksum(), p.Checksum(); got != want {
-		return fmt.Errorf("%w: checksum mismatch (stored %08x, computed %08x)", ErrCorruptPage, want, got)
+		return fmt.Errorf("%w: checksum mismatch (stored %08x, computed %08x)", ErrCorrupt, want, got)
 	}
 	return nil
 }
@@ -145,20 +149,6 @@ func (p *Page) setSlot(i, off, ln int) {
 // slot entry.
 func (p *Page) FreeSpace() int {
 	return PageSize - p.numSlots()*slotSize - p.freeStart()
-}
-
-// NumSlots returns the number of slot entries (including tombstones).
-func (p *Page) NumSlots() int { return p.numSlots() }
-
-// NumLive returns the number of live (non-tombstoned) records.
-func (p *Page) NumLive() int {
-	n := 0
-	for i := 0; i < p.numSlots(); i++ {
-		if off, _ := p.slotAt(i); off != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // Insert stores the record and returns its slot number. Tombstoned
@@ -283,11 +273,11 @@ func (p *Page) Compact() {
 func (p *Page) Validate() error {
 	ns := p.numSlots()
 	if pageHeaderSize+ns*slotSize > PageSize {
-		return fmt.Errorf("%w: slot directory of %d entries overflows page", ErrCorruptPage, ns)
+		return fmt.Errorf("%w: slot directory of %d entries overflows page", ErrCorrupt, ns)
 	}
 	fs := p.freeStart()
 	if fs < pageHeaderSize || fs > PageSize-ns*slotSize {
-		return fmt.Errorf("%w: free start %d out of range", ErrCorruptPage, fs)
+		return fmt.Errorf("%w: free start %d out of range", ErrCorrupt, fs)
 	}
 	for i := 0; i < ns; i++ {
 		off, ln := p.slotAt(i)
@@ -295,7 +285,7 @@ func (p *Page) Validate() error {
 			continue // tombstone
 		}
 		if off < pageHeaderSize || off+ln > fs {
-			return fmt.Errorf("%w: slot %d region [%d,%d) outside record area", ErrCorruptPage, i, off, off+ln)
+			return fmt.Errorf("%w: slot %d region [%d,%d) outside record area", ErrCorrupt, i, off, off+ln)
 		}
 	}
 	return nil

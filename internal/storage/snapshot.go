@@ -73,17 +73,6 @@ func (bp *BufferPool) LSN() uint64 {
 	return bp.lsn
 }
 
-// PinnedSnapshots reports how many snapshot pins are outstanding.
-func (bp *BufferPool) PinnedSnapshots() int {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	n := 0
-	for _, c := range bp.pins {
-		n += c
-	}
-	return n
-}
-
 // MinPinnedLSN returns the smallest pinned snapshot LSN (ok=false when
 // nothing is pinned). The store's ghost-relation GC consults it.
 func (bp *BufferPool) MinPinnedLSN() (uint64, bool) {
@@ -282,18 +271,6 @@ func (bp *BufferPool) anyPinInRangeLocked(lo, hi uint64) bool {
 		}
 	}
 	return false
-}
-
-// RetainedVersions reports how many superseded page images the pool is
-// holding for pinned snapshots (a test/metrics hook).
-func (bp *BufferPool) RetainedVersions() int {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	n := 0
-	for _, vs := range bp.versions {
-		n += len(vs)
-	}
-	return n
 }
 
 // ScanHeapSnapshot walks a heap chain as of the snapshot: every page —

@@ -14,7 +14,7 @@ func setRecord(t *testing.T, bp *BufferPool, txn *Txn, pid uint32, rec string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fr.Page().NumSlots() > 0 {
+	if fr.Page().numSlots() > 0 {
 		if err := fr.Page().Delete(0); err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestSnapshotIsolatesFromWriter(t *testing.T) {
 	if got := snapRecord(t, s, pid); got != "v1" {
 		t.Fatalf("snapshot saw a commit past its pin point: %q", got)
 	}
-	if bp.RetainedVersions() == 0 {
+	if bp.Snapshot().RetainedVersions == 0 {
 		t.Fatal("superseded image was not retained for the pinned snapshot")
 	}
 
@@ -179,17 +179,17 @@ func TestSnapshotVersionGC(t *testing.T) {
 	}
 	// only the image at the pin point needs retaining; the two
 	// intermediate generations have no reader and must not pile up
-	if n := bp.RetainedVersions(); n != 1 {
+	if n := bp.Snapshot().RetainedVersions; n != 1 {
 		t.Fatalf("retained %d versions for one pin, want 1", n)
 	}
 	if got := snapRecord(t, s, pid); got != "gen 0" {
 		t.Fatalf("snapshot read %q, want %q", got, "gen 0")
 	}
 	s.Close()
-	if n := bp.RetainedVersions(); n != 0 {
+	if n := bp.Snapshot().RetainedVersions; n != 0 {
 		t.Fatalf("retained %d versions after last unpin, want 0", n)
 	}
-	if n := bp.PinnedSnapshots(); n != 0 {
+	if n := bp.Snapshot().PinnedSnapshots; n != 0 {
 		t.Fatalf("%d pins outstanding after Close, want 0", n)
 	}
 	s.Close() // idempotent

@@ -80,10 +80,6 @@ const (
 	walBufKeep = 16 * walPageRecSize
 )
 
-// ErrCorruptWAL wraps WAL open failures that are not a plain torn tail
-// (bad magic or an unsupported version).
-var ErrCorruptWAL = errors.New("storage: corrupt WAL")
-
 // WALStats counts WAL activity. Batches/PagesLogged/Fsyncs cover this
 // process's appends; Recovered* describe what open-time redo found.
 // Batches/Fsyncs is the group-commit merge factor (1.0 = no merging);
@@ -137,7 +133,7 @@ type WAL struct {
 // OpenWAL attaches to the write-ahead log at path. An existing file is
 // scanned: committed batches are retained for replay (CommittedImages)
 // and the torn tail, if any, is truncated away. A missing file is not
-// created until the first AppendBatch.
+// created until the first AppendGroup.
 func OpenWAL(path string, open OpenFileFunc) (*WAL, error) {
 	if open == nil {
 		open = OpenOSFile
@@ -215,9 +211,9 @@ func (w *WAL) recover() error {
 		return nil
 	case size >= 8 && string(buf[:4]) == walMagic:
 		// Another format version: its records must not be guessed at.
-		return fmt.Errorf("%w: log format version %d, only version %d is supported", ErrCorruptWAL, buf[4], walVersion)
+		return fmt.Errorf("%w: log format version %d, only version %d is supported", ErrCorrupt, buf[4], walVersion)
 	default:
-		return fmt.Errorf("%w: bad header", ErrCorruptWAL)
+		return fmt.Errorf("%w: log: bad header", ErrCorrupt)
 	}
 	end := int64(walHeaderSize)
 	off := end
@@ -443,35 +439,27 @@ func nextDiff(a, b *Page, i int) int {
 // every range against the page and the payload.
 func applyDelta(img *Page, payload []byte) error {
 	if len(payload) < 2 {
-		return fmt.Errorf("%w: delta payload truncated", ErrCorruptWAL)
+		return fmt.Errorf("%w: log: delta payload truncated", ErrCorrupt)
 	}
 	n := int(binary.LittleEndian.Uint16(payload[0:2]))
 	off := 2
 	for k := 0; k < n; k++ {
 		if off+4 > len(payload) {
-			return fmt.Errorf("%w: delta range header truncated", ErrCorruptWAL)
+			return fmt.Errorf("%w: log: delta range header truncated", ErrCorrupt)
 		}
 		o := int(binary.LittleEndian.Uint16(payload[off : off+2]))
 		l := int(binary.LittleEndian.Uint16(payload[off+2 : off+4]))
 		off += 4
 		if o+l > PageSize || off+l > len(payload) {
-			return fmt.Errorf("%w: delta range out of bounds", ErrCorruptWAL)
+			return fmt.Errorf("%w: log: delta range out of bounds", ErrCorrupt)
 		}
 		copy(img[o:o+l], payload[off:off+l])
 		off += l
 	}
 	if off != len(payload) {
-		return fmt.Errorf("%w: delta payload has trailing bytes", ErrCorruptWAL)
+		return fmt.Errorf("%w: log: delta payload has trailing bytes", ErrCorrupt)
 	}
 	return nil
-}
-
-// AppendBatch appends one commit batch — every page's record followed
-// by a commit record — and fsyncs once, assigning the next clock value
-// as the batch's commit LSN. After AppendBatch returns, the batch is
-// durable and its pages may be written to the data file.
-func (w *WAL) AppendBatch(pages []WALPage) error {
-	return w.AppendGroup([][]WALPage{pages}, w.Clock()+1)
 }
 
 // AppendGroup appends several transactions' commit batches — each its

@@ -36,11 +36,11 @@ func TestWALAppendRecover(t *testing.T) {
 	}
 	p1a := pageWithRecord(t, "one-a")
 	p2 := pageWithRecord(t, "two")
-	if err := w.AppendBatch([]WALPage{{1, p1a}, {2, p2}}); err != nil {
+	if err := appendBatch(w, []WALPage{{1, p1a}, {2, p2}}); err != nil {
 		t.Fatal(err)
 	}
 	p1b := pageWithRecord(t, "one-b")
-	if err := w.AppendBatch([]WALPage{{1, p1b}}); err != nil {
+	if err := appendBatch(w, []WALPage{{1, p1b}}); err != nil {
 		t.Fatal(err)
 	}
 	st := w.Stats()
@@ -73,7 +73,7 @@ func TestWALAppendRecover(t *testing.T) {
 		t.Fatalf("page 2 image = %q", rec)
 	}
 	// appends continue past recovery with the next sequence number
-	if err := w2.AppendBatch([]WALPage{{3, pageWithRecord(t, "three")}}); err != nil {
+	if err := appendBatch(w2, []WALPage{{3, pageWithRecord(t, "three")}}); err != nil {
 		t.Fatal(err)
 	}
 	w2.Close()
@@ -99,7 +99,7 @@ func TestWALTornTail(t *testing.T) {
 	}
 	var ends []int64 // committed end offsets after each batch
 	for i := 0; i < 3; i++ {
-		if err := w.AppendBatch([]WALPage{
+		if err := appendBatch(w, []WALPage{
 			{uint32(2*i + 1), pageWithRecord(t, "a")},
 			{uint32(2*i + 2), pageWithRecord(t, "b")},
 		}); err != nil {
@@ -149,7 +149,7 @@ func TestWALReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendBatch([]WALPage{{1, pageWithRecord(t, "x")}}); err != nil {
+	if err := appendBatch(w, []WALPage{{1, pageWithRecord(t, "x")}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Reset(); err != nil {
@@ -183,14 +183,14 @@ func TestWALRecoverAfterCheckpointSeq(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := w.AppendBatch([]WALPage{{uint32(i + 1), pageWithRecord(t, "x")}}); err != nil {
+		if err := appendBatch(w, []WALPage{{uint32(i + 1), pageWithRecord(t, "x")}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := w.Reset(); err != nil { // checkpoint: log truncated, seq = 3
 		t.Fatal(err)
 	}
-	if err := w.AppendBatch([]WALPage{{9, pageWithRecord(t, "after")}}); err != nil {
+	if err := appendBatch(w, []WALPage{{9, pageWithRecord(t, "after")}}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -316,7 +316,7 @@ func TestChecksumRepairFromWAL(t *testing.T) {
 
 // TestWALRefusesOtherVersions: only format version 3 is readable. A
 // sidecar with a well-formed header of another version is refused with
-// ErrCorruptWAL naming both versions, and is left byte-for-byte as it
+// ErrCorrupt naming both versions, and is left byte-for-byte as it
 // was; a torn version-3 header is still an empty log.
 func TestWALRefusesOtherVersions(t *testing.T) {
 	img := pageWithRecord(t, "old")
@@ -365,8 +365,8 @@ func TestWALRefusesOtherVersions(t *testing.T) {
 				w.Close()
 				t.Fatal("opened")
 			}
-			if !errors.Is(err, ErrCorruptWAL) {
-				t.Fatalf("error %v does not wrap ErrCorruptWAL", err)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error %v does not wrap ErrCorrupt", err)
 			}
 			if !strings.Contains(err.Error(), tc.refused) ||
 				(tc.refused != "bad header" && !strings.Contains(err.Error(), "only version 3")) {
@@ -389,7 +389,7 @@ func TestWALDeltaRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pageWithRecord(t, "version-one")
-	if err := w.AppendBatch([]WALPage{{7, p}}); err != nil {
+	if err := appendBatch(w, []WALPage{{7, p}}); err != nil {
 		t.Fatal(err)
 	}
 	p2 := *p
@@ -397,7 +397,7 @@ func TestWALDeltaRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	p2.StampChecksum()
-	if err := w.AppendBatch([]WALPage{{7, &p2}}); err != nil {
+	if err := appendBatch(w, []WALPage{{7, &p2}}); err != nil {
 		t.Fatal(err)
 	}
 	st := w.Stats()
@@ -443,7 +443,7 @@ func TestWALClockPersistsAcrossReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := w.AppendBatch([]WALPage{{uint32(i + 1), pageWithRecord(t, "x")}}); err != nil {
+		if err := appendBatch(w, []WALPage{{uint32(i + 1), pageWithRecord(t, "x")}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -470,7 +470,7 @@ func TestWALClockPersistsAcrossReset(t *testing.T) {
 		t.Fatalf("size after reset+reopen = %d, want %d", w2.Size(), walHeaderSize)
 	}
 	// the next batch continues the clock instead of restarting it
-	if err := w2.AppendBatch([]WALPage{{9, pageWithRecord(t, "y")}}); err != nil {
+	if err := appendBatch(w2, []WALPage{{9, pageWithRecord(t, "y")}}); err != nil {
 		t.Fatal(err)
 	}
 	if w2.Clock() != 4 {
@@ -839,4 +839,10 @@ func BenchmarkAppendGroup(b *testing.B) {
 	if st := w.Stats(); st.DeltaPages-before.DeltaPages != 3*b.N {
 		b.Fatalf("%d delta records for %d batches of 3 pages", st.DeltaPages-before.DeltaPages, b.N)
 	}
+}
+
+// appendBatch appends one transaction's pages as a group of one at the
+// next clock value.
+func appendBatch(w *WAL, pages []WALPage) error {
+	return w.AppendGroup([][]WALPage{pages}, w.Clock()+1)
 }

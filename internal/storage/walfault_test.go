@@ -30,14 +30,14 @@ func TestFailedGroupAppendLeavesNoBatch(t *testing.T) {
 		img.StampChecksum()
 		return []storage.WALPage{{PID: pid, Img: img}}
 	}
-	if err := w.AppendBatch(page(9)); err != nil {
+	if err := w.AppendGroup([][]storage.WALPage{page(9)}, w.Clock()+1); err != nil {
 		t.Fatal(err)
 	}
 	fsys.FailSyncs(1)
 	if err := w.AppendGroup([][]storage.WALPage{page(1), page(2)}, w.Clock()+1); err == nil {
 		t.Fatal("the injected fsync failure did not surface")
 	}
-	if err := w.AppendBatch(page(3)); err != nil {
+	if err := w.AppendGroup([][]storage.WALPage{page(3)}, w.Clock()+1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Close(); err != nil {

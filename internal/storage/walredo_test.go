@@ -136,7 +136,7 @@ func redoLog(t *testing.T) []byte {
 	v1 := map[uint32]*Page{1: pageWithRecord(t, "one"), 2: pageWithRecord(t, "two"), 3: pageWithRecord(t, "three")}
 	appendBatch := func(pages ...WALPage) {
 		t.Helper()
-		if err := w.AppendBatch(pages); err != nil {
+		if err := appendBatch(w, pages); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -240,7 +240,7 @@ func walRecoverLog(tb testing.TB, pages, n int) []byte {
 		cur[i].StampChecksum()
 		first = append(first, WALPage{uint32(i + 1), &cur[i]})
 	}
-	if err := w.AppendBatch(first); err != nil {
+	if err := appendBatch(w, first); err != nil {
 		tb.Fatal(err)
 	}
 	for b := 0; b < n; b++ {
@@ -255,7 +255,7 @@ func walRecoverLog(tb testing.TB, pages, n int) []byte {
 			p.StampChecksum()
 			batch = append(batch, WALPage{uint32(i + 1), p})
 		}
-		if err := w.AppendBatch(batch); err != nil {
+		if err := appendBatch(w, batch); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -72,7 +73,7 @@ func reopen(t *testing.T, path string) (err error) {
 	defer st.Close()
 	for _, name := range st.Relations() {
 		rs, _ := st.Rel(name)
-		if _, e := rs.Load(); e != nil {
+		if _, e := rs.LoadCtx(context.Background(), nil); e != nil {
 			return e
 		}
 	}
@@ -202,7 +203,7 @@ func reopenQuiet(path string) error {
 	defer st.Close()
 	for _, name := range st.Relations() {
 		rs, _ := st.Rel(name)
-		if _, err := rs.Load(); err != nil {
+		if _, err := rs.LoadCtx(context.Background(), nil); err != nil {
 			return err
 		}
 	}

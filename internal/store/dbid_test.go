@@ -28,7 +28,7 @@ func crashedPair(t *testing.T, path string) {
 	if err := st.Commit(txn); err != nil {
 		t.Fatal(err)
 	}
-	if st.DBID() == 0 {
+	if st.dbid == 0 {
 		t.Fatal("fresh database has no id")
 	}
 	st.Discard() // crash: sidecar survives with its batches
@@ -82,7 +82,7 @@ func TestMispairedWALRefused(t *testing.T) {
 		if !ok {
 			t.Fatal("relation lost across recovery")
 		}
-		if n := countTuples(t, rs.Scan); n != 1 {
+		if n := countTuples(t, rs.scan); n != 1 {
 			t.Fatalf("recovered %d tuples, want 1", n)
 		}
 		if err := st.Close(); err != nil {
@@ -189,7 +189,7 @@ func TestTornHeaderMatchingWALRepairs(t *testing.T) {
 	if !ok {
 		t.Fatal("relation lost across torn-header recovery")
 	}
-	if n := countTuples(t, rs.Scan); n != 1 {
+	if n := countTuples(t, rs.scan); n != 1 {
 		t.Fatalf("recovered %d tuples, want 1", n)
 	}
 }
@@ -222,14 +222,14 @@ func TestDestroyedHeaderBestEffort(t *testing.T) {
 	}
 	defer st.Close()
 	// the replayed file is b's image, id included
-	if st.DBID() == 0 {
+	if st.dbid == 0 {
 		t.Fatal("replayed database has no id")
 	}
 	rs, ok := st.Rel("R1")
 	if !ok {
 		t.Fatal("replayed database lost its relation")
 	}
-	if n := countTuples(t, rs.Scan); n != 1 {
+	if n := countTuples(t, rs.scan); n != 1 {
 		t.Fatalf("replayed database has %d tuples, want 1", n)
 	}
 }
@@ -242,7 +242,7 @@ func TestDBIDStableAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := st.DBID()
+	id := st.dbid
 	if id == 0 {
 		t.Fatal("no database id minted")
 	}
@@ -254,7 +254,7 @@ func TestDBIDStableAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if st2.DBID() != id {
-		t.Fatalf("id changed across reopen: %016x != %016x", st2.DBID(), id)
+	if st2.dbid != id {
+		t.Fatalf("id changed across reopen: %016x != %016x", st2.dbid, id)
 	}
 }

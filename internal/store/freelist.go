@@ -141,13 +141,6 @@ func (s *Store) releaseFree(txn *Txn) {
 	s.freeMu.Unlock()
 }
 
-// FreePages returns the number of pages currently on the free list.
-func (s *Store) FreePages() int {
-	s.freeMu.Lock()
-	defer s.freeMu.Unlock()
-	return len(s.free)
-}
-
 // ReferencedPages returns the set of pages the committed structures
 // reach: the catalog chain, the free-list chain and its entries, and
 // every relation's heap and index chains. Pages outside the set are
@@ -194,31 +187,25 @@ func (s *Store) ReferencedPages() (map[uint32]bool, error) {
 	return ref, nil
 }
 
-// SweepOrphans reclaims every allocated page referenced by no chain —
+// sweepOrphans reclaims every allocated page referenced by no chain —
 // not the catalog's, not the free list's, not any relation's heap or
 // index chains, and not already a free-list entry — by pushing it onto
-// the free list as one committed batch. Open runs it automatically
-// after crash recovery (a sidecar on disk marks the open as crashed);
-// cleanly-closed files skip it so a clean open never walks the heaps —
-// call this explicitly (or let Save compaction rewrite the file) to
-// reclaim orphans left by the degraded paths after a clean shutdown.
+// the free list as one committed batch. Open runs it after crash
+// recovery (a sidecar on disk marks the open as crashed); a clean open
+// skips it, so it never walks the heaps.
 //
-// The store must be QUIESCED: no transaction may be in flight, because
-// pages an uncommitted transaction allocated are unreachable from the
-// committed chains and would be swept onto the free list — once that
-// transaction commits the page would be owned twice, and a later
-// recycle would overwrite live data. (The automatic open-time run is
-// trivially quiesced.)
-func (s *Store) SweepOrphans() error { return s.sweepOrphans() }
-
-// sweepOrphans walks every chain to compute the referenced-page set:
-// orphans are the bounded residue of the degraded paths that trade
+// Orphans are the bounded residue of the degraded paths that trade
 // leakage for progress (a drop while another transaction owned the
 // free list, an aborted create's allocations, a rolled-back
 // transaction's file growth); because they are unreferenced in the
 // committed state, re-owning them here can never conflict with live
 // data, and a crash mid-sweep just re-runs it on the next recovery. A
 // clean database sweeps nothing and writes nothing.
+//
+// The store must be QUIESCED: pages an uncommitted transaction
+// allocated are unreachable from the committed chains and would be
+// swept onto the free list, so once that transaction committed the
+// page would be owned twice. The open-time run is trivially quiesced.
 func (s *Store) sweepOrphans() error {
 	ref, err := s.ReferencedPages()
 	if err != nil {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -135,7 +136,7 @@ func TestDurableIndexOracle(t *testing.T) {
 		// spot-check the mirror and a negative probe per relation
 		for _, name := range st.Relations() {
 			rs, _ := st.Rel(name)
-			if got, want := countTuples(t, rs.Scan), len(live[name]); got != want {
+			if got, want := countTuples(t, rs.scan), len(live[name]); got != want {
 				t.Fatalf("step %d (%s): %s has %d tuples, mirror %d", step, op, name, got, want)
 			}
 			if hits, err := rs.LookupFixed(value.NewString("nope")); err != nil || len(hits) != 0 {
@@ -371,7 +372,7 @@ func TestSnapshotIsolationOracle(t *testing.T) {
 	checkPins := func(step int, op string) {
 		t.Helper()
 		for _, p := range pins {
-			if got, want := len(p.snap.Relations()), len(p.want); got != want {
+			if got, want := len(p.snap.rels), len(p.want); got != want {
 				t.Fatalf("step %d (%s): pin@%d lists %d relations, mirror had %d",
 					step, op, p.step, got, want)
 			}
@@ -379,7 +380,7 @@ func TestSnapshotIsolationOracle(t *testing.T) {
 				if _, ok := p.snap.Def(name); !ok {
 					t.Fatalf("step %d (%s): pin@%d lost relation %s", step, op, p.step, name)
 				}
-				rel, err := p.snap.Load(name)
+				rel, err := p.snap.LoadCtx(context.Background(), name, nil)
 				if err != nil {
 					t.Fatalf("step %d (%s): pin@%d load %s: %v", step, op, p.step, name, err)
 				}
@@ -521,13 +522,13 @@ func TestSnapshotIsolationOracle(t *testing.T) {
 	commit()
 	checkPins(steps, "final commit")
 	closePins()
-	if n := st.Ghosts(); n != 0 {
+	if n := st.ghostCount(); n != 0 {
 		t.Fatalf("%d ghost relations left after all pins closed", n)
 	}
-	if n := st.bp.RetainedVersions(); n != 0 {
+	if n := st.bp.Snapshot().RetainedVersions; n != 0 {
 		t.Fatalf("%d retained page versions left after all pins closed", n)
 	}
-	if n := st.bp.PinnedSnapshots(); n != 0 {
+	if n := st.bp.Snapshot().PinnedSnapshots; n != 0 {
 		t.Fatalf("%d snapshot pins left after close", n)
 	}
 }
@@ -602,8 +603,8 @@ func TestConcurrentSnapshotReaders(t *testing.T) {
 				snap := st.PinSnapshot()
 				view := func() (string, bool) {
 					state := map[string]mirror{}
-					for _, name := range snap.Relations() {
-						rel, err := snap.Load(name)
+					for name := range snap.rels {
+						rel, err := snap.LoadCtx(context.Background(), name, nil)
 						if err != nil {
 							t.Errorf("reader: load %s: %v", name, err)
 							return "", false
@@ -729,7 +730,7 @@ func TestConcurrentSnapshotReaders(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	if n := st.bp.PinnedSnapshots(); n != 0 {
+	if n := st.bp.Snapshot().PinnedSnapshots; n != 0 {
 		t.Fatalf("%d snapshot pins left after readers exited", n)
 	}
 }

@@ -56,7 +56,7 @@ func rangeOracle(t *testing.T, rs *RelStore, lo, hi *RangeBound) map[string]bool
 	t.Helper()
 	fixedAt := rs.Shard(0).fixedAttr()
 	want := make(map[string]bool)
-	if err := rs.Scan(func(tp tuple.Tuple) bool {
+	if err := rs.scan(func(tp tuple.Tuple) bool {
 		for _, a := range tp.Set(fixedAt).Atoms() {
 			if lo != nil {
 				if c := value.Compare(a, lo.Atom); c < 0 || (c == 0 && !lo.Incl) {
@@ -129,7 +129,7 @@ func TestScanFixedRange(t *testing.T) {
 			if err := st.Commit(txn); err != nil {
 				t.Fatal(err)
 			}
-			hs, err := rs.HeapStats()
+			hs, err := rs.heapStats()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/storage"
@@ -59,7 +60,7 @@ func TestRecoveryReport(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st.Discard()
-		if got, err := st.rels["R1"].Load(); err != nil || !got.Equal(canon) {
+		if got, err := st.rels["R1"].LoadCtx(context.Background(), nil); err != nil || !got.Equal(canon) {
 			t.Fatalf("recovered relation differs from what was committed (%v)", err)
 		}
 		return st.RecoveryReport()

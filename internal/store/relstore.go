@@ -321,13 +321,13 @@ func (r *Shard) checkLocked(rts []ridTuple) error {
 				return err
 			}
 			if !containsRID(hits, rt.rid) {
-				return fmt.Errorf("store: %q index lost atom of tuple at %v", r.def.Name, rt.rid)
+				return fmt.Errorf("%w: %q index lost atom of tuple at %v", ErrCorrupt, r.def.Name, rt.rid)
 			}
 		}
 	}
 	if n := r.rangeD.Len(); n != atoms {
-		return fmt.Errorf("store: %q index holds %d entries, heap %d atoms",
-			r.def.Name, n, atoms)
+		return fmt.Errorf("%w: %q index holds %d entries, heap %d atoms",
+			ErrCorrupt, r.def.Name, n, atoms)
 	}
 	// structural pass: every index page (inner nodes and the leaf chain)
 	// must be reachable and valid, so damage in never-probed pages
@@ -414,11 +414,11 @@ func decodeRecord(name string, deg int, rid storage.RID, rec []byte, tests []enc
 	if ok && err == nil {
 		var n int
 		if t, n, err = encoding.DecodeTuple(rec); err == nil && (n != len(rec) || t.Degree() != deg) {
-			err = errors.New("malformed tuple record")
+			err = fmt.Errorf("%w: malformed tuple record", ErrCorrupt)
 		}
 	}
 	if err != nil {
-		return tuple.Tuple{}, false, fmt.Errorf("%w: record %v of %q: %v", ErrCorrupt, rid, name, err)
+		return tuple.Tuple{}, false, fmt.Errorf("record %v of %q: %w", rid, name, err)
 	}
 	return t, ok, nil
 }
@@ -484,31 +484,19 @@ func (r *RelStore) scanRaw(ctx context.Context, tests []encoding.AtomTest, fn fu
 	return nil
 }
 
-// Scan calls fn for every stored tuple in heap order (shard by shard),
-// reading pages through the shared buffer pool. fn returning false
-// stops the scan.
-func (r *RelStore) Scan(fn func(t tuple.Tuple) bool) error {
-	return r.scanRaw(context.Background(), nil, func(_ storage.RID, t tuple.Tuple) bool { return fn(t) })
-}
-
 // Scan calls fn for every tuple stored in THIS shard in heap order —
 // the engine materializes each shard's resident partition from it.
 func (r *Shard) Scan(fn func(t tuple.Tuple) bool) error {
 	return r.scanRaw(context.Background(), nil, func(_ storage.RID, t tuple.Tuple) bool { return fn(t) })
 }
 
-// Load materializes the stored relation by scanning its heaps. For a
+// LoadCtx materializes the stored tuples that pass tests (nil: all) by
+// scanning the relation's heaps, with cancellation checked at
+// page-fetch granularity: a cancelled context stops the heap walk
+// before the next page is pulled through the buffer pool. For a
 // K-sharded relation the result is the UNION of the shard partitions —
 // each shard-canonical, together not necessarily globally canonical;
 // the engine re-canonicalizes (see Def().Shards).
-func (r *RelStore) Load() (*core.Relation, error) {
-	return r.LoadCtx(context.Background(), nil)
-}
-
-// LoadCtx is Load of the stored tuples that pass tests (nil: all),
-// with cancellation checked at page-fetch granularity: a cancelled
-// context stops the heap walk before the next page is pulled through
-// the buffer pool.
 func (r *RelStore) LoadCtx(ctx context.Context, tests []encoding.AtomTest) (*core.Relation, error) {
 	rel := core.NewRelation(r.def.Schema)
 	if err := r.scanRaw(ctx, tests, func(_ storage.RID, t tuple.Tuple) bool {
@@ -650,25 +638,6 @@ func (r *Shard) IndexPageCounts() (IndexPageCounts, error) {
 		return IndexPageCounts{}, err
 	}
 	return IndexPageCounts{BTreeInner: inner, BTreeLeaf: leaf}, nil
-}
-
-// HeapStats reports the heap occupancy of this relation, summed across
-// shards.
-func (r *RelStore) HeapStats() (storage.HeapStats, error) {
-	var total storage.HeapStats
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		st, err := sh.heap.Stats()
-		sh.mu.Unlock()
-		if err != nil {
-			return storage.HeapStats{}, err
-		}
-		total.Pages += st.Pages
-		total.LiveRecords += st.LiveRecords
-		total.LiveBytes += st.LiveBytes
-		total.FreeBytes += st.FreeBytes
-	}
-	return total, nil
 }
 
 // Fill inserts rel's content into empty shards under txn, partitioning

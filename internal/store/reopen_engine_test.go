@@ -71,7 +71,7 @@ func TestEngineOpenReadsBounded(t *testing.T) {
 	rels := len(st.Relations())
 	for _, name := range st.Relations() {
 		rs, _ := st.Rel(name)
-		hs, err := rs.HeapStats()
+		hs, err := store.HeapStats(rs)
 		if err != nil {
 			t.Fatal(err)
 		}

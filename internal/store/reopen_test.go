@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -43,7 +44,7 @@ func buildReopenDB(t *testing.T) (string, *core.Relation, int) {
 	if err := st.Commit(txn); err != nil {
 		t.Fatal(err)
 	}
-	hs, err := rs.HeapStats()
+	hs, err := rs.heapStats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestReopenReadsBounded(t *testing.T) {
 	if !ok {
 		t.Fatal("relation lost")
 	}
-	got, err := rs.Load()
+	got, err := rs.LoadCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -85,7 +86,7 @@ func TestCatalogShardRoundTrip(t *testing.T) {
 	if got := rs2.Def().Shards; got != 3 {
 		t.Fatalf("reopened def.Shards = %d, want 3", got)
 	}
-	got, err := rs2.Load()
+	got, err := rs2.LoadCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestShardIndexReclaimFreesPages(t *testing.T) {
 	if len(fixedPages) < 4 {
 		t.Fatalf("500 same-key entries only span %d index pages; no leaf to reclaim", len(fixedPages))
 	}
-	freeBefore := st.FreePages()
+	freeBefore := st.freeCount()
 
 	// DRAIN, newest first: the victim is the last record listed under
 	// "s0", so each Remove reads every record still there
@@ -181,10 +182,10 @@ func TestShardIndexReclaimFreesPages(t *testing.T) {
 	if err := st.Commit(txn); err != nil {
 		t.Fatal(err)
 	}
-	if got := countTuples(t, rs.Scan); got != 0 {
+	if got := countTuples(t, rs.scan); got != 0 {
 		t.Fatalf("%d tuples after drain, want 0", got)
 	}
-	freeAfter := st.FreePages()
+	freeAfter := st.freeCount()
 	if freeAfter <= freeBefore {
 		t.Fatalf("free list did not grow (%d -> %d): emptied leaves leaked", freeBefore, freeAfter)
 	}
@@ -201,7 +202,7 @@ func TestShardIndexReclaimFreesPages(t *testing.T) {
 
 	// REFILL: the reclaimed pages must be reusable — the file should not
 	// need to grow much to absorb the same load again
-	sizeAfterDrain := st.NumPages()
+	sizeAfterDrain := st.pager.NumPages()
 	txn = st.Begin()
 	for _, tp := range tuples {
 		if err := rs.Insert(txn, tp); err != nil {
@@ -211,7 +212,7 @@ func TestShardIndexReclaimFreesPages(t *testing.T) {
 	if err := st.Commit(txn); err != nil {
 		t.Fatal(err)
 	}
-	if grew := int(st.NumPages()) - int(sizeAfterDrain); grew > len(fixedPages) {
+	if grew := int(st.pager.NumPages()) - int(sizeAfterDrain); grew > len(fixedPages) {
 		t.Errorf("refill grew the file by %d pages (first fill used %d index pages): free list not reused", grew, len(fixedPages))
 	}
 	if err := st.VerifyIndexes(); err != nil {

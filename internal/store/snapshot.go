@@ -84,32 +84,15 @@ func (s *Store) PinSnapshot() *Snap {
 	return &Snap{st: s, ps: ps, rels: rels}
 }
 
-// LSN reports the commit LSN the snapshot is pinned at.
-func (sn *Snap) LSN() uint64 { return sn.ps.LSN() }
-
-// Relations returns the names of all relations visible at the pin
-// point (unsorted).
-func (sn *Snap) Relations() []string {
-	out := make([]string, 0, len(sn.rels))
-	for n := range sn.rels {
-		out = append(out, n)
-	}
-	return out
-}
-
 // Def returns the pinned definition of a visible relation.
 func (sn *Snap) Def(name string) (RelationDef, bool) {
 	sr, ok := sn.rels[name]
 	return sr.def, ok
 }
 
-// Load materializes a relation as of the pin point.
-func (sn *Snap) Load(name string) (*core.Relation, error) {
-	return sn.LoadCtx(context.Background(), name, nil)
-}
-
-// LoadCtx is Load of the stored tuples that pass tests (nil: all),
-// with cancellation checked at page granularity; a record the tests
+// LoadCtx materializes a relation as of the pin point: the stored
+// tuples that pass tests (nil: all), with cancellation checked at page
+// granularity; a record the tests
 // reject is checked but not decoded. The heap walks read every page —
 // chain pointers included — through the pinned snapshot, so a
 // concurrent writer splicing pages or committing tuples is invisible:
@@ -217,12 +200,4 @@ func (s *Store) gcGhostsLocked() {
 		s.ghosts[i] = nil
 	}
 	s.ghosts = kept
-}
-
-// Ghosts reports how many dropped relations are being retained for
-// pinned snapshots (a test/metrics hook).
-func (s *Store) Ghosts() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.ghosts)
 }

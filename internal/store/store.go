@@ -65,9 +65,11 @@ const DefaultPoolPages = 64
 // checkpoint after a commit when Options does not specify one.
 const DefaultCheckpointBytes = 4 << 20
 
-// ErrCorrupt is wrapped by open/scan errors caused by a malformed
-// database file (truncation, torn pages, garbage records).
-var ErrCorrupt = errors.New("store: corrupt database file")
+// ErrCorrupt is storage.ErrCorrupt, the one corruption sentinel: it is
+// wrapped by every error caused by a malformed database file
+// (truncation, torn pages, garbage records, an index that disagrees
+// with its heap), whichever layer found it.
+var ErrCorrupt = storage.ErrCorrupt
 
 // ErrMispaired is returned when the data file and the WAL sidecar next
 // to it carry different database ids — a shuffled, copied, or
@@ -347,8 +349,7 @@ func Open(path string, opts Options) (*Store, error) {
 	// Reclaim pages the degraded paths orphaned (after SetDBID, so a
 	// sweep that creates the sidecar stamps the right database id). A
 	// cleanly-closed file has no sidecar and skips the walk — clean
-	// opens stay bounded by catalog + index metadata; SweepOrphans
-	// remains callable explicitly.
+	// opens stay bounded by catalog + index metadata.
 	if existing && !opts.NoSweep && hadSidecar {
 		free := len(s.free)
 		if err := s.sweepOrphans(); err != nil {
@@ -813,16 +814,13 @@ func (s *Store) Discard() error {
 	return s.pager.Close()
 }
 
-// DBID returns the database's identity.
-func (s *Store) DBID() uint64 { return s.dbid }
-
 // PoolStats reports the shared buffer pool's (hits, misses, evictions)
 // accumulated since Open returned; open-time I/O (recovery replay,
 // catalog load, index rebuild) is bucketed separately in OpenIOStats.
 func (s *Store) PoolStats() (hits, misses, evictions int) { return s.bp.Stats() }
 
 // AllPoolStats returns every buffer-pool counter (including overflows
-// and checksum repairs) since Open returned.
+// and checksum repairs) since Open returned, and the snapshot gauges.
 func (s *Store) AllPoolStats() storage.PoolStats { return s.bp.Snapshot() }
 
 // OpenIOStats returns the buffer-pool counters consumed by Open itself:
@@ -837,6 +835,3 @@ func (s *Store) RecoveryReport() RecoveryReport { return s.recovery }
 // recovery replayed and how many transactions the group-commit
 // scheduler merged per fsync.
 func (s *Store) WALStats() storage.WALStats { return s.wal.Stats() }
-
-// NumPages returns the number of allocated pages in the file.
-func (s *Store) NumPages() uint32 { return s.pager.NumPages() }

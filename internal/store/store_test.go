@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -65,7 +66,7 @@ func TestCreateInsertScanReopen(t *testing.T) {
 	if err := st.Commit(txn); err != nil {
 		t.Fatal(err)
 	}
-	got, err := rs.Load()
+	got, err := rs.LoadCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestCreateInsertScanReopen(t *testing.T) {
 	if len(d2.MVDs) != 1 || d2.MVDs[0].String() != def.MVDs[0].String() {
 		t.Fatalf("MVDs lost: %v", d2.MVDs)
 	}
-	got2, err := rs2.Load()
+	got2, err := rs2.LoadCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestCreateInsertScanReopen(t *testing.T) {
 	if err := rs2.Remove(txn2, victim); err != nil {
 		t.Fatal(err)
 	}
-	if n := countTuples(t, rs2.Scan); n != canon.Len()-1 {
+	if n := countTuples(t, rs2.scan); n != canon.Len()-1 {
 		t.Fatalf("%d tuples after remove", n)
 	}
 	if err := rs2.Remove(txn2, victim); err == nil {
@@ -356,7 +357,7 @@ func TestCatalogRecordRoundTrip(t *testing.T) {
 // transaction owns the free list leaves its chain orphaned (freePages
 // refuses to wait — see freelist.go). The sweep that reclaims such
 // pages runs automatically only on crashed opens (sidecar present);
-// after a clean close the orphans stay until an explicit SweepOrphans
+// after a clean close the orphans stay until the next crashed open
 // — a clean open must stay bounded by catalog + index metadata and
 // never walk the heaps.
 func TestSweepReclaimsOrphanedPages(t *testing.T) {
@@ -397,7 +398,7 @@ func TestSweepReclaimsOrphanedPages(t *testing.T) {
 		if len(chain) < 2 {
 			t.Fatalf("chain has %d page(s); need ≥ 2 for a meaningful sweep", len(chain))
 		}
-		free0 := st.FreePages()
+		free0 := st.freeCount()
 		owner := st.Begin()
 		if err := st.freePages(owner, nil); err != nil {
 			t.Fatal(err)
@@ -410,7 +411,7 @@ func TestSweepReclaimsOrphanedPages(t *testing.T) {
 			t.Fatal(err)
 		}
 		st.CompleteDrop(name)
-		if got := st.FreePages(); got != free0 {
+		if got := st.freeCount(); got != free0 {
 			t.Fatalf("drop under foreign free-list ownership freed %d page(s), want %d (orphaned)", got, free0)
 		}
 		if err := st.Commit(owner); err != nil {
@@ -436,10 +437,10 @@ func TestSweepReclaimsOrphanedPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := st2.FreePages(); got < orphaned {
+	if got := st2.freeCount(); got < orphaned {
 		t.Fatalf("post-crash sweep reclaimed %d page(s), want ≥ %d (the orphaned chain)", got, orphaned)
 	}
-	reclaimed := st2.FreePages()
+	reclaimed := st2.freeCount()
 
 	// orphan again, close CLEANLY: the next open must NOT sweep...
 	orphaned2 := orphanDrop(st2, "R2")
@@ -451,23 +452,23 @@ func TestSweepReclaimsOrphanedPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st3.Close()
-	after := st3.FreePages()
+	after := st3.freeCount()
 	if after >= reclaimed+orphaned2 {
 		t.Fatalf("clean open swept orphans: %d free pages (had %d)", after, reclaimed)
 	}
 	// ...but an explicit sweep reclaims them
-	if err := st3.SweepOrphans(); err != nil {
+	if err := st3.sweepOrphans(); err != nil {
 		t.Fatal(err)
 	}
-	if got := st3.FreePages(); got < after+orphaned2 {
+	if got := st3.freeCount(); got < after+orphaned2 {
 		t.Fatalf("explicit sweep reclaimed %d page(s), want ≥ %d", got-after, orphaned2)
 	}
 	// a second sweep finds nothing further
-	before := st3.FreePages()
-	if err := st3.SweepOrphans(); err != nil {
+	before := st3.freeCount()
+	if err := st3.sweepOrphans(); err != nil {
 		t.Fatal(err)
 	}
-	if got := st3.FreePages(); got != before {
+	if got := st3.freeCount(); got != before {
 		t.Fatalf("second sweep changed the free list: %d vs %d", got, before)
 	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -41,7 +42,7 @@ func loadStateErr(files map[string][]byte, label string, names ...string) (map[s
 		if !ok {
 			return nil, fmt.Errorf("%s: relation %s lost", label, name)
 		}
-		rel, err := rs.Load()
+		rel, err := rs.LoadCtx(context.Background(), nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: load of %s failed: %v", label, name, err)
 		}
@@ -134,7 +135,7 @@ func TestCrashRecoveryEveryOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs2, _ := st2.Rel(def.Name)
-	pre, err := rs2.Load()
+	pre, err := rs2.LoadCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestCrashRecoveryEveryOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	mark1 := fs.Journal().End()
-	mid, err := rs2.Load()
+	mid, err := rs2.LoadCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestCrashRecoveryEveryOffset(t *testing.T) {
 	if err := st2.Commit(stmt2); err != nil {
 		t.Fatal(err)
 	}
-	post, err := rs2.Load()
+	post, err := rs2.LoadCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestCrashRecoveryAcrossCheckpoints(t *testing.T) {
 	rs2, _ := st2.Rel(def.Name)
 	base := fs.Record()
 	states := []*core.Relation{}
-	rel, err := rs2.Load()
+	rel, err := rs2.LoadCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestCrashRecoveryAcrossCheckpoints(t *testing.T) {
 		if err := st2.Commit(stmt); err != nil { // checkpoints every time (threshold 1)
 			t.Fatal(err)
 		}
-		rel, err := rs2.Load()
+		rel, err := rs2.LoadCtx(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +330,7 @@ func TestRaggedTailWithEmptyWAL(t *testing.T) {
 	if !ok {
 		t.Fatal("relation lost")
 	}
-	rel, err := rs2.Load()
+	rel, err := rs2.LoadCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,19 +373,19 @@ func TestDropRelationReclaimsPages(t *testing.T) {
 	if err := st.Commit(txn); err != nil {
 		t.Fatal(err)
 	}
-	pages := st.NumPages()
+	pages := st.pager.NumPages()
 	drop := st.Begin()
 	if err := st.DropRelation(drop, def.Name); err != nil {
 		t.Fatal(err)
 	}
-	if st.FreePages() == 0 {
+	if st.freeCount() == 0 {
 		t.Fatal("drop reclaimed no pages")
 	}
 	if err := st.Commit(drop); err != nil {
 		t.Fatal(err)
 	}
 	st.CompleteDrop(def.Name)
-	freed := st.FreePages()
+	freed := st.freeCount()
 
 	// free list survives reopen
 	if err := st.Close(); err != nil {
@@ -394,7 +395,7 @@ func TestDropRelationReclaimsPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := st2.FreePages(); got != freed {
+	if got := st2.freeCount(); got != freed {
 		t.Fatalf("free list lost across reopen: %d != %d", got, freed)
 	}
 
@@ -415,10 +416,10 @@ func TestDropRelationReclaimsPages(t *testing.T) {
 	if err := st2.Commit(txn2); err != nil {
 		t.Fatal(err)
 	}
-	if grown := st2.NumPages() - pages; grown > 2 {
+	if grown := st2.pager.NumPages() - pages; grown > 2 {
 		t.Fatalf("file grew %d pages despite %d free pages", grown, freed)
 	}
-	got, err := rs2.Load()
+	got, err := rs2.LoadCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +474,7 @@ func TestOpenStatsBucketedSeparately(t *testing.T) {
 		t.Fatalf("steady-state counters polluted by open: hits=%d misses=%d", h, m)
 	}
 	rs2, _ := st2.Rel(def.Name)
-	if _, err := rs2.Load(); err != nil {
+	if _, err := rs2.LoadCtx(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if h, m, _ := st2.PoolStats(); h+m == 0 {
@@ -534,7 +535,7 @@ func TestCrashRecoveryMergedCommit(t *testing.T) {
 	snap := func() map[string]*core.Relation {
 		out := map[string]*core.Relation{}
 		for _, name := range names {
-			rel, err := relOf(name).Load()
+			rel, err := relOf(name).LoadCtx(context.Background(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -739,11 +740,11 @@ func TestFailedCommitDoesNotWedge(t *testing.T) {
 	}
 	defer st2.Close()
 	r1, ok := st2.Rel("R1")
-	if !ok || countTuples(t, r1.Scan) != 2 {
+	if !ok || countTuples(t, r1.scan) != 2 {
 		t.Fatalf("R1 wrong after reopen: ok=%v", ok)
 	}
 	r2, ok := st2.Rel("R2")
-	if !ok || countTuples(t, r2.Scan) != 1 {
+	if !ok || countTuples(t, r2.scan) != 1 {
 		t.Fatalf("R2 wrong after reopen: ok=%v", ok)
 	}
 }
@@ -799,7 +800,7 @@ func TestCrashRecoveryIndexSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := rs2.Load()
+	pre, err := rs2.LoadCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -822,7 +823,7 @@ func TestCrashRecoveryIndexSplit(t *testing.T) {
 	if _, after, err := tree.PageCounts(); err != nil || after <= leaves {
 		t.Fatalf("journaled transaction split no leaf (%d→%d leaves, %v); harness is vacuous", leaves, after, err)
 	}
-	post, err := rs2.Load()
+	post, err := rs2.LoadCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -909,7 +910,7 @@ func TestCrashRecoveryDeltaAcrossCheckpoint(t *testing.T) {
 	rs2, _ := st2.Rel(def.Name)
 	snap := func() *core.Relation {
 		t.Helper()
-		rel, err := rs2.Load()
+		rel, err := rs2.LoadCtx(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1114,7 +1115,7 @@ func doubleReplay(c crashfs.Cut, files map[string][]byte) (int, error) {
 		rst.Discard()
 		return 0, fmt.Errorf("%v: relation R1 lost", c)
 	}
-	want, err := rs.Load()
+	want, err := rs.LoadCtx(context.Background(), nil)
 	rst.Discard()
 	if err != nil {
 		return 0, fmt.Errorf("%v: load after the recording replay: %v", c, err)
@@ -1184,7 +1185,7 @@ func insertStmt(t testing.TB, st *Store, rs *RelStore, tag string, i int) *core.
 	if err := st.Commit(txn); err != nil {
 		t.Fatal(err)
 	}
-	rel, err := rs.Load()
+	rel, err := rs.LoadCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1246,7 +1247,7 @@ func TestCrashDuringClose(t *testing.T) {
 	}
 	defer st2.Discard()
 	rs2, _ := st2.Rel(def.Name)
-	if got, err := rs2.Load(); err != nil || !got.Equal(want) {
+	if got, err := rs2.LoadCtx(context.Background(), nil); err != nil || !got.Equal(want) {
 		t.Fatalf("clean reopen: %v, state equal to the committed one: %v", err, err == nil && got.Equal(want))
 	}
 	insertStmt(t, st2, rs2, "close", 1)
@@ -1291,7 +1292,7 @@ func TestCrashAfterRecoveryAppend(t *testing.T) {
 		t.Fatalf("recovery checkpointed the log (%d checkpoint fsyncs, size %d)", ws.CheckpointFsyncs, rst.wal.Size())
 	}
 	rrs, _ := rst.Rel(def.Name)
-	if got, err := rrs.Load(); err != nil || !got.Equal(states[0]) {
+	if got, err := rrs.LoadCtx(context.Background(), nil); err != nil || !got.Equal(states[0]) {
 		t.Fatalf("recovered state: %v, equal to the last committed one: %v", err, err == nil && got.Equal(states[0]))
 	}
 	states = append(states, insertStmt(t, rst, rrs, "era2", 0))

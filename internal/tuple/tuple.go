@@ -24,9 +24,6 @@ import (
 // the paper's update algorithms insert and delete.
 type Flat []value.Atom
 
-// FlatOf builds a flat tuple from atoms.
-func FlatOf(atoms ...value.Atom) Flat { return Flat(atoms) }
-
 // FlatOfStrings builds a flat tuple of string atoms; the common
 // constructor for the paper's symbolic examples.
 func FlatOfStrings(ss ...string) Flat { return Flat(value.Strings(ss...)) }

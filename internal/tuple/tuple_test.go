@@ -33,9 +33,9 @@ func TestNewRejectsEmptyComponent(t *testing.T) {
 
 func TestFlatHelpers(t *testing.T) {
 	f := FlatOfStrings("s1", "c1")
-	g := FlatOf(value.NewString("s1"), value.NewString("c1"))
+	g := Flat{value.NewString("s1"), value.NewString("c1")}
 	if !f.Equal(g) {
-		t.Error("FlatOfStrings != FlatOf")
+		t.Error("FlatOfStrings != Flat literal")
 	}
 	if f.Equal(FlatOfStrings("s1")) {
 		t.Error("length mismatch equal")
@@ -317,7 +317,7 @@ func TestComposeDecomposeProperties(t *testing.T) {
 		base := randTuple(rng, 3)
 		c := rng.Intn(3)
 		// construct a composable partner: same everywhere except c
-		other := base.WithSet(c, vset.OfInts(int64(10+rng.Intn(5))))
+		other := base.WithSet(c, vset.New(value.NewInt(int64(10+rng.Intn(5)))))
 		comp, ok := Compose(base, other, c)
 		if !ok {
 			return false

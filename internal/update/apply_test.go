@@ -8,14 +8,15 @@ import (
 	"repro/internal/tuple"
 )
 
-// TestApplyPositionalResults: Apply must return positional per-op
-// results, skip malformed ops without poisoning the rest, and leave the
-// relation (and a mirroring sink) exactly where the same ops applied
-// one-by-one would.
+// TestApplyPositionalResults: a logged op sequence, replayed through
+// Insert and Delete as nfr-spine replays its update.Op logs, gives each
+// op its own result; a malformed op fails alone without poisoning the
+// rest, and the relation (and a mirroring sink) end exactly where the
+// well-formed ops applied by themselves leave them.
 func TestApplyPositionalResults(t *testing.T) {
 	s := schema.MustOf("A", "B", "C")
 	order := schema.MustPermOf(s, "B", "C", "A")
-	m, err := NewMaintainerIndexed(s, order)
+	m, err := FromRelationIndexed(core.NewRelation(s), order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestApplyPositionalResults(t *testing.T) {
 		{F: tuple.FlatOfStrings("zz", "zz", "zz"), Delete: true}, // delete missing, no-op
 		{F: tuple.FlatOfStrings("a3", "b2", "c2")},               // insert, changes
 	}
-	res := m.Apply(ops)
+	res := applyOps(m, ops)
 	if len(res) != len(ops) {
 		t.Fatalf("got %d results for %d ops", len(res), len(ops))
 	}
@@ -48,7 +49,7 @@ func TestApplyPositionalResults(t *testing.T) {
 	}
 
 	// oracle: the same ops through the one-at-a-time API
-	om, err := NewMaintainerIndexed(s, order)
+	om, err := FromRelationIndexed(core.NewRelation(s), order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestApplyPositionalResults(t *testing.T) {
 	}
 
 	// an all-no-op batch changes nothing
-	res = m.Apply([]Op{
+	res = applyOps(m, []Op{
 		{F: tuple.FlatOfStrings("a2", "b1", "c1")},               // already there
 		{F: tuple.FlatOfStrings("no", "no", "no"), Delete: true}, // not there
 	})

@@ -44,18 +44,38 @@ func newLockstep(tb testing.TB, s *schema.Schema, order schema.Permutation) *loc
 	if l.naive, err = NewMaintainer(s, order); err != nil {
 		tb.Fatal(err)
 	}
-	if l.indexed, err = NewMaintainerIndexed(s, order); err != nil {
+	if l.indexed, err = FromRelationIndexed(core.NewRelation(s), order); err != nil {
 		tb.Fatal(err)
 	}
-	if !l.indexed.Indexed() || l.naive.Indexed() {
-		tb.Fatal("Indexed() flags wrong")
+	if l.indexed.idx == nil || l.naive.idx != nil {
+		tb.Fatal("index flags wrong")
 	}
 	l.naive.SetSink(&l.naiveSink)
 	l.indexed.SetSink(&l.indexedSink)
 	return l
 }
 
-// apply runs ops as one Apply batch on both maintainers, or — for a
+// opResult is one op's outcome under applyOps.
+type opResult struct {
+	Changed bool
+	Err     error
+}
+
+// applyOps runs ops in order through Insert and Delete, one result per
+// op; a malformed op fails alone and the rest still apply.
+func applyOps(m *Maintainer, ops []Op) []opResult {
+	out := make([]opResult, len(ops))
+	for i, op := range ops {
+		if op.Delete {
+			out[i].Changed, out[i].Err = m.Delete(op.F)
+		} else {
+			out[i].Changed, out[i].Err = m.Insert(op.F)
+		}
+	}
+	return out
+}
+
+// apply runs ops through applyOps on both maintainers, or — for a
 // single op with single set — through Insert/Delete.
 func (l *lockstep) apply(tb testing.TB, ops []Op, single bool) {
 	tb.Helper()
@@ -72,7 +92,7 @@ func (l *lockstep) apply(tb testing.TB, ops []Op, single bool) {
 			tb.Fatalf("op %+v diverged: naive %v/%v, indexed %v/%v", ops[0], c1, err1, c2, err2)
 		}
 	} else {
-		r1, r2 := l.naive.Apply(ops), l.indexed.Apply(ops)
+		r1, r2 := applyOps(l.naive, ops), applyOps(l.indexed, ops)
 		for i := range r1 {
 			if r1[i].Changed != r2[i].Changed || (r1[i].Err == nil) != (r2[i].Err == nil) {
 				tb.Fatalf("batch op %d %+v diverged: naive %+v, indexed %+v", i, ops[i], r1[i], r2[i])
@@ -156,7 +176,7 @@ func TestIndexedMatchesNaiveRandomized(t *testing.T) {
 			orders = orders[:8]
 		}
 		for oi, order := range orders {
-			for _, atoms := range [][]value.Atom{value.Ints(0, 1, 2, 3), mixedAtoms} {
+			for _, atoms := range [][]value.Atom{{value.NewInt(0), value.NewInt(1), value.NewInt(2), value.NewInt(3)}, mixedAtoms} {
 				rng := rand.New(rand.NewSource(int64(1000*deg + oi)))
 				l := newLockstep(t, s, order)
 				for step, ops := range randomOps(rng, deg, 3+rng.Intn(2), 100, atoms) {
@@ -257,16 +277,16 @@ func TestIndexedMatchesNaiveBenchShapes(t *testing.T) {
 func TestIndexedRunsRepeatExactly(t *testing.T) {
 	run := func() (Stats, []event) {
 		c := newChurn(denseShape, 150, 7)
-		m, err := NewMaintainerIndexed(enrollSchema, enrollOrder)
+		m, err := FromRelationIndexed(core.NewRelation(enrollSchema), enrollOrder)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Apply(c.initial())
+		applyOps(m, c.initial())
 		var sink eventSink
 		m.SetSink(&sink)
 		m.ResetStats()
 		for i := 0; i < 2000; i++ {
-			m.Apply([]Op{c.next(i)})
+			applyOps(m, []Op{c.next(i)})
 		}
 		return m.Stats(), sink.events
 	}
@@ -307,7 +327,7 @@ func TestIndexedScansFewerTuples(t *testing.T) {
 		}
 	}
 	naive, _ := NewMaintainer(s, order)
-	indexed, _ := NewMaintainerIndexed(s, order)
+	indexed, _ := FromRelationIndexed(core.NewRelation(s), order)
 	load(naive)
 	load(indexed)
 	naive.ResetStats()
@@ -330,15 +350,15 @@ func TestIndexedScansFewerTuples(t *testing.T) {
 	// On the benchmark's dense shape a write examines a handful of
 	// tuples, however fat the Course and Club posting lists would be.
 	c := newChurn(denseShape, 600, 1)
-	m, err := NewMaintainerIndexed(enrollSchema, enrollOrder)
+	m, err := FromRelationIndexed(core.NewRelation(enrollSchema), enrollOrder)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Apply(c.initial())
+	applyOps(m, c.initial())
 	m.ResetStats()
 	const ops = 2000
 	for i := 0; i < ops; i++ {
-		m.Apply([]Op{c.next(i)})
+		applyOps(m, []Op{c.next(i)})
 	}
 	if scans := m.Stats().CandidateScans; scans > 8*ops {
 		t.Errorf("dense shape: %.1f scans per op over %d tuples, want ≤ 8", float64(scans)/ops, m.Len())
@@ -356,7 +376,7 @@ func TestFromRelationIndexed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Indexed() {
+	if m.idx == nil {
 		t.Fatal("not indexed")
 	}
 	// the preloaded tuples must be findable through the index
@@ -451,7 +471,7 @@ func TestAtomIndexAddRemove(t *testing.T) {
 // still takes the true candidate and never the impostor.
 func TestCandtIgnoresHashCollisions(t *testing.T) {
 	s := schema.MustOf("A", "B")
-	m, err := NewMaintainerIndexed(s, schema.IdentityPerm(2))
+	m, err := FromRelationIndexed(core.NewRelation(s), schema.IdentityPerm(2))
 	if err != nil {
 		t.Fatal(err)
 	}

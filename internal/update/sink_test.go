@@ -39,7 +39,7 @@ func (m *mirrorSink) TupleRemoved(t tuple.Tuple) {
 func TestSinkMirrorsCanonicalForm(t *testing.T) {
 	s := schema.MustOf("A", "B", "C")
 	order := schema.MustPermOf(s, "B", "C", "A")
-	m, err := NewMaintainerIndexed(s, order)
+	m, err := FromRelationIndexed(core.NewRelation(s), order)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,28 +95,12 @@ func NewMaintainer(s *schema.Schema, order schema.Permutation) (*Maintainer, err
 	return &Maintainer{rel: core.NewRelation(s), order: order}, nil
 }
 
-// NewMaintainerIndexed returns a maintainer whose candidate and
-// covering-tuple searches go through the indexes of index.go instead
-// of the naive candt scan. Results are identical; only the search cost
-// changes.
-func NewMaintainerIndexed(s *schema.Schema, order schema.Permutation) (*Maintainer, error) {
-	m, err := NewMaintainer(s, order)
-	if err != nil {
-		return nil, err
-	}
-	m.enableIndex()
-	return m, nil
-}
-
 func (m *Maintainer) enableIndex() {
 	m.idx = newTupleIndex(m.order[len(m.order)-1])
 	for i := 0; i < m.rel.Len(); i++ {
 		m.idx.add(m.rel.Tuple(i))
 	}
 }
-
-// Indexed reports whether the maintainer uses the candidate indexes.
-func (m *Maintainer) Indexed() bool { return m.idx != nil }
 
 // SetSink registers a mutation observer (nil to detach). The sink sees
 // only mutations applied after registration; a storage layer loading an
@@ -161,8 +145,10 @@ func FromRelation(r *core.Relation, order schema.Permutation) (*Maintainer, erro
 	return m, nil
 }
 
-// FromRelationIndexed is FromRelation with the candidate indexes
-// enabled.
+// FromRelationIndexed is FromRelation with the candidate indexes of
+// index.go enabled: the candidate and covering-tuple searches go
+// through them instead of the naive candt scan. Results are identical;
+// only the search cost changes.
 func FromRelationIndexed(r *core.Relation, order schema.Permutation) (*Maintainer, error) {
 	m, err := FromRelation(r, order)
 	if err != nil {
@@ -197,9 +183,6 @@ func Adopt(r *core.Relation, order schema.Permutation) (*Maintainer, error) {
 // modify it; Clone before mutating.
 func (m *Maintainer) Relation() *core.Relation { return m.rel }
 
-// Order returns the nest order.
-func (m *Maintainer) Order() schema.Permutation { return m.order }
-
 // Stats returns the accumulated operation counts.
 func (m *Maintainer) Stats() Stats { return m.stats }
 
@@ -227,32 +210,11 @@ func (m *Maintainer) Insert(f tuple.Flat) (bool, error) {
 	return true, nil
 }
 
-// Op is one flat-tuple mutation in a batch handed to Apply.
+// Op is one logged flat-tuple mutation: an Insert, or a Delete when
+// Delete is set.
 type Op struct {
 	F      tuple.Flat
 	Delete bool
-}
-
-// OpResult is one op's outcome: whether it changed the relation, and
-// its validation error if it was malformed (malformed ops are skipped;
-// the rest of the batch still applies).
-type OpResult struct {
-	Changed bool
-	Err     error
-}
-
-// Apply runs a batch of flat-tuple mutations in order, as the engine's
-// write pipeline hands them over; results are positional.
-func (m *Maintainer) Apply(ops []Op) []OpResult {
-	out := make([]OpResult, len(ops))
-	for i, op := range ops {
-		if op.Delete {
-			out[i].Changed, out[i].Err = m.Delete(op.F)
-		} else {
-			out[i].Changed, out[i].Err = m.Insert(op.F)
-		}
-	}
-	return out
 }
 
 // Delete removes the flat tuple from the maintained relation,

@@ -315,12 +315,3 @@ func Strings(ss ...string) []Atom {
 	}
 	return out
 }
-
-// Ints converts a list of integers into int atoms.
-func Ints(vs ...int64) []Atom {
-	out := make([]Atom, len(vs))
-	for i, v := range vs {
-		out[i] = NewInt(v)
-	}
-	return out
-}

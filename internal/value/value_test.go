@@ -240,14 +240,10 @@ func TestMustParsePanics(t *testing.T) {
 	MustParse("")
 }
 
-func TestStringsAndInts(t *testing.T) {
+func TestStrings(t *testing.T) {
 	ss := Strings("a", "b")
 	if len(ss) != 2 || ss[0].Str() != "a" || ss[1].Str() != "b" {
 		t.Errorf("Strings = %v", ss)
-	}
-	is := Ints(3, 1)
-	if len(is) != 2 || is[0].Int() != 3 || is[1].Int() != 1 {
-		t.Errorf("Ints = %v", is)
 	}
 }
 

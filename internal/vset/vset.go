@@ -306,9 +306,6 @@ func (s Set) String() string {
 // paper-example reproductions: a set of string atoms.
 func OfStrings(ss ...string) Set { return New(value.Strings(ss...)...) }
 
-// OfInts is a convenience constructor for int-atom sets.
-func OfInts(vs ...int64) Set { return New(value.Ints(vs...)...) }
-
 func min(a, b int) int {
 	if a < b {
 		return a

@@ -48,7 +48,7 @@ func TestSingle(t *testing.T) {
 }
 
 func TestMin(t *testing.T) {
-	s := OfInts(5, 2, 9)
+	s := ofInts(5, 2, 9)
 	if s.Min().Int() != 2 {
 		t.Errorf("Min = %v", s.Min())
 	}
@@ -71,7 +71,7 @@ func TestFromSortedPanics(t *testing.T) {
 
 func TestFromSortedOK(t *testing.T) {
 	s := FromSorted([]value.Atom{value.NewInt(1), value.NewInt(2)})
-	if !s.Equal(OfInts(1, 2)) {
+	if !s.Equal(ofInts(1, 2)) {
 		t.Error("FromSorted mismatch")
 	}
 }
@@ -163,24 +163,24 @@ func TestAddRemove(t *testing.T) {
 }
 
 func TestIntersectDisjointSubset(t *testing.T) {
-	a := OfInts(1, 2, 3, 4)
-	b := OfInts(3, 4, 5)
-	if !a.Intersect(b).Equal(OfInts(3, 4)) {
+	a := ofInts(1, 2, 3, 4)
+	b := ofInts(3, 4, 5)
+	if !a.Intersect(b).Equal(ofInts(3, 4)) {
 		t.Error("Intersect")
 	}
 	if a.Disjoint(b) {
 		t.Error("Disjoint false positive")
 	}
-	if !a.Disjoint(OfInts(9)) {
+	if !a.Disjoint(ofInts(9)) {
 		t.Error("Disjoint false negative")
 	}
-	if !OfInts(2, 3).SubsetOf(a) {
+	if !ofInts(2, 3).SubsetOf(a) {
 		t.Error("SubsetOf true case")
 	}
-	if OfInts(2, 9).SubsetOf(a) {
+	if ofInts(2, 9).SubsetOf(a) {
 		t.Error("SubsetOf false case")
 	}
-	if OfInts(1, 2, 3, 4, 5).SubsetOf(a) {
+	if ofInts(1, 2, 3, 4, 5).SubsetOf(a) {
 		t.Error("bigger set subset of smaller")
 	}
 }
@@ -309,4 +309,13 @@ func BenchmarkVsetDisjoint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		disjointSink = comp.Disjoint(probes[i&1])
 	}
+}
+
+// ofInts is a set of int atoms.
+func ofInts(vs ...int64) Set {
+	atoms := make([]value.Atom, len(vs))
+	for i, v := range vs {
+		atoms[i] = value.NewInt(v)
+	}
+	return New(atoms...)
 }
