@@ -2,10 +2,13 @@ package nfr
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/encoding"
@@ -253,6 +256,16 @@ func TestCorruptionIsErrCorrupt(t *testing.T) {
 	})
 	if _, err := badRecord.ReadRelation(context.Background(), "r"); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("read of a bad heap record: %v, want ErrCorrupt", err)
+	}
+
+	// a heap page whose slot directory cannot fit the page: the
+	// scan's error names the sentinel once, not once per layer
+	badSlots := corrupt("slots", heapPage, func(p *storage.Page) {
+		binary.LittleEndian.PutUint16(p[0:2], 4000)
+	})
+	_, err = badSlots.ReadRelation(context.Background(), "r")
+	if !errors.Is(err, ErrCorrupt) || strings.Count(fmt.Sprint(err), "corrupt database") != 1 {
+		t.Errorf("read of a heap page with 4 000 slots: %v, want ErrCorrupt named once", err)
 	}
 
 	badLeaf := corrupt("leaf", leafPage, func(p *storage.Page) {

@@ -204,10 +204,11 @@ func TestBatchFallbackMixedBatch(t *testing.T) {
 }
 
 // TestWALBytesPerInsert: after a warm-up and a checkpoint, a one-row
-// insert statement logs less than one full page image, the window
-// holds delta records, and the same page records priced as full images
-// ('P' record: tag, pid, image, crc) would cost at least five times as
-// much. One client, so a second run logs the same numbers.
+// insert statement logs less than one full page image and about two
+// pages (its heap page and its B+tree leaf; a split adds a few), the
+// window holds delta records, and the same page records priced as full
+// images ('P' record: tag, pid, image, crc) would cost at least five
+// times as much. One client, so a second run logs the same numbers.
 func TestWALBytesPerInsert(t *testing.T) {
 	const warmup, n = 400, 200
 	const fullImageRec = 1 + 4 + storage.PageSize + 4
@@ -245,6 +246,9 @@ func TestWALBytesPerInsert(t *testing.T) {
 	got := measure()
 	if got.bytes > n*fullImageRec {
 		t.Errorf("%d bytes logged per insert, want ≤ %d (one full page image)", got.bytes/n, fullImageRec)
+	}
+	if 100*got.pages > 205*n {
+		t.Errorf("%d page records logged by %d inserts, want ≤ 2.05 per insert", got.pages, n)
 	}
 	if got.deltas == 0 {
 		t.Errorf("no delta records among the window's %d page records", got.pages)

@@ -697,8 +697,8 @@ func (tx *Tx) Commit() error {
 // the buffer pool (no-steal guarantees nothing uncommitted reached the
 // file, so the file is bit-identical to the pre-Begin state), each
 // touched shard's canonical partition is returned to its pre-Begin
-// form by undoWrites, and its heap insertion target and index mirror
-// are re-attached to the reverted pages. Latches are released and the
+// form by undoWrites, and its heap insertion target is re-attached to
+// the reverted pages. Latches are released and the
 // handle is done.
 func (tx *Tx) Rollback() error {
 	tx.mu.Lock()

@@ -21,10 +21,11 @@ import (
 //
 // Layout:
 //
-//	meta page   record 0: 'B' root:u32 height:u16 count:u64
-//	            firstLeaf:u32 (fixed 19 bytes, updated in place —
-//	            the page id persisted in the catalog, so a root
-//	            split never moves the catalog-recorded handle).
+//	meta page   record 0: 'B' root:u32 height:u16 firstLeaf:u32
+//	            (fixed 11 bytes, rewritten in place by a root split
+//	            and by nothing else — the page id persisted in the
+//	            catalog, so a root split never moves the
+//	            catalog-recorded handle).
 //	leaf page   record 0: 'L'; records 1..n are entries sorted by
 //	            (key, rid): keyLen:uvarint key rid.Page:u32
 //	            rid.Slot:u16 (the entry codec of diskindex.go). Leaves
@@ -60,7 +61,7 @@ import (
 
 const (
 	btreeMetaTag  = 'B'
-	btreeMetaLen  = 19
+	btreeMetaLen  = 11
 	btreeLeafTag  = 'L'
 	btreeInnerTag = 'I'
 
@@ -79,16 +80,14 @@ func CheckBTreeKey(n int) error {
 
 // BTree is a durable ordered index: memcomparable byte-string keys
 // mapped to record ids (duplicates allowed), stored in slotted pages
-// behind a buffer pool. The struct is only a small mirror of the meta
-// record; all entries live in node pages. Callers serialize access per
-// tree — the store does so under its per-shard lock.
+// behind a buffer pool. The struct holds no shape: every operation
+// reads root, height and first leaf from the meta page, so a rollback
+// that reverts the tree's pages leaves nothing in memory to restore.
+// Callers serialize access per tree — the store does so under its
+// per-shard lock.
 type BTree struct {
-	bp        *BufferPool
-	metaPid   uint32 // the persistent handle (Root())
-	root      uint32 // current root node page
-	height    int    // 1 = the root is a leaf
-	count     int
-	firstLeaf uint32
+	bp      *BufferPool
+	metaPid uint32 // the persistent handle (Root())
 	// maxEntries, when > 0, caps how many entries a node may hold
 	// before an insert splits it (tests use it to force deep trees from
 	// tiny workloads; 0 = page capacity decides).
@@ -96,6 +95,13 @@ type BTree struct {
 	// released accumulates leaves emptied by deletes and unlinked from
 	// the tree, until the owner drains them via TakeReleased.
 	released []uint32
+}
+
+// btreeMeta is the decoded meta record: the tree's whole shape state.
+type btreeMeta struct {
+	root      uint32 // current root node page
+	height    int    // 1 = the root is a leaf
+	firstLeaf uint32 // head of the leaf chain; fixed at creation
 }
 
 // cmpKeyRID orders (ak, ar) against (key, rid) by the composite
@@ -113,126 +119,97 @@ func cmpKeyRID(ak []byte, ar RID, key []byte, rid RID) int {
 // CreateBTree allocates a fresh empty tree (meta page + one empty root
 // leaf) under txn. Persist Root() to reattach later.
 func CreateBTree(bp *BufferPool, txn *Txn) (*BTree, error) {
-	ix := &BTree{bp: bp, height: 1}
 	mf, err := bp.NewPage(txn)
 	if err != nil {
 		return nil, err
 	}
-	ix.metaPid = mf.PID()
 	lf, err := bp.NewPage(txn)
 	if err != nil {
 		bp.Unpin(mf, true)
 		return nil, err
 	}
-	ix.root = lf.PID()
-	ix.firstLeaf = lf.PID()
-	if _, err := lf.Page().Insert([]byte{btreeLeafTag}); err != nil {
-		bp.Unpin(lf, true)
+	ix := &BTree{bp: bp, metaPid: mf.PID()}
+	leaf := lf.PID()
+	_, err = lf.Page().Insert([]byte{btreeLeafTag})
+	if err = ix.release(lf, true, err); err != nil {
 		bp.Unpin(mf, true)
 		return nil, err
 	}
-	if err := bp.Unpin(lf, true); err != nil {
-		bp.Unpin(mf, true)
+	meta := binary.LittleEndian.AppendUint32([]byte{btreeMetaTag}, leaf)
+	meta = binary.LittleEndian.AppendUint16(meta, 1)
+	meta = binary.LittleEndian.AppendUint32(meta, leaf)
+	_, err = mf.Page().Insert(meta)
+	if err = ix.release(mf, true, err); err != nil {
 		return nil, err
 	}
-	if _, err := mf.Page().Insert(ix.metaBytes()); err != nil {
-		bp.Unpin(mf, true)
-		return nil, err
-	}
-	return ix, bp.Unpin(mf, true)
+	return ix, nil
 }
 
 // OpenBTree attaches to the tree whose meta page is root — one page
 // read, never the nodes.
 func OpenBTree(bp *BufferPool, root uint32) (*BTree, error) {
 	ix := &BTree{bp: bp, metaPid: root}
-	if err := ix.load(); err != nil {
+	if _, err := ix.meta(); err != nil {
 		return nil, err
 	}
 	return ix, nil
 }
 
-// Refresh re-reads the meta record, discarding the in-memory mirror.
-// Callers use it after a transaction rollback reverted uncommitted
-// index frames.
-func (ix *BTree) Refresh() error {
-	// pages unlinked under a since-rolled-back txn are back on the tree;
-	// handing them to a free list now would double-own them
-	ix.released = nil
-	return ix.load()
+// metaRecord returns the meta record on p, the tree's meta page, in
+// place and decoded.
+func (ix *BTree) metaRecord(p *Page) ([]byte, btreeMeta, error) {
+	rec, err := p.Get(0)
+	if err != nil || len(rec) != btreeMetaLen || rec[0] != btreeMetaTag {
+		return nil, btreeMeta{}, fmt.Errorf("%w: btree: bad meta record on page %d", ErrCorrupt, ix.metaPid)
+	}
+	m := btreeMeta{
+		root:      binary.LittleEndian.Uint32(rec[1:5]),
+		height:    int(binary.LittleEndian.Uint16(rec[5:7])),
+		firstLeaf: binary.LittleEndian.Uint32(rec[7:11]),
+	}
+	if m.root == 0 || m.firstLeaf == 0 || m.height < 1 || m.height > 64 {
+		return nil, btreeMeta{}, fmt.Errorf("%w: btree: impossible meta (root %d, height %d, first leaf %d)",
+			ErrCorrupt, m.root, m.height, m.firstLeaf)
+	}
+	return rec, m, nil
 }
 
-func (ix *BTree) load() error {
+// meta reads the tree's shape from its meta page: one pool hit.
+func (ix *BTree) meta() (btreeMeta, error) {
 	fr, err := ix.bp.Get(ix.metaPid)
 	if err != nil {
-		return err
+		return btreeMeta{}, err
 	}
-	rec, gerr := fr.Page().Get(0)
-	var meta []byte
-	if gerr == nil {
-		meta = append([]byte(nil), rec...)
-	}
-	if err := ix.bp.Unpin(fr, false); err != nil {
-		return err
-	}
-	if gerr != nil || len(meta) != btreeMetaLen || meta[0] != btreeMetaTag {
-		return fmt.Errorf("%w: btree: bad meta record on page %d", ErrCorrupt, ix.metaPid)
-	}
-	root := binary.LittleEndian.Uint32(meta[1:5])
-	height := int(binary.LittleEndian.Uint16(meta[5:7]))
-	count := binary.LittleEndian.Uint64(meta[7:15])
-	first := binary.LittleEndian.Uint32(meta[15:19])
-	if root == 0 || first == 0 || height < 1 || height > 64 || count > 1<<50 {
-		return fmt.Errorf("%w: btree: impossible meta (root %d, height %d, count %d, first leaf %d)",
-			ErrCorrupt, root, height, count, first)
-	}
-	ix.root, ix.height, ix.count, ix.firstLeaf = root, height, int(count), first
-	return nil
+	_, m, err := ix.metaRecord(fr.Page())
+	return m, ix.release(fr, false, err)
 }
 
-func (ix *BTree) metaBytes() []byte {
-	b := make([]byte, btreeMetaLen)
-	b[0] = btreeMetaTag
-	binary.LittleEndian.PutUint32(b[1:5], ix.root)
-	binary.LittleEndian.PutUint16(b[5:7], uint16(ix.height))
-	binary.LittleEndian.PutUint64(b[7:15], uint64(ix.count))
-	binary.LittleEndian.PutUint32(b[15:19], ix.firstLeaf)
-	return b
-}
-
-// deferMeta schedules one meta flush for the transaction: mutations
-// update only the in-memory mirror and the meta page is written once
-// at commit, so every Put/Delete stops re-logging the meta page for
-// its in-place count update.
-func (ix *BTree) deferMeta(txn *Txn) { txn.Defer(ix, ix.writeMeta) }
-
-// writeMeta overwrites the meta record in place (fixed size, the slot
-// never moves) so the persisted shape follows every mutation within
-// the same transaction. It runs as deferred commit work (see
-// deferMeta), not per mutation.
-func (ix *BTree) writeMeta(txn *Txn) error {
+// growRoot records root, one level above the old root, in the meta
+// record under txn: after creation, a root split is the meta page's
+// only change.
+func (ix *BTree) growRoot(txn *Txn, root uint32) error {
 	fr, err := ix.bp.GetMut(txn, ix.metaPid)
 	if err != nil {
 		return err
 	}
-	rec, gerr := fr.Page().Get(0)
-	if gerr != nil || len(rec) != btreeMetaLen || rec[0] != btreeMetaTag {
-		ix.bp.Unpin(fr, false)
-		return fmt.Errorf("%w: btree: meta record missing from page %d", ErrCorrupt, ix.metaPid)
+	rec, m, err := ix.metaRecord(fr.Page())
+	if err == nil {
+		binary.LittleEndian.PutUint32(rec[1:5], root)
+		binary.LittleEndian.PutUint16(rec[5:7], uint16(m.height+1))
 	}
-	copy(rec, ix.metaBytes())
-	return ix.bp.Unpin(fr, true)
+	return ix.release(fr, err == nil, err)
 }
 
 // Root returns the meta page id (persist this to reattach with
 // OpenBTree); it never changes, even across root splits.
 func (ix *BTree) Root() uint32 { return ix.metaPid }
 
-// Len returns the number of stored entries.
-func (ix *BTree) Len() int { return ix.count }
-
-// Height returns the number of node levels (1 = the root is a leaf).
-func (ix *BTree) Height() int { return ix.height }
+// Height returns the number of node levels (1 = the root is a leaf),
+// or 0 when the meta record cannot be read.
+func (ix *BTree) Height() int {
+	m, _ := ix.meta()
+	return m.height
+}
 
 // SetMaxNodeEntries caps how many entries a node may hold before an
 // insert splits it (0 restores the default: page capacity decides).
@@ -407,12 +384,16 @@ type pathEl struct {
 	childIdx int
 }
 
-// descend walks from the root to the leaf that would hold (key, rid),
-// appending the inner nodes it passed (root first) to path and
-// returning the leaf's page.
+// descend walks from the root named by the meta page to the leaf that
+// would hold (key, rid), appending the inner nodes it passed (root
+// first) to path and returning the leaf's page.
 func (ix *BTree) descend(path []pathEl, key []byte, rid RID) ([]pathEl, uint32, error) {
-	pid := ix.root
-	for depth := 0; depth < ix.height-1; depth++ {
+	m, err := ix.meta()
+	if err != nil {
+		return nil, 0, err
+	}
+	pid := m.root
+	for depth := 0; depth < m.height-1; depth++ {
 		fr, nd, err := ix.pin(nil, pid, true)
 		if err != nil {
 			return nil, 0, err
@@ -437,7 +418,7 @@ func (ix *BTree) descend(path []pathEl, key []byte, rid RID) ([]pathEl, uint32, 
 }
 
 // Put inserts a key → rid entry (duplicate keys allowed) under txn,
-// splitting nodes bottom-up as needed, and persists the updated meta.
+// splitting nodes bottom-up as needed.
 func (ix *BTree) Put(txn *Txn, key []byte, rid RID) error {
 	if err := CheckBTreeKey(len(key)); err != nil {
 		return err
@@ -452,12 +433,7 @@ func (ix *BTree) Put(txn *Txn, key []byte, rid RID) error {
 		return err
 	}
 	var ebuf [64]byte
-	if err := ix.insertEntry(txn, path, fr, nd, appendIndexEntry(ebuf[:0], key, rid)); err != nil {
-		return err
-	}
-	ix.count++
-	ix.deferMeta(txn)
-	return nil
+	return ix.insertEntry(txn, path, fr, nd, appendIndexEntry(ebuf[:0], key, rid))
 }
 
 // insertEntry adds the encoded entry rec to the node behind fr at its
@@ -534,11 +510,10 @@ func (ix *BTree) split(txn *Txn, path []pathEl, fr *Frame, nd node, pos int, rec
 		if err != nil {
 			return err
 		}
-		if err = ix.release(rf, true, writeNode(rf.Page(), innerHeader(nd.pid), 0, [][]byte{up})); err == nil {
-			ix.root = rf.PID()
-			ix.height++
+		if err = ix.release(rf, true, writeNode(rf.Page(), innerHeader(nd.pid), 0, [][]byte{up})); err != nil {
+			return err
 		}
-		return err
+		return ix.growRoot(txn, rf.PID())
 	}
 	pf, pn, err := ix.pin(txn, path[len(path)-1].pid, true)
 	if err != nil {
@@ -584,8 +559,6 @@ func (ix *BTree) Delete(txn *Txn, key []byte, rid RID) (bool, error) {
 			return false, err
 		}
 	}
-	ix.count--
-	ix.deferMeta(txn)
 	return true, nil
 }
 
@@ -644,8 +617,14 @@ func (ix *BTree) TakeReleased() []uint32 {
 // leaves): the planner's page-read claim, gated by the range bench.
 func (ix *BTree) Scan(lo []byte, loIncl bool, hi []byte, hiIncl bool, fn func(key []byte, rid RID) bool) (int, error) {
 	pages := 0
-	leafPid := ix.firstLeaf
-	if lo != nil {
+	var leafPid uint32
+	if lo == nil {
+		m, err := ix.meta()
+		if err != nil {
+			return 0, err
+		}
+		leafPid = m.firstLeaf
+	} else {
 		var pbuf [8]pathEl
 		path, pid, err := ix.descend(pbuf[:0], lo, RID{})
 		if err != nil {
@@ -717,24 +696,25 @@ func (ix *BTree) Get(key []byte) ([]RID, error) {
 }
 
 // Pages returns every page the tree owns — meta plus all nodes — for
-// drop-time reclamation and the open-time orphan sweep, verifying on
-// the way that no page appears twice, node kinds match their depth,
-// every node's entries decode and are in order, and the leaf chain
-// visits exactly the tree's leaves in tree order.
-func (ix *BTree) Pages() ([]uint32, error) {
-	inner, leaves, err := ix.walk()
+// drop-time reclamation and the open-time orphan sweep, and the number
+// of entries its leaves hold, verifying on the way that no page appears
+// twice, node kinds match their depth, every node's entries decode and
+// are in order, and the leaf chain visits exactly the tree's leaves in
+// tree order.
+func (ix *BTree) Pages() (pages []uint32, entries int, err error) {
+	inner, leaves, entries, err := ix.walk()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	out := append([]uint32{ix.metaPid}, inner...)
-	return append(out, leaves...), nil
+	pages = append([]uint32{ix.metaPid}, inner...)
+	return append(pages, leaves...), entries, nil
 }
 
 // PageCounts reports the tree's page footprint split by role: inner
 // pages (including a leaf root's zero) and leaf pages. The meta page
 // is counted as inner — it is the directory analogue.
 func (ix *BTree) PageCounts() (innerPages, leafPages int, err error) {
-	inner, leaves, err := ix.walk()
+	inner, leaves, _, err := ix.walk()
 	if err != nil {
 		return 0, 0, err
 	}
@@ -772,13 +752,16 @@ func (ix *BTree) checkNode(pid uint32, leaf bool) (children []uint32, entries in
 }
 
 // walk traverses the whole tree, returning inner and leaf page ids in
-// tree order and validating structure: kinds match depth, nodes are
-// well-formed and sorted, no page is shared, the chain from firstLeaf
-// is exactly the leaf sequence, and the leaf entry total matches the
-// meta count.
-func (ix *BTree) walk() (inner, leaves []uint32, err error) {
+// tree order and the leaves' entry total, and validating structure:
+// kinds match depth, nodes are well-formed and sorted, no page is
+// shared, and the chain from the first leaf is exactly the leaf
+// sequence.
+func (ix *BTree) walk() (inner, leaves []uint32, entries int, err error) {
+	m, err := ix.meta()
+	if err != nil {
+		return nil, nil, 0, err
+	}
 	seen := map[uint32]bool{ix.metaPid: true}
-	entryTotal := 0
 	var chain []uint32 // leaves[i]'s chain link
 	var rec func(pid uint32, depth int) error
 	rec = func(pid uint32, depth int) error {
@@ -786,14 +769,14 @@ func (ix *BTree) walk() (inner, leaves []uint32, err error) {
 			return fmt.Errorf("%w: btree: page %d reached twice (or zero)", ErrCorrupt, pid)
 		}
 		seen[pid] = true
-		children, n, next, err := ix.checkNode(pid, depth == ix.height-1)
+		children, n, next, err := ix.checkNode(pid, depth == m.height-1)
 		if err != nil {
 			return err
 		}
 		if children == nil { // a leaf
 			leaves = append(leaves, pid)
 			chain = append(chain, next)
-			entryTotal += n
+			entries += n
 			return nil
 		}
 		inner = append(inner, pid)
@@ -804,23 +787,20 @@ func (ix *BTree) walk() (inner, leaves []uint32, err error) {
 		}
 		return nil
 	}
-	if err := rec(ix.root, 0); err != nil {
-		return nil, nil, err
-	}
-	if entryTotal != ix.count {
-		return nil, nil, fmt.Errorf("%w: btree: leaves hold %d entries, meta says %d", ErrCorrupt, entryTotal, ix.count)
+	if err := rec(m.root, 0); err != nil {
+		return nil, nil, 0, err
 	}
 	// the chain must visit exactly the leaves, in tree order
-	pid := ix.firstLeaf
+	pid := m.firstLeaf
 	for i := 0; ; i++ {
 		if pid == 0 {
 			if i != len(leaves) {
-				return nil, nil, fmt.Errorf("%w: btree: leaf chain ends after %d of %d leaves", ErrCorrupt, i, len(leaves))
+				return nil, nil, 0, fmt.Errorf("%w: btree: leaf chain ends after %d of %d leaves", ErrCorrupt, i, len(leaves))
 			}
-			return inner, leaves, nil
+			return inner, leaves, entries, nil
 		}
 		if i >= len(leaves) || leaves[i] != pid {
-			return nil, nil, fmt.Errorf("%w: btree: leaf chain diverges from the tree at page %d", ErrCorrupt, pid)
+			return nil, nil, 0, fmt.Errorf("%w: btree: leaf chain diverges from the tree at page %d", ErrCorrupt, pid)
 		}
 		pid = chain[i]
 	}

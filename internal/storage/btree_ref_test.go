@@ -195,17 +195,21 @@ type refPathEl struct {
 // descend walks from the root to the leaf that would hold (key, rid),
 // returning the full path (root first, leaf last).
 func (ix refBTree) descend(key []byte, rid RID) ([]refPathEl, error) {
-	path := make([]refPathEl, 0, ix.height)
-	pid := ix.root
+	m, err := ix.meta()
+	if err != nil {
+		return nil, err
+	}
+	path := make([]refPathEl, 0, m.height)
+	pid := m.root
 	for depth := 0; ; depth++ {
-		if depth >= ix.height {
-			return nil, fmt.Errorf("%w: descent deeper than height %d", ErrCorrupt, ix.height)
+		if depth >= m.height {
+			return nil, fmt.Errorf("%w: descent deeper than height %d", ErrCorrupt, m.height)
 		}
 		n, err := ix.readNode(pid)
 		if err != nil {
 			return nil, err
 		}
-		wantLeaf := depth == ix.height-1
+		wantLeaf := depth == m.height-1
 		if n.leaf != wantLeaf {
 			return nil, fmt.Errorf("%w: page %d at depth %d has the wrong node kind", ErrCorrupt, pid, depth)
 		}
@@ -233,7 +237,7 @@ func (ix refBTree) descend(key []byte, rid RID) ([]refPathEl, error) {
 }
 
 // Put inserts a key → rid entry (duplicate keys allowed) under txn,
-// splitting nodes bottom-up as needed, and persists the updated meta.
+// splitting nodes bottom-up as needed.
 func (ix refBTree) Put(txn *Txn, key []byte, rid RID) error {
 	if len(key) > MaxBTreeKey {
 		return fmt.Errorf("storage: btree key of %d bytes exceeds the %d-byte cap", len(key), MaxBTreeKey)
@@ -252,15 +256,9 @@ func (ix refBTree) Put(txn *Txn, key []byte, rid RID) error {
 	entries[pos] = btEntry{key: append([]byte(nil), key...), rid: rid}
 
 	if ix.nodeFits(entries, false) {
-		if err := ix.writeNode(txn, leaf.pid, true, 0, entries, leaf.node.next); err != nil {
-			return err
-		}
-	} else if err := ix.splitLeaf(txn, path, entries); err != nil {
-		return err
+		return ix.writeNode(txn, leaf.pid, true, 0, entries, leaf.node.next)
 	}
-	ix.count++
-	ix.deferMeta(txn)
-	return nil
+	return ix.splitLeaf(txn, path, entries)
 }
 
 // splitLeaf rewrites the overflowing leaf as two chained leaves and
@@ -306,9 +304,7 @@ func (ix refBTree) insertSeparator(txn *Txn, path []refPathEl, fromChild uint32,
 		if err := ix.writeNode(txn, rootPid, false, fromChild, []btEntry{sep}, 0); err != nil {
 			return err
 		}
-		ix.root = rootPid
-		ix.height++
-		return nil
+		return ix.growRoot(txn, rootPid)
 	}
 	parent := path[len(path)-1]
 	entries := parent.node.entries
@@ -371,8 +367,6 @@ func (ix refBTree) Delete(txn *Txn, key []byte, rid RID) (bool, error) {
 	} else if err := ix.writeNode(txn, leaf.pid, true, 0, entries, leaf.node.next); err != nil {
 		return false, err
 	}
-	ix.count--
-	ix.deferMeta(txn)
 	return true, nil
 }
 
@@ -412,7 +406,7 @@ func (ix refBTree) unlinkLeaf(txn *Txn, path []refPathEl) error {
 func leafEntries(t *testing.T, ix *BTree) [][]btEntry {
 	t.Helper()
 	var out [][]btEntry
-	for pid := ix.firstLeaf; pid != 0; {
+	for pid := metaOf(t, ix).firstLeaf; pid != 0; {
 		n, err := refBTree{ix}.readNode(pid)
 		if err != nil {
 			t.Fatalf("reference reader on page %d: %v", pid, err)
@@ -426,10 +420,20 @@ func leafEntries(t *testing.T, ix *BTree) [][]btEntry {
 	return out
 }
 
+// metaOf reads the tree's meta record.
+func metaOf(t testing.TB, ix *BTree) btreeMeta {
+	t.Helper()
+	m, err := ix.meta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // TestBTreeMatchesReference drives the in-place tree and the reference
 // with one op stream — at page capacity and with a small node cap — and
-// requires, after every op, the same answer, height, entry count and
-// page allocation (so splits and unlinks happen at the same ops), and
+// requires, after every op, the same answer, meta record and page
+// allocation (so splits and unlinks happen at the same ops), and
 // at intervals the same entries in every leaf and the same page counts
 // by role. A third tree is edited by both implementations in turn.
 func TestBTreeMatchesReference(t *testing.T) {
@@ -499,12 +503,11 @@ func TestBTreeMatchesReference(t *testing.T) {
 					}
 				}
 				a := sides[0]
+				am := metaOf(t, a.ix)
 				for i, s := range sides[1:] {
-					if s.ix.Height() != a.ix.Height() || s.ix.Len() != a.ix.Len() || s.bp.pager.NumPages() != a.bp.pager.NumPages() ||
-						s.ix.root != a.ix.root || len(s.ix.released) != len(a.ix.released) {
-						t.Fatalf("step %d: side %d shape diverged: height %d/%d len %d/%d pages %d/%d root %d/%d released %d/%d", step, i+1,
-							s.ix.Height(), a.ix.Height(), s.ix.Len(), a.ix.Len(), s.bp.pager.NumPages(), a.bp.pager.NumPages(),
-							s.ix.root, a.ix.root, len(s.ix.released), len(a.ix.released))
+					if sm := metaOf(t, s.ix); sm != am || s.bp.pager.NumPages() != a.bp.pager.NumPages() || len(s.ix.released) != len(a.ix.released) {
+						t.Fatalf("step %d: side %d shape diverged: meta %+v/%+v pages %d/%d released %d/%d", step, i+1,
+							sm, am, s.bp.pager.NumPages(), a.bp.pager.NumPages(), len(s.ix.released), len(a.ix.released))
 					}
 				}
 				if step%97 != 0 && step != steps-1 {

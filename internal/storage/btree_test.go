@@ -81,9 +81,6 @@ func TestBTreeSplitsAndOrder(t *testing.T) {
 	if ix.Height() < 3 {
 		t.Fatalf("height %d after 200 inserts at 4 entries/node; inner splits untested", ix.Height())
 	}
-	if ix.Len() != len(model) {
-		t.Fatalf("Len = %d, want %d", ix.Len(), len(model))
-	}
 	if got := scanAll(t, ix); !sameEntries(got, model) {
 		t.Fatalf("scan diverged from model: %d vs %d entries", len(got), len(model))
 	}
@@ -102,8 +99,8 @@ func TestBTreeSplitsAndOrder(t *testing.T) {
 			t.Fatalf("Get %d = %d rids, want %d", i, len(got), len(want))
 		}
 	}
-	if _, err := ix.Pages(); err != nil {
-		t.Fatalf("structure check: %v", err)
+	if _, n, err := ix.Pages(); err != nil || n != len(model) {
+		t.Fatalf("structure check: %d entries, want %d: %v", n, len(model), err)
 	}
 
 	// reattach reads only the meta page and answers identically
@@ -114,8 +111,8 @@ func TestBTreeSplitsAndOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix2.Len() != ix.Len() || ix2.Height() != ix.Height() {
-		t.Fatalf("reattach changed shape: len %d/%d height %d/%d", ix2.Len(), ix.Len(), ix2.Height(), ix.Height())
+	if ix2.Height() != ix.Height() {
+		t.Fatalf("reattach changed shape: height %d/%d", ix2.Height(), ix.Height())
 	}
 	if got := scanAll(t, ix2); !sameEntries(got, model) {
 		t.Fatal("reopened scan diverged from model")
@@ -197,7 +194,7 @@ func TestBTreeScanPagesBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, leaves, err := ix.walk()
+	_, leaves, _, err := ix.walk()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +244,7 @@ func TestBTreeDeleteUnlink(t *testing.T) {
 		model = model.insert(k, rid)
 		pairs = append(pairs, pair{k, rid})
 	}
-	pagesBefore, err := ix.Pages()
+	pagesBefore, _, err := ix.Pages()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,15 +266,15 @@ func TestBTreeDeleteUnlink(t *testing.T) {
 			if got := scanAll(t, ix); !sameEntries(got, model) {
 				t.Fatalf("after %d deletes scan diverged", i+1)
 			}
-			if _, err := ix.Pages(); err != nil {
-				t.Fatalf("after %d deletes: %v", i+1, err)
+			if _, n, err := ix.Pages(); err != nil || n != len(model) {
+				t.Fatalf("after %d deletes: %d entries, model %d: %v", i+1, n, len(model), err)
 			}
 		}
 	}
 	if len(reclaimed) == 0 {
 		t.Fatal("100 deletes at 3 entries/node emptied no leaf; unlink untested")
 	}
-	pagesAfter, err := ix.Pages()
+	pagesAfter, _, err := ix.Pages()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,11 +315,8 @@ func TestBTreeKeyCap(t *testing.T) {
 	if err := ix.Put(txn, make([]byte, MaxBTreeKey), RID{Page: 2}); err != nil {
 		t.Fatalf("second cap-sized key (forcing a split) rejected: %v", err)
 	}
-	if ix.Len() != 2 {
-		t.Fatalf("Len = %d", ix.Len())
-	}
-	if _, err := ix.Pages(); err != nil {
-		t.Fatal(err)
+	if _, n, err := ix.Pages(); err != nil || n != 2 {
+		t.Fatalf("%d entries, want 2: %v", n, err)
 	}
 }
 
@@ -392,11 +386,8 @@ func TestBTreeModelAtPageCapacity(t *testing.T) {
 			}
 		}
 		if step%1000 == 0 {
-			if _, err := ix.Pages(); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-			if ix.Len() != len(model) {
-				t.Fatalf("step %d: Len = %d, model %d", step, ix.Len(), len(model))
+			if _, n, err := ix.Pages(); err != nil || n != len(model) {
+				t.Fatalf("step %d: %d entries, model %d: %v", step, n, len(model), err)
 			}
 			if got := scanAll(t, ix); !sameEntries(got, model) {
 				t.Fatalf("step %d: scan diverged from the model (%d vs %d entries)", step, len(got), len(model))
@@ -454,10 +445,10 @@ func TestBTreeCompactsBeforeSplitting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ix.Height() != 1 || ix.Len() != full {
-		t.Fatalf("height %d, len %d; want one leaf of %d entries", ix.Height(), ix.Len(), full)
+	if n := len(scanAll(t, ix)); ix.Height() != 1 || n != full {
+		t.Fatalf("height %d, %d entries; want one leaf of %d entries", ix.Height(), n, full)
 	}
-	fr, err := bp.Get(ix.root)
+	fr, err := bp.Get(metaOf(t, ix).root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +487,7 @@ func TestBTreeCorruptNodes(t *testing.T) {
 		if ix.Height() != 3 {
 			t.Fatalf("height %d, want 3", ix.Height())
 		}
-		_, leaves, err := ix.walk()
+		_, leaves, _, err := ix.walk()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -578,7 +569,7 @@ func TestBTreeCorruptNodes(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !strings.HasPrefix(tc.name, "free start") { // the free tail is no reader's business
-				if _, err := ix.Pages(); !errors.Is(err, ErrCorrupt) {
+				if _, _, err := ix.Pages(); !errors.Is(err, ErrCorrupt) {
 					t.Errorf("Pages() = %v, want ErrCorrupt", err)
 				}
 			}

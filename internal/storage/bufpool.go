@@ -459,15 +459,6 @@ func (bp *BufferPool) dropLocked(fr *Frame) {
 // pinned at or after it. An empty transaction returns the current
 // clock (it is trivially "visible" everywhere).
 func (bp *BufferPool) CommitTxn(txn *Txn) (uint64, error) {
-	// Deferred work first (index meta flushes): it may dirty more
-	// pages, so it must run before the dirty set is collected. An error
-	// aborts the commit.
-	for i := 0; i < len(txn.deferred); i++ {
-		if err := txn.deferred[i].fn(txn); err != nil {
-			return 0, err
-		}
-	}
-	txn.clearDeferred()
 	bp.mu.Lock()
 	if bp.wal == nil {
 		bp.mu.Unlock()
@@ -625,7 +616,6 @@ func (bp *BufferPool) Rollback(txn *Txn) error {
 		fr.owner = nil
 	}
 	clear(txn.dirty)
-	txn.clearDeferred()
 	bp.ownerCond.Broadcast()
 	if len(pinned) > 0 {
 		return fmt.Errorf("storage: rollback of transaction with pinned pages %v", pinned)

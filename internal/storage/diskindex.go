@@ -197,8 +197,7 @@ func (ix *DiskHashIndex) Put(txn *Txn, key []byte, rid RID) error {
 			return err
 		}
 	}
-	ix.deferMeta(txn)
-	return nil
+	return ix.writeMeta(txn)
 }
 
 // bucketInsert places rec in the bucket chain rooted at first, growing
@@ -415,17 +414,9 @@ func (ix *DiskHashIndex) dirAppend(txn *Txn, bucketPid uint32) error {
 	return ix.bp.Unpin(nf, true)
 }
 
-// deferMeta schedules one meta flush for the transaction. Mutations
-// only update the in-memory mirror; the meta record (split state +
-// entry count) is written once at commit, so a statement that touches
-// the index many times no longer logs the directory root once per
-// touch — the "index meta re-log" write-amplification fix.
-func (ix *DiskHashIndex) deferMeta(txn *Txn) { txn.Defer(ix, ix.writeMeta) }
-
 // writeMeta overwrites the meta record in place (fixed size, the slot
 // never moves) so the persisted split state and entry count follow
-// every mutation within the same transaction. It runs as deferred
-// commit work (see deferMeta), not per mutation.
+// every mutation within the same transaction.
 func (ix *DiskHashIndex) writeMeta(txn *Txn) error {
 	fr, err := ix.bp.GetMut(txn, ix.root)
 	if err != nil {
@@ -528,6 +519,5 @@ func (ix *DiskHashIndex) Delete(txn *Txn, key []byte, rid RID) (bool, error) {
 		return false, err
 	}
 	ix.count--
-	ix.deferMeta(txn)
-	return true, nil
+	return true, ix.writeMeta(txn)
 }

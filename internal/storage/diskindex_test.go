@@ -8,7 +8,7 @@ import (
 
 // newTestPool builds a WAL pool over temp files plus the one
 // transaction the index structure tests mutate under; commit makes it
-// durable and flushes the indexes' deferred meta records.
+// durable.
 func newTestPool(t testing.TB, pages int) (bp *BufferPool, txn *Txn, commit func() error) {
 	t.Helper()
 	_, _, bp = newWALPool(t, pages)

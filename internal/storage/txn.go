@@ -21,42 +21,6 @@ package storage
 type Txn struct {
 	bp    *BufferPool
 	dirty map[uint32]*Frame // guarded by bp.mu
-
-	// deferred commit work (single-goroutine, like the Txn itself):
-	// callbacks registered by Defer, run once at the head of CommitTxn.
-	// Index structures use this to fold many in-transaction meta
-	// mutations (counts, roots) into at most one page write per commit
-	// instead of one per Put/Delete.
-	deferred     []deferredCall
-	deferredKeys map[any]struct{}
-}
-
-type deferredCall struct {
-	key any
-	fn  func(*Txn) error
-}
-
-// Defer registers fn to run at the start of CommitTxn, deduplicated by
-// key: a second Defer with the same key before the commit is a no-op.
-// Callbacks run in registration order and may dirty pages under the
-// transaction; an error aborts the commit (the transaction stays
-// uncommitted, to be rolled back). Rollback discards
-// pending callbacks; a successful commit clears them.
-func (t *Txn) Defer(key any, fn func(*Txn) error) {
-	if t.deferredKeys == nil {
-		t.deferredKeys = make(map[any]struct{})
-	}
-	if _, ok := t.deferredKeys[key]; ok {
-		return
-	}
-	t.deferredKeys[key] = struct{}{}
-	t.deferred = append(t.deferred, deferredCall{key: key, fn: fn})
-}
-
-// clearDeferred drops pending deferred work (after commit or rollback).
-func (t *Txn) clearDeferred() {
-	t.deferred = nil
-	t.deferredKeys = nil
 }
 
 // Begin starts an empty transaction against the pool.

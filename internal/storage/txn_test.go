@@ -331,9 +331,8 @@ func TestRollbackDiscardsDirtyFrames(t *testing.T) {
 	bp.Unpin(rfr, false)
 }
 
-// TestCommitAllocs: a steady-state commit that logs three delta pages
-// (a heap record, a B+tree leaf entry and the tree's meta page)
-// allocates less than one page's worth per commit, on a MemFS whose
+// TestCommitAllocs: a steady-state commit that logs two delta pages
+// (a heap record and a B+tree leaf entry) allocates less than one page's worth per commit, on a MemFS whose
 // writes copy into buffers it already has. Base images come from the
 // pool's spare list, log records are built in the WAL's buffer, and
 // the retained log images are refreshed in place.
@@ -407,13 +406,13 @@ func TestCommitAllocs(t *testing.T) {
 		write(i)
 	}
 	runtime.ReadMemStats(&m1)
-	if st := w.Stats(); st.DeltaPages-before.DeltaPages != 3*commits || st.FullPages != before.FullPages {
+	if st := w.Stats(); st.DeltaPages-before.DeltaPages != 2*commits || st.FullPages != before.FullPages {
 		t.Fatalf("%d commits logged %d deltas and %d full images, want %d and 0", commits,
-			st.DeltaPages-before.DeltaPages, st.FullPages-before.FullPages, 3*commits)
+			st.DeltaPages-before.DeltaPages, st.FullPages-before.FullPages, 2*commits)
 	}
 	per := (m1.TotalAlloc - m0.TotalAlloc) / commits
 	t.Logf("%d B per commit", per)
 	if per >= PageSize {
-		t.Fatalf("a three-page commit allocates %d B, want under one page (%d B)", per, PageSize)
+		t.Fatalf("a two-page commit allocates %d B, want under one page (%d B)", per, PageSize)
 	}
 }

@@ -737,7 +737,7 @@ func BenchmarkDiffPage(b *testing.B) {
 		}
 	}
 	leaf := func() Page { // the tree is one leaf below its meta page
-		fr, err := bp.Get(ix.root)
+		fr, err := bp.Get(metaOf(b, ix).root)
 		if err != nil {
 			b.Fatal(err)
 		}

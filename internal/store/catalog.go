@@ -127,7 +127,7 @@ func decodeCatalogRecord(rec []byte) (catalogEntry, error) {
 	b := rec[1:] // tag already checked by caller
 	name, b, err := takeString(b)
 	if err != nil {
-		return ce, fmt.Errorf("%w: relation name: %v", ErrCorrupt, err)
+		return ce, wrapCorrupt(err, "relation name")
 	}
 	ce.def.Name = name
 	var first shardRoots
@@ -137,7 +137,7 @@ func decodeCatalogRecord(rec []byte) (catalogEntry, error) {
 	}
 	sch, n, err := encoding.DecodeSchema(b)
 	if err != nil {
-		return ce, fmt.Errorf("%w: schema of %q: %v", ErrCorrupt, name, err)
+		return ce, wrapCorrupt(err, "schema of %q", name)
 	}
 	ce.def.Schema = sch
 	b = b[n:]
@@ -168,7 +168,7 @@ func decodeCatalogRecord(rec []byte) (catalogEntry, error) {
 			rhs, b, err = takeStrings(b)
 		}
 		if err != nil {
-			return ce, fmt.Errorf("%w: FD %d of %q: %v", ErrCorrupt, i, name, err)
+			return ce, wrapCorrupt(err, "FD %d of %q", i, name)
 		}
 		ce.def.FDs = append(ce.def.FDs, dep.NewFD(lhs, rhs))
 	}
@@ -183,7 +183,7 @@ func decodeCatalogRecord(rec []byte) (catalogEntry, error) {
 			rhs, b, err = takeStrings(b)
 		}
 		if err != nil {
-			return ce, fmt.Errorf("%w: MVD %d of %q: %v", ErrCorrupt, i, name, err)
+			return ce, wrapCorrupt(err, "MVD %d of %q", i, name)
 		}
 		ce.def.MVDs = append(ce.def.MVDs, dep.NewMVD(lhs, rhs))
 	}

@@ -67,7 +67,7 @@ func (s *Store) loadFreeList() error {
 		return true
 	})
 	if err != nil {
-		return fmt.Errorf("%w: scanning free list: %v", ErrCorrupt, err)
+		return wrapCorrupt(err, "scanning free list")
 	}
 	return badRec
 }
@@ -159,18 +159,18 @@ func (s *Store) ReferencedPages() (map[uint32]bool, error) {
 	chains := [][]uint32{}
 	catPages, err := s.catalog.Pages()
 	if err != nil {
-		return nil, fmt.Errorf("%w: walking catalog chain: %v", ErrCorrupt, err)
+		return nil, wrapCorrupt(err, "walking catalog chain")
 	}
 	chains = append(chains, catPages)
 	freePages, err := s.freeHeap.Pages()
 	if err != nil {
-		return nil, fmt.Errorf("%w: walking free-list chain: %v", ErrCorrupt, err)
+		return nil, wrapCorrupt(err, "walking free-list chain")
 	}
 	chains = append(chains, freePages)
 	for name, rs := range rels {
 		pids, err := rs.pages()
 		if err != nil {
-			return nil, fmt.Errorf("%w: walking chains of %q: %v", ErrCorrupt, name, err)
+			return nil, wrapCorrupt(err, "walking chains of %q", name)
 		}
 		chains = append(chains, pids)
 	}

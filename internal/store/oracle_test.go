@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -32,19 +33,43 @@ func rewindShards(t *testing.T, rs *RelStore) {
 // every fixed atom, checks entry counts, and walks every index page).
 // The durable structure must never be more than a view of the heap:
 // mid-transaction it mirrors the buffered heap, after rollback the
-// committed one, after reopen the recovered one.
+// committed one, after reopen the recovered one. Relation A's tree
+// holds at most 4 entries a node, so root splits and leaf unlinks
+// happen inside transactions that roll back, and after each rollback
+// every tree's height is its committed height again.
 func TestDurableIndexOracle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "oracle.nfrs")
 	rng := rand.New(rand.NewSource(1))
+	// capA sets relation A's fan-out, an in-memory knob lost on reopen
+	capA := func(st *Store) {
+		if rs, ok := st.Rel("A"); ok {
+			for _, sh := range rs.shards {
+				sh.SetRangeIndexMaxEntries(4)
+			}
+		}
+	}
 	open := func() *Store {
 		st, err := Open(path, Options{PoolPages: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
+		capA(st)
 		return st
 	}
 	st := open()
 	defer func() { st.Discard() }()
+	// heights reads every shard's tree height, by relation
+	heights := func() map[string][]int {
+		out := map[string][]int{}
+		for _, name := range st.Relations() {
+			rs, _ := st.Rel(name)
+			for _, sh := range rs.shards {
+				out[name] = append(out[name], sh.rangeD.Height())
+			}
+		}
+		return out
+	}
+	committedH := heights()
 
 	names := []string{"A", "B", "C"}
 	defOf := func(name string) RelationDef {
@@ -87,6 +112,7 @@ func TestDurableIndexOracle(t *testing.T) {
 		txn = nil
 		touched = map[string]bool{}
 		committed = copyState(live)
+		committedH = heights()
 	}
 	rollback := func() {
 		if txn == nil {
@@ -101,6 +127,9 @@ func TestDurableIndexOracle(t *testing.T) {
 				continue
 			}
 			rewindShards(t, rs)
+		}
+		if got := heights(); !reflect.DeepEqual(got, committedH) {
+			t.Fatalf("tree heights %v after rollback, committed %v", got, committedH)
 		}
 		txn = nil
 		touched = map[string]bool{}
@@ -223,8 +252,10 @@ func TestDurableIndexOracle(t *testing.T) {
 			if err := st.Commit(ctxn); err != nil {
 				t.Fatal(err)
 			}
+			capA(st)
 			live[name] = mirror{}
 			committed = copyState(live)
+			committedH = heights()
 			op = "create " + name
 		case n < 93: // drop
 			commit()
@@ -243,6 +274,7 @@ func TestDurableIndexOracle(t *testing.T) {
 			st.CompleteDrop(name)
 			delete(live, name)
 			committed = copyState(live)
+			committedH = heights()
 			op = "drop " + name
 		default: // reopen
 			commit()
@@ -254,6 +286,67 @@ func TestDurableIndexOracle(t *testing.T) {
 		}
 		verify(i, op)
 	}
+
+	// Whatever the walk did, roll back one root split and one leaf
+	// unlink of relation A's tree.
+	commit()
+	if _, ok := st.Rel("A"); !ok {
+		ctxn := st.Begin()
+		if _, err := st.CreateRelation(ctxn, defOf("A")); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Commit(ctxn); err != nil {
+			t.Fatal(err)
+		}
+		capA(st)
+		live["A"] = mirror{}
+		commit()
+	}
+	rs, _ := st.Rel("A")
+	tree := rs.shards[0].rangeD
+	leaves := func() int {
+		_, n, err := tree.PageCounts()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	own := func(k int) tuple.Tuple {
+		return tupleOf([][]string{{"c0"}, {"b0"}, {fmt.Sprintf("own%d", k)}}, defOf("A").Order)
+	}
+	for k := 0; k < 40; k++ {
+		if err := rs.Insert(ensureTxn(), own(k)); err != nil {
+			t.Fatal(err)
+		}
+		live["A"][own(k).Key()] = own(k)
+	}
+	commit()
+	h0, l0 := tree.Height(), leaves()
+	for k := 40; tree.Height() == h0; k++ {
+		if k == 1000 {
+			t.Fatalf("1000 inserts left the height at %d", h0)
+		}
+		if err := rs.Insert(ensureTxn(), own(k)); err != nil {
+			t.Fatal(err)
+		}
+		touched["A"] = true
+	}
+	rollback()
+	verify(steps, "rolled-back root split")
+	for k := 0; leaves() >= l0; k++ {
+		if k == 40 {
+			t.Fatal("40 deletes unlinked no leaf")
+		}
+		if err := rs.Remove(ensureTxn(), own(k)); err != nil {
+			t.Fatal(err)
+		}
+		touched["A"] = true
+	}
+	rollback()
+	if released := tree.TakeReleased(); leaves() != l0 || len(released) != 0 {
+		t.Fatalf("rolled-back unlink left %d leaves (committed %d) and %d pages released", leaves(), l0, len(released))
+	}
+	verify(steps, "rolled-back leaf unlink")
 	commit()
 	verify(steps, "final commit")
 	if err := st.Close(); err != nil {

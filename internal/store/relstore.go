@@ -112,7 +112,7 @@ func openRelStore(s *Store, ce catalogEntry) (*RelStore, error) {
 	for ord, rt := range ce.shards {
 		rangeD, err := storage.OpenBTree(s.bp, rt.rangeRoot)
 		if err != nil {
-			return nil, fmt.Errorf("%w: opening index %d of %q: %v", ErrCorrupt, ord, ce.def.Name, err)
+			return nil, wrapCorrupt(err, "opening index %d of %q", ord, ce.def.Name)
 		}
 		heap := storage.OpenHeapAt(s.bp, rt.heapFirst)
 		shards = append(shards, &Shard{st: s, def: ce.def, ord: ord, heap: heap, rangeD: rangeD})
@@ -153,17 +153,21 @@ func (r *Shard) indexTuple(txn *Txn, t tuple.Tuple, rid storage.RID) error {
 // tree shed (emptied by the deletes and unlinked) to the free list
 // under the same transaction. The free is best-effort: a refused one
 // (foreign free-list owner) just orphans the pages until the next
-// open-time sweep, exactly like the drop path's degraded mode.
+// open-time sweep, exactly like the drop path's degraded mode. The
+// shed leaves are drained on every return, so none outlives the
+// statement: after a failed delete the transaction is rolled back,
+// which relinks them.
 func (r *Shard) unindexTuple(txn *Txn, t tuple.Tuple, rid storage.RID) error {
+	var err error
 	for _, a := range t.Set(r.fixedAttr()).Atoms() {
-		if _, err := r.rangeD.Delete(txn, encoding.AppendOrderedAtom(nil, a), rid); err != nil {
-			return err
+		if _, err = r.rangeD.Delete(txn, encoding.AppendOrderedAtom(nil, a), rid); err != nil {
+			break
 		}
 	}
-	if released := r.rangeD.TakeReleased(); len(released) > 0 {
+	if released := r.rangeD.TakeReleased(); len(released) > 0 && err == nil {
 		_ = r.st.freePages(txn, released)
 	}
-	return nil
+	return err
 }
 
 // Insert appends one canonical tuple to the owning shard's heap under
@@ -294,17 +298,13 @@ type ridTuple struct {
 }
 
 // Rewind re-attaches the shard's in-memory state to its pages after a
-// transaction rollback discarded the uncommitted frames, reverting heap
-// AND index pages to their last committed content: the heap's
-// insertion target is walked again from the chain's first page, and
-// the index mirror re-reads its meta page. It performs no writes.
+// transaction rollback discarded the uncommitted frames: the heap's
+// insertion target is walked again from the chain's first page. The
+// index keeps no state outside its pages. It performs no writes.
 func (r *Shard) Rewind() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.heap.Rewind(); err != nil {
-		return err
-	}
-	return r.rangeD.Refresh()
+	return r.heap.Rewind()
 }
 
 // checkLocked is the oracle comparison: the index must answer exactly
@@ -325,14 +325,13 @@ func (r *Shard) checkLocked(rts []ridTuple) error {
 			}
 		}
 	}
-	if n := r.rangeD.Len(); n != atoms {
-		return fmt.Errorf("%w: %q index holds %d entries, heap %d atoms",
-			ErrCorrupt, r.def.Name, n, atoms)
-	}
 	// structural pass: every index page (inner nodes and the leaf chain)
 	// must be reachable and valid, so damage in never-probed pages
-	// fail-stops too
-	_, err := r.rangeD.Pages()
+	// fail-stops too; its entry total catches extras
+	_, n, err := r.rangeD.Pages()
+	if err == nil && n != atoms {
+		err = fmt.Errorf("%w: %q index holds %d entries, heap %d atoms", ErrCorrupt, r.def.Name, n, atoms)
+	}
 	return err
 }
 
@@ -393,7 +392,7 @@ func (r *Shard) pages() ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix, err := r.rangeD.Pages()
+	ix, _, err := r.rangeD.Pages()
 	if err != nil {
 		return nil, err
 	}
@@ -443,7 +442,7 @@ func scanRecords(ctx context.Context, name string, deg int, tests []encoding.Ato
 		if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) || errors.Is(err, storage.ErrFailed) {
 			return err
 		}
-		return fmt.Errorf("%w: scanning %q: %v", ErrCorrupt, name, err)
+		return wrapCorrupt(err, "scanning %q", name)
 	}
 	return decodeErr
 }

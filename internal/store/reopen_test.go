@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -159,6 +160,7 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 		{"current header, empty catalog", good, nil, nil, ""},
 		{"header version 2", header(2, true), nil, nil, "version 2"},
 		{"header version 3", header(3, true), nil, nil, "version 3"},
+		{"header version 4", header(4, true), nil, nil, "version 4"},
 		{"id-less header", header(FormatVersion, false), nil, nil, "database id"},
 		{"id-less version-2 header", header(2, false), nil, nil, "version 2"},
 		{"zero heap root", good, encodeCatalogRecord(def, []shardRoots{{0, 15}}), nil, "heap root"},
@@ -206,6 +208,27 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOpenSidecarIOErrorIsNotCorrupt: a sidecar the file system
+// refuses to open fails Open with the file system's error, which is
+// not ErrCorrupt: the file may be perfectly sound.
+func TestOpenSidecarIOErrorIsNotCorrupt(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db.nfrs")
+	open := func(name string, create bool) (storage.File, error) {
+		if name == path+".wal" {
+			return nil, &fs.PathError{Op: "open", Path: name, Err: fs.ErrPermission}
+		}
+		return storage.OpenOSFile(name, create)
+	}
+	st, err := Open(path, Options{OpenFile: open})
+	if err == nil {
+		st.Discard()
+		t.Fatal("opened without its sidecar")
+	}
+	if !errors.Is(err, fs.ErrPermission) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("error %q: want fs.ErrPermission, not ErrCorrupt", err)
 	}
 }
 

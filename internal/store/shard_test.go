@@ -162,7 +162,7 @@ func TestShardIndexReclaimFreesPages(t *testing.T) {
 	if err := st.Commit(txn); err != nil {
 		t.Fatal(err)
 	}
-	fixedPages, err := rs.Shard(0).rangeD.Pages()
+	fixedPages, _, err := rs.Shard(0).rangeD.Pages()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestShardIndexReclaimFreesPages(t *testing.T) {
 	if freeAfter <= freeBefore {
 		t.Fatalf("free list did not grow (%d -> %d): emptied leaves leaked", freeBefore, freeAfter)
 	}
-	drained, err := rs.Shard(0).rangeD.Pages()
+	drained, _, err := rs.Shard(0).rangeD.Pages()
 	if err != nil {
 		t.Fatal(err)
 	}

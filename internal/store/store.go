@@ -50,12 +50,14 @@ var Magic = [4]byte{'N', 'F', 'R', 'S'}
 
 // FormatVersion is the one paged file format version this build reads
 // and writes: checksummed pages with page LSNs, a free-list page, a WAL
-// sidecar, a 13-byte header record carrying the database id, and a
-// relation record that names the heap and B+tree roots of every shard.
+// sidecar, a 13-byte header record carrying the database id, a
+// relation record that names the heap and B+tree roots of every shard,
+// and a B+tree meta record of root, height and first leaf, with no
+// entry count.
 // A file with any other version byte, a header of another length, or a
 // relation record missing a root is refused with ErrCorrupt (see
 // loadCatalog and decodeCatalogRecord).
-const FormatVersion = 4
+const FormatVersion = 5
 
 // DefaultPoolPages is the buffer-pool capacity used when Options does
 // not specify one.
@@ -70,6 +72,17 @@ const DefaultCheckpointBytes = 4 << 20
 // (truncation, torn pages, garbage records, an index that disagrees
 // with its heap), whichever layer found it.
 var ErrCorrupt = storage.ErrCorrupt
+
+// wrapCorrupt prefixes err, met while reading the file, with what was
+// being read, and makes it ErrCorrupt unless it already is: the
+// sentinel is named once in the message.
+func wrapCorrupt(err error, format string, args ...any) error {
+	what := fmt.Sprintf(format, args...)
+	if errors.Is(err, ErrCorrupt) {
+		return fmt.Errorf("%s: %w", what, err)
+	}
+	return fmt.Errorf("%w: %s: %v", ErrCorrupt, what, err)
+}
 
 // ErrMispaired is returned when the data file and the WAL sidecar next
 // to it carry different database ids — a shuffled, copied, or
@@ -187,9 +200,11 @@ func Open(path string, opts Options) (*Store, error) {
 	}
 
 	walPath := path + ".wal"
+	// OpenWAL names ErrCorrupt for a bad header or version; its other
+	// errors are the file system's, and stay so.
 	wal, err := storage.OpenWAL(walPath, openFile)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, err
 	}
 	// A sidecar on disk marks a crashed (or still-open) database — the
 	// only kind whose degraded paths can have orphaned pages, so only
@@ -514,7 +529,7 @@ func (s *Store) loadCatalog() error {
 		}
 	})
 	if scanErr != nil {
-		return fmt.Errorf("%w: scanning catalog: %v", ErrCorrupt, scanErr)
+		return wrapCorrupt(scanErr, "scanning catalog")
 	}
 	if err != nil {
 		return err
