@@ -1034,14 +1034,14 @@ func TestCrashRecoveryDoubleReplay(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// journal two statements (full images + deltas) and crash
+	// journal four statements (full images + deltas) and crash
 	st2, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rs2, _ := st2.Rel(def.Name)
 	base := fs.Record()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 4; i++ {
 		txn := st2.Begin()
 		if err := rs2.Insert(txn, tupleOf([][]string{
 			{fmt.Sprintf("yc%d", i)}, {fmt.Sprintf("yb%d", i)}, {fmt.Sprintf("ys%d", i)},
@@ -1072,16 +1072,26 @@ func TestCrashRecoveryDoubleReplay(t *testing.T) {
 	})
 
 	// Subtest k=K_reordered=R replays the states checked at cuts in R's
-	// mode past the previous mark and up to K.
+	// mode past the previous mark and up to K; k=end takes the rest of
+	// the journal. The marks are fixed byte offsets, so the subtest
+	// names do not move when the log format changes a record's size.
+	marks := []int64{0, 9280, 18561, 27842, 37123}
+	if last := marks[len(marks)-1]; total <= last {
+		t.Fatalf("workload journal ends at %d, before the last mark %d", total, last)
+	}
+	marks = append(marks, total)
 	start, cycles := time.Now(), atomic.Int64{}
 	t.Cleanup(func() {
 		t.Logf("double replay: %d first-crash checks, %d reopen-and-check cycles, %v",
 			len(outer), cycles.Load(), time.Since(start).Round(time.Millisecond))
 	})
-	marks := []int64{0, total / 4, total / 2, 3 * total / 4, total}
 	for i, k := range marks {
+		name := fmt.Sprint(k)
+		if k == total {
+			name = "end"
+		}
 		for _, reordered := range []bool{false, true} {
-			t.Run(fmt.Sprintf("k=%d_reordered=%v", k, reordered), func(t *testing.T) {
+			t.Run(fmt.Sprintf("k=%s_reordered=%v", name, reordered), func(t *testing.T) {
 				t.Parallel()
 				for _, o := range outer {
 					if o.c.Reordered != reordered || o.c.K > k || i > 0 && o.c.K <= marks[i-1] {
