@@ -623,11 +623,12 @@ func (bp *BufferPool) Rollback(txn *Txn) error {
 	return nil
 }
 
-// Checkpoint fsyncs the data file and truncates the WAL back to its
-// header, excluding concurrent commits for the duration (a commit
-// between its log append and its data write-through must not see the
-// log reset under it). Dirty pages of uncommitted transactions are
-// untouched — they are buffered only and survive in memory.
+// Checkpoint fsyncs the data file and resets the WAL (WAL.Reset: the
+// header rewritten and fsynced, the write offset rewound to just past
+// it, the file kept), excluding concurrent commits for the duration (a
+// commit between its log append and its data write-through must not
+// see the log reset under it). Dirty pages of uncommitted transactions
+// are untouched — they are buffered only and survive in memory.
 func (bp *BufferPool) Checkpoint() error { return bp.syncData(true) }
 
 // SyncData fsyncs the data file under Checkpoint's exclusion and leaves

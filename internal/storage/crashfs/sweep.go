@@ -160,11 +160,13 @@ type run struct {
 // into runs of one file digest. A data file's image changes only where
 // the new byte differs from the one it overwrites, and past the end
 // only where the file reaches a whole page (or is under one page); any
-// other cut adds to the ragged tail Open cuts off. Past the bytes a
-// write overwrites, a log's recovered end moves only at commit-record
-// ends, and never back, as the cut advances: so its digest agrees at
-// two cuts iff it does at every cut between, and bisection finds each
-// change.
+// other cut adds to the ragged tail Open cuts off. A log's recovered
+// end moves only at commit-record ends, and never back, as the cut
+// advances: so its digest agrees at two cuts iff it does at every cut
+// between, and bisection finds each change. That holds also where an
+// append overwrites a retired generation after a checkpoint, because
+// recovery stops at the first commit record at or below the header's
+// clock: the retired bytes behind a cut never extend the log.
 func writeRuns(old []byte, op entry) []run {
 	at := func(j int64) digest {
 		files := map[string][]byte{op.name: append([]byte(nil), old...)}

@@ -20,8 +20,8 @@ import (
 // Layout (all pages are standard slotted pages, see page.go):
 //
 //	directory chain  record 0 of the first page is the meta record
-//	                 ('H' n0:u16 level:u16 next:u32 nbuckets:u32
-//	                 count:u64, fixed 21 bytes, updated in place);
+//	                 ('H' n0:u16 level:u16 next:u32 nbuckets:u32,
+//	                 fixed 13 bytes, rewritten in place by a split);
 //	                 every further record is a 4-byte little-endian
 //	                 bucket page id, appended in bucket order.
 //	bucket chains    one primary page per bucket plus overflow pages
@@ -48,7 +48,7 @@ const (
 	indexInitBuckets = 2
 
 	indexMetaTag = 'H'
-	indexMetaLen = 21
+	indexMetaLen = 13
 
 	// maxIndexEntry is the largest encodable entry record: anything
 	// bigger could never be placed on an empty page.
@@ -74,7 +74,6 @@ type DiskHashIndex struct {
 	n0      int      // initial bucket count (power of two)
 	level   int
 	next    int // split pointer: the next bucket to split
-	count   int
 }
 
 // CreateDiskIndex allocates a fresh empty index under txn and returns
@@ -122,7 +121,7 @@ func (ix *DiskHashIndex) writeDirectory(fr *Frame) error {
 	return nil
 }
 
-// metaBytes encodes the meta record: the split state and entry count.
+// metaBytes encodes the meta record: the split state.
 func (ix *DiskHashIndex) metaBytes() []byte {
 	b := make([]byte, indexMetaLen)
 	b[0] = indexMetaTag
@@ -130,7 +129,6 @@ func (ix *DiskHashIndex) metaBytes() []byte {
 	binary.LittleEndian.PutUint16(b[3:5], uint16(ix.level))
 	binary.LittleEndian.PutUint32(b[5:9], uint32(ix.next))
 	binary.LittleEndian.PutUint32(b[9:13], uint32(len(ix.buckets)))
-	binary.LittleEndian.PutUint64(b[13:21], uint64(ix.count))
 	return b
 }
 
@@ -179,9 +177,10 @@ func (ix *DiskHashIndex) bucketOf(h uint64) int {
 	return int(i)
 }
 
-// Put inserts a key → rid mapping (duplicates allowed) under txn and
-// persists the updated entry count. An insert that spills past its
-// bucket's primary page triggers one linear split.
+// Put inserts a key → rid mapping (duplicates allowed) under txn. An
+// insert that spills past its bucket's primary page triggers one linear
+// split, which rewrites the meta record; any other Put dirties only its
+// bucket's pages.
 func (ix *DiskHashIndex) Put(txn *Txn, key []byte, rid RID) error {
 	rec := appendIndexEntry(nil, key, rid)
 	if len(rec) > maxIndexEntry {
@@ -191,11 +190,11 @@ func (ix *DiskHashIndex) Put(txn *Txn, key []byte, rid RID) error {
 	if err != nil {
 		return err
 	}
-	ix.count++
-	if spilled {
-		if err := ix.split(txn); err != nil {
-			return err
-		}
+	if !spilled {
+		return nil
+	}
+	if err := ix.split(txn); err != nil {
+		return err
 	}
 	return ix.writeMeta(txn)
 }
@@ -415,8 +414,8 @@ func (ix *DiskHashIndex) dirAppend(txn *Txn, bucketPid uint32) error {
 }
 
 // writeMeta overwrites the meta record in place (fixed size, the slot
-// never moves) so the persisted split state and entry count follow
-// every mutation within the same transaction.
+// never moves) so the persisted split state follows a split within the
+// same transaction.
 func (ix *DiskHashIndex) writeMeta(txn *Txn) error {
 	fr, err := ix.bp.GetMut(txn, ix.root)
 	if err != nil {
@@ -518,6 +517,5 @@ func (ix *DiskHashIndex) Delete(txn *Txn, key []byte, rid RID) (bool, error) {
 	if err := ix.bp.Unpin(fr, true); err != nil {
 		return false, err
 	}
-	ix.count--
-	return true, ix.writeMeta(txn)
+	return true, nil
 }

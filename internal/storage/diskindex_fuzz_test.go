@@ -14,7 +14,7 @@ func FuzzIndexPage(f *testing.F) {
 	f.Add([]byte("key"), uint32(7), uint16(3))
 	f.Add([]byte{}, uint32(0), uint16(0))
 	f.Add(bytes.Repeat([]byte{0xFF}, 300), uint32(1<<31), uint16(65535))
-	f.Add([]byte{indexMetaTag, 2, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, uint32(1), uint16(0))
+	f.Add([]byte{indexMetaTag, 2, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0}, uint32(1), uint16(0))
 	f.Fuzz(func(t *testing.T, key []byte, pid uint32, slot uint16) {
 		rid := RID{Page: pid, Slot: slot}
 		rec := appendIndexEntry(nil, key, rid)

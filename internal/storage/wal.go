@@ -27,8 +27,23 @@ import (
 // shuffled data/sidecar pair is refused instead of replayed. clock is
 // the highest commit LSN the log has carried, persisted at checkpoints
 // (CRC-guarded against torn header rewrites) so the MVCC commit clock
-// survives log truncation; commit records carry their group's LSN so a
-// crash between a commit and the next checkpoint recovers it too.
+// survives the checkpoint that retires the records; commit records
+// carry their group's LSN so a crash between a commit and the next
+// checkpoint recovers it too.
+//
+// The file's size changes rarely (the recycled log). A checkpoint does
+// not truncate: it rewrites the header's clock and rewinds the write
+// offset, and the next generation of records overwrites the last one
+// in place. Recovery tells the generations apart by that clock: every
+// record of an older generation carries an LSN at or below it, so a
+// commit record with lsn <= the header's clock ends the log, as a
+// broken sequence does. Once the log holds walPreallocFrom bytes, an
+// append that would pass the file's end also writes walPreallocBy
+// zeros after its records, in the same write and under the same fsync,
+// so the next commits' fsyncs find their blocks allocated and the
+// inode's size unchanged. Recovery keeps a tail of only zeros as
+// allocated space; any other tail (a torn group, a stale generation)
+// is truncated.
 //
 // Record format (the "WAL diet"): the FIRST record for a page after a
 // checkpoint is always a full image — it is the torn-page repair
@@ -54,10 +69,10 @@ import (
 // commit, amortizing the fsync below one per transaction under load.
 // Recovery replays the latest committed image of every page and
 // discards a torn tail at the first record that fails its CRC, is
-// truncated, breaks the sequence, or disagrees with its commit
-// record's page count; a tail cut inside a merged write simply
-// recovers the prefix of whole batches, so crashes still land on
-// transaction boundaries.
+// truncated, breaks the sequence, disagrees with its commit record's
+// page count, or commits at or below the header's clock; a tail cut
+// inside a merged write simply recovers the prefix of whole batches, so
+// crashes still land on transaction boundaries.
 const (
 	walMagic      = "NFRW"
 	walVersion    = 3
@@ -78,6 +93,16 @@ const (
 	// walBufKeep bounds the record buffer the WAL keeps between
 	// appends: 16 full page records. A larger group's buffer is dropped.
 	walBufKeep = 16 * walPageRecSize
+
+	// An append that passes the file's end on a log already holding
+	// walPreallocFrom bytes carries walPreallocBy zeros after its
+	// records. A smaller log grows by its records alone, so a short log
+	// (a crash image, a session of a few commits) is written and
+	// recovered byte for byte as if nothing were preallocated. The
+	// zeros are real writes: an unwritten extent (fallocate) still
+	// costs a metadata commit on its first write.
+	walPreallocFrom = 256 << 10
+	walPreallocBy   = 1 << 20
 )
 
 // WALStats counts WAL activity. Batches/PagesLogged/Fsyncs cover this
@@ -96,10 +121,10 @@ type WALStats struct {
 	BytesLogged      int // total record bytes appended
 	Fsyncs           int // commit fsyncs (one per append group)
 	MaxGroupBatches  int // most batches merged into a single fsync
-	CheckpointFsyncs int // fsyncs spent truncating the log at checkpoints
+	CheckpointFsyncs int // fsyncs spent resetting the log at checkpoints
 	RecoveredBatches int // committed batches found at open
 	RecoveredPages   int // page images in those batches (latest per batch)
-	TornTailBytes    int // bytes past the last committed batch, discarded at open
+	TornTailBytes    int // bytes past the last committed batch, discarded at open (a zero tail is kept)
 
 	RedoElapsed time.Duration // time open spent scanning the log and folding deltas
 }
@@ -117,9 +142,10 @@ type WAL struct {
 	mu       sync.Mutex
 	path     string
 	open     OpenFileFunc
-	f        File // nil until the file exists
-	existed  bool // the file was present on disk when the WAL was opened
-	size     int64
+	f        File  // nil until the file exists
+	existed  bool  // the file was present on disk when the WAL was opened
+	size     int64 // end of the last committed batch: where the next append writes
+	alloc    int64 // the file's size; past size it holds zeros or a retired generation
 	seq      uint64
 	dbid     uint64           // database identity (0 = unknown / unpaired)
 	clock    uint64           // highest commit LSN carried by the log
@@ -132,8 +158,9 @@ type WAL struct {
 
 // OpenWAL attaches to the write-ahead log at path. An existing file is
 // scanned: committed batches are retained for replay (CommittedImages)
-// and the torn tail, if any, is truncated away. A missing file is not
-// created until the first AppendGroup.
+// and the torn tail, if any, is truncated away; a tail of only zeros is
+// kept as allocated space. A missing file is not created until the
+// first AppendGroup.
 func OpenWAL(path string, open OpenFileFunc) (*WAL, error) {
 	if open == nil {
 		open = OpenOSFile
@@ -169,7 +196,7 @@ func (w *WAL) Existed() bool {
 
 // recover scans the file, collecting the latest committed image per
 // page (folding delta records onto their bases), and truncates
-// everything past the last committed batch.
+// everything past the last committed batch unless it is all zeros.
 func (w *WAL) recover() error {
 	size, err := w.f.Size()
 	if err != nil {
@@ -177,7 +204,6 @@ func (w *WAL) recover() error {
 	}
 	if size == 0 {
 		// created but never written (crash between create and header)
-		w.size = 0
 		return nil
 	}
 	buf := make([]byte, size)
@@ -207,7 +233,6 @@ func (w *WAL) recover() error {
 			return err
 		}
 		w.stats.TornTailBytes = int(size)
-		w.size = 0
 		return nil
 	case size >= 8 && string(buf[:4]) == walMagic:
 		// Another format version: its records must not be guessed at.
@@ -296,15 +321,20 @@ scan:
 			}
 			seq := binary.LittleEndian.Uint64(rec[1:9])
 			n := binary.LittleEndian.Uint32(rec[9:13])
+			lsn := binary.LittleEndian.Uint64(rec[13:21])
 			// The first commit's sequence number is whatever the writer
-			// had reached (checkpoints truncate the log but do not reset
+			// had reached (checkpoints rewind the log but do not reset
 			// the counter); after that it must advance by exactly one.
-			if (sawCommit && seq != w.seq+1) || int(n) != len(pending) {
+			// A commit at or below the header's clock was written before
+			// the checkpoint that set it (a torn clock leaves hdrClock 0,
+			// and AppendGroup refuses LSN 0).
+			if (sawCommit && seq != w.seq+1) || int(n) != len(pending) || lsn <= w.hdrClock {
 				// a commit record that survived while part of its batch
-				// tore, or an out-of-order remnant: not a committed batch
+				// tore, an out-of-order remnant, or a retired
+				// generation's record: not a committed batch
 				break scan
 			}
-			if lsn := binary.LittleEndian.Uint64(rec[13:21]); lsn > w.clock {
+			if lsn > w.clock {
 				w.clock = lsn
 			}
 			sawCommit = true
@@ -324,17 +354,32 @@ scan:
 			break scan
 		}
 	}
-	w.size = end
-	w.stats.TornTailBytes = int(size - end)
-	if size > end {
-		if err := w.f.Truncate(end); err != nil {
-			return err
-		}
-		if err := w.f.Sync(); err != nil {
-			return err
-		}
+	w.size, w.alloc = end, size
+	if allZero(buf[end:]) {
+		return nil // space an extending append allocated
 	}
-	return nil
+	// A torn group or a retired generation must not outlive the crash:
+	// a later append that ends where one of its commit records begins
+	// would make that record follow and parse as committed.
+	w.stats.TornTailBytes = int(size - end)
+	if err := w.f.Truncate(end); err != nil {
+		return err
+	}
+	w.alloc = end
+	return w.f.Sync()
+}
+
+// allZero reports whether b holds only zero bytes.
+func allZero(b []byte) bool {
+	var zero [PageSize]byte
+	for len(b) > 0 {
+		n := min(len(b), len(zero))
+		if !bytes.Equal(b[:n], zero[:n]) {
+			return false
+		}
+		b = b[n:]
+	}
+	return true
 }
 
 // tornHeader reports whether hdr is a shape only a crash during the
@@ -472,7 +517,10 @@ func applyDelta(img *Page, payload []byte) error {
 // publish under one clock tick); it is recorded in each commit record
 // so recovery re-seeds the clock. The first record for a page since
 // the last checkpoint is a full image; later touches log deltas
-// against the retained committed image. After AppendGroup returns
+// against the retained committed image. An append past the file's end
+// on a log of walPreallocFrom bytes or more writes walPreallocBy zeros
+// after its records, in the same write. lsn must be above the clock the
+// last checkpoint wrote into the header. After AppendGroup returns
 // every batch is durable and its pages may be written to the data
 // file.
 func (w *WAL) AppendGroup(batches [][]WALPage, lsn uint64) error {
@@ -488,6 +536,10 @@ func (w *WAL) AppendGroup(batches [][]WALPage, lsn uint64) error {
 	if w.broken != nil {
 		return w.broken
 	}
+	if lsn <= w.hdrClock {
+		// recovery would take these batches for a retired generation's
+		return fmt.Errorf("storage: commit LSN %d is not above the log's checkpointed clock %d", lsn, w.hdrClock)
+	}
 	if w.f == nil {
 		f, err := w.open(w.path, true)
 		if err != nil {
@@ -501,6 +553,7 @@ func (w *WAL) AppendGroup(batches [][]WALPage, lsn uint64) error {
 			return w.undoAppend(err)
 		}
 		w.size = int64(len(hdr))
+		w.alloc = max(w.alloc, w.size)
 	}
 	// Each record is appended straight into w.buf and its CRC taken over
 	// the buffer's tail, so a commit allocates nothing per record.
@@ -547,6 +600,10 @@ func (w *WAL) AppendGroup(batches [][]WALPage, lsn uint64) error {
 	if cap(buf) <= walBufKeep {
 		w.buf = buf
 	}
+	logged := len(buf)
+	if w.size+int64(logged) > w.alloc && w.size >= walPreallocFrom {
+		buf = append(buf, make([]byte, walPreallocBy)...)
+	}
 	if _, err := w.f.WriteAt(buf, w.size); err != nil {
 		return w.undoAppend(err)
 	}
@@ -554,7 +611,8 @@ func (w *WAL) AppendGroup(batches [][]WALPage, lsn uint64) error {
 		return w.undoAppend(err)
 	}
 	w.stats.Fsyncs++
-	w.size += int64(len(buf))
+	w.alloc = max(w.alloc, w.size+int64(len(buf)))
+	w.size += int64(logged)
 	w.seq = seq
 	if lsn > w.clock {
 		w.clock = lsn
@@ -566,7 +624,7 @@ func (w *WAL) AppendGroup(batches [][]WALPage, lsn uint64) error {
 	w.stats.PagesLogged += n
 	w.stats.FullPages += nFull
 	w.stats.DeltaPages += nDelta
-	w.stats.BytesLogged += len(buf)
+	w.stats.BytesLogged += logged
 	// Only now, with the group durable, may the images move: a failed
 	// append must leave the next one diffing against the last committed
 	// bytes. A page already retained is overwritten in place.
@@ -588,11 +646,15 @@ func (w *WAL) AppendGroup(batches [][]WALPage, lsn uint64) error {
 // numbers are reused, so a later batch exactly as long as the failed
 // group's first would be followed by the failed group's second, which
 // then parses as the next batch and is replayed although its commit
-// failed. If the cut fails too, every later append fails with that
+// failed. The cut also gives back the file's space past the log (zeros
+// or a retired generation); the next append that needs it extends the
+// file again. If the cut fails too, every later append fails with that
 // error until the log is reopened.
 func (w *WAL) undoAppend(err error) error {
 	if terr := w.f.Truncate(w.size); terr != nil {
 		w.broken = fmt.Errorf("storage: log holds a failed append (%v) and cannot cut it off: %w", err, terr)
+	} else {
+		w.alloc = w.size
 	}
 	return err
 }
@@ -688,40 +750,31 @@ func (w *WAL) Stats() WALStats {
 	return w.stats
 }
 
-// Reset truncates the log back to its header after a checkpoint (the
-// data file is synced, so the logged batches are no longer needed) and
-// drops the retained images — the next touch of any page logs a full
-// image again. The header is first rewritten with the current clock
-// and fsync'd BEFORE the truncate, so the clock can never go backwards:
-// a crash between the two leaves the new clock with the old
-// (idempotently replayable) records still behind it.
+// Reset retires the log's records after a checkpoint (the data file is
+// synced, so the logged batches are no longer needed) and drops the
+// retained images — the next touch of any page logs a full image
+// again. It rewrites the header with the current clock, fsyncs it, and
+// rewinds the write offset to just past the header without truncating:
+// the next generation overwrites the retired one in place, and the
+// file keeps its blocks. Every retired record's LSN is at or below the
+// clock now in the header, so recovery stops at the first of them. A
+// crash before the fsync leaves the old clock (or a torn one, which
+// recovery ignores) with the old, idempotently replayable records.
 func (w *WAL) Reset() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.images = make(map[uint32]*Page)
-	if w.f == nil {
+	if w.f == nil || w.size <= walHeaderSize {
 		return nil
 	}
-	if w.size <= walHeaderSize {
-		return nil
-	}
-	if w.clock != w.hdrClock {
-		if _, err := w.f.WriteAt(w.header(), 0); err != nil {
-			return err
-		}
-		if err := w.f.Sync(); err != nil {
-			return err
-		}
-		w.stats.CheckpointFsyncs++
-	}
-	if err := w.f.Truncate(walHeaderSize); err != nil {
+	if _, err := w.f.WriteAt(w.header(), 0); err != nil {
 		return err
 	}
-	w.size = walHeaderSize
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
 	w.stats.CheckpointFsyncs++
+	w.size = walHeaderSize
 	return nil
 }
 

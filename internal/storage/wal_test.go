@@ -12,7 +12,7 @@ import (
 	"testing"
 )
 
-func pageWithRecord(t *testing.T, rec string) *Page {
+func pageWithRecord(t testing.TB, rec string) *Page {
 	t.Helper()
 	var p Page
 	p.Init()
@@ -141,7 +141,7 @@ func TestWALTornTail(t *testing.T) {
 	}
 }
 
-// TestWALReset: a checkpoint truncates the log to its header and drops
+// TestWALReset: a checkpoint rewinds the log to its header and drops
 // the retained images; reopen finds nothing to replay.
 func TestWALReset(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "reset.wal")
@@ -172,7 +172,7 @@ func TestWALReset(t *testing.T) {
 	w2.Close()
 }
 
-// TestWALRecoverAfterCheckpointSeq: a checkpoint truncates the log but
+// TestWALRecoverAfterCheckpointSeq: a checkpoint rewinds the log but
 // does not reset the batch sequence counter, so the first batch after a
 // checkpoint starts at seq N+1. Reopen must accept that starting point
 // (a regression here silently discarded every post-checkpoint batch).
@@ -187,7 +187,7 @@ func TestWALRecoverAfterCheckpointSeq(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Reset(); err != nil { // checkpoint: log truncated, seq = 3
+	if err := w.Reset(); err != nil { // checkpoint: log rewound, seq = 3
 		t.Fatal(err)
 	}
 	if err := appendBatch(w, []WALPage{{9, pageWithRecord(t, "after")}}); err != nil {
@@ -433,9 +433,10 @@ func TestWALDeltaRecords(t *testing.T) {
 	}
 }
 
-// TestWALClockPersistsAcrossReset: a checkpoint truncates the records
-// away, but the commit clock survives in the header (CRC-guarded) so
-// reopening after a quiescent checkpoint does not rewind it.
+// TestWALClockPersistsAcrossReset: a checkpoint retires the records,
+// but the commit clock survives in the header (CRC-guarded) so
+// reopening after a quiescent checkpoint does not rewind it, and the
+// retired records behind the header are not replayed.
 func TestWALClockPersistsAcrossReset(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "clock.wal")
 	w, err := OpenWAL(path, nil)
@@ -453,8 +454,8 @@ func TestWALClockPersistsAcrossReset(t *testing.T) {
 	if err := w.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	if st := w.Stats(); st.CheckpointFsyncs != 2 {
-		t.Fatalf("reset cost %d checkpoint fsyncs, want 2 (header, truncate)", st.CheckpointFsyncs)
+	if st := w.Stats(); st.CheckpointFsyncs != 1 {
+		t.Fatalf("reset cost %d checkpoint fsyncs, want 1 (the header's)", st.CheckpointFsyncs)
 	}
 	w.Close()
 

@@ -185,3 +185,67 @@ func TestWriteThroughFailureFailsPool(t *testing.T) {
 }
 
 func errOf[T any](_ T, err error) error { return err }
+
+// TestFailedExtendingAppend: the append that would carry a log past
+// its file's end once the log holds 256 KiB fails its write. Nothing of
+// it stays in the file, the next append extends the file instead, and
+// reopening recovers every batch but the failed one, keeping the
+// zeros past them as allocated space.
+func TestFailedExtendingAppend(t *testing.T) {
+	fsys := crashfs.New(nil)
+	w, err := storage.OpenWAL("db.wal", fsys.Open)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fileSize := func() int64 { return int64(len(fsys.Snapshot()["db.wal"])) }
+	page := func(pid uint32) [][]storage.WALPage {
+		img := new(storage.Page)
+		img.Init()
+		img.SetLSN(uint64(pid))
+		img.StampChecksum()
+		return [][]storage.WALPage{{{PID: pid, Img: img}}}
+	}
+	n := 0
+	for ; w.Size() < 256<<10; n++ {
+		if err := w.AppendGroup(page(uint32(n+1)), w.Clock()+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fileSize() != w.Size() {
+		t.Fatalf("the log grew to %d bytes under the threshold, its records end at %d", fileSize(), w.Size())
+	}
+	fsys.FailWrite(func(string) error { return errors.New("injected write failure") })
+	if err := w.AppendGroup(page(9000), w.Clock()+1); err == nil {
+		t.Fatal("the injected write failure did not surface")
+	}
+	fsys.FailWrite(nil)
+	if fileSize() != w.Size() {
+		t.Fatalf("the failed append left a file of %d bytes, the log ends at %d", fileSize(), w.Size())
+	}
+	if err := w.AppendGroup(page(9001), w.Clock()+1); err != nil {
+		t.Fatal(err)
+	}
+	end := w.Size()
+	if fileSize() < end+1<<20 {
+		t.Fatalf("the next append did not extend the file: %d bytes, the log ends at %d", fileSize(), end)
+	}
+	allocated := fileSize()
+	if _, err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	w2, err := storage.OpenWAL("db.wal", fsys.Open)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	images := w2.CommittedImages()
+	st := w2.Stats()
+	if _, failed := images[9000]; failed || images[9001] == nil || st.RecoveredBatches != n+1 {
+		t.Fatalf("recovered %d batches (want %d); the failed batch is back: %v", st.RecoveredBatches, n+1, failed)
+	}
+	if w2.Size() != end || st.TornTailBytes != 0 || fileSize() != allocated {
+		t.Fatalf("reopen: log ends at %d, %d torn bytes, file of %d; want %d, 0, %d",
+			w2.Size(), st.TornTailBytes, fileSize(), end, allocated)
+	}
+}

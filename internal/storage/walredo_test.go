@@ -111,7 +111,7 @@ func commitRecord(seq uint64, npages int, lsn uint64) []byte {
 
 // nextVersion returns a copy of p with one more record and a fresh
 // checksum.
-func nextVersion(t *testing.T, p *Page, rec string) *Page {
+func nextVersion(t testing.TB, p *Page, rec string) *Page {
 	t.Helper()
 	q := *p
 	if _, err := q.Insert([]byte(rec)); err != nil {

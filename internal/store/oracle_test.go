@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -37,9 +38,27 @@ func rewindShards(t *testing.T, rs *RelStore) {
 // holds at most 4 entries a node, so root splits and leaf unlinks
 // happen inside transactions that roll back, and after each rollback
 // every tree's height is its committed height again.
+//
+// The walk is a function of its seed: two walks with seed 1 must log
+// the same steps, so a failing step replays.
 func TestDurableIndexOracle(t *testing.T) {
+	first := durableIndexWalk(t, 1)
+	second := durableIndexWalk(t, 1)
+	for i := range min(len(first), len(second)) {
+		if first[i] != second[i] {
+			t.Fatalf("two walks with seed 1 part at step %d: %q, then %q", i, first[i], second[i])
+		}
+	}
+	if len(first) != len(second) {
+		t.Fatalf("two walks with seed 1 logged %d and %d steps", len(first), len(second))
+	}
+}
+
+// durableIndexWalk is TestDurableIndexOracle's walk from seed; it
+// returns each step's operation, with the tuple it wrote.
+func durableIndexWalk(t *testing.T, seed int64) []string {
 	path := filepath.Join(t.TempDir(), "oracle.nfrs")
-	rng := rand.New(rand.NewSource(1))
+	rng := rand.New(rand.NewSource(seed))
 	// capA sets relation A's fan-out, an in-memory knob lost on reopen
 	capA := func(st *Store) {
 		if rs, ok := st.Rel("A"); ok {
@@ -175,6 +194,7 @@ func TestDurableIndexOracle(t *testing.T) {
 	}
 
 	const steps = 400
+	var walk []string
 	for i := 0; i < steps; i++ {
 		op := "noop"
 		switch n := rng.Intn(100); {
@@ -197,11 +217,11 @@ func TestDurableIndexOracle(t *testing.T) {
 			}
 			live[name][tp.Key()] = tp
 			touched[name] = true
-			op = "insert " + name
+			op = "insert " + name + " " + tp.Key()
 		case n < 60: // delete
 			var candidates []string
-			for name, m := range live {
-				if len(m) > 0 {
+			for _, name := range sortedKeys(live) {
+				if len(live[name]) > 0 {
 					if _, ok := st.Rel(name); ok {
 						candidates = append(candidates, name)
 					}
@@ -211,22 +231,14 @@ func TestDurableIndexOracle(t *testing.T) {
 				break
 			}
 			name := candidates[rng.Intn(len(candidates))]
-			var victim tuple.Tuple
-			k := rng.Intn(len(live[name]))
-			for _, tp := range live[name] {
-				if k == 0 {
-					victim = tp
-					break
-				}
-				k--
-			}
+			victim := pickTuple(rng, live[name])
 			rs, _ := st.Rel(name)
 			if err := rs.Remove(ensureTxn(), victim); err != nil {
 				t.Fatalf("step %d: remove from %s: %v", i, name, err)
 			}
 			delete(live[name], victim.Key())
 			touched[name] = true
-			op = "delete " + name
+			op = "delete " + name + " " + victim.Key()
 		case n < 72: // commit
 			commit()
 			op = "commit"
@@ -285,6 +297,7 @@ func TestDurableIndexOracle(t *testing.T) {
 			op = "reopen"
 		}
 		verify(i, op)
+		walk = append(walk, op)
 	}
 
 	// Whatever the walk did, roll back one root split and one leaf
@@ -354,6 +367,7 @@ func TestDurableIndexOracle(t *testing.T) {
 	}
 	st = open()
 	verify(steps+1, "final reopen")
+	return walk
 }
 
 // TestSnapshotIsolationOracle drives the same randomized workload —
@@ -520,8 +534,8 @@ func TestSnapshotIsolationOracle(t *testing.T) {
 			op = "insert " + name
 		case n < 50: // delete
 			var candidates []string
-			for name, m := range live {
-				if len(m) > 0 {
+			for _, name := range sortedKeys(live) {
+				if len(live[name]) > 0 {
 					if _, ok := st.Rel(name); ok {
 						candidates = append(candidates, name)
 					}
@@ -531,15 +545,7 @@ func TestSnapshotIsolationOracle(t *testing.T) {
 				break
 			}
 			name := candidates[rng.Intn(len(candidates))]
-			var victim tuple.Tuple
-			k := rng.Intn(len(live[name]))
-			for _, tp := range live[name] {
-				if k == 0 {
-					victim = tp
-					break
-				}
-				k--
-			}
+			victim := pickTuple(rng, live[name])
 			rs, _ := st.Rel(name)
 			if err := rs.Remove(ensureTxn(), victim); err != nil {
 				t.Fatalf("step %d: remove from %s: %v", i, name, err)
@@ -784,15 +790,7 @@ func TestConcurrentSnapshotReaders(t *testing.T) {
 				}
 				live[name][tp.Key()] = tp
 			} else { // delete
-				var victim tuple.Tuple
-				k := rng.Intn(len(live[name]))
-				for _, tp := range live[name] {
-					if k == 0 {
-						victim = tp
-						break
-					}
-					k--
-				}
+				victim := pickTuple(rng, live[name])
 				if err := rs.Remove(txn, victim); err != nil {
 					t.Fatalf("txn %d: remove: %v", i, err)
 				}
@@ -826,4 +824,22 @@ func TestConcurrentSnapshotReaders(t *testing.T) {
 	if n := st.bp.Snapshot().PinnedSnapshots; n != 0 {
 		t.Fatalf("%d snapshot pins left after readers exited", n)
 	}
+}
+
+// sortedKeys returns m's keys in order, so a seeded walk that picks
+// one of them picks the same one every run.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// pickTuple returns the tuple of m under a key rng picks among m's
+// sorted keys.
+func pickTuple(rng *rand.Rand, m map[string]tuple.Tuple) tuple.Tuple {
+	keys := sortedKeys(m)
+	return m[keys[rng.Intn(len(keys))]]
 }

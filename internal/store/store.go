@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 
 	"repro/internal/storage"
@@ -722,7 +723,7 @@ func (s *Store) Rel(name string) (*RelStore, bool) {
 	return rs, ok
 }
 
-// Relations returns the names of all stored relations (unsorted).
+// Relations returns the names of all stored relations, sorted.
 func (s *Store) Relations() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -730,6 +731,7 @@ func (s *Store) Relations() []string {
 	for n := range s.rels {
 		out = append(out, n)
 	}
+	slices.Sort(out)
 	return out
 }
 
