@@ -16,6 +16,7 @@
 package client
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -126,6 +127,7 @@ type Client struct {
 
 	mu     sync.Mutex
 	nc     net.Conn
+	r      *bufio.Reader // frames are read through it: one read syscall per frame
 	closed bool
 }
 
@@ -155,7 +157,8 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 		if cfg.ioTimeout > 0 {
 			nc.SetDeadline(time.Now().Add(cfg.ioTimeout))
 		}
-		typ, payload, err := wire.Read(nc)
+		r := bufio.NewReader(nc)
+		typ, payload, err := wire.Read(r)
 		if err != nil {
 			nc.Close()
 			lastErr = fmt.Errorf("handshake: %w", err)
@@ -173,7 +176,7 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 					v, wire.ProtoVersion, ErrProtocol)
 			}
 			nc.SetDeadline(time.Time{})
-			return &Client{cfg: cfg, nc: nc}, nil
+			return &Client{cfg: cfg, nc: nc, r: r}, nil
 		case wire.TErr:
 			code, msg := wire.SplitErr(payload)
 			nc.Close()
@@ -222,7 +225,7 @@ func (c *Client) roundTrip(ctx context.Context, typ byte, payload []byte) (byte,
 		c.poison()
 		return 0, nil, fmt.Errorf("client: send: %w", err)
 	}
-	rtyp, rpayload, err := wire.Read(c.nc)
+	rtyp, rpayload, err := wire.Read(c.r)
 	if err != nil {
 		c.poison()
 		return 0, nil, fmt.Errorf("client: receive: %w", err)
@@ -317,7 +320,7 @@ func (c *Client) Close() error {
 	if err := wire.Write(c.nc, wire.TQuit, nil); err == nil {
 		// wait for the TBye so the server logs a polite close, but do
 		// not insist
-		_, _, _ = wire.Read(c.nc)
+		_, _, _ = wire.Read(c.r)
 	}
 	return c.nc.Close()
 }

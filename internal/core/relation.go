@@ -68,9 +68,11 @@ func MustFromFlats(s *schema.Schema, flats []tuple.Flat) *Relation {
 	return r
 }
 
-// FromTuples builds an NFR from prebuilt tuples (deduplicated).
+// FromTuples builds an NFR from prebuilt tuples (deduplicated), sized
+// for all of them up front.
 func FromTuples(s *schema.Schema, ts []tuple.Tuple) (*Relation, error) {
-	r := NewRelation(s)
+	n := len(ts)
+	r := &Relation{sch: s, tuples: make([]tuple.Tuple, 0, n), index: make(map[uint64]int, n), next: make([]int, 0, n)}
 	for _, t := range ts {
 		if t.Degree() != s.Degree() {
 			return nil, fmt.Errorf("core: tuple degree %d != schema degree %d", t.Degree(), s.Degree())

@@ -263,9 +263,9 @@ func TestWALBytesPerInsert(t *testing.T) {
 }
 
 // TestSnapshotReadIgnoresOpenTx: a transaction that has run a statement
-// and not committed holds the shard latch; Database.ReadRelation takes
-// no latch, returns the state before the transaction, and sees the
-// write once it has committed.
+// and not committed holds the shard latch; Database.ReadRelation,
+// LookupFixed and ScanFixedRange take no latch, return the state
+// before the transaction, and see the write once it has committed.
 func TestSnapshotReadIgnoresOpenTx(t *testing.T) {
 	fsys := crashfs.New(nil)
 	db, err := Open("db", WithFileSystem(fsys.Open, fsys.Remove))
@@ -284,6 +284,19 @@ func TestSnapshotReadIgnoresOpenTx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// indexed renders the answers of the indexed reads: point probes of
+	// a stored and of the uncommitted student, and a range over both
+	indexed := func() string {
+		var b strings.Builder
+		for _, s := range []string{"s1", "s3"} {
+			rel, err := db.LookupFixed("r", value.NewString(s))
+			fmt.Fprintf(&b, "%s: %v %v\n", s, rel, err)
+		}
+		rel, _, err := db.ScanFixedRange("r", &Bound{Atom: value.NewString("s1"), Incl: true}, &Bound{Atom: value.NewString("s9")})
+		fmt.Fprintf(&b, "s1..s9: %v %v\n", rel, err)
+		return b.String()
+	}
+	beforeIndexed := indexed()
 	tx, err := db.Begin(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -293,9 +306,11 @@ func TestSnapshotReadIgnoresOpenTx(t *testing.T) {
 	}
 	waits := db.LatchWaits()
 	read := make(chan *core.Relation, 1)
+	readIndexed := make(chan string, 1)
 	go func() {
 		got, _ := db.ReadRelation(ctx, "r")
 		read <- got
+		readIndexed <- indexed()
 	}()
 	select {
 	case got := <-read:
@@ -304,6 +319,14 @@ func TestSnapshotReadIgnoresOpenTx(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second): // the bound of a failure, not a wait
 		t.Fatal("ReadRelation is blocked behind the open transaction")
+	}
+	select {
+	case got := <-readIndexed:
+		if got != beforeIndexed {
+			t.Fatalf("indexed reads beside the open transaction returned\n%s\nwant the state before it\n%s", got, beforeIndexed)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("an indexed read is blocked behind the open transaction")
 	}
 	if got := db.LatchWaits(); got != waits {
 		t.Fatalf("latch waits moved %d → %d: the read queued on the latch", waits, got)
@@ -317,5 +340,8 @@ func TestSnapshotReadIgnoresOpenTx(t *testing.T) {
 	}
 	if after, err := db.ReadRelation(ctx, "r"); err != nil || after.Equal(before) || !after.Equal(inside) {
 		t.Fatalf("read after commit: err=%v, relation\n%v\nwant the transaction's own view\n%v", err, after, inside)
+	}
+	if got := indexed(); got == beforeIndexed {
+		t.Fatalf("indexed reads after commit returned the state before it\n%s", got)
 	}
 }

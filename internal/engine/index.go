@@ -7,6 +7,8 @@
 // Select(R, p) whenever the index fetch is a superset of the matching
 // tuples (the planner's soundness rules guarantee that; see
 // internal/query/plan.go).
+// Through a Database both read a pinned snapshot and take no latch;
+// through a Tx they latch the shards and see the Tx's own writes.
 package engine
 
 import (
@@ -15,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/schema"
 	"repro/internal/store"
+	"repro/internal/tuple"
 	"repro/internal/value"
 )
 
@@ -75,34 +78,59 @@ func indexInfoOf(r *Rel) IndexInfo {
 }
 
 // LookupFixed returns the stored tuples whose fixed component contains
-// atom a, via the owning shard's B+tree (autocommit: the shard is
-// latched for the probe and released). On a sharded relation those are
-// the shard's stored, shard-canonical tuples, not tuples of the
-// relation's canonical form (ReadRelation's); the planner never sends
-// a sharded relation here.
+// atom a, via the owning shard's B+tree, as of the last commit: it
+// reads a pinned snapshot and takes no latch. On a sharded relation
+// those are the shard's stored, shard-canonical tuples, not tuples of
+// the relation's canonical form (ReadRelation's); the planner never
+// sends a sharded relation here.
 func (db *Database) LookupFixed(name string, a value.Atom) (*core.Relation, error) {
-	var rel *core.Relation
-	err := db.autocommit(func(tx *Tx) error {
-		var err error
-		rel, err = tx.LookupFixed(name, a)
-		return err
+	rel, _, err := db.readIndex(name, false, func(snap *store.Snap) ([]tuple.Tuple, int, error) {
+		ts, err := snap.LookupFixed(name, a)
+		return ts, 0, err
 	})
 	return rel, err
 }
 
 // ScanFixedRange returns the stored tuples with at least one fixed
-// atom in [lo, hi] (nil = unbounded), via the shards' B+trees,
-// plus the number of index pages read (autocommit: every shard latch
-// is taken for the scan and released).
+// atom in [lo, hi] (nil = unbounded), via the shards' B+trees, plus the
+// number of index pages read, as of the last commit: it reads a pinned
+// snapshot and takes no latch. A K-sharded relation's fetch is
+// re-canonicalized, as in Tx.ScanFixedRange.
 func (db *Database) ScanFixedRange(name string, lo, hi *Bound) (*core.Relation, int, error) {
-	var rel *core.Relation
-	pages := 0
-	err := db.autocommit(func(tx *Tx) error {
-		var err error
-		rel, pages, err = tx.ScanFixedRange(name, lo, hi)
-		return err
+	return db.readIndex(name, true, func(snap *store.Snap) ([]tuple.Tuple, int, error) {
+		return snap.ScanFixedRange(name, lo.toStore(), hi.toStore())
 	})
+}
+
+// readIndex runs fetch, a point (ranged false) or range fetch, on a
+// snapshot pinned for it and builds the answer (indexAnswer).
+func (db *Database) readIndex(name string, ranged bool, fetch func(*store.Snap) ([]tuple.Tuple, int, error)) (*core.Relation, int, error) {
+	if db.isClosed() {
+		return nil, 0, fmt.Errorf("engine: read: %w", ErrClosed)
+	}
+	snap := db.st.PinSnapshot()
+	defer snap.Close()
+	def, ok := snap.Def(name)
+	if !ok {
+		return nil, 0, errNotFound(name)
+	}
+	ts, pages, err := fetch(snap)
+	if err != nil {
+		return nil, 0, err
+	}
+	rel, err := indexAnswer(def, ts, ranged)
 	return rel, pages, err
+}
+
+// indexAnswer builds the answer relation from fetched tuples once,
+// presized. A range fetch over K shards is re-canonicalized: it is the
+// union of K shard-canonical partitions.
+func indexAnswer(def store.RelationDef, ts []tuple.Tuple, ranged bool) (*core.Relation, error) {
+	rel, err := core.FromTuples(def.Schema, ts)
+	if err == nil && ranged && def.Shards > 1 {
+		rel, _ = rel.CanonicalFromFlats(def.Order)
+	}
+	return rel, err
 }
 
 // LookupFixed returns the stored tuples whose fixed component contains
@@ -130,11 +158,7 @@ func (tx *Tx) LookupFixed(name string, a value.Atom) (*core.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	rel := core.NewRelation(r.def.Schema)
-	for _, t := range ts {
-		rel.Add(t)
-	}
-	return rel, nil
+	return indexAnswer(r.rs.Def(), ts, false)
 }
 
 // ScanFixedRange returns the stored tuples with at least one fixed
@@ -162,14 +186,8 @@ func (tx *Tx) ScanFixedRange(name string, lo, hi *Bound) (*core.Relation, int, e
 	if err != nil {
 		return nil, 0, err
 	}
-	rel := core.NewRelation(r.def.Schema)
-	for _, t := range ts {
-		rel.Add(t)
-	}
-	if len(r.shards) > 1 {
-		rel, _ = rel.CanonicalFromFlats(r.def.Order)
-	}
-	return rel, pages, nil
+	rel, err := indexAnswer(r.rs.Def(), ts, true)
+	return rel, pages, err
 }
 
 // IndexPageStats reports every relation's index footprint by page role

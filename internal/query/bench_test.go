@@ -103,6 +103,28 @@ func TestHeapScanAllocs(t *testing.T) {
 	}
 }
 
+// TestIndexedSelectAllocs: BenchmarkSelect's point and range_flat
+// SELECTs read one pinned snapshot and build their answer once, so
+// their allocations stay within the ROADMAP's budget: ≤ 25 for the
+// point probe, ≤ 100 for the 20-student window.
+func TestIndexedSelectAllocs(t *testing.T) {
+	sess := sparseSession(t, 2000)
+	for _, c := range []struct {
+		stmt string
+		max  float64
+	}{
+		{`SELECT * FROM R1 WHERE Student = s00100`, 25},
+		{`SELECT FLAT * FROM R1 WHERE Student >= s00100 AND Student < s00120`, 100},
+	} {
+		if res := mustExec(t, sess, c.stmt); res.Relation.Len() == 0 {
+			t.Fatalf("%s: empty answer", c.stmt)
+		}
+		if n := testing.AllocsPerRun(10, func() { mustExec(t, sess, c.stmt) }); n > c.max {
+			t.Errorf("%s: %v allocations, want ≤ %v", c.stmt, n, c.max)
+		}
+	}
+}
+
 // BenchmarkSelect times the three read statements of nfr-spine's
 // embed_read through a session on a disk database of 2 000 sparse
 // students with a pool a fraction of the relation: a point SELECT (a

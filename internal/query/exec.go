@@ -37,11 +37,11 @@ func (r Result) String() string {
 // statements against. Both *engine.Database (every statement
 // autocommits) and *engine.Tx (statements pool under the transaction
 // until Commit) implement it. The read methods inherit each target's
-// concurrency contract: through a Database, ReadFiltered serves a
-// latch-free MVCC snapshot of the last committed state (docs/mvcc.md),
-// so queries outside a transaction never wait on writers; through a
-// Tx, reads stay on the latched path and see the transaction's own
-// uncommitted statements.
+// concurrency contract: through a Database, each read method serves
+// one latch-free MVCC snapshot of the last committed state
+// (docs/mvcc.md), so a query on any access path never waits on
+// writers; through a Tx, reads stay on the latched path and see the
+// transaction's own uncommitted statements.
 type Execer interface {
 	Create(def engine.RelationDef) error
 	Drop(name string) error
@@ -333,8 +333,9 @@ func execCreate(target Execer, st CreateStmt) (Result, error) {
 // probe tuple of nulls.
 func validatePred(sch *schema.Schema, pred algebra.Pred) error {
 	probe := make([]vset.Set, sch.Degree())
+	null := vset.Single(value.NullAtom()) // sets are immutable: one serves every component
 	for i := range probe {
-		probe[i] = vset.Single(value.NullAtom())
+		probe[i] = null
 	}
 	_, err := pred.Eval(sch, tuple.MustNew(probe...))
 	return err
@@ -369,7 +370,7 @@ func execSelect(ctx context.Context, target Execer, st SelectStmt) (Result, erro
 	case st.Flat:
 		filtered, err = algebra.SelectFlat(rel, pred, def.Order)
 	default:
-		filtered, err = algebra.Select(rel, pred)
+		filtered, err = selectWhole(rel, pred)
 	}
 	if err != nil {
 		return Result{}, err
@@ -438,6 +439,17 @@ func restrictFixed(rel *core.Relation, pred algebra.Pred, fixed int) (*core.Rela
 		return rel, nil
 	}
 	return out, nil
+}
+
+// selectWhole is algebra.Select(rel, pred), whose result is rel itself
+// when every tuple passes, as restrictFixed's is.
+func selectWhole(rel *core.Relation, pred algebra.Pred) (*core.Relation, error) {
+	for i := 0; i < rel.Len(); i++ {
+		if ok, err := pred.Eval(rel.Schema(), rel.Tuple(i)); err != nil || !ok {
+			return algebra.Select(rel, pred)
+		}
+	}
+	return rel, nil
 }
 
 // sortByAttr orders the relation's tuples by the named component:

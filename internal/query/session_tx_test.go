@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 )
@@ -94,6 +95,74 @@ func TestSessionTransaction(t *testing.T) {
 	}
 	if res, err := other.Exec("SHOW r"); err != nil || res.Relation.ExpansionSize() != 2 {
 		t.Fatalf("Session.Close leaked uncommitted write: %v", err)
+	}
+}
+
+// TestSessionSelectIgnoresOpenTx: while one session holds an open
+// transaction with an uncommitted insert, another session's point,
+// range and heap-scan SELECTs take no latch and answer from the state
+// before it; after COMMIT they see the insert.
+func TestSessionSelectIgnoresOpenTx(t *testing.T) {
+	db, err := engine.Open(filepath.Join(t.TempDir(), "sess.nfrs"), engine.WithPoolPages(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	writer, reader := NewSessionOn(db), NewSessionOn(db)
+	defer writer.Close()
+	mustExec(t, writer, "CREATE r (Student, Course, Club) ORDER (Course, Club, Student)")
+	mustExec(t, writer, "INSERT INTO r VALUES (s1, c1, b1), (s2, c2, b1)")
+	stmts := []string{
+		"SELECT * FROM r WHERE Student = s1",
+		"SELECT * FROM r WHERE Student = s3",
+		"SELECT FLAT * FROM r WHERE Student >= s1 AND Student < s9",
+		"SELECT * FROM r WHERE Course CONTAINS c9",
+	}
+	for i, want := range []string{"index-point", "index-point", "index-range", "heap-scan"} {
+		if res := mustExec(t, reader, "EXPLAIN "+stmts[i]); !strings.Contains(res.Message, "access: "+want) {
+			t.Fatalf("EXPLAIN %s:\n%s\nwant access %s", stmts[i], res.Message, want)
+		}
+	}
+	answers := func() (string, error) {
+		var b strings.Builder
+		for _, stmt := range stmts {
+			res, err := reader.Exec(stmt)
+			if err != nil {
+				return "", err
+			}
+			b.WriteString(res.String())
+		}
+		return b.String(), nil
+	}
+	before, err := answers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, writer, "BEGIN")
+	mustExec(t, writer, "INSERT INTO r VALUES (s3, c9, b9)")
+	waits := db.LatchWaits()
+	got := make(chan string, 1)
+	go func() {
+		s, err := answers()
+		if err != nil {
+			s = err.Error()
+		}
+		got <- s
+	}()
+	select {
+	case s := <-got:
+		if s != before {
+			t.Fatalf("SELECTs beside the open transaction answered\n%s\nwant the state before it\n%s", s, before)
+		}
+	case <-time.After(10 * time.Second): // the bound of a failure, not a wait
+		t.Fatal("a SELECT is blocked behind the open transaction")
+	}
+	if n := db.LatchWaits(); n != waits {
+		t.Fatalf("latch waits moved %d → %d: a SELECT queued on the latch", waits, n)
+	}
+	mustExec(t, writer, "COMMIT")
+	if after, err := answers(); err != nil || after == before {
+		t.Fatalf("SELECTs after COMMIT: err=%v, answers unchanged:\n%s", err, after)
 	}
 }
 

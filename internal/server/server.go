@@ -25,6 +25,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -160,7 +161,7 @@ func (s *Server) Serve(lis net.Listener) error {
 			nc.Close()
 			continue
 		}
-		c := &conn{s: s, nc: nc, sess: query.NewSessionOn(s.db)}
+		c := &conn{s: s, nc: nc, r: bufio.NewReader(nc), sess: query.NewSessionOn(s.db)}
 		c.ctx, c.cancel = context.WithCancel(context.Background())
 		s.conns[c] = struct{}{}
 		s.served.Add(1)
@@ -283,6 +284,7 @@ func (s *Server) Stats() wire.ServerStats {
 type conn struct {
 	s      *Server
 	nc     net.Conn
+	r      *bufio.Reader // frames are read through it: one read syscall per frame
 	sess   *query.Session
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -362,7 +364,7 @@ func (c *conn) serve() {
 	}
 	for {
 		c.armRead()
-		typ, payload, err := wire.Read(c.nc)
+		typ, payload, err := wire.Read(c.r)
 		if err != nil {
 			if c.s.draining.Load() {
 				c.bye("server shutting down")

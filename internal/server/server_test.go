@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -455,4 +456,66 @@ var testSchema = schema.MustOf("Student", "Course", "Club")
 
 func stmtInsert(rel, a, b, c string) string {
 	return fmt.Sprintf("INSERT INTO %s VALUES (%s, %s, %s)", rel, a, b, c)
+}
+
+// countingListener counts the Read calls the server makes on the
+// connections it accepts.
+type countingListener struct {
+	net.Listener
+	reads *atomic.Int64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{nc, l.reads}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	reads *atomic.Int64
+}
+
+func (c countingConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+// TestServerReadsFrameInOneCall: the server reads each request frame,
+// length prefix and body, with one Read of its connection, not two.
+func TestServerReadsFrameInOneCall(t *testing.T) {
+	db, err := engine.Open(filepath.Join(t.TempDir(), "served.nfrs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	srv := New(db, Config{})
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reads atomic.Int64
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(countingListener{lis, &reads}) }()
+	defer func() {
+		srv.Close()
+		<-serveDone
+	}()
+	cl, err := client.Dial(lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const pings = 50
+	for i := 0; i < pings; i++ {
+		if err := cl.Ping(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// one Read per frame, plus the one parked for the next frame
+	if n := reads.Load(); n > pings+1 {
+		t.Fatalf("%d Reads for %d frames, want ≤ %d", n, pings, pings+1)
+	}
 }

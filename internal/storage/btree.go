@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -110,10 +109,7 @@ func cmpKeyRID(ak []byte, ar RID, key []byte, rid RID) int {
 	if c := bytes.Compare(ak, key); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(ar.Page, rid.Page); c != 0 {
-		return c
-	}
-	return cmp.Compare(ar.Slot, rid.Slot)
+	return ar.Compare(rid)
 }
 
 // CreateBTree allocates a fresh empty tree (meta page + one empty root
@@ -149,7 +145,7 @@ func CreateBTree(bp *BufferPool, txn *Txn) (*BTree, error) {
 // read, never the nodes.
 func OpenBTree(bp *BufferPool, root uint32) (*BTree, error) {
 	ix := &BTree{bp: bp, metaPid: root}
-	if _, err := ix.meta(); err != nil {
+	if _, err := ix.meta(nil); err != nil {
 		return nil, err
 	}
 	return ix, nil
@@ -174,14 +170,40 @@ func (ix *BTree) metaRecord(p *Page) ([]byte, btreeMeta, error) {
 	return rec, m, nil
 }
 
-// meta reads the tree's shape from its meta page: one pool hit.
-func (ix *BTree) meta() (btreeMeta, error) {
-	fr, err := ix.bp.Get(ix.metaPid)
-	if err != nil {
-		return btreeMeta{}, err
+// view runs fn on page pid, read only: as committed at snap, or, with
+// snap nil, the pool's current bytes under a read pin. Every walk reads
+// through it, so one walk serves the pool and a snapshot. Under a
+// snapshot fn runs with the pool's lock held (Snapshot.View).
+func (ix *BTree) view(snap *Snapshot, pid uint32, fn func(p *Page) error) error {
+	if snap != nil {
+		return snap.View(pid, fn)
 	}
-	_, m, err := ix.metaRecord(fr.Page())
-	return m, ix.release(fr, false, err)
+	fr, err := ix.bp.Get(pid)
+	if err != nil {
+		return err
+	}
+	return ix.release(fr, false, fn(fr.Page()))
+}
+
+// viewNode is view of a node page of the given kind.
+func (ix *BTree) viewNode(snap *Snapshot, pid uint32, inner bool, fn func(nd node) error) error {
+	return ix.view(snap, pid, func(p *Page) error {
+		nd, err := asNode(p, pid, inner)
+		if err != nil {
+			return err
+		}
+		return fn(nd)
+	})
+}
+
+// meta reads the tree's shape from its meta page, as committed at snap
+// (nil: the pool's current bytes).
+func (ix *BTree) meta(snap *Snapshot) (m btreeMeta, err error) {
+	err = ix.view(snap, ix.metaPid, func(p *Page) error {
+		_, m, err = ix.metaRecord(p)
+		return err
+	})
+	return m, err
 }
 
 // growRoot records root, one level above the old root, in the meta
@@ -207,7 +229,7 @@ func (ix *BTree) Root() uint32 { return ix.metaPid }
 // Height returns the number of node levels (1 = the root is a leaf),
 // or 0 when the meta record cannot be read.
 func (ix *BTree) Height() int {
-	m, _ := ix.meta()
+	m, _ := ix.meta(nil)
 	return m.height
 }
 
@@ -224,8 +246,8 @@ func (ix *BTree) SetMaxNodeEntries(n int) {
 	ix.maxEntries = n
 }
 
-// node is one node page viewed in place; the frame behind p must stay
-// pinned for as long as the view, or any key it returned, is in use.
+// node is one node page viewed in place; the page must stay pinned or
+// viewed for as long as the node, or any key it returned, is in use.
 type node struct {
 	p     *Page
 	pid   uint32
@@ -233,23 +255,27 @@ type node struct {
 	n     int // entries: slots 1..n, slot 0 is the header record
 }
 
-// pin pins page pid — for mutation under txn, or for reading when txn
-// is nil — and views it as a node of the given kind. Only the header
-// is checked up front: entries are checked as they are touched, and
-// whole-node order by walk.
+// pin pins page pid for mutation under txn and views it as a node of
+// the given kind.
 func (ix *BTree) pin(txn *Txn, pid uint32, inner bool) (*Frame, node, error) {
-	var fr *Frame
-	var err error
-	if txn != nil {
-		fr, err = ix.bp.GetMut(txn, pid)
-	} else {
-		fr, err = ix.bp.Get(pid)
-	}
+	fr, err := ix.bp.GetMut(txn, pid)
 	if err != nil {
 		return nil, node{}, err
 	}
-	p := fr.Page()
+	nd, err := asNode(fr.Page(), pid, inner)
+	if err != nil {
+		ix.bp.Unpin(fr, false)
+		return nil, node{}, err
+	}
+	return fr, nd, nil
+}
+
+// asNode views p, page pid, as a node of the given kind. Only the
+// header is checked up front: entries are checked as they are touched,
+// and whole-node order by walk.
+func asNode(p *Page, pid uint32, inner bool) (node, error) {
 	nd := node{p: p, pid: pid, inner: inner, n: p.numSlots() - 1}
+	var err error
 	if nd.n < 0 || pageHeaderSize+p.numSlots()*slotSize > PageSize {
 		err = fmt.Errorf("%w: btree: page %d has an impossible slot directory", ErrCorrupt, pid)
 	} else if hdr, herr := nd.rec(0); herr != nil {
@@ -259,11 +285,7 @@ func (ix *BTree) pin(txn *Txn, pid uint32, inner bool) (*Frame, node, error) {
 	} else if leaf == inner {
 		err = fmt.Errorf("%w: btree: page %d has the wrong node kind for its depth", ErrCorrupt, pid)
 	}
-	if err != nil {
-		ix.bp.Unpin(fr, false)
-		return nil, node{}, err
-	}
-	return fr, nd, nil
+	return nd, err
 }
 
 // release unpins fr and returns err, or the unpin's own failure when
@@ -384,31 +406,32 @@ type pathEl struct {
 	childIdx int
 }
 
-// descend walks from the root named by the meta page to the leaf that
-// would hold (key, rid), appending the inner nodes it passed (root
-// first) to path and returning the leaf's page.
-func (ix *BTree) descend(path []pathEl, key []byte, rid RID) ([]pathEl, uint32, error) {
-	m, err := ix.meta()
+// descend walks, as committed at snap (nil: the pool's current
+// bytes), from the root named by the meta page to the leaf that would
+// hold (key, rid), appending the inner nodes it passed (root first) to
+// path and returning the leaf's page.
+func (ix *BTree) descend(snap *Snapshot, path []pathEl, key []byte, rid RID) ([]pathEl, uint32, error) {
+	m, err := ix.meta(snap)
 	if err != nil {
 		return nil, 0, err
 	}
 	pid := m.root
 	for depth := 0; depth < m.height-1; depth++ {
-		fr, nd, err := ix.pin(nil, pid, true)
-		if err != nil {
-			return nil, 0, err
-		}
-		// first separator strictly greater than (key, rid); the child
-		// before it covers the key
-		idx, err := nd.search(key, rid, false)
-		child := nd.leftmost()
-		if err == nil && idx > 0 {
-			_, _, child, err = nd.entry(idx - 1)
-		}
-		if err == nil && child == 0 {
-			err = fmt.Errorf("%w: btree: descent hit child 0 on page %d", ErrCorrupt, pid)
-		}
-		if err = ix.release(fr, false, err); err != nil {
+		var idx int
+		var child uint32
+		if err := ix.viewNode(snap, pid, true, func(nd node) (err error) {
+			// first separator strictly greater than (key, rid); the child
+			// before it covers the key
+			idx, err = nd.search(key, rid, false)
+			child = nd.leftmost()
+			if err == nil && idx > 0 {
+				_, _, child, err = nd.entry(idx - 1)
+			}
+			if err == nil && child == 0 {
+				err = fmt.Errorf("%w: btree: descent hit child 0 on page %d", ErrCorrupt, pid)
+			}
+			return err
+		}); err != nil {
 			return nil, 0, err
 		}
 		path = append(path, pathEl{pid: pid, childIdx: idx})
@@ -424,7 +447,7 @@ func (ix *BTree) Put(txn *Txn, key []byte, rid RID) error {
 		return err
 	}
 	var pbuf [8]pathEl
-	path, leafPid, err := ix.descend(pbuf[:0], key, rid)
+	path, leafPid, err := ix.descend(nil, pbuf[:0], key, rid)
 	if err != nil {
 		return err
 	}
@@ -529,7 +552,7 @@ func (ix *BTree) split(txn *Txn, path []pathEl, fr *Frame, nd node, pos int, rec
 // nodes never merge (a drop reclaims them).
 func (ix *BTree) Delete(txn *Txn, key []byte, rid RID) (bool, error) {
 	var pbuf [8]pathEl
-	path, leafPid, err := ix.descend(pbuf[:0], key, rid)
+	path, leafPid, err := ix.descend(nil, pbuf[:0], key, rid)
 	if err != nil {
 		return false, err
 	}
@@ -616,17 +639,25 @@ func (ix *BTree) TakeReleased() []uint32 {
 // many index pages the scan touched (descent nodes plus visited
 // leaves): the planner's page-read claim, gated by the range bench.
 func (ix *BTree) Scan(lo []byte, loIncl bool, hi []byte, hiIncl bool, fn func(key []byte, rid RID) bool) (int, error) {
+	return ix.ScanAt(nil, lo, loIncl, hi, hiIncl, fn)
+}
+
+// ScanAt is Scan of the tree as committed at snap (nil: Scan itself):
+// root, height and first leaf come from the meta page at the pin, and
+// every node is read in place through Snapshot.View, so fn runs under
+// the pool's lock and must neither block nor call into the pool.
+func (ix *BTree) ScanAt(snap *Snapshot, lo []byte, loIncl bool, hi []byte, hiIncl bool, fn func(key []byte, rid RID) bool) (int, error) {
 	pages := 0
 	var leafPid uint32
 	if lo == nil {
-		m, err := ix.meta()
+		m, err := ix.meta(snap)
 		if err != nil {
 			return 0, err
 		}
 		leafPid = m.firstLeaf
 	} else {
 		var pbuf [8]pathEl
-		path, pid, err := ix.descend(pbuf[:0], lo, RID{})
+		path, pid, err := ix.descend(snap, pbuf[:0], lo, RID{})
 		if err != nil {
 			return 0, err
 		}
@@ -639,13 +670,12 @@ func (ix *BTree) Scan(lo []byte, loIncl bool, hi []byte, hiIncl bool, fn func(ke
 			return pages, fmt.Errorf("%w: btree: leaf chain cycle at page %d", ErrCorrupt, leafPid)
 		}
 		pages++
-		fr, nd, err := ix.pin(nil, leafPid, false)
-		if err != nil {
-			return pages, err
-		}
-		more, err := scanLeaf(nd, steps == 0, lo, loIncl, hi, hiIncl, fn)
-		leafPid = nd.p.Next()
-		if err = ix.release(fr, false, err); err != nil || !more {
+		more := false
+		if err := ix.viewNode(snap, leafPid, false, func(nd node) (err error) {
+			more, err = scanLeaf(nd, steps == 0, lo, loIncl, hi, hiIncl, fn)
+			leafPid = nd.p.Next()
+			return err
+		}); err != nil || !more {
 			return pages, err
 		}
 	}
@@ -725,30 +755,32 @@ func (ix *BTree) PageCounts() (innerPages, leafPages int, err error) {
 // node decodes and the entries are in (key, rid) order. It returns the
 // node's children (nil for a leaf), entry count and chain link.
 func (ix *BTree) checkNode(pid uint32, leaf bool) (children []uint32, entries int, next uint32, err error) {
-	fr, nd, err := ix.pin(nil, pid, !leaf)
+	err = ix.viewNode(nil, pid, !leaf, func(nd node) error {
+		if nd.inner {
+			children = append(make([]uint32, 0, nd.n+1), nd.leftmost())
+		}
+		var prevKey []byte
+		var prevRID RID
+		for i := 0; i < nd.n; i++ {
+			key, rid, child, err := nd.entry(i)
+			if err != nil {
+				return err
+			}
+			if i > 0 && cmpKeyRID(prevKey, prevRID, key, rid) > 0 {
+				return fmt.Errorf("%w: btree: page %d entries out of order", ErrCorrupt, pid)
+			}
+			prevKey, prevRID = key, rid
+			if nd.inner {
+				children = append(children, child)
+			}
+		}
+		entries, next = nd.n, nd.p.Next()
+		return nil
+	})
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	defer ix.bp.Unpin(fr, false)
-	if nd.inner {
-		children = append(make([]uint32, 0, nd.n+1), nd.leftmost())
-	}
-	var prevKey []byte
-	var prevRID RID
-	for i := 0; i < nd.n; i++ {
-		key, rid, child, err := nd.entry(i)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if i > 0 && cmpKeyRID(prevKey, prevRID, key, rid) > 0 {
-			return nil, 0, 0, fmt.Errorf("%w: btree: page %d entries out of order", ErrCorrupt, pid)
-		}
-		prevKey, prevRID = key, rid
-		if nd.inner {
-			children = append(children, child)
-		}
-	}
-	return children, nd.n, nd.p.Next(), nil
+	return children, entries, next, nil
 }
 
 // walk traverses the whole tree, returning inner and leaf page ids in
@@ -757,7 +789,7 @@ func (ix *BTree) checkNode(pid uint32, leaf bool) (children []uint32, entries in
 // shared, and the chain from the first leaf is exactly the leaf
 // sequence.
 func (ix *BTree) walk() (inner, leaves []uint32, entries int, err error) {
-	m, err := ix.meta()
+	m, err := ix.meta(nil)
 	if err != nil {
 		return nil, nil, 0, err
 	}

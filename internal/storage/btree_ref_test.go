@@ -195,7 +195,7 @@ type refPathEl struct {
 // descend walks from the root to the leaf that would hold (key, rid),
 // returning the full path (root first, leaf last).
 func (ix refBTree) descend(key []byte, rid RID) ([]refPathEl, error) {
-	m, err := ix.meta()
+	m, err := ix.meta(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -423,7 +423,7 @@ func leafEntries(t *testing.T, ix *BTree) [][]btEntry {
 // metaOf reads the tree's meta record.
 func metaOf(t testing.TB, ix *BTree) btreeMeta {
 	t.Helper()
-	m, err := ix.meta()
+	m, err := ix.meta(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

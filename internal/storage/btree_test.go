@@ -492,7 +492,7 @@ func TestBTreeCorruptNodes(t *testing.T) {
 			t.Fatal(err)
 		}
 		// a leaf and an inner node on the path of btKey(30)
-		path, leaf, err := ix.descend(nil, btKey(30), RID{Page: 31})
+		path, leaf, err := ix.descend(nil, nil, btKey(30), RID{Page: 31})
 		if err != nil || len(leaves) < 8 {
 			t.Fatal(len(leaves), err)
 		}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -15,6 +16,11 @@ type RID struct {
 
 // String renders the rid as page:slot.
 func (r RID) String() string { return fmt.Sprintf("%d:%d", r.Page, r.Slot) }
+
+// Compare orders rids by page, then slot.
+func (r RID) Compare(o RID) int {
+	return cmp.Or(cmp.Compare(r.Page, o.Page), cmp.Compare(r.Slot, o.Slot))
+}
 
 // HeapFile is an unordered file of variable-length records stored in a
 // chain of slotted pages managed through a buffer pool.

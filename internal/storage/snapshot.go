@@ -28,9 +28,10 @@ import (
 //     a snapshot garbage-collects whatever no remaining pin can read.
 
 // maxSpareBases bounds the spare list of base-image buffers: a commit
-// returns each base no pin needs and the next claims take them back,
-// so a steady stream of small transactions copies bases without
-// allocating. Past the bound (64 KiB) a buffer is left to the GC.
+// returns each base no pin needs, a close each version none reads,
+// and the next claims take them back, so small transactions copy
+// bases without allocating. Past the bound (64 KiB) a buffer is left
+// to the GC.
 const maxSpareBases = 16
 
 // pageVersion is a superseded committed image: it was the page's
@@ -88,8 +89,9 @@ func (bp *BufferPool) MinPinnedLSN() (uint64, bool) {
 }
 
 // Close unpins the snapshot and garbage-collects retained versions no
-// remaining pin can read. Closing twice is safe; reading through a
-// closed snapshot returns an error.
+// remaining pin can read: none can become unreadable while another
+// pin holds the same LSN, or when nothing is retained. Closing twice
+// is safe; reading through a closed snapshot returns an error.
 func (s *Snapshot) Close() {
 	bp := s.bp
 	if bp == nil {
@@ -98,20 +100,26 @@ func (s *Snapshot) Close() {
 	s.bp = nil
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	if bp.pins[s.lsn]--; bp.pins[s.lsn] <= 0 {
-		delete(bp.pins, s.lsn)
+	if bp.pins[s.lsn]--; bp.pins[s.lsn] > 0 {
+		return
 	}
-	bp.gcVersionsLocked()
+	delete(bp.pins, s.lsn)
+	if len(bp.versions) > 0 {
+		bp.gcVersionsLocked()
+	}
 }
 
-// Get copies the page's bytes as committed at the snapshot's LSN into
-// out. It never blocks on a frame owner: an uncommitted writer's frame
-// is bypassed via its base image, and a too-new committed image via
-// the retained version chain. A page that had no committed content at
-// the snapshot LSN is an error — with correct retention it is
-// unreachable, because chain pointers leading to it are themselves
-// versioned — and so is any read of a failed pool (ErrFailed).
-func (s *Snapshot) Get(pid uint32, out *Page) error {
+// View runs fn on the page's bytes as committed at the snapshot's LSN,
+// in place: the clean frame, the base image of a frame an uncommitted
+// transaction claimed, or a retained version; it never blocks on a
+// frame owner. fn runs under bp.mu, which keeps those bytes still: a
+// writer claims a frame (capturing its base) and a commit publishes
+// under bp.mu, and bases and versions are filled and recycled under it.
+// So fn must be short, must not keep p, and must not call into the
+// pool. A page with no committed content at the snapshot LSN is an
+// error (retention makes it unreachable: the chain pointers leading to
+// it are versioned too), and so is any read of a failed pool.
+func (s *Snapshot) View(pid uint32, fn func(p *Page) error) error {
 	bp := s.bp
 	if bp == nil {
 		return fmt.Errorf("storage: read through a closed snapshot")
@@ -134,11 +142,9 @@ func (s *Snapshot) Get(pid uint32, out *Page) error {
 					// pager, no prior life) — nothing existed at s.lsn.
 					return fmt.Errorf("storage: page %d not committed at snapshot LSN %d", pid, s.lsn)
 				}
-				*out = *base
-				return nil
+				return fn(base)
 			}
-			*out = fr.page
-			return nil
+			return fn(&fr.page)
 		}
 		// Not cached: the data file holds the committed image. (A page
 		// mid-commit — WAL-appended but publish pending — is always still
@@ -148,9 +154,8 @@ func (s *Snapshot) Get(pid uint32, out *Page) error {
 		if err != nil {
 			return err
 		}
-		*out = fr.page
-		bp.unpinReadLocked(fr)
-		return nil
+		defer bp.unpinReadLocked(fr)
+		return fn(&fr.page)
 	}
 	// The current image is newer than the snapshot: serve the newest
 	// retained version at or before s.lsn.
@@ -165,8 +170,7 @@ func (s *Snapshot) Get(pid uint32, out *Page) error {
 		return fmt.Errorf("storage: page %d has no retained version at snapshot LSN %d (current %d)",
 			pid, s.lsn, bp.lsns[pid])
 	}
-	*out = *best.img
-	return nil
+	return fn(best.img)
 }
 
 // unpinReadLocked releases a read pin taken via getLocked under bp.mu
@@ -203,13 +207,19 @@ func (bp *BufferPool) newBaseLocked() *Page {
 
 // dropBaseLocked removes pid's base image, if any, and keeps its
 // buffer as a spare, up to maxSpareBases. Nothing else holds a base:
-// a snapshot read copies it out under bp.mu.
+// a snapshot reads it only under bp.mu.
 func (bp *BufferPool) dropBaseLocked(pid uint32) {
 	img, ok := bp.bases[pid]
 	if !ok {
 		return
 	}
 	delete(bp.bases, pid)
+	bp.spareLocked(img)
+}
+
+// spareLocked keeps img, which no base or version holds any more, for
+// the next claim, up to maxSpareBases.
+func (bp *BufferPool) spareLocked(img *Page) {
 	if len(bp.spare) < maxSpareBases {
 		bp.spare = append(bp.spare, img)
 	}
@@ -254,6 +264,8 @@ func (bp *BufferPool) gcVersionsLocked() {
 			}
 			if bp.anyPinInRangeLocked(vs[i].lsn, next) {
 				kept = append(kept, vs[i])
+			} else {
+				bp.spareLocked(vs[i].img)
 			}
 		}
 		if len(kept) == 0 {
@@ -291,7 +303,10 @@ func ScanHeapSnapshot(ctx context.Context, snap *Snapshot, first uint32, fn func
 			return fmt.Errorf("%w: page %d revisited", ErrChainCycle, pid)
 		}
 		seen[pid] = true
-		if err := snap.Get(pid, &pg); err != nil {
+		if err := snap.View(pid, func(p *Page) error {
+			pg = *p // a copy: fn runs without the pool's lock
+			return nil
+		}); err != nil {
 			return err
 		}
 		stop := false

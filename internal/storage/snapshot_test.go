@@ -31,15 +31,15 @@ func setRecord(t *testing.T, bp *BufferPool, txn *Txn, pid uint32, rec string) {
 // snapRecord reads slot 0 of pid through the snapshot.
 func snapRecord(t *testing.T, s *Snapshot, pid uint32) string {
 	t.Helper()
-	var p Page
-	if err := s.Get(pid, &p); err != nil {
+	var rec string
+	if err := s.View(pid, func(p *Page) error {
+		r, err := p.Get(0)
+		rec = string(r)
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := p.Get(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(rec)
+	return rec
 }
 
 // TestSnapshotIsolatesFromWriter: a pinned snapshot keeps serving the
@@ -193,9 +193,56 @@ func TestSnapshotVersionGC(t *testing.T) {
 		t.Fatalf("%d pins outstanding after Close, want 0", n)
 	}
 	s.Close() // idempotent
-	var p Page
-	if err := s.Get(pid, &p); err == nil {
+	if err := s.View(pid, func(*Page) error { return nil }); err == nil {
 		t.Fatal("read through a closed snapshot succeeded")
+	}
+}
+
+// TestSnapshotCloseUnderLongPin: beside a pin held throughout, 1 000
+// short snapshot reads, each across a commit of the page it reads,
+// leave the retained versions at the long pin's own, and the long
+// pin's close frees all of them onto the spare list.
+func TestSnapshotCloseUnderLongPin(t *testing.T) {
+	_, _, bp := newWALPool(t, 8)
+	commit := func(txn *Txn) {
+		t.Helper()
+		if _, err := bp.CommitTxn(txn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t0 := bp.Begin()
+	pids := []uint32{dirtyNewPage(t, bp, t0, "v0"), dirtyNewPage(t, bp, t0, "v0")}
+	commit(t0)
+	long := bp.PinSnapshot()
+	cur := []string{"v0", "v0"}
+	for i := 0; i < 1000; i++ {
+		short := bp.PinSnapshot()
+		k := i % len(pids)
+		txn := bp.Begin()
+		setRecord(t, bp, txn, pids[k], fmt.Sprintf("v%d", i+1))
+		commit(txn)
+		if got := snapRecord(t, short, pids[k]); got != cur[k] {
+			t.Fatalf("read %d: short pin saw %q, want %q", i, got, cur[k])
+		}
+		cur[k] = fmt.Sprintf("v%d", i+1)
+		short.Close()
+		// the long pin keeps its image of each page, nothing more
+		if n, want := bp.Snapshot().RetainedVersions, min(i+1, len(pids)); n != want {
+			t.Fatalf("read %d: %d versions retained, want %d", i, n, want)
+		}
+	}
+	for _, pid := range pids {
+		if got := snapRecord(t, long, pid); got != "v0" {
+			t.Fatalf("long pin read %q on page %d, want v0", got, pid)
+		}
+	}
+	spares := len(bp.spare)
+	long.Close()
+	if n := bp.Snapshot().RetainedVersions; n != 0 {
+		t.Fatalf("%d versions retained after the long pin closed, want 0", n)
+	}
+	if got, want := len(bp.spare), min(spares+len(pids), maxSpareBases); got != want {
+		t.Fatalf("spare list holds %d images after the close, want %d", got, want)
 	}
 }
 

@@ -148,7 +148,6 @@ func TestWriteThroughFailureFailsPool(t *testing.T) {
 
 	snap := bp.PinSnapshot()
 	defer snap.Close()
-	var p storage.Page
 	for _, c := range []struct {
 		call string
 		err  error
@@ -157,7 +156,7 @@ func TestWriteThroughFailureFailsPool(t *testing.T) {
 		{"Get", errOf(bp.Get(pid))},
 		{"GetMut", errOf(bp.GetMut(bp.Begin(), pid))},
 		{"NewPage", errOf(bp.NewPage(bp.Begin()))},
-		{"snapshot read", snap.Get(pid, &p)},
+		{"snapshot read", snap.View(pid, func(*storage.Page) error { return nil })},
 		{"Checkpoint", bp.Checkpoint()},
 		{"SyncData", bp.SyncData()},
 	} {

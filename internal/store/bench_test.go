@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/encoding"
 	"repro/internal/storage/crashfs"
 	"repro/internal/value"
 )
@@ -92,7 +93,8 @@ func BenchmarkShardLookupFixed(b *testing.B) {
 	benchShard(b, 1024, distinctStudent, func(_ *Store, sh *Shard) {
 		for i := 0; i < b.N; i++ {
 			probe := probes[i%len(probes)]
-			hits, err := sh.LookupFixed(probe)
+			key := encoding.AppendOrderedAtom(nil, probe)
+			hits, _, err := sh.fetchRange(nil, key, true, key, true, nil)
 			if err != nil || len(hits) != 1 {
 				b.Fatalf("probe %v: %d hits, %v", probe, len(hits), err)
 			}

@@ -377,7 +377,8 @@ func durableIndexWalk(t *testing.T, seed int64) []string {
 // oracle frozen at its pin point: same relation set (dropped relations
 // included, via the ghost list), same tuple set per relation. Nothing a
 // later transaction does — commit, rollback, page reuse after a drop —
-// may leak into a pinned view.
+// may leak into a pinned view, and the snapshot's point and range
+// lookups through the B+trees give the same tuples as its heap read.
 func TestSnapshotIsolationOracle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "snap-oracle.nfrs")
 	rng := rand.New(rand.NewSource(7))
@@ -479,7 +480,7 @@ func TestSnapshotIsolationOracle(t *testing.T) {
 	checkPins := func(step int, op string) {
 		t.Helper()
 		for _, p := range pins {
-			if got, want := len(p.snap.rels), len(p.want); got != want {
+			if got, want := len(visibleRels(p.snap, names)), len(p.want); got != want {
 				t.Fatalf("step %d (%s): pin@%d lists %d relations, mirror had %d",
 					step, op, p.step, got, want)
 			}
@@ -500,6 +501,9 @@ func TestSnapshotIsolationOracle(t *testing.T) {
 						t.Fatalf("step %d (%s): pin@%d sees foreign tuple %v in %s",
 							step, op, p.step, rel.Tuple(i), name)
 					}
+				}
+				if err := checkIndexedReads(p.snap, name, m); err != nil {
+					t.Fatalf("step %d (%s): pin@%d: %v", step, op, p.step, err)
 				}
 			}
 		}
@@ -637,7 +641,8 @@ func TestSnapshotIsolationOracle(t *testing.T) {
 // rollbacks. Each reader pins a snapshot, materializes every visible
 // relation twice, and requires (a) both reads identical — a pin never
 // drifts — and (b) the view to fingerprint-match SOME state the writer
-// committed: never a partial transaction, never a rolled-back one.
+// committed: never a partial transaction, never a rolled-back one; (c)
+// the pin's point and range lookups agree with its heap read.
 // Run under -race in CI.
 func TestConcurrentSnapshotReaders(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "snap-race.nfrs")
@@ -702,7 +707,7 @@ func TestConcurrentSnapshotReaders(t *testing.T) {
 				snap := st.PinSnapshot()
 				view := func() (string, bool) {
 					state := map[string]mirror{}
-					for name := range snap.rels {
+					for _, name := range visibleRels(snap, names) {
 						rel, err := snap.LoadCtx(context.Background(), name, nil)
 						if err != nil {
 							t.Errorf("reader: load %s: %v", name, err)
@@ -711,6 +716,10 @@ func TestConcurrentSnapshotReaders(t *testing.T) {
 						m := mirror{}
 						for i := 0; i < rel.Len(); i++ {
 							m[rel.Tuple(i).Key()] = rel.Tuple(i)
+						}
+						if err := checkIndexedReads(snap, name, m); err != nil {
+							t.Errorf("reader: %v", err)
+							return "", false
 						}
 						state[name] = m
 					}
@@ -843,3 +852,72 @@ func pickTuple(rng *rand.Rand, m map[string]tuple.Tuple) tuple.Tuple {
 	keys := sortedKeys(m)
 	return m[keys[rng.Intn(len(keys))]]
 }
+
+// visibleRels returns the names the snapshot resolves, in order.
+func visibleRels(snap *Snap, names []string) []string {
+	var out []string
+	for _, name := range names {
+		if _, ok := snap.Def(name); ok {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// checkIndexedReads holds a pinned snapshot's B+tree reads of name to
+// want, the relation's tuples at the pin keyed by Tuple.Key: the
+// unbounded range returns want, and a probe of each student in
+// indexProbes (the seeded workloads draw s0..s7), and a range from it
+// to the next, return the tuples of want holding such a student, each
+// once.
+func checkIndexedReads(snap *Snap, name string, want map[string]tuple.Tuple) error {
+	def, ok := snap.Def(name)
+	if !ok {
+		return fmt.Errorf("%s is not visible", name)
+	}
+	fixed := def.Order[len(def.Order)-1]
+	same := func(what string, got []tuple.Tuple, keep func(a value.Atom) bool) error {
+		seen := map[string]bool{}
+		for _, tp := range got {
+			k := tp.Key()
+			if _, ok := want[k]; !ok || seen[k] || !slices.ContainsFunc(tp.Set(fixed).Atoms(), keep) {
+				return fmt.Errorf("%s of %s returned %v: not in the pinned state, not in the window, or twice", what, name, tp)
+			}
+			seen[k] = true
+		}
+		for k, tp := range want {
+			if !seen[k] && slices.ContainsFunc(tp.Set(fixed).Atoms(), keep) {
+				return fmt.Errorf("%s of %s lost %v", what, name, tp)
+			}
+		}
+		return nil
+	}
+	all, _, err := snap.ScanFixedRange(name, nil, nil)
+	if err == nil {
+		err = same("unbounded range", all, func(value.Atom) bool { return true })
+	}
+	for i, s := range indexProbes {
+		if err != nil {
+			return err
+		}
+		a := value.NewString(s)
+		var got []tuple.Tuple
+		if got, err = snap.LookupFixed(name, a); err == nil {
+			err = same("lookup "+s, got, func(b value.Atom) bool { return value.Compare(a, b) == 0 })
+		}
+		if err != nil || i+1 == len(indexProbes) {
+			continue
+		}
+		hi := value.NewString(indexProbes[i+1])
+		if got, _, err = snap.ScanFixedRange(name, &RangeBound{Atom: a, Incl: true}, &RangeBound{Atom: hi}); err == nil {
+			err = same("range ["+s+", "+hi.S+")", got, func(b value.Atom) bool {
+				return value.Compare(a, b) <= 0 && value.Compare(b, hi) < 0
+			})
+		}
+	}
+	return err
+}
+
+// indexProbes are checkIndexedReads' probe students, in order; s9 is
+// never stored.
+var indexProbes = []string{"s0", "s2", "s3", "s6", "s7", "s9"}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -251,7 +252,7 @@ func (r *Shard) findLocked(t tuple.Tuple) (storage.RID, error) {
 		return storage.RID{}, err
 	}
 	for _, rid := range rids {
-		stored, err := r.fetchLocked(rid)
+		stored, _, err := r.fetch(nil, rid, nil)
 		if err != nil {
 			return storage.RID{}, err
 		}
@@ -262,32 +263,83 @@ func (r *Shard) findLocked(t tuple.Tuple) (storage.RID, error) {
 	return storage.RID{}, fmt.Errorf("store: tuple not found in %q: %s", r.def.Name, t)
 }
 
-// fetchLocked decodes the record an index entry points at while its
-// page is pinned. A dead slot is ErrCorrupt, as a record that does not
-// decode is.
-func (r *Shard) fetchLocked(rid storage.RID) (t tuple.Tuple, err error) {
+// fetch decodes the record an index entry points at: in place on its
+// pinned page (snap nil, r.mu held), or copied out of the snapshot
+// into buf, which it returns for reuse. A dead slot is ErrCorrupt, as
+// a record that does not decode is.
+func (r *Shard) fetch(snap *storage.Snapshot, rid storage.RID, buf []byte) (t tuple.Tuple, _ []byte, err error) {
 	var bad error
-	err = r.heap.View(rid, func(rec []byte) { t, _, bad = decodeRecord(r.def.Name, r.def.Schema.Degree(), rid, rec, nil) })
+	decode := func(rec []byte) { t, _, bad = decodeRecord(r.def.Name, r.def.Schema.Degree(), rid, rec, nil) }
+	if snap == nil {
+		err = r.heap.View(rid, decode)
+	} else if err = snap.View(rid.Page, func(p *storage.Page) error {
+		rec, err := p.Get(int(rid.Slot))
+		buf = append(buf[:0], rec...) // copied out: decoded without the pool's lock
+		return err
+	}); err == nil {
+		decode(buf)
+	}
 	if errors.Is(err, storage.ErrBadSlot) {
-		return tuple.Tuple{}, fmt.Errorf("%w: record %v of %q: %v", ErrCorrupt, rid, r.def.Name, err)
+		err = fmt.Errorf("%w: record %v of %q: %v", ErrCorrupt, rid, r.def.Name, err)
 	}
-	if err != nil {
-		return tuple.Tuple{}, err
+	if err == nil {
+		err = bad
 	}
-	return t, bad
+	return t, buf, err
 }
 
-// fetchAllLocked fetches the records of rids, in order.
-func (r *Shard) fetchAllLocked(rids []storage.RID) ([]tuple.Tuple, error) {
-	out := make([]tuple.Tuple, 0, len(rids))
+// fetchRange appends to out the tuples with a fixed atom keyed in [lo,
+// hi] (nil: unbounded), in key order of first hit, and returns the
+// index pages read: as committed at snap, or (snap nil) the current
+// pages under r.mu.
+func (r *Shard) fetchRange(snap *storage.Snapshot, lo []byte, loIncl bool, hi []byte, hiIncl bool, out []tuple.Tuple) ([]tuple.Tuple, int, error) {
+	if snap == nil {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+	}
+	var buf [32]storage.RID
+	rids := buf[:0]
+	pages, err := r.rangeD.ScanAt(snap, lo, loIncl, hi, hiIncl, func(_ []byte, rid storage.RID) bool {
+		rids = append(rids, rid)
+		return true
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	rids = firstHits(rids)
+	out = slices.Grow(out, len(rids))
+	var recBuf [512]byte
+	rec := recBuf[:0]
 	for _, rid := range rids {
-		t, err := r.fetchLocked(rid)
-		if err != nil {
-			return nil, err
+		var t tuple.Tuple
+		if t, rec, err = r.fetch(snap, rid, rec); err != nil {
+			return nil, 0, err
 		}
 		out = append(out, t)
 	}
-	return out, nil
+	return out, pages, nil
+}
+
+// firstHits keeps the first of each rid, in order: a tuple holding
+// several fixed atoms in a range has an entry under each. A sorted copy
+// finds repeats; with none, rids comes back as it is.
+func firstHits(rids []storage.RID) []storage.RID {
+	var buf [32]storage.RID
+	sorted := append(buf[:0], rids...)
+	slices.SortFunc(sorted, storage.RID.Compare)
+	uniq := slices.Compact(sorted)
+	if len(uniq) == len(rids) {
+		return rids
+	}
+	taken := make([]bool, len(uniq))
+	out := rids[:0]
+	for _, rid := range rids {
+		if i, _ := slices.BinarySearchFunc(uniq, rid, storage.RID.Compare); !taken[i] {
+			taken[i] = true
+			out = append(out, rid)
+		}
+	}
+	return out
 }
 
 // ridTuple pairs a heap record with its decoded tuple for the oracle
@@ -512,19 +564,15 @@ func (r *RelStore) LoadCtx(ctx context.Context, tests []encoding.AtomTest) (*cor
 // shard instead of a heap scan. The probe key is AppendOrderedAtom's,
 // so it finds exactly the atoms value.Compare calls equal to a.
 func (r *RelStore) LookupFixed(a value.Atom) ([]tuple.Tuple, error) {
-	return r.shards[ShardOfAtom(a, len(r.shards))].LookupFixed(a)
+	return r.lookupFixed(nil, a)
 }
 
-// LookupFixed returns every tuple in this shard whose fixed component
-// contains atom a.
-func (r *Shard) LookupFixed(a value.Atom) ([]tuple.Tuple, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rids, err := r.rangeD.Get(encoding.AppendOrderedAtom(nil, a))
-	if err != nil {
-		return nil, err
-	}
-	return r.fetchAllLocked(rids)
+// lookupFixed is LookupFixed as committed at snap (nil: the current
+// state, under the shard's lock).
+func (r *RelStore) lookupFixed(snap *storage.Snapshot, a value.Atom) ([]tuple.Tuple, error) {
+	key := encoding.AppendOrderedAtom(nil, a)
+	ts, _, err := r.shards[ShardOfAtom(a, len(r.shards))].fetchRange(snap, key, true, key, true, nil)
+	return ts, err
 }
 
 // RangeBound is one end of a determinant-atom range predicate, as
@@ -535,32 +583,20 @@ type RangeBound struct {
 }
 
 // ScanFixedRange returns every stored tuple with at least one fixed
-// (determinant) atom in the given range, via the shards' B+trees
-// instead of heap scans. Shards partition by HASH of the atom, so a
-// range spans all of them: the result unions every shard's scan. The
-// page count is the total index pages read (descent + leaf chain),
+// (determinant) atom in the given range, once, via the shards'
+// B+trees instead of heap scans. Shards partition by HASH of the atom,
+// so a range spans all of them: the result unions every shard's scan.
+// The page count is the total index pages read (descent + leaf chain),
 // the currency of the bench gate. The caller re-applies its full
 // predicate: the scan answers "some atom in range", which is a
 // superset of any tuple-level predicate over the same component.
 func (r *RelStore) ScanFixedRange(lo, hi *RangeBound) ([]tuple.Tuple, int, error) {
-	var out []tuple.Tuple
-	pages := 0
-	for _, sh := range r.shards {
-		ts, n, err := sh.ScanFixedRange(lo, hi)
-		if err != nil {
-			return nil, 0, err
-		}
-		out = append(out, ts...)
-		pages += n
-	}
-	return out, pages, nil
+	return r.scanFixedRange(nil, lo, hi)
 }
 
-// ScanFixedRange returns every tuple in this shard with a fixed atom
-// in the given range, plus the number of index pages the scan read.
-func (r *Shard) ScanFixedRange(lo, hi *RangeBound) ([]tuple.Tuple, int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// scanFixedRange is ScanFixedRange as committed at snap (nil: the
+// current state, under each shard's lock in turn).
+func (r *RelStore) scanFixedRange(snap *storage.Snapshot, lo, hi *RangeBound) ([]tuple.Tuple, int, error) {
 	var loKey, hiKey []byte
 	loIncl, hiIncl := true, true
 	if lo != nil {
@@ -569,23 +605,15 @@ func (r *Shard) ScanFixedRange(lo, hi *RangeBound) ([]tuple.Tuple, int, error) {
 	if hi != nil {
 		hiKey, hiIncl = encoding.AppendOrderedAtom(nil, hi.Atom), hi.Incl
 	}
-	// A tuple whose fixed component holds several in-range atoms is hit
-	// once per atom; dedup by rid, preserving key order of first hit.
-	seen := make(map[storage.RID]bool)
-	var rids []storage.RID
-	pages, err := r.rangeD.Scan(loKey, loIncl, hiKey, hiIncl, func(_ []byte, rid storage.RID) bool {
-		if !seen[rid] {
-			seen[rid] = true
-			rids = append(rids, rid)
+	var out []tuple.Tuple
+	pages := 0
+	for _, sh := range r.shards {
+		var n int
+		var err error
+		if out, n, err = sh.fetchRange(snap, loKey, loIncl, hiKey, hiIncl, out); err != nil {
+			return nil, 0, err
 		}
-		return true
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	out, err := r.fetchAllLocked(rids)
-	if err != nil {
-		return nil, 0, err
+		pages += n
 	}
 	return out, pages, nil
 }

@@ -3,29 +3,31 @@ package store
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/encoding"
 	"repro/internal/storage"
 	"repro/internal/tuple"
+	"repro/internal/value"
 )
 
-// Store-level snapshots: a Snap pairs a pinned page-level snapshot
+// Store-level snapshots: a Snap is a pinned page-level snapshot
 // (storage.Snapshot — one committed LSN on the pool's commit clock)
-// with the catalog as of that pin. Relation visibility rides the same
-// clock: every RelStore carries the commit-LSN window [visibleAt,
-// droppedAt) in which it exists, published by Store.Commit at the LSN
-// the buffer pool assigned the transaction. A relation dropped while a
-// Snap can still read it parks on the store's ghost list until no pin
-// reaches below its droppedAt.
+// that resolves each relation it reads by that LSN, on first use.
+// Relation visibility rides the same clock: every RelStore carries the
+// commit-LSN window [visibleAt, droppedAt) in which it exists,
+// published by Store.Commit at the LSN the buffer pool assigned the
+// transaction. A relation dropped while a Snap can still read it parks
+// on the store's ghost list until no pin reaches below its droppedAt.
 //
 // The catalog marks publish when Store.Commit returns, a moment after
-// the pages themselves publish inside the pool — so a Snap pinned in
-// that window may miss a just-committed create (or still list a
-// just-committed drop). The skew is one-sided and safe: a listed
-// relation's pages are always readable at the pin (retention keeps
-// them), and sequential callers — pin after Commit returned — never
-// observe it. See docs/mvcc.md.
+// the pages themselves publish inside the pool — so a Snap that
+// resolves a name in that window may miss a just-committed create (or
+// still list a just-committed drop). The skew is one-sided and safe: a
+// listed relation's pages are always readable at the pin (retention
+// keeps them), and sequential callers — pin after Commit returned —
+// never observe it. See docs/mvcc.md.
 
 // txnMarks records the catalog changes a transaction will publish at
 // commit: relations it created (invisible until then) and relations it
@@ -35,22 +37,17 @@ type txnMarks struct {
 	drops   []*RelStore
 }
 
-// snapRel is one relation frozen into a Snap: its definition and the
-// chain head of every shard heap (all immutable for the life of the
-// RelStore).
-type snapRel struct {
-	def    RelationDef
-	firsts []uint32
-}
-
 // Snap is a consistent read view of the whole store as of one commit
-// LSN: the catalog as pinned, and every page read served at that LSN.
-// It takes no relation latch and never blocks a writer; Close releases
-// the page retention it causes. Safe for concurrent use.
+// LSN: every relation it names is the one visible at that LSN, and
+// every page read is served at it. It takes no relation latch and
+// never blocks a writer; Close releases the page retention it causes.
+// Pinning copies nothing. Safe for concurrent use.
 type Snap struct {
-	st   *Store
-	ps   *storage.Snapshot
-	rels map[string]snapRel
+	st *Store
+	ps *storage.Snapshot
+
+	mu   sync.Mutex
+	last *RelStore // the relation rel resolved last
 }
 
 // PinSnapshot pins the current committed state: the returned Snap sees
@@ -58,36 +55,52 @@ type Snap struct {
 // matter what uncommitted transactions or later commits do. Must be
 // paired with Close.
 func (s *Store) PinSnapshot() *Snap {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ps := s.bp.PinSnapshot()
-	lsn := ps.LSN()
-	rels := make(map[string]snapRel, len(s.rels))
-	add := func(rs *RelStore) {
-		if rs.visibleAt <= lsn && (rs.droppedAt == 0 || lsn < rs.droppedAt) {
-			firsts := make([]uint32, len(rs.shards))
-			for i, sh := range rs.shards {
-				firsts[i] = sh.heap.FirstPage()
-			}
-			rels[rs.def.Name] = snapRel{def: rs.def, firsts: firsts}
+	return &Snap{st: s, ps: s.bp.PinSnapshot()}
+}
+
+// rel resolves name to the relation visible at the pin; its shards'
+// heap heads and B+tree meta pages are fixed for its life, and all
+// else is read through the pin. The last resolution is kept, so a
+// read's Def and its fetch name one relation even in the skew window
+// above. A dropped-then-recreated name cannot collide: the ghost is
+// only visible below its droppedAt, the successor only at or above
+// its (later) visibleAt.
+func (sn *Snap) rel(name string) (*RelStore, error) {
+	sn.mu.Lock()
+	defer sn.mu.Unlock()
+	st := sn.st
+	if st == nil {
+		return nil, fmt.Errorf("store: read through a closed snapshot")
+	}
+	if sn.last != nil && sn.last.def.Name == name {
+		return sn.last, nil
+	}
+	lsn := sn.ps.LSN()
+	visible := func(rs *RelStore) bool {
+		return rs.visibleAt <= lsn && (rs.droppedAt == 0 || lsn < rs.droppedAt)
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	rs := st.rels[name]
+	for _, g := range st.ghosts {
+		if g.def.Name == name && visible(g) {
+			rs = g
 		}
 	}
-	for _, rs := range s.rels {
-		add(rs)
+	if rs == nil || !visible(rs) {
+		return nil, fmt.Errorf("store: unknown relation %q", name)
 	}
-	// A dropped-then-recreated name cannot collide: the ghost is only
-	// visible below its droppedAt, the successor only at or above its
-	// (later) visibleAt.
-	for _, g := range s.ghosts {
-		add(g)
-	}
-	return &Snap{st: s, ps: ps, rels: rels}
+	sn.last = rs
+	return rs, nil
 }
 
 // Def returns the pinned definition of a visible relation.
 func (sn *Snap) Def(name string) (RelationDef, bool) {
-	sr, ok := sn.rels[name]
-	return sr.def, ok
+	rs, err := sn.rel(name)
+	if err != nil {
+		return RelationDef{}, false
+	}
+	return rs.def, true
 }
 
 // LoadCtx materializes a relation as of the pin point: the stored
@@ -102,17 +115,14 @@ func (sn *Snap) Def(name string) (RelationDef, bool) {
 // necessarily globally canonical); the engine re-canonicalizes when
 // Def(name).Shards > 1.
 func (sn *Snap) LoadCtx(ctx context.Context, name string, tests []encoding.AtomTest) (*core.Relation, error) {
-	if sn.st == nil {
-		return nil, fmt.Errorf("store: read through a closed snapshot")
+	rs, err := sn.rel(name)
+	if err != nil {
+		return nil, err
 	}
-	sr, ok := sn.rels[name]
-	if !ok {
-		return nil, fmt.Errorf("store: unknown relation %q", name)
-	}
-	rel := core.NewRelation(sr.def.Schema)
-	for _, first := range sr.firsts {
-		if err := scanRecords(ctx, name, sr.def.Schema.Degree(), tests, func(each func(storage.RID, []byte) bool) error {
-			return storage.ScanHeapSnapshot(ctx, sn.ps, first, each)
+	rel := core.NewRelation(rs.def.Schema)
+	for _, sh := range rs.shards {
+		if err := scanRecords(ctx, name, rs.def.Schema.Degree(), tests, func(each func(storage.RID, []byte) bool) error {
+			return storage.ScanHeapSnapshot(ctx, sn.ps, sh.heap.FirstPage(), each)
 		}, func(_ storage.RID, t tuple.Tuple) bool {
 			rel.Add(t)
 			return true
@@ -121,6 +131,26 @@ func (sn *Snap) LoadCtx(ctx context.Context, name string, tests []encoding.AtomT
 		}
 	}
 	return rel, nil
+}
+
+// LookupFixed is RelStore.LookupFixed of the relation as of the pin,
+// read through it without the shard's lock.
+func (sn *Snap) LookupFixed(name string, a value.Atom) ([]tuple.Tuple, error) {
+	rs, err := sn.rel(name)
+	if err != nil {
+		return nil, err
+	}
+	return rs.lookupFixed(sn.ps, a)
+}
+
+// ScanFixedRange is RelStore.ScanFixedRange of the relation as of the
+// pin, read through it without the shards' locks.
+func (sn *Snap) ScanFixedRange(name string, lo, hi *RangeBound) ([]tuple.Tuple, int, error) {
+	rs, err := sn.rel(name)
+	if err != nil {
+		return nil, 0, err
+	}
+	return rs.scanFixedRange(sn.ps, lo, hi)
 }
 
 // Close releases the pin: retained page versions and ghost catalog
