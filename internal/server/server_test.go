@@ -311,6 +311,25 @@ func TestIdleTimeoutRollsBackOpenTx(t *testing.T) {
 	}
 }
 
+// TestIdleTimeoutSaysGoodbye: a connection idle past IdleTimeout is
+// told why before it is closed, with TBye("idle timeout").
+func TestIdleTimeoutSaysGoodbye(t *testing.T) {
+	_, _, addr := startServer(t, t.TempDir(), Config{IdleTimeout: 100 * time.Millisecond})
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	if typ, _, err := wire.Read(nc); err != nil || typ != wire.THello {
+		t.Fatalf("hello: type 0x%02x, %v", typ, err)
+	}
+	typ, payload, err := wire.Read(nc)
+	if err != nil || typ != wire.TBye || string(payload) != "idle timeout" {
+		t.Fatalf("after the idle timeout: type 0x%02x %q, %v; want TBye \"idle timeout\"", typ, payload, err)
+	}
+}
+
 // TestGarbageConnectionsNoHandlerLeak throws protocol garbage at a
 // live server: corrupted frames, hostile length prefixes, client-bound
 // frame types, raw noise. Every such connection must be closed without

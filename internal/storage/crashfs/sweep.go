@@ -59,22 +59,17 @@ type digest = [sha256.Size]byte
 
 // fileDigest digests a file's name and the part of it store.Open reads
 // before it discards the rest: a log up to the end of its last whole
-// commit record (what storage.OpenWAL keeps; all of a log it refuses),
-// a data file of at least one page down to its last whole page.
+// commit record (storage.LogEnd, recovery's structural pass; all of a
+// log it refuses), a data file of at least one page down to its last
+// whole page.
 func fileDigest(name string, b []byte) digest {
 	n := len(b)
 	if !strings.HasSuffix(name, ".wal") {
 		if n >= storage.PageSize {
 			n -= n % storage.PageSize
 		}
-	} else {
-		m := storage.NewMemFS()
-		f, _ := m.Open(name, true) // in memory, neither call can fail
-		f.WriteAt(b, 0)
-		if w, err := storage.OpenWAL(name, m.Open); err == nil {
-			n = int(w.Size())
-			w.Close()
-		}
+	} else if end, err := storage.LogEnd(b); err == nil {
+		n = int(end)
 	}
 	return sha256.Sum256(append([]byte(name+"\x00"), b[:n]...))
 }

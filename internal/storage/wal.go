@@ -51,10 +51,11 @@ import (
 // touches of the same page in the same checkpoint interval log a
 // physiological DELTA: the byte ranges that changed against the
 // previous committed image (`nranges:u16 {off:u16 len:u16 bytes}`),
-// typically a few dozen bytes instead of a 4 KiB image. Recovery folds
-// deltas onto the retained base image and verifies the reconstructed
-// page's embedded checksum, so a delta that lost its base (impossible
-// in an intact log) or tore is detected exactly like a torn image.
+// typically a few dozen bytes instead of a 4 KiB image. Recovery ends
+// the log at a delta whose page no earlier record names, and folds the
+// rest onto one image per page, checking each final image's embedded
+// checksum, so a delta that lost its base (impossible in an intact log)
+// or folds wrong is dropped exactly like a torn image.
 // Because every page image carries its commit LSN in the page header
 // (page.go), redo is idempotent by the LSN rule — replay a
 // reconstructed image iff it is newer than the on-disk page — rather
@@ -70,9 +71,9 @@ import (
 // Recovery replays the latest committed image of every page and
 // discards a torn tail at the first record that fails its CRC, is
 // truncated, breaks the sequence, disagrees with its commit record's
-// page count, or commits at or below the header's clock; a tail cut
-// inside a merged write simply recovers the prefix of whole batches, so
-// crashes still land on transaction boundaries.
+// page count, or commits at or below the header's clock (scanLog); a
+// tail cut inside a merged write simply recovers the prefix of whole
+// batches, so crashes still land on transaction boundaries.
 const (
 	walMagic      = "NFRW"
 	walVersion    = 3
@@ -194,9 +195,11 @@ func (w *WAL) Existed() bool {
 	return w.existed
 }
 
-// recover scans the file, collecting the latest committed image per
-// page (folding delta records onto their bases), and truncates
-// everything past the last committed batch unless it is all zeros.
+// recover reads the file and recovers it in two passes over its bytes:
+// scanLog finds the end of the last committed batch from the records'
+// structure alone, and fold replays the records before that end onto
+// one image per page. Everything past the end is truncated unless it is
+// all zeros.
 func (w *WAL) recover() error {
 	size, err := w.f.Size()
 	if err != nil {
@@ -210,150 +213,31 @@ func (w *WAL) recover() error {
 	if n, err := w.f.ReadAt(buf, 0); err != nil && !(err == io.EOF && int64(n) == size) {
 		return err
 	}
-	// The first 8 header bytes are fixed; the database id and the
-	// persisted commit clock follow.
-	prefix := []byte{walMagic[0], walMagic[1], walMagic[2], walMagic[3], walVersion, 0, 0, 0}
-	switch {
-	case size >= walHeaderSize && bytes.Equal(buf[:8], prefix):
-		w.dbid = binary.LittleEndian.Uint64(buf[8:16])
-		// The clock region is rewritten in place at checkpoints; a torn
-		// rewrite can only garble these 12 bytes, which the CRC detects
-		// — then the commit records (and the store's page-LSN probe)
-		// still recover the clock.
-		if crc32.Checksum(buf[16:24], crcTable) == binary.LittleEndian.Uint32(buf[24:28]) {
-			w.clock = binary.LittleEndian.Uint64(buf[16:24])
-			w.hdrClock = w.clock
-		}
-	case tornHeader(buf[:min(size, walHeaderSize)], prefix):
-		// A header that is a zero-padded prefix of the valid one (or the
-		// full fixed prefix with a cut-short id/clock region) is a torn
-		// creation: the log's first fsync never completed, so no batch
-		// was ever promised durable — treat the log as empty.
+	s, err := scanLog(buf)
+	if err != nil {
+		return err
+	}
+	if s.torn {
 		if err := w.f.Truncate(0); err != nil {
 			return err
 		}
 		w.stats.TornTailBytes = int(size)
 		return nil
-	case size >= 8 && string(buf[:4]) == walMagic:
-		// Another format version: its records must not be guessed at.
-		return fmt.Errorf("%w: log format version %d, only version %d is supported", ErrCorrupt, buf[4], walVersion)
-	default:
-		return fmt.Errorf("%w: log: bad header", ErrCorrupt)
 	}
-	end := int64(walHeaderSize)
-	off := end
-	// pending holds the batch in flight; a torn batch is dropped with it.
-	// A page's first record in a batch takes a buffer from free (superseded
-	// images) or a new one, never a committed image; later ones fold in place.
-	pending := make(map[uint32]*Page)
-	var free []*Page
-	buffer := func(pid uint32) (img *Page, first bool) {
-		if img = pending[pid]; img != nil {
-			return img, false
-		}
-		if n := len(free); n > 0 {
-			img, free = free[n-1], free[:n-1]
-		} else {
-			img = new(Page)
-		}
-		pending[pid] = img
-		return img, true
-	}
-	sawCommit := false
-scan:
-	for off < size {
-		switch buf[off] {
-		case walRecPage:
-			if off+walPageRecSize > size {
-				break scan // torn tail
-			}
-			rec := buf[off : off+walPageRecSize]
-			if crc32.Checksum(rec[:walPageRecSize-4], crcTable) !=
-				binary.LittleEndian.Uint32(rec[walPageRecSize-4:]) {
-				break scan
-			}
-			img, _ := buffer(binary.LittleEndian.Uint32(rec[1:5]))
-			copy(img[:], rec[5:5+PageSize])
-			off += walPageRecSize
-		case walRecDelta:
-			if off+walDeltaHdrSize > size {
-				break scan
-			}
-			pid := binary.LittleEndian.Uint32(buf[off+1 : off+5])
-			sz := int64(binary.LittleEndian.Uint32(buf[off+5 : off+9]))
-			if sz > PageSize {
-				break scan // garbage length, not a plausible delta
-			}
-			recEnd := off + walDeltaHdrSize + sz + 4
-			if recEnd > size {
-				break scan
-			}
-			rec := buf[off:recEnd]
-			if crc32.Checksum(rec[:len(rec)-4], crcTable) !=
-				binary.LittleEndian.Uint32(rec[len(rec)-4:]) {
-				break scan
-			}
-			// Fold the delta onto the newest image of the page: the one
-			// already pending in this batch, else the last committed one.
-			// A delta with no base, a malformed range list, or a
-			// reconstruction whose embedded page checksum fails is
-			// treated exactly like a torn record.
-			img, first := buffer(pid)
-			if first {
-				base := w.images[pid]
-				if base == nil {
-					break scan
-				}
-				*img = *base
-			}
-			if applyDelta(img, rec[walDeltaHdrSize:len(rec)-4]) != nil || img.VerifyChecksum() != nil {
-				break scan
-			}
-			off = recEnd
-		case walRecCommit:
-			if off+walCommitRecSize > size {
-				break scan
-			}
-			rec := buf[off : off+walCommitRecSize]
-			if crc32.Checksum(rec[:walCommitRecSize-4], crcTable) !=
-				binary.LittleEndian.Uint32(rec[walCommitRecSize-4:]) {
-				break scan
-			}
-			seq := binary.LittleEndian.Uint64(rec[1:9])
-			n := binary.LittleEndian.Uint32(rec[9:13])
-			lsn := binary.LittleEndian.Uint64(rec[13:21])
-			// The first commit's sequence number is whatever the writer
-			// had reached (checkpoints rewind the log but do not reset
-			// the counter); after that it must advance by exactly one.
-			// A commit at or below the header's clock was written before
-			// the checkpoint that set it (a torn clock leaves hdrClock 0,
-			// and AppendGroup refuses LSN 0).
-			if (sawCommit && seq != w.seq+1) || int(n) != len(pending) || lsn <= w.hdrClock {
-				// a commit record that survived while part of its batch
-				// tore, an out-of-order remnant, or a retired
-				// generation's record: not a committed batch
-				break scan
-			}
-			if lsn > w.clock {
-				w.clock = lsn
-			}
-			sawCommit = true
-			for pid, img := range pending {
-				if old := w.images[pid]; old != nil {
-					free = append(free, old)
-				}
-				w.images[pid] = img
-			}
-			w.stats.RecoveredBatches++
-			w.stats.RecoveredPages += len(pending)
-			clear(pending)
-			w.seq = seq
-			off += walCommitRecSize
-			end = off
-		default:
-			break scan
+	w.fold(buf, s.end, false)
+	for _, img := range w.images {
+		if img.VerifyChecksum() != nil {
+			// Rare: a whole, CRC-valid record folded a page wrong. As a
+			// torn record would, the first such record ends the log
+			// before its batch.
+			s, _ = scanLog(buf[:w.fold(buf, s.end, true)])
+			w.fold(buf, s.end, false)
+			break
 		}
 	}
+	w.dbid, w.hdrClock, w.clock, w.seq = s.dbid, s.hdrClock, s.clock, s.seq
+	w.stats.RecoveredBatches, w.stats.RecoveredPages = s.batches, s.pages
+	end := int64(s.end)
 	w.size, w.alloc = end, size
 	if allZero(buf[end:]) {
 		return nil // space an extending append allocated
@@ -367,6 +251,160 @@ scan:
 	}
 	w.alloc = end
 	return w.f.Sync()
+}
+
+// logScan is what scanLog finds in a log's bytes.
+type logScan struct {
+	torn           bool   // the header is a torn creation: the log is empty
+	dbid           uint64 // the header's database id
+	hdrClock       uint64 // the header's clock, 0 when its CRC fails
+	end            int    // end of the last committed batch (0 for an empty log)
+	batches, pages int    // committed batches, and their distinct pages summed
+	seq, clock     uint64 // the last batch's seq; the highest commit LSN, or hdrClock
+}
+
+// LogEnd returns where recovery ends the log whose bytes are log: the
+// end of its last committed batch as the structural pass finds it (0
+// for an empty log or a torn header), or the error OpenWAL refuses the
+// log with. Recovery reads nothing past that end, so two logs whose
+// bytes agree up to it recover identically.
+func LogEnd(log []byte) (int64, error) {
+	s, err := scanLog(log)
+	return int64(s.end), err
+}
+
+// scanLog is recovery's first pass. It reads the header, then walks the
+// records and ends the log at the first one that is cut short, fails
+// its CRC or has an unknown tag, at a delta whose range list leaves the
+// page or whose page no earlier record in the log names, and at a
+// commit record that breaks the sequence, miscounts its batch's pages
+// or commits at or below the header's clock. It reads no page image.
+func scanLog(log []byte) (s logScan, err error) {
+	size := len(log)
+	if size == 0 {
+		return s, nil
+	}
+	// The first 8 header bytes are fixed; the database id and the
+	// persisted commit clock follow.
+	prefix := []byte{walMagic[0], walMagic[1], walMagic[2], walMagic[3], walVersion, 0, 0, 0}
+	switch {
+	case size >= walHeaderSize && bytes.Equal(log[:8], prefix):
+		s.dbid = binary.LittleEndian.Uint64(log[8:16])
+		// The clock region is rewritten in place at checkpoints; a torn
+		// rewrite can only garble these 12 bytes, which the CRC detects
+		// — then the commit records (and the store's page-LSN probe)
+		// still recover the clock.
+		if crc32.Checksum(log[16:24], crcTable) == binary.LittleEndian.Uint32(log[24:28]) {
+			s.hdrClock = binary.LittleEndian.Uint64(log[16:24])
+		}
+	case tornHeader(log[:min(size, walHeaderSize)], prefix):
+		// A header that is a zero-padded prefix of the valid one (or the
+		// full fixed prefix with a cut-short id/clock region) is a torn
+		// creation: the log's first fsync never completed, so no batch
+		// was ever promised durable — treat the log as empty.
+		s.torn = true
+		return s, nil
+	case size >= 8 && string(log[:4]) == walMagic:
+		// Another format version: its records must not be guessed at.
+		return s, fmt.Errorf("%w: log format version %d, only version %d is supported", ErrCorrupt, log[4], walVersion)
+	default:
+		return s, fmt.Errorf("%w: log: bad header", ErrCorrupt)
+	}
+	s.end, s.clock = walHeaderSize, s.hdrClock
+	// last maps each page a record names to the last batch that named
+	// it, counting from 1; the batch in flight is s.batches+1, and
+	// inFlight counts its distinct pages.
+	last := make(map[uint32]int)
+	inFlight := 0
+	for off := s.end; off < size; {
+		rec, n := log[off:], 0
+		if rec[0] == walRecPage || rec[0] == walRecCommit ||
+			rec[0] == walRecDelta && len(rec) >= walDeltaHdrSize && binary.LittleEndian.Uint32(rec[5:9]) <= PageSize {
+			n = recordLen(rec)
+		}
+		if n == 0 || n > len(rec) || crc32.Checksum(rec[:n-4], crcTable) != binary.LittleEndian.Uint32(rec[n-4:n]) {
+			return s, nil
+		}
+		if rec[0] == walRecCommit {
+			seq := binary.LittleEndian.Uint64(rec[1:9])
+			npages := binary.LittleEndian.Uint32(rec[9:13])
+			lsn := binary.LittleEndian.Uint64(rec[13:21])
+			// The first commit's sequence number is whatever the writer
+			// had reached (checkpoints rewind the log but do not reset
+			// the counter); after that it must advance by exactly one.
+			// A commit at or below the header's clock was written before
+			// the checkpoint that set it (a torn clock leaves hdrClock 0,
+			// and AppendGroup refuses LSN 0).
+			if (s.batches > 0 && seq != s.seq+1) || int(npages) != inFlight || lsn <= s.hdrClock {
+				// a commit record that survived while part of its batch
+				// tore, an out-of-order remnant, or a retired
+				// generation's record: not a committed batch
+				return s, nil
+			}
+			s.batches++
+			s.pages += inFlight
+			inFlight = 0
+			s.seq, s.clock = seq, max(s.clock, lsn)
+			s.end = off + n
+		} else {
+			pid := binary.LittleEndian.Uint32(rec[1:5])
+			b, named := last[pid]
+			if rec[0] == walRecDelta && (!named || applyDelta(nil, rec[walDeltaHdrSize:n-4]) != nil) {
+				return s, nil // a delta with no base, or ranges off the page
+			}
+			if b != s.batches+1 {
+				last[pid] = s.batches + 1
+				inFlight++
+			}
+		}
+		off += n
+	}
+	return s, nil
+}
+
+// recordLen returns the length of the record at the start of b, whose
+// tag and, for a delta, size field are there.
+func recordLen(b []byte) int {
+	switch b[0] {
+	case walRecPage:
+		return walPageRecSize
+	case walRecCommit:
+		return walCommitRecSize
+	}
+	return walDeltaHdrSize + int(binary.LittleEndian.Uint32(b[5:9])) + 4
+}
+
+// fold is recovery's second pass. It replays the page records before
+// end, which scanLog accepted, in log order onto one image per page, in
+// place, and returns end. With check it also verifies the page's
+// checksum after every record, and returns the start of the batch
+// holding the first record whose fold fails.
+func (w *WAL) fold(log []byte, end int, check bool) int {
+	clear(w.images)
+	batch := walHeaderSize
+	for off := walHeaderSize; off < end; {
+		rec := log[off : off+recordLen(log[off:])]
+		off += len(rec)
+		if rec[0] == walRecCommit {
+			batch = off
+			continue
+		}
+		pid := binary.LittleEndian.Uint32(rec[1:5])
+		img := w.images[pid]
+		if img == nil {
+			img = new(Page)
+			w.images[pid] = img
+		}
+		if rec[0] == walRecPage {
+			copy(img[:], rec[5:5+PageSize])
+		} else {
+			applyDelta(img, rec[walDeltaHdrSize:len(rec)-4]) // scanLog checked its ranges
+		}
+		if check && img.VerifyChecksum() != nil {
+			return batch
+		}
+	}
+	return end
 }
 
 // allZero reports whether b holds only zero bytes.
@@ -481,7 +519,8 @@ func nextDiff(a, b *Page, i int) int {
 }
 
 // applyDelta folds a delta payload onto img in place, bounds-checking
-// every range against the page and the payload.
+// every range against the page and the payload. With img nil it only
+// checks.
 func applyDelta(img *Page, payload []byte) error {
 	if len(payload) < 2 {
 		return fmt.Errorf("%w: log: delta payload truncated", ErrCorrupt)
@@ -498,7 +537,9 @@ func applyDelta(img *Page, payload []byte) error {
 		if o+l > PageSize || off+l > len(payload) {
 			return fmt.Errorf("%w: log: delta range out of bounds", ErrCorrupt)
 		}
-		copy(img[o:o+l], payload[off:off+l])
+		if img != nil {
+			copy(img[o:o+l], payload[off:off+l])
+		}
 		off += l
 	}
 	if off != len(payload) {

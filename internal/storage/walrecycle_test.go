@@ -9,11 +9,11 @@ import (
 )
 
 // walCommits walks the records of log from the header to end, which
-// must be a record boundary, and returns each commit record's seq and
-// lsn.
+// must be the end of a commit record or of the header, and returns each
+// commit record's seq and lsn.
 func walCommits(t *testing.T, log []byte, end int64) (seqs, lsns []uint64) {
 	t.Helper()
-	off := int64(walHeaderSize)
+	off, batch := int64(walHeaderSize), int64(walHeaderSize)
 	for off < end {
 		switch log[off] {
 		case walRecPage:
@@ -24,12 +24,16 @@ func walCommits(t *testing.T, log []byte, end int64) (seqs, lsns []uint64) {
 			seqs = append(seqs, binary.LittleEndian.Uint64(log[off+1:]))
 			lsns = append(lsns, binary.LittleEndian.Uint64(log[off+13:]))
 			off += walCommitRecSize
+			batch = off
 		default:
 			t.Fatalf("recovered log holds tag %q at %d", log[off], off)
 		}
 	}
 	if off != end {
 		t.Fatalf("recovered end %d is inside a record that ends at %d", end, off)
+	}
+	if batch != end {
+		t.Fatalf("recovered end %d is inside the batch that begins at %d", end, batch)
 	}
 	return seqs, lsns
 }
@@ -82,7 +86,11 @@ func fuzzLog(t testing.TB, m *MemFS, gen1, gen2 int) *WAL {
 // whole batches with consecutive sequence numbers and, when the
 // header's clock CRC holds, LSNs above that clock; and after one more
 // batch is appended, reopening must return exactly what it returned
-// before plus that batch.
+// before plus that batch. Every image it keeps must pass its page
+// checksum, and it must keep what refFold, the fold that checks every
+// delta as it goes, keeps from the same bytes — except where refFold
+// stopped at a reconstruction that failed its checksum, which a later
+// record can repair: then it must keep at least as many batches.
 func FuzzWALRecover(f *testing.F) {
 	f.Add(uint8(6), uint8(2), uint64(0), false, []byte(nil))                   // a retired generation behind a short current one
 	f.Add(uint8(4), uint8(0), uint64(0), false, []byte(nil))                   // an empty current generation
@@ -90,6 +98,7 @@ func FuzzWALRecover(f *testing.F) {
 	f.Add(uint8(3), uint8(1), uint64(0), true, []byte(nil))                    // a torn header clock
 	f.Add(uint8(2), uint8(2), uint64(3), false, []byte{walRecCommit, 1, 2, 3}) // a clock that retires a batch of the current generation
 	f.Add(uint8(0), uint8(3), uint64(0), false, tornGroupThenBatch(f))         // the reordered crash
+	f.Add(uint8(4), uint8(3), uint64(0), false, []byte(nil))                   // a retired delta folds onto a current image and fails its checksum
 	f.Fuzz(func(t *testing.T, gen1, gen2 uint8, clock uint64, tornClock bool, tail []byte) {
 		if gen1%12+gen2%12 == 0 {
 			return // no batch, no log file
@@ -125,7 +134,21 @@ func FuzzWALRecover(f *testing.F) {
 				t.Fatalf("recovered lsn %d is not above the header's clock %d", lsns[i], binary.LittleEndian.Uint64(log[16:24]))
 			}
 		}
+		ref, refBatches, refEnd, broke := refFold(log)
+		for pid, img := range w1.CommittedImages() {
+			if img.VerifyChecksum() != nil {
+				t.Fatalf("recovered page %d fails its checksum", pid)
+			}
+			if !broke && (ref[pid] == nil || *ref[pid] != *img) {
+				t.Fatalf("recovered page %d is not the reference fold's", pid)
+			}
+		}
 		st := w1.Stats()
+		if !broke && (st.RecoveredBatches != refBatches || w1.Size() != refEnd || len(w1.CommittedImages()) != len(ref)) ||
+			broke && w1.Size() < refEnd {
+			t.Fatalf("recovered %d batches to %d; the reference fold %d batches to %d (ended on a failed fold: %v)",
+				st.RecoveredBatches, w1.Size(), refBatches, refEnd, broke)
+		}
 		if st.RecoveredBatches != len(seqs) {
 			t.Fatalf("recovered %d batches, the log's prefix holds %d", st.RecoveredBatches, len(seqs))
 		}

@@ -7,12 +7,15 @@ import (
 	"testing"
 )
 
-// refFold is the redo fold of WAL.recover as it stood before page
-// buffers were recycled: a fresh Page for every record, so no image can
-// alias another by construction. log must start with a whole, valid
-// header; the result is the committed images, the batches found and the
-// end of the last committed batch.
-func refFold(log []byte) (images map[uint32]*Page, batches int, end int64) {
+// refFold is the redo fold of WAL.recover as it stood before recovery
+// split into a structural pass and a fold: a fresh Page for every
+// record, so no image can alias another by construction, and every
+// delta's reconstruction checked against its page checksum as it is
+// folded. log must start with a whole, valid header; the result is the
+// committed images, the batches found, the end of the last committed
+// batch, and whether the scan ended at a reconstruction that failed its
+// page checksum rather than at a structural fault.
+func refFold(log []byte) (images map[uint32]*Page, batches int, end int64, broke bool) {
 	images = make(map[uint32]*Page)
 	size := int64(len(log))
 	end = walHeaderSize
@@ -21,12 +24,16 @@ func refFold(log []byte) (images map[uint32]*Page, batches int, end int64) {
 	crcOK := func(rec []byte) bool {
 		return crc32.Checksum(rec[:len(rec)-4], crcTable) == binary.LittleEndian.Uint32(rec[len(rec)-4:])
 	}
+	var hdrClock uint64
+	if crcOK(log[16:walHeaderSize]) {
+		hdrClock = binary.LittleEndian.Uint64(log[16:24])
+	}
 	var lastSeq uint64
 	for off < size {
 		switch log[off] {
 		case walRecPage:
 			if off+walPageRecSize > size || !crcOK(log[off:off+walPageRecSize]) {
-				return images, batches, end
+				return images, batches, end, false
 			}
 			img := new(Page)
 			copy(img[:], log[off+5:off+5+PageSize])
@@ -34,13 +41,13 @@ func refFold(log []byte) (images map[uint32]*Page, batches int, end int64) {
 			off += walPageRecSize
 		case walRecDelta:
 			if off+walDeltaHdrSize > size {
-				return images, batches, end
+				return images, batches, end, false
 			}
 			pid := binary.LittleEndian.Uint32(log[off+1 : off+5])
 			sz := int64(binary.LittleEndian.Uint32(log[off+5 : off+9]))
 			recEnd := off + walDeltaHdrSize + sz + 4
 			if sz > PageSize || recEnd > size || !crcOK(log[off:recEnd]) {
-				return images, batches, end
+				return images, batches, end, false
 			}
 			img := new(Page)
 			switch {
@@ -49,21 +56,25 @@ func refFold(log []byte) (images map[uint32]*Page, batches int, end int64) {
 			case images[pid] != nil:
 				*img = *images[pid]
 			default:
-				return images, batches, end
+				return images, batches, end, false
 			}
-			if applyDelta(img, log[off+walDeltaHdrSize:recEnd-4]) != nil || img.VerifyChecksum() != nil {
-				return images, batches, end
+			if applyDelta(img, log[off+walDeltaHdrSize:recEnd-4]) != nil {
+				return images, batches, end, false
+			}
+			if img.VerifyChecksum() != nil {
+				return images, batches, end, true
 			}
 			pending[pid] = img
 			off = recEnd
 		case walRecCommit:
 			if off+walCommitRecSize > size || !crcOK(log[off:off+walCommitRecSize]) {
-				return images, batches, end
+				return images, batches, end, false
 			}
 			seq := binary.LittleEndian.Uint64(log[off+1 : off+9])
 			n := binary.LittleEndian.Uint32(log[off+9 : off+13])
-			if (batches > 0 && seq != lastSeq+1) || int(n) != len(pending) {
-				return images, batches, end
+			lsn := binary.LittleEndian.Uint64(log[off+13 : off+21])
+			if (batches > 0 && seq != lastSeq+1) || int(n) != len(pending) || lsn <= hdrClock {
+				return images, batches, end, false
 			}
 			for pid, img := range pending {
 				images[pid] = img
@@ -74,10 +85,10 @@ func refFold(log []byte) (images map[uint32]*Page, batches int, end int64) {
 			off += walCommitRecSize
 			end = off
 		default:
-			return images, batches, end
+			return images, batches, end, false
 		}
 	}
-	return images, batches, end
+	return images, batches, end, false
 }
 
 // The record builders write the log format by hand, for the shapes
@@ -185,41 +196,147 @@ func redoLog(t *testing.T) []byte {
 
 // TestWALRedoEveryOffset cuts the log at every byte and holds the
 // recovered images to the reference fold, byte for byte. A batch the
-// cut tears must leave nothing behind: its buffers came from images
-// that earlier batches superseded, never from a committed one.
+// cut tears must leave nothing behind, and no two pages may share a
+// buffer.
 func TestWALRedoEveryOffset(t *testing.T) {
 	log := redoLog(t)
-	if _, batches, end := refFold(log); batches != 10 || end != int64(len(log)) {
+	if _, batches, end, _ := refFold(log); batches != 10 || end != int64(len(log)) {
 		t.Fatalf("reference fold of the whole log: %d batches, end %d of %d", batches, end, len(log))
 	}
 	for cut := 0; cut <= len(log); cut++ {
-		f := &MemFile{b: append([]byte(nil), log[:cut]...)}
-		w, err := OpenWAL("redo.wal", func(string, bool) (File, error) { return f, nil })
+		requireRefFold(t, fmt.Sprintf("cut %d", cut), log[:cut])
+	}
+}
+
+// TestWALRedoRecycledEveryOffset tears the current generation of a
+// recycled log at every byte: the bytes before the cut are the current
+// generation's, those after it the longer retired generation's. Where
+// the cut falls on a retired record boundary, retired deltas follow for
+// pages the current generation has already logged, so they have a base
+// and a valid CRC but fold into a page that fails its checksum; the
+// retired commit record after them ends the log by the generation rule.
+// Every cut must recover what the reference fold does.
+func TestWALRedoRecycledEveryOffset(t *testing.T) {
+	retired, current := NewMemFS(), NewMemFS()
+	fuzzLog(t, retired, 12, 0).Close()
+	w := fuzzLog(t, current, 12, 5)
+	end := w.Size()
+	w.Close()
+	old, log := fileBytes(t, retired, "f.wal"), fileBytes(t, current, "f.wal")
+	if int64(len(old)) <= end || len(log) != len(old) {
+		t.Fatalf("the current generation ends at %d in a file of %d; the retired one is %d long", end, len(log), len(old))
+	}
+	stale := 0
+	for cut := int64(walHeaderSize); cut <= end; cut++ {
+		image := append(append([]byte(nil), log[:cut]...), old[cut:]...)
+		if _, _, _, broke := refFold(image); broke {
+			stale++
+		}
+		requireRefFold(t, fmt.Sprintf("cut %d", cut), image)
+	}
+	if stale == 0 {
+		t.Fatal("no cut left a retired delta that folds onto a current image")
+	}
+}
+
+// requireRefFold opens a log holding the bytes log and requires what it
+// recovers to be what refFold recovers from them: the same batches,
+// end, images and torn bytes, the file cut to that end, and one buffer
+// per page. Where refFold stopped at a structural fault, LogEnd must
+// find its end too.
+func requireRefFold(t *testing.T, name string, log []byte) {
+	t.Helper()
+	f := &MemFile{b: append([]byte(nil), log...)}
+	w, err := OpenWAL("redo.wal", func(string, bool) (File, error) { return f, nil })
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	want, batches, end, broke := map[uint32]*Page{}, 0, int64(0), false
+	if len(log) >= walHeaderSize {
+		want, batches, end, broke = refFold(log)
+	}
+	if logEnd, err := LogEnd(log); err != nil || !broke && logEnd != end {
+		t.Fatalf("%s: LogEnd = %d, %v; reference end %d", name, logEnd, err, end)
+	}
+	st := w.Stats()
+	if st.RecoveredBatches != batches || w.Size() != end || st.TornTailBytes != len(log)-int(end) || int64(len(f.b)) != end {
+		t.Fatalf("%s: %d batches, size %d, %d torn bytes, file %d; reference: %d batches, end %d",
+			name, st.RecoveredBatches, w.Size(), st.TornTailBytes, len(f.b), batches, end)
+	}
+	got := w.CommittedImages()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d images, reference has %d", name, len(got), len(want))
+	}
+	buffers := make(map[*Page]uint32)
+	for pid, img := range got {
+		if want[pid] == nil || *img != *want[pid] {
+			t.Fatalf("%s: image of page %d differs from the reference fold", name, pid)
+		}
+		if other, shared := buffers[img]; shared {
+			t.Fatalf("%s: pages %d and %d share a buffer", name, pid, other)
+		}
+		buffers[img] = pid
+	}
+}
+
+// TestWALRedoBrokenFold holds recovery to the reference fold on logs
+// whose records are all whole and CRC-valid but where one delta folds
+// its page into an image that fails its page checksum: the batch that
+// holds it and everything after it are dropped, as a torn tail is.
+// Recovery checks each page once, after the fold, so a later record
+// that leaves the page valid again keeps the batches after it too.
+func TestWALRedoBrokenFold(t *testing.T) {
+	f := &MemFile{}
+	w, err := OpenWAL("redo.wal", func(string, bool) (File, error) { return f, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, p2 := pageWithRecord(t, "one"), pageWithRecord(t, "two")
+	if err := appendBatch(w, []WALPage{{1, p1}, {2, p2}}); err != nil {
+		t.Fatal(err)
+	}
+	p1b := nextVersion(t, p1, "one-b")
+	if err := appendBatch(w, []WALPage{{1, p1b}}); err != nil {
+		t.Fatal(err)
+	}
+	head := append([]byte(nil), f.b...)
+	// broken is p2 with a record added and the stale checksum kept
+	broken := *nextVersion(t, p2, "two-b")
+	copy(broken[checksumOff:checksumOff+4], p2[checksumOff:checksumOff+4])
+	breaking := func(seq uint64) []byte {
+		rec := append(deltaRecord(t, 1, p1b, nextVersion(t, p1b, "one-c")), deltaRecord(t, 2, p2, &broken)...)
+		return append(rec, commitRecord(seq, 2, seq)...)
+	}
+	p1c := nextVersion(t, p1b, "one-c")
+	later := append(deltaRecord(t, 1, p1c, nextVersion(t, p1c, "one-d")), commitRecord(4, 1, 4)...)
+	restamped := *nextVersion(t, &broken, "two-c")
+	repair := append(deltaRecord(t, 2, &broken, &restamped), commitRecord(4, 1, 4)...)
+	// a delta whose page no earlier record names ends the log by structure
+	requireRefFold(t, "a delta with no base", append(append(append([]byte(nil), head...), deltaRecord(t, 3, p1, p1b)...), commitRecord(3, 1, 3)...))
+	for _, tc := range []struct {
+		name    string
+		log     []byte
+		batches int
+	}{
+		{"last batch", append(append([]byte(nil), head...), breaking(3)...), 2},
+		{"middle batch", append(append(append([]byte(nil), head...), breaking(3)...), later...), 2},
+		{"repaired by a later batch", append(append(append([]byte(nil), head...), breaking(3)...), repair...), 4},
+	} {
+		if _, batches, _, broke := refFold(tc.log); !broke || batches != 2 {
+			t.Fatalf("%s: the reference fold found %d batches, broke %v", tc.name, batches, broke)
+		}
+		if tc.batches == 2 {
+			requireRefFold(t, tc.name, tc.log)
+			continue
+		}
+		g := &MemFile{b: append([]byte(nil), tc.log...)}
+		w, err := OpenWAL("redo.wal", func(string, bool) (File, error) { return g, nil })
 		if err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
+			t.Fatal(err)
 		}
-		want, batches, end := map[uint32]*Page{}, 0, int64(0)
-		if cut >= walHeaderSize {
-			want, batches, end = refFold(log[:cut])
-		}
-		st := w.Stats()
-		if st.RecoveredBatches != batches || w.Size() != end || st.TornTailBytes != cut-int(end) || int64(len(f.b)) != end {
-			t.Fatalf("cut %d: %d batches, size %d, %d torn bytes, file %d; reference: %d batches, end %d",
-				cut, st.RecoveredBatches, w.Size(), st.TornTailBytes, len(f.b), batches, end)
-		}
-		got := w.CommittedImages()
-		if len(got) != len(want) {
-			t.Fatalf("cut %d: %d images, reference has %d", cut, len(got), len(want))
-		}
-		buffers := make(map[*Page]uint32)
-		for pid, img := range got {
-			if want[pid] == nil || *img != *want[pid] {
-				t.Fatalf("cut %d: image of page %d differs from the reference fold", cut, pid)
-			}
-			if other, shared := buffers[img]; shared {
-				t.Fatalf("cut %d: pages %d and %d share a buffer", cut, pid, other)
-			}
-			buffers[img] = pid
+		img, _ := w.Image(2)
+		if st := w.Stats(); st.RecoveredBatches != tc.batches || w.Size() != int64(len(tc.log)) || img != restamped {
+			t.Fatalf("%s: %d batches to %d of %d", tc.name, st.RecoveredBatches, w.Size(), len(tc.log))
 		}
 	}
 }
@@ -263,8 +380,10 @@ func walRecoverLog(tb testing.TB, pages, n int) []byte {
 }
 
 // BenchmarkWALRecover opens a 500-batch delta log (4 500 delta records
-// over 64 pages) on a file whose Sync returns at once; the reference
-// sub-benchmark is the allocate-per-record fold on the same bytes.
+// over 64 pages) on a file whose Sync returns at once: one structural
+// pass, one in-place fold per page and 64 page checksums. The reference
+// sub-benchmark is refFold on the same bytes, a fresh buffer per record
+// and a page checksum per delta.
 func BenchmarkWALRecover(b *testing.B) {
 	log := walRecoverLog(b, 64, 500)
 	b.Run("recover", func(b *testing.B) {
@@ -282,7 +401,7 @@ func BenchmarkWALRecover(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(log)))
 		for i := 0; i < b.N; i++ {
-			if _, batches, _ := refFold(log); batches != 501 {
+			if _, batches, _, _ := refFold(log); batches != 501 {
 				b.Fatalf("folded %d batches", batches)
 			}
 		}

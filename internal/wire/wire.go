@@ -196,7 +196,7 @@ func Read(r io.Reader) (typ byte, payload []byte, err error) {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
-		return 0, nil, fmt.Errorf("%w (length: %v)", ErrTruncated, err)
+		return 0, nil, fmt.Errorf("%w (length: %w)", ErrTruncated, err)
 	}
 	length := binary.BigEndian.Uint32(hdr[:])
 	if length < frameOverhead {
@@ -207,7 +207,7 @@ func Read(r io.Reader) (typ byte, payload []byte, err error) {
 	}
 	body := make([]byte, length)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, fmt.Errorf("%w (body: %v)", ErrTruncated, err)
+		return 0, nil, fmt.Errorf("%w (body: %w)", ErrTruncated, err)
 	}
 	typ = body[0]
 	wantCRC := binary.BigEndian.Uint32(body[1:5])
